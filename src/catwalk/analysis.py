@@ -14,21 +14,23 @@ import numpy as np
 from scipy.signal import find_peaks
 
 from .lattice import (
+    COIN_SYMMETRIC,
     DensityOperator,
     LatticeConfig,
     PureState,
     StateError,
     fidelity,
     fidelity_with_density,
+    localized_state,
+    make_lattice,
 )
 from .walk import (
     SIGMA_Y,
     Schedule,
-    _check_unitary,
     evolve,
     reversal_pair,
 )
-from .channels import ChannelSpec
+from .channels import ChannelSpec, evolve_open
 
 DEGENERACY_GAP = 0.05
 PROJECTION_NORM_TOL = 1e-12
@@ -283,39 +285,27 @@ def revival_protocol(
     evolution with the channel applied after every step.
     """
     gate, gate_back = _reverser_gates(theta, reverser)
+    sched = Schedule(
+        2 * T,
+        theta,
+        coin_gate_insertions=((T, gate), (2 * T, gate_back)),
+        channel=channel,
+    )
     if channel is None:
-        sched = Schedule(
-            2 * T,
-            theta,
-            coin_gate_insertions=((T, gate), (2 * T, gate_back)),
-        )
         result = evolve(initial, sched, snapshot_times=range(2 * T + 1))
         trace = np.array(
             [fidelity(initial, result.snapshots[s]) for s in range(2 * T + 1)]
         )
         return RevivalResult(float(trace[-1]), trace)
 
-    gate = _check_unitary(gate)
-    gate_back = _check_unitary(gate_back)
-    from .channels import _channel_mat_fn
-    from .walk import _conj_coin_mat, _shift_mat, coin_operator
-
-    channel_fn = _channel_mat_fn(channel)
-    coin = coin_operator(theta)
-    amp = initial.amplitudes
-    mat = np.einsum("xc,yd->xcyd", amp, amp.conj())
+    bra, ket = initial.amplitudes.conj(), initial.amplitudes
     trace = np.empty(2 * T + 1)
-    trace[0] = 1.0
-    for s in range(1, 2 * T + 1):
-        mat = _shift_mat(_conj_coin_mat(mat, coin))
-        mat = channel_fn(mat)
-        if s == T:
-            mat = _conj_coin_mat(mat, gate)
-        if s == 2 * T:
-            mat = _conj_coin_mat(mat, gate_back)
-        trace[s] = np.einsum("xc,xcyd,yd->", amp.conj(), mat, amp).real
-    # final validation catches any numerical drift in the open run
-    final = DensityOperator(initial.lattice, mat)
+
+    def record(t: int, mat: np.ndarray) -> None:
+        trace[t] = np.einsum("xc,xcyd,yd->", bra, mat, ket).real
+
+    # the final state is validated, which catches numerical drift in the run
+    final = evolve_open(DensityOperator.from_pure(initial), sched, observe=record).final
     return RevivalResult(float(fidelity_with_density(initial, final)), trace)
 
 
@@ -331,20 +321,14 @@ def hold_recurrence(
     Defaults to the nominal recurrence time, p steps for even p and 2p for
     odd p, on a small lattice with a localized start.
     """
-    from .lattice import COIN_SYMMETRIC, localized_state, make_lattice
-    from .walk import step_generalized
-
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     if steps is None:
         steps = p if p % 2 == 0 else 2 * p
     if initial is None:
         initial = localized_state(make_lattice(n_sites), 0, COIN_SYMMETRIC)
-    phi = 2.0 * np.pi / p
-    state = initial
-    for _ in range(steps):
-        state = step_generalized(state, theta, phi)
-    return fidelity(initial, state)
+    sched = Schedule(steps, theta, fm_windows=((0, steps, 2.0 * np.pi / p),))
+    return fidelity(initial, evolve(initial, sched).final)
 
 
 def control_protocol(

@@ -4,18 +4,20 @@ Pure dephasing shrinks off-diagonal elements toward the diagonal in a
 chosen index (coin, walker, or both); amplitude damping and bit flip act
 on the coin through Kraus pairs.  The bath strength eta is per step, so
 each application scales coherences by lambda = e^{-eta} and an n-step run
-accumulates e^{-eta n}.
+accumulates e^{-eta n}.  ``evolve_open`` is the one loop that advances a
+density matrix over steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .lattice import DensityOperator
-from .walk import SIGMA_X, Schedule
+from .walk import (SIGMA_X, Schedule, _apply_coin_superop, _check_unitary, _coin_superop,
+                   _phase_density, _shift_density, coin_operator)
 
 COMPLETENESS_TOL = 1e-12
 
@@ -73,26 +75,6 @@ class KrausPair:
         object.__setattr__(self, "m1", m1)
 
 
-def _dephase_mat(mat: np.ndarray, eta: float, target: str) -> np.ndarray:
-    lam = np.exp(-eta)
-    n = mat.shape[0]
-    out = mat * lam
-    inv = 1.0 / lam
-    idx = np.arange(n)
-    if target == TARGET_COIN:
-        # restore elements diagonal in the coin (any x, x')
-        out[:, 0, :, 0] *= inv
-        out[:, 1, :, 1] *= inv
-    elif target == TARGET_WALKER:
-        out[idx, :, idx, :] *= inv
-    elif target == TARGET_BOTH:
-        out[idx, 0, idx, 0] *= inv
-        out[idx, 1, idx, 1] *= inv
-    else:
-        raise ChannelError(f"unknown target {target!r}")
-    return out
-
-
 def dephase(rho: DensityOperator, eta: float, target: str) -> DensityOperator:
     """Scale the targeted off-diagonal elements by e^{-eta}.
 
@@ -100,11 +82,7 @@ def dephase(rho: DensityOperator, eta: float, target: str) -> DensityOperator:
     target=both touches every element off the full diagonal.  The diagonal
     is untouched, so the trace is preserved exactly.
     """
-    if eta < 0:
-        raise ChannelError(f"eta must be >= 0, got {eta}")
-    if eta == 0:
-        return rho
-    return DensityOperator(rho.lattice, _dephase_mat(rho.matrix, eta, target))
+    return apply_channel(rho, ChannelSpec(DEPHASING, eta, target))
 
 
 def amplitude_damping_kraus(eta: float) -> KrausPair:
@@ -126,39 +104,50 @@ def bit_flip_kraus(eta: float) -> KrausPair:
     return KrausPair(b0, b1)
 
 
-def _kraus_mat(mat: np.ndarray, kraus: KrausPair) -> np.ndarray:
-    out = np.zeros_like(mat)
-    for m in (kraus.m0, kraus.m1):
-        term = np.einsum("ac,xcyd->xayd", m, mat)
-        out += np.einsum("bd,xayd->xayb", m.conj(), term)
-    return out
-
-
 def apply_coin_channel(rho: DensityOperator, kraus: KrausPair) -> DensityOperator:
     """rho -> sum_i (1 (x) M_i) rho (1 (x) M_i)†."""
-    return DensityOperator(rho.lattice, _kraus_mat(rho.matrix, kraus))
+    superop = _coin_superop(kraus.m0, kraus.m1)
+    mat = _apply_coin_superop(rho.matrix, superop, np.empty_like(rho.matrix))
+    return DensityOperator(rho.lattice, mat)
 
 
-def _channel_mat_fn(spec: ChannelSpec):
-    """Bind a spec to a raw-array channel application for hot loops."""
+def _channel_map(spec: ChannelSpec, n_sites: int) -> Callable | None:
+    """Bind a spec to a raw-array map (mat, out) -> out, None for eta = 0.
+
+    Coin-local channels are a 4x4 coin superoperator (the Kraus sums, and
+    diag(1, lam, lam, 1) for coin dephasing).  Walker and both dephasing are
+    lam*rho + (1 - lam)*P(rho), P keeping the x = x' (walker) or x = x',
+    c = c' (both) elements, which are copied through: no division by lam.
+    """
+    if spec.eta == 0:
+        return None
+    lam = np.exp(-spec.eta)
+    if spec.kind == DEPHASING and spec.target != TARGET_COIN:
+        site = np.arange(n_sites)[:, None]
+        coin = slice(None) if spec.target == TARGET_WALKER else np.arange(2)
+        kept = (site, coin, site, coin)
+
+        def dephase_positions(mat: np.ndarray, out: np.ndarray) -> np.ndarray:
+            np.multiply(mat, lam, out=out)
+            out[kept] = mat[kept]
+            return out
+
+        return dephase_positions
     if spec.kind == DEPHASING:
-        eta, target = spec.eta, spec.target
-        if eta == 0:
-            return lambda mat: mat
-        return lambda mat: _dephase_mat(mat, eta, target)
-    if spec.kind == AMPLITUDE_DAMPING:
-        kraus = amplitude_damping_kraus(spec.eta)
+        superop = np.diag([1.0, lam, lam, 1.0]).astype(complex)
     else:
-        kraus = bit_flip_kraus(spec.eta)
-    return lambda mat: _kraus_mat(mat, kraus)
+        factory = amplitude_damping_kraus if spec.kind == AMPLITUDE_DAMPING else bit_flip_kraus
+        kraus = factory(spec.eta)
+        superop = _coin_superop(kraus.m0, kraus.m1)
+    return lambda mat, out: _apply_coin_superop(mat, superop, out)
 
 
 def apply_channel(rho: DensityOperator, spec: ChannelSpec) -> DensityOperator:
-    if spec.kind == DEPHASING:
-        return dephase(rho, spec.eta, spec.target)
-    if spec.kind == AMPLITUDE_DAMPING:
-        return apply_coin_channel(rho, amplitude_damping_kraus(spec.eta))
-    return apply_coin_channel(rho, bit_flip_kraus(spec.eta))
+    """One application of the channel to rho."""
+    channel = _channel_map(spec, rho.lattice.n_sites)
+    if channel is None:
+        return rho
+    return DensityOperator(rho.lattice, channel(rho.matrix, np.empty_like(rho.matrix)))
 
 
 @dataclass(frozen=True)
@@ -171,18 +160,21 @@ def evolve_open(
     rho0: DensityOperator,
     schedule: Schedule,
     snapshot_times: Sequence[int] = (),
+    observe: Callable[[int, np.ndarray], None] | None = None,
 ) -> OpenEvolutionResult:
     """Run a schedule on a density operator, channel after every step.
 
     The per-step order is unitary step, then channel; coin-gate insertions
     are applied (unitarily) after the completed step, before any snapshot.
     A schedule without a channel runs closed but on rho, useful for
-    cross-checking against the pure-state path.  The hot loop works on
-    the raw array; trace and Hermiticity are re-validated at every
-    snapshot and on the final state.
-    """
-    from .walk import _check_unitary, _conj_coin_mat, _fm_mat, _shift_mat, coin_operator
+    cross-checking against the pure-state path.  The loop swaps two
+    preallocated (N, 2, N, 2) buffers; trace and Hermiticity are validated
+    at every snapshot and on the final state.
 
+    ``observe(t, mat)`` is called at every t = 0..total_steps, after that
+    time's insertions, with the raw array, which it must neither keep nor
+    modify.
+    """
     spec = schedule.channel
     if spec is not None and not isinstance(spec, ChannelSpec):
         raise ChannelError(f"schedule.channel must be a ChannelSpec, got {type(spec).__name__}")
@@ -190,27 +182,31 @@ def evolve_open(
     for t in wanted:
         if not (0 <= t <= schedule.total_steps):
             raise ChannelError(f"snapshot time {t} outside run")
-    channel_fn = _channel_mat_fn(spec) if spec is not None else None
-    coin = coin_operator(schedule.theta)
     lattice = rho0.lattice
+    channel = _channel_map(spec, lattice.n_sites) if spec is not None else None
+    coin = _coin_superop(coin_operator(schedule.theta))
     mat = rho0.matrix.copy()
+    spare = np.empty_like(mat)
     snaps: dict[int, DensityOperator] = {}
 
-    def checkpoint(t: int) -> np.ndarray:
-        out = mat
+    def checkpoint(t: int) -> None:
+        nonlocal mat, spare
         for u in schedule.insertions_at(t):
-            out = _conj_coin_mat(out, _check_unitary(u))
+            mat, spare = _apply_coin_superop(mat, _coin_superop(_check_unitary(u)), spare), mat
         if t in wanted:
-            snaps[t] = DensityOperator(lattice, out)
-        return out
+            snaps[t] = DensityOperator(lattice, mat.copy())
+        if observe is not None:
+            observe(t, mat)
 
-    mat = checkpoint(0)
+    checkpoint(0)
     for s in range(1, schedule.total_steps + 1):
-        mat = _shift_mat(_conj_coin_mat(mat, coin))
+        _apply_coin_superop(mat, coin, spare)
+        _shift_density(spare, mat)
         phi = schedule.phi_at(s)
         if phi is not None:
-            mat = _fm_mat(mat, lattice.sites, phi)
-        if channel_fn is not None:
-            mat = channel_fn(mat)
-        mat = checkpoint(s)
+            _phase_density(mat, lattice.sites, phi)
+        if channel is not None:
+            mat, spare = channel(mat, spare), mat
+        checkpoint(s)
+    del spare  # the final validation needs the room
     return OpenEvolutionResult(DensityOperator(lattice, mat), snaps)

@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .config import ConfigError, parse_config
+from .config import KEYS, OUT_ENV, ConfigError, parse_config
 from .io import emit_results
 from .lattice import LatticeError, StateError
 from .scenarios import RUNNERS, ResourceGuardError, run_scenario
@@ -21,8 +21,6 @@ from .walk import ScheduleError
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
-
-OUT_ENV = "CATWALK_OUT"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,31 +33,15 @@ def build_parser() -> argparse.ArgumentParser:
     for name in sorted(RUNNERS):
         sp = sub.add_parser(name, help=f"run the {name} scenario")
         sp.add_argument("--config", help="key=value config file")
-        sp.add_argument("--theta", type=float, help="coin angle (radians)")
-        sp.add_argument("--sigma", type=float, help="initial Gaussian width (sites)")
-        sp.add_argument("--steps", type=int, help="walk steps (T or t per scenario)")
-        sp.add_argument("--eta", type=float, help="per-step bath strength")
-        sp.add_argument("--channel", help="dephasing | amplitude_damping | bit_flip")
-        sp.add_argument("--target", help="coin | walker | both (dephasing)")
-        sp.add_argument("--p", type=int, help="momentum-shift period parameter")
-        sp.add_argument("--n", type=int, help="number of 2p hold cycles")
-        sp.add_argument("--k0", type=float, help="initial mean momentum")
-        sp.add_argument("--lattice", type=int, help="lattice size N (default auto)")
-        sp.add_argument("--stride", type=int, help="snapshot stride in steps")
-        sp.add_argument("--max-bytes", type=float, dest="max_bytes",
-                        help="density-matrix memory budget in bytes")
-        sp.add_argument("--out", help="output directory "
-                        f"(default ${OUT_ENV} or current dir)")
-        sp.add_argument("--format", dest="fmt", choices=("csv", "plot", "both"),
-                        help="table output format (default csv)")
+        for dest, key in KEYS.items():
+            sp.add_argument(key.flag, dest=dest, type=key.type, help=key.help,
+                            choices=key.choices)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    flag_keys = ("theta", "sigma", "steps", "eta", "channel", "target",
-                 "p", "n", "k0", "lattice", "stride", "max_bytes", "out", "fmt")
-    flags = {k: getattr(args, k) for k in flag_keys}
+    flags = {k: getattr(args, k) for k in KEYS}
     if flags["out"] is None:
         flags["out"] = os.environ.get(OUT_ENV)
 

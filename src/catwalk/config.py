@@ -8,10 +8,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 import math
+from typing import Callable, NamedTuple
 
 CHANNEL_KINDS = ("dephasing", "amplitude_damping", "bit_flip")
 TARGETS = ("coin", "walker", "both")
 FORMATS = ("csv", "plot", "both")
+
+OUT_ENV = "CATWALK_OUT"
 
 
 class ConfigError(ValueError):
@@ -45,28 +48,46 @@ class ExperimentConfig:
     provenance: dict = field(default_factory=dict)
 
 
-_PARSERS = {
-    "theta": float,
-    "sigma": float,
-    "k0": float,
-    "steps": int,
-    "eta": float,
-    "channel": str,
-    "target": str,
-    "p": int,
-    "n": int,
-    "lattice": lambda s: None if s == "auto" else int(s),
-    "out": str,
-    "stride": int,
-    "fmt": str,
-    "max_bytes": float,
+class Key(NamedTuple):
+    """One scenario key: its CLI flag, value type and help text."""
+
+    flag: str
+    type: Callable
+    help: str
+    choices: tuple | None = None
+
+
+# Every key a config file or a flag may set, in CLI help order.  File values
+# are parsed with the key's type, except that lattice also takes "auto".
+KEYS = {
+    "theta": Key("--theta", float, "coin angle (radians)"),
+    "sigma": Key("--sigma", float, "initial Gaussian width (sites)"),
+    "steps": Key("--steps", int, "walk steps (T or t per scenario)"),
+    "eta": Key("--eta", float, "per-step bath strength"),
+    "channel": Key("--channel", str, "dephasing | amplitude_damping | bit_flip"),
+    "target": Key("--target", str, "coin | walker | both (dephasing)"),
+    "p": Key("--p", int, "momentum-shift period parameter"),
+    "n": Key("--n", int, "number of 2p hold cycles"),
+    "k0": Key("--k0", float, "initial mean momentum"),
+    "lattice": Key("--lattice", int, "lattice size N (default auto)"),
+    "stride": Key("--stride", int, "snapshot stride in steps"),
+    "max_bytes": Key("--max-bytes", float, "density-matrix memory budget in bytes"),
+    "out": Key("--out", str, f"output directory (default ${OUT_ENV} or current dir)"),
+    "fmt": Key("--format", str, "table output format (default csv)", FORMATS),
 }
+
+
+def _parse(key: str, text: str):
+    return None if key == "lattice" and text == "auto" else KEYS[key].type(text)
 
 
 def _validate(cfg: ExperimentConfig) -> None:
     def bad(key, why):
         raise ConfigError(f"{key}: {why}")
 
+    for key in ("theta", "sigma", "k0", "eta", "max_bytes"):
+        if not math.isfinite(getattr(cfg, key)):
+            bad(key, f"must be finite, got {getattr(cfg, key)}")
     if cfg.sigma <= 0:
         bad("sigma", f"must be > 0, got {cfg.sigma}")
     if cfg.steps < 0:
@@ -114,10 +135,10 @@ def parse_config(
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _PARSERS:
+        if key not in KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            setattr(cfg, key, _PARSERS[key](value))
+            setattr(cfg, key, _parse(key, value))
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"line {lineno}: {key}: {exc}") from exc
         prov[key] = "file"
@@ -125,10 +146,10 @@ def parse_config(
     for key, value in (flags or {}).items():
         if value is None:
             continue
-        if key not in _PARSERS:
+        if key not in KEYS:
             raise ConfigError(f"flag --{key}: unknown key")
         try:
-            parsed = _PARSERS[key](value) if isinstance(value, str) else value
+            parsed = _parse(key, value) if isinstance(value, str) else value
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"flag --{key}: {exc}") from exc
         setattr(cfg, key, parsed)

@@ -1,14 +1,11 @@
 """Result persistence: CSV tables, key=value metadata, plot-data files.
 
 Everything emitted is deterministic text: reals at 17 significant digits,
-metadata keys sorted, no timestamps in files (the in-memory record keeps
-one for interactive use, but writing it out would break byte-identical
-reruns).
+metadata keys sorted, no timestamps in files.
 """
 
 from __future__ import annotations
 
-import datetime
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,9 +42,6 @@ class ResultRecord:
     scenario: str
     metadata: dict
     tables: list[Table] = field(default_factory=list)
-    created_at: str = field(
-        default_factory=lambda: datetime.datetime.now(datetime.timezone.utc).isoformat()
-    )
 
 
 def _format_cell(value: float, dtype: str) -> str:

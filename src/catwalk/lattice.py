@@ -81,7 +81,7 @@ class CoinState:
 
     def __post_init__(self):
         norm = abs(self.up) ** 2 + abs(self.down) ** 2
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise StateError(f"coin state not normalized: |a|^2+|b|^2 = {norm!r}")
 
     @classmethod
@@ -121,7 +121,7 @@ class PureState:
         if self.basis not in (POSITION, MOMENTUM):
             raise StateError(f"unknown basis tag {self.basis!r}")
         norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise StateError(f"state norm {norm!r} deviates from 1")
         object.__setattr__(self, "amplitudes", amp)
         self.amplitudes.setflags(write=False)
@@ -148,10 +148,10 @@ class DensityOperator:
         if mat.shape != (n, 2, n, 2):
             raise StateError(f"density matrix shape {mat.shape} invalid for N={n}")
         flat = mat.reshape(2 * n, 2 * n)
-        if np.abs(flat - flat.conj().T).max() > HERMITICITY_TOL:
+        if not np.abs(flat - flat.conj().T).max() <= HERMITICITY_TOL:
             raise StateError("density matrix is not Hermitian")
         tr = np.trace(flat).real
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise StateError(f"density matrix trace {tr!r} deviates from 1")
         object.__setattr__(self, "matrix", mat)
         self.matrix.setflags(write=False)

@@ -48,20 +48,26 @@ class ResourceGuardError(RuntimeError):
         self.predicted_bytes = predicted_bytes
         self.budget = budget
         super().__init__(
-            f"predicted density-matrix allocation {predicted_bytes} bytes "
-            f"(working set ~4x matrix) exceeds budget {budget:.0f}; "
-            f"reduce the lattice or raise max_bytes"
+            f"predicted peak working set {predicted_bytes} bytes "
+            f"(4 density matrices plus numpy buffers) exceeds budget "
+            f"{budget:.0f}; reduce the lattice or raise max_bytes"
         )
 
 
-def density_matrix_bytes(n_sites: int) -> int:
-    """Bytes of one complex (N, 2, N, 2) density matrix."""
-    return 16 * (2 * n_sites) ** 2
+def density_working_set_bytes(n_sites: int) -> int:
+    """Predicted peak bytes of one density-operator run on ``n_sites``.
+
+    tracemalloc peak of an open revival or evolve_open, final validation
+    included: four complex (N, 2, N, 2) matrices (initial and final state, two
+    Hermiticity-check temporaries) plus ~140 kB of numpy buffers, 4.09x one
+    matrix at N=160.
+    """
+    return 4 * 16 * (2 * n_sites) ** 2 + 256 * 1024
 
 
 def _guard_density(n_sites: int, cfg: ExperimentConfig) -> None:
-    predicted = density_matrix_bytes(n_sites)
-    if 4 * predicted > cfg.max_bytes:
+    predicted = density_working_set_bytes(n_sites)
+    if predicted > cfg.max_bytes:
         raise ResourceGuardError(predicted, cfg.max_bytes)
 
 

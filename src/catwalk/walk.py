@@ -207,44 +207,66 @@ def evolve(
 
 
 # ---------------------------------------------------------------------------
-# Density-operator stepping: the same structured action applied to rows and
-# columns, never materializing the 2N x 2N unitary.
+# Density-operator kernel: coin-local maps act on the four N x N blocks
+# mat[:, c, :, d] through a 4x4 superoperator, and the shift moves the blocks
+# by slice assignment; both write into a buffer that must not alias mat.
 
-def _conj_coin_mat(mat: np.ndarray, u: np.ndarray) -> np.ndarray:
-    out = np.einsum("ac,xcyd->xayd", u, mat)
-    return np.einsum("bd,xayd->xayb", u.conj(), out)
-
-
-def _shift_mat(mat: np.ndarray) -> np.ndarray:
-    out = np.empty_like(mat)
-    out[:, 0] = np.roll(mat[:, 0], 1, axis=0)
-    out[:, 1] = np.roll(mat[:, 1], -1, axis=0)
-    out2 = np.empty_like(out)
-    out2[:, :, :, 0] = np.roll(out[:, :, :, 0], 1, axis=2)
-    out2[:, :, :, 1] = np.roll(out[:, :, :, 1], -1, axis=2)
-    return out2
+_COIN_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+# (destination, source) slice pairs of the periodic shift of each coin level:
+# level 0 (up) moves x -> x+1, level 1 (down) x -> x-1
+_SHIFT_SLICES = (
+    ((slice(1, None), slice(None, -1)), (slice(None, 1), slice(-1, None))),
+    ((slice(None, -1), slice(1, None)), (slice(-1, None), slice(None, 1))),
+)
 
 
-def _fm_mat(mat: np.ndarray, sites: np.ndarray, phi: float) -> np.ndarray:
+def _coin_superop(*ops: np.ndarray) -> np.ndarray:
+    """S = sum_i M_i (x) M_i^*, rows and columns indexed by the coin pairs."""
+    return sum(np.kron(m, m.conj()) for m in ops)
+
+
+def _apply_coin_superop(mat: np.ndarray, superop: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[:, a, :, b] = sum_{c,d} S[(a,b), (c,d)] mat[:, c, :, d]; returns out."""
+    term = np.empty(mat.shape[::2], dtype=complex)
+    for row, (a, b) in zip(superop, _COIN_PAIRS):
+        block = out[:, a, :, b]
+        terms = [(mat[:, c, :, d], w) for w, (c, d) in zip(row, _COIN_PAIRS) if w != 0]
+        if not terms:
+            block.fill(0.0)
+            continue
+        np.multiply(*terms[0], out=block)
+        for src, weight in terms[1:]:
+            np.multiply(src, weight, out=term)
+            block += term
+    return out
+
+
+def _shift_density(mat: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = S mat S†: rows and columns move with their coin level; returns out."""
+    for c, d in _COIN_PAIRS:
+        src, dst = mat[:, c, :, d], out[:, c, :, d]
+        for rows_to, rows_from in _SHIFT_SLICES[c]:
+            for cols_to, cols_from in _SHIFT_SLICES[d]:
+                dst[rows_to, cols_to] = src[rows_from, cols_from]
+    return out
+
+
+def _phase_density(mat: np.ndarray, sites: np.ndarray, phi: float) -> None:
+    """Momentum-shift phase on rows and conjugate phase on columns, in place."""
     ph = _fm_phase(sites, phi)
-    return mat * ph[:, None, None, None] * ph.conj()[None, None, :, None]
+    mat *= ph[:, None, None, None]
+    mat *= ph.conj()[None, None, :, None]
 
 
 def conjugate_coin(rho: DensityOperator, u: np.ndarray) -> DensityOperator:
     """rho -> (1 (x) U) rho (1 (x) U)† for a unitary coin gate."""
-    u = _check_unitary(u)
-    return DensityOperator(rho.lattice, _conj_coin_mat(rho.matrix, u))
+    superop = _coin_superop(_check_unitary(u))
+    mat = _apply_coin_superop(rho.matrix, superop, np.empty_like(rho.matrix))
+    return DensityOperator(rho.lattice, mat)
 
 
 def step_density(rho: DensityOperator, theta: float) -> DensityOperator:
     """rho -> Z rho Z†."""
-    mat = _conj_coin_mat(rho.matrix, coin_operator(theta))
-    return DensityOperator(rho.lattice, _shift_mat(mat))
-
-
-def step_density_generalized(
-    rho: DensityOperator, theta: float, phi: float
-) -> DensityOperator:
-    """rho -> Z̄ rho Z̄† with the momentum-shift phase included."""
-    mat = _shift_mat(_conj_coin_mat(rho.matrix, coin_operator(theta)))
-    return DensityOperator(rho.lattice, _fm_mat(mat, rho.lattice.sites, phi))
+    coin = _coin_superop(coin_operator(theta))
+    mat = _apply_coin_superop(rho.matrix, coin, np.empty_like(rho.matrix))
+    return DensityOperator(rho.lattice, _shift_density(mat, np.empty_like(mat)))

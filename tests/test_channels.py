@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catwalk.channels import (
     ChannelError,
@@ -21,7 +23,7 @@ from catwalk.lattice import (
     localized_state,
     make_lattice,
 )
-from catwalk.walk import Schedule, evolve
+from catwalk.walk import Schedule, evolve, reversal_pair
 
 
 def random_density(n, seed=0):
@@ -173,3 +175,76 @@ def test_evolve_open_rejects_bad_channel_object():
     rho = DensityOperator.from_pure(localized_state(lat, 0, COIN_SYMMETRIC))
     with pytest.raises(ChannelError):
         evolve_open(rho, Schedule(2, np.pi / 4, channel="dephasing"))
+
+
+@pytest.mark.parametrize("target", ["coin", "walker", "both"])
+def test_dephase_huge_eta_keeps_trace_and_diagonal(target):
+    rho = random_density(6, seed=7)
+    out = dephase(rho, 1000.0, target)
+    assert np.isfinite(out.matrix).all()
+    assert np.trace(out.as_2d).real == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_array_equal(np.diag(out.as_2d), np.diag(rho.as_2d))
+
+
+# ------------------------------------------------------------ dense oracle
+
+VARIANTS = [
+    ("dephasing", "coin"),
+    ("dephasing", "walker"),
+    ("dephasing", "both"),
+    ("amplitude_damping", "coin"),
+    ("bit_flip", "coin"),
+]
+
+
+def dense_step(rho2d, n, theta, spec, gate):
+    """Walk step, channel, then a coin gate on the flat 2N x 2N matrix.
+
+    Flat index 2*x + c.
+    """
+    c, s = np.cos(theta), np.sin(theta)
+    coin = np.kron(np.eye(n), np.array([[c, s], [s, -c]], dtype=complex))
+    shift = np.zeros((2 * n, 2 * n))
+    for x in range(n):
+        shift[2 * ((x + 1) % n), 2 * x] = 1.0  # up moves x -> x+1
+        shift[2 * ((x - 1) % n) + 1, 2 * x + 1] = 1.0  # down moves x -> x-1
+    u = shift @ coin
+    rho2d = u @ rho2d @ u.conj().T
+    lam = np.exp(-spec.eta)
+    if spec.kind == "dephasing":
+        site = np.repeat(np.arange(n), 2)
+        level = np.tile(np.arange(2), n)
+        same_site = site[:, None] == site[None, :]
+        same_level = level[:, None] == level[None, :]
+        kept = {"coin": same_level, "walker": same_site, "both": same_site & same_level}
+        rho2d = np.where(kept[spec.target], rho2d, lam * rho2d)
+    else:
+        if spec.kind == "amplitude_damping":
+            ops = [np.diag([1.0, np.sqrt(lam)]), np.sqrt(1 - lam) * np.array([[0, 1], [0, 0]])]
+        else:
+            ops = [np.sqrt(lam) * np.eye(2), np.sqrt(1 - lam) * np.array([[0, 1], [1, 0]])]
+        kraus = [np.kron(np.eye(n), m) for m in ops]
+        rho2d = sum(k @ rho2d @ k.conj().T for k in kraus)
+    g = np.kron(np.eye(n), gate)
+    return g @ rho2d @ g.conj().T
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    theta=st.floats(0.0, np.pi),
+    eta=st.floats(0.0, 50.0),
+    half_n=st.integers(2, 6),
+    variant=st.sampled_from(VARIANTS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evolve_open_step_matches_dense_oracle(theta, eta, half_n, variant, seed):
+    n = 2 * half_n
+    rho = random_density(n, seed=seed)
+    spec = ChannelSpec(variant[0], eta, variant[1])
+    gate, _ = reversal_pair(theta)  # complex, unlike the coin and Kraus operators
+    sched = Schedule(1, theta, coin_gate_insertions=((1, gate),), channel=spec)
+    seen = []
+    result = evolve_open(rho, sched, observe=lambda t, mat: seen.append(t))
+    expected = dense_step(rho.as_2d, n, theta, spec, gate)
+    np.testing.assert_allclose(result.final.as_2d, expected, atol=1e-12)
+    assert seen == [0, 1]

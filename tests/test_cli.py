@@ -1,9 +1,16 @@
+import tracemalloc
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from catwalk.cli import main
-from catwalk.config import ConfigError, parse_config
+from catwalk.analysis import revival_protocol
+from catwalk.channels import ChannelSpec
+from catwalk.cli import build_parser, main
+from catwalk.config import KEYS, ConfigError, ExperimentConfig, parse_config
 from catwalk.io import ResultRecord, Table, emit_results
+from catwalk.lattice import COIN_SYMMETRIC, gaussian_position_state, make_lattice
+from catwalk.scenarios import density_working_set_bytes
 
 
 def read(path):
@@ -41,6 +48,25 @@ def test_parse_config_bad_value_and_range():
         parse_config("lattice=7\n")
     with pytest.raises(ConfigError, match="fmt"):
         parse_config("", flags={"fmt": "json"})
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["theta", "sigma", "k0", "eta", "max_bytes"])
+def test_non_finite_values_exit_2(key, value, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=key):
+        parse_config(f"{key}={value}\n")
+    code = main(["revival", "--steps", "2", "--sigma", "2", f"{KEYS[key].flag}={value}",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_parser_flags_are_the_config_keys():
+    config_keys = {f.name for f in fields(ExperimentConfig)} - {"scenario", "provenance"}
+    assert set(KEYS) == config_keys
+    for scenario in ("evolve", "revival", "spectrum"):
+        dests = set(vars(build_parser().parse_args([scenario])))
+        assert dests - {"scenario", "config"} == config_keys
 
 
 def test_emit_results_formats(tmp_path):
@@ -123,6 +149,30 @@ def test_cli_memory_guard_exits_3(tmp_path, capsys):
     )
     assert code == 3
     assert "refused" in capsys.readouterr().err
+
+
+def test_open_revival_peak_within_guard_prediction():
+    n = 64
+    psi = gaussian_position_state(make_lattice(n), 3.0, COIN_SYMMETRIC)
+    spec = ChannelSpec("amplitude_damping", 0.01)
+    revival_protocol(psi, np.pi / 4, 3, channel=spec)  # first-call allocations
+    tracemalloc.start()
+    try:
+        revival_protocol(psi, np.pi / 4, 3, channel=spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= density_working_set_bytes(n)
+
+
+@pytest.mark.parametrize("target", ["coin", "walker", "both"])
+def test_cli_revival_huge_eta_gives_finite_r(target, tmp_path, capsys):
+    argv = ["revival", "--eta", "1000", "--steps", "5", "--sigma", "2",
+            "--target", target, "--out", str(tmp_path)]
+    assert main(argv) == 0
+    meta = (tmp_path / "revival_meta.txt").read_text().splitlines()
+    r = float(next(line for line in meta if line.startswith("r="))[2:])
+    assert np.isfinite(r) and 0.0 <= r <= 1.0
 
 
 def test_cli_out_env_default(tmp_path, capsys, monkeypatch):

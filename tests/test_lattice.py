@@ -159,3 +159,19 @@ def test_density_accepts_flat_layout():
     rho = DensityOperator.from_pure(psi)
     again = DensityOperator(lat, rho.as_2d)
     np.testing.assert_allclose(again.matrix, rho.matrix)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda lat, amp: CoinState(np.nan, 0.0),
+        lambda lat, amp: PureState(lat, amp),
+        lambda lat, amp: DensityOperator(lat, np.einsum("xc,yd->xcyd", amp, amp.conj())),
+    ],
+    ids=["coin", "pure", "density"],
+)
+def test_states_refuse_nan(build):
+    amp = np.zeros((4, 2), dtype=complex)
+    amp[0, 0] = np.nan
+    with pytest.raises(StateError):
+        build(make_lattice(4), amp)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from catwalk.channels import evolve_open
 from catwalk.lattice import (
     COIN_DOWN,
     COIN_SYMMETRIC,
@@ -28,7 +29,6 @@ from catwalk.walk import (
     reversal_pair,
     step,
     step_density,
-    step_density_generalized,
     step_generalized,
 )
 
@@ -193,13 +193,24 @@ def test_step_density_matches_pure_step(theta):
     )
 
 
-def test_step_density_generalized_matches_pure():
+def test_evolve_open_closed_schedule_matches_evolve():
     lat = make_lattice(32)
     psi = gaussian_position_state(lat, 2.5, COIN_SYMMETRIC)
-    rho = step_density_generalized(DensityOperator.from_pure(psi), np.pi / 4, 0.9)
-    pure = step_generalized(psi, np.pi / 4, 0.9)
+    r, _ = reversal_pair(np.pi / 3)
+    sched = Schedule(
+        9, np.pi / 3, fm_windows=((2, 6, 0.9),), coin_gate_insertions=((4, r),)
+    )
+    times = (0, 4, 6, 9)
+    pure = evolve(psi, sched, snapshot_times=times)
+    open_ = evolve_open(DensityOperator.from_pure(psi), sched, snapshot_times=times)
+    for t in times:
+        np.testing.assert_allclose(
+            open_.snapshots[t].matrix,
+            DensityOperator.from_pure(pure.snapshots[t]).matrix,
+            atol=1e-13,
+        )
     np.testing.assert_allclose(
-        rho.matrix, DensityOperator.from_pure(pure).matrix, atol=1e-13
+        open_.final.matrix, DensityOperator.from_pure(pure.final).matrix, atol=1e-13
     )
 
 
