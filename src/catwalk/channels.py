@@ -17,7 +17,8 @@ import numpy as np
 
 from .lattice import DensityOperator
 from .walk import (SIGMA_X, Schedule, _apply_coin_superop, _check_unitary, _coin_superop,
-                   _phase_density, _shift_density, coin_operator)
+                   _from_blocks, _map_density, _phase_density, _shift_density, _to_blocks,
+                   coin_operator)
 
 COMPLETENESS_TOL = 1e-12
 
@@ -45,7 +46,7 @@ class ChannelSpec:
     def __post_init__(self):
         if self.kind not in (DEPHASING, AMPLITUDE_DAMPING, BIT_FLIP):
             raise ChannelError(f"unknown channel kind {self.kind!r}")
-        if self.eta < 0:
+        if not (self.eta >= 0):
             raise ChannelError(f"eta must be >= 0, got {self.eta}")
         if self.target not in (TARGET_COIN, TARGET_WALKER, TARGET_BOTH):
             raise ChannelError(f"unknown target {self.target!r}")
@@ -67,7 +68,7 @@ class KrausPair:
             raise ChannelError("Kraus operators must be 2x2")
         total = m0.conj().T @ m0 + m1.conj().T @ m1
         defect = np.abs(total - np.eye(2)).max()
-        if defect > COMPLETENESS_TOL:
+        if not (defect <= COMPLETENESS_TOL):
             raise ChannelError(
                 f"Kraus pair not trace preserving (defect {defect:.3e})"
             )
@@ -87,7 +88,7 @@ def dephase(rho: DensityOperator, eta: float, target: str) -> DensityOperator:
 
 def amplitude_damping_kraus(eta: float) -> KrausPair:
     """A0 = diag(1, e^{-eta/2}), A1 = sqrt(1 - e^{-eta}) |up><down|."""
-    if eta < 0:
+    if not (eta >= 0):
         raise ChannelError(f"eta must be >= 0, got {eta}")
     a0 = np.diag([1.0, np.exp(-eta / 2.0)]).astype(complex)
     a1 = np.zeros((2, 2), dtype=complex)
@@ -97,7 +98,7 @@ def amplitude_damping_kraus(eta: float) -> KrausPair:
 
 def bit_flip_kraus(eta: float) -> KrausPair:
     """B0 = e^{-eta/2} 1, B1 = sqrt(1 - e^{-eta}) sigma_x."""
-    if eta < 0:
+    if not (eta >= 0):
         raise ChannelError(f"eta must be >= 0, got {eta}")
     b0 = np.exp(-eta / 2.0) * np.eye(2, dtype=complex)
     b1 = np.sqrt(1.0 - np.exp(-eta)) * SIGMA_X
@@ -107,29 +108,28 @@ def bit_flip_kraus(eta: float) -> KrausPair:
 def apply_coin_channel(rho: DensityOperator, kraus: KrausPair) -> DensityOperator:
     """rho -> sum_i (1 (x) M_i) rho (1 (x) M_i)†."""
     superop = _coin_superop(kraus.m0, kraus.m1)
-    mat = _apply_coin_superop(rho.matrix, superop, np.empty_like(rho.matrix))
-    return DensityOperator(rho.lattice, mat)
+    return _map_density(rho, lambda blocks, out: _apply_coin_superop(blocks, superop, out))
 
 
 def _channel_map(spec: ChannelSpec, n_sites: int) -> Callable | None:
-    """Bind a spec to a raw-array map (mat, out) -> out, None for eta = 0.
+    """Bind a spec to a coin-major map (blocks, out) -> out, None for eta = 0.
 
     Coin-local channels are a 4x4 coin superoperator (the Kraus sums, and
     diag(1, lam, lam, 1) for coin dephasing).  Walker and both dephasing are
-    lam*rho + (1 - lam)*P(rho), P keeping the x = x' (walker) or x = x',
-    c = c' (both) elements, which are copied through: no division by lam.
+    lam*rho + (1 - lam)*P(rho), P keeping the x = x' elements of all four
+    blocks (walker) or of the c = c' blocks (0,0) and (1,1) (both), which are
+    copied through the strided diagonal: no division by lam.
     """
     if spec.eta == 0:
         return None
     lam = np.exp(-spec.eta)
     if spec.kind == DEPHASING and spec.target != TARGET_COIN:
-        site = np.arange(n_sites)[:, None]
-        coin = slice(None) if spec.target == TARGET_WALKER else np.arange(2)
-        kept = (site, coin, site, coin)
+        rows = slice(None) if spec.target == TARGET_WALKER else slice(None, None, 3)
+        shape, diagonal = (4, n_sites * n_sites), slice(None, None, n_sites + 1)
 
-        def dephase_positions(mat: np.ndarray, out: np.ndarray) -> np.ndarray:
-            np.multiply(mat, lam, out=out)
-            out[kept] = mat[kept]
+        def dephase_positions(blocks: np.ndarray, out: np.ndarray) -> np.ndarray:
+            np.multiply(blocks, lam, out=out)
+            out.reshape(shape)[rows, diagonal] = blocks.reshape(shape)[rows, diagonal]
             return out
 
         return dephase_positions
@@ -139,7 +139,7 @@ def _channel_map(spec: ChannelSpec, n_sites: int) -> Callable | None:
         factory = amplitude_damping_kraus if spec.kind == AMPLITUDE_DAMPING else bit_flip_kraus
         kraus = factory(spec.eta)
         superop = _coin_superop(kraus.m0, kraus.m1)
-    return lambda mat, out: _apply_coin_superop(mat, superop, out)
+    return lambda blocks, out: _apply_coin_superop(blocks, superop, out)
 
 
 def apply_channel(rho: DensityOperator, spec: ChannelSpec) -> DensityOperator:
@@ -147,7 +147,7 @@ def apply_channel(rho: DensityOperator, spec: ChannelSpec) -> DensityOperator:
     channel = _channel_map(spec, rho.lattice.n_sites)
     if channel is None:
         return rho
-    return DensityOperator(rho.lattice, channel(rho.matrix, np.empty_like(rho.matrix)))
+    return _map_density(rho, channel)
 
 
 @dataclass(frozen=True)
@@ -168,12 +168,14 @@ def evolve_open(
     are applied (unitarily) after the completed step, before any snapshot.
     A schedule without a channel runs closed but on rho, useful for
     cross-checking against the pure-state path.  The loop swaps two
-    preallocated (N, 2, N, 2) buffers; trace and Hermiticity are validated
-    at every snapshot and on the final state.
+    preallocated coin-major buffers, blocks[c, d] = rho[:, c, :, d] of shape
+    (2, 2, N, N), converting on entry and for each snapshot and the final
+    state; trace and Hermiticity are validated at every snapshot and on the
+    final state.
 
-    ``observe(t, mat)`` is called at every t = 0..total_steps, after that
-    time's insertions, with the raw array, which it must neither keep nor
-    modify.
+    ``observe(t, blocks)`` is called at every t = 0..total_steps, after that
+    time's insertions, with the coin-major working array, which it must
+    neither keep nor modify.
     """
     spec = schedule.channel
     if spec is not None and not isinstance(spec, ChannelSpec):
@@ -185,28 +187,31 @@ def evolve_open(
     lattice = rho0.lattice
     channel = _channel_map(spec, lattice.n_sites) if spec is not None else None
     coin = _coin_superop(coin_operator(schedule.theta))
-    mat = rho0.matrix.copy()
-    spare = np.empty_like(mat)
+    blocks = _to_blocks(rho0.matrix)
+    spare = np.empty_like(blocks)
     snaps: dict[int, DensityOperator] = {}
 
     def checkpoint(t: int) -> None:
-        nonlocal mat, spare
+        nonlocal blocks, spare
         for u in schedule.insertions_at(t):
-            mat, spare = _apply_coin_superop(mat, _coin_superop(_check_unitary(u)), spare), mat
+            gate = _coin_superop(_check_unitary(u))
+            blocks, spare = _apply_coin_superop(blocks, gate, spare), blocks
         if t in wanted:
-            snaps[t] = DensityOperator(lattice, mat.copy())
+            snaps[t] = DensityOperator(lattice, _from_blocks(blocks))
         if observe is not None:
-            observe(t, mat)
+            observe(t, blocks)
 
     checkpoint(0)
     for s in range(1, schedule.total_steps + 1):
-        _apply_coin_superop(mat, coin, spare)
-        _shift_density(spare, mat)
+        _apply_coin_superop(blocks, coin, spare)
+        _shift_density(spare, blocks)
         phi = schedule.phi_at(s)
         if phi is not None:
-            _phase_density(mat, lattice.sites, phi)
+            _phase_density(blocks, lattice.sites, phi)
         if channel is not None:
-            mat, spare = channel(mat, spare), mat
+            blocks, spare = channel(blocks, spare), blocks
         checkpoint(s)
-    del spare  # the final validation needs the room
+    del spare  # the conversion and the final validation need the room
+    mat = _from_blocks(blocks)
+    del blocks
     return OpenEvolutionResult(DensityOperator(lattice, mat), snaps)

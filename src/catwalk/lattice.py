@@ -287,6 +287,5 @@ def fidelity(a: PureState, b: PureState) -> float:
 def fidelity_with_density(psi: PureState, rho: DensityOperator) -> float:
     """<psi| rho |psi> for a pure state against a density operator."""
     _check_compatible(psi, rho)
-    amp = psi.amplitudes
-    val = np.einsum("xc,xcyd,yd->", amp.conj(), rho.matrix, amp)
-    return float(val.real)
+    amp = psi.amplitudes.ravel()
+    return float((amp.conj() @ (rho.as_2d @ amp)).real)

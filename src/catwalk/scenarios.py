@@ -58,9 +58,12 @@ def density_working_set_bytes(n_sites: int) -> int:
     """Predicted peak bytes of one density-operator run on ``n_sites``.
 
     tracemalloc peak of an open revival or evolve_open, final validation
-    included: four complex (N, 2, N, 2) matrices (initial and final state, two
-    Hermiticity-check temporaries) plus ~140 kB of numpy buffers, 4.09x one
-    matrix at N=160.
+    included: four density matrices of 16 (2N)^2 bytes.  The coin-major loop
+    holds three (initial state, working array, spare buffer); the final state
+    is converted after the spare is freed and validated after the working
+    array is freed (initial and final state, two Hermiticity-check
+    temporaries).  Plus ~140 kB of numpy buffers: 4.09x one matrix at N=160,
+    4.03x at N=300.
     """
     return 4 * 16 * (2 * n_sites) ** 2 + 256 * 1024
 

@@ -11,7 +11,7 @@ phase during steps ``start+1 .. end``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -207,9 +207,11 @@ def evolve(
 
 
 # ---------------------------------------------------------------------------
-# Density-operator kernel: coin-local maps act on the four N x N blocks
-# mat[:, c, :, d] through a 4x4 superoperator, and the shift moves the blocks
-# by slice assignment; both write into a buffer that must not alias mat.
+# Density-operator kernel.  It works on the coin-major array
+# blocks[c, d] = rho[:, c, :, d] of shape (2, 2, N, N): a coin-local map is one
+# (4x4)·(4xN²) product over the four contiguous N x N blocks, and the shift
+# moves each block by slice assignment.  Maps write into a buffer that must
+# not alias their input.
 
 _COIN_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 # (destination, source) slice pairs of the periodic shift of each coin level:
@@ -220,53 +222,59 @@ _SHIFT_SLICES = (
 )
 
 
+def _to_blocks(mat: np.ndarray) -> np.ndarray:
+    """Coin-major copy (2, 2, N, N) of an (N, 2, N, 2) density matrix."""
+    return np.ascontiguousarray(mat.transpose(1, 3, 0, 2))
+
+
+def _from_blocks(blocks: np.ndarray) -> np.ndarray:
+    """(N, 2, N, 2) copy of a coin-major array; inverse of _to_blocks."""
+    return np.ascontiguousarray(blocks.transpose(2, 0, 3, 1))
+
+
 def _coin_superop(*ops: np.ndarray) -> np.ndarray:
     """S = sum_i M_i (x) M_i^*, rows and columns indexed by the coin pairs."""
     return sum(np.kron(m, m.conj()) for m in ops)
 
 
-def _apply_coin_superop(mat: np.ndarray, superop: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[:, a, :, b] = sum_{c,d} S[(a,b), (c,d)] mat[:, c, :, d]; returns out."""
-    term = np.empty(mat.shape[::2], dtype=complex)
-    for row, (a, b) in zip(superop, _COIN_PAIRS):
-        block = out[:, a, :, b]
-        terms = [(mat[:, c, :, d], w) for w, (c, d) in zip(row, _COIN_PAIRS) if w != 0]
-        if not terms:
-            block.fill(0.0)
-            continue
-        np.multiply(*terms[0], out=block)
-        for src, weight in terms[1:]:
-            np.multiply(src, weight, out=term)
-            block += term
+def _apply_coin_superop(blocks: np.ndarray, superop: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[a, b] = sum_{c,d} S[(a,b), (c,d)] blocks[c, d]; returns out."""
+    n2 = blocks.shape[2] * blocks.shape[3]
+    np.matmul(superop, blocks.reshape(4, n2), out=out.reshape(4, n2))
     return out
 
 
-def _shift_density(mat: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = S mat S†: rows and columns move with their coin level; returns out."""
+def _shift_density(blocks: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = S rho S†: rows and columns move with their coin level; returns out."""
     for c, d in _COIN_PAIRS:
-        src, dst = mat[:, c, :, d], out[:, c, :, d]
+        src, dst = blocks[c, d], out[c, d]
         for rows_to, rows_from in _SHIFT_SLICES[c]:
             for cols_to, cols_from in _SHIFT_SLICES[d]:
                 dst[rows_to, cols_to] = src[rows_from, cols_from]
     return out
 
 
-def _phase_density(mat: np.ndarray, sites: np.ndarray, phi: float) -> None:
+def _phase_density(blocks: np.ndarray, sites: np.ndarray, phi: float) -> None:
     """Momentum-shift phase on rows and conjugate phase on columns, in place."""
     ph = _fm_phase(sites, phi)
-    mat *= ph[:, None, None, None]
-    mat *= ph.conj()[None, None, :, None]
+    blocks *= np.outer(ph, ph.conj())
+
+
+def _map_density(rho: DensityOperator, fn: Callable) -> DensityOperator:
+    """Apply a coin-major map fn(blocks, out) -> result to rho."""
+    blocks = _to_blocks(rho.matrix)
+    return DensityOperator(rho.lattice, _from_blocks(fn(blocks, np.empty_like(blocks))))
 
 
 def conjugate_coin(rho: DensityOperator, u: np.ndarray) -> DensityOperator:
     """rho -> (1 (x) U) rho (1 (x) U)† for a unitary coin gate."""
     superop = _coin_superop(_check_unitary(u))
-    mat = _apply_coin_superop(rho.matrix, superop, np.empty_like(rho.matrix))
-    return DensityOperator(rho.lattice, mat)
+    return _map_density(rho, lambda blocks, out: _apply_coin_superop(blocks, superop, out))
 
 
 def step_density(rho: DensityOperator, theta: float) -> DensityOperator:
     """rho -> Z rho Z†."""
     coin = _coin_superop(coin_operator(theta))
-    mat = _apply_coin_superop(rho.matrix, coin, np.empty_like(rho.matrix))
-    return DensityOperator(rho.lattice, _shift_density(mat, np.empty_like(mat)))
+    return _map_density(
+        rho, lambda blocks, out: _shift_density(_apply_coin_superop(blocks, coin, out), blocks)
+    )

@@ -14,8 +14,10 @@ from catwalk.analysis import (
     reduced_coin,
     revival_protocol,
     schmidt_components,
+    REVERSER_EXACT,
     REVERSER_SIGMA_Y,
 )
+from catwalk.channels import ChannelSpec, evolve_open
 from catwalk.lattice import (
     COIN_SYMMETRIC,
     COIN_UP,
@@ -23,12 +25,13 @@ from catwalk.lattice import (
     DensityOperator,
     PureState,
     StateError,
+    fidelity_with_density,
     gaussian_position_state,
     localized_state,
     make_lattice,
 )
 from catwalk.spectral import symmetric_coin_state
-from catwalk.walk import Schedule, evolve
+from catwalk.walk import SIGMA_Y, Schedule, evolve, reversal_pair
 
 
 def random_pure(n, seed):
@@ -255,6 +258,34 @@ def test_revival_protocol_sigma_y_defect():
     psi = gaussian_position_state(lat, sigma, COIN_SYMMETRIC)
     res = revival_protocol(psi, np.pi / 4, 20, reverser=REVERSER_SIGMA_Y)
     assert 1.0 - res.r == pytest.approx(1.0 / (4 * sigma**2), rel=0.1)
+
+
+@pytest.mark.parametrize("reverser", [REVERSER_EXACT, REVERSER_SIGMA_Y])
+@pytest.mark.parametrize(
+    "kind, target",
+    [
+        ("dephasing", "coin"),
+        ("dephasing", "walker"),
+        ("dephasing", "both"),
+        ("amplitude_damping", "coin"),
+        ("bit_flip", "coin"),
+    ],
+)
+def test_open_revival_trace_matches_snapshot_fidelities(kind, target, reverser):
+    T, theta = 6, 0.7
+    psi = gaussian_position_state(make_lattice(32), 2.0, COIN_SYMMETRIC, k0=0.03)
+    spec = ChannelSpec(kind, 0.05, target)
+    res = revival_protocol(psi, theta, T, channel=spec, reverser=reverser)
+    gate, gate_back = reversal_pair(theta) if reverser == REVERSER_EXACT else (SIGMA_Y, SIGMA_Y)
+    sched = Schedule(
+        2 * T, theta, coin_gate_insertions=((T, gate), (2 * T, gate_back)), channel=spec
+    )
+    snaps = evolve_open(
+        DensityOperator.from_pure(psi), sched, snapshot_times=range(2 * T + 1)
+    ).snapshots
+    expected = [fidelity_with_density(psi, snaps[t]) for t in range(2 * T + 1)]
+    np.testing.assert_allclose(res.trace, expected, rtol=0, atol=1e-13)
+    assert res.r == pytest.approx(expected[-1], abs=1e-13)
 
 
 def test_revival_protocol_rejects_unknown_reverser():

@@ -44,6 +44,21 @@ def test_channel_spec_validation():
     ChannelSpec("dephasing", 0.1, target="walker")  # fine
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ChannelSpec("dephasing", float("nan")),
+        lambda: amplitude_damping_kraus(float("nan")),
+        lambda: bit_flip_kraus(float("nan")),
+        lambda: KrausPair(np.full((2, 2), np.nan), np.zeros((2, 2))),
+    ],
+    ids=["ChannelSpec", "amplitude_damping_kraus", "bit_flip_kraus", "KrausPair"],
+)
+def test_nan_strength_refused(make):
+    with pytest.raises(ChannelError):
+        make()
+
+
 def test_kraus_pair_completeness_enforced():
     with pytest.raises(ChannelError):
         KrausPair(np.eye(2), np.eye(2))
@@ -197,10 +212,10 @@ VARIANTS = [
 ]
 
 
-def dense_step(rho2d, n, theta, spec, gate):
-    """Walk step, channel, then a coin gate on the flat 2N x 2N matrix.
+def dense_walk_unitary(n, theta, phi=None):
+    """Coin, shift, then the optional phase e^{i phi x}, as a 2N x 2N matrix.
 
-    Flat index 2*x + c.
+    Flat index 2*x + c, with x = -N/2 .. N/2-1 at array index x + N/2.
     """
     c, s = np.cos(theta), np.sin(theta)
     coin = np.kron(np.eye(n), np.array([[c, s], [s, -c]], dtype=complex))
@@ -209,7 +224,19 @@ def dense_step(rho2d, n, theta, spec, gate):
         shift[2 * ((x + 1) % n), 2 * x] = 1.0  # up moves x -> x+1
         shift[2 * ((x - 1) % n) + 1, 2 * x + 1] = 1.0  # down moves x -> x-1
     u = shift @ coin
-    rho2d = u @ rho2d @ u.conj().T
+    if phi is not None:
+        sites = np.repeat(np.arange(-n // 2, n // 2), 2)
+        u = np.exp(1j * phi * sites)[:, None] * u
+    return u
+
+
+def dense_gate(rho2d, n, gate):
+    g = np.kron(np.eye(n), gate)
+    return g @ rho2d @ g.conj().T
+
+
+def dense_channel(rho2d, n, spec):
+    """One channel application on the flat 2N x 2N matrix."""
     lam = np.exp(-spec.eta)
     if spec.kind == "dephasing":
         site = np.repeat(np.arange(n), 2)
@@ -223,10 +250,21 @@ def dense_step(rho2d, n, theta, spec, gate):
             ops = [np.diag([1.0, np.sqrt(lam)]), np.sqrt(1 - lam) * np.array([[0, 1], [0, 0]])]
         else:
             ops = [np.sqrt(lam) * np.eye(2), np.sqrt(1 - lam) * np.array([[0, 1], [1, 0]])]
-        kraus = [np.kron(np.eye(n), m) for m in ops]
-        rho2d = sum(k @ rho2d @ k.conj().T for k in kraus)
-    g = np.kron(np.eye(n), gate)
-    return g @ rho2d @ g.conj().T
+        rho2d = sum(dense_gate(rho2d, n, m) for m in ops)
+    return rho2d
+
+
+def dense_run(rho2d, n, schedule):
+    """The dense oracle applied step by step; returns the states at t = 0..T."""
+    states = []
+    for t in range(schedule.total_steps + 1):
+        if t > 0:
+            u = dense_walk_unitary(n, schedule.theta, schedule.phi_at(t))
+            rho2d = dense_channel(u @ rho2d @ u.conj().T, n, schedule.channel)
+        for gate in schedule.insertions_at(t):
+            rho2d = dense_gate(rho2d, n, gate)
+        states.append(rho2d)
+    return states
 
 
 @settings(max_examples=60, deadline=None)
@@ -245,6 +283,49 @@ def test_evolve_open_step_matches_dense_oracle(theta, eta, half_n, variant, seed
     sched = Schedule(1, theta, coin_gate_insertions=((1, gate),), channel=spec)
     seen = []
     result = evolve_open(rho, sched, observe=lambda t, mat: seen.append(t))
-    expected = dense_step(rho.as_2d, n, theta, spec, gate)
+    expected = dense_run(rho.as_2d, n, sched)[-1]
     np.testing.assert_allclose(result.final.as_2d, expected, atol=1e-12)
     assert seen == [0, 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    theta=st.floats(0.0, np.pi),
+    eta=st.floats(0.0, 50.0),
+    half_n=st.integers(2, 6),
+    variant=st.sampled_from(VARIANTS),
+    steps=st.integers(1, 6),
+    times=st.lists(st.integers(0, 6), min_size=4, max_size=4),
+    phi=st.floats(-np.pi, np.pi),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evolve_open_run_matches_dense_oracle(
+    theta, eta, half_n, variant, steps, times, phi, seed
+):
+    n = 2 * half_n
+    rho = random_density(n, seed=seed)
+    start, end, t_gate, t_back = (min(t, steps) for t in times)
+    gate, gate_back = reversal_pair(theta)
+    sched = Schedule(
+        steps,
+        theta,
+        fm_windows=((min(start, end), max(start, end), phi),),
+        coin_gate_insertions=((t_gate, gate), (t_back, gate_back)),
+        channel=ChannelSpec(variant[0], eta, variant[1]),
+    )
+    observed = {}
+
+    def observe(t, blocks):
+        observed[t] = blocks.transpose(2, 0, 3, 1).reshape(2 * n, 2 * n).copy()
+
+    result = evolve_open(rho, sched, snapshot_times=range(steps + 1), observe=observe)
+    expected = dense_run(rho.as_2d, n, sched)
+    assert sorted(observed) == list(range(steps + 1))
+    for t, want in enumerate(expected):
+        snap = result.snapshots[t].as_2d
+        np.testing.assert_allclose(snap, want, atol=1e-12)
+        np.testing.assert_array_equal(observed[t], snap)
+        assert np.trace(snap).real == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(snap, snap.conj().T, atol=1e-13)
+        assert result.snapshots[t].min_eigenvalue() >= -1e-12
+    np.testing.assert_array_equal(result.final.as_2d, result.snapshots[steps].as_2d)

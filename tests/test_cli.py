@@ -4,13 +4,14 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from catwalk.analysis import revival_protocol
-from catwalk.channels import ChannelSpec
+from catwalk.analysis import position_distribution, revival_protocol
+from catwalk.channels import ChannelSpec, evolve_open
 from catwalk.cli import build_parser, main
 from catwalk.config import KEYS, ConfigError, ExperimentConfig, parse_config
 from catwalk.io import ResultRecord, Table, emit_results
-from catwalk.lattice import COIN_SYMMETRIC, gaussian_position_state, make_lattice
+from catwalk.lattice import COIN_SYMMETRIC, DensityOperator, gaussian_position_state, make_lattice
 from catwalk.scenarios import density_working_set_bytes
+from catwalk.walk import Schedule
 
 
 def read(path):
@@ -159,6 +160,34 @@ def test_open_revival_peak_within_guard_prediction():
     tracemalloc.start()
     try:
         revival_protocol(psi, np.pi / 4, 3, channel=spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= density_working_set_bytes(n)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ChannelSpec("dephasing", 0.01, "both"),
+        ChannelSpec("amplitude_damping", 0.01),
+        ChannelSpec("bit_flip", 0.01),
+    ],
+)
+def test_open_final_peak_within_guard_prediction(spec):
+    # shaped like decohereprob: state preparation, evolve_open, final distribution
+    n = 64
+    lat = make_lattice(n)
+
+    def run():
+        psi = gaussian_position_state(lat, 3.0, COIN_SYMMETRIC)
+        sched = Schedule(6, np.pi / 4, channel=spec)
+        return position_distribution(evolve_open(DensityOperator.from_pure(psi), sched).final)
+
+    run()  # first-call allocations
+    tracemalloc.start()
+    try:
+        run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
