@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .lattice import (
     COIN_SYMMETRIC,
@@ -168,6 +167,39 @@ class FringeResult:
     visibility: float
 
 
+def _find_peaks(x: np.ndarray, distance: float | None = None) -> np.ndarray:
+    """Indices of the local maxima of a 1-D array, as scipy.signal.find_peaks.
+
+    A peak is a run of equal values (a flat top counts once, at index
+    (left + right) // 2) with a strictly lower neighbour on each side, so a
+    run touching either end is no peak.  With ``distance``, peaks closer than
+    ceil(distance) to a higher one are dropped, visiting the peaks from the
+    highest down in np.argsort order as scipy does, so ties resolve the same.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.size < 3:
+        return np.empty(0, dtype=np.intp)
+    change = np.flatnonzero(x[1:] != x[:-1]) + 1
+    starts = np.concatenate(([0], change))
+    ends = np.concatenate((change - 1, [x.size - 1]))
+    level = x[starts]
+    inner = (level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])
+    peaks = (starts[1:-1][inner] + ends[1:-1][inner]) // 2
+    if distance is None:
+        return peaks
+    if distance < 1:
+        raise ValueError(f"distance must be >= 1, got {distance}")
+    gap = np.ceil(distance)
+    lo = np.searchsorted(peaks, peaks - gap, side="right")
+    hi = np.searchsorted(peaks, peaks + gap, side="left")
+    keep = np.ones(peaks.size, dtype=bool)
+    for j in np.argsort(x[peaks])[::-1]:
+        if keep[j]:
+            keep[lo[j] : j] = False
+            keep[j + 1 : hi[j]] = False
+    return peaks[keep]
+
+
 def momentum_fringes(
     lattice: LatticeConfig, walker: np.ndarray, oversample: int = 8
 ) -> FringeResult:
@@ -191,7 +223,7 @@ def momentum_fringes(
     momenta = dk * np.arange(-(m // 2), m - m // 2)
 
     # envelope through the local maxima, then its half-max region
-    peak_idx, _ = find_peaks(prob)
+    peak_idx = _find_peaks(prob)
     if peak_idx.size >= 2:
         envelope = np.interp(np.arange(m), peak_idx, prob[peak_idx])
     else:
@@ -200,8 +232,8 @@ def momentum_fringes(
     region = np.flatnonzero(half)
 
     inner = prob[region[0] : region[-1] + 1]
-    maxima, _ = find_peaks(inner)
-    minima, _ = find_peaks(-inner)
+    maxima = _find_peaks(inner)
+    minima = _find_peaks(-inner)
     if maxima.size < 2 or minima.size < 1:
         return FringeResult(momenta, prob, None, 0.0)
     hi = float(np.mean(inner[maxima]))
@@ -209,7 +241,7 @@ def momentum_fringes(
     visibility = (hi - lo) / (hi + lo)
 
     ac = np.correlate(prob, prob, mode="full")[prob.size - 1 :]
-    ac_peaks, _ = find_peaks(ac)
+    ac_peaks = _find_peaks(ac)
     spacing = float(ac_peaks[0] * dk) if ac_peaks.size else None
     return FringeResult(momenta, prob, spacing, float(visibility))
 
@@ -238,7 +270,7 @@ def cat_metrics(prob: np.ndarray, sites: np.ndarray | None = None) -> CatMetrics
     if sites is None:
         n = prob.shape[0]
         sites = np.arange(-(n // 2), n - n // 2)
-    idx, _ = find_peaks(prob, distance=5)
+    idx = _find_peaks(prob, distance=5)
     if idx.size < 2:
         peak = int(sites[int(np.argmax(prob))])
         return CatMetrics(peak, peak, 1.0, 0.0, 0.0, 0, 0.0, False)

@@ -14,6 +14,7 @@ import numpy as np
 from . import __version__
 
 FLOAT_FMT = "%.17g"
+CHUNK_ROWS = 8192  # rows formatted per write: bounds the text held in memory
 
 
 @dataclass(frozen=True)
@@ -44,17 +45,35 @@ class ResultRecord:
     tables: list[Table] = field(default_factory=list)
 
 
-def _format_cell(value: float, dtype: str) -> str:
-    if dtype == "int":
-        return str(int(round(value)))
-    return FLOAT_FMT % value
-
-
 def _write_text(path: Path, text: str) -> None:
     try:
         path.write_text(text)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_rows(path: Path, header: str, rows: np.ndarray, dtypes, sep: str) -> None:
+    """Write ``header`` then one ``sep``-joined line per row, CHUNK_ROWS at a time.
+
+    Int columns go through round(), which gives an int rounded half to even
+    and raises ValueError on NaN (OverflowError on inf), after which the
+    partial file is removed; float columns use FLOAT_FMT.
+    """
+    line = sep.join("%d" if d == "int" else FLOAT_FMT for d in dtypes) + "\n"
+    ints = [i for i, d in enumerate(dtypes) if d == "int"]
+    try:
+        with path.open("w") as fh:
+            fh.write(header)
+            for start in range(0, rows.shape[0], CHUNK_ROWS):
+                cols = rows[start : start + CHUNK_ROWS].T.tolist()
+                for i in ints:
+                    cols[i] = list(map(round, cols[i]))
+                fh.write("".join(line % row for row in zip(*cols)))
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
+    except (ValueError, OverflowError):
+        path.unlink()  # leave no truncated table behind
+        raise
 
 
 def emit_results(record: ResultRecord, out_dir, fmt: str = "csv") -> list[Path]:
@@ -76,21 +95,12 @@ def emit_results(record: ResultRecord, out_dir, fmt: str = "csv") -> list[Path]:
 
     for table in record.tables:
         if fmt in ("csv", "both"):
-            lines = [",".join(table.columns)]
-            for row in table.rows:
-                lines.append(
-                    ",".join(_format_cell(v, d) for v, d in zip(row, table.dtypes))
-                )
             path = out / f"{record.scenario}_{table.name}.csv"
-            _write_text(path, "\n".join(lines) + "\n")
+            header = ",".join(table.columns) + "\n"
+            _write_rows(path, header, table.rows, table.dtypes, ",")
             written.append(path)
         if fmt in ("plot", "both") and len(table.columns) >= 2:
-            lines = []
-            for row in table.rows:
-                x = _format_cell(row[-2], table.dtypes[-2])
-                y = _format_cell(row[-1], table.dtypes[-1])
-                lines.append(f"{x} {y}")
             path = out / f"{record.scenario}_{table.name}.dat"
-            _write_text(path, "\n".join(lines) + "\n")
+            _write_rows(path, "", table.rows[:, -2:], table.dtypes[-2:], " ")
             written.append(path)
     return written

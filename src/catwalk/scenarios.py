@@ -49,7 +49,7 @@ class ResourceGuardError(RuntimeError):
         self.budget = budget
         super().__init__(
             f"predicted peak working set {predicted_bytes} bytes "
-            f"(4 density matrices plus numpy buffers) exceeds budget "
+            f"(3 density matrices plus numpy buffers) exceeds budget "
             f"{budget:.0f}; reduce the lattice or raise max_bytes"
         )
 
@@ -58,14 +58,14 @@ def density_working_set_bytes(n_sites: int) -> int:
     """Predicted peak bytes of one density-operator run on ``n_sites``.
 
     tracemalloc peak of an open revival or evolve_open, final validation
-    included: four density matrices of 16 (2N)^2 bytes.  The coin-major loop
-    holds three (initial state, working array, spare buffer); the final state
-    is converted after the spare is freed and validated after the working
-    array is freed (initial and final state, two Hermiticity-check
-    temporaries).  Plus ~140 kB of numpy buffers: 4.09x one matrix at N=160,
-    4.03x at N=300.
+    included: three density matrices of 16 (2N)^2 bytes, the initial state,
+    the coin-major working array and its spare buffer.  The final state is
+    converted after the spare is freed and validated after the working array
+    is freed, and the Hermiticity check needs only band-sized temporaries.
+    Plus up to ~44 kB of numpy buffers: 3.016x one matrix at N=160, 3.008x
+    at N=300.
     """
-    return 4 * 16 * (2 * n_sites) ** 2 + 256 * 1024
+    return 3 * 16 * (2 * n_sites) ** 2 + 256 * 1024
 
 
 def _guard_density(n_sites: int, cfg: ExperimentConfig) -> None:
@@ -111,12 +111,11 @@ def _base_metadata(cfg: ExperimentConfig, n_sites: int) -> dict:
 
 
 def _distribution_rows(times, snapshots, sites) -> np.ndarray:
-    rows = []
-    for t in times:
-        prob = position_distribution(snapshots[t])
-        for x, pv in zip(sites, prob):
-            rows.append((t, x, pv))
-    return np.array(rows)
+    """(step, x, probability) rows, times outer and sites inner."""
+    probs = [position_distribution(snapshots[t]) for t in times]
+    return np.column_stack(
+        [np.repeat(times, len(sites)), np.tile(sites, len(times)), np.concatenate(probs)]
+    )
 
 
 def run_qwalk(cfg: ExperimentConfig) -> ResultRecord:

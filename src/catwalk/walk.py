@@ -60,15 +60,42 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _apply_coin_amp(amp: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return amp @ u.T
+# ---------------------------------------------------------------------------
+# Pure-state kernel.  It works on the coin-major array amp[c] = psi[:, c] of
+# shape (2, N): the coin is one (2x2)·(2xN) product and the shift moves each
+# coin level by slice assignment.  Maps write into a buffer that must not
+# alias their input.
+
+# (destination, source) slice pairs of the periodic shift of each coin level:
+# level 0 (up) moves x -> x+1, level 1 (down) x -> x-1
+_SHIFT_SLICES = (
+    ((slice(1, None), slice(None, -1)), (slice(None, 1), slice(-1, None))),
+    ((slice(None, -1), slice(1, None)), (slice(-1, None), slice(None, 1))),
+)
 
 
-def _apply_shift_amp(amp: np.ndarray) -> np.ndarray:
-    out = np.empty_like(amp)
-    out[:, 0] = np.roll(amp[:, 0], 1)
-    out[:, 1] = np.roll(amp[:, 1], -1)
+def _coin_major(state: PureState) -> np.ndarray:
+    """Contiguous (2, N) copy of the (N, 2) amplitudes."""
+    return np.ascontiguousarray(state.amplitudes.T)
+
+
+def _site_major(state: PureState, amp: np.ndarray) -> PureState:
+    """State with the coin-major amplitudes ``amp``; the norm is validated."""
+    return state.with_amplitudes(amp.T.copy())
+
+
+def _shift_amp(amp: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = S amp: each coin level moves with its direction; returns out."""
+    for c in (0, 1):
+        for to, frm in _SHIFT_SLICES[c]:
+            out[c, to] = amp[c, frm]
     return out
+
+
+def _walk_step(amp: np.ndarray, coin: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """amp -> S C amp in place, through the spare buffer; returns amp."""
+    np.matmul(coin, amp, out=spare)
+    return _shift_amp(spare, amp)
 
 
 def _fm_phase(sites: np.ndarray, phi: float) -> np.ndarray:
@@ -83,14 +110,14 @@ def _require_position(state: PureState) -> None:
 def apply_coin(state: PureState, u: np.ndarray) -> PureState:
     """Apply a 2x2 unitary on the coin at every site."""
     _require_position(state)
-    u = _check_unitary(u)
-    return state.with_amplitudes(_apply_coin_amp(state.amplitudes, u))
+    return _site_major(state, np.matmul(_check_unitary(u), state.amplitudes.T))
 
 
 def apply_shift(state: PureState) -> PureState:
     """Conditional shift: up-component x -> x+1, down-component x -> x-1."""
     _require_position(state)
-    return state.with_amplitudes(_apply_shift_amp(state.amplitudes))
+    amp = state.amplitudes.T
+    return _site_major(state, _shift_amp(amp, np.empty(amp.shape, dtype=complex)))
 
 
 def apply_fm(state: PureState, phi: float) -> PureState:
@@ -103,16 +130,17 @@ def apply_fm(state: PureState, phi: float) -> PureState:
 def step(state: PureState, theta: float) -> PureState:
     """One plain walk step: coin flip then conditional shift."""
     _require_position(state)
-    amp = _apply_shift_amp(_apply_coin_amp(state.amplitudes, coin_operator(theta)))
-    return state.with_amplitudes(amp)
+    amp = _coin_major(state)
+    return _site_major(state, _walk_step(amp, coin_operator(theta), np.empty_like(amp)))
 
 
 def step_generalized(state: PureState, theta: float, phi: float) -> PureState:
     """One generalized step: coin, shift, then the momentum-shift phase."""
     _require_position(state)
-    amp = _apply_shift_amp(_apply_coin_amp(state.amplitudes, coin_operator(theta)))
-    amp = amp * _fm_phase(state.lattice.sites, phi)[:, None]
-    return state.with_amplitudes(amp)
+    amp = _coin_major(state)
+    _walk_step(amp, coin_operator(theta), np.empty_like(amp))
+    amp *= _fm_phase(state.lattice.sites, phi)
+    return _site_major(state, amp)
 
 
 @dataclass(frozen=True)
@@ -176,7 +204,9 @@ def evolve(
 
     Snapshots are taken after the complete step (and after any coin-gate
     insertion at that time).  Schedules carrying a noise channel must use
-    the open-system runner instead.
+    the open-system runner instead.  The loop steps a coin-major (2, N)
+    working array in place through one spare buffer, and converts back to
+    (N, 2) for each snapshot and the final state, whose norms are validated.
     """
     _require_position(state)
     if schedule.channel is not None:
@@ -186,40 +216,36 @@ def evolve(
         if not (0 <= t <= schedule.total_steps):
             raise ScheduleError(f"snapshot time {t} outside run")
     coin = coin_operator(schedule.theta)
-    sites = state.lattice.sites
-    amp = state.amplitudes.copy()
+    phases = {phi: _fm_phase(state.lattice.sites, phi) for _, _, phi in schedule.fm_windows}
+    amp = _coin_major(state)
+    spare = np.empty_like(amp)
     snaps: dict[int, PureState] = {}
 
     def checkpoint(t: int) -> None:
+        nonlocal amp, spare
         for u in schedule.insertions_at(t):
-            np.copyto(amp, _apply_coin_amp(amp, _check_unitary(u)))
+            amp, spare = np.matmul(_check_unitary(u), amp, out=spare), amp
         if t in wanted:
-            snaps[t] = state.with_amplitudes(amp.copy())
+            snaps[t] = _site_major(state, amp)
 
     checkpoint(0)
     for s in range(1, schedule.total_steps + 1):
-        amp = _apply_shift_amp(_apply_coin_amp(amp, coin))
+        _walk_step(amp, coin, spare)
         phi = schedule.phi_at(s)
         if phi is not None:
-            amp = amp * _fm_phase(sites, phi)[:, None]
+            amp *= phases[phi]
         checkpoint(s)
-    return EvolutionResult(state.with_amplitudes(amp), snaps)
+    return EvolutionResult(_site_major(state, amp), snaps)
 
 
 # ---------------------------------------------------------------------------
 # Density-operator kernel.  It works on the coin-major array
 # blocks[c, d] = rho[:, c, :, d] of shape (2, 2, N, N): a coin-local map is one
 # (4x4)·(4xN²) product over the four contiguous N x N blocks, and the shift
-# moves each block by slice assignment.  Maps write into a buffer that must
-# not alias their input.
+# moves each block by the pure-state kernel's slices.  Maps write into a
+# buffer that must not alias their input.
 
 _COIN_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
-# (destination, source) slice pairs of the periodic shift of each coin level:
-# level 0 (up) moves x -> x+1, level 1 (down) x -> x-1
-_SHIFT_SLICES = (
-    ((slice(1, None), slice(None, -1)), (slice(None, 1), slice(-1, None))),
-    ((slice(None, -1), slice(1, None)), (slice(-1, None), slice(None, 1))),
-)
 
 
 def _to_blocks(mat: np.ndarray) -> np.ndarray:

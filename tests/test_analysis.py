@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import find_peaks
 
 from catwalk.analysis import (
+    _find_peaks,
     cat_metrics,
     component_widths,
     control_protocol,
@@ -175,6 +179,14 @@ def test_fringe_distribution_normalized():
     res = momentum_fringes(lat, gaussian_walker(lat.sites, 10.0, 4.0))
     assert res.distribution.sum() == pytest.approx(1.0, abs=1e-12)
     assert res.momenta.shape == res.distribution.shape
+
+
+@settings(max_examples=500, deadline=None)
+@given(values=st.lists(st.integers(-3, 3), max_size=40), distance=st.sampled_from([None, 5]))
+def test_find_peaks_matches_scipy(values, distance):
+    # small integers make plateaus, plateaus at the ends and height ties
+    x = np.array(values, dtype=float)
+    np.testing.assert_array_equal(_find_peaks(x, distance), find_peaks(x, distance=distance)[0])
 
 
 def test_cat_metrics_two_deltas():

@@ -1,14 +1,19 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import catwalk
 from catwalk.analysis import position_distribution, revival_protocol
 from catwalk.channels import ChannelSpec, evolve_open
 from catwalk.cli import build_parser, main
 from catwalk.config import KEYS, ConfigError, ExperimentConfig, parse_config
-from catwalk.io import ResultRecord, Table, emit_results
+from catwalk.io import CHUNK_ROWS, ResultRecord, Table, emit_results
 from catwalk.lattice import COIN_SYMMETRIC, DensityOperator, gaussian_position_state, make_lattice
 from catwalk.scenarios import density_working_set_bytes
 from catwalk.walk import Schedule
@@ -93,6 +98,53 @@ def test_emit_results_seventeen_digits(tmp_path):
     body = (tmp_path / "toy_v.csv").read_text().splitlines()[1]
     assert float(body) == value
     assert len(body.replace(".", "").lstrip("0")) >= 17
+
+
+def per_cell(value, dtype):
+    return str(int(round(value))) if dtype == "int" else "%.17g" % value
+
+
+@pytest.mark.parametrize("fmt", ["csv", "plot", "both"])
+def test_emit_results_matches_per_cell_oracle(fmt, tmp_path):
+    # one and a half chunks, the awkward values straddling the chunk boundary
+    rows = np.random.default_rng(0).random((CHUNK_ROWS + CHUNK_ROWS // 2, 4))
+    rows[:, 1] = np.arange(rows.shape[0]) - 7
+    edge = slice(CHUNK_ROWS - 2, CHUNK_ROWS + 3)
+    rows[edge, 0] = [1e300, -5e-324, 5e-324, 1 / 3, -0.0]
+    rows[edge, 2] = [-0.4, 2.5, 3.5, -2.5, 1e300]
+    rows[edge, 3] = [-0.0, 1 / 3, 5e-324, -5e-324, 1e300]
+    dtypes = ("float", "int", "int", "float")
+    table = Table("t", ("a", "b", "c", "d"), dtypes, rows)
+    emit_results(ResultRecord("toy", {}, [table]), tmp_path, fmt=fmt)
+    cells = [[per_cell(v, d) for v, d in zip(row, dtypes)] for row in rows.tolist()]
+    csv = tmp_path / "toy_t.csv"
+    dat = tmp_path / "toy_t.dat"
+    if fmt == "plot":
+        assert not csv.exists()
+    else:
+        assert csv.read_text() == "a,b,c,d\n" + "".join(",".join(c) + "\n" for c in cells)
+    if fmt == "csv":
+        assert not dat.exists()
+    else:
+        assert dat.read_text() == "".join(" ".join(c[-2:]) + "\n" for c in cells)
+
+
+def test_emit_results_refuses_nan_in_int_column(tmp_path):
+    rows = np.zeros((CHUNK_ROWS + 3, 2))
+    rows[CHUNK_ROWS + 1, 0] = np.nan
+    table = Table("t", ("x", "p"), ("int", "float"), rows)
+    for fmt in ("csv", "plot"):
+        with pytest.raises(ValueError):
+            emit_results(ResultRecord("toy", {}, [table]), tmp_path, fmt=fmt)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["toy_meta.txt"]
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, catwalk.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(catwalk.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_evolve_success(tmp_path, capsys):

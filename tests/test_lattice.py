@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from catwalk.lattice import (
+    HERMITICITY_BAND,
+    HERMITICITY_TOL,
     COIN_DOWN,
     COIN_SYMMETRIC,
     COIN_UP,
@@ -151,6 +153,29 @@ def test_density_operator_checks():
     bad[0, 1] = 1.0
     with pytest.raises(StateError):
         DensityOperator(lat, bad)
+
+
+@pytest.mark.parametrize(
+    "row, col, bump",
+    [
+        (0, -1, 1e-9),
+        (-1, 0, 1e-9),
+        (HERMITICITY_BAND - 1, HERMITICITY_BAND, 1e-9j),
+        (HERMITICITY_BAND, HERMITICITY_BAND - 1, 1e-9),
+        (HERMITICITY_BAND + 1, 2 * HERMITICITY_BAND + 3, -1e-9),
+        (-1, -1, 1e-9j),
+    ],
+)
+def test_density_refuses_asymmetry_in_every_band(row, col, bump):
+    lat = make_lattice(3 * HERMITICITY_BAND // 2 + 2)  # 2N rows: three bands and a part
+    flat = DensityOperator.from_pure(gaussian_position_state(lat, 2.0, COIN_SYMMETRIC)).as_2d
+    below = flat.copy()
+    below[row, col] += 0.5 * HERMITICITY_TOL * bump / abs(bump)
+    DensityOperator(lat, below)  # within the tolerance
+    above = flat.copy()
+    above[row, col] += bump
+    with pytest.raises(StateError, match="not Hermitian"):
+        DensityOperator(lat, above)
 
 
 def test_density_accepts_flat_layout():

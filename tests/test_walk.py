@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catwalk.channels import evolve_open
 from catwalk.lattice import (
@@ -7,6 +9,7 @@ from catwalk.lattice import (
     COIN_SYMMETRIC,
     COIN_UP,
     DensityOperator,
+    PureState,
     StateError,
     fidelity,
     fidelity_with_density,
@@ -31,6 +34,7 @@ from catwalk.walk import (
     step_density,
     step_generalized,
 )
+from dense_oracle import dense_pure_run
 
 THETAS = [np.pi / 6, np.pi / 4, np.pi / 3, np.pi / 2.4]
 
@@ -220,3 +224,37 @@ def test_conjugate_coin_matches_pure():
     r, _ = reversal_pair(np.pi / 6)
     rho = conjugate_coin(DensityOperator.from_pure(psi), r)
     assert fidelity_with_density(apply_coin(psi, r), rho) == pytest.approx(1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    theta=st.floats(0.0, np.pi),
+    half_n=st.integers(2, 12),
+    steps=st.integers(0, 30),
+    window=st.tuples(st.integers(0, 30), st.integers(0, 30)),
+    phi=st.floats(-np.pi, np.pi),
+    gate_times=st.lists(st.integers(0, 30), max_size=4),
+    snapshot_times=st.sets(st.integers(0, 30)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evolve_matches_dense_oracle(
+    theta, half_n, steps, window, phi, gate_times, snapshot_times, seed
+):
+    n = 2 * half_n
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    psi = PureState(make_lattice(n), amp / np.linalg.norm(amp))
+    start, end = sorted(min(t, steps) for t in window)
+    # random complex gates: unlike the coin and the reversal gates, not symmetric
+    gates = []
+    for t in gate_times:
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        gates.append((min(t, steps), q))
+    sched = Schedule(steps, theta, fm_windows=((start, end, phi),), coin_gate_insertions=gates)
+    snaps = {min(t, steps) for t in snapshot_times}
+    result = evolve(psi, sched, snapshot_times=snaps)
+    expected = dense_pure_run(psi.amplitudes.ravel(), n, sched)
+    assert set(result.snapshots) == snaps
+    for t, state in [*result.snapshots.items(), (steps, result.final)]:
+        np.testing.assert_allclose(state.amplitudes.ravel(), expected[t], atol=1e-12)
+        assert state.norm() == pytest.approx(1.0, abs=1e-12)
