@@ -323,15 +323,17 @@ def revival_protocol(
         coin_gate_insertions=((T, gate), (2 * T, gate_back)),
         channel=channel,
     )
+    trace = np.empty(2 * T + 1)
     if channel is None:
-        result = evolve(initial, sched, snapshot_times=range(2 * T + 1))
-        trace = np.array(
-            [fidelity(initial, result.snapshots[s]) for s in range(2 * T + 1)]
-        )
+
+        def overlap(t: int, amp: np.ndarray) -> None:
+            # |<psi|amp>|^2 summed in site-major order, as fidelity() sums it
+            trace[t] = abs(np.vdot(initial.amplitudes, amp.T)) ** 2
+
+        evolve(initial, sched, observe=overlap)
         return RevivalResult(float(trace[-1]), trace)
 
     ket = np.ascontiguousarray(initial.amplitudes.T)  # coin-major, (2, N)
-    trace = np.empty(2 * T + 1)
 
     def record(t: int, blocks: np.ndarray) -> None:
         # sum_{c,d} <psi_c| blocks[c, d] |psi_d>: four matvecs, then one dot

@@ -4,8 +4,8 @@ Pure dephasing shrinks off-diagonal elements toward the diagonal in a
 chosen index (coin, walker, or both); amplitude damping and bit flip act
 on the coin through Kraus pairs.  The bath strength eta is per step, so
 each application scales coherences by lambda = e^{-eta} and an n-step run
-accumulates e^{-eta n}.  ``evolve_open`` is the one loop that advances a
-density matrix over steps.
+accumulates e^{-eta n}.  ``evolve_open`` advances a density matrix over
+steps, through the step loop that ``walk.evolve`` also runs.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .lattice import DensityOperator
-from .walk import (SIGMA_X, Schedule, _apply_coin_superop, _check_unitary, _coin_superop,
-                   _from_blocks, _map_density, _phase_density, _shift_density, _to_blocks,
-                   coin_operator)
+from .walk import (SIGMA_X, Schedule, _apply_coin_map, _coin_map, _coin_major, _run_density,
+                   _site_major)
 
 COMPLETENESS_TOL = 1e-12
 
@@ -81,7 +80,8 @@ def dephase(rho: DensityOperator, eta: float, target: str) -> DensityOperator:
 
     target=coin touches c != c', target=walker touches x != x', and
     target=both touches every element off the full diagonal.  The diagonal
-    is untouched, so the trace is preserved exactly.
+    is untouched, so the trace is preserved exactly.  One application, as
+    ``apply_channel``: each call converts and validates the whole state.
     """
     return apply_channel(rho, ChannelSpec(DEPHASING, eta, target))
 
@@ -105,10 +105,20 @@ def bit_flip_kraus(eta: float) -> KrausPair:
     return KrausPair(b0, b1)
 
 
+def _map_density(rho: DensityOperator, fn: Callable) -> DensityOperator:
+    """Apply a coin-major map fn(blocks, out) -> result to rho.
+
+    Each call converts and validates the whole state, so multi-step callers
+    run ``evolve_open`` with the channel in the schedule instead.
+    """
+    blocks = _coin_major(rho.matrix)
+    return DensityOperator(rho.lattice, _site_major(fn(blocks, np.empty_like(blocks))))
+
+
 def apply_coin_channel(rho: DensityOperator, kraus: KrausPair) -> DensityOperator:
-    """rho -> sum_i (1 (x) M_i) rho (1 (x) M_i)†."""
-    superop = _coin_superop(kraus.m0, kraus.m1)
-    return _map_density(rho, lambda blocks, out: _apply_coin_superop(blocks, superop, out))
+    """rho -> sum_i (1 (x) M_i) rho (1 (x) M_i)†, once (see ``_map_density``)."""
+    superop = _coin_map(2, kraus.m0, kraus.m1)
+    return _map_density(rho, lambda blocks, out: _apply_coin_map(blocks, superop, out))
 
 
 def _channel_map(spec: ChannelSpec, n_sites: int) -> Callable | None:
@@ -138,16 +148,14 @@ def _channel_map(spec: ChannelSpec, n_sites: int) -> Callable | None:
     else:
         factory = amplitude_damping_kraus if spec.kind == AMPLITUDE_DAMPING else bit_flip_kraus
         kraus = factory(spec.eta)
-        superop = _coin_superop(kraus.m0, kraus.m1)
-    return lambda blocks, out: _apply_coin_superop(blocks, superop, out)
+        superop = _coin_map(2, kraus.m0, kraus.m1)
+    return lambda blocks, out: _apply_coin_map(blocks, superop, out)
 
 
 def apply_channel(rho: DensityOperator, spec: ChannelSpec) -> DensityOperator:
-    """One application of the channel to rho."""
+    """One application of the channel to rho (see ``_map_density``)."""
     channel = _channel_map(spec, rho.lattice.n_sites)
-    if channel is None:
-        return rho
-    return _map_density(rho, channel)
+    return rho if channel is None else _map_density(rho, channel)
 
 
 @dataclass(frozen=True)
@@ -167,11 +175,11 @@ def evolve_open(
     The per-step order is unitary step, then channel; coin-gate insertions
     are applied (unitarily) after the completed step, before any snapshot.
     A schedule without a channel runs closed but on rho, useful for
-    cross-checking against the pure-state path.  The loop swaps two
-    preallocated coin-major buffers, blocks[c, d] = rho[:, c, :, d] of shape
-    (2, 2, N, N), converting on entry and for each snapshot and the final
-    state; trace and Hermiticity are validated at every snapshot and on the
-    final state.
+    cross-checking against the pure-state path.  The step loop is the one
+    ``walk.evolve`` runs, on the coin-major blocks[c, d] = rho[:, c, :, d]
+    of shape (2, 2, N, N); trace and Hermiticity are validated at every
+    snapshot and on the final state, and a snapshot time outside the run
+    raises ``ScheduleError``.
 
     ``observe(t, blocks)`` is called at every t = 0..total_steps, after that
     time's insertions, with the coin-major working array, which it must
@@ -180,38 +188,5 @@ def evolve_open(
     spec = schedule.channel
     if spec is not None and not isinstance(spec, ChannelSpec):
         raise ChannelError(f"schedule.channel must be a ChannelSpec, got {type(spec).__name__}")
-    wanted = set(snapshot_times)
-    for t in wanted:
-        if not (0 <= t <= schedule.total_steps):
-            raise ChannelError(f"snapshot time {t} outside run")
-    lattice = rho0.lattice
-    channel = _channel_map(spec, lattice.n_sites) if spec is not None else None
-    coin = _coin_superop(coin_operator(schedule.theta))
-    blocks = _to_blocks(rho0.matrix)
-    spare = np.empty_like(blocks)
-    snaps: dict[int, DensityOperator] = {}
-
-    def checkpoint(t: int) -> None:
-        nonlocal blocks, spare
-        for u in schedule.insertions_at(t):
-            gate = _coin_superop(_check_unitary(u))
-            blocks, spare = _apply_coin_superop(blocks, gate, spare), blocks
-        if t in wanted:
-            snaps[t] = DensityOperator(lattice, _from_blocks(blocks))
-        if observe is not None:
-            observe(t, blocks)
-
-    checkpoint(0)
-    for s in range(1, schedule.total_steps + 1):
-        _apply_coin_superop(blocks, coin, spare)
-        _shift_density(spare, blocks)
-        phi = schedule.phi_at(s)
-        if phi is not None:
-            _phase_density(blocks, lattice.sites, phi)
-        if channel is not None:
-            blocks, spare = channel(blocks, spare), blocks
-        checkpoint(s)
-    del spare  # the conversion and the final validation need the room
-    mat = _from_blocks(blocks)
-    del blocks
-    return OpenEvolutionResult(DensityOperator(lattice, mat), snaps)
+    channel = _channel_map(spec, rho0.lattice.n_sites) if spec is not None else None
+    return OpenEvolutionResult(*_run_density(rho0, schedule, snapshot_times, observe, channel))

@@ -60,8 +60,9 @@ def make_lattice(n_sites: int) -> LatticeConfig:
     """Build a lattice of ``n_sites`` sites (even, >= 4).
 
     Recommended sizing for a run of ``t`` steps from a Gaussian of width
-    ``sigma``: N >= 2*t + 8*sigma, rounded up to even, so the wavepacket
-    never wraps around the periodic boundary.
+    ``sigma``: N >= 2*t + 8*sigma, rounded up to even.  The packet's tail
+    beyond 4 sigma, a mass near erfc(2 sqrt 2) = 6.3e-5, can still wrap
+    around the periodic boundary.
     """
     return LatticeConfig(int(n_sites))
 
@@ -202,9 +203,10 @@ def gaussian_position_state(
     """Gaussian wavepacket exp(-(x-x0)^2/(4 sigma^2)) with mean momentum k0.
 
     The plane-wave factor is exp(-i k0 x), which centers the packet at +k0
-    under this module's DFT convention.  The lattice
-    must be large enough that the truncated tail mass is below 1e-10
-    (the 8*sigma rule).
+    under this module's DFT convention.  The lattice must hold 8*sigma
+    sites, which truncates the tail beyond 4 sigma: a mass near
+    erfc(2 sqrt 2) = 6.3e-5 (6.4e-5 at sigma=10, N=80) is cut off before
+    the packet is renormalized.
     """
     if sigma <= 0:
         raise StateError(f"sigma must be positive, got {sigma}")

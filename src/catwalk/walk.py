@@ -5,11 +5,13 @@ One walk step is coin -> shift (-> momentum-shift phase when scheduled),
 i.e. the generalized propagator multiplies the plain step on the left.
 Time is counted in completed steps; a coin-gate insertion at time ``s``
 acts after ``s`` steps, and an F_m window ``(start, end, phi)`` applies the
-phase during steps ``start+1 .. end``.
+phase during steps ``start+1 .. end``.  Pure states and density operators
+share one step loop, ``_run``; on rho the step Z acts as Z (x) Z^*.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -18,6 +20,7 @@ import numpy as np
 from .lattice import (
     POSITION,
     DensityOperator,
+    LatticeConfig,
     PureState,
     StateError,
 )
@@ -61,10 +64,12 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Pure-state kernel.  It works on the coin-major array amp[c] = psi[:, c] of
-# shape (2, N): the coin is one (2x2)·(2xN) product and the shift moves each
-# coin level by slice assignment.  Maps write into a buffer that must not
-# alias their input.
+# Step kernel.  It works on a coin-major array of rank r, r coin axes then r
+# site axes: amp[c] = psi[:, c], shape (2, N), for a pure state (r = 1) and
+# blocks[c, d] = rho[:, c, :, d], shape (2, 2, N, N), for rho (r = 2).  A
+# coin-local map is one (2^r x 2^r)·(2^r x N^r) product and the shift moves
+# sites by slice assignment.  Maps write into a buffer that must not alias
+# their input.
 
 # (destination, source) slice pairs of the periodic shift of each coin level:
 # level 0 (up) moves x -> x+1, level 1 (down) x -> x-1
@@ -73,74 +78,48 @@ _SHIFT_SLICES = (
     ((slice(None, -1), slice(1, None)), (slice(-1, None), slice(None, 1))),
 )
 
+# per rank, (destination, source) index tuples: each site axis moves with its coin index
+_SHIFT_INDEX = {
+    rank: tuple(
+        (levels + tuple(to for to, _ in pairs), levels + tuple(frm for _, frm in pairs))
+        for levels in itertools.product((0, 1), repeat=rank)
+        for pairs in itertools.product(*(_SHIFT_SLICES[c] for c in levels))
+    )
+    for rank in (1, 2)
+}
 
-def _coin_major(state: PureState) -> np.ndarray:
-    """Contiguous (2, N) copy of the (N, 2) amplitudes."""
-    return np.ascontiguousarray(state.amplitudes.T)
+
+def _coin_map(rank: int, *ops: np.ndarray) -> np.ndarray:
+    """M on a pure state (one operator); sum_i M_i (x) M_i^* on rho."""
+    return ops[0] if rank == 1 else sum(np.kron(m, m.conj()) for m in ops)
 
 
-def _site_major(state: PureState, amp: np.ndarray) -> PureState:
-    """State with the coin-major amplitudes ``amp``; the norm is validated."""
-    return state.with_amplitudes(amp.T.copy())
-
-
-def _shift_amp(amp: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = S amp: each coin level moves with its direction; returns out."""
-    for c in (0, 1):
-        for to, frm in _SHIFT_SLICES[c]:
-            out[c, to] = amp[c, frm]
+def _apply_coin_map(work: np.ndarray, cmap: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = cmap applied to the coin index of ``work``; returns out."""
+    np.matmul(cmap, work.reshape(len(cmap), -1), out=out.reshape(len(cmap), -1))
     return out
 
 
-def _walk_step(amp: np.ndarray, coin: np.ndarray, spare: np.ndarray) -> np.ndarray:
-    """amp -> S C amp in place, through the spare buffer; returns amp."""
-    np.matmul(coin, amp, out=spare)
-    return _shift_amp(spare, amp)
+def _shift(work: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = S work (S rho S† on rho): sites move with their coin level; returns out."""
+    for to, frm in _SHIFT_INDEX[work.ndim // 2]:
+        out[to] = work[frm]
+    return out
 
 
 def _fm_phase(sites: np.ndarray, phi: float) -> np.ndarray:
     return np.exp(1j * phi * sites)
 
 
-def _require_position(state: PureState) -> None:
-    if state.basis != POSITION:
-        raise StateError("operation requires a position-basis state")
+def _coin_major(arr: np.ndarray) -> np.ndarray:
+    """Contiguous coin-major copy of (N, 2) amplitudes or an (N, 2, N, 2) rho."""
+    return np.ascontiguousarray(arr.transpose(*range(1, arr.ndim, 2), *range(0, arr.ndim, 2)))
 
 
-def apply_coin(state: PureState, u: np.ndarray) -> PureState:
-    """Apply a 2x2 unitary on the coin at every site."""
-    _require_position(state)
-    return _site_major(state, np.matmul(_check_unitary(u), state.amplitudes.T))
-
-
-def apply_shift(state: PureState) -> PureState:
-    """Conditional shift: up-component x -> x+1, down-component x -> x-1."""
-    _require_position(state)
-    amp = state.amplitudes.T
-    return _site_major(state, _shift_amp(amp, np.empty(amp.shape, dtype=complex)))
-
-
-def apply_fm(state: PureState, phi: float) -> PureState:
-    """Site-linear phase e^{i phi x} on both coin levels."""
-    _require_position(state)
-    ph = _fm_phase(state.lattice.sites, phi)
-    return state.with_amplitudes(state.amplitudes * ph[:, None])
-
-
-def step(state: PureState, theta: float) -> PureState:
-    """One plain walk step: coin flip then conditional shift."""
-    _require_position(state)
-    amp = _coin_major(state)
-    return _site_major(state, _walk_step(amp, coin_operator(theta), np.empty_like(amp)))
-
-
-def step_generalized(state: PureState, theta: float, phi: float) -> PureState:
-    """One generalized step: coin, shift, then the momentum-shift phase."""
-    _require_position(state)
-    amp = _coin_major(state)
-    _walk_step(amp, coin_operator(theta), np.empty_like(amp))
-    amp *= _fm_phase(state.lattice.sites, phi)
-    return _site_major(state, amp)
+def _site_major(work: np.ndarray) -> np.ndarray:
+    """Contiguous (N, 2) or (N, 2, N, 2) copy of a coin-major array."""
+    r = work.ndim // 2
+    return np.ascontiguousarray(work.transpose([a for i in range(r) for a in (r + i, i)]))
 
 
 @dataclass(frozen=True)
@@ -189,6 +168,61 @@ class Schedule:
         return [u for ti, u in self.coin_gate_insertions if ti == t]
 
 
+def _run(work: np.ndarray, schedule: Schedule, snapshot_times: Sequence[int],
+         snapshot: Callable, observe: Callable | None = None,
+         channel: Callable | None = None) -> tuple[np.ndarray, dict[int, Any]]:
+    """Step the coin-major array ``work``, of either rank, through ``schedule``.
+
+    A step is the coin map into the spare buffer, the shift back, the F_m
+    phase (built once per phi) and ``channel(work, out) -> result``.  At
+    every t = 0..total_steps that time's coin gates are applied, then
+    ``snapshot(work)`` is kept if t is wanted and ``observe(t, work)`` is
+    called.  Returns the final working array and the snapshots; the spare
+    goes with the call, so callers keep no reference to ``work``.
+    """
+    wanted = set(snapshot_times)
+    for t in wanted:
+        if not (0 <= t <= schedule.total_steps):
+            raise ScheduleError(f"snapshot time {t} outside run")
+    rank = work.ndim // 2
+    coin = _coin_map(rank, coin_operator(schedule.theta))
+    sites = LatticeConfig(work.shape[-1]).sites
+    phases = {phi: _fm_phase(sites, phi) for _, _, phi in schedule.fm_windows}
+    if rank == 2:
+        phases = {phi: np.outer(ph, ph.conj()) for phi, ph in phases.items()}
+    spare = np.empty_like(work)
+    snaps: dict[int, Any] = {}
+
+    def checkpoint(t: int) -> None:
+        nonlocal work, spare
+        for u in schedule.insertions_at(t):
+            gate = _coin_map(rank, _check_unitary(u))
+            work, spare = _apply_coin_map(work, gate, spare), work
+        if t in wanted:
+            snaps[t] = snapshot(work)
+        if observe is not None:
+            observe(t, work)
+
+    checkpoint(0)
+    for s in range(1, schedule.total_steps + 1):
+        _shift(_apply_coin_map(work, coin, spare), work)
+        phi = schedule.phi_at(s)
+        if phi is not None:
+            work *= phases[phi]
+        if channel is not None:
+            work, spare = channel(work, spare), work
+        checkpoint(s)
+    return work, snaps
+
+
+# ---------------------------------------------------------------------------
+# Front ends: pure states, then density operators.
+
+def _require_position(state: PureState) -> None:
+    if state.basis != POSITION:
+        raise StateError("operation requires a position-basis state")
+
+
 @dataclass(frozen=True)
 class EvolutionResult:
     final: PureState
@@ -199,6 +233,7 @@ def evolve(
     state: PureState,
     schedule: Schedule,
     snapshot_times: Sequence[int] = (),
+    observe: Callable[[int, np.ndarray], None] | None = None,
 ) -> EvolutionResult:
     """Run a schedule on a pure state.
 
@@ -207,100 +242,84 @@ def evolve(
     the open-system runner instead.  The loop steps a coin-major (2, N)
     working array in place through one spare buffer, and converts back to
     (N, 2) for each snapshot and the final state, whose norms are validated.
+
+    ``observe(t, amp)`` is called at every t = 0..total_steps, after that
+    time's insertions, with the coin-major working array amp[c] = psi[:, c],
+    which it must neither keep nor modify.
     """
     _require_position(state)
     if schedule.channel is not None:
         raise ScheduleError("schedule has a channel; use channels.evolve_open")
-    wanted = set(snapshot_times)
-    for t in wanted:
-        if not (0 <= t <= schedule.total_steps):
-            raise ScheduleError(f"snapshot time {t} outside run")
-    coin = coin_operator(schedule.theta)
-    phases = {phi: _fm_phase(state.lattice.sites, phi) for _, _, phi in schedule.fm_windows}
-    amp = _coin_major(state)
-    spare = np.empty_like(amp)
-    snaps: dict[int, PureState] = {}
-
-    def checkpoint(t: int) -> None:
-        nonlocal amp, spare
-        for u in schedule.insertions_at(t):
-            amp, spare = np.matmul(_check_unitary(u), amp, out=spare), amp
-        if t in wanted:
-            snaps[t] = _site_major(state, amp)
-
-    checkpoint(0)
-    for s in range(1, schedule.total_steps + 1):
-        _walk_step(amp, coin, spare)
-        phi = schedule.phi_at(s)
-        if phi is not None:
-            amp *= phases[phi]
-        checkpoint(s)
-    return EvolutionResult(_site_major(state, amp), snaps)
+    amp, snaps = _run(_coin_major(state.amplitudes), schedule, snapshot_times,
+                      lambda a: state.with_amplitudes(_site_major(a)), observe)
+    return EvolutionResult(state.with_amplitudes(_site_major(amp)), snaps)
 
 
-# ---------------------------------------------------------------------------
-# Density-operator kernel.  It works on the coin-major array
-# blocks[c, d] = rho[:, c, :, d] of shape (2, 2, N, N): a coin-local map is one
-# (4x4)·(4xN²) product over the four contiguous N x N blocks, and the shift
-# moves each block by the pure-state kernel's slices.  Maps write into a
-# buffer that must not alias their input.
+def apply_coin(state: PureState, u: np.ndarray) -> PureState:
+    """Apply a 2x2 unitary on the coin at every site, as a zero-step run.
 
-_COIN_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+    Each call converts and validates the whole state; loop with ``evolve``.
+    """
+    return evolve(state, Schedule(0, 0.0, coin_gate_insertions=((0, u),))).final
 
 
-def _to_blocks(mat: np.ndarray) -> np.ndarray:
-    """Coin-major copy (2, 2, N, N) of an (N, 2, N, 2) density matrix."""
-    return np.ascontiguousarray(mat.transpose(1, 3, 0, 2))
+def apply_shift(state: PureState) -> PureState:
+    """Conditional shift: up-component x -> x+1, down-component x -> x-1."""
+    _require_position(state)
+    amp = state.amplitudes.T
+    return state.with_amplitudes(_site_major(_shift(amp, np.empty(amp.shape, dtype=complex))))
 
 
-def _from_blocks(blocks: np.ndarray) -> np.ndarray:
-    """(N, 2, N, 2) copy of a coin-major array; inverse of _to_blocks."""
-    return np.ascontiguousarray(blocks.transpose(2, 0, 3, 1))
+def apply_fm(state: PureState, phi: float) -> PureState:
+    """Site-linear phase e^{i phi x} on both coin levels."""
+    _require_position(state)
+    ph = _fm_phase(state.lattice.sites, phi)
+    return state.with_amplitudes(state.amplitudes * ph[:, None])
 
 
-def _coin_superop(*ops: np.ndarray) -> np.ndarray:
-    """S = sum_i M_i (x) M_i^*, rows and columns indexed by the coin pairs."""
-    return sum(np.kron(m, m.conj()) for m in ops)
+def step(state: PureState, theta: float) -> PureState:
+    """One plain walk step, coin flip then conditional shift.
+
+    Each call converts and validates the whole state; loop with ``evolve``.
+    """
+    return evolve(state, Schedule(1, theta)).final
 
 
-def _apply_coin_superop(blocks: np.ndarray, superop: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[a, b] = sum_{c,d} S[(a,b), (c,d)] blocks[c, d]; returns out."""
-    n2 = blocks.shape[2] * blocks.shape[3]
-    np.matmul(superop, blocks.reshape(4, n2), out=out.reshape(4, n2))
-    return out
+def step_generalized(state: PureState, theta: float, phi: float) -> PureState:
+    """One generalized step: coin, shift, then the momentum-shift phase.
+
+    Each call converts and validates the whole state; loop with ``evolve``.
+    """
+    return evolve(state, Schedule(1, theta, fm_windows=((0, 1, phi),))).final
 
 
-def _shift_density(blocks: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = S rho S†: rows and columns move with their coin level; returns out."""
-    for c, d in _COIN_PAIRS:
-        src, dst = blocks[c, d], out[c, d]
-        for rows_to, rows_from in _SHIFT_SLICES[c]:
-            for cols_to, cols_from in _SHIFT_SLICES[d]:
-                dst[rows_to, cols_to] = src[rows_from, cols_from]
-    return out
+def _run_density(rho0: DensityOperator, schedule: Schedule, snapshot_times: Sequence[int] = (),
+                 observe: Callable | None = None, channel: Callable | None = None):
+    """_run on a coin-major copy of rho0; returns (final state, snapshots).
 
-
-def _phase_density(blocks: np.ndarray, sites: np.ndarray, phi: float) -> None:
-    """Momentum-shift phase on rows and conjugate phase on columns, in place."""
-    ph = _fm_phase(sites, phi)
-    blocks *= np.outer(ph, ph.conj())
-
-
-def _map_density(rho: DensityOperator, fn: Callable) -> DensityOperator:
-    """Apply a coin-major map fn(blocks, out) -> result to rho."""
-    blocks = _to_blocks(rho.matrix)
-    return DensityOperator(rho.lattice, _from_blocks(fn(blocks, np.empty_like(blocks))))
+    Every returned state is validated.  The spare buffer goes before the
+    final conversion and the working array before the final validation, so
+    the peak stays at three density matrices.
+    """
+    lattice = rho0.lattice
+    blocks, snaps = _run(_coin_major(rho0.matrix), schedule, snapshot_times,
+                         lambda b: DensityOperator(lattice, _site_major(b)), observe, channel)
+    mat = _site_major(blocks)
+    del blocks
+    return DensityOperator(lattice, mat), snaps
 
 
 def conjugate_coin(rho: DensityOperator, u: np.ndarray) -> DensityOperator:
-    """rho -> (1 (x) U) rho (1 (x) U)† for a unitary coin gate."""
-    superop = _coin_superop(_check_unitary(u))
-    return _map_density(rho, lambda blocks, out: _apply_coin_superop(blocks, superop, out))
+    """rho -> (1 (x) U) rho (1 (x) U)† for a unitary coin gate.
+
+    Each call converts and validates the whole state; loop with ``evolve_open``.
+    """
+    return _run_density(rho, Schedule(0, 0.0, coin_gate_insertions=((0, u),)))[0]
 
 
 def step_density(rho: DensityOperator, theta: float) -> DensityOperator:
-    """rho -> Z rho Z†."""
-    coin = _coin_superop(coin_operator(theta))
-    return _map_density(
-        rho, lambda blocks, out: _shift_density(_apply_coin_superop(blocks, coin, out), blocks)
-    )
+    """rho -> Z rho Z†, as a one-step run.
+
+    Each call converts and validates the whole state; loop with ``evolve_open``.
+    """
+    return _run_density(rho, Schedule(1, theta))[0]

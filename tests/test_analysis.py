@@ -29,6 +29,7 @@ from catwalk.lattice import (
     DensityOperator,
     PureState,
     StateError,
+    fidelity,
     fidelity_with_density,
     gaussian_position_state,
     localized_state,
@@ -281,17 +282,24 @@ def test_revival_protocol_sigma_y_defect():
         ("dephasing", "both"),
         ("amplitude_damping", "coin"),
         ("bit_flip", "coin"),
+        (None, None),
     ],
 )
 def test_open_revival_trace_matches_snapshot_fidelities(kind, target, reverser):
     T, theta = 6, 0.7
     psi = gaussian_position_state(make_lattice(32), 2.0, COIN_SYMMETRIC, k0=0.03)
-    spec = ChannelSpec(kind, 0.05, target)
+    spec = ChannelSpec(kind, 0.05, target) if kind is not None else None
     res = revival_protocol(psi, theta, T, channel=spec, reverser=reverser)
     gate, gate_back = reversal_pair(theta) if reverser == REVERSER_EXACT else (SIGMA_Y, SIGMA_Y)
     sched = Schedule(
         2 * T, theta, coin_gate_insertions=((T, gate), (2 * T, gate_back)), channel=spec
     )
+    if spec is None:
+        # the closed trace comes from the evolve observer: bit for bit fidelity()
+        snaps = evolve(psi, sched, snapshot_times=range(2 * T + 1)).snapshots
+        assert res.trace.tolist() == [fidelity(psi, snaps[t]) for t in range(2 * T + 1)]
+        assert res.r == fidelity(psi, snaps[2 * T])
+        return
     snaps = evolve_open(
         DensityOperator.from_pure(psi), sched, snapshot_times=range(2 * T + 1)
     ).snapshots

@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -292,3 +293,21 @@ def test_cli_reruns_are_byte_identical(argv, tmp_path, capsys):
     assert files_a == files_b and files_a
     for name in files_a:
         assert read(a / name) == read(b / name)
+
+
+def test_bench_replay_runs_on_the_public_wrappers(monkeypatch):
+    # the benchmark's --trace 1 replays these wrappers; keep them importable and working
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    tracing = importlib.import_module("tracing")
+    monkeypatch.setattr(tracing, "REPLAY_MIN_S", 0.0)
+    out = tracing.replay(16, 2.0, np.pi / 4)
+    assert set(out) == {
+        "walk.step_density.ms",
+        "walk.conjugate_coin.ms",
+        "lattice.fidelity_with_density.ms",
+        "lattice.density_validate.ms",
+        "lattice.density_matrix_mb",
+        *(f"channels.apply_channel.ms.{v}" for v in tracing.CHANNEL_VARIANTS),
+    }
+    assert all(np.isfinite(v) for v in out.values())

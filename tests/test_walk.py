@@ -252,9 +252,29 @@ def test_evolve_matches_dense_oracle(
         gates.append((min(t, steps), q))
     sched = Schedule(steps, theta, fm_windows=((start, end, phi),), coin_gate_insertions=gates)
     snaps = {min(t, steps) for t in snapshot_times}
-    result = evolve(psi, sched, snapshot_times=snaps)
+    observed = []
+    result = evolve(
+        psi, sched, snapshot_times=snaps, observe=lambda t, amp: observed.append((t, amp.T.copy()))
+    )
     expected = dense_pure_run(psi.amplitudes.ravel(), n, sched)
     assert set(result.snapshots) == snaps
     for t, state in [*result.snapshots.items(), (steps, result.final)]:
         np.testing.assert_allclose(state.amplitudes.ravel(), expected[t], atol=1e-12)
         assert state.norm() == pytest.approx(1.0, abs=1e-12)
+    # observe sees every time, after that time's gates, the state a snapshot returns
+    assert [t for t, _ in observed] == list(range(steps + 1))
+    for t, amp in observed:
+        np.testing.assert_allclose(amp.ravel(), expected[t], atol=1e-12)
+    for t, state in result.snapshots.items():
+        np.testing.assert_array_equal(observed[t][1], state.amplitudes)
+    np.testing.assert_array_equal(observed[-1][1], result.final.amplitudes)
+
+
+@pytest.mark.parametrize("runner", ["evolve", "evolve_open"])
+@pytest.mark.parametrize("t", [-1, 4])
+def test_snapshot_time_outside_run_raises_schedule_error(runner, t):
+    psi = localized_state(make_lattice(8), 0, COIN_UP)
+    state = psi if runner == "evolve" else DensityOperator.from_pure(psi)
+    run = evolve if runner == "evolve" else evolve_open
+    with pytest.raises(ScheduleError, match=f"snapshot time {t} outside run"):
+        run(state, Schedule(3, np.pi / 4), snapshot_times=(t,))
