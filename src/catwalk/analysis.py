@@ -30,6 +30,7 @@ from .walk import (
     reversal_pair,
 )
 from .channels import ChannelSpec, evolve_open
+from .spectral import _gauge_fix
 
 DEGENERACY_GAP = 0.05
 PROJECTION_NORM_TOL = 1e-12
@@ -82,13 +83,6 @@ class SchmidtDecomposition:
     degenerate: bool
 
 
-def _lead_phase(v: np.ndarray) -> complex:
-    for comp in v:
-        if abs(comp) > 1e-12:
-            return abs(comp) / comp
-    return 1.0
-
-
 def schmidt_components(state: PureState) -> SchmidtDecomposition:
     """Extract the two Schmidt branches of a walker-coin pure state."""
     amp = state.amplitudes
@@ -103,10 +97,7 @@ def schmidt_components(state: PureState) -> SchmidtDecomposition:
         a = np.einsum("x,xc,xd->cd", sites.astype(float), amp, amp.conj())
         _, vecs = np.linalg.eigh(a)
 
-    basis = []
-    for i in range(2):
-        v = vecs[:, i].astype(complex)
-        basis.append(v * _lead_phase(v))
+    basis = [_gauge_fix(vecs[:, i].astype(complex)) for i in range(2)]
 
     branches = []
     for phi in basis:
@@ -294,12 +285,35 @@ class RevivalResult:
     trace: np.ndarray  # fidelity to the initial state at steps 0..2T
 
 
-def _reverser_gates(theta: float, reverser: str) -> tuple[np.ndarray, np.ndarray]:
+def _reversal_schedule(
+    theta: float,
+    t: int,
+    reverser: str,
+    hold: int = 0,
+    p: int = 1,
+    channel: ChannelSpec | None = None,
+) -> Schedule:
+    """t plain steps, ``hold`` steps with phase 2*pi/p, the reversal gate,
+    t plain steps and the closing gate.
+
+    At hold = 0 (n = 0 cycles of the control protocol) this is the revival
+    schedule.  ``reverser`` picks the gate pair: the exact (R, R†) of
+    ``walk.reversal_pair`` or plain sigma_y twice.
+    """
     if reverser == REVERSER_EXACT:
-        return reversal_pair(theta)
-    if reverser == REVERSER_SIGMA_Y:
-        return SIGMA_Y, SIGMA_Y
-    raise ValueError(f"unknown reverser {reverser!r}")
+        gate, gate_back = reversal_pair(theta)
+    elif reverser == REVERSER_SIGMA_Y:
+        gate, gate_back = SIGMA_Y, SIGMA_Y
+    else:
+        raise ValueError(f"unknown reverser {reverser!r}")
+    total = 2 * t + hold
+    return Schedule(
+        total,
+        theta,
+        fm_windows=((t, t + hold, 2.0 * np.pi / p),) if hold > 0 else (),
+        coin_gate_insertions=((t + hold, gate), (total, gate_back)),
+        channel=channel,
+    )
 
 
 def revival_protocol(
@@ -316,13 +330,7 @@ def revival_protocol(
     the squared packet width.  A channel switches to density-operator
     evolution with the channel applied after every step.
     """
-    gate, gate_back = _reverser_gates(theta, reverser)
-    sched = Schedule(
-        2 * T,
-        theta,
-        coin_gate_insertions=((T, gate), (2 * T, gate_back)),
-        channel=channel,
-    )
+    sched = _reversal_schedule(theta, T, reverser, channel=channel)
     trace = np.empty(2 * T + 1)
     if channel is None:
 
@@ -388,14 +396,5 @@ def control_protocol(
         raise ValueError(f"p must be >= 1, got {p}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    gate, gate_back = _reverser_gates(theta, reverser)
-    hold = 2 * n * p
-    total = 2 * t + hold
-    sched = Schedule(
-        total,
-        theta,
-        fm_windows=((t, t + hold, 2.0 * np.pi / p),) if n > 0 else (),
-        coin_gate_insertions=((t + hold, gate), (total, gate_back)),
-    )
-    result = evolve(initial, sched)
-    return fidelity(initial, result.final)
+    sched = _reversal_schedule(theta, t, reverser, hold=2 * n * p, p=p)
+    return fidelity(initial, evolve(initial, sched).final)

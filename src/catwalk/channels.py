@@ -29,6 +29,10 @@ TARGET_COIN = "coin"
 TARGET_WALKER = "walker"
 TARGET_BOTH = "both"
 
+# the channel vocabulary; config and the scenarios take theirs from here
+CHANNEL_KINDS = (DEPHASING, AMPLITUDE_DAMPING, BIT_FLIP)
+TARGETS = (TARGET_COIN, TARGET_WALKER, TARGET_BOTH)
+
 
 class ChannelError(ValueError):
     """Invalid channel parameters."""
@@ -43,11 +47,11 @@ class ChannelSpec:
     target: str = TARGET_COIN
 
     def __post_init__(self):
-        if self.kind not in (DEPHASING, AMPLITUDE_DAMPING, BIT_FLIP):
+        if self.kind not in CHANNEL_KINDS:
             raise ChannelError(f"unknown channel kind {self.kind!r}")
         if not (self.eta >= 0):
             raise ChannelError(f"eta must be >= 0, got {self.eta}")
-        if self.target not in (TARGET_COIN, TARGET_WALKER, TARGET_BOTH):
+        if self.target not in TARGETS:
             raise ChannelError(f"unknown target {self.target!r}")
         if self.kind != DEPHASING and self.target != TARGET_COIN:
             raise ChannelError(f"{self.kind} acts on the coin only")

@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 
+from .channels import ChannelError
 from .config import KEYS, OUT_ENV, ConfigError, parse_config
 from .io import emit_results
 from .lattice import LatticeError, StateError
@@ -59,7 +60,7 @@ def main(argv=None) -> int:
     except ResourceGuardError as exc:
         print(f"catwalk: refused: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ConfigError, LatticeError, StateError, ScheduleError) as exc:
+    except (ConfigError, ChannelError, LatticeError, StateError, ScheduleError) as exc:
         print(f"catwalk: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     for path in written:

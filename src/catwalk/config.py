@@ -10,8 +10,8 @@ from dataclasses import dataclass, field, fields
 import math
 from typing import Callable, NamedTuple
 
-CHANNEL_KINDS = ("dephasing", "amplitude_damping", "bit_flip")
-TARGETS = ("coin", "walker", "both")
+from .channels import CHANNEL_KINDS, DEPHASING, TARGET_BOTH, TARGETS
+
 FORMATS = ("csv", "plot", "both")
 
 OUT_ENV = "CATWALK_OUT"
@@ -36,8 +36,8 @@ class ExperimentConfig:
     k0: float = 0.0
     steps: int = 150
     eta: float = 0.01
-    channel: str = "dephasing"
-    target: str = "both"
+    channel: str = DEPHASING
+    target: str = TARGET_BOTH
     p: int = 10
     n: int = 5
     lattice: int | None = None
@@ -64,8 +64,8 @@ KEYS = {
     "sigma": Key("--sigma", float, "initial Gaussian width (sites)"),
     "steps": Key("--steps", int, "walk steps (T or t per scenario)"),
     "eta": Key("--eta", float, "per-step bath strength"),
-    "channel": Key("--channel", str, "dephasing | amplitude_damping | bit_flip"),
-    "target": Key("--target", str, "coin | walker | both (dephasing)"),
+    "channel": Key("--channel", str, " | ".join(CHANNEL_KINDS)),
+    "target": Key("--target", str, " | ".join(TARGETS) + " (dephasing only)"),
     "p": Key("--p", int, "momentum-shift period parameter"),
     "n": Key("--n", int, "number of 2p hold cycles"),
     "k0": Key("--k0", float, "initial mean momentum"),

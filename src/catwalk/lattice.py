@@ -272,9 +272,7 @@ def to_position(state: PureState) -> PureState:
 
 def walker_to_momentum(lattice: LatticeConfig, walker: np.ndarray) -> np.ndarray:
     """Same DFT for a walker-only amplitude vector of length N."""
-    n = lattice.n_sites
-    out = np.fft.ifft(np.fft.ifftshift(walker)) * np.sqrt(n)
-    return np.fft.fftshift(out)
+    return _dft_matrix_free_to_momentum(np.asarray(walker))
 
 
 def _check_compatible(a: PureState, b) -> None:

@@ -26,18 +26,20 @@ from .analysis import (
     revival_protocol,
     schmidt_components,
 )
-from .channels import ChannelSpec, evolve_open
+from .channels import CHANNEL_KINDS, DEPHASING, TARGET_COIN, TARGETS, ChannelSpec, evolve_open
 from .config import ConfigError, ExperimentConfig
 from .io import ResultRecord, Table
 from .lattice import (
     COIN_SYMMETRIC,
+    CoinState,
     DensityOperator,
+    PureState,
     gaussian_position_state,
     localized_state,
     make_lattice,
     recommended_size,
 )
-from .spectral import dirac_evolve, exact_energies, symmetric_coin_state
+from .spectral import dirac_evolve, eigen_system, exact_energies, symmetric_coin_state
 from .walk import Schedule, evolve
 
 
@@ -85,10 +87,25 @@ SCENARIO_DEFAULTS = {
 }
 
 
-def _resolve_lattice(cfg: ExperimentConfig, total_steps: int, sigma: float = 0.0) -> int:
-    if cfg.lattice is not None:
-        return cfg.lattice
-    return recommended_size(total_steps, sigma)
+def _packet(cfg: ExperimentConfig, total_steps: int, coin: CoinState = COIN_SYMMETRIC,
+            k0: float | None = None) -> PureState:
+    """The Gaussian start of width cfg.sigma at mean momentum ``k0`` (cfg.k0
+    by default), on cfg.lattice or, when that is auto, on the lattice the
+    sizing rule gives a run of ``total_steps``."""
+    n = cfg.lattice if cfg.lattice is not None else recommended_size(total_steps, cfg.sigma)
+    return gaussian_position_state(make_lattice(n), cfg.sigma, coin,
+                                   k0=cfg.k0 if k0 is None else k0)
+
+
+def _snapshot_times(cfg: ExperimentConfig) -> list[int]:
+    """Every stride-th step from 0, and the last step."""
+    return sorted(set(range(0, cfg.steps + 1, cfg.stride)) | {cfg.steps})
+
+
+def _target(kind: str, target: str) -> str:
+    """The target a channel of ``kind`` takes: ``target`` applies to dephasing
+    only, amplitude damping and bit flip act on the coin."""
+    return target if kind == DEPHASING else TARGET_COIN
 
 
 def _base_metadata(cfg: ExperimentConfig, n_sites: int) -> dict:
@@ -121,19 +138,16 @@ def _distribution_rows(times, snapshots, sites) -> np.ndarray:
 def run_qwalk(cfg: ExperimentConfig) -> ResultRecord:
     """Localized versus delocalized start, distributions at a few times."""
     times = [t for t in (90, 120, 150) if t <= cfg.steps] or [cfg.steps]
-    n = _resolve_lattice(cfg, cfg.steps, cfg.sigma)
-    lat = make_lattice(n)
+    psi0 = _packet(cfg, cfg.steps)
+    lat = psi0.lattice
     sched = Schedule(cfg.steps, cfg.theta)
     tables = []
-    starts = {
-        "localized": localized_state(lat, 0, COIN_SYMMETRIC),
-        "delocalized": gaussian_position_state(lat, cfg.sigma, COIN_SYMMETRIC, k0=cfg.k0),
-    }
-    for name, psi0 in starts.items():
-        result = evolve(psi0, sched, snapshot_times=times)
+    starts = {"localized": localized_state(lat, 0, COIN_SYMMETRIC), "delocalized": psi0}
+    for name, start in starts.items():
+        result = evolve(start, sched, snapshot_times=times)
         rows = _distribution_rows(times, result.snapshots, lat.sites)
         tables.append(Table(name, ("step", "x", "probability"), ("int", "int", "float"), rows))
-    meta = _base_metadata(cfg, n)
+    meta = _base_metadata(cfg, lat.n_sites)
     meta["snapshot_times"] = ",".join(str(t) for t in times)
     meta["coin"] = "symmetric"
     return ResultRecord("qwalk", meta, tables)
@@ -141,9 +155,8 @@ def run_qwalk(cfg: ExperimentConfig) -> ResultRecord:
 
 def run_dirac(cfg: ExperimentConfig) -> ResultRecord:
     """Exact walk against the Dirac continuum limit at the same time."""
-    n = _resolve_lattice(cfg, cfg.steps, cfg.sigma)
-    lat = make_lattice(n)
-    psi0 = gaussian_position_state(lat, cfg.sigma, COIN_SYMMETRIC, k0=cfg.k0)
+    psi0 = _packet(cfg, cfg.steps)
+    lat = psi0.lattice
     walk_final = evolve(psi0, Schedule(cfg.steps, cfg.theta)).final
     dirac_final = dirac_evolve(psi0, cfg.theta, float(cfg.steps))
     p_walk = position_distribution(walk_final)
@@ -155,7 +168,7 @@ def run_dirac(cfg: ExperimentConfig) -> ResultRecord:
     w_dirac = packet_width(p_dirac, lat.sites)
     b_walk = component_widths(walk_final)
     b_dirac = component_widths(dirac_final)
-    meta = _base_metadata(cfg, n)
+    meta = _base_metadata(cfg, lat.n_sites)
     meta["walk_width"] = repr(w_walk)
     meta["dirac_width"] = repr(w_dirac)
     meta["width_ratio"] = repr(w_dirac / w_walk)
@@ -167,10 +180,9 @@ def run_dirac(cfg: ExperimentConfig) -> ResultRecord:
 
 def run_catstates(cfg: ExperimentConfig) -> ResultRecord:
     """Entropy growth, Schmidt branch distributions, and width saturation."""
-    n = _resolve_lattice(cfg, cfg.steps, cfg.sigma)
-    lat = make_lattice(n)
-    psi0 = gaussian_position_state(lat, cfg.sigma, COIN_SYMMETRIC, k0=cfg.k0)
-    times = sorted(set(range(0, cfg.steps + 1, cfg.stride)) | {cfg.steps})
+    psi0 = _packet(cfg, cfg.steps)
+    lat = psi0.lattice
+    times = _snapshot_times(cfg)
     result = evolve(psi0, Schedule(cfg.steps, cfg.theta), snapshot_times=times)
 
     ent_rows = np.array(
@@ -182,15 +194,12 @@ def run_catstates(cfg: ExperimentConfig) -> ResultRecord:
     )
 
     # Width saturation sweep: the negative-band coin state keeps the
-    # packet in a single branch so the ratio isolates dispersion.
-    from .lattice import CoinState
-    from .spectral import eigen_system
-
+    # packet in a single branch so the ratio isolates dispersion.  Its
+    # lattice is sized for the widest packet, or cfg.lattice if larger.
     width_rows = []
     band_coin = CoinState.from_vector(eigen_system(cfg.theta, 0.0).u_minus)
     width_steps = 400
-    n_wide = cfg.lattice or recommended_size(width_steps, 15.0)
-    lat_wide = make_lattice(max(n_wide, recommended_size(width_steps, 15.0)))
+    lat_wide = make_lattice(max(cfg.lattice or 0, recommended_size(width_steps, 15.0)))
     for sigma0 in (3.0, 7.0, 11.0, 15.0):
         psi = gaussian_position_state(lat_wide, sigma0, band_coin)
         final = evolve(psi, Schedule(width_steps, cfg.theta)).final
@@ -199,7 +208,7 @@ def run_catstates(cfg: ExperimentConfig) -> ResultRecord:
         width0 = packet_width(position_distribution(psi), lat_wide.sites)
         width_rows.append((sigma0, width / width0))
 
-    meta = _base_metadata(cfg, n)
+    meta = _base_metadata(cfg, lat.n_sites)
     meta["schmidt_weight_1"] = repr(dec.weights[0])
     meta["schmidt_weight_2"] = repr(dec.weights[1])
     meta["width_sweep_lattice"] = lat_wide.n_sites
@@ -215,15 +224,13 @@ def run_catstates(cfg: ExperimentConfig) -> ResultRecord:
 
 def run_catfourier(cfg: ExperimentConfig) -> ResultRecord:
     """Momentum fringes of the coin-projected cat state."""
-    n = _resolve_lattice(cfg, cfg.steps, cfg.sigma)
-    lat = make_lattice(n)
     chi = symmetric_coin_state(cfg.theta)
-    psi0 = gaussian_position_state(lat, cfg.sigma, chi, k0=cfg.k0)
+    psi0 = _packet(cfg, cfg.steps, chi)
     final = evolve(psi0, Schedule(cfg.steps, cfg.theta)).final
     walker, success = project_coin(final, chi)
-    fringes = momentum_fringes(lat, walker)
+    fringes = momentum_fringes(psi0.lattice, walker)
     rows = np.column_stack([fringes.momenta, fringes.distribution])
-    meta = _base_metadata(cfg, n)
+    meta = _base_metadata(cfg, psi0.lattice.n_sites)
     meta["projection_success"] = repr(success)
     meta["fringe_spacing"] = repr(fringes.spacing)
     meta["visibility"] = repr(fringes.visibility)
@@ -233,56 +240,43 @@ def run_catfourier(cfg: ExperimentConfig) -> ResultRecord:
 
 def run_returnk0(cfg: ExperimentConfig) -> ResultRecord:
     """Cat quality versus the packet's mean momentum."""
-    n = _resolve_lattice(cfg, cfg.steps, cfg.sigma)
-    lat = make_lattice(n)
     rows = []
     for k0 in (0.0, math.pi / 8, math.pi / 4, math.pi / 2):
-        psi0 = gaussian_position_state(lat, cfg.sigma, COIN_SYMMETRIC, k0=k0)
+        psi0 = _packet(cfg, cfg.steps, k0=k0)
         final = evolve(psi0, Schedule(cfg.steps, cfg.theta)).final
-        m = cat_metrics(position_distribution(final), lat.sites)
+        m = cat_metrics(position_distribution(final), psi0.lattice.sites)
         rows.append((k0, m.mass_balance, m.residual))
-    meta = _base_metadata(cfg, n)
+    meta = _base_metadata(cfg, psi0.lattice.n_sites)
     table = Table(
         "balance", ("k0", "mass_balance", "residual"), ("float", "float", "float"), np.array(rows)
     )
     return ResultRecord("returnk0", meta, [table])
 
 
-def _open_final_distribution(cfg, lat, spec) -> np.ndarray:
-    psi0 = gaussian_position_state(lat, cfg.sigma, COIN_SYMMETRIC, k0=cfg.k0)
-    rho0 = DensityOperator.from_pure(psi0)
-    sched = Schedule(cfg.steps, cfg.theta, channel=spec)
-    return position_distribution(evolve_open(rho0, sched).final)
-
-
 def run_decohereprob(cfg: ExperimentConfig) -> ResultRecord:
     """Final distributions under the three channel kinds at one eta."""
-    n = _resolve_lattice(cfg, cfg.steps, cfg.sigma)
-    _guard_density(n, cfg)
-    lat = make_lattice(n)
-    specs = {
-        "dephasing": ChannelSpec("dephasing", cfg.eta, cfg.target),
-        "amplitude_damping": ChannelSpec("amplitude_damping", cfg.eta),
-        "bit_flip": ChannelSpec("bit_flip", cfg.eta),
-    }
+    psi0 = _packet(cfg, cfg.steps)
+    lat = psi0.lattice
+    _guard_density(lat.n_sites, cfg)
     tables = []
-    for name, spec in specs.items():
-        prob = _open_final_distribution(cfg, lat, spec)
+    for kind in CHANNEL_KINDS:
+        spec = ChannelSpec(kind, cfg.eta, _target(kind, cfg.target))
+        sched = Schedule(cfg.steps, cfg.theta, channel=spec)
+        prob = position_distribution(evolve_open(DensityOperator.from_pure(psi0), sched).final)
         rows = np.column_stack([lat.sites, prob])
-        tables.append(Table(name, ("x", "probability"), ("int", "float"), rows))
-    return ResultRecord("decohereprob", _base_metadata(cfg, n), tables)
+        tables.append(Table(kind, ("x", "probability"), ("int", "float"), rows))
+    return ResultRecord("decohereprob", _base_metadata(cfg, lat.n_sites), tables)
 
 
 def run_revival(cfg: ExperimentConfig) -> ResultRecord:
     """Time-reversal revival fidelity trace; open-system when eta > 0."""
     T = cfg.steps
-    n = _resolve_lattice(cfg, 2 * T, cfg.sigma)
-    lat = make_lattice(n)
+    psi0 = _packet(cfg, 2 * T)
+    n = psi0.lattice.n_sites
     spec = None
     if cfg.eta > 0:
         _guard_density(n, cfg)
-        spec = ChannelSpec(cfg.channel, cfg.eta, cfg.target)
-    psi0 = gaussian_position_state(lat, cfg.sigma, COIN_SYMMETRIC, k0=cfg.k0)
+        spec = ChannelSpec(cfg.channel, cfg.eta, _target(cfg.channel, cfg.target))
     result = revival_protocol(psi0, cfg.theta, T, channel=spec)
     rows = np.column_stack([np.arange(2 * T + 1), result.trace])
     meta = _base_metadata(cfg, n)
@@ -295,24 +289,21 @@ def run_revival(cfg: ExperimentConfig) -> ResultRecord:
 def run_decohere(cfg: ExperimentConfig) -> ResultRecord:
     """Revival fidelity against eta for each channel variant."""
     T = cfg.steps
-    n = _resolve_lattice(cfg, 2 * T, cfg.sigma)
+    psi0 = _packet(cfg, 2 * T)
+    n = psi0.lattice.n_sites
     _guard_density(n, cfg)
-    lat = make_lattice(n)
-    psi0 = gaussian_position_state(lat, cfg.sigma, COIN_SYMMETRIC, k0=cfg.k0)
-    variants = {
-        "dephasing_coin": ("dephasing", "coin"),
-        "dephasing_walker": ("dephasing", "walker"),
-        "dephasing_both": ("dephasing", "both"),
-        "amplitude_damping": ("amplitude_damping", "coin"),
-        "bit_flip": ("bit_flip", "coin"),
-    }
+    # every (kind, target) a channel takes: dephasing_{coin,walker,both},
+    # amplitude_damping, bit_flip
+    variants = dict.fromkeys((kind, _target(kind, target))
+                             for kind in CHANNEL_KINDS for target in TARGETS)
     etas = (1e-4, 1e-3, 1e-2)
     tables = []
-    for name, (kind, target) in variants.items():
+    for kind, target in variants:
         rows = []
         for eta in etas:
             spec = ChannelSpec(kind, eta, target)
             rows.append((eta, revival_protocol(psi0, cfg.theta, T, channel=spec).r))
+        name = f"{kind}_{target}" if kind == DEPHASING else kind
         tables.append(Table(name, ("eta", "r"), ("float", "float"), np.array(rows)))
     return ResultRecord("decohere", _base_metadata(cfg, n), tables)
 
@@ -321,27 +312,22 @@ def run_electricfid(cfg: ExperimentConfig) -> ResultRecord:
     """Hold-and-release control protocol fidelity against p."""
     t = cfg.steps
     ps = (10, 25, 50)
-    n_needed = max(recommended_size(2 * t + 2 * cfg.n * p, cfg.sigma) for p in ps)
-    n = cfg.lattice or n_needed
-    lat = make_lattice(n)
-    psi0 = gaussian_position_state(lat, cfg.sigma, COIN_SYMMETRIC, k0=cfg.k0)
+    psi0 = _packet(cfg, 2 * t + 2 * cfg.n * max(ps))
     rows = []
     for p in ps:
         rows.append((p, control_protocol(psi0, cfg.theta, t, p, cfg.n)))
-    meta = _base_metadata(cfg, n)
+    meta = _base_metadata(cfg, psi0.lattice.n_sites)
     table = Table("control", ("p", "r"), ("int", "float"), np.array(rows))
     return ResultRecord("electricfid", meta, [table])
 
 
 def run_evolve(cfg: ExperimentConfig) -> ResultRecord:
     """Generic closed evolution with strided distribution snapshots."""
-    n = _resolve_lattice(cfg, cfg.steps, cfg.sigma)
-    lat = make_lattice(n)
-    psi0 = gaussian_position_state(lat, cfg.sigma, COIN_SYMMETRIC, k0=cfg.k0)
-    times = sorted(set(range(0, cfg.steps + 1, cfg.stride)) | {cfg.steps})
+    psi0 = _packet(cfg, cfg.steps)
+    times = _snapshot_times(cfg)
     result = evolve(psi0, Schedule(cfg.steps, cfg.theta), snapshot_times=times)
-    rows = _distribution_rows(times, result.snapshots, lat.sites)
-    meta = _base_metadata(cfg, n)
+    rows = _distribution_rows(times, result.snapshots, psi0.lattice.sites)
+    meta = _base_metadata(cfg, psi0.lattice.n_sites)
     table = Table("distribution", ("step", "x", "probability"), ("int", "int", "float"), rows)
     return ResultRecord("evolve", meta, [table])
 

@@ -326,12 +326,30 @@ def test_hold_recurrence_bounded():
         assert 0.0 <= r <= 1.0 + 1e-12
 
 
-def test_control_protocol_n_zero_is_plain_revival():
+@pytest.mark.parametrize("reverser", [REVERSER_EXACT, REVERSER_SIGMA_Y])
+def test_control_protocol_n_zero_is_plain_revival(reverser):
     lat = make_lattice(128)
     psi = gaussian_position_state(lat, 5.0, COIN_SYMMETRIC)
-    r = control_protocol(psi, np.pi / 4, t=12, p=10, n=0)
-    assert r == pytest.approx(revival_protocol(psi, np.pi / 4, 12).r, abs=1e-12)
-    assert r == pytest.approx(1.0, abs=1e-12)
+    r = control_protocol(psi, np.pi / 4, t=12, p=10, n=0, reverser=reverser)
+    # both protocols run the one reversal schedule, so r agrees bit for bit
+    assert r == revival_protocol(psi, np.pi / 4, 12, reverser=reverser).r
+    if reverser == REVERSER_EXACT:
+        assert r == pytest.approx(1.0, abs=1e-12)
+    else:
+        assert r < 1.0 - 1e-6
+
+
+@pytest.mark.parametrize("reverser", [REVERSER_EXACT, REVERSER_SIGMA_Y])
+def test_control_protocol_holds_between_the_legs(reverser):
+    # t plain steps, 2np steps with phase 2*pi/p, gate, t plain steps, closing gate
+    theta, t, p, n = 0.7, 5, 3, 2
+    psi = gaussian_position_state(make_lattice(48), 2.0, COIN_SYMMETRIC, k0=0.03)
+    gate, gate_back = reversal_pair(theta) if reverser == REVERSER_EXACT else (SIGMA_Y, SIGMA_Y)
+    hold = 2 * n * p
+    sched = Schedule(2 * t + hold, theta, fm_windows=((t, t + hold, 2 * np.pi / p),),
+                     coin_gate_insertions=((t + hold, gate), (2 * t + hold, gate_back)))
+    r = control_protocol(psi, theta, t, p, n, reverser=reverser)
+    assert r == fidelity(psi, evolve(psi, sched).final)
 
 
 def test_control_protocol_validates_arguments():

@@ -11,7 +11,7 @@ import pytest
 
 import catwalk
 from catwalk.analysis import position_distribution, revival_protocol
-from catwalk.channels import ChannelSpec, evolve_open
+from catwalk.channels import CHANNEL_KINDS, TARGETS, ChannelSpec, evolve_open
 from catwalk.cli import build_parser, main
 from catwalk.config import KEYS, ConfigError, ExperimentConfig, parse_config
 from catwalk.io import CHUNK_ROWS, ResultRecord, Table, emit_results
@@ -252,9 +252,33 @@ def test_cli_revival_huge_eta_gives_finite_r(target, tmp_path, capsys):
     argv = ["revival", "--eta", "1000", "--steps", "5", "--sigma", "2",
             "--target", target, "--out", str(tmp_path)]
     assert main(argv) == 0
-    meta = (tmp_path / "revival_meta.txt").read_text().splitlines()
-    r = float(next(line for line in meta if line.startswith("r="))[2:])
+    r = _meta_r(tmp_path / "revival_meta.txt")
     assert np.isfinite(r) and 0.0 <= r <= 1.0
+
+
+def _meta_r(path):
+    meta = path.read_text().splitlines()
+    return float(next(line for line in meta if line.startswith("r="))[2:])
+
+
+@pytest.mark.parametrize("target", [None, "walker"])
+@pytest.mark.parametrize("channel", ["amplitude_damping", "bit_flip"])
+def test_cli_revival_coin_channels_ignore_target(channel, target, tmp_path, capsys):
+    # amplitude damping and bit flip act on the coin whatever --target says
+    argv = ["revival", "--eta", "0.01", "--steps", "3", "--sigma", "2",
+            "--channel", channel, "--out", str(tmp_path)]
+    assert main(argv + (["--target", target] if target else [])) == 0
+    assert 0.0 <= _meta_r(tmp_path / "revival_meta.txt") <= 1.0
+
+
+@pytest.mark.parametrize("target", TARGETS)
+@pytest.mark.parametrize("channel", CHANNEL_KINDS)
+@pytest.mark.parametrize("scenario", ["revival", "decohere", "decohereprob"])
+def test_cli_channel_vocabulary_never_raises(scenario, channel, target, tmp_path, capsys):
+    # every kind x target the config accepts reaches a channel runner without a traceback
+    argv = [scenario, "--steps", "2", "--sigma", "1", "--eta", "0.01",
+            "--channel", channel, "--target", target, "--out", str(tmp_path)]
+    assert main(argv) in (0, 2, 3)
 
 
 def test_cli_out_env_default(tmp_path, capsys, monkeypatch):
