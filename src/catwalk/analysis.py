@@ -19,7 +19,6 @@ from .lattice import (
     PureState,
     StateError,
     fidelity,
-    fidelity_with_density,
     localized_state,
     make_lattice,
 )
@@ -29,7 +28,7 @@ from .walk import (
     evolve,
     reversal_pair,
 )
-from .channels import ChannelSpec, evolve_open
+from .channels import ChannelSpec, _run_open, open_layout
 from .spectral import _gauge_fix
 
 DEGENERACY_GAP = 0.05
@@ -328,7 +327,9 @@ def revival_protocol(
     With the default gate pair the closed-system revival is exact; the
     plain ``sigma_y`` variant leaves a residual error of order one over
     the squared packet width.  A channel switches to density-operator
-    evolution with the channel applied after every step.
+    evolution with the channel applied after every step, on the momentum
+    support of ``channels.open_layout``.  Either way r is the fidelity the
+    observer records after the closing gate.
     """
     sched = _reversal_schedule(theta, T, reverser, channel=channel)
     trace = np.empty(2 * T + 1)
@@ -341,15 +342,19 @@ def revival_protocol(
         evolve(initial, sched, observe=overlap)
         return RevivalResult(float(trace[-1]), trace)
 
-    ket = np.ascontiguousarray(initial.amplitudes.T)  # coin-major, (2, N)
+    # |psi><psi| on the momentum support evolve_open steps; rho_t is zero off
+    # it, so <psi|rho_t|psi> is one dot product there
+    layout = open_layout(initial, sched)
+    bra = layout.start(initial)
 
-    def record(t: int, blocks: np.ndarray) -> None:
-        # sum_{c,d} <psi_c| blocks[c, d] |psi_d>: four matvecs, then one dot
-        trace[t] = np.vdot(ket, (blocks @ ket[None, :, :, None])[..., 0].sum(1)).real
+    def record(t: int, work: np.ndarray) -> None:
+        trace[t] = np.vdot(bra, work).real
 
-    # the final state is validated, which catches numerical drift in the run
-    final = evolve_open(DensityOperator.from_pure(initial), sched, observe=record).final
-    return RevivalResult(float(fidelity_with_density(initial, final)), trace)
+    # r is the last observation: the final state is never materialized, but
+    # its trace is checked, which catches numerical drift in the run
+    work, _ = _run_open(layout, initial, sched, observe=record)
+    layout.check_trace(work)
+    return RevivalResult(float(trace[-1]), trace)
 
 
 def hold_recurrence(

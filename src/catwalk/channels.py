@@ -5,7 +5,11 @@ chosen index (coin, walker, or both); amplitude damping and bit flip act
 on the coin through Kraus pairs.  The bath strength eta is per step, so
 each application scales coherences by lambda = e^{-eta} and an n-step run
 accumulates e^{-eta n}.  ``evolve_open`` advances a density matrix over
-steps, through the step loop that ``walk.evolve`` also runs.
+steps, through the step loop that ``walk.evolve`` also runs, in momentum
+space: every channel here is translation-invariant, so it either keeps each
+pair (k, k') on its own (the coin-local ones) or mixes only the pairs of
+one line of constant k - k' (walker and both dephasing), and a start that
+occupies a narrow band of momenta is stepped on that band alone.
 """
 
 from __future__ import annotations
@@ -15,11 +19,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import DensityOperator
-from .walk import (SIGMA_X, Schedule, _apply_coin_map, _coin_map, _coin_major, _run_density,
-                   _site_major)
+from .lattice import DensityOperator, PureState, to_momentum
+from .walk import (_COIN_PAIRS, SIGMA_X, MomentumLayout, Schedule, _apply_coin_map, _coin_map,
+                   _conjugate_coins, _run_density)
 
 COMPLETENESS_TOL = 1e-12
+# |psi~|^2 a pure start may leave outside its momentum window on each side
+SUPPORT_TOL = 1e-30
 
 DEPHASING = "dephasing"
 AMPLITUDE_DAMPING = "amplitude_damping"
@@ -85,7 +91,7 @@ def dephase(rho: DensityOperator, eta: float, target: str) -> DensityOperator:
     target=coin touches c != c', target=walker touches x != x', and
     target=both touches every element off the full diagonal.  The diagonal
     is untouched, so the trace is preserved exactly.  One application, as
-    ``apply_channel``: each call converts and validates the whole state.
+    ``apply_channel``: each call validates the whole state.
     """
     return apply_channel(rho, ChannelSpec(DEPHASING, eta, target))
 
@@ -109,57 +115,110 @@ def bit_flip_kraus(eta: float) -> KrausPair:
     return KrausPair(b0, b1)
 
 
-def _map_density(rho: DensityOperator, fn: Callable) -> DensityOperator:
-    """Apply a coin-major map fn(blocks, out) -> result to rho.
+def _coin_superop(spec: ChannelSpec) -> np.ndarray:
+    """The 4x4 coin superoperator of a coin-local channel: diag(1, lam, lam, 1)
+    for coin dephasing, the Kraus sum otherwise."""
+    if spec.kind == DEPHASING:
+        lam = np.exp(-spec.eta)
+        return np.diag([1.0, lam, lam, 1.0]).astype(complex)
+    factory = amplitude_damping_kraus if spec.kind == AMPLITUDE_DAMPING else bit_flip_kraus
+    kraus = factory(spec.eta)
+    return _coin_map(2, kraus.m0, kraus.m1)
 
-    Each call converts and validates the whole state, so multi-step callers
-    run ``evolve_open`` with the channel in the schedule instead.
-    """
-    blocks = _coin_major(rho.matrix)
-    return DensityOperator(rho.lattice, _site_major(fn(blocks, np.empty_like(blocks))))
+
+def _mixes_lines(spec: ChannelSpec | None) -> bool:
+    return (spec is not None and spec.eta > 0 and spec.kind == DEPHASING
+            and spec.target != TARGET_COIN)
 
 
 def apply_coin_channel(rho: DensityOperator, kraus: KrausPair) -> DensityOperator:
-    """rho -> sum_i (1 (x) M_i) rho (1 (x) M_i)†, once (see ``_map_density``)."""
-    superop = _coin_map(2, kraus.m0, kraus.m1)
-    return _map_density(rho, lambda blocks, out: _apply_coin_map(blocks, superop, out))
+    """rho -> sum_i (1 (x) M_i) rho (1 (x) M_i)†, once.
 
-
-def _channel_map(spec: ChannelSpec, n_sites: int) -> Callable | None:
-    """Bind a spec to a coin-major map (blocks, out) -> out, None for eta = 0.
-
-    Coin-local channels are a 4x4 coin superoperator (the Kraus sums, and
-    diag(1, lam, lam, 1) for coin dephasing).  Walker and both dephasing are
-    lam*rho + (1 - lam)*P(rho), P keeping the x = x' elements of all four
-    blocks (walker) or of the c = c' blocks (0,0) and (1,1) (both), which are
-    copied through the strided diagonal: no division by lam.
+    Each call validates the whole state, so multi-step callers run
+    ``evolve_open`` with the channel in the schedule instead.
     """
-    if spec.eta == 0:
-        return None
-    lam = np.exp(-spec.eta)
-    if spec.kind == DEPHASING and spec.target != TARGET_COIN:
-        rows = slice(None) if spec.target == TARGET_WALKER else slice(None, None, 3)
-        shape, diagonal = (4, n_sites * n_sites), slice(None, None, n_sites + 1)
-
-        def dephase_positions(blocks: np.ndarray, out: np.ndarray) -> np.ndarray:
-            np.multiply(blocks, lam, out=out)
-            out.reshape(shape)[rows, diagonal] = blocks.reshape(shape)[rows, diagonal]
-            return out
-
-        return dephase_positions
-    if spec.kind == DEPHASING:
-        superop = np.diag([1.0, lam, lam, 1.0]).astype(complex)
-    else:
-        factory = amplitude_damping_kraus if spec.kind == AMPLITUDE_DAMPING else bit_flip_kraus
-        kraus = factory(spec.eta)
-        superop = _coin_map(2, kraus.m0, kraus.m1)
-    return lambda blocks, out: _apply_coin_map(blocks, superop, out)
+    return _conjugate_coins(rho, _coin_map(2, kraus.m0, kraus.m1))
 
 
 def apply_channel(rho: DensityOperator, spec: ChannelSpec) -> DensityOperator:
-    """One application of the channel to rho (see ``_map_density``)."""
-    channel = _channel_map(spec, rho.lattice.n_sites)
-    return rho if channel is None else _map_density(rho, channel)
+    """One application of the channel to rho's (N, 2, N, 2) matrix.
+
+    Dephasing scales the targeted elements by lam = e^{-eta} and copies the
+    rest, so the kept elements are exact.  Each call validates the whole
+    state (see ``apply_coin_channel``).
+    """
+    if spec.eta == 0:
+        return rho
+    if spec.kind != DEPHASING or spec.target == TARGET_COIN:
+        return _conjugate_coins(rho, _coin_superop(spec))
+    same_site = np.eye(rho.lattice.n_sites, dtype=bool)[:, None, :, None]
+    if spec.target == TARGET_BOTH:
+        same_site = same_site & np.eye(2, dtype=bool)[None, :, None, :]
+    mat = np.where(same_site, rho.matrix, np.exp(-spec.eta) * rho.matrix)
+    return DensityOperator(rho.lattice, mat)
+
+
+def _channel_map(spec: ChannelSpec, layout: MomentumLayout) -> Callable | None:
+    """Bind a spec to a map (work, out) -> out on ``layout``, None for eta = 0.
+
+    Coin-local channels are their 4x4 coin superoperator.  Walker and both
+    dephasing are lam*rho + (1 - lam)*P(rho), P keeping the x = x' elements
+    of all four coin blocks (walker) or of the c = c' blocks (0,0) and (1,1)
+    (both).  In momentum P replaces each line of constant k - k' by its
+    mean, so these run on a layout of lines.
+    """
+    if spec.eta == 0:
+        return None
+    if not _mixes_lines(spec):
+        superop = _coin_superop(spec)
+        return lambda work, out: _apply_coin_map(work, superop, out)
+    lam = np.exp(-spec.eta)
+    blocks = _COIN_PAIRS if spec.target == TARGET_WALKER else ((0, 0), (1, 1))
+    weights = np.full(layout.shape[1], (1.0 - lam) / layout.shape[1], dtype=complex)
+
+    def dephase_lines(work: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.multiply(work, lam, out=out)
+        # block by block, as a broadcast add on a strided view buffers every
+        # operand; each line's mean is one matrix-vector product
+        for c, d in blocks:
+            out[c, d] += (work[c, d] @ weights)[:, None]
+        return out
+
+    return dephase_lines
+
+
+def momentum_window(prob: np.ndarray) -> tuple[int, int]:
+    """The smallest [lo, hi) that leaves at most ``SUPPORT_TOL`` of ``prob``
+    outside it on each side.
+
+    Each tail is summed from its own end: a sum from the left cannot resolve
+    a tail of 1e-30 against a total near 1.
+    """
+    lo = np.searchsorted(np.cumsum(prob), SUPPORT_TOL, side="right")
+    dropped = np.searchsorted(np.cumsum(prob[::-1]), SUPPORT_TOL, side="right")
+    return int(lo), len(prob) - int(dropped)
+
+
+def open_layout(rho0: DensityOperator | PureState, schedule: Schedule) -> MomentumLayout:
+    """The momentum support ``evolve_open`` steps rho0 on through ``schedule``.
+
+    A PureState start, meaning |psi><psi|, occupies the momenta
+    ``momentum_window`` keeps of |psi~|^2; a DensityOperator start, and any
+    schedule with an F_m window, occupy all N.  Coin-local channels and no
+    channel keep the window's pairs, walker and both dephasing every line of
+    constant k - k' that the window spans.  ``start`` lays a state out on it.
+    A schedule channel that is not a ChannelSpec raises ``ChannelError``.
+    """
+    spec = schedule.channel
+    if spec is not None and not isinstance(spec, ChannelSpec):
+        raise ChannelError(f"schedule.channel must be a ChannelSpec, got {type(spec).__name__}")
+    lattice = rho0.lattice
+    lo, hi = 0, lattice.n_sites
+    if isinstance(rho0, PureState) and not schedule.fm_windows:
+        lo, hi = momentum_window(np.sum(np.abs(to_momentum(rho0).amplitudes) ** 2, axis=1))
+    if _mixes_lines(spec):
+        return MomentumLayout.lines_of(lattice, hi - lo)
+    return MomentumLayout.pairs(lattice, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -169,28 +228,39 @@ class OpenEvolutionResult:
 
 
 def evolve_open(
-    rho0: DensityOperator,
+    rho0: DensityOperator | PureState,
     schedule: Schedule,
     snapshot_times: Sequence[int] = (),
     observe: Callable[[int, np.ndarray], None] | None = None,
 ) -> OpenEvolutionResult:
     """Run a schedule on a density operator, channel after every step.
 
+    ``rho0`` is a DensityOperator or a PureState psi, meaning |psi><psi|.
     The per-step order is unitary step, then channel; coin-gate insertions
     are applied (unitarily) after the completed step, before any snapshot.
     A schedule without a channel runs closed but on rho, useful for
     cross-checking against the pure-state path.  The step loop is the one
-    ``walk.evolve`` runs, on the coin-major blocks[c, d] = rho[:, c, :, d]
-    of shape (2, 2, N, N); trace and Hermiticity are validated at every
-    snapshot and on the final state, and a snapshot time outside the run
-    raises ``ScheduleError``.
+    ``walk.evolve`` runs, on the momentum support of ``open_layout``; trace
+    and Hermiticity are validated at every snapshot and on the final state,
+    which are materialized in position space, and a snapshot time outside
+    the run raises ``ScheduleError``.
 
-    ``observe(t, blocks)`` is called at every t = 0..total_steps, after that
-    time's insertions, with the coin-major working array, which it must
-    neither keep nor modify.
+    ``observe(t, work)`` is called at every t = 0..total_steps, after that
+    time's insertions, with the working array on that support, which it
+    must neither keep nor modify; ``open_layout(rho0, schedule)`` lays rho0
+    out on that support and materializes the array.
     """
+    layout = open_layout(rho0, schedule)
+    work, snapshots = _run_open(layout, rho0, schedule, snapshot_times, observe)
+    mat = layout.materialize(work, consume=True)
+    del work  # before the validation, which then needs band-sized temporaries only
+    return OpenEvolutionResult(DensityOperator(rho0.lattice, mat), snapshots)
+
+
+def _run_open(layout: MomentumLayout, rho0: DensityOperator | PureState, schedule: Schedule,
+              snapshot_times: Sequence[int] = (), observe: Callable | None = None):
+    """``evolve_open`` on ``layout = open_layout(rho0, schedule)`` up to its
+    final state: (final working array, snapshots)."""
     spec = schedule.channel
-    if spec is not None and not isinstance(spec, ChannelSpec):
-        raise ChannelError(f"schedule.channel must be a ChannelSpec, got {type(spec).__name__}")
-    channel = _channel_map(spec, rho0.lattice.n_sites) if spec is not None else None
-    return OpenEvolutionResult(*_run_density(rho0, schedule, snapshot_times, observe, channel))
+    channel = _channel_map(spec, layout) if spec is not None else None
+    return _run_density(layout, rho0, schedule, snapshot_times, observe, channel)

@@ -272,7 +272,11 @@ def to_position(state: PureState) -> PureState:
 
 def walker_to_momentum(lattice: LatticeConfig, walker: np.ndarray) -> np.ndarray:
     """Same DFT for a walker-only amplitude vector of length N."""
-    return _dft_matrix_free_to_momentum(np.asarray(walker))
+    walker = np.asarray(walker)
+    if walker.shape != (lattice.n_sites,):
+        raise StateError(f"walker shape {walker.shape} does not match lattice "
+                         f"({lattice.n_sites},)")
+    return _dft_matrix_free_to_momentum(walker)
 
 
 def _check_compatible(a: PureState, b) -> None:

@@ -32,7 +32,6 @@ from .io import ResultRecord, Table
 from .lattice import (
     COIN_SYMMETRIC,
     CoinState,
-    DensityOperator,
     PureState,
     gaussian_position_state,
     localized_state,
@@ -59,13 +58,20 @@ class ResourceGuardError(RuntimeError):
 def density_working_set_bytes(n_sites: int) -> int:
     """Predicted peak bytes of one density-operator run on ``n_sites``.
 
-    tracemalloc peak of an open revival or evolve_open, final validation
-    included: three density matrices of 16 (2N)^2 bytes, the initial state,
-    the coin-major working array and its spare buffer.  The final state is
-    converted after the spare is freed and validated after the working array
-    is freed, and the Hermiticity check needs only band-sized temporaries.
-    Plus up to ~44 kB of numpy buffers: 3.016x one matrix at N=160, 3.008x
-    at N=300.
+    An upper bound on the tracemalloc peak of an open revival or
+    evolve_open, final validation included: three density matrices of
+    16 (2N)^2 bytes plus 256 kB of numpy buffers.  The working arrays live
+    on the start's momentum support (channels.open_layout).  On the full
+    support, as for a DensityOperator start, they are the start, the
+    working array and its spare; the final state is transformed in place in
+    the working array after the spare is freed and validated after that is
+    freed, and the Hermiticity check needs only band-sized temporaries:
+    3.10x one matrix at N=160, 3.03x at N=300.  A pure start at paper scale
+    needs less.  An open revival, which never materializes its final state,
+    peaks at 0.56x (coin-local channels) and 2.3x (walker and both
+    dephasing, whose lines cover 73% of the pairs) at N=160, sigma=5, and at
+    0.14x and 1.5x at N=300, sigma=10; decohereprob's evolve_open at N=400,
+    sigma=10, at 1.3x and 1.6x.
     """
     return 3 * 16 * (2 * n_sites) ** 2 + 256 * 1024
 
@@ -262,7 +268,7 @@ def run_decohereprob(cfg: ExperimentConfig) -> ResultRecord:
     for kind in CHANNEL_KINDS:
         spec = ChannelSpec(kind, cfg.eta, _target(kind, cfg.target))
         sched = Schedule(cfg.steps, cfg.theta, channel=spec)
-        prob = position_distribution(evolve_open(DensityOperator.from_pure(psi0), sched).final)
+        prob = position_distribution(evolve_open(psi0, sched).final)
         rows = np.column_stack([lat.sites, prob])
         tables.append(Table(kind, ("x", "probability"), ("int", "float"), rows))
     return ResultRecord("decohereprob", _base_metadata(cfg, lat.n_sites), tables)
@@ -280,6 +286,7 @@ def run_revival(cfg: ExperimentConfig) -> ResultRecord:
     result = revival_protocol(psi0, cfg.theta, T, channel=spec)
     rows = np.column_stack([np.arange(2 * T + 1), result.trace])
     meta = _base_metadata(cfg, n)
+    meta["target"] = _target(cfg.channel, cfg.target)
     meta["r"] = repr(result.r)
     meta["reverser"] = "exact"
     table = Table("fidelity", ("step", "fidelity"), ("int", "float"), rows)

@@ -6,7 +6,9 @@ i.e. the generalized propagator multiplies the plain step on the left.
 Time is counted in completed steps; a coin-gate insertion at time ``s``
 acts after ``s`` steps, and an F_m window ``(start, end, phi)`` applies the
 phase during steps ``start+1 .. end``.  Pure states and density operators
-share one step loop, ``_run``; on rho the step Z acts as Z (x) Z^*.
+share one step loop, ``_run``: a pure state steps in position space, rho in
+momentum space on the support a ``MomentumLayout`` names, where the step Z
+acts as Z(k) (x) Z(k')^* and needs no shift.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from .lattice import (
     DensityOperator,
     LatticeConfig,
     PureState,
+    TRACE_TOL,
     StateError,
+    to_momentum,
 )
 
 UNITARITY_TOL = 1e-10
@@ -64,12 +68,13 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Step kernel.  It works on a coin-major array of rank r, r coin axes then r
-# site axes: amp[c] = psi[:, c], shape (2, N), for a pure state (r = 1) and
-# blocks[c, d] = rho[:, c, :, d], shape (2, 2, N, N), for rho (r = 2).  A
-# coin-local map is one (2^r x 2^r)·(2^r x N^r) product and the shift moves
-# sites by slice assignment.  Maps write into a buffer that must not alias
-# their input.
+# Step kernel.  It works on a coin-major array, coin axes first: amp[c] =
+# psi[:, c], shape (2, N), for a pure state in position space (rank 1), and
+# work[c, d], shape (2, 2, S0, S1), holding rho in momentum space on the
+# support a MomentumLayout names (rank 2).  A coin-local map is one
+# (2^r x 2^r)·(2^r x P) product.  The shift moves sites by slice assignment on
+# a pure state and is the phase D(k) (x) D*(k') on rho, D(k) = diag(e^{ik},
+# e^{-ik}).  Maps write into a buffer that must not alias their input.
 
 # (destination, source) slice pairs of the periodic shift of each coin level:
 # level 0 (up) moves x -> x+1, level 1 (down) x -> x-1
@@ -78,15 +83,10 @@ _SHIFT_SLICES = (
     ((slice(None, -1), slice(1, None)), (slice(-1, None), slice(None, 1))),
 )
 
-# per rank, (destination, source) index tuples: each site axis moves with its coin index
-_SHIFT_INDEX = {
-    rank: tuple(
-        (levels + tuple(to for to, _ in pairs), levels + tuple(frm for _, frm in pairs))
-        for levels in itertools.product((0, 1), repeat=rank)
-        for pairs in itertools.product(*(_SHIFT_SLICES[c] for c in levels))
-    )
-    for rank in (1, 2)
-}
+# (destination, source) index pairs of a coin-major (2, N) array
+_SHIFT_INDEX = tuple(((c, to), (c, frm)) for c in (0, 1) for to, frm in _SHIFT_SLICES[c])
+
+_COIN_PAIRS = tuple(itertools.product((0, 1), repeat=2))
 
 
 def _coin_map(rank: int, *ops: np.ndarray) -> np.ndarray:
@@ -101,8 +101,8 @@ def _apply_coin_map(work: np.ndarray, cmap: np.ndarray, out: np.ndarray) -> np.n
 
 
 def _shift(work: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = S work (S rho S† on rho): sites move with their coin level; returns out."""
-    for to, frm in _SHIFT_INDEX[work.ndim // 2]:
+    """out = S work on coin-major amplitudes: sites move with their coin level; returns out."""
+    for to, frm in _SHIFT_INDEX:
         out[to] = work[frm]
     return out
 
@@ -111,15 +111,204 @@ def _fm_phase(sites: np.ndarray, phi: float) -> np.ndarray:
     return np.exp(1j * phi * sites)
 
 
-def _coin_major(arr: np.ndarray) -> np.ndarray:
-    """Contiguous coin-major copy of (N, 2) amplitudes or an (N, 2, N, 2) rho."""
-    return np.ascontiguousarray(arr.transpose(*range(1, arr.ndim, 2), *range(0, arr.ndim, 2)))
+def _transpose(amp: np.ndarray) -> np.ndarray:
+    """Contiguous copy of (N, 2) amplitudes as coin-major (2, N), or back."""
+    return np.ascontiguousarray(amp.T)
 
 
-def _site_major(work: np.ndarray) -> np.ndarray:
-    """Contiguous (N, 2) or (N, 2, N, 2) copy of a coin-major array."""
-    r = work.ndim // 2
-    return np.ascontiguousarray(work.transpose([a for i in range(r) for a in (r + i, i)]))
+def _checkerboard(block: np.ndarray) -> None:
+    """block *= (-1)^(i + j), in place: odd columns, then odd rows of the real
+    view, so that numpy buffers one operand where two strided ones take two."""
+    block[:, 1::2] *= -1
+    block.view(float)[1::2] *= -1
+
+
+def _pair_dft(block: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """In place on one N x N coin block: rho -> rho~, or rho~ -> rho with ``inverse``.
+
+    rho~(k, k') = sum_{x, x'} e^{i(kx - k'x')} rho(x, x') / N on the centred
+    grids of LatticeConfig, the transform ``lattice.to_momentum`` applies to
+    kets.  For even N a centred label j - N/2 turns each axis into a plain
+    FFT between two (-1)^j modulations; the two (-1)^(N/2) factors cancel.
+    The ``out`` argument of ``numpy.fft``, which needs NumPy >= 2.0, keeps
+    the transform free of N x N temporaries.
+    """
+    first, second = (np.fft.fft, np.fft.ifft) if inverse else (np.fft.ifft, np.fft.fft)
+    _checkerboard(block)
+    first(block, axis=0, out=block)
+    second(block, axis=1, out=block)
+    _checkerboard(block)
+    return block
+
+
+_SHEAR_COLUMNS = 8  # columns per chunk of a shear
+
+
+def _shear(block: np.ndarray, sign: int) -> None:
+    """Roll column j of an N x N block by sign*j, in place.
+
+    sign = 1 takes lines, block[(a - b) mod N, b] = rho~(a, b), to pairs;
+    sign = -1 takes them back.  Column chunks keep the temporaries small.
+    """
+    n = len(block)
+    rows = np.arange(n)[:, None]
+    for lo in range(0, n, _SHEAR_COLUMNS):
+        cols = block[:, lo:lo + _SHEAR_COLUMNS]
+        shift = np.arange(lo, lo + cols.shape[1])
+        cols[...] = np.take_along_axis(cols, (rows - sign * shift) % n, axis=0)
+
+
+@dataclass(frozen=True, eq=False)
+class MomentumLayout:
+    """The momentum support a density operator is stepped on.
+
+    With pairs, ``first`` is a window of momentum indices and the working
+    array holds work[c, d][i, j] = rho~(k_a, c; k_b, d) for a = first[i],
+    b = first[j]: the window against itself, for runs whose every step keeps
+    each (k, k') pair on its own.  With lines, ``first`` holds offsets and
+    work[c, d][i, j] is the pair a = (first[i] + j) mod N, b = j: row i is
+    the whole line k - k' = 2 pi first[i] / N, for channels that mix each
+    such line.  Every pair of the support appears once, and rho~ is zero
+    off it.  A block of N x N in the same coordinates holds the full
+    support; ``_shear`` turns lines into pairs.
+    """
+
+    lattice: LatticeConfig
+    first: np.ndarray
+    lines: bool
+
+    @classmethod
+    def pairs(cls, lattice: LatticeConfig, lo: int = 0, hi: int | None = None) -> "MomentumLayout":
+        """The pairs of the momenta lo .. hi-1 (all N by default)."""
+        return cls(lattice, np.arange(lo, lattice.n_sites if hi is None else hi), False)
+
+    @classmethod
+    def lines_of(cls, lattice: LatticeConfig, width: int) -> "MomentumLayout":
+        """The lines k - k' that a window of ``width`` momenta spans."""
+        n = lattice.n_sites
+        return cls(lattice, np.arange(1 - width, width) if 2 * width - 1 < n else np.arange(n),
+                   True)
+
+    @property
+    def second(self) -> np.ndarray:
+        return np.arange(self.lattice.n_sites) if self.lines else self.first
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.first), len(self.second)
+
+    @property
+    def full(self) -> bool:
+        return self.shape == (self.lattice.n_sites,) * 2
+
+    def _place(self) -> tuple:
+        """Where the working array sits in a block of N x N."""
+        if self.lines:
+            return (self.first % self.lattice.n_sites,)
+        window = slice(self.first[0], self.first[-1] + 1)
+        return window, window
+
+    def _to_pairs(self, block: np.ndarray) -> np.ndarray:
+        if self.lines:
+            _shear(block, 1)
+        return block
+
+    def _from_pairs(self, block: np.ndarray) -> np.ndarray:
+        if self.lines:
+            _shear(block, -1)
+        return block
+
+    def start(self, state) -> np.ndarray:
+        """The working array of |psi><psi| for a PureState, or of a
+        DensityOperator, which needs the full support."""
+        work = np.empty((2, 2, *self.shape), dtype=complex)
+        if isinstance(state, PureState):
+            amp = to_momentum(state).amplitudes.T
+            rows = self.first[:, None]
+            if self.lines:
+                rows = (rows + self.second) % self.lattice.n_sites
+            return np.multiply(amp[:, None, rows], amp[None, :, None, self.second].conj(), out=work)
+        if not self.full:
+            raise StateError("a density operator start needs the full momentum support")
+        for c, d in _COIN_PAIRS:
+            work[c, d] = state.matrix[:, c, :, d]
+            self._from_pairs(_pair_dft(work[c, d]))
+        return work
+
+    def materialize(self, work: np.ndarray, consume: bool = False) -> np.ndarray:
+        """rho(x, c; x', d) as a new (N, 2, N, 2) array, one coin block at a time.
+
+        With ``consume`` a full-support ``work`` is transformed in place,
+        which leaves it unusable, and no block is allocated.
+        """
+        n = self.lattice.n_sites
+        out = np.empty((n, 2, n, 2), dtype=complex)
+        block = None if consume and self.full else np.empty((n, n), dtype=complex)
+        for c, d in _COIN_PAIRS:
+            if block is None:
+                blk = work[c, d]
+            else:
+                blk = block
+                blk.fill(0)
+                blk[self._place()] = work[c, d]
+            out[:, c, :, d] = _pair_dft(self._to_pairs(blk), inverse=True)
+        return out
+
+    def check_trace(self, work: np.ndarray) -> None:
+        """Raise StateError unless tr rho is 1 to ``TRACE_TOL``, as a
+        DensityOperator would, from the diagonal pairs on the support: the
+        diagonal of blocks (0,0) and (1,1), or their line k - k' = 0."""
+        if self.lines:
+            zero = np.flatnonzero(self.first == 0)[0]
+            tr = (work[0, 0, zero].sum() + work[1, 1, zero].sum()).real
+        else:
+            tr = (np.trace(work[0, 0]) + np.trace(work[1, 1])).real
+        if not abs(tr - 1.0) <= TRACE_TOL:
+            raise StateError(f"density matrix trace {tr!r} deviates from 1")
+
+    def shift(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """The step's shift on the support, (work, out) -> out = D(k) (x) D*(k') work.
+
+        A pair's phase is e^{i s_c k} e^{-i s_d k'}, with s = (1, -1); on a
+        line k = k' + 2 pi first / N, so it is e^{i s_c 2 pi first / N}
+        e^{i (s_c - s_d) k'}.  Either is a product of a row and a column
+        factor.  Their product is kept, for one multiply a step, while the
+        support holds at most half of the N^2 pairs, so that it and the
+        start, working and spare arrays fit in two density matrices; a larger
+        support multiplies by the two factors.
+        """
+        s = np.array([1.0, -1.0])
+        k = self.lattice.momenta
+        if self.lines:
+            first, per_second = 2.0 * np.pi * self.first / self.lattice.n_sites, s[:, None] - s
+        else:
+            first, per_second = k[self.first], np.broadcast_to(-s, (2, 2))
+        row = np.exp(1j * np.multiply.outer(s, first))[:, None, :, None]
+        col = np.exp(1j * np.multiply.outer(per_second, k[self.second]))[:, :, None, :]
+        if 2 * np.prod(self.shape) <= self.lattice.n_sites ** 2:
+            phase = row * col
+            return lambda work, out: np.multiply(work, phase, out=out)
+
+        def shift(work: np.ndarray, out: np.ndarray) -> np.ndarray:
+            np.multiply(work, row, out=out)
+            out *= col
+            return out
+
+        return shift
+
+    def apply_fm(self, work: np.ndarray, phi: float) -> np.ndarray:
+        """work -> e^{i phi (x - x')} work in place, through position space.
+
+        The phase moves momenta by phi, which no smaller support holds, so it
+        needs the full one.
+        """
+        phase = _fm_phase(self.lattice.sites, phi)
+        for c, d in _COIN_PAIRS:
+            blk = _pair_dft(self._to_pairs(work[c, d]), inverse=True)
+            blk *= phase[:, None]
+            blk *= phase.conj()
+            self._from_pairs(_pair_dft(blk))
+        return work
 
 
 @dataclass(frozen=True)
@@ -169,16 +358,17 @@ class Schedule:
 
 
 def _run(work: np.ndarray, schedule: Schedule, snapshot_times: Sequence[int],
-         snapshot: Callable, observe: Callable | None = None,
+         snapshot: Callable, shift: Callable, fm: Callable, observe: Callable | None = None,
          channel: Callable | None = None) -> tuple[np.ndarray, dict[int, Any]]:
     """Step the coin-major array ``work``, of either rank, through ``schedule``.
 
-    A step is the coin map into the spare buffer, the shift back, the F_m
-    phase (built once per phi) and ``channel(work, out) -> result``.  At
-    every t = 0..total_steps that time's coin gates are applied, then
-    ``snapshot(work)`` is kept if t is wanted and ``observe(t, work)`` is
-    called.  Returns the final working array and the snapshots; the spare
-    goes with the call, so callers keep no reference to ``work``.
+    A step is the coin map into the spare buffer, ``shift(spare, work)``
+    back, ``fm(work, phi) -> work`` on the steps of an F_m window and
+    ``channel(work, out) -> result``.  At every t = 0..total_steps that
+    time's coin gates are applied, then ``snapshot(work)`` is kept if t is
+    wanted and ``observe(t, work)`` is called.  Returns the final working
+    array and the snapshots; the spare goes with the call, so callers keep
+    no reference to ``work``.
     """
     wanted = set(snapshot_times)
     for t in wanted:
@@ -186,10 +376,6 @@ def _run(work: np.ndarray, schedule: Schedule, snapshot_times: Sequence[int],
             raise ScheduleError(f"snapshot time {t} outside run")
     rank = work.ndim // 2
     coin = _coin_map(rank, coin_operator(schedule.theta))
-    sites = LatticeConfig(work.shape[-1]).sites
-    phases = {phi: _fm_phase(sites, phi) for _, _, phi in schedule.fm_windows}
-    if rank == 2:
-        phases = {phi: np.outer(ph, ph.conj()) for phi, ph in phases.items()}
     spare = np.empty_like(work)
     snaps: dict[int, Any] = {}
 
@@ -205,10 +391,10 @@ def _run(work: np.ndarray, schedule: Schedule, snapshot_times: Sequence[int],
 
     checkpoint(0)
     for s in range(1, schedule.total_steps + 1):
-        _shift(_apply_coin_map(work, coin, spare), work)
+        shift(_apply_coin_map(work, coin, spare), work)
         phi = schedule.phi_at(s)
         if phi is not None:
-            work *= phases[phi]
+            work = fm(work, phi)
         if channel is not None:
             work, spare = channel(work, spare), work
         checkpoint(s)
@@ -250,9 +436,12 @@ def evolve(
     _require_position(state)
     if schedule.channel is not None:
         raise ScheduleError("schedule has a channel; use channels.evolve_open")
-    amp, snaps = _run(_coin_major(state.amplitudes), schedule, snapshot_times,
-                      lambda a: state.with_amplitudes(_site_major(a)), observe)
-    return EvolutionResult(state.with_amplitudes(_site_major(amp)), snaps)
+    sites = state.lattice.sites
+    phases = {phi: _fm_phase(sites, phi) for _, _, phi in schedule.fm_windows}
+    amp, snaps = _run(_transpose(state.amplitudes), schedule, snapshot_times,
+                      lambda a: state.with_amplitudes(_transpose(a)), _shift,
+                      lambda a, phi: np.multiply(a, phases[phi], out=a), observe)
+    return EvolutionResult(state.with_amplitudes(_transpose(amp)), snaps)
 
 
 def apply_coin(state: PureState, u: np.ndarray) -> PureState:
@@ -267,7 +456,7 @@ def apply_shift(state: PureState) -> PureState:
     """Conditional shift: up-component x -> x+1, down-component x -> x-1."""
     _require_position(state)
     amp = state.amplitudes.T
-    return state.with_amplitudes(_site_major(_shift(amp, np.empty(amp.shape, dtype=complex))))
+    return state.with_amplitudes(_transpose(_shift(amp, np.empty(amp.shape, dtype=complex))))
 
 
 def apply_fm(state: PureState, phi: float) -> PureState:
@@ -293,33 +482,36 @@ def step_generalized(state: PureState, theta: float, phi: float) -> PureState:
     return evolve(state, Schedule(1, theta, fm_windows=((0, 1, phi),))).final
 
 
-def _run_density(rho0: DensityOperator, schedule: Schedule, snapshot_times: Sequence[int] = (),
-                 observe: Callable | None = None, channel: Callable | None = None):
-    """_run on a coin-major copy of rho0; returns (final state, snapshots).
+def _run_density(layout: MomentumLayout, rho0, schedule: Schedule,
+                 snapshot_times: Sequence[int] = (), observe: Callable | None = None,
+                 channel: Callable | None = None) -> tuple[np.ndarray, dict[int, Any]]:
+    """_run on rho0 laid out on ``layout``; returns the final working array
+    and the snapshots, materialized in position space and validated."""
+    lattice = layout.lattice
+    return _run(layout.start(rho0), schedule, snapshot_times,
+                lambda w: DensityOperator(lattice, layout.materialize(w)),
+                layout.shift(), layout.apply_fm, observe, channel)
 
-    Every returned state is validated.  The spare buffer goes before the
-    final conversion and the working array before the final validation, so
-    the peak stays at three density matrices.
-    """
-    lattice = rho0.lattice
-    blocks, snaps = _run(_coin_major(rho0.matrix), schedule, snapshot_times,
-                         lambda b: DensityOperator(lattice, _site_major(b)), observe, channel)
-    mat = _site_major(blocks)
-    del blocks
-    return DensityOperator(lattice, mat), snaps
+
+def _conjugate_coins(rho: DensityOperator, cmap: np.ndarray) -> DensityOperator:
+    """A 4x4 coin superoperator applied at every (x, x') of rho's (N, 2, N, 2) matrix."""
+    mat = np.einsum("cdab,xayb->xcyd", cmap.reshape(2, 2, 2, 2), rho.matrix, optimize=True)
+    return DensityOperator(rho.lattice, mat)
 
 
 def conjugate_coin(rho: DensityOperator, u: np.ndarray) -> DensityOperator:
     """rho -> (1 (x) U) rho (1 (x) U)† for a unitary coin gate.
 
-    Each call converts and validates the whole state; loop with ``evolve_open``.
+    Each call validates the whole state; loop with ``evolve_open``.
     """
-    return _run_density(rho, Schedule(0, 0.0, coin_gate_insertions=((0, u),)))[0]
+    return _conjugate_coins(rho, _coin_map(2, _check_unitary(u)))
 
 
 def step_density(rho: DensityOperator, theta: float) -> DensityOperator:
-    """rho -> Z rho Z†, as a one-step run.
+    """rho -> Z rho Z†, as a one-step run on the full momentum support.
 
-    Each call converts and validates the whole state; loop with ``evolve_open``.
+    Each call transforms and validates the whole state; loop with ``evolve_open``.
     """
-    return _run_density(rho, Schedule(1, theta))[0]
+    layout = MomentumLayout.pairs(rho.lattice)
+    work, _ = _run_density(layout, rho, Schedule(1, theta))
+    return DensityOperator(rho.lattice, layout.materialize(work, consume=True))

@@ -13,17 +13,25 @@ from catwalk.channels import (
     bit_flip_kraus,
     dephase,
     evolve_open,
+    momentum_window,
+    open_layout,
 )
+from catwalk.analysis import REVERSER_EXACT, REVERSER_SIGMA_Y, revival_protocol
 from catwalk.lattice import (
     COIN_DOWN,
     COIN_SYMMETRIC,
     DensityOperator,
+    StateError,
     fidelity_with_density,
+    gaussian_momentum_state,
     gaussian_position_state,
     localized_state,
     make_lattice,
+    to_momentum,
+    to_position,
 )
-from catwalk.walk import Schedule, evolve, reversal_pair
+from catwalk import channels
+from catwalk.walk import SIGMA_Y, MomentumLayout, Schedule, evolve, reversal_pair
 from dense_oracle import dense_run
 
 
@@ -260,9 +268,10 @@ def test_evolve_open_run_matches_dense_oracle(
         channel=ChannelSpec(variant[0], eta, variant[1]),
     )
     observed = {}
+    layout = open_layout(rho, sched)
 
-    def observe(t, blocks):
-        observed[t] = blocks.transpose(2, 0, 3, 1).reshape(2 * n, 2 * n).copy()
+    def observe(t, work):
+        observed[t] = layout.materialize(work).reshape(2 * n, 2 * n)
 
     result = evolve_open(rho, sched, snapshot_times=range(steps + 1), observe=observe)
     expected = dense_run(rho.as_2d, n, sched)
@@ -275,3 +284,112 @@ def test_evolve_open_run_matches_dense_oracle(
         np.testing.assert_allclose(snap, snap.conj().T, atol=1e-13)
         assert result.snapshots[t].min_eigenvalue() >= -1e-12
     np.testing.assert_array_equal(result.final.as_2d, result.snapshots[steps].as_2d)
+
+
+# ------------------------------------------------------- momentum support
+
+
+def band_limited_packet(n, width, k0=0.0):
+    """A Gaussian of position width ~``width`` built in momentum, so that its
+    |psi~|^2 tails fall below the support tolerance inside the zone."""
+    return to_position(gaussian_momentum_state(make_lattice(n), 0.5 / width, COIN_SYMMETRIC, k0))
+
+
+def test_momentum_window_trims_each_tail_from_its_own_end():
+    prob = np.array([4e-31, 5e-31, 2e-31, 0.5, 0.5, 3e-31, 8e-31])
+    # left: 9e-31 may go, 1.1e-30 may not; right: 8e-31 may go, 1.1e-30 may not
+    assert momentum_window(prob) == (2, 6)
+    assert momentum_window(np.array([0.0, 1.0, 0.0])) == (1, 2)
+
+
+@pytest.mark.parametrize("n, sigma", [(160, 5.0), (400, 10.0), (300, 10.0)])
+def test_momentum_window_is_minimal(n, sigma):
+    psi = gaussian_position_state(make_lattice(n), sigma, COIN_SYMMETRIC, k0=0.03)
+    prob = np.sum(np.abs(to_momentum(psi).amplitudes) ** 2, axis=1)
+    lo, hi = momentum_window(prob)
+    assert 0 < lo < hi < n
+    assert prob[:lo].sum() <= 1e-30 and prob[hi:].sum() <= 1e-30
+    assert prob[: lo + 1].sum() > 1e-30 and prob[hi - 1 :].sum() > 1e-30
+
+
+@pytest.mark.parametrize("reverser", [REVERSER_EXACT, REVERSER_SIGMA_Y])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_windowed_start_matches_dense_oracle(variant, reverser):
+    # a pure start steps on its momentum window (pairs) or on the lines it
+    # spans (walker and both dephasing), both smaller than the lattice
+    n, T, theta = 64, 6, 0.7
+    psi = band_limited_packet(n, 5.0, k0=0.3)
+    spec = ChannelSpec(variant[0], 0.05, variant[1])
+    gate, gate_back = reversal_pair(theta) if reverser == REVERSER_EXACT else (SIGMA_Y, SIGMA_Y)
+    sched = Schedule(2 * T, theta, coin_gate_insertions=((T, gate), (2 * T, gate_back)),
+                     channel=spec)
+    layout = open_layout(psi, sched)
+    assert layout.shape[0] < n and layout.lines == (variant[1] != "coin")
+    observed = {}
+
+    def observe(t, work):
+        observed[t] = layout.materialize(work).reshape(2 * n, 2 * n)
+
+    result = evolve_open(psi, sched, snapshot_times=range(2 * T + 1), observe=observe)
+    expected = dense_run(DensityOperator.from_pure(psi).as_2d, n, sched)
+    assert sorted(observed) == list(range(2 * T + 1))
+    for t, want in enumerate(expected):
+        np.testing.assert_allclose(result.snapshots[t].as_2d, want, atol=1e-12)
+        np.testing.assert_array_equal(observed[t], result.snapshots[t].as_2d)
+    # the revival observer contracts on the same support
+    ket = psi.amplitudes.ravel()
+    trace = revival_protocol(psi, theta, T, channel=spec, reverser=reverser).trace
+    np.testing.assert_allclose(trace, [np.vdot(ket, want @ ket).real for want in expected],
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_support_trace_check_matches_the_materialized_trace(variant):
+    n = 64
+    psi = band_limited_packet(n, 5.0, k0=0.3)
+    sched = Schedule(7, 0.7, channel=ChannelSpec(variant[0], 0.05, variant[1]))
+    layout = open_layout(psi, sched)
+    work, _ = channels._run_open(layout, psi, sched)
+    assert np.trace(layout.materialize(work).reshape(2 * n, 2 * n)).real == pytest.approx(
+        1.0, abs=1e-13)
+    layout.check_trace(work)
+    work *= 1 + 1e-9
+    with pytest.raises(StateError, match="trace"):
+        layout.check_trace(work)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_open_revival_catches_trace_drift(monkeypatch, variant):
+    # a shift that gains 2e-7 of trace a step: r alone would not show it
+    shift = MomentumLayout.shift
+
+    def drifting(layout):
+        step = shift(layout)
+        return lambda work, out: np.multiply(step(work, out), 1 + 1e-7, out=out)
+
+    monkeypatch.setattr(MomentumLayout, "shift", drifting)
+    psi = band_limited_packet(64, 5.0)
+    with pytest.raises(StateError, match="trace"):
+        revival_protocol(psi, 0.7, 5, channel=ChannelSpec(variant[0], 0.05, variant[1]))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    theta=st.floats(0.0, np.pi),
+    eta=st.floats(0.0, 5.0),
+    width=st.floats(1.5, 6.0),
+    k0=st.floats(-0.5, 0.5),
+    variant=st.sampled_from(VARIANTS),
+    steps=st.integers(100, 130),
+)
+def test_long_open_runs_stay_physical(theta, eta, width, k0, variant, steps):
+    n = 48
+    psi = band_limited_packet(n, width, k0)
+    spec = ChannelSpec(variant[0], eta, variant[1])
+    times = (0, steps // 2, steps)
+    result = evolve_open(psi, Schedule(steps, theta, channel=spec), snapshot_times=times)
+    for t in times:
+        flat = result.snapshots[t].as_2d
+        assert np.trace(flat).real == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(flat - flat.conj().T).max() <= 1e-13
+        assert result.snapshots[t].min_eigenvalue() >= -1e-12

@@ -271,6 +271,15 @@ def test_cli_revival_coin_channels_ignore_target(channel, target, tmp_path, caps
     assert 0.0 <= _meta_r(tmp_path / "revival_meta.txt") <= 1.0
 
 
+@pytest.mark.parametrize("target", [None, "walker"])
+@pytest.mark.parametrize("channel", ["amplitude_damping", "bit_flip"])
+def test_cli_revival_records_the_target_used(channel, target, tmp_path, capsys):
+    argv = ["revival", "--eta", "0.01", "--steps", "3", "--sigma", "2",
+            "--channel", channel, "--out", str(tmp_path)]
+    assert main(argv + (["--target", target] if target else [])) == 0
+    assert "target=coin" in (tmp_path / "revival_meta.txt").read_text().splitlines()
+
+
 @pytest.mark.parametrize("target", TARGETS)
 @pytest.mark.parametrize("channel", CHANNEL_KINDS)
 @pytest.mark.parametrize("scenario", ["revival", "decohere", "decohereprob"])

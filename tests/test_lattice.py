@@ -118,6 +118,12 @@ def test_dft_matches_dense_matrix():
     )
 
 
+@pytest.mark.parametrize("length", [6, 10])
+def test_walker_to_momentum_rejects_wrong_length(length):
+    with pytest.raises(StateError):
+        walker_to_momentum(make_lattice(8), np.ones(length))
+
+
 def test_gaussian_momentum_state_width():
     lat = make_lattice(512)
     delta = 0.05
