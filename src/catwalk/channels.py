@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .lattice import DensityOperator, PureState, to_momentum
-from .walk import (_COIN_PAIRS, SIGMA_X, MomentumLayout, Schedule, _apply_coin_map, _coin_map,
-                   _conjugate_coins, _run_density)
+from .walk import (_COIN_PAIRS, SIGMA_X, EvolutionResult, MomentumLayout, Schedule,
+                   _apply_coin_map, _coin_map, _conjugate_coins, _run_density)
 
 COMPLETENESS_TOL = 1e-12
 # |psi~|^2 a pure start may leave outside its momentum window on each side
@@ -215,16 +215,10 @@ def open_layout(rho0: DensityOperator | PureState, schedule: Schedule) -> Moment
     lattice = rho0.lattice
     lo, hi = 0, lattice.n_sites
     if isinstance(rho0, PureState) and not schedule.fm_windows:
-        lo, hi = momentum_window(np.sum(np.abs(to_momentum(rho0).amplitudes) ** 2, axis=1))
+        lo, hi = momentum_window(np.sum(np.abs(to_momentum(rho0.amplitudes)) ** 2, axis=1))
     if _mixes_lines(spec):
         return MomentumLayout.lines_of(lattice, hi - lo)
     return MomentumLayout.pairs(lattice, lo, hi)
-
-
-@dataclass(frozen=True)
-class OpenEvolutionResult:
-    final: DensityOperator
-    snapshots: dict[int, DensityOperator]
 
 
 def evolve_open(
@@ -232,7 +226,7 @@ def evolve_open(
     schedule: Schedule,
     snapshot_times: Sequence[int] = (),
     observe: Callable[[int, np.ndarray], None] | None = None,
-) -> OpenEvolutionResult:
+) -> EvolutionResult:
     """Run a schedule on a density operator, channel after every step.
 
     ``rho0`` is a DensityOperator or a PureState psi, meaning |psi><psi|.
@@ -254,7 +248,7 @@ def evolve_open(
     work, snapshots = _run_open(layout, rho0, schedule, snapshot_times, observe)
     mat = layout.materialize(work, consume=True)
     del work  # before the validation, which then needs band-sized temporaries only
-    return OpenEvolutionResult(DensityOperator(rho0.lattice, mat), snapshots)
+    return EvolutionResult(DensityOperator(rho0.lattice, mat), snapshots)
 
 
 def _run_open(layout: MomentumLayout, rho0: DensityOperator | PureState, schedule: Schedule,

@@ -35,8 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=f"run the {name} scenario")
         sp.add_argument("--config", help="key=value config file")
         for dest, key in KEYS.items():
-            sp.add_argument(key.flag, dest=dest, type=key.type, help=key.help,
-                            choices=key.choices)
+            sp.add_argument(key.flag, dest=dest, help=key.help, choices=key.choices)
     return parser
 
 

@@ -58,7 +58,8 @@ class Key(NamedTuple):
 
 
 # Every key a config file or a flag may set, in CLI help order.  File values
-# are parsed with the key's type, except that lattice also takes "auto".
+# and flags are parsed alike, with the key's type, except that lattice also
+# takes "auto".
 KEYS = {
     "theta": Key("--theta", float, "coin angle (radians)"),
     "sigma": Key("--sigma", float, "initial Gaussian width (sites)"),

@@ -2,8 +2,9 @@
 
 Sites are labeled x in {-N/2, ..., N/2 - 1} for even N, and the momentum
 grid holds the N values k_j = 2*pi*j/N folded into [-pi, pi).  Pure states
-carry a (N, 2) complex amplitude array, index order (site, coin level),
-with coin level 0 = up and 1 = down.
+live over sites: a (N, 2) complex amplitude array, index order (site, coin
+level), with coin level 0 = up and 1 = down.  ``to_momentum`` and
+``to_position`` move plain amplitude arrays between sites and momenta.
 """
 
 from __future__ import annotations
@@ -16,9 +17,6 @@ NORM_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
 HERMITICITY_BAND = 32  # rows per band of the Hermiticity check
 TRACE_TOL = 1e-10
-
-POSITION = "position"
-MOMENTUM = "momentum"
 
 
 class LatticeError(ValueError):
@@ -107,11 +105,10 @@ COIN_SYMMETRIC = CoinState(1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0))
 
 @dataclass(frozen=True)
 class PureState:
-    """Walker-coin wavefunction, amplitudes shaped (N, 2), unit L2 norm."""
+    """Walker-coin wavefunction over sites, amplitudes shaped (N, 2), unit L2 norm."""
 
     lattice: LatticeConfig
     amplitudes: np.ndarray = field(repr=False)
-    basis: str = POSITION
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex)
@@ -120,16 +117,14 @@ class PureState:
                 f"amplitude shape {amp.shape} does not match lattice "
                 f"({self.lattice.n_sites}, 2)"
             )
-        if self.basis not in (POSITION, MOMENTUM):
-            raise StateError(f"unknown basis tag {self.basis!r}")
         norm = np.linalg.norm(amp)
         if not abs(norm - 1.0) <= NORM_TOL:
             raise StateError(f"state norm {norm!r} deviates from 1")
         object.__setattr__(self, "amplitudes", amp)
         self.amplitudes.setflags(write=False)
 
-    def with_amplitudes(self, amp: np.ndarray, basis: str | None = None) -> "PureState":
-        return PureState(self.lattice, amp, basis or self.basis)
+    def with_amplitudes(self, amp: np.ndarray) -> "PureState":
+        return PureState(self.lattice, amp)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -190,7 +185,7 @@ def localized_state(lattice: LatticeConfig, x0: int, coin: CoinState) -> PureSta
     """Walker localized at site ``x0`` with the given coin state."""
     amp = np.zeros((lattice.n_sites, 2), dtype=complex)
     amp[_site_index(lattice, x0)] = coin.as_array()
-    return PureState(lattice, amp, POSITION)
+    return PureState(lattice, amp)
 
 
 def gaussian_position_state(
@@ -219,7 +214,7 @@ def gaussian_position_state(
     env = np.exp(-((x - x0) ** 2) / (4.0 * sigma**2)) * np.exp(-1j * k0 * x)
     amp = env[:, None] * coin.as_array()[None, :]
     amp /= np.linalg.norm(amp)
-    return PureState(lattice, amp, POSITION)
+    return PureState(lattice, amp)
 
 
 def gaussian_momentum_state(
@@ -228,7 +223,7 @@ def gaussian_momentum_state(
     coin: CoinState,
     k0: float = 0.0,
 ) -> PureState:
-    """Gaussian in momentum, exp(-(k-k0)^2/(4 delta^2)), returned momentum-basis.
+    """Gaussian in momentum, exp(-(k-k0)^2/(4 delta^2)), as a state over sites.
 
     The position-space width of the resulting packet is approximately
     1/(2*delta).
@@ -239,44 +234,26 @@ def gaussian_momentum_state(
     env = np.exp(-((k - k0) ** 2) / (4.0 * delta**2)).astype(complex)
     amp = env[:, None] * coin.as_array()[None, :]
     amp /= np.linalg.norm(amp)
-    return PureState(lattice, amp, MOMENTUM)
+    return PureState(lattice, to_position(amp))
 
 
-def _dft_matrix_free_to_momentum(amp: np.ndarray) -> np.ndarray:
-    # psi~(k_j) = N^{-1/2} sum_x exp(i k_j x) psi(x); rows ordered by
-    # ascending k.  Row x=0 sits at array index N/2, hence the shifts.
-    n = amp.shape[0]
+def to_momentum(amp: np.ndarray) -> np.ndarray:
+    """Unitary DFT of (N,) or (N, 2) amplitudes over sites to momenta,
+    |x> = N^{-1/2} sum_k e^{ikx} |k>.
+
+    psi~(k_j) = N^{-1/2} sum_x exp(i k_j x) psi(x), rows ordered by
+    ascending k.  Row x=0 sits at array index N/2, hence the shifts.
+    """
+    n = len(amp)
     out = np.fft.ifft(np.fft.ifftshift(amp, axes=0), axis=0) * np.sqrt(n)
     return np.fft.fftshift(out, axes=0)
 
 
-def _dft_matrix_free_to_position(amp: np.ndarray) -> np.ndarray:
-    n = amp.shape[0]
+def to_position(amp: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`to_momentum`: (N,) or (N, 2) momentum amplitudes to sites."""
+    n = len(amp)
     out = np.fft.fft(np.fft.ifftshift(amp, axes=0), axis=0) / np.sqrt(n)
     return np.fft.fftshift(out, axes=0)
-
-
-def to_momentum(state: PureState) -> PureState:
-    """Unitary DFT to the momentum basis, |x> = N^{-1/2} sum_k e^{ikx} |k>."""
-    if state.basis == MOMENTUM:
-        return state
-    return state.with_amplitudes(_dft_matrix_free_to_momentum(state.amplitudes), MOMENTUM)
-
-
-def to_position(state: PureState) -> PureState:
-    """Inverse of :func:`to_momentum`."""
-    if state.basis == POSITION:
-        return state
-    return state.with_amplitudes(_dft_matrix_free_to_position(state.amplitudes), POSITION)
-
-
-def walker_to_momentum(lattice: LatticeConfig, walker: np.ndarray) -> np.ndarray:
-    """Same DFT for a walker-only amplitude vector of length N."""
-    walker = np.asarray(walker)
-    if walker.shape != (lattice.n_sites,):
-        raise StateError(f"walker shape {walker.shape} does not match lattice "
-                         f"({lattice.n_sites},)")
-    return _dft_matrix_free_to_momentum(walker)
 
 
 def _check_compatible(a: PureState, b) -> None:
@@ -287,10 +264,8 @@ def _check_compatible(a: PureState, b) -> None:
 
 
 def fidelity(a: PureState, b: PureState) -> float:
-    """|<a|b>|^2 for two pure states on the same lattice and basis."""
+    """|<a|b>|^2 for two pure states on the same lattice."""
     _check_compatible(a, b)
-    if a.basis != b.basis:
-        raise StateError(f"basis mismatch: {a.basis} vs {b.basis}")
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 

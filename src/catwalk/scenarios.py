@@ -33,6 +33,7 @@ from .lattice import (
     COIN_SYMMETRIC,
     CoinState,
     PureState,
+    StateError,
     gaussian_position_state,
     localized_state,
     make_lattice,
@@ -96,10 +97,18 @@ SCENARIO_DEFAULTS = {
 def _packet(cfg: ExperimentConfig, total_steps: int, coin: CoinState = COIN_SYMMETRIC,
             k0: float | None = None) -> PureState:
     """The Gaussian start of width cfg.sigma at mean momentum ``k0`` (cfg.k0
-    by default), on cfg.lattice or, when that is auto, on the lattice the
-    sizing rule gives a run of ``total_steps``."""
-    n = cfg.lattice if cfg.lattice is not None else recommended_size(total_steps, cfg.sigma)
-    return gaussian_position_state(make_lattice(n), cfg.sigma, coin,
+    by default), on the lattice the sizing rule gives a run of
+    ``total_steps``, or on cfg.lattice if that is set.  An explicit lattice
+    below the rule's size raises StateError: the packet would wrap around
+    the periodic boundary within the run."""
+    n = recommended_size(total_steps, cfg.sigma)
+    if cfg.lattice is not None and cfg.lattice < n:
+        raise StateError(
+            f"lattice N={cfg.lattice} below {n}, the size N >= 2S + 8 sigma that "
+            f"S={total_steps} steps at sigma={cfg.sigma} need: the packet would wrap "
+            f"around the periodic boundary"
+        )
+    return gaussian_position_state(make_lattice(cfg.lattice or n), cfg.sigma, coin,
                                    k0=cfg.k0 if k0 is None else k0)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import CoinState, MOMENTUM, PureState, to_momentum, to_position
+from .lattice import CoinState, PureState, to_momentum, to_position
 from .walk import SIGMA_X, SIGMA_Y, SIGMA_Z, coin_operator
 
 DEGENERACY_TOL = 1e-8
@@ -174,13 +174,8 @@ def dirac_hamiltonian(theta: float, k: float) -> np.ndarray:
 
 
 def dirac_evolve(state: PureState, theta: float, t: float) -> PureState:
-    """Apply exp(-i H_d(k) t) blockwise in momentum space.
-
-    The result is returned in the basis the input arrived in.
-    """
-    was_position = state.basis != MOMENTUM
-    psi = to_momentum(state)
-    k = psi.lattice.momenta
+    """Apply exp(-i H_d(k) t) blockwise in momentum space to a state over sites."""
+    k = state.lattice.momenta
     a = -(k + np.pi / 2)
     b = -theta * (np.pi / 2)
     # H = a sigma_z + b sigma_x: exp(-iHt) = cos(wt) - i sin(wt) (H/w)
@@ -190,12 +185,11 @@ def dirac_evolve(state: PureState, theta: float, t: float) -> PureState:
     u00 = cos_t - 1j * sin_t * a / w_safe
     u11 = cos_t + 1j * sin_t * a / w_safe
     u01 = -1j * sin_t * b / w_safe
-    amp = psi.amplitudes
+    amp = to_momentum(state.amplitudes)
     out = np.empty_like(amp)
     out[:, 0] = u00 * amp[:, 0] + u01 * amp[:, 1]
     out[:, 1] = u01 * amp[:, 0] + u11 * amp[:, 1]
-    evolved = psi.with_amplitudes(out, MOMENTUM)
-    return to_position(evolved) if was_position else evolved
+    return state.with_amplitudes(to_position(out))
 
 
 def symmetric_coin_state(theta: float, varphi: float = np.pi / 2) -> CoinState:

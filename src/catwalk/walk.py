@@ -19,15 +19,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .lattice import (
-    POSITION,
-    DensityOperator,
-    LatticeConfig,
-    PureState,
-    TRACE_TOL,
-    StateError,
-    to_momentum,
-)
+from .lattice import DensityOperator, LatticeConfig, PureState, TRACE_TOL, StateError, to_momentum
 
 UNITARITY_TOL = 1e-10
 
@@ -76,16 +68,6 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
 # a pure state and is the phase D(k) (x) D*(k') on rho, D(k) = diag(e^{ik},
 # e^{-ik}).  Maps write into a buffer that must not alias their input.
 
-# (destination, source) slice pairs of the periodic shift of each coin level:
-# level 0 (up) moves x -> x+1, level 1 (down) x -> x-1
-_SHIFT_SLICES = (
-    ((slice(1, None), slice(None, -1)), (slice(None, 1), slice(-1, None))),
-    ((slice(None, -1), slice(1, None)), (slice(-1, None), slice(None, 1))),
-)
-
-# (destination, source) index pairs of a coin-major (2, N) array
-_SHIFT_INDEX = tuple(((c, to), (c, frm)) for c in (0, 1) for to, frm in _SHIFT_SLICES[c])
-
 _COIN_PAIRS = tuple(itertools.product((0, 1), repeat=2))
 
 
@@ -101,9 +83,12 @@ def _apply_coin_map(work: np.ndarray, cmap: np.ndarray, out: np.ndarray) -> np.n
 
 
 def _shift(work: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = S work on coin-major amplitudes: sites move with their coin level; returns out."""
-    for to, frm in _SHIFT_INDEX:
-        out[to] = work[frm]
+    """out = S work on coin-major amplitudes, periodically: level 0 (up) moves
+    x -> x+1, level 1 (down) x -> x-1; returns out."""
+    out[0, 1:] = work[0, :-1]
+    out[0, 0] = work[0, -1]
+    out[1, :-1] = work[1, 1:]
+    out[1, -1] = work[1, 0]
     return out
 
 
@@ -223,7 +208,7 @@ class MomentumLayout:
         DensityOperator, which needs the full support."""
         work = np.empty((2, 2, *self.shape), dtype=complex)
         if isinstance(state, PureState):
-            amp = to_momentum(state).amplitudes.T
+            amp = to_momentum(state.amplitudes).T
             rows = self.first[:, None]
             if self.lines:
                 rows = (rows + self.second) % self.lattice.n_sites
@@ -404,15 +389,13 @@ def _run(work: np.ndarray, schedule: Schedule, snapshot_times: Sequence[int],
 # ---------------------------------------------------------------------------
 # Front ends: pure states, then density operators.
 
-def _require_position(state: PureState) -> None:
-    if state.basis != POSITION:
-        raise StateError("operation requires a position-basis state")
-
-
 @dataclass(frozen=True)
 class EvolutionResult:
-    final: PureState
-    snapshots: dict[int, PureState]
+    """Final state and snapshots of a run: PureStates from ``evolve``,
+    DensityOperators from ``channels.evolve_open``."""
+
+    final: PureState | DensityOperator
+    snapshots: dict[int, PureState | DensityOperator]
 
 
 def evolve(
@@ -433,7 +416,6 @@ def evolve(
     time's insertions, with the coin-major working array amp[c] = psi[:, c],
     which it must neither keep nor modify.
     """
-    _require_position(state)
     if schedule.channel is not None:
         raise ScheduleError("schedule has a channel; use channels.evolve_open")
     sites = state.lattice.sites
@@ -454,14 +436,12 @@ def apply_coin(state: PureState, u: np.ndarray) -> PureState:
 
 def apply_shift(state: PureState) -> PureState:
     """Conditional shift: up-component x -> x+1, down-component x -> x-1."""
-    _require_position(state)
     amp = state.amplitudes.T
     return state.with_amplitudes(_transpose(_shift(amp, np.empty(amp.shape, dtype=complex))))
 
 
 def apply_fm(state: PureState, phi: float) -> PureState:
     """Site-linear phase e^{i phi x} on both coin levels."""
-    _require_position(state)
     ph = _fm_phase(state.lattice.sites, phi)
     return state.with_amplitudes(state.amplitudes * ph[:, None])
 

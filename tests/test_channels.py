@@ -28,7 +28,6 @@ from catwalk.lattice import (
     localized_state,
     make_lattice,
     to_momentum,
-    to_position,
 )
 from catwalk import channels
 from catwalk.walk import SIGMA_Y, MomentumLayout, Schedule, evolve, reversal_pair
@@ -292,7 +291,7 @@ def test_evolve_open_run_matches_dense_oracle(
 def band_limited_packet(n, width, k0=0.0):
     """A Gaussian of position width ~``width`` built in momentum, so that its
     |psi~|^2 tails fall below the support tolerance inside the zone."""
-    return to_position(gaussian_momentum_state(make_lattice(n), 0.5 / width, COIN_SYMMETRIC, k0))
+    return gaussian_momentum_state(make_lattice(n), 0.5 / width, COIN_SYMMETRIC, k0)
 
 
 def test_momentum_window_trims_each_tail_from_its_own_end():
@@ -305,7 +304,7 @@ def test_momentum_window_trims_each_tail_from_its_own_end():
 @pytest.mark.parametrize("n, sigma", [(160, 5.0), (400, 10.0), (300, 10.0)])
 def test_momentum_window_is_minimal(n, sigma):
     psi = gaussian_position_state(make_lattice(n), sigma, COIN_SYMMETRIC, k0=0.03)
-    prob = np.sum(np.abs(to_momentum(psi).amplitudes) ** 2, axis=1)
+    prob = np.sum(np.abs(to_momentum(psi.amplitudes)) ** 2, axis=1)
     lo, hi = momentum_window(prob)
     assert 0 < lo < hi < n
     assert prob[:lo].sum() <= 1e-30 and prob[hi:].sum() <= 1e-30

@@ -190,6 +190,36 @@ def test_cli_bad_parameter_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_lattice_auto_flag_sizes_like_the_default(tmp_path, capsys):
+    # a flag value parses as a config-file value does, so "auto" is a size
+    argv = ["evolve", "--steps", "4", "--sigma", "1"]
+    assert main(argv + ["--lattice", "auto", "--out", str(tmp_path / "auto")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "default")]) == 0
+    names = sorted(p.name for p in (tmp_path / "auto").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "default").iterdir())
+    for name in names:
+        auto, default = (read(tmp_path / d / name) for d in ("auto", "default"))
+        # only the recorded origin of the lattice value differs
+        assert auto == default.replace(b"provenance.lattice=default",
+                                       b"provenance.lattice=flag"), name
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["evolve", "--steps", "40", "--lattice", "32"], 2),
+    # the sizing rule N >= 2T + 8 sigma gives 96
+    (["evolve", "--steps", "40", "--lattice", "94"], 2),
+    (["evolve", "--steps", "40", "--lattice", "96"], 0),
+    # a revival runs 2T steps: 48
+    (["revival", "--steps", "8", "--lattice", "46", "--eta", "0"], 2),
+    (["revival", "--steps", "8", "--lattice", "48", "--eta", "0"], 0),
+])
+def test_cli_refuses_a_lattice_the_packet_would_wrap_around(argv, code, tmp_path, capsys):
+    assert main(argv + ["--sigma", "2", "--out", str(tmp_path)]) == code
+    if code:
+        assert "wrap around" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_memory_guard_exits_3(tmp_path, capsys):
     code = main(
         [

@@ -21,7 +21,6 @@ from catwalk.lattice import (
     recommended_size,
     to_momentum,
     to_position,
-    walker_to_momentum,
 )
 
 
@@ -88,20 +87,17 @@ def test_k0_shifts_momentum_mean():
     lat = make_lattice(256)
     k0 = np.pi / 8
     psi = gaussian_position_state(lat, 10.0, COIN_SYMMETRIC, k0=k0)
-    tilde = to_momentum(psi)
-    prob = np.sum(np.abs(tilde.amplitudes) ** 2, axis=1)
+    prob = np.sum(np.abs(to_momentum(psi.amplitudes)) ** 2, axis=1)
     assert prob @ lat.momenta == pytest.approx(k0, abs=1e-3)
 
 
 def test_dft_round_trip_and_unitarity():
     rng = np.random.default_rng(7)
-    lat = make_lattice(32)
     amp = rng.normal(size=(32, 2)) + 1j * rng.normal(size=(32, 2))
     amp /= np.linalg.norm(amp)
-    psi = PureState(lat, amp)
-    back = to_position(to_momentum(psi))
-    np.testing.assert_allclose(back.amplitudes, amp, atol=1e-13)
-    assert to_momentum(psi).norm() == pytest.approx(1.0)
+    back = to_position(to_momentum(amp))
+    np.testing.assert_allclose(back, amp, atol=1e-13)
+    assert np.linalg.norm(to_momentum(amp)) == pytest.approx(1.0)
 
 
 def test_dft_matches_dense_matrix():
@@ -111,23 +107,15 @@ def test_dft_matches_dense_matrix():
     rng = np.random.default_rng(3)
     amp = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
     amp /= np.linalg.norm(amp)
-    psi = PureState(lat, amp)
-    np.testing.assert_allclose(to_momentum(psi).amplitudes, f @ amp, atol=1e-13)
-    np.testing.assert_allclose(
-        walker_to_momentum(lat, amp[:, 0]), f @ amp[:, 0], atol=1e-13
-    )
-
-
-@pytest.mark.parametrize("length", [6, 10])
-def test_walker_to_momentum_rejects_wrong_length(length):
-    with pytest.raises(StateError):
-        walker_to_momentum(make_lattice(8), np.ones(length))
+    np.testing.assert_allclose(to_momentum(amp), f @ amp, atol=1e-13)
+    np.testing.assert_allclose(to_momentum(amp[:, 0]), f @ amp[:, 0], atol=1e-13)
+    np.testing.assert_allclose(to_position(f @ amp), amp, atol=1e-13)
 
 
 def test_gaussian_momentum_state_width():
     lat = make_lattice(512)
     delta = 0.05
-    psi = to_position(gaussian_momentum_state(lat, delta, COIN_UP))
+    psi = gaussian_momentum_state(lat, delta, COIN_UP)
     prob = np.sum(np.abs(psi.amplitudes) ** 2, axis=1)
     sig = np.sqrt(prob @ lat.sites**2 - (prob @ lat.sites) ** 2)
     assert sig == pytest.approx(1.0 / (2 * delta), rel=0.05)
@@ -139,8 +127,6 @@ def test_fidelity_basics():
     b = localized_state(lat, 0, COIN_DOWN)
     assert fidelity(a, a) == pytest.approx(1.0)
     assert fidelity(a, b) == pytest.approx(0.0)
-    with pytest.raises(StateError):
-        fidelity(a, to_momentum(b))
     with pytest.raises(LatticeError):
         fidelity(a, localized_state(make_lattice(8), 0, COIN_UP))
 

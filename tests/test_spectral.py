@@ -136,7 +136,6 @@ def test_dirac_evolve_massless_translates():
     lat = make_lattice(256)
     psi = gaussian_position_state(lat, 6.0, COIN_SYMMETRIC)
     out = dirac_evolve(psi, 0.0, 40.0)
-    assert out.basis == psi.basis
     p_in = np.abs(psi.amplitudes) ** 2
     p_out = np.abs(out.amplitudes) ** 2
     np.testing.assert_allclose(p_out[:, 0], np.roll(p_in[:, 0], 40), atol=1e-12)
@@ -146,11 +145,11 @@ def test_dirac_evolve_massless_translates():
 def test_dirac_evolve_matches_expm():
     lat = make_lattice(32)
     psi = gaussian_position_state(lat, 2.0, COIN_SYMMETRIC)
-    out = to_momentum(dirac_evolve(psi, 0.7, 5.0))
-    ref = to_momentum(psi).amplitudes.copy()
+    out = to_momentum(dirac_evolve(psi, 0.7, 5.0).amplitudes)
+    ref = to_momentum(psi.amplitudes)
     for j, k in enumerate(lat.momenta):
         ref[j] = expm(-1j * dirac_hamiltonian(0.7, k) * 5.0) @ ref[j]
-    np.testing.assert_allclose(out.amplitudes, ref, atol=1e-10)
+    np.testing.assert_allclose(out, ref, atol=1e-10)
 
 
 def test_symmetric_coin_state_splits_bands():

@@ -16,7 +16,6 @@ from catwalk.lattice import (
     gaussian_position_state,
     localized_state,
     make_lattice,
-    to_momentum,
 )
 from catwalk.walk import (
     SIGMA_Y,
@@ -67,13 +66,6 @@ def test_shift_wraps_periodically():
     assert fidelity(wrapped, localized_state(lat, -4, COIN_UP)) == pytest.approx(1.0)
 
 
-def test_step_requires_position_basis():
-    lat = make_lattice(16)
-    psi = to_momentum(localized_state(lat, 0, COIN_UP))
-    with pytest.raises(StateError):
-        step(psi, np.pi / 4)
-
-
 def test_fm_phase_is_diagonal():
     lat = make_lattice(16)
     psi = gaussian_position_state(lat, 2.0, COIN_SYMMETRIC)
@@ -103,20 +95,25 @@ def test_apply_coin_rejects_nonunitary():
         apply_coin(psi, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+@st.composite
+def packets(draw):
+    """A Gaussian start on an even lattice: N in 8..512, sigma <= N/8 and k0 drawn."""
+    n = 2 * draw(st.integers(4, 256))
+    sigma = draw(st.floats(0.1, n / 8))
+    k0 = draw(st.floats(-np.pi, np.pi))
+    return gaussian_position_state(make_lattice(n), sigma, COIN_SYMMETRIC, k0=k0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(d_theta=st.floats(-np.pi / 8, np.pi / 8), psi=packets(), T=st.integers(0, 300))
 @pytest.mark.parametrize("theta", THETAS)
-def test_reversal_pair_inverts_the_walk(theta):
-    # sandwiching T steps between the pair retraces them exactly
-    lat = make_lattice(128)
-    psi = gaussian_position_state(lat, 6.0, COIN_SYMMETRIC)
+def test_reversal_pair_inverts_the_walk(theta, d_theta, psi, T):
+    # sandwiching T steps between the pair retraces them exactly, wrapped
+    # around the periodic lattice or not
+    theta += d_theta
     r, r_dag = reversal_pair(theta)
-    state = psi
-    for _ in range(17):
-        state = step(state, theta)
-    state = apply_coin(state, r)
-    for _ in range(17):
-        state = step(state, theta)
-    state = apply_coin(state, r_dag)
-    assert fidelity(psi, state) == pytest.approx(1.0, abs=1e-12)
+    sched = Schedule(2 * T, theta, coin_gate_insertions=((T, r), (2 * T, r_dag)))
+    assert fidelity(psi, evolve(psi, sched).final) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sigma_y_reversal_is_only_approximate():
@@ -178,10 +175,10 @@ def test_evolve_rejects_channel_schedules():
         evolve(psi, sched)
 
 
-def test_evolve_preserves_norm_long_run():
-    lat = make_lattice(256)
-    psi = gaussian_position_state(lat, 5.0, COIN_SYMMETRIC)
-    final = evolve(psi, Schedule(100, np.pi / 3)).final
+@settings(max_examples=60, deadline=None)
+@given(theta=st.floats(0.0, np.pi), psi=packets(), steps=st.integers(100, 800))
+def test_evolve_preserves_norm_long_run(theta, psi, steps):
+    final = evolve(psi, Schedule(steps, theta)).final
     assert final.norm() == pytest.approx(1.0, abs=1e-12)
 
 
