@@ -32,6 +32,8 @@ from .channels import ChannelSpec, _run_open, open_layout
 from .spectral import _gauge_fix
 
 DEGENERACY_GAP = 0.05
+# a local maximum below this fraction of the highest is rounding noise, no peak
+PEAK_FLOOR = 1e-12
 PROJECTION_NORM_TOL = 1e-12
 
 REVERSER_EXACT = "exact"
@@ -252,7 +254,8 @@ def cat_metrics(prob: np.ndarray, sites: np.ndarray | None = None) -> CatMetrics
     """Bimodality metrics of a distribution over sites.
 
     Peaks are the two highest local maxima at least 5 sites apart
-    (leftmost wins an exact height tie); residual is the mass in the
+    (leftmost wins an exact height tie), counting only those that reach
+    ``PEAK_FLOOR`` of the highest; residual is the mass in the
     central 20% of the inter-peak interval; masses are split at the
     midpoint and balance is their min/max ratio.
     """
@@ -261,6 +264,7 @@ def cat_metrics(prob: np.ndarray, sites: np.ndarray | None = None) -> CatMetrics
         n = prob.shape[0]
         sites = np.arange(-(n // 2), n - n // 2)
     idx = _find_peaks(prob, distance=5)
+    idx = idx[prob[idx] >= PEAK_FLOOR * prob[idx].max(initial=0.0)]
     if idx.size < 2:
         peak = int(sites[int(np.argmax(prob))])
         return CatMetrics(peak, peak, 1.0, 0.0, 0.0, 0, 0.0, False)

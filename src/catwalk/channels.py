@@ -5,11 +5,12 @@ chosen index (coin, walker, or both); amplitude damping and bit flip act
 on the coin through Kraus pairs.  The bath strength eta is per step, so
 each application scales coherences by lambda = e^{-eta} and an n-step run
 accumulates e^{-eta n}.  ``evolve_open`` advances a density matrix over
-steps, through the step loop that ``walk.evolve`` also runs, in momentum
-space: every channel here is translation-invariant, so it either keeps each
-pair (k, k') on its own (the coin-local ones) or mixes only the pairs of
-one line of constant k - k' (walker and both dephasing), and a start that
-occupies a narrow band of momenta is stepped on that band alone.
+steps, through the step loop that ``walk.evolve`` runs inside F_m windows,
+in momentum space: every channel here is translation-invariant, so it
+either keeps each pair (k, k') on its own (the coin-local ones) or mixes
+only the pairs of one line of constant k - k' (walker and both dephasing),
+and a start that occupies a narrow band of momenta is stepped on that band
+alone.
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ def evolve_open(
     are applied (unitarily) after the completed step, before any snapshot.
     A schedule without a channel runs closed but on rho, useful for
     cross-checking against the pure-state path.  The step loop is the one
-    ``walk.evolve`` runs, on the momentum support of ``open_layout``; trace
+    ``walk.evolve`` runs inside F_m windows, on the momentum support of ``open_layout``; trace
     and Hermiticity are validated at every snapshot and on the final state,
     which are materialized in position space, and a snapshot time outside
     the run raises ``ScheduleError``.

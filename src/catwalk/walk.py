@@ -6,9 +6,12 @@ i.e. the generalized propagator multiplies the plain step on the left.
 Time is counted in completed steps; a coin-gate insertion at time ``s``
 acts after ``s`` steps, and an F_m window ``(start, end, phi)`` applies the
 phase during steps ``start+1 .. end``.  Pure states and density operators
-share one step loop, ``_run``: a pure state steps in position space, rho in
-momentum space on the support a ``MomentumLayout`` names, where the step Z
-acts as Z(k) (x) Z(k')^* and needs no shift.
+share one step loop, ``_run``, and one ``_Checkpoints`` for what happens
+between steps.  A density operator steps in momentum space on the support a
+``MomentumLayout`` names, where the step Z acts as Z(k) (x) Z(k')^* and
+needs no shift.  A pure state jumps each plain stretch between events as
+one closed-form power Z(k)^n in momentum space, and steps F_m windows in
+position space.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .lattice import DensityOperator, LatticeConfig, PureState, TRACE_TOL, StateError, to_momentum
+from .lattice import (DensityOperator, LatticeConfig, PureState, TRACE_TOL, StateError, to_momentum,
+                      to_position)
 
 UNITARITY_TOL = 1e-10
 
@@ -342,48 +346,104 @@ class Schedule:
         return [u for ti, u in self.coin_gate_insertions if ti == t]
 
 
-def _run(work: np.ndarray, schedule: Schedule, snapshot_times: Sequence[int],
-         snapshot: Callable, shift: Callable, fm: Callable, observe: Callable | None = None,
-         channel: Callable | None = None) -> tuple[np.ndarray, dict[int, Any]]:
-    """Step the coin-major array ``work``, of either rank, through ``schedule``.
+class _Checkpoints:
+    """What a run does at a time t = 0..total_steps: that time's coin gates,
+    then ``snapshot(work)`` kept in ``snaps`` if t is wanted, then
+    ``observe(t, work)``."""
+
+    def __init__(self, schedule: Schedule, snapshot_times: Sequence[int],
+                 snapshot: Callable, observe: Callable | None):
+        self.wanted = set(snapshot_times)
+        for t in self.wanted:
+            if not (0 <= t <= schedule.total_steps):
+                raise ScheduleError(f"snapshot time {t} outside run")
+        self.schedule = schedule
+        self.snapshot = snapshot
+        self.observe = observe
+        self.snaps: dict[int, Any] = {}
+
+    def times(self, lo: int, hi: int) -> list[int]:
+        """The times in lo+1 .. hi that need the state: all of them with an
+        observer, else the wanted ones and hi."""
+        if self.observe is not None:
+            return list(range(lo + 1, hi + 1))
+        return sorted({t for t in self.wanted if lo < t < hi} | {hi})
+
+    def __call__(self, t: int, work: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Returns (work, spare) after t's gates, which swap the two buffers."""
+        for u in self.schedule.insertions_at(t):
+            gate = _coin_map(work.ndim // 2, _check_unitary(u))
+            work, spare = _apply_coin_map(work, gate, spare), work
+        if t in self.wanted:
+            self.snaps[t] = self.snapshot(work)
+        if self.observe is not None:
+            self.observe(t, work)
+        return work, spare
+
+
+def _run(work: np.ndarray, spare: np.ndarray, schedule: Schedule, steps: range,
+         checkpoint: _Checkpoints, shift: Callable, fm: Callable,
+         channel: Callable | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Step the coin-major array ``work``, of either rank, through the steps
+    s in ``steps`` of ``schedule``, one spare buffer beside it.
 
     A step is the coin map into the spare buffer, ``shift(spare, work)``
     back, ``fm(work, phi) -> work`` on the steps of an F_m window and
-    ``channel(work, out) -> result``.  At every t = 0..total_steps that
-    time's coin gates are applied, then ``snapshot(work)`` is kept if t is
-    wanted and ``observe(t, work)`` is called.  Returns the final working
-    array and the snapshots; the spare goes with the call, so callers keep
-    no reference to ``work``.
+    ``channel(work, out) -> result``; ``checkpoint`` follows each step s.
+    Returns (work, spare).
     """
-    wanted = set(snapshot_times)
-    for t in wanted:
-        if not (0 <= t <= schedule.total_steps):
-            raise ScheduleError(f"snapshot time {t} outside run")
-    rank = work.ndim // 2
-    coin = _coin_map(rank, coin_operator(schedule.theta))
-    spare = np.empty_like(work)
-    snaps: dict[int, Any] = {}
-
-    def checkpoint(t: int) -> None:
-        nonlocal work, spare
-        for u in schedule.insertions_at(t):
-            gate = _coin_map(rank, _check_unitary(u))
-            work, spare = _apply_coin_map(work, gate, spare), work
-        if t in wanted:
-            snaps[t] = snapshot(work)
-        if observe is not None:
-            observe(t, work)
-
-    checkpoint(0)
-    for s in range(1, schedule.total_steps + 1):
+    coin = _coin_map(work.ndim // 2, coin_operator(schedule.theta))
+    for s in steps:
         shift(_apply_coin_map(work, coin, spare), work)
         phi = schedule.phi_at(s)
         if phi is not None:
             work = fm(work, phi)
         if channel is not None:
             work, spare = channel(work, spare), work
-        checkpoint(s)
-    return work, snaps
+        work, spare = checkpoint(s, work, spare)
+    return work, spare
+
+
+def _stretches(schedule: Schedule) -> list[tuple[int, int]]:
+    """(lo, hi) for the runs of steps lo+1 .. hi between events: t = 0, the
+    coin-gate times, the F_m window edges and total_steps.  The steps of one
+    stretch are all plain or all in one window."""
+    events = sorted({0, schedule.total_steps,
+                     *(t for t, _ in schedule.coin_gate_insertions),
+                     *(edge for start, end, _ in schedule.fm_windows for edge in (start, end))})
+    return list(zip(events, events[1:]))
+
+
+class _PlainPower:
+    """Z(k)^n for all momenta k at once, in closed form.
+
+    W = -i Z(k) is in SU(2): W = cos(a) 1 - i M with cos(a) = cos(theta)
+    sin(k), M = [[c cos k, s e^{ik}], [s e^{-ik}, -c cos k]] Hermitian and
+    M^2 = sin(a)^2 1, sin(a) = hypot(cos(theta) cos k, sin theta).  So
+    W^n = cos(na) 1 - i sin(na) M / sin(a), and Z^n = i^n W^n.  Where
+    sin(a) = 0, W = +-1 and M = 0, so the second term is dropped.
+    """
+
+    def __init__(self, theta: float, momenta: np.ndarray):
+        c, s = np.cos(theta), np.sin(theta)
+        c_cos = c * np.cos(momenta)
+        sin_a = np.hypot(c_cos, s)
+        self.alpha = np.arctan2(sin_a, c * np.sin(momenta))
+        inv = np.divide(1.0, sin_a, out=np.zeros_like(sin_a), where=sin_a != 0)
+        self.diag = c_cos * inv  # M[0, 0] / sin(a) = -M[1, 1] / sin(a)
+        self.up = s * np.exp(1j * momenta) * inv  # M[0, 1] / sin(a)
+        self.down = self.up.conj()  # M[1, 0] / sin(a)
+
+    def apply(self, n: int, kamp: np.ndarray) -> np.ndarray:
+        """Z^n applied to (N, 2) momentum amplitudes, as a new array."""
+        na = n * self.alpha
+        cos_n, sin_n = np.cos(na), -1j * np.sin(na)
+        diag = sin_n * self.diag
+        out = np.empty_like(kamp)
+        out[:, 0] = (cos_n + diag) * kamp[:, 0] + sin_n * self.up * kamp[:, 1]
+        out[:, 1] = sin_n * self.down * kamp[:, 0] + (cos_n - diag) * kamp[:, 1]
+        out *= (1, 1j, -1, -1j)[n % 4]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -408,22 +468,38 @@ def evolve(
 
     Snapshots are taken after the complete step (and after any coin-gate
     insertion at that time).  Schedules carrying a noise channel must use
-    the open-system runner instead.  The loop steps a coin-major (2, N)
-    working array in place through one spare buffer, and converts back to
-    (N, 2) for each snapshot and the final state, whose norms are validated.
+    the open-system runner instead.  Each plain stretch between events (see
+    ``_stretches``) is one jump: the state at its start t_e goes to momentum
+    space once, and the state at each later time t of the stretch that is
+    needed is to_position(Z^(t - t_e) psi~_e), never one derived from another,
+    so observing a run cannot change its arithmetic.  The steps of an F_m
+    window, whose phase e^{i phi x} need not fit the lattice period, are
+    taken one by one in position space on a coin-major (2, N) working array.
+    Snapshots and the final state are converted back to (N, 2), and their
+    norms validated.
 
     ``observe(t, amp)`` is called at every t = 0..total_steps, after that
-    time's insertions, with the coin-major working array amp[c] = psi[:, c],
-    which it must neither keep nor modify.
+    time's insertions, with the coin-major array amp[c] = psi[:, c], which
+    it must neither keep nor modify.  Each observation or snapshot inside a
+    plain stretch costs one inverse DFT.
     """
     if schedule.channel is not None:
         raise ScheduleError("schedule has a channel; use channels.evolve_open")
-    sites = state.lattice.sites
-    phases = {phi: _fm_phase(sites, phi) for _, _, phi in schedule.fm_windows}
-    amp, snaps = _run(_transpose(state.amplitudes), schedule, snapshot_times,
-                      lambda a: state.with_amplitudes(_transpose(a)), _shift,
-                      lambda a, phi: np.multiply(a, phases[phi], out=a), observe)
-    return EvolutionResult(state.with_amplitudes(_transpose(amp)), snaps)
+    lattice = state.lattice
+    phases = {phi: _fm_phase(lattice.sites, phi) for _, _, phi in schedule.fm_windows}
+    power = _PlainPower(schedule.theta, lattice.momenta)
+    checkpoint = _Checkpoints(schedule, snapshot_times,
+                              lambda a: state.with_amplitudes(_transpose(a)), observe)
+    amp, spare = checkpoint(0, _transpose(state.amplitudes), np.empty((2, lattice.n_sites), complex))
+    for lo, hi in _stretches(schedule):
+        if schedule.phi_at(hi) is None:
+            kamp = to_momentum(amp.T)
+            for t in checkpoint.times(lo, hi):
+                amp, spare = checkpoint(t, _transpose(to_position(power.apply(t - lo, kamp))), spare)
+        else:
+            amp, spare = _run(amp, spare, schedule, range(lo + 1, hi + 1), checkpoint, _shift,
+                              lambda a, phi: np.multiply(a, phases[phi], out=a))
+    return EvolutionResult(state.with_amplitudes(_transpose(amp)), checkpoint.snaps)
 
 
 def apply_coin(state: PureState, u: np.ndarray) -> PureState:
@@ -468,9 +544,13 @@ def _run_density(layout: MomentumLayout, rho0, schedule: Schedule,
     """_run on rho0 laid out on ``layout``; returns the final working array
     and the snapshots, materialized in position space and validated."""
     lattice = layout.lattice
-    return _run(layout.start(rho0), schedule, snapshot_times,
-                lambda w: DensityOperator(lattice, layout.materialize(w)),
-                layout.shift(), layout.apply_fm, observe, channel)
+    checkpoint = _Checkpoints(schedule, snapshot_times,
+                              lambda w: DensityOperator(lattice, layout.materialize(w)), observe)
+    work = layout.start(rho0)
+    work, spare = checkpoint(0, work, np.empty_like(work))
+    work, _ = _run(work, spare, schedule, range(1, schedule.total_steps + 1), checkpoint,
+                   layout.shift(), layout.apply_fm, channel)
+    return work, checkpoint.snaps
 
 
 def _conjugate_coins(rho: DensityOperator, cmap: np.ndarray) -> DensityOperator:

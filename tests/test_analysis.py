@@ -222,6 +222,19 @@ def test_cat_metrics_unimodal():
     assert m.separation == 0
 
 
+def test_cat_metrics_ignores_a_rounding_noise_ripple():
+    # a second local maximum 1e-30 of the first, as rounding leaves in the
+    # tail of a unimodal packet, is no second peak
+    lat = make_lattice(128)
+    prob = np.abs(gaussian_walker(lat.sites, -20.0, 4.0)) ** 2
+    prob[lat.sites == 40] += 1e-30 * prob.max()
+    assert _find_peaks(prob, distance=5).size == 2
+    m = cat_metrics(prob, lat.sites)
+    assert not m.bimodal
+    assert (m.left_peak, m.right_peak) == (-20, -20)
+    assert (m.mass_balance, m.residual, m.separation) == (0.0, 0.0, 0)
+
+
 def test_cat_metrics_residual_orders_localized_vs_delocalized():
     # a walk from a localized start leaves much more mass between the
     # peaks than a walk from a wide packet with the band-splitting coin

@@ -374,3 +374,19 @@ def test_bench_replay_runs_on_the_public_wrappers(monkeypatch):
         *(f"channels.apply_channel.ms.{v}" for v in tracing.CHANNEL_VARIANTS),
     }
     assert all(np.isfinite(v) for v in out.values())
+
+
+def test_closed_sweep_seed_0_passes_the_bench_reference(monkeypatch, tmp_path, capsys):
+    # the benchmark's correctness gate on closed_sweep, so that a numerics
+    # change that moves a reference output fails here first
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    for name in ("check", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    check = importlib.import_module("check")
+    workloads = importlib.import_module("workloads")
+    argv_list = workloads.argvs(workloads.WORKLOADS["closed_sweep"], 0)
+    for argv in argv_list:
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+    reference = check.load_reference(
+        Path(check.__file__).parent / "reference" / "closed_sweep.npz")
+    assert check.check_outputs(tmp_path, reference, 0, argv_list) == []

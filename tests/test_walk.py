@@ -17,6 +17,7 @@ from catwalk.lattice import (
     localized_state,
     make_lattice,
 )
+from catwalk.spectral import walk_unitary_k
 from catwalk.walk import (
     SIGMA_Y,
     EvolutionResult,
@@ -32,6 +33,7 @@ from catwalk.walk import (
     step,
     step_density,
     step_generalized,
+    _PlainPower,
 )
 from dense_oracle import dense_pure_run
 
@@ -275,3 +277,72 @@ def test_snapshot_time_outside_run_raises_schedule_error(runner, t):
     run = evolve if runner == "evolve" else evolve_open
     with pytest.raises(ScheduleError, match=f"snapshot time {t} outside run"):
         run(state, Schedule(3, np.pi / 4), snapshot_times=(t,))
+
+
+# theta over [0, pi] with the ends and pi/2 drawn on purpose: at theta = 0 and
+# pi, sin(a) of the closed-form power vanishes at k = +-pi/2
+THETA_WITH_EDGES = st.one_of(st.sampled_from([0.0, np.pi / 2, np.pi]), st.floats(0.0, np.pi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta=THETA_WITH_EDGES, quarter_n=st.integers(1, 16), n=st.integers(0, 1000))
+def test_plain_power_matches_matrix_power(theta, quarter_n, n):
+    # N % 4 == 0 puts k = -pi/2 on the momentum grid
+    k = make_lattice(4 * quarter_n).momenta
+    power = _PlainPower(theta, k)
+    columns = [power.apply(n, np.tile(e, (len(k), 1)).astype(complex)) for e in np.eye(2)]
+    closed = np.stack(columns, axis=-1)  # closed[j] = Z(k_j)^n
+    for j, kj in enumerate(k):
+        expected = np.linalg.matrix_power(walk_unitary_k(theta, kj), n)
+        np.testing.assert_allclose(closed[j], expected, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    theta=THETA_WITH_EDGES,
+    quarter_n=st.integers(1, 6),
+    steps=st.integers(0, 40),
+    reverser=st.sampled_from(["none", "exact", "sigma_y"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evolve_plain_and_reversal_schedules_match_dense_oracle(theta, quarter_n, steps,
+                                                                 reverser, seed):
+    n = 4 * quarter_n
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    psi = PureState(make_lattice(n), amp / np.linalg.norm(amp))
+    if reverser == "none":
+        sched = Schedule(steps, theta)
+    else:
+        gate, gate_back = reversal_pair(theta) if reverser == "exact" else (SIGMA_Y, SIGMA_Y)
+        sched = Schedule(2 * steps, theta, coin_gate_insertions=((steps, gate), (2 * steps, gate_back)))
+    times = range(sched.total_steps + 1)
+    result = evolve(psi, sched, snapshot_times=times)
+    expected = dense_pure_run(psi.amplitudes.ravel(), n, sched)
+    for t in times:
+        np.testing.assert_allclose(result.snapshots[t].amplitudes.ravel(), expected[t],
+                                   rtol=0, atol=1e-12)
+    np.testing.assert_allclose(result.final.amplitudes.ravel(), expected[-1], rtol=0, atol=1e-12)
+
+
+def test_observing_a_run_does_not_change_its_arithmetic():
+    # plain stretches are jumps from their start, so snapshots and an observer
+    # add inverse DFTs but change no amplitude of the run, bit for bit
+    theta = 0.9
+    psi = gaussian_position_state(make_lattice(96), 4.0, COIN_SYMMETRIC, k0=0.2)
+    r, r_dag = reversal_pair(theta)
+    sched = Schedule(40, theta, fm_windows=((12, 20, 2 * np.pi / 5),),
+                     coin_gate_insertions=((6, SIGMA_Y), (20, r), (40, r_dag)))
+    bare = evolve(psi, sched).final.amplitudes
+    observed = {}
+    times = (0, 3, 6, 15, 20, 33, 40)
+    watched = evolve(psi, sched, snapshot_times=times,
+                     observe=lambda t, amp: observed.setdefault(t, amp.T.copy()))
+    assert np.array_equal(watched.final.amplitudes, bare)
+    assert sorted(observed) == list(range(41))
+    for t in times:
+        assert np.array_equal(watched.snapshots[t].amplitudes, observed[t])
+    snapped = evolve(psi, sched, snapshot_times=times)
+    assert np.array_equal(snapped.final.amplitudes, bare)
+    for t in times:
+        assert np.array_equal(snapped.snapshots[t].amplitudes, observed[t])
