@@ -36,16 +36,13 @@ from .walk import (
     reversal_pair,
     step,
     step_density,
-    step_generalized,
 )
 from .channels import (
     ChannelError,
     ChannelSpec,
     KrausPair,
     amplitude_damping_kraus,
-    apply_coin_channel,
     bit_flip_kraus,
-    dephase,
     evolve_open,
 )
 from .spectral import (

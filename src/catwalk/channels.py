@@ -86,17 +86,6 @@ class KrausPair:
         object.__setattr__(self, "m1", m1)
 
 
-def dephase(rho: DensityOperator, eta: float, target: str) -> DensityOperator:
-    """Scale the targeted off-diagonal elements by e^{-eta}.
-
-    target=coin touches c != c', target=walker touches x != x', and
-    target=both touches every element off the full diagonal.  The diagonal
-    is untouched, so the trace is preserved exactly.  One application, as
-    ``apply_channel``: each call validates the whole state.
-    """
-    return apply_channel(rho, ChannelSpec(DEPHASING, eta, target))
-
-
 def amplitude_damping_kraus(eta: float) -> KrausPair:
     """A0 = diag(1, e^{-eta/2}), A1 = sqrt(1 - e^{-eta}) |up><down|."""
     if not (eta >= 0):
@@ -132,21 +121,14 @@ def _mixes_lines(spec: ChannelSpec | None) -> bool:
             and spec.target != TARGET_COIN)
 
 
-def apply_coin_channel(rho: DensityOperator, kraus: KrausPair) -> DensityOperator:
-    """rho -> sum_i (1 (x) M_i) rho (1 (x) M_i)†, once.
-
-    Each call validates the whole state, so multi-step callers run
-    ``evolve_open`` with the channel in the schedule instead.
-    """
-    return _conjugate_coins(rho, _coin_map(2, kraus.m0, kraus.m1))
-
-
 def apply_channel(rho: DensityOperator, spec: ChannelSpec) -> DensityOperator:
     """One application of the channel to rho's (N, 2, N, 2) matrix.
 
     Dephasing scales the targeted elements by lam = e^{-eta} and copies the
-    rest, so the kept elements are exact.  Each call validates the whole
-    state (see ``apply_coin_channel``).
+    rest, so the kept elements are exact: target=coin touches c != c',
+    target=walker x != x', and target=both every element off the full
+    diagonal.  Each call validates the whole state, so multi-step callers
+    run ``evolve_open`` with the channel in the schedule instead.
     """
     if spec.eta == 0:
         return rho

@@ -2,8 +2,8 @@
 
 One subcommand per figure scenario plus generic ``evolve`` and
 ``spectrum``.  Exit codes: 0 success, 2 configuration error, 3 resource
-guard refusal.  The CATWALK_OUT environment variable sets the default
-output root; --out overrides it.
+guard refusal, 4 outputs that cannot be written.  The CATWALK_OUT
+environment variable sets the default output root; --out overrides it.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .walk import ScheduleError
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
+EXIT_OUTPUT = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,13 +56,17 @@ def main(argv=None) -> int:
                 raise ConfigError(f"cannot read config file: {exc}") from exc
         cfg = parse_config(text, flags=flags, scenario=args.scenario)
         record = run_scenario(cfg)
-        written = emit_results(record, cfg.out, cfg.fmt)
     except ResourceGuardError as exc:
         print(f"catwalk: refused: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ConfigError, ChannelError, LatticeError, StateError, ScheduleError) as exc:
         print(f"catwalk: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    try:
+        written = emit_results(record, cfg.out, cfg.fmt)
+    except OSError as exc:
+        print(f"catwalk: cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     for path in written:
         print(path)
     return EXIT_OK

@@ -4,8 +4,9 @@ evolve/spectrum runs.
 Each runner takes a resolved ExperimentConfig, executes the corresponding
 library pipeline, and returns a ResultRecord of tables plus metadata
 (every input, the resolved lattice size, and per-key provenance).
-Density-operator scenarios check a memory estimate before allocating and
-refuse with the predicted byte count when it exceeds the budget.
+Density-operator scenarios size their lattice and check a memory estimate
+for it before building any state, and refuse with the predicted byte count
+when it exceeds the budget.
 """
 
 from __future__ import annotations
@@ -94,13 +95,11 @@ SCENARIO_DEFAULTS = {
 }
 
 
-def _packet(cfg: ExperimentConfig, total_steps: int, coin: CoinState = COIN_SYMMETRIC,
-            k0: float | None = None) -> PureState:
-    """The Gaussian start of width cfg.sigma at mean momentum ``k0`` (cfg.k0
-    by default), on the lattice the sizing rule gives a run of
-    ``total_steps``, or on cfg.lattice if that is set.  An explicit lattice
-    below the rule's size raises StateError: the packet would wrap around
-    the periodic boundary within the run."""
+def _lattice_size(cfg: ExperimentConfig, total_steps: int) -> int:
+    """The lattice size the sizing rule gives a run of ``total_steps`` from a
+    packet of width cfg.sigma, or cfg.lattice if that is set.  An explicit
+    lattice below the rule's size raises StateError: the packet would wrap
+    around the periodic boundary within the run."""
     n = recommended_size(total_steps, cfg.sigma)
     if cfg.lattice is not None and cfg.lattice < n:
         raise StateError(
@@ -108,8 +107,15 @@ def _packet(cfg: ExperimentConfig, total_steps: int, coin: CoinState = COIN_SYMM
             f"S={total_steps} steps at sigma={cfg.sigma} need: the packet would wrap "
             f"around the periodic boundary"
         )
-    return gaussian_position_state(make_lattice(cfg.lattice or n), cfg.sigma, coin,
-                                   k0=cfg.k0 if k0 is None else k0)
+    return cfg.lattice or n
+
+
+def _packet(cfg: ExperimentConfig, total_steps: int, coin: CoinState = COIN_SYMMETRIC,
+            k0: float | None = None) -> PureState:
+    """The Gaussian start of width cfg.sigma at mean momentum ``k0`` (cfg.k0
+    by default), on the lattice of ``_lattice_size(cfg, total_steps)``."""
+    return gaussian_position_state(make_lattice(_lattice_size(cfg, total_steps)), cfg.sigma,
+                                   coin, k0=cfg.k0 if k0 is None else k0)
 
 
 def _snapshot_times(cfg: ExperimentConfig) -> list[int]:
@@ -270,9 +276,9 @@ def run_returnk0(cfg: ExperimentConfig) -> ResultRecord:
 
 def run_decohereprob(cfg: ExperimentConfig) -> ResultRecord:
     """Final distributions under the three channel kinds at one eta."""
+    _guard_density(_lattice_size(cfg, cfg.steps), cfg)
     psi0 = _packet(cfg, cfg.steps)
     lat = psi0.lattice
-    _guard_density(lat.n_sites, cfg)
     tables = []
     for kind in CHANNEL_KINDS:
         spec = ChannelSpec(kind, cfg.eta, _target(kind, cfg.target))
@@ -286,12 +292,12 @@ def run_decohereprob(cfg: ExperimentConfig) -> ResultRecord:
 def run_revival(cfg: ExperimentConfig) -> ResultRecord:
     """Time-reversal revival fidelity trace; open-system when eta > 0."""
     T = cfg.steps
-    psi0 = _packet(cfg, 2 * T)
-    n = psi0.lattice.n_sites
+    n = _lattice_size(cfg, 2 * T)
     spec = None
     if cfg.eta > 0:
         _guard_density(n, cfg)
         spec = ChannelSpec(cfg.channel, cfg.eta, _target(cfg.channel, cfg.target))
+    psi0 = _packet(cfg, 2 * T)
     result = revival_protocol(psi0, cfg.theta, T, channel=spec)
     rows = np.column_stack([np.arange(2 * T + 1), result.trace])
     meta = _base_metadata(cfg, n)
@@ -305,9 +311,9 @@ def run_revival(cfg: ExperimentConfig) -> ResultRecord:
 def run_decohere(cfg: ExperimentConfig) -> ResultRecord:
     """Revival fidelity against eta for each channel variant."""
     T = cfg.steps
-    psi0 = _packet(cfg, 2 * T)
-    n = psi0.lattice.n_sites
+    n = _lattice_size(cfg, 2 * T)
     _guard_density(n, cfg)
+    psi0 = _packet(cfg, 2 * T)
     # every (kind, target) a channel takes: dephasing_{coin,walker,both},
     # amplitude_damping, bit_flip
     variants = dict.fromkeys((kind, _target(kind, target))

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import CoinState, PureState, to_momentum, to_position
-from .walk import SIGMA_X, SIGMA_Y, SIGMA_Z, coin_operator
+from .walk import SIGMA_X, SIGMA_Y, SIGMA_Z, _su2_rotate, coin_operator
 
 DEGENERACY_TOL = 1e-8
-SMALL_K_LIMIT = np.pi / 20  # advisory validity range for the truncations
 
 
 @dataclass(frozen=True)
@@ -178,17 +177,11 @@ def dirac_evolve(state: PureState, theta: float, t: float) -> PureState:
     k = state.lattice.momenta
     a = -(k + np.pi / 2)
     b = -theta * (np.pi / 2)
-    # H = a sigma_z + b sigma_x: exp(-iHt) = cos(wt) - i sin(wt) (H/w)
+    # H = a sigma_z + b sigma_x = w (n.sigma): exp(-iHt) = cos(wt) - i sin(wt) (n.sigma)
     w = np.sqrt(a**2 + b**2)
     w_safe = np.where(w == 0, 1.0, w)
-    cos_t, sin_t = np.cos(w * t), np.sin(w * t)
-    u00 = cos_t - 1j * sin_t * a / w_safe
-    u11 = cos_t + 1j * sin_t * a / w_safe
-    u01 = -1j * sin_t * b / w_safe
-    amp = to_momentum(state.amplitudes)
-    out = np.empty_like(amp)
-    out[:, 0] = u00 * amp[:, 0] + u01 * amp[:, 1]
-    out[:, 1] = u01 * amp[:, 0] + u11 * amp[:, 1]
+    across = b / w_safe
+    out = _su2_rotate(w * t, a / w_safe, across, across, to_momentum(state.amplitudes))
     return state.with_amplitudes(to_position(out))
 
 

@@ -414,6 +414,23 @@ def _stretches(schedule: Schedule) -> list[tuple[int, int]]:
     return list(zip(events, events[1:]))
 
 
+def _su2_rotate(angle: np.ndarray, axis_z: np.ndarray, axis_up: np.ndarray,
+                axis_down: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """cos(angle) 1 - i sin(angle) (n.sigma) applied per momentum to (N, 2)
+    amplitudes, as a new array, with n.sigma = [[axis_z, axis_up],
+    [axis_down, -axis_z]] for a unit vector n (or n.sigma = 0).
+
+    The SU(2) rotation every closed-form propagator here is: Z(k)^n up to
+    the factor i^n, and the Dirac limit's exp(-i H_d(k) t).
+    """
+    cos_n, sin_n = np.cos(angle), -1j * np.sin(angle)
+    diag = sin_n * axis_z
+    out = np.empty_like(amp)
+    out[:, 0] = (cos_n + diag) * amp[:, 0] + sin_n * axis_up * amp[:, 1]
+    out[:, 1] = sin_n * axis_down * amp[:, 0] + (cos_n - diag) * amp[:, 1]
+    return out
+
+
 class _PlainPower:
     """Z(k)^n for all momenta k at once, in closed form.
 
@@ -436,12 +453,7 @@ class _PlainPower:
 
     def apply(self, n: int, kamp: np.ndarray) -> np.ndarray:
         """Z^n applied to (N, 2) momentum amplitudes, as a new array."""
-        na = n * self.alpha
-        cos_n, sin_n = np.cos(na), -1j * np.sin(na)
-        diag = sin_n * self.diag
-        out = np.empty_like(kamp)
-        out[:, 0] = (cos_n + diag) * kamp[:, 0] + sin_n * self.up * kamp[:, 1]
-        out[:, 1] = sin_n * self.down * kamp[:, 0] + (cos_n - diag) * kamp[:, 1]
+        out = _su2_rotate(n * self.alpha, self.diag, self.up, self.down, kamp)
         out *= (1, 1j, -1, -1j)[n % 4]
         return out
 
@@ -502,40 +514,12 @@ def evolve(
     return EvolutionResult(state.with_amplitudes(_transpose(amp)), checkpoint.snaps)
 
 
-def apply_coin(state: PureState, u: np.ndarray) -> PureState:
-    """Apply a 2x2 unitary on the coin at every site, as a zero-step run.
-
-    Each call converts and validates the whole state; loop with ``evolve``.
-    """
-    return evolve(state, Schedule(0, 0.0, coin_gate_insertions=((0, u),))).final
-
-
-def apply_shift(state: PureState) -> PureState:
-    """Conditional shift: up-component x -> x+1, down-component x -> x-1."""
-    amp = state.amplitudes.T
-    return state.with_amplitudes(_transpose(_shift(amp, np.empty(amp.shape, dtype=complex))))
-
-
-def apply_fm(state: PureState, phi: float) -> PureState:
-    """Site-linear phase e^{i phi x} on both coin levels."""
-    ph = _fm_phase(state.lattice.sites, phi)
-    return state.with_amplitudes(state.amplitudes * ph[:, None])
-
-
 def step(state: PureState, theta: float) -> PureState:
     """One plain walk step, coin flip then conditional shift.
 
     Each call converts and validates the whole state; loop with ``evolve``.
     """
     return evolve(state, Schedule(1, theta)).final
-
-
-def step_generalized(state: PureState, theta: float, phi: float) -> PureState:
-    """One generalized step: coin, shift, then the momentum-shift phase.
-
-    Each call converts and validates the whole state; loop with ``evolve``.
-    """
-    return evolve(state, Schedule(1, theta, fm_windows=((0, 1, phi),))).final
 
 
 def _run_density(layout: MomentumLayout, rho0, schedule: Schedule,

@@ -9,9 +9,7 @@ from catwalk.channels import (
     KrausPair,
     amplitude_damping_kraus,
     apply_channel,
-    apply_coin_channel,
     bit_flip_kraus,
-    dephase,
     evolve_open,
     momentum_window,
     open_layout,
@@ -91,7 +89,7 @@ def test_kraus_eta_zero_is_identity():
 def test_amplitude_damping_strong_limit():
     lat = make_lattice(8)
     rho = DensityOperator.from_pure(localized_state(lat, 0, COIN_DOWN))
-    out = apply_coin_channel(rho, amplitude_damping_kraus(50.0))
+    out = apply_channel(rho, ChannelSpec("amplitude_damping", 50.0))
     # coin relaxes onto |up><up|; walker marginal untouched
     coin = np.einsum("xcxd->cd", out.matrix)
     np.testing.assert_allclose(coin, [[1, 0], [0, 0]], atol=1e-10)
@@ -99,13 +97,13 @@ def test_amplitude_damping_strong_limit():
 
 def test_dephase_eta_zero_noop():
     rho = random_density(6, seed=1)
-    out = dephase(rho, 0.0, "both")
+    out = apply_channel(rho, ChannelSpec("dephasing", 0.0, "both"))
     np.testing.assert_allclose(out.matrix, rho.matrix)
 
 
 def test_dephase_strong_limit_is_diagonal():
     rho = random_density(6, seed=2)
-    out = dephase(rho, 60.0, "both")
+    out = apply_channel(rho, ChannelSpec("dephasing", 60.0, "both"))
     flat = out.as_2d
     off = flat - np.diag(np.diag(flat))
     assert np.abs(off).max() < 1e-20
@@ -117,7 +115,7 @@ def test_dephase_coin_target_scales_coin_offdiagonals_only():
     lat = make_lattice(4)
     psi = localized_state(lat, 0, COIN_SYMMETRIC)
     rho = DensityOperator.from_pure(psi)
-    out = dephase(rho, eta, "coin")
+    out = apply_channel(rho, ChannelSpec("dephasing", eta, "coin"))
     lam = np.exp(-eta)
     np.testing.assert_allclose(out.matrix[:, 0, :, 1], lam * rho.matrix[:, 0, :, 1], atol=1e-15)
     np.testing.assert_allclose(out.matrix[:, 0, :, 0], rho.matrix[:, 0, :, 0], atol=1e-15)
@@ -126,7 +124,7 @@ def test_dephase_coin_target_scales_coin_offdiagonals_only():
 def test_dephase_walker_target_keeps_site_diagonal_blocks():
     rho = random_density(6, seed=3)
     eta = 0.2
-    out = dephase(rho, eta, "walker")
+    out = apply_channel(rho, ChannelSpec("dephasing", eta, "walker"))
     lam = np.exp(-eta)
     for x in range(6):
         np.testing.assert_allclose(out.matrix[x, :, x, :], rho.matrix[x, :, x, :], atol=1e-14)
@@ -139,8 +137,9 @@ def test_dephase_walker_target_keeps_site_diagonal_blocks():
 
 def test_dephase_semigroup_property():
     rho = random_density(6, seed=4)
-    once = dephase(rho, 0.3, "both")
-    twice = dephase(dephase(rho, 0.1, "both"), 0.2, "both")
+    once = apply_channel(rho, ChannelSpec("dephasing", 0.3, "both"))
+    first = apply_channel(rho, ChannelSpec("dephasing", 0.1, "both"))
+    twice = apply_channel(first, ChannelSpec("dephasing", 0.2, "both"))
     np.testing.assert_allclose(once.matrix, twice.matrix, atol=1e-12)
 
 
@@ -163,10 +162,10 @@ def test_unital_channels_do_not_increase_purity(spec):
 
 def test_trace_drift_over_repeated_applications():
     rho = random_density(8, seed=6)
-    pair = amplitude_damping_kraus(0.02)
+    spec = ChannelSpec("amplitude_damping", 0.02)
     mat = rho
     for _ in range(250):
-        mat = apply_coin_channel(mat, pair)
+        mat = apply_channel(mat, spec)
     assert abs(np.trace(mat.as_2d).real - 1.0) < 1e-10
 
 
@@ -203,7 +202,7 @@ def test_evolve_open_rejects_bad_channel_object():
 @pytest.mark.parametrize("target", ["coin", "walker", "both"])
 def test_dephase_huge_eta_keeps_trace_and_diagonal(target):
     rho = random_density(6, seed=7)
-    out = dephase(rho, 1000.0, target)
+    out = apply_channel(rho, ChannelSpec("dephasing", 1000.0, target))
     assert np.isfinite(out.matrix).all()
     assert np.trace(out.as_2d).real == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_array_equal(np.diag(out.as_2d), np.diag(rho.as_2d))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import catwalk
+from catwalk import scenarios
 from catwalk.analysis import position_distribution, revival_protocol
 from catwalk.channels import CHANNEL_KINDS, TARGETS, ChannelSpec, evolve_open
 from catwalk.cli import build_parser, main
@@ -235,6 +236,27 @@ def test_cli_memory_guard_exits_3(tmp_path, capsys):
     assert "refused" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario", ["revival", "decohere", "decohereprob"])
+def test_memory_guard_refuses_before_building_the_packet(scenario, monkeypatch, tmp_path, capsys):
+    # 1e7 steps need N near 2e7: the guard refuses on that size alone, no state built
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the packet was built before the memory guard ran")
+
+    monkeypatch.setattr(scenarios, "gaussian_position_state", unbuilt)
+    argv = [scenario, "--steps", "10000000", "--eta", "0.01", "--out", str(tmp_path)]
+    assert main(argv) == 3
+    assert "refused" in capsys.readouterr().err
+
+
+def test_cli_unwritable_out_exits_4(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["spectrum", "--lattice", "4", "--out", str(blocker / "sub")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("catwalk: cannot write outputs: ")
+    assert err.count("\n") == 1
+
+
 def test_open_revival_peak_within_guard_prediction():
     n = 64
     psi = gaussian_position_state(make_lattice(n), 3.0, COIN_SYMMETRIC)
@@ -376,17 +398,18 @@ def test_bench_replay_runs_on_the_public_wrappers(monkeypatch):
     assert all(np.isfinite(v) for v in out.values())
 
 
-def test_closed_sweep_seed_0_passes_the_bench_reference(monkeypatch, tmp_path, capsys):
-    # the benchmark's correctness gate on closed_sweep, so that a numerics
+@pytest.mark.parametrize("workload", ["open_revival", "open_final", "closed_sweep"])
+def test_seed_0_passes_the_bench_reference(workload, monkeypatch, tmp_path, capsys):
+    # the benchmark's correctness gate on each workload, so that a numerics
     # change that moves a reference output fails here first
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     for name in ("check", "workloads"):
         monkeypatch.delitem(sys.modules, name, raising=False)
     check = importlib.import_module("check")
     workloads = importlib.import_module("workloads")
-    argv_list = workloads.argvs(workloads.WORKLOADS["closed_sweep"], 0)
+    argv_list = workloads.argvs(workloads.WORKLOADS[workload], 0)
     for argv in argv_list:
         assert main(argv + ["--out", str(tmp_path)]) == 0
     reference = check.load_reference(
-        Path(check.__file__).parent / "reference" / "closed_sweep.npz")
+        Path(check.__file__).parent / "reference" / f"{workload}.npz")
     assert check.check_outputs(tmp_path, reference, 0, argv_list) == []

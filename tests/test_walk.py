@@ -23,21 +23,28 @@ from catwalk.walk import (
     EvolutionResult,
     Schedule,
     ScheduleError,
-    apply_coin,
-    apply_fm,
-    apply_shift,
     coin_operator,
     conjugate_coin,
     evolve,
     reversal_pair,
     step,
     step_density,
-    step_generalized,
     _PlainPower,
 )
-from dense_oracle import dense_pure_run
+from dense_oracle import dense_pure_run, dense_walk_unitary
 
 THETAS = [np.pi / 6, np.pi / 4, np.pi / 3, np.pi / 2.4]
+
+
+def gate(psi, u):
+    """The coin gate u at every site, as a zero-step run."""
+    return evolve(psi, Schedule(0, 0.0, coin_gate_insertions=((0, u),))).final
+
+
+# one step at theta = 0, whose coin sigma_z only signs the down level: a plain
+# step is a momentum-space jump, a step in a phi = 0 F_m window runs the
+# position-space shift
+SHIFT_RUNS = (Schedule(1, 0.0), Schedule(1, 0.0, fm_windows=((0, 1, 0.0),)))
 
 
 @pytest.mark.parametrize("theta", THETAS)
@@ -57,36 +64,42 @@ def test_shift_moves_components():
     lat = make_lattice(16)
     up = localized_state(lat, 0, COIN_UP)
     down = localized_state(lat, 0, COIN_DOWN)
-    assert fidelity(apply_shift(up), localized_state(lat, 1, COIN_UP)) == pytest.approx(1.0)
-    assert fidelity(apply_shift(down), localized_state(lat, -1, COIN_DOWN)) == pytest.approx(1.0)
+    for sched in SHIFT_RUNS:
+        moved_up, moved_down = (evolve(psi, sched).final for psi in (up, down))
+        assert fidelity(moved_up, localized_state(lat, 1, COIN_UP)) == pytest.approx(1.0)
+        assert fidelity(moved_down, localized_state(lat, -1, COIN_DOWN)) == pytest.approx(1.0)
 
 
 def test_shift_wraps_periodically():
     lat = make_lattice(8)
     edge = localized_state(lat, 3, COIN_UP)
-    wrapped = apply_shift(edge)
-    assert fidelity(wrapped, localized_state(lat, -4, COIN_UP)) == pytest.approx(1.0)
+    for sched in SHIFT_RUNS:
+        wrapped = evolve(edge, sched).final
+        assert fidelity(wrapped, localized_state(lat, -4, COIN_UP)) == pytest.approx(1.0)
 
 
 def test_fm_phase_is_diagonal():
+    # a step in an F_m window is the plain step times e^{i phi x}
     lat = make_lattice(16)
     psi = gaussian_position_state(lat, 2.0, COIN_SYMMETRIC)
-    phased = apply_fm(psi, 0.3)
+    plain = evolve(psi, Schedule(1, np.pi / 4)).final
+    phased = evolve(psi, Schedule(1, np.pi / 4, fm_windows=((0, 1, 0.3),))).final
     np.testing.assert_allclose(
         phased.amplitudes,
-        psi.amplitudes * np.exp(0.3j * lat.sites)[:, None],
+        plain.amplitudes * np.exp(0.3j * lat.sites)[:, None],
         atol=1e-14,
     )
     np.testing.assert_allclose(
-        np.abs(phased.amplitudes), np.abs(psi.amplitudes), atol=1e-14
+        np.abs(phased.amplitudes), np.abs(plain.amplitudes), atol=1e-14
     )
 
 
 def test_generalized_step_matches_manual_composition():
     lat = make_lattice(32)
     psi = gaussian_position_state(lat, 3.0, COIN_SYMMETRIC)
-    direct = step_generalized(psi, np.pi / 4, 0.7)
-    manual = apply_fm(apply_shift(apply_coin(psi, coin_operator(np.pi / 4))), 0.7)
+    direct = evolve(psi, Schedule(1, np.pi / 4, fm_windows=((0, 1, 0.7),))).final
+    flat = dense_walk_unitary(32, np.pi / 4, 0.7) @ psi.amplitudes.ravel()
+    manual = PureState(lat, flat.reshape(32, 2))
     assert fidelity(direct, manual) == pytest.approx(1.0)
 
 
@@ -94,7 +107,7 @@ def test_apply_coin_rejects_nonunitary():
     lat = make_lattice(8)
     psi = localized_state(lat, 0, COIN_UP)
     with pytest.raises(StateError):
-        apply_coin(psi, np.array([[1.0, 1.0], [0.0, 1.0]]))
+        gate(psi, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 @st.composite
@@ -116,21 +129,6 @@ def test_reversal_pair_inverts_the_walk(theta, d_theta, psi, T):
     r, r_dag = reversal_pair(theta)
     sched = Schedule(2 * T, theta, coin_gate_insertions=((T, r), (2 * T, r_dag)))
     assert fidelity(psi, evolve(psi, sched).final) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_sigma_y_reversal_is_only_approximate():
-    lat = make_lattice(256)
-    sigma = 12.0
-    psi = gaussian_position_state(lat, sigma, COIN_SYMMETRIC)
-    state = psi
-    for _ in range(20):
-        state = step(state, np.pi / 4)
-    state = apply_coin(state, SIGMA_Y)
-    for _ in range(20):
-        state = step(state, np.pi / 4)
-    state = apply_coin(state, SIGMA_Y)
-    defect = 1.0 - fidelity(psi, state)
-    assert defect == pytest.approx(1.0 / (4 * sigma**2), rel=0.1)
 
 
 def test_schedule_validation():
@@ -165,7 +163,7 @@ def test_evolve_snapshots_and_insertions():
     manual = psi
     for _ in range(3):
         manual = step(manual, np.pi / 4)
-    manual = apply_coin(manual, r)
+    manual = gate(manual, r)
     assert fidelity(result.snapshots[3], manual) == pytest.approx(1.0)
 
 
@@ -222,7 +220,7 @@ def test_conjugate_coin_matches_pure():
     psi = gaussian_position_state(lat, 2.0, COIN_SYMMETRIC)
     r, _ = reversal_pair(np.pi / 6)
     rho = conjugate_coin(DensityOperator.from_pure(psi), r)
-    assert fidelity_with_density(apply_coin(psi, r), rho) == pytest.approx(1.0)
+    assert fidelity_with_density(gate(psi, r), rho) == pytest.approx(1.0)
 
 
 @settings(max_examples=60, deadline=None)
