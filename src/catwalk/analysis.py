@@ -28,7 +28,7 @@ from .walk import (
     evolve,
     reversal_pair,
 )
-from .channels import ChannelSpec, _run_open, open_layout
+from .channels import ChannelSpec, fidelity_trace
 from .spectral import _gauge_fix
 
 DEGENERACY_GAP = 0.05
@@ -331,33 +331,12 @@ def revival_protocol(
     With the default gate pair the closed-system revival is exact; the
     plain ``sigma_y`` variant leaves a residual error of order one over
     the squared packet width.  A channel switches to density-operator
-    evolution with the channel applied after every step, on the momentum
-    support of ``channels.open_layout``.  Either way r is the fidelity the
-    observer records after the closing gate.
+    evolution with the channel applied after every step.  The trace comes
+    from ``channels.fidelity_trace``, and r is its last entry, the fidelity
+    after the closing gate.
     """
     sched = _reversal_schedule(theta, T, reverser, channel=channel)
-    trace = np.empty(2 * T + 1)
-    if channel is None:
-
-        def overlap(t: int, amp: np.ndarray) -> None:
-            # |<psi|amp>|^2 summed in site-major order, as fidelity() sums it
-            trace[t] = abs(np.vdot(initial.amplitudes, amp.T)) ** 2
-
-        evolve(initial, sched, observe=overlap)
-        return RevivalResult(float(trace[-1]), trace)
-
-    # |psi><psi| on the momentum support evolve_open steps; rho_t is zero off
-    # it, so <psi|rho_t|psi> is one dot product there
-    layout = open_layout(initial, sched)
-    bra = layout.start(initial)
-
-    def record(t: int, work: np.ndarray) -> None:
-        trace[t] = np.vdot(bra, work).real
-
-    # r is the last observation: the final state is never materialized, but
-    # its trace is checked, which catches numerical drift in the run
-    work, _ = _run_open(layout, initial, sched, observe=record)
-    layout.check_trace(work)
+    trace = fidelity_trace(initial, sched)
     return RevivalResult(float(trace[-1]), trace)
 
 

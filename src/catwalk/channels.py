@@ -10,7 +10,7 @@ in momentum space: every channel here is translation-invariant, so it
 either keeps each pair (k, k') on its own (the coin-local ones) or mixes
 only the pairs of one line of constant k - k' (walker and both dephasing),
 and a start that occupies a narrow band of momenta is stepped on that band
-alone.
+alone.  ``fidelity_trace`` takes a run's fidelity to its start in its own basis.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .lattice import DensityOperator, PureState, to_momentum
 from .walk import (_COIN_PAIRS, SIGMA_X, EvolutionResult, MomentumLayout, Schedule,
-                   _apply_coin_map, _coin_map, _conjugate_coins, _run_density)
+                   _apply_coin_map, _coin_map, _conjugate_coins, _run_density, _run_pure)
 
 COMPLETENESS_TOL = 1e-12
 # |psi~|^2 a pure start may leave outside its momentum window on each side
@@ -208,7 +208,6 @@ def evolve_open(
     rho0: DensityOperator | PureState,
     schedule: Schedule,
     snapshot_times: Sequence[int] = (),
-    observe: Callable[[int, np.ndarray], None] | None = None,
 ) -> EvolutionResult:
     """Run a schedule on a density operator, channel after every step.
 
@@ -221,23 +220,26 @@ def evolve_open(
     and Hermiticity are validated at every snapshot and on the final state,
     which are materialized in position space, and a snapshot time outside
     the run raises ``ScheduleError``.
-
-    ``observe(t, work)`` is called at every t = 0..total_steps, after that
-    time's insertions, with the working array on that support, which it
-    must neither keep nor modify; ``open_layout(rho0, schedule)`` lays rho0
-    out on that support and materializes the array.
     """
-    layout = open_layout(rho0, schedule)
-    work, snapshots = _run_open(layout, rho0, schedule, snapshot_times, observe)
+    layout, work, checkpoint = _run_open(rho0, schedule, snapshot_times)
     mat = layout.materialize(work, consume=True)
     del work  # before the validation, which then needs band-sized temporaries only
-    return EvolutionResult(DensityOperator(rho0.lattice, mat), snapshots)
+    return EvolutionResult(DensityOperator(rho0.lattice, mat), checkpoint.snaps)
 
 
-def _run_open(layout: MomentumLayout, rho0: DensityOperator | PureState, schedule: Schedule,
-              snapshot_times: Sequence[int] = (), observe: Callable | None = None):
-    """``evolve_open`` on ``layout = open_layout(rho0, schedule)`` up to its
-    final state: (final working array, snapshots)."""
-    spec = schedule.channel
-    channel = _channel_map(spec, layout) if spec is not None else None
-    return _run_density(layout, rho0, schedule, snapshot_times, observe, channel)
+def fidelity_trace(psi: PureState, schedule: Schedule) -> np.ndarray:
+    """The fidelity to psi of a run of ``schedule`` from psi at t = 0..total_steps,
+    |<psi|psi_t>|^2 closed or <psi|rho_t|psi> under the channel.  The open
+    run's final state is not materialized; its trace is checked on the support."""
+    if schedule.channel is None:
+        return _run_pure(psi, schedule, fidelity=True)[1].trace
+    layout, work, checkpoint = _run_open(psi, schedule, fidelity=True)
+    layout.check_trace(work)
+    return checkpoint.trace
+
+
+def _run_open(rho0, schedule: Schedule, snapshot_times: Sequence[int] = (), fidelity=False):
+    """``_run_density`` on ``open_layout``, channel bound: (layout, work, checkpoints)."""
+    layout = open_layout(rho0, schedule)
+    channel = None if schedule.channel is None else _channel_map(schedule.channel, layout)
+    return layout, *_run_density(layout, rho0, schedule, snapshot_times, channel, fidelity)

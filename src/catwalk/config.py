@@ -72,7 +72,7 @@ KEYS = {
     "k0": Key("--k0", float, "initial mean momentum"),
     "lattice": Key("--lattice", int, "lattice size N (default auto)"),
     "stride": Key("--stride", int, "snapshot stride in steps"),
-    "max_bytes": Key("--max-bytes", float, "density-matrix memory budget in bytes"),
+    "max_bytes": Key("--max-bytes", float, "memory budget in bytes for one run's states"),
     "out": Key("--out", str, f"output directory (default ${OUT_ENV} or current dir)"),
     "fmt": Key("--format", str, "table output format (default csv)", FORMATS),
 }

@@ -66,8 +66,14 @@ def make_lattice(n_sites: int) -> LatticeConfig:
 
 
 def recommended_size(steps: int, sigma: float = 0.0) -> int:
-    """Smallest even N satisfying the N >= 2*steps + 8*sigma sizing rule."""
-    n = int(np.ceil(2 * steps + 8 * sigma))
+    """Smallest even N satisfying the N >= 2*steps + 8*sigma sizing rule.
+
+    A rule value that is not a finite float raises StateError.
+    """
+    try:
+        n = int(np.ceil(2 * steps + 8 * sigma))
+    except (OverflowError, ValueError):  # an infinite or nan size, or an int beyond float
+        raise StateError(f"lattice size 2*{steps} + 8*{sigma} is not finite") from None
     n = max(n, 4)
     return n + (n % 2)
 

@@ -47,12 +47,11 @@ from .walk import Schedule, evolve
 class ResourceGuardError(RuntimeError):
     """Predicted allocation exceeds the configured memory budget."""
 
-    def __init__(self, predicted_bytes: int, budget: float):
+    def __init__(self, predicted_bytes: int, budget: float, what: str):
         self.predicted_bytes = predicted_bytes
         self.budget = budget
         super().__init__(
-            f"predicted peak working set {predicted_bytes} bytes "
-            f"(3 density matrices plus numpy buffers) exceeds budget "
+            f"predicted {predicted_bytes} bytes ({what}) exceeds budget "
             f"{budget:.0f}; reduce the lattice or raise max_bytes"
         )
 
@@ -81,7 +80,8 @@ def density_working_set_bytes(n_sites: int) -> int:
 def _guard_density(n_sites: int, cfg: ExperimentConfig) -> None:
     predicted = density_working_set_bytes(n_sites)
     if predicted > cfg.max_bytes:
-        raise ResourceGuardError(predicted, cfg.max_bytes)
+        raise ResourceGuardError(predicted, cfg.max_bytes,
+                                 "peak working set: 3 density matrices plus numpy buffers")
 
 
 # Figure-faithful defaults applied only where the user left the global
@@ -99,7 +99,9 @@ def _lattice_size(cfg: ExperimentConfig, total_steps: int) -> int:
     """The lattice size the sizing rule gives a run of ``total_steps`` from a
     packet of width cfg.sigma, or cfg.lattice if that is set.  An explicit
     lattice below the rule's size raises StateError: the packet would wrap
-    around the periodic boundary within the run."""
+    around the periodic boundary within the run.  A lattice whose one
+    (N, 2) complex state, 32 N bytes, exceeds cfg.max_bytes raises
+    ResourceGuardError."""
     n = recommended_size(total_steps, cfg.sigma)
     if cfg.lattice is not None and cfg.lattice < n:
         raise StateError(
@@ -107,7 +109,10 @@ def _lattice_size(cfg: ExperimentConfig, total_steps: int) -> int:
             f"S={total_steps} steps at sigma={cfg.sigma} need: the packet would wrap "
             f"around the periodic boundary"
         )
-    return cfg.lattice or n
+    n = cfg.lattice or n
+    if 32 * n > cfg.max_bytes:
+        raise ResourceGuardError(32 * n, cfg.max_bytes, f"one pure state on N={n} sites")
+    return n
 
 
 def _packet(cfg: ExperimentConfig, total_steps: int, coin: CoinState = COIN_SYMMETRIC,

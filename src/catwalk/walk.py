@@ -7,11 +7,11 @@ Time is counted in completed steps; a coin-gate insertion at time ``s``
 acts after ``s`` steps, and an F_m window ``(start, end, phi)`` applies the
 phase during steps ``start+1 .. end``.  Pure states and density operators
 share one step loop, ``_run``, and one ``_Checkpoints`` for what happens
-between steps.  A density operator steps in momentum space on the support a
-``MomentumLayout`` names, where the step Z acts as Z(k) (x) Z(k')^* and
-needs no shift.  A pure state jumps each plain stretch between events as
-one closed-form power Z(k)^n in momentum space, and steps F_m windows in
-position space.
+between steps: gates, snapshots and the fidelity to a pure start.  A density
+operator steps in momentum space on the support a ``MomentumLayout`` names,
+where the step Z acts as Z(k) (x) Z(k')^* and needs no shift.  A pure state
+jumps each plain stretch between events as one closed-form power Z(k)^n in
+momentum space, and steps F_m windows in position space.
 """
 
 from __future__ import annotations
@@ -306,7 +306,8 @@ class Schedule:
 
     ``fm_windows`` holds (start, end, phi) triples: the phase is applied
     during steps start+1 .. end.  ``coin_gate_insertions`` holds
-    (time, 2x2 unitary) pairs applied after ``time`` completed steps.
+    (time, 2x2 unitary) pairs applied after ``time`` completed steps; each
+    gate is checked here, once, and a non-unitary one raises StateError.
     ``channel`` is an optional ChannelSpec consumed by the open-system
     runner only.
     """
@@ -329,11 +330,14 @@ class Schedule:
             if prev_end is not None and start < prev_end:
                 raise ScheduleError("F_m windows overlap")
             prev_end = end
-        for t, _u in self.coin_gate_insertions:
+        gates = []
+        for t, u in self.coin_gate_insertions:
             if not (0 <= t <= self.total_steps):
                 raise ScheduleError(
                     f"insertion time {t} outside [0, {self.total_steps}]"
                 )
+            gates.append((t, _check_unitary(u)))
+        object.__setattr__(self, "coin_gate_insertions", tuple(gates))
 
     def phi_at(self, s: int) -> float | None:
         """Phase for step ``s`` (1-based) if it falls in an F_m window."""
@@ -348,36 +352,31 @@ class Schedule:
 
 class _Checkpoints:
     """What a run does at a time t = 0..total_steps: that time's coin gates,
-    then ``snapshot(work)`` kept in ``snaps`` if t is wanted, then
-    ``observe(t, work)``."""
+    then ``snapshot(work)`` kept in ``snaps`` if t is wanted, then the fidelity
+    to a pure ``start`` ((N, 2) or laid out as |psi><psi|) in ``trace[t]``."""
 
     def __init__(self, schedule: Schedule, snapshot_times: Sequence[int],
-                 snapshot: Callable, observe: Callable | None):
+                 snapshot: Callable, start: np.ndarray | None = None):
         self.wanted = set(snapshot_times)
         for t in self.wanted:
             if not (0 <= t <= schedule.total_steps):
                 raise ScheduleError(f"snapshot time {t} outside run")
         self.schedule = schedule
         self.snapshot = snapshot
-        self.observe = observe
         self.snaps: dict[int, Any] = {}
-
-    def times(self, lo: int, hi: int) -> list[int]:
-        """The times in lo+1 .. hi that need the state: all of them with an
-        observer, else the wanted ones and hi."""
-        if self.observe is not None:
-            return list(range(lo + 1, hi + 1))
-        return sorted({t for t in self.wanted if lo < t < hi} | {hi})
+        self.start = start
+        self.trace = None if start is None else np.empty(schedule.total_steps + 1)
 
     def __call__(self, t: int, work: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Returns (work, spare) after t's gates, which swap the two buffers."""
         for u in self.schedule.insertions_at(t):
-            gate = _coin_map(work.ndim // 2, _check_unitary(u))
-            work, spare = _apply_coin_map(work, gate, spare), work
+            work, spare = _apply_coin_map(work, _coin_map(work.ndim // 2, u), spare), work
         if t in self.wanted:
             self.snaps[t] = self.snapshot(work)
-        if self.observe is not None:
-            self.observe(t, work)
+        if self.start is not None:
+            # site-major, as lattice.fidelity sums; rho~_t is zero off the support
+            overlap = np.vdot(self.start, work.T if work.ndim == 2 else work)
+            self.trace[t] = abs(overlap) ** 2 if work.ndim == 2 else overlap.real
         return work, spare
 
 
@@ -457,6 +456,21 @@ class _PlainPower:
         out *= (1, 1j, -1, -1j)[n % 4]
         return out
 
+    def fidelities(self, n: np.ndarray, bra: np.ndarray, kamp: np.ndarray) -> np.ndarray:
+        """|<bra|Z^n kamp>|^2 for each n of ``n``, from (N, 2) momentum amplitudes:
+        |sum_k [cos(n a) A - i sin(n a) B]|^2 with A = bra^dag kamp and B =
+        bra^dag (M / sin a) kamp at each k (i^n drops out), as (n x N) products."""
+        bra = bra.conj()
+        a = np.sum(bra * kamp, axis=1)
+        b = (bra[:, 0] * (self.diag * kamp[:, 0] + self.up * kamp[:, 1])
+             + bra[:, 1] * (self.down * kamp[:, 0] - self.diag * kamp[:, 1]))
+        out = np.empty(len(n))
+        rows = max(1, (1 << 18) // len(a))  # (n, k) entries per product
+        for lo in range(0, len(n), rows):
+            angle = np.multiply.outer(n[lo:lo + rows], self.alpha)
+            out[lo:lo + rows] = np.abs(np.cos(angle) @ a - 1j * (np.sin(angle) @ b)) ** 2
+        return out
+
 
 # ---------------------------------------------------------------------------
 # Front ends: pure states, then density operators.
@@ -474,7 +488,6 @@ def evolve(
     state: PureState,
     schedule: Schedule,
     snapshot_times: Sequence[int] = (),
-    observe: Callable[[int, np.ndarray], None] | None = None,
 ) -> EvolutionResult:
     """Run a schedule on a pure state.
 
@@ -484,34 +497,41 @@ def evolve(
     ``_stretches``) is one jump: the state at its start t_e goes to momentum
     space once, and the state at each later time t of the stretch that is
     needed is to_position(Z^(t - t_e) psi~_e), never one derived from another,
-    so observing a run cannot change its arithmetic.  The steps of an F_m
+    so snapshots cannot change the run's arithmetic.  The steps of an F_m
     window, whose phase e^{i phi x} need not fit the lattice period, are
     taken one by one in position space on a coin-major (2, N) working array.
     Snapshots and the final state are converted back to (N, 2), and their
     norms validated.
-
-    ``observe(t, amp)`` is called at every t = 0..total_steps, after that
-    time's insertions, with the coin-major array amp[c] = psi[:, c], which
-    it must neither keep nor modify.  Each observation or snapshot inside a
-    plain stretch costs one inverse DFT.
     """
     if schedule.channel is not None:
         raise ScheduleError("schedule has a channel; use channels.evolve_open")
+    amp, checkpoint = _run_pure(state, schedule, snapshot_times)
+    return EvolutionResult(state.with_amplitudes(_transpose(amp)), checkpoint.snaps)
+
+
+def _run_pure(state: PureState, schedule: Schedule, snapshot_times: Sequence[int] = (),
+              fidelity: bool = False) -> tuple[np.ndarray, _Checkpoints]:
+    """``evolve`` up to its final coin-major array: (array, checkpoints).  With ``fidelity``
+    they hold |<state|psi_t>|^2, by ``_PlainPower.fidelities`` inside plain stretches."""
     lattice = state.lattice
     phases = {phi: _fm_phase(lattice.sites, phi) for _, _, phi in schedule.fm_windows}
     power = _PlainPower(schedule.theta, lattice.momenta)
     checkpoint = _Checkpoints(schedule, snapshot_times,
-                              lambda a: state.with_amplitudes(_transpose(a)), observe)
+                              lambda a: state.with_amplitudes(_transpose(a)),
+                              state.amplitudes if fidelity else None)
+    bra = to_momentum(state.amplitudes) if fidelity else None
     amp, spare = checkpoint(0, _transpose(state.amplitudes), np.empty((2, lattice.n_sites), complex))
     for lo, hi in _stretches(schedule):
         if schedule.phi_at(hi) is None:
             kamp = to_momentum(amp.T)
-            for t in checkpoint.times(lo, hi):
+            if fidelity:
+                checkpoint.trace[lo + 1:hi] = power.fidelities(np.arange(1, hi - lo), bra, kamp)
+            for t in sorted({t for t in checkpoint.wanted if lo < t < hi} | {hi}):
                 amp, spare = checkpoint(t, _transpose(to_position(power.apply(t - lo, kamp))), spare)
         else:
             amp, spare = _run(amp, spare, schedule, range(lo + 1, hi + 1), checkpoint, _shift,
                               lambda a, phi: np.multiply(a, phases[phi], out=a))
-    return EvolutionResult(state.with_amplitudes(_transpose(amp)), checkpoint.snaps)
+    return amp, checkpoint
 
 
 def step(state: PureState, theta: float) -> PureState:
@@ -523,18 +543,19 @@ def step(state: PureState, theta: float) -> PureState:
 
 
 def _run_density(layout: MomentumLayout, rho0, schedule: Schedule,
-                 snapshot_times: Sequence[int] = (), observe: Callable | None = None,
-                 channel: Callable | None = None) -> tuple[np.ndarray, dict[int, Any]]:
-    """_run on rho0 laid out on ``layout``; returns the final working array
-    and the snapshots, materialized in position space and validated."""
+                 snapshot_times: Sequence[int] = (), channel: Callable | None = None,
+                 fidelity: bool = False) -> tuple[np.ndarray, _Checkpoints]:
+    """_run on rho0 laid out on ``layout``: (final working array, checkpoints), the
+    snapshots materialized and validated, with ``fidelity`` <psi|rho_t|psi> for rho0 = psi."""
     lattice = layout.lattice
-    checkpoint = _Checkpoints(schedule, snapshot_times,
-                              lambda w: DensityOperator(lattice, layout.materialize(w)), observe)
     work = layout.start(rho0)
+    checkpoint = _Checkpoints(schedule, snapshot_times,
+                              lambda w: DensityOperator(lattice, layout.materialize(w)),
+                              work.copy() if fidelity else None)
     work, spare = checkpoint(0, work, np.empty_like(work))
     work, _ = _run(work, spare, schedule, range(1, schedule.total_steps + 1), checkpoint,
                    layout.shift(), layout.apply_fm, channel)
-    return work, checkpoint.snaps
+    return work, checkpoint
 
 
 def _conjugate_coins(rho: DensityOperator, cmap: np.ndarray) -> DensityOperator:

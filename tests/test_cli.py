@@ -248,6 +248,21 @@ def test_memory_guard_refuses_before_building_the_packet(scenario, monkeypatch, 
     assert "refused" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["qwalk", "--sigma", "1e308"], 2, "config error: lattice size"),
+    (["decohere", "--sigma", "1e308"], 2, "config error: lattice size"),
+    (["qwalk", "--steps", "100000000000000000000"], 3, "refused"),
+    (["electricfid", "--steps", "5", "--n", "1000000000000000000"], 3, "refused"),
+])
+def test_cli_refuses_oversized_inputs_without_a_traceback(argv, code, message, tmp_path, capsys):
+    # an infinite sizing rule is a config error; a lattice whose one (N, 2)
+    # state alone exceeds --max-bytes is refused before anything is allocated
+    assert main(argv + ["--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"catwalk: {message}") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_unwritable_out_exits_4(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -366,6 +381,8 @@ def test_cli_plot_format(tmp_path, capsys):
         ["evolve", "--steps", "8", "--sigma", "2", "--stride", "4"],
         ["spectrum", "--lattice", "32", "--theta", "0.7"],
         ["qwalk", "--steps", "12", "--sigma", "2", "--lattice", "64"],
+        ["revival", "--steps", "10", "--sigma", "2", "--eta", "0"],
+        ["revival", "--steps", "5", "--sigma", "2", "--eta", "0.01", "--target", "walker"],
     ],
 )
 def test_cli_reruns_are_byte_identical(argv, tmp_path, capsys):

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catwalk.channels import evolve_open
+from catwalk import walk
+from catwalk.analysis import revival_protocol
+from catwalk.channels import evolve_open, fidelity_trace
 from catwalk.lattice import (
     COIN_DOWN,
     COIN_SYMMETRIC,
@@ -30,6 +32,7 @@ from catwalk.walk import (
     step,
     step_density,
     _PlainPower,
+    _run_pure,
 )
 from dense_oracle import dense_pure_run, dense_walk_unitary
 
@@ -249,22 +252,12 @@ def test_evolve_matches_dense_oracle(
         gates.append((min(t, steps), q))
     sched = Schedule(steps, theta, fm_windows=((start, end, phi),), coin_gate_insertions=gates)
     snaps = {min(t, steps) for t in snapshot_times}
-    observed = []
-    result = evolve(
-        psi, sched, snapshot_times=snaps, observe=lambda t, amp: observed.append((t, amp.T.copy()))
-    )
+    result = evolve(psi, sched, snapshot_times=snaps)
     expected = dense_pure_run(psi.amplitudes.ravel(), n, sched)
     assert set(result.snapshots) == snaps
     for t, state in [*result.snapshots.items(), (steps, result.final)]:
         np.testing.assert_allclose(state.amplitudes.ravel(), expected[t], atol=1e-12)
         assert state.norm() == pytest.approx(1.0, abs=1e-12)
-    # observe sees every time, after that time's gates, the state a snapshot returns
-    assert [t for t, _ in observed] == list(range(steps + 1))
-    for t, amp in observed:
-        np.testing.assert_allclose(amp.ravel(), expected[t], atol=1e-12)
-    for t, state in result.snapshots.items():
-        np.testing.assert_array_equal(observed[t][1], state.amplitudes)
-    np.testing.assert_array_equal(observed[-1][1], result.final.amplitudes)
 
 
 @pytest.mark.parametrize("runner", ["evolve", "evolve_open"])
@@ -324,23 +317,83 @@ def test_evolve_plain_and_reversal_schedules_match_dense_oracle(theta, quarter_n
 
 
 def test_observing_a_run_does_not_change_its_arithmetic():
-    # plain stretches are jumps from their start, so snapshots and an observer
-    # add inverse DFTs but change no amplitude of the run, bit for bit
+    # plain stretches are jumps from their start, so snapshots and the
+    # fidelity trace add inverse DFTs and products but change no amplitude of
+    # the run, bit for bit
     theta = 0.9
     psi = gaussian_position_state(make_lattice(96), 4.0, COIN_SYMMETRIC, k0=0.2)
     r, r_dag = reversal_pair(theta)
     sched = Schedule(40, theta, fm_windows=((12, 20, 2 * np.pi / 5),),
                      coin_gate_insertions=((6, SIGMA_Y), (20, r), (40, r_dag)))
     bare = evolve(psi, sched).final.amplitudes
-    observed = {}
     times = (0, 3, 6, 15, 20, 33, 40)
-    watched = evolve(psi, sched, snapshot_times=times,
-                     observe=lambda t, amp: observed.setdefault(t, amp.T.copy()))
-    assert np.array_equal(watched.final.amplitudes, bare)
-    assert sorted(observed) == list(range(41))
-    for t in times:
-        assert np.array_equal(watched.snapshots[t].amplitudes, observed[t])
+    amp, checkpoint = _run_pure(psi, sched, times, fidelity=True)
+    assert np.array_equal(amp.T, bare)
+    assert checkpoint.trace.shape == (41,)
     snapped = evolve(psi, sched, snapshot_times=times)
     assert np.array_equal(snapped.final.amplitudes, bare)
     for t in times:
-        assert np.array_equal(snapped.snapshots[t].amplitudes, observed[t])
+        assert np.array_equal(snapped.snapshots[t].amplitudes, checkpoint.snaps[t].amplitudes)
+        assert checkpoint.trace[t] == fidelity(psi, snapped.snapshots[t])
+
+
+def test_schedule_checks_its_gates_when_built():
+    # a bad gate at the last step is refused before any step is run
+    with pytest.raises(StateError, match="not unitary"):
+        Schedule(10**6, 0.7, coin_gate_insertions=((10**6, np.array([[1.0, 1.0], [0.0, 1.0]])),))
+    with pytest.raises(StateError, match="2x2"):
+        Schedule(5, 0.7, coin_gate_insertions=((5, np.eye(3)),))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    theta=THETA_WITH_EDGES,
+    quarter_n=st.integers(1, 6),
+    steps=st.integers(0, 20),
+    kind=st.sampled_from(["exact", "sigma_y", "window", "gates"]),
+    phi=st.floats(-np.pi, np.pi),
+    gate_times=st.lists(st.integers(0, 40), max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_fidelity_trace_matches_dense_oracle(theta, quarter_n, steps, kind, phi,
+                                                    gate_times, seed):
+    # N % 4 == 0 puts k = +-pi/2, where sin(a) = 0 at theta = 0 and pi, on the grid
+    n = 4 * quarter_n
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    psi = PureState(make_lattice(n), amp / np.linalg.norm(amp))
+    total = 2 * steps
+    if kind == "window":
+        # a reversal around an F_m window, as the control protocol runs it
+        gate, gate_back = reversal_pair(theta)
+        sched = Schedule(total + 4, theta, fm_windows=((steps, steps + 4, phi),),
+                         coin_gate_insertions=((steps + 4, gate), (total + 4, gate_back)))
+    elif kind == "gates":
+        gates = []
+        for t in gate_times:
+            q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            gates.append((min(t, total), q))
+        sched = Schedule(total, theta, coin_gate_insertions=gates)
+    else:
+        gate, gate_back = reversal_pair(theta) if kind == "exact" else (SIGMA_Y, SIGMA_Y)
+        sched = Schedule(total, theta, coin_gate_insertions=((steps, gate), (total, gate_back)))
+    trace = fidelity_trace(psi, sched)
+    ket = psi.amplitudes.ravel()
+    expected = [abs(np.vdot(ket, state)) ** 2 for state in dense_pure_run(ket, n, sched)]
+    np.testing.assert_allclose(trace, expected, rtol=0, atol=1e-13)
+
+
+def test_closed_fidelity_trace_takes_one_inverse_dft_per_stretch(monkeypatch):
+    calls = []
+    to_position = walk.to_position
+
+    def counted(amp):
+        calls.append(len(amp))
+        return to_position(amp)
+
+    monkeypatch.setattr(walk, "to_position", counted)
+    psi = gaussian_position_state(make_lattice(96), 4.0, COIN_SYMMETRIC)
+    res = revival_protocol(psi, 0.7, 20)
+    assert len(res.trace) == 41
+    # the revival's two plain stretches, 0 .. 20 and 20 .. 40
+    assert len(calls) == 2
