@@ -2,18 +2,17 @@
 
 One subcommand per figure scenario plus generic ``evolve`` and
 ``spectrum``.  Exit codes: 0 success, 2 configuration error, 3 resource
-guard refusal, 4 outputs that cannot be written.  The CATWALK_OUT
-environment variable sets the default output root; --out overrides it.
+guard refusal, 4 outputs that cannot be written.  The output directory
+is --out, else a config file's out=, else $CATWALK_OUT, else ".".
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .channels import ChannelError
-from .config import KEYS, OUT_ENV, ConfigError, parse_config
+from .config import KEYS, ConfigError, parse_config
 from .io import emit_results
 from .lattice import LatticeError, StateError
 from .scenarios import RUNNERS, ResourceGuardError, run_scenario
@@ -43,8 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     flags = {k: getattr(args, k) for k in KEYS}
-    if flags["out"] is None:
-        flags["out"] = os.environ.get(OUT_ENV)
 
     try:
         text = ""

@@ -2,13 +2,15 @@
 
 Precedence is flag > file > default, and the origin of every value is
 recorded so emitted metadata can state where each parameter came from.
+Each key is one ExperimentConfig field: its annotation is the value type,
+and its metadata holds the flag, help, valid range and whether runs echo
+it.  ``out`` defaults to $CATWALK_OUT, else ".", read when a config is built.
 """
-
-from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 import math
-from typing import Callable, NamedTuple
+import os
+from typing import NamedTuple, get_args
 
 from .channels import CHANNEL_KINDS, DEPHASING, TARGET_BOTH, TARGETS
 
@@ -21,96 +23,96 @@ class ConfigError(ValueError):
     """Bad key, bad type, or out-of-range value in a configuration."""
 
 
+# A valid range is (test, text): a value failing the test is refused as
+# "<key>: must be <text>, got <value>".
+def _above(low):
+    return (lambda v: v > low), f"> {low}"
+
+
+def _at_least(low):
+    return (lambda v: v >= low), f">= {low}"
+
+
+def _one_of(values):
+    return (lambda v: v in values), f"one of {values}"
+
+
+def _key(flag, help, valid=None, choices=None, echo=True, **default):
+    """A key's field; ``default`` is its ``default=`` or ``default_factory=``."""
+    return field(**default, metadata=dict(flag=flag, help=help, valid=valid, choices=choices,
+                                          echo=echo))
+
+
 @dataclass
 class ExperimentConfig:
-    """Resolved parameters for one scenario run.
+    """Resolved parameters for one scenario run, one field per key in CLI
+    help order.
 
     ``lattice`` of None means auto-sizing from the run length and packet
-    width.  ``provenance`` maps each field name to "flag", "file", or
-    "default".
+    width.  ``provenance`` maps each key to "flag", "file", or "default".
     """
 
     scenario: str = ""
-    theta: float = math.pi / 4
-    sigma: float = 10.0
-    k0: float = 0.0
-    steps: int = 150
-    eta: float = 0.01
-    channel: str = DEPHASING
-    target: str = TARGET_BOTH
-    p: int = 10
-    n: int = 5
-    lattice: int | None = None
-    out: str = "."
-    stride: int = 10
-    fmt: str = "csv"
-    max_bytes: float = 4e9
+    theta: float = _key("--theta", "coin angle (radians)", default=math.pi / 4)
+    sigma: float = _key("--sigma", "initial Gaussian width (sites)", _above(0), default=10.0)
+    steps: int = _key("--steps", "walk steps (T or t per scenario)", _at_least(0), default=150)
+    eta: float = _key("--eta", "per-step bath strength", _at_least(0), default=0.01)
+    channel: str = _key("--channel", " | ".join(CHANNEL_KINDS), _one_of(CHANNEL_KINDS),
+                        default=DEPHASING)
+    target: str = _key("--target", " | ".join(TARGETS) + " (dephasing only)", _one_of(TARGETS),
+                       default=TARGET_BOTH)
+    p: int = _key("--p", "momentum-shift period parameter", _at_least(1), default=10)
+    n: int = _key("--n", "number of 2p hold cycles", _at_least(0), default=5)
+    k0: float = _key("--k0", "initial mean momentum", default=0.0)
+    # a key whose type admits None also takes "auto" for it
+    lattice: int | None = _key(
+        "--lattice", "lattice size N (default auto)",
+        ((lambda n: n is None or (n >= 4 and n % 2 == 0)), "even and >= 4 (or auto)"),
+        default=None)
+    stride: int = _key("--stride", "snapshot stride in steps", _at_least(1), default=10)
+    max_bytes: float = _key("--max-bytes", "memory budget in bytes for one run's states",
+                            _above(0), echo=False, default=4e9)
+    out: str = _key("--out", f"output directory (default ${OUT_ENV} or current dir)",
+                    echo=False, default_factory=lambda: os.environ.get(OUT_ENV, "."))
+    fmt: str = _key("--format", "table output format (default csv)", _one_of(FORMATS),
+                    choices=FORMATS, echo=False, default="csv")
     provenance: dict = field(default_factory=dict)
 
 
 class Key(NamedTuple):
-    """One scenario key: its CLI flag, value type and help text."""
+    """One key's field: ``type`` is what its text parses to, and ``auto``
+    whether it also takes "auto" (None)."""
 
     flag: str
-    type: Callable
+    type: type
     help: str
-    choices: tuple | None = None
+    choices: tuple | None
+    valid: tuple | None
+    echo: bool
+    auto: bool
 
 
 # Every key a config file or a flag may set, in CLI help order.  File values
-# and flags are parsed alike, with the key's type, except that lattice also
-# takes "auto".
+# and flags are parsed alike.  The types are read from the field annotations
+# at run time, which is why this module does not postpone annotations.
 KEYS = {
-    "theta": Key("--theta", float, "coin angle (radians)"),
-    "sigma": Key("--sigma", float, "initial Gaussian width (sites)"),
-    "steps": Key("--steps", int, "walk steps (T or t per scenario)"),
-    "eta": Key("--eta", float, "per-step bath strength"),
-    "channel": Key("--channel", str, " | ".join(CHANNEL_KINDS)),
-    "target": Key("--target", str, " | ".join(TARGETS) + " (dephasing only)"),
-    "p": Key("--p", int, "momentum-shift period parameter"),
-    "n": Key("--n", int, "number of 2p hold cycles"),
-    "k0": Key("--k0", float, "initial mean momentum"),
-    "lattice": Key("--lattice", int, "lattice size N (default auto)"),
-    "stride": Key("--stride", int, "snapshot stride in steps"),
-    "max_bytes": Key("--max-bytes", float, "memory budget in bytes for one run's states"),
-    "out": Key("--out", str, f"output directory (default ${OUT_ENV} or current dir)"),
-    "fmt": Key("--format", str, "table output format (default csv)", FORMATS),
+    f.name: Key(type=(get_args(f.type) or (f.type,))[0], auto=type(None) in get_args(f.type),
+                **f.metadata)
+    for f in fields(ExperimentConfig) if f.metadata
 }
 
 
 def _parse(key: str, text: str):
-    return None if key == "lattice" and text == "auto" else KEYS[key].type(text)
+    return None if KEYS[key].auto and text == "auto" else KEYS[key].type(text)
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    def bad(key, why):
-        raise ConfigError(f"{key}: {why}")
-
-    for key in ("theta", "sigma", "k0", "eta", "max_bytes"):
-        if not math.isfinite(getattr(cfg, key)):
-            bad(key, f"must be finite, got {getattr(cfg, key)}")
-    if cfg.sigma <= 0:
-        bad("sigma", f"must be > 0, got {cfg.sigma}")
-    if cfg.steps < 0:
-        bad("steps", f"must be >= 0, got {cfg.steps}")
-    if cfg.eta < 0:
-        bad("eta", f"must be >= 0, got {cfg.eta}")
-    if cfg.channel not in CHANNEL_KINDS:
-        bad("channel", f"must be one of {CHANNEL_KINDS}, got {cfg.channel!r}")
-    if cfg.target not in TARGETS:
-        bad("target", f"must be one of {TARGETS}, got {cfg.target!r}")
-    if cfg.p < 1:
-        bad("p", f"must be >= 1, got {cfg.p}")
-    if cfg.n < 0:
-        bad("n", f"must be >= 0, got {cfg.n}")
-    if cfg.lattice is not None and (cfg.lattice < 4 or cfg.lattice % 2):
-        bad("lattice", f"must be even and >= 4 (or auto), got {cfg.lattice}")
-    if cfg.stride < 1:
-        bad("stride", f"must be >= 1, got {cfg.stride}")
-    if cfg.fmt not in FORMATS:
-        bad("fmt", f"must be one of {FORMATS}, got {cfg.fmt!r}")
-    if cfg.max_bytes <= 0:
-        bad("max_bytes", f"must be > 0, got {cfg.max_bytes}")
+    for key, spec in KEYS.items():
+        value = getattr(cfg, key)
+        if spec.type is float and not math.isfinite(value):
+            raise ConfigError(f"{key}: must be finite, got {value}")
+        if spec.valid and not spec.valid[0](value):
+            raise ConfigError(f"{key}: must be {spec.valid[1]}, got {value!r}")
 
 
 def parse_config(
@@ -126,7 +128,7 @@ def parse_config(
     number for file entries).
     """
     cfg = ExperimentConfig(scenario=scenario)
-    prov = {f.name: "default" for f in fields(cfg) if f.name not in ("scenario", "provenance")}
+    prov = dict.fromkeys(KEYS, "default")
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

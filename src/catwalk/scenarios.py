@@ -28,7 +28,7 @@ from .analysis import (
     schmidt_components,
 )
 from .channels import CHANNEL_KINDS, DEPHASING, TARGET_COIN, TARGETS, ChannelSpec, evolve_open
-from .config import ConfigError, ExperimentConfig
+from .config import KEYS, ConfigError, ExperimentConfig
 from .io import ResultRecord, Table
 from .lattice import (
     COIN_SYMMETRIC,
@@ -84,6 +84,12 @@ def _guard_density(n_sites: int, cfg: ExperimentConfig) -> None:
                                  "peak working set: 3 density matrices plus numpy buffers")
 
 
+def _guard_state(n_sites: int, cfg: ExperimentConfig) -> None:
+    if 32 * n_sites > cfg.max_bytes:
+        raise ResourceGuardError(32 * n_sites, cfg.max_bytes,
+                                 f"one pure state on N={n_sites} sites")
+
+
 # Figure-faithful defaults applied only where the user left the global
 # default in place.
 SCENARIO_DEFAULTS = {
@@ -110,8 +116,7 @@ def _lattice_size(cfg: ExperimentConfig, total_steps: int) -> int:
             f"around the periodic boundary"
         )
     n = cfg.lattice or n
-    if 32 * n > cfg.max_bytes:
-        raise ResourceGuardError(32 * n, cfg.max_bytes, f"one pure state on N={n} sites")
+    _guard_state(n, cfg)
     return n
 
 
@@ -135,19 +140,11 @@ def _target(kind: str, target: str) -> str:
 
 
 def _base_metadata(cfg: ExperimentConfig, n_sites: int) -> dict:
-    meta = {
-        "theta": repr(cfg.theta),
-        "sigma": repr(cfg.sigma),
-        "k0": repr(cfg.k0),
-        "steps": cfg.steps,
-        "eta": repr(cfg.eta),
-        "channel": cfg.channel,
-        "target": cfg.target,
-        "p": cfg.p,
-        "n": cfg.n,
-        "lattice": n_sites,
-        "stride": cfg.stride,
-    }
+    """Every echoed key, floats as repr, with lattice as the resolved N, and
+    every key's provenance."""
+    meta = {key: (repr if spec.type is float else str)(getattr(cfg, key))
+            for key, spec in KEYS.items() if spec.echo}
+    meta["lattice"] = n_sites
     for key, origin in sorted(cfg.provenance.items()):
         meta[f"provenance.{key}"] = origin
     return meta
@@ -360,8 +357,11 @@ def run_evolve(cfg: ExperimentConfig) -> ResultRecord:
 
 
 def run_spectrum(cfg: ExperimentConfig) -> ResultRecord:
-    """Quasi-energy bands and their small-k linearization over the zone."""
+    """Quasi-energy bands and their small-k linearization over the zone.
+    No packet is built, so the sizing rule does not apply; the one-state
+    guard does."""
     n = cfg.lattice or 256
+    _guard_state(n, cfg)
     lat = make_lattice(n)
     rows = []
     for k in lat.momenta:

@@ -69,6 +69,34 @@ def test_non_finite_values_exit_2(key, value, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, accepted, refused, message", [
+    ("theta", "1.7976931348623157e308", "inf", "theta: must be finite, got inf"),
+    ("k0", "-1.7976931348623157e308", "-inf", "k0: must be finite, got -inf"),
+    ("sigma", "5e-324", "0", "sigma: must be > 0, got 0.0"),
+    ("steps", "0", "-1", "steps: must be >= 0, got -1"),
+    ("eta", "0", "-5e-324", "eta: must be >= 0, got -5e-324"),
+    ("p", "1", "0", "p: must be >= 1, got 0"),
+    ("n", "0", "-1", "n: must be >= 0, got -1"),
+    ("lattice", "6", "7", "lattice: must be even and >= 4 (or auto), got 7"),
+    ("lattice", "4", "2", "lattice: must be even and >= 4 (or auto), got 2"),
+    ("lattice", "auto", "0", "lattice: must be even and >= 4 (or auto), got 0"),
+    ("stride", "1", "0", "stride: must be >= 1, got 0"),
+    ("max_bytes", "5e-324", "0", "max_bytes: must be > 0, got 0.0"),
+    ("channel", "bit_flip", "bitflip",
+     "channel: must be one of ('dephasing', 'amplitude_damping', 'bit_flip'), got 'bitflip'"),
+    ("target", "both", "all", "target: must be one of ('coin', 'walker', 'both'), got 'all'"),
+    ("fmt", "both", "json", "fmt: must be one of ('csv', 'plot', 'both'), got 'json'"),
+])
+def test_each_key_range_edge(key, accepted, refused, message):
+    # a file value and a flag value meet the same range and the same refusal
+    for build in (lambda v: parse_config(f"{key}={v}\n"), lambda v: parse_config(flags={key: v})):
+        expected = None if accepted == "auto" else KEYS[key].type(accepted)
+        assert getattr(build(accepted), key) == expected
+        with pytest.raises(ConfigError) as refusal:
+            build(refused)
+        assert str(refusal.value) == message
+
+
 def test_parser_flags_are_the_config_keys():
     config_keys = {f.name for f in fields(ExperimentConfig)} - {"scenario", "provenance"}
     assert set(KEYS) == config_keys
@@ -253,6 +281,8 @@ def test_memory_guard_refuses_before_building_the_packet(scenario, monkeypatch, 
     (["decohere", "--sigma", "1e308"], 2, "config error: lattice size"),
     (["qwalk", "--steps", "100000000000000000000"], 3, "refused"),
     (["electricfid", "--steps", "5", "--n", "1000000000000000000"], 3, "refused"),
+    # spectrum builds no packet, so only the one-state guard applies
+    (["spectrum", "--lattice", "1000000000000000000"], 3, "refused"),
 ])
 def test_cli_refuses_oversized_inputs_without_a_traceback(argv, code, message, tmp_path, capsys):
     # an infinite sizing rule is a config error; a lattice whose one (N, 2)
@@ -362,6 +392,41 @@ def test_cli_out_env_default(tmp_path, capsys, monkeypatch):
     code = main(["spectrum", "--lattice", "16"])
     assert code == 0
     assert (tmp_path / "spectrum_bands.csv").exists()
+
+
+def test_cli_out_precedence_is_flag_file_env(tmp_path, capsys, monkeypatch):
+    # $CATWALK_OUT is the default of out, so a config file's out= beats it
+    monkeypatch.setenv("CATWALK_OUT", str(tmp_path / "env"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"out={tmp_path / 'file'}\n")
+    assert main(["spectrum", "--lattice", "16", "--config", str(cfg)]) == 0
+    assert (tmp_path / "file" / "spectrum_bands.csv").exists()
+    assert main(["spectrum", "--lattice", "16", "--config", str(cfg),
+                 "--out", str(tmp_path / "flag")]) == 0
+    assert (tmp_path / "flag" / "spectrum_bands.csv").exists()
+    assert not (tmp_path / "env").exists()
+    assert main(["spectrum", "--lattice", "16"]) == 0
+    assert "provenance.out=default" in (tmp_path / "env" / "spectrum_meta.txt").read_text()
+
+
+def test_cli_metadata_echoes_every_key_but_out_fmt_and_max_bytes(tmp_path, capsys):
+    # floats are written as repr, the rest as text, lattice as the resolved N
+    echoed = {"theta": "0.30000000000000004", "sigma": "2.5", "steps": "3", "eta": "0.001",
+              "channel": "bit_flip", "target": "coin", "p": "7", "n": "2", "k0": "0.1",
+              "lattice": "16", "stride": "2"}
+    argv = ["spectrum", "--theta", "0.30000000000000004", "--sigma", "2.50", "--steps", "03",
+            "--eta", "1e-3", "--channel", "bit_flip", "--target", "coin", "--p", "7", "--n", "2",
+            "--k0", ".1", "--lattice", "16", "--stride", "2", "--max-bytes", "1e9",
+            "--format", "csv", "--out", str(tmp_path)]
+    assert {key.flag for key in KEYS.values()} <= set(argv)
+    assert main(argv) == 0
+    lines = (tmp_path / "spectrum_meta.txt").read_text().splitlines()
+    meta = dict(line.split("=", 1) for line in lines)
+    provenance = {k[len("provenance."):]: v for k, v in meta.items() if k.startswith("provenance.")}
+    assert provenance == dict.fromkeys([*echoed, "out", "fmt", "max_bytes"], "flag")
+    assert len(provenance) == 14
+    assert {k: v for k, v in meta.items() if not k.startswith("provenance.")} == {
+        "scenario": "spectrum", "version": catwalk.__version__, **echoed}
 
 
 def test_cli_plot_format(tmp_path, capsys):
