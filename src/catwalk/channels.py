@@ -10,7 +10,9 @@ in momentum space: every channel here is translation-invariant, so it
 either keeps each pair (k, k') on its own (the coin-local ones) or mixes
 only the pairs of one line of constant k - k' (walker and both dephasing),
 and a start that occupies a narrow band of momenta is stepped on that band
-alone.  ``fidelity_trace`` takes a run's fidelity to its start in its own basis.
+alone.  Every channel here also keeps rho Hermitian, so a run on lines
+steps only the lines k - k' >= 0 and takes the others as their Hermitian
+mirror.  ``fidelity_trace`` takes a run's fidelity to its start in its own basis.
 """
 
 from __future__ import annotations
@@ -189,7 +191,9 @@ def open_layout(rho0: DensityOperator | PureState, schedule: Schedule) -> Moment
     ``momentum_window`` keeps of |psi~|^2; a DensityOperator start, and any
     schedule with an F_m window, occupy all N.  Coin-local channels and no
     channel keep the window's pairs, walker and both dephasing every line of
-    constant k - k' that the window spans.  ``start`` lays a state out on it.
+    constant k - k' that the window spans: of a window of M < (N + 1) / 2
+    momenta, the M lines k - k' >= 0, mirrored, and all N lines otherwise.
+    ``start`` lays a state out on it.
     A schedule channel that is not a ChannelSpec raises ``ChannelError``.
     """
     spec = schedule.channel

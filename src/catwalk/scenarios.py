@@ -69,10 +69,10 @@ def density_working_set_bytes(n_sites: int) -> int:
     freed, and the Hermiticity check needs only band-sized temporaries:
     3.10x one matrix at N=160, 3.03x at N=300.  A pure start at paper scale
     needs less.  An open revival, which never materializes its final state,
-    peaks at 0.56x (coin-local channels) and 2.3x (walker and both
-    dephasing, whose lines cover 73% of the pairs) at N=160, sigma=5, and at
-    0.14x and 1.5x at N=300, sigma=10; decohereprob's evolve_open at N=400,
-    sigma=10, at 1.3x and 1.6x.
+    peaks at 0.69x (coin-local channels) and 1.65x (walker and both
+    dephasing, which store the 59 mirrored lines q >= 0 of 160) at N=160,
+    sigma=5, and at 0.17x and 0.78x at N=300, sigma=10; decohereprob's
+    evolve_open at N=400, sigma=10, at 1.3x and 1.55x.
     """
     return 3 * 16 * (2 * n_sites) ** 2 + 256 * 1024
 

@@ -9,9 +9,11 @@ phase during steps ``start+1 .. end``.  Pure states and density operators
 share one step loop, ``_run``, and one ``_Checkpoints`` for what happens
 between steps: gates, snapshots and the fidelity to a pure start.  A density
 operator steps in momentum space on the support a ``MomentumLayout`` names,
-where the step Z acts as Z(k) (x) Z(k')^* and needs no shift.  A pure state
-jumps each plain stretch between events as one closed-form power Z(k)^n in
-momentum space, and steps F_m windows in position space.
+where the step Z acts as Z(k) (x) Z(k')^* and needs no shift; a layout of
+lines narrower than the lattice keeps only the lines k - k' >= 0, since every
+map of the step keeps rho Hermitian and line -q is the mirror of line q.  A
+pure state jumps each plain stretch between events as one closed-form power
+Z(k)^n in momentum space, and steps F_m windows in position space.
 """
 
 from __future__ import annotations
@@ -160,6 +162,13 @@ class MomentumLayout:
     such line.  Every pair of the support appears once, and rho~ is zero
     off it.  A block of N x N in the same coordinates holds the full
     support; ``_shear`` turns lines into pairs.
+
+    Lines that do not cover the lattice are ``mirrored``: only the offsets
+    q = 0 .. width-1 are stored, as line -q is the Hermitian mirror of line
+    q, rho~(k'-q, c; k', d) = conj rho~(k', d; k'-q, c).  Each map of a step
+    (coin maps, the shift phase, the line means) acts line by line and keeps
+    rho Hermitian, so it never needs the mirror half; ``materialize`` and
+    the fidelity start fill it in.
     """
 
     lattice: LatticeConfig
@@ -173,10 +182,11 @@ class MomentumLayout:
 
     @classmethod
     def lines_of(cls, lattice: LatticeConfig, width: int) -> "MomentumLayout":
-        """The lines k - k' that a window of ``width`` momenta spans."""
+        """The lines k - k' that a window of ``width`` momenta spans: the
+        offsets 0 .. width-1, mirrored, while the 2 width - 1 of them do not
+        cover the lattice, and all N lines otherwise."""
         n = lattice.n_sites
-        return cls(lattice, np.arange(1 - width, width) if 2 * width - 1 < n else np.arange(n),
-                   True)
+        return cls(lattice, np.arange(width if 2 * width - 1 < n else n), True)
 
     @property
     def second(self) -> np.ndarray:
@@ -189,6 +199,11 @@ class MomentumLayout:
     @property
     def full(self) -> bool:
         return self.shape == (self.lattice.n_sites,) * 2
+
+    @property
+    def mirrored(self) -> bool:
+        """Whether only the lines q >= 0 are stored; see the class docstring."""
+        return self.lines and not self.full
 
     def _place(self) -> tuple:
         """Where the working array sits in a block of N x N."""
@@ -225,7 +240,8 @@ class MomentumLayout:
         return work
 
     def materialize(self, work: np.ndarray, consume: bool = False) -> np.ndarray:
-        """rho(x, c; x', d) as a new (N, 2, N, 2) array, one coin block at a time.
+        """rho(x, c; x', d) as a new (N, 2, N, 2) array, one coin block at a time,
+        each with its mirrored lines filled in.
 
         With ``consume`` a full-support ``work`` is transformed in place,
         which leaves it unusable, and no block is allocated.
@@ -233,6 +249,9 @@ class MomentumLayout:
         n = self.lattice.n_sites
         out = np.empty((n, 2, n, 2), dtype=complex)
         block = None if consume and self.full else np.empty((n, n), dtype=complex)
+        if self.mirrored:
+            q = self.first[1:]
+            mirror = (np.arange(n) - q[:, None]) % n
         for c, d in _COIN_PAIRS:
             if block is None:
                 blk = work[c, d]
@@ -240,6 +259,9 @@ class MomentumLayout:
                 blk = block
                 blk.fill(0)
                 blk[self._place()] = work[c, d]
+                if self.mirrored:
+                    # line -q of block (c, d) at k' is line q of block (d, c) at k' - q
+                    blk[n - q] = np.take_along_axis(work[d, c, 1:], mirror, axis=1).conj()
             out[:, c, :, d] = _pair_dft(self._to_pairs(blk), inverse=True)
         return out
 
@@ -264,7 +286,8 @@ class MomentumLayout:
         factor.  Their product is kept, for one multiply a step, while the
         support holds at most half of the N^2 pairs, so that it and the
         start, working and spare arrays fit in two density matrices; a larger
-        support multiplies by the two factors.
+        support multiplies by the two factors.  Mirrored lines store at most
+        half of the pairs, so they always take the product.
         """
         s = np.array([1.0, -1.0])
         k = self.lattice.momenta
@@ -289,8 +312,10 @@ class MomentumLayout:
         """work -> e^{i phi (x - x')} work in place, through position space.
 
         The phase moves momenta by phi, which no smaller support holds, so it
-        needs the full one.
+        needs the full one; any other raises StateError.
         """
+        if not self.full:
+            raise StateError("an F_m phase needs the full momentum support")
         phase = _fm_phase(self.lattice.sites, phi)
         for c, d in _COIN_PAIRS:
             blk = _pair_dft(self._to_pairs(work[c, d]), inverse=True)
@@ -549,9 +574,12 @@ def _run_density(layout: MomentumLayout, rho0, schedule: Schedule,
     snapshots materialized and validated, with ``fidelity`` <psi|rho_t|psi> for rho0 = psi."""
     lattice = layout.lattice
     work = layout.start(rho0)
+    start = work.copy() if fidelity else None
+    if fidelity and layout.mirrored:
+        start[:, :, 1:] *= 2  # line -q's overlap is the conjugate of line q's
     checkpoint = _Checkpoints(schedule, snapshot_times,
                               lambda w: DensityOperator(lattice, layout.materialize(w)),
-                              work.copy() if fidelity else None)
+                              start)
     work, spare = checkpoint(0, work, np.empty_like(work))
     work, _ = _run(work, spare, schedule, range(1, schedule.total_steps + 1), checkpoint,
                    layout.shift(), layout.apply_fm, channel)

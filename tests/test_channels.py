@@ -14,11 +14,13 @@ from catwalk.channels import (
     momentum_window,
     open_layout,
 )
-from catwalk.analysis import REVERSER_EXACT, REVERSER_SIGMA_Y, revival_protocol
+from catwalk.analysis import (REVERSER_EXACT, REVERSER_SIGMA_Y, _reversal_schedule,
+                              revival_protocol)
 from catwalk.lattice import (
     COIN_DOWN,
     COIN_SYMMETRIC,
     DensityOperator,
+    PureState,
     StateError,
     fidelity_with_density,
     gaussian_momentum_state,
@@ -26,6 +28,7 @@ from catwalk.lattice import (
     localized_state,
     make_lattice,
     to_momentum,
+    to_position,
 )
 from catwalk import channels
 from catwalk.walk import SIGMA_Y, MomentumLayout, Schedule, evolve, reversal_pair
@@ -373,3 +376,78 @@ def test_long_open_runs_stay_physical(theta, eta, width, k0, variant, steps):
         assert np.trace(flat).real == pytest.approx(1.0, abs=1e-12)
         assert np.abs(flat - flat.conj().T).max() <= 1e-13
         assert result.snapshots[t].min_eigenvalue() >= -1e-12
+
+
+# ------------------------------------------------------ mirrored lines
+
+LINE_VARIANTS = [("dephasing", "walker"), ("dephasing", "both")]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    theta=st.floats(0.0, np.pi),
+    eta=st.one_of(st.floats(0.0, 5.0), st.just(1000.0)),
+    half_n=st.integers(16, 32),
+    width=st.floats(4.0, 8.0),
+    k0=st.floats(-0.5, 0.5),
+    variant=st.sampled_from(LINE_VARIANTS),
+    t=st.integers(1, 8),
+)
+def test_mirrored_lines_match_the_full_layout(theta, eta, half_n, width, k0, variant, t):
+    # a pure start keeps the lines q >= 0 only; the same run from
+    # DensityOperator.from_pure(psi) keeps every line of the lattice
+    n = 2 * half_n
+    psi = band_limited_packet(n, width, k0)
+    sched = _reversal_schedule(theta, t, REVERSER_EXACT,
+                               channel=ChannelSpec(variant[0], eta, variant[1]))
+    times = range(2 * t + 1)
+    mirrored, _, half = channels._run_open(psi, sched, times, fidelity=True)
+    full, _, whole = channels._run_open(DensityOperator.from_pure(psi), sched, times,
+                                        fidelity=True)
+    assert mirrored.mirrored == (eta > 0) and full.full and not full.mirrored
+    for s in times:
+        snap = half.snaps[s].as_2d
+        np.testing.assert_allclose(snap, whole.snaps[s].as_2d, rtol=0, atol=1e-12)
+        assert np.abs(snap - snap.conj().T).max() <= 1e-13
+    np.testing.assert_allclose(half.trace, whole.trace, rtol=0, atol=1e-12)
+
+
+def band_packet(n, width, seed=0):
+    """A random state whose momenta are exactly the ``width`` from n/4 on."""
+    rng = np.random.default_rng(seed)
+    kamp = np.zeros((n, 2), dtype=complex)
+    kamp[n // 4:n // 4 + width] = rng.normal(size=(width, 2)) + 1j * rng.normal(size=(width, 2))
+    kamp /= np.linalg.norm(kamp)
+    return PureState(make_lattice(n), to_position(kamp))
+
+
+@pytest.mark.parametrize("variant", LINE_VARIANTS)
+@pytest.mark.parametrize("extra", [0, 1])
+def test_mirror_boundary_matches_dense_oracle(variant, extra):
+    # 2 width - 1 = n - 1 lines are the widest mirrored layout; one more
+    # momentum makes the 2 width - 1 lines cover the lattice, which is full
+    n, t, theta = 24, 4, 0.7
+    width = n // 2 + extra
+    psi = band_packet(n, width)
+    sched = _reversal_schedule(theta, t, REVERSER_EXACT,
+                               channel=ChannelSpec(variant[0], 0.3, variant[1]))
+    layout = open_layout(psi, sched)
+    if extra:
+        assert layout.full and not layout.mirrored
+    else:
+        assert layout.mirrored and layout.shape == (width, n)
+    result = evolve_open(psi, sched, snapshot_times=range(2 * t + 1))
+    expected = dense_run(DensityOperator.from_pure(psi).as_2d, n, sched)
+    for s, want in enumerate(expected):
+        np.testing.assert_allclose(result.snapshots[s].as_2d, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("layout", [
+    lambda lat: MomentumLayout.pairs(lat, 3, 10),
+    lambda lat: MomentumLayout.lines_of(lat, 5),
+], ids=["window", "mirrored"])
+def test_fm_phase_refuses_a_partial_support(layout):
+    layout = layout(make_lattice(16))
+    work = np.zeros((2, 2, *layout.shape), dtype=complex)
+    with pytest.raises(StateError, match="full momentum support"):
+        layout.apply_fm(work, 0.1)
