@@ -21,6 +21,7 @@ from .lattice import (
     fidelity,
     localized_state,
     make_lattice,
+    to_momentum,
 )
 from .walk import (
     SIGMA_Y,
@@ -35,6 +36,7 @@ DEGENERACY_GAP = 0.05
 # a local maximum below this fraction of the highest is rounding noise, no peak
 PEAK_FLOOR = 1e-12
 PROJECTION_NORM_TOL = 1e-12
+FRINGE_OVERSAMPLE = 8  # padded lattice over the state's, for the fringe DFT
 
 REVERSER_EXACT = "exact"
 REVERSER_SIGMA_Y = "sigma_y"
@@ -192,27 +194,25 @@ def _find_peaks(x: np.ndarray, distance: float | None = None) -> np.ndarray:
     return peaks[keep]
 
 
-def momentum_fringes(
-    lattice: LatticeConfig, walker: np.ndarray, oversample: int = 8
-) -> FringeResult:
+def momentum_fringes(lattice: LatticeConfig, walker: np.ndarray) -> FringeResult:
     """Momentum distribution of a walker-only state with fringe metrics.
 
-    The state is zero-padded by ``oversample`` before the DFT so that
-    narrow fringes are resolved.  Fringe spacing comes from the first
-    off-zero peak of the distribution's autocorrelation; visibility is the
-    extremal contrast inside the envelope's half-maximum region.  A
+    The state is zero-padded to ``FRINGE_OVERSAMPLE`` times the lattice,
+    about its centre, before the DFT so that narrow fringes are resolved;
+    the momenta are the padded lattice's.  Fringe spacing comes from the
+    first off-zero peak of the distribution's autocorrelation; visibility is
+    the extremal contrast inside the envelope's half-maximum region.  A
     distribution with no interior oscillation reports spacing None and
     visibility 0.
     """
-    walker = np.asarray(walker, dtype=complex)
-    m = oversample * lattice.n_sites
+    padded = make_lattice(FRINGE_OVERSAMPLE * lattice.n_sites)
+    m = padded.n_sites
     buf = np.zeros(m, dtype=complex)
-    buf[lattice.sites % m] = walker
-    fk = np.fft.fftshift(np.fft.ifft(buf)) * m
-    prob = np.abs(fk) ** 2
+    buf[m // 2 + lattice.sites] = walker  # site x at index x + m/2, as on the padded lattice
+    prob = np.abs(to_momentum(buf, out=buf)) ** 2
     prob = prob / prob.sum()
     dk = 2.0 * np.pi / m
-    momenta = dk * np.arange(-(m // 2), m - m // 2)
+    momenta = padded.momenta
 
     # envelope through the local maxima, then its half-max region
     peak_idx = _find_peaks(prob)

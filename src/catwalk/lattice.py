@@ -4,7 +4,8 @@ Sites are labeled x in {-N/2, ..., N/2 - 1} for even N, and the momentum
 grid holds the N values k_j = 2*pi*j/N folded into [-pi, pi).  Pure states
 live over sites: a (N, 2) complex amplitude array, index order (site, coin
 level), with coin level 0 = up and 1 = down.  ``to_momentum`` and
-``to_position`` move plain amplitude arrays between sites and momenta.
+``to_position``, the package's only DFT, move amplitude arrays between
+sites and momenta along any one axis, in place if asked.
 """
 
 from __future__ import annotations
@@ -243,23 +244,40 @@ def gaussian_momentum_state(
     return PureState(lattice, to_position(amp))
 
 
-def to_momentum(amp: np.ndarray) -> np.ndarray:
-    """Unitary DFT of (N,) or (N, 2) amplitudes over sites to momenta,
+def _centred_dft(amp: np.ndarray, axis: int, out: np.ndarray | None, fft) -> np.ndarray:
+    """``fft`` (np.fft.ifft or np.fft.fft), made unitary, of ``amp`` along
+    ``axis`` between the centred grids, written to ``out``.
+
+    With array indices j = x + N/2 and m = N k / (2 pi) + N/2, e^{+-ikx} =
+    (-1)^(N/2) (-1)^m e^{+-2 pi i m j / N} (-1)^j for even N: a plain FFT
+    between two exact sign flips of alternate entries, the (-1)^(N/2) folded
+    into the second.  In place when ``out`` is ``amp``.
+    """
+    if out is None:
+        out = np.array(amp, dtype=complex)
+    elif out is not amp:
+        out[...] = amp
+    entries = np.moveaxis(out, axis, 0)  # a view of out
+    entries[1::2] *= -1
+    fft(out, axis=axis, norm="ortho", out=out)
+    entries[(len(entries) // 2 + 1) % 2::2] *= -1
+    return out
+
+
+def to_momentum(amp: np.ndarray, axis: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+    """Unitary DFT of amplitudes over sites, along ``axis``, to momenta,
     |x> = N^{-1/2} sum_k e^{ikx} |k>.
 
-    psi~(k_j) = N^{-1/2} sum_x exp(i k_j x) psi(x), rows ordered by
-    ascending k.  Row x=0 sits at array index N/2, hence the shifts.
+    psi~(k_j) = N^{-1/2} sum_x exp(i k_j x) psi(x), entries ordered by
+    ascending k as in ``LatticeConfig.momenta``.  Returns a new array, or
+    ``out`` filled; ``out`` may be ``amp`` itself.
     """
-    n = len(amp)
-    out = np.fft.ifft(np.fft.ifftshift(amp, axes=0), axis=0) * np.sqrt(n)
-    return np.fft.fftshift(out, axes=0)
+    return _centred_dft(amp, axis, out, np.fft.ifft)
 
 
-def to_position(amp: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`to_momentum`: (N,) or (N, 2) momentum amplitudes to sites."""
-    n = len(amp)
-    out = np.fft.fft(np.fft.ifftshift(amp, axes=0), axis=0) / np.sqrt(n)
-    return np.fft.fftshift(out, axes=0)
+def to_position(amp: np.ndarray, axis: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of :func:`to_momentum`: momentum amplitudes along ``axis`` to sites."""
+    return _centred_dft(amp, axis, out, np.fft.fft)
 
 
 def _check_compatible(a: PureState, b) -> None:

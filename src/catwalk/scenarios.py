@@ -222,7 +222,9 @@ def run_catstates(cfg: ExperimentConfig) -> ResultRecord:
     width_rows = []
     band_coin = CoinState.from_vector(eigen_system(cfg.theta, 0.0).u_minus)
     width_steps = 400
-    lat_wide = make_lattice(max(cfg.lattice or 0, recommended_size(width_steps, 15.0)))
+    n_wide = max(cfg.lattice or 0, recommended_size(width_steps, 15.0))
+    _guard_state(n_wide, cfg)
+    lat_wide = make_lattice(n_wide)
     for sigma0 in (3.0, 7.0, 11.0, 15.0):
         psi = gaussian_position_state(lat_wide, sigma0, band_coin)
         final = evolve(psi, Schedule(width_steps, cfg.theta)).final
@@ -362,19 +364,11 @@ def run_spectrum(cfg: ExperimentConfig) -> ResultRecord:
     guard does."""
     n = cfg.lattice or 256
     _guard_state(n, cfg)
-    lat = make_lattice(n)
-    rows = []
-    for k in lat.momenta:
-        e_minus, e_plus = exact_energies(cfg.theta, float(k))
-        rows.append((k, e_minus, e_plus, k * math.cos(cfg.theta) + math.pi / 2))
-    meta = _base_metadata(cfg, n)
-    table = Table(
-        "bands",
-        ("k", "e_minus", "e_plus", "e_linear"),
-        ("float", "float", "float", "float"),
-        np.array(rows),
-    )
-    return ResultRecord("spectrum", meta, [table])
+    k = make_lattice(n).momenta
+    e_minus, e_plus = exact_energies(cfg.theta, k)
+    rows = np.column_stack([k, e_minus, e_plus, k * math.cos(cfg.theta) + math.pi / 2])
+    table = Table("bands", ("k", "e_minus", "e_plus", "e_linear"), ("float",) * 4, rows)
+    return ResultRecord("spectrum", _base_metadata(cfg, n), [table])
 
 
 RUNNERS = {

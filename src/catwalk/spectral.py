@@ -5,6 +5,8 @@ defines a quasi-energy Hamiltonian H(k) = h(k).sigma with eigenvalues
 +-arccos(-cos(theta) sin(k)) on the principal branch.  Low-momentum
 truncations (first and second order), the two-component Dirac limit, and
 the appendix-style closed-form eigenvectors are exposed alongside.
+E(k) and the axis of h(k) are read from ``walk._PlainPower``, the band
+structure the pure-state evolution jumps with.
 
 Note the propagator satisfies exp(-i H(k)) = i * Z(k): the paper-form
 Hamiltonian omits a constant pi/2 identity offset, so equality with the
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import CoinState, PureState, to_momentum, to_position
-from .walk import SIGMA_X, SIGMA_Y, SIGMA_Z, _su2_rotate, coin_operator
+from .walk import SIGMA_X, SIGMA_Y, SIGMA_Z, _PlainPower, _su2_rotate, coin_operator
 
 DEGENERACY_TOL = 1e-8
 
@@ -53,23 +55,17 @@ class EigenPair:
 
 
 def bloch_vector(theta: float, k: float) -> BlochVector:
-    """Components of h(k); the removable singularity at sin(theta)=0,
-    cos(k)=0 is resolved by the limit along k from below."""
-    arg = np.clip(-np.cos(theta) * np.sin(k), -1.0, 1.0)
-    num = np.arccos(arg)
-    den = np.sqrt(np.sin(theta) ** 2 * np.sin(k) ** 2 + np.cos(k) ** 2)
-    if den < 1e-12:
-        # sin(theta) = 0 and cos(k) = 0: h points along z with |h| = num.
-        sign = 1.0 if np.cos(k) >= 0 else -1.0
-        return BlochVector(0.0, 0.0, -sign * np.cos(theta) * num, k, theta)
-    r = num / den
-    return BlochVector(
-        float(-r * np.sin(theta) * np.cos(k)),
-        float(r * np.sin(theta) * np.sin(k)),
-        float(-r * np.cos(theta) * np.cos(k)),
-        k,
-        theta,
-    )
+    """Components of h(k) = -E(k) n(k), with n.sigma the unit axis of
+    ``walk._PlainPower``; the removable singularity at sin(theta)=0,
+    cos(k)=0, where that axis is undefined, is resolved by the limit along
+    k from below."""
+    power = _PlainPower(theta, np.asarray(k, dtype=float))
+    e = np.pi - float(power.alpha)
+    n = (power.up.real, -power.up.imag, power.diag)
+    if not np.any(n):
+        # sin(theta) = 0 and cos(k) = 0: h points along z with |h| = E.
+        n = (0.0, 0.0, (1.0 if np.cos(k) >= 0 else -1.0) * np.cos(theta))
+    return BlochVector(*(float(-e * c) for c in n), k, theta)
 
 
 def hamiltonian_k(theta: float, k: float) -> np.ndarray:
@@ -83,11 +79,12 @@ def walk_unitary_k(theta: float, k: float) -> np.ndarray:
     return np.diag([np.exp(1j * k), np.exp(-1j * k)]) @ coin_operator(theta)
 
 
-def exact_energies(theta: float, k: float) -> tuple[float, float]:
-    """Quasi-energies (E_minus, E_plus) = -+ arccos(-cos(theta) sin(k))."""
-    arg = np.clip(-np.cos(theta) * np.sin(k), -1.0, 1.0)
-    e = float(np.arccos(arg))
-    return -e, e
+def exact_energies(theta: float, k: float | np.ndarray) -> tuple:
+    """Quasi-energies (E_minus, E_plus) = -+ arccos(-cos(theta) sin(k)), as
+    -+(pi - a) from the walk's band angle a; floats for a scalar k, arrays
+    for an array of momenta."""
+    e = np.pi - _PlainPower(theta, np.asarray(k, dtype=float)).alpha
+    return (-float(e), float(e)) if e.ndim == 0 else (-e, e)
 
 
 def _gauge_fix(v: np.ndarray) -> np.ndarray:

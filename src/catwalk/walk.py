@@ -14,6 +14,8 @@ lines narrower than the lattice keeps only the lines k - k' >= 0, since every
 map of the step keeps rho Hermitian and line -q is the mirror of line q.  A
 pure state jumps each plain stretch between events as one closed-form power
 Z(k)^n in momentum space, and steps F_m windows in position space.
+Both move between sites and momenta by ``lattice.to_momentum`` and
+``to_position``; ``_PlainPower`` holds the band structure ``spectral`` reads.
 """
 
 from __future__ import annotations
@@ -107,28 +109,16 @@ def _transpose(amp: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(amp.T)
 
 
-def _checkerboard(block: np.ndarray) -> None:
-    """block *= (-1)^(i + j), in place: odd columns, then odd rows of the real
-    view, so that numpy buffers one operand where two strided ones take two."""
-    block[:, 1::2] *= -1
-    block.view(float)[1::2] *= -1
-
-
 def _pair_dft(block: np.ndarray, inverse: bool = False) -> np.ndarray:
     """In place on one N x N coin block: rho -> rho~, or rho~ -> rho with ``inverse``.
 
-    rho~(k, k') = sum_{x, x'} e^{i(kx - k'x')} rho(x, x') / N on the centred
-    grids of LatticeConfig, the transform ``lattice.to_momentum`` applies to
-    kets.  For even N a centred label j - N/2 turns each axis into a plain
-    FFT between two (-1)^j modulations; the two (-1)^(N/2) factors cancel.
-    The ``out`` argument of ``numpy.fft``, which needs NumPy >= 2.0, keeps
-    the transform free of N x N temporaries.
+    rho~(k, k') = sum_{x, x'} e^{i(kx - k'x')} rho(x, x') / N: ``to_momentum``
+    along the ket axis and ``to_position`` along the bra axis, both in place,
+    so the transform needs no N x N temporaries.
     """
-    first, second = (np.fft.fft, np.fft.ifft) if inverse else (np.fft.ifft, np.fft.fft)
-    _checkerboard(block)
-    first(block, axis=0, out=block)
-    second(block, axis=1, out=block)
-    _checkerboard(block)
+    ket, bra = (to_position, to_momentum) if inverse else (to_momentum, to_position)
+    ket(block, axis=0, out=block)
+    bra(block, axis=1, out=block)
     return block
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 from catwalk.analysis import (
+    FRINGE_OVERSAMPLE,
     _find_peaks,
     cat_metrics,
     component_widths,
@@ -180,6 +181,22 @@ def test_fringe_distribution_normalized():
     res = momentum_fringes(lat, gaussian_walker(lat.sites, 10.0, 4.0))
     assert res.distribution.sum() == pytest.approx(1.0, abs=1e-12)
     assert res.momenta.shape == res.distribution.shape
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_fringe_distribution_matches_dense_padded_dft(n):
+    # the walker, zero-padded about the centre of the padded lattice, against
+    # that lattice's dense centred DFT matrix
+    lat = make_lattice(n)
+    padded = make_lattice(FRINGE_OVERSAMPLE * n)
+    walker = gaussian_walker(lat.sites, 0.5, 1.0) * np.exp(0.7j * lat.sites)
+    buf = np.zeros(padded.n_sites, dtype=complex)
+    buf[np.isin(padded.sites, lat.sites)] = walker
+    f = np.exp(1j * np.outer(padded.momenta, padded.sites)) / np.sqrt(padded.n_sites)
+    prob = np.abs(f @ buf) ** 2
+    res = momentum_fringes(lat, walker)
+    np.testing.assert_allclose(res.distribution, prob / prob.sum(), rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(res.momenta, padded.momenta)
 
 
 @settings(max_examples=500, deadline=None)

@@ -293,6 +293,15 @@ def test_cli_refuses_oversized_inputs_without_a_traceback(argv, code, message, t
     assert list(tmp_path.iterdir()) == []
 
 
+def test_catstates_width_sweep_lattice_is_guarded(tmp_path, capsys):
+    # the run's own N=28 state fits 20000 B; the width sweep's N=920 state,
+    # 29440 B, does not, and is refused before anything is written
+    argv = ["catstates", "--steps", "10", "--sigma", "1", "--max-bytes", "20000"]
+    assert main(argv + ["--out", str(tmp_path)]) == 3
+    assert "N=920" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_unwritable_out_exits_4(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")

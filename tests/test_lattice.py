@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import catwalk
 from catwalk.lattice import (
     HERMITICITY_BAND,
     HERMITICITY_TOL,
@@ -22,6 +26,7 @@ from catwalk.lattice import (
     to_momentum,
     to_position,
 )
+from catwalk.walk import MomentumLayout
 
 
 def test_lattice_sites_and_momenta():
@@ -100,9 +105,10 @@ def test_dft_round_trip_and_unitarity():
     assert np.linalg.norm(to_momentum(amp)) == pytest.approx(1.0)
 
 
-def test_dft_matches_dense_matrix():
-    lat = make_lattice(8)
-    n = 8
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_dft_matches_dense_matrix(n):
+    # N/2 odd and even: the (-1)^(N/2) factor of the centred grids
+    lat = make_lattice(n)
     f = np.exp(1j * np.outer(lat.momenta, lat.sites)) / np.sqrt(n)
     rng = np.random.default_rng(3)
     amp = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
@@ -110,6 +116,48 @@ def test_dft_matches_dense_matrix():
     np.testing.assert_allclose(to_momentum(amp), f @ amp, atol=1e-13)
     np.testing.assert_allclose(to_momentum(amp[:, 0]), f @ amp[:, 0], atol=1e-13)
     np.testing.assert_allclose(to_position(f @ amp), amp, atol=1e-13)
+    # along axis 1, and in place
+    np.testing.assert_allclose(to_momentum(amp.T, axis=1), (f @ amp).T, atol=1e-13)
+    np.testing.assert_allclose(to_position((f @ amp).T, axis=1), amp.T, atol=1e-13)
+    work = amp.copy()
+    assert to_momentum(work, out=work) is work
+    np.testing.assert_allclose(work, f @ amp, atol=1e-13)
+    assert to_position(work, axis=0, out=work) is work
+    np.testing.assert_allclose(work, amp, atol=1e-13)
+    # into a separate buffer, leaving the input as it was
+    held = amp.copy()
+    buf = np.empty((n, 2), dtype=complex)
+    assert to_momentum(held, out=buf) is buf
+    np.testing.assert_allclose(buf, f @ amp, atol=1e-13)
+    np.testing.assert_array_equal(held, amp)
+
+
+def test_pair_dft_density_start_matches_pure_start():
+    # N = 10 = 2 mod 4: the ket's and the bra's (-1)^(N/2) factors must cancel
+    lat = make_lattice(10)
+    psi = gaussian_position_state(lat, 1.0, COIN_SYMMETRIC, k0=0.4)
+    layout = MomentumLayout.pairs(lat)
+    np.testing.assert_allclose(layout.start(DensityOperator.from_pure(psi)), layout.start(psi),
+                               rtol=0, atol=1e-13)
+
+
+def _uses_numpy_fft(node: ast.AST) -> bool:
+    if isinstance(node, ast.Attribute):
+        return node.attr == "fft" and getattr(node.value, "id", None) in ("np", "numpy")
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").startswith("numpy.fft") or (
+            node.module == "numpy" and any(alias.name == "fft" for alias in node.names))
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("numpy.fft") for alias in node.names)
+    return False
+
+
+def test_numpy_fft_used_only_in_lattice():
+    # to_momentum / to_position hold the one DFT convention of the package
+    src = Path(catwalk.__file__).parent
+    users = {path.name for path in src.glob("*.py")
+             if any(map(_uses_numpy_fft, ast.walk(ast.parse(path.read_text()))))}
+    assert users == {"lattice.py"}
 
 
 def test_gaussian_momentum_state_width():

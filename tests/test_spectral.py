@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from catwalk.cli import main
 from catwalk.lattice import (
     COIN_SYMMETRIC,
     CoinState,
@@ -44,6 +45,24 @@ def test_propagator_matches_walk_unitary_up_to_pi_half_offset(theta, k):
     # exp(-i (H + pi/2)) equals the one-step momentum-sector unitary
     h = hamiltonian_k(theta, k) + (np.pi / 2) * np.eye(2)
     np.testing.assert_allclose(expm(-1j * h), walk_unitary_k(theta, k), atol=1e-9)
+
+
+def test_exact_energies_on_an_array_match_scalar_calls():
+    k = make_lattice(16).momenta
+    for theta in THETAS:
+        e_minus, e_plus = exact_energies(theta, k)
+        scalar = np.array([exact_energies(theta, float(q)) for q in k])
+        np.testing.assert_allclose(np.column_stack([e_minus, e_plus]), scalar, rtol=0, atol=1e-15)
+        assert isinstance(exact_energies(theta, 0.3)[1], float)
+
+
+def test_spectrum_table_rows_match_scalar_energies(tmp_path):
+    theta = 0.7
+    assert main(["spectrum", "--lattice", "32", "--theta", repr(theta), "--out", str(tmp_path)]) == 0
+    rows = np.loadtxt(tmp_path / "spectrum_bands.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(rows[:, 0], make_lattice(32).momenta)
+    scalar = np.array([exact_energies(theta, float(q)) for q in rows[:, 0]])
+    np.testing.assert_allclose(rows[:, 1:3], scalar, rtol=0, atol=1e-15)
 
 
 def test_bloch_vector_magnitude_is_quasienergy():
