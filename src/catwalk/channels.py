@@ -10,9 +10,10 @@ in momentum space: every channel here is translation-invariant, so it
 either keeps each pair (k, k') on its own (the coin-local ones) or mixes
 only the pairs of one line of constant k - k' (walker and both dephasing),
 and a start that occupies a narrow band of momenta is stepped on that band
-alone.  Every channel here also keeps rho Hermitian, so a run on lines
-steps only the lines k - k' >= 0 and takes the others as their Hermitian
-mirror.  ``fidelity_trace`` takes a run's fidelity to its start in its own basis.
+alone.  Every channel here also keeps rho Hermitian, so a run steps only
+half the lines of its ring of momenta and takes the others as their
+Hermitian mirror.  ``fidelity_trace`` takes a run's fidelity to its start in
+its own basis.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ def _channel_map(spec: ChannelSpec, layout: MomentumLayout) -> Callable | None:
     dephasing are lam*rho + (1 - lam)*P(rho), P keeping the x = x' elements
     of all four coin blocks (walker) or of the c = c' blocks (0,0) and (1,1)
     (both).  In momentum P replaces each line of constant k - k' by its
-    mean, so these run on a layout of lines.
+    mean, so these run on the ring of all N momenta, whose rows are those lines.
     """
     if spec.eta == 0:
         return None
@@ -187,13 +188,13 @@ def momentum_window(prob: np.ndarray) -> tuple[int, int]:
 def open_layout(rho0: DensityOperator | PureState, schedule: Schedule) -> MomentumLayout:
     """The momentum support ``evolve_open`` steps rho0 on through ``schedule``.
 
-    A PureState start, meaning |psi><psi|, occupies the momenta
-    ``momentum_window`` keeps of |psi~|^2; a DensityOperator start, and any
-    schedule with an F_m window, occupy all N.  Coin-local channels and no
-    channel keep the window's pairs, walker and both dephasing every line of
-    constant k - k' that the window spans: of a window of M < (N + 1) / 2
-    momenta, the M lines k - k' >= 0, mirrored, and all N lines otherwise.
-    ``start`` lays a state out on it.
+    A PureState start, meaning |psi><psi|, occupies the window of M momenta
+    that ``momentum_window`` keeps of |psi~|^2; a DensityOperator start, and
+    any schedule with an F_m window, occupy all N.  Coin-local channels and
+    no channel step the lines of the window as a ring, R = M; walker and both
+    dephasing the lines of all N momenta, R = N, whose lines k - k' the
+    window reaches at offsets below M.  Either stores min(M, R//2 + 1)
+    lines.  ``start`` lays a state out on it.
     A schedule channel that is not a ChannelSpec raises ``ChannelError``.
     """
     spec = schedule.channel
@@ -203,9 +204,12 @@ def open_layout(rho0: DensityOperator | PureState, schedule: Schedule) -> Moment
     lo, hi = 0, lattice.n_sites
     if isinstance(rho0, PureState) and not schedule.fm_windows:
         lo, hi = momentum_window(np.sum(np.abs(to_momentum(rho0.amplitudes)) ** 2, axis=1))
+    width = hi - lo
     if _mixes_lines(spec):
-        return MomentumLayout.lines_of(lattice, hi - lo)
-    return MomentumLayout.pairs(lattice, lo, hi)
+        lo, ring = 0, lattice.n_sites
+    else:
+        ring = width
+    return MomentumLayout(lattice, lo, ring, min(width, ring // 2 + 1))
 
 
 def evolve_open(
@@ -226,7 +230,7 @@ def evolve_open(
     the run raises ``ScheduleError``.
     """
     layout, work, checkpoint = _run_open(rho0, schedule, snapshot_times)
-    mat = layout.materialize(work, consume=True)
+    mat = layout.materialize(work)
     del work  # before the validation, which then needs band-sized temporaries only
     return EvolutionResult(DensityOperator(rho0.lattice, mat), checkpoint.snaps)
 

@@ -61,18 +61,19 @@ def density_working_set_bytes(n_sites: int) -> int:
 
     An upper bound on the tracemalloc peak of an open revival or
     evolve_open, final validation included: three density matrices of
-    16 (2N)^2 bytes plus 256 kB of numpy buffers.  The working arrays live
-    on the start's momentum support (channels.open_layout).  On the full
-    support, as for a DensityOperator start, they are the start, the
-    working array and its spare; the final state is transformed in place in
-    the working array after the spare is freed and validated after that is
-    freed, and the Hermiticity check needs only band-sized temporaries:
-    3.10x one matrix at N=160, 3.03x at N=300.  A pure start at paper scale
-    needs less.  An open revival, which never materializes its final state,
-    peaks at 0.69x (coin-local channels) and 1.65x (walker and both
-    dephasing, which store the 59 mirrored lines q >= 0 of 160) at N=160,
-    sigma=5, and at 0.17x and 0.78x at N=300, sigma=10; decohereprob's
-    evolve_open at N=400, sigma=10, at 1.3x and 1.55x.
+    16 (2N)^2 bytes plus 256 kB of numpy buffers.  The working arrays hold
+    half the lines of the start's ring of momenta (channels.open_layout).
+    For a DensityOperator start the ring is all N momenta: beside the start
+    matrix, the working array and its spare take about one matrix, and the
+    final state is materialized beside one N x N coin block after the spare
+    is freed, then validated with band-sized temporaries: 2.92x one matrix
+    at N=160 and 2.80x at N=300, from state preparation to the position
+    distribution.  A pure start at paper scale needs less.  An open revival,
+    which never materializes its final state, peaks at 0.30x (coin-local
+    channels, 30 lines of a ring of 59) and 1.56x (walker and both
+    dephasing, 59 lines of 160) at N=160, sigma=5, and at 0.08x and 0.76x at
+    N=300, sigma=10; decohereprob's evolve_open at N=400, sigma=10, at 1.29x
+    and 1.46x.
     """
     return 3 * 16 * (2 * n_sites) ** 2 + 256 * 1024
 

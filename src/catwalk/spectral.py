@@ -56,15 +56,10 @@ class EigenPair:
 
 def bloch_vector(theta: float, k: float) -> BlochVector:
     """Components of h(k) = -E(k) n(k), with n.sigma the unit axis of
-    ``walk._PlainPower``; the removable singularity at sin(theta)=0,
-    cos(k)=0, where that axis is undefined, is resolved by the limit along
-    k from below."""
+    ``walk._PlainPower``."""
     power = _PlainPower(theta, np.asarray(k, dtype=float))
     e = np.pi - float(power.alpha)
     n = (power.up.real, -power.up.imag, power.diag)
-    if not np.any(n):
-        # sin(theta) = 0 and cos(k) = 0: h points along z with |h| = E.
-        n = (0.0, 0.0, (1.0 if np.cos(k) >= 0 else -1.0) * np.cos(theta))
     return BlochVector(*(float(-e * c) for c in n), k, theta)
 
 

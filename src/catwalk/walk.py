@@ -9,9 +9,9 @@ phase during steps ``start+1 .. end``.  Pure states and density operators
 share one step loop, ``_run``, and one ``_Checkpoints`` for what happens
 between steps: gates, snapshots and the fidelity to a pure start.  A density
 operator steps in momentum space on the support a ``MomentumLayout`` names,
-where the step Z acts as Z(k) (x) Z(k')^* and needs no shift; a layout of
-lines narrower than the lattice keeps only the lines k - k' >= 0, since every
-map of the step keeps rho Hermitian and line -q is the mirror of line q.  A
+where the step Z acts as Z(k) (x) Z(k')^* and needs no shift: the lines of a
+ring of R momenta, of which only q = 0 .. R//2 are kept, since every map of
+the step keeps rho Hermitian and line R - q is the mirror of line q.  A
 pure state jumps each plain stretch between events as one closed-form power
 Z(k)^n in momentum space, and steps F_m windows in position space.
 Both move between sites and momenta by ``lattice.to_momentum`` and
@@ -70,7 +70,7 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Step kernel.  It works on a coin-major array, coin axes first: amp[c] =
 # psi[:, c], shape (2, N), for a pure state in position space (rank 1), and
-# work[c, d], shape (2, 2, S0, S1), holding rho in momentum space on the
+# work[c, d], shape (2, 2, lines, ring), holding rho in momentum space on the
 # support a MomentumLayout names (rank 2).  A coin-local map is one
 # (2^r x 2^r)·(2^r x P) product.  The shift moves sites by slice assignment on
 # a pure state and is the phase D(k) (x) D*(k') on rho, D(k) = diag(e^{ik},
@@ -126,9 +126,9 @@ _SHEAR_COLUMNS = 8  # columns per chunk of a shear
 
 
 def _shear(block: np.ndarray, sign: int) -> None:
-    """Roll column j of an N x N block by sign*j, in place.
+    """Roll column j of an n x n block by sign*j, in place.
 
-    sign = 1 takes lines, block[(a - b) mod N, b] = rho~(a, b), to pairs;
+    sign = 1 takes lines, block[(a - b) mod n, b] = rho~(a, b), to pairs;
     sign = -1 takes them back.  Column chunks keep the temporaries small.
     """
     n = len(block)
@@ -141,76 +141,49 @@ def _shear(block: np.ndarray, sign: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class MomentumLayout:
-    """The momentum support a density operator is stepped on.
+    """The momentum support a density operator is stepped on: the lines of a
+    ring of momenta.
 
-    With pairs, ``first`` is a window of momentum indices and the working
-    array holds work[c, d][i, j] = rho~(k_a, c; k_b, d) for a = first[i],
-    b = first[j]: the window against itself, for runs whose every step keeps
-    each (k, k') pair on its own.  With lines, ``first`` holds offsets and
-    work[c, d][i, j] is the pair a = (first[i] + j) mod N, b = j: row i is
-    the whole line k - k' = 2 pi first[i] / N, for channels that mix each
-    such line.  Every pair of the support appears once, and rho~ is zero
-    off it.  A block of N x N in the same coordinates holds the full
-    support; ``_shear`` turns lines into pairs.
+    The ring is the R = ``ring`` momenta lo .. lo+R-1, and the working array
+    holds work[c, d][q, j] = rho~(k_a, c; k_b, d) for b = lo + j and
+    a = lo + (j + q) mod R: row q is the line of offset q around the ring,
+    and every pair of ring momenta lies on one line.  Line R - q is the
+    Hermitian mirror of line q, rho~(k_b, d; k_a, c) = conj rho~(k_a, c;
+    k_b, d), so only the ``lines`` offsets q = 0 .. lines-1, at most
+    R//2 + 1 of them, are stored.  Each map of a step (coin maps, the shift
+    phase, the line means) acts line by line and keeps rho Hermitian, so it
+    never needs the mirror half; ``materialize`` and the fidelity start fill
+    it in.  rho~ is zero on the lines of the ring that are neither stored nor
+    mirrored, and off the ring.
 
-    Lines that do not cover the lattice are ``mirrored``: only the offsets
-    q = 0 .. width-1 are stored, as line -q is the Hermitian mirror of line
-    q, rho~(k'-q, c; k', d) = conj rho~(k', d; k'-q, c).  Each map of a step
-    (coin maps, the shift phase, the line means) acts line by line and keeps
-    rho Hermitian, so it never needs the mirror half; ``materialize`` and
-    the fidelity start fill it in.
+    A ring of all N momenta makes its lines those of constant k - k', which
+    walker and both dephasing mix; a ring of the start's momentum window
+    serves channels that keep each (k, k') on its own.  A block of N x N in
+    the ring's line coordinates holds the support; ``_shear`` turns lines
+    into pairs.
     """
 
     lattice: LatticeConfig
-    first: np.ndarray
-    lines: bool
-
-    @classmethod
-    def pairs(cls, lattice: LatticeConfig, lo: int = 0, hi: int | None = None) -> "MomentumLayout":
-        """The pairs of the momenta lo .. hi-1 (all N by default)."""
-        return cls(lattice, np.arange(lo, lattice.n_sites if hi is None else hi), False)
-
-    @classmethod
-    def lines_of(cls, lattice: LatticeConfig, width: int) -> "MomentumLayout":
-        """The lines k - k' that a window of ``width`` momenta spans: the
-        offsets 0 .. width-1, mirrored, while the 2 width - 1 of them do not
-        cover the lattice, and all N lines otherwise."""
-        n = lattice.n_sites
-        return cls(lattice, np.arange(width if 2 * width - 1 < n else n), True)
-
-    @property
-    def second(self) -> np.ndarray:
-        return np.arange(self.lattice.n_sites) if self.lines else self.first
+    lo: int
+    ring: int
+    lines: int
 
     @property
     def shape(self) -> tuple[int, int]:
-        return len(self.first), len(self.second)
+        return self.lines, self.ring
 
     @property
     def full(self) -> bool:
-        return self.shape == (self.lattice.n_sites,) * 2
+        """Whether every line of the lattice is stored or mirrored."""
+        n = self.lattice.n_sites
+        return self.shape == (n // 2 + 1, n)
 
-    @property
-    def mirrored(self) -> bool:
-        """Whether only the lines q >= 0 are stored; see the class docstring."""
-        return self.lines and not self.full
-
-    def _place(self) -> tuple:
-        """Where the working array sits in a block of N x N."""
-        if self.lines:
-            return (self.first % self.lattice.n_sites,)
-        window = slice(self.first[0], self.first[-1] + 1)
-        return window, window
-
-    def _to_pairs(self, block: np.ndarray) -> np.ndarray:
-        if self.lines:
-            _shear(block, 1)
-        return block
-
-    def _from_pairs(self, block: np.ndarray) -> np.ndarray:
-        if self.lines:
-            _shear(block, -1)
-        return block
+    def _on_ring(self, values: np.ndarray) -> np.ndarray:
+        """values[..., a] over momenta as the (..., lines, ring) view [..., q, j]
+        at a = lo + (j + q) mod R, with no copy beyond the ring's two turns."""
+        ring = values[..., self.lo:self.lo + self.ring]
+        turns = np.concatenate((ring, ring), axis=-1)
+        return np.lib.stride_tricks.sliding_window_view(turns, self.ring, axis=-1)[..., :self.lines, :]
 
     def start(self, state) -> np.ndarray:
         """The working array of |psi><psi| for a PureState, or of a
@@ -218,85 +191,74 @@ class MomentumLayout:
         work = np.empty((2, 2, *self.shape), dtype=complex)
         if isinstance(state, PureState):
             amp = to_momentum(state.amplitudes).T
-            rows = self.first[:, None]
-            if self.lines:
-                rows = (rows + self.second) % self.lattice.n_sites
-            return np.multiply(amp[:, None, rows], amp[None, :, None, self.second].conj(), out=work)
+            bra = amp[:, self.lo:self.lo + self.ring].conj()
+            return np.multiply(self._on_ring(amp)[:, None], bra[None, :, None, :], out=work)
         if not self.full:
             raise StateError("a density operator start needs the full momentum support")
+        block = np.empty((self.ring,) * 2, dtype=complex)
         for c, d in _COIN_PAIRS:
-            work[c, d] = state.matrix[:, c, :, d]
-            self._from_pairs(_pair_dft(work[c, d]))
+            block[...] = state.matrix[:, c, :, d]
+            self._store(block, work[c, d])
         return work
 
-    def materialize(self, work: np.ndarray, consume: bool = False) -> np.ndarray:
-        """rho(x, c; x', d) as a new (N, 2, N, 2) array, one coin block at a time,
-        each with its mirrored lines filled in.
+    def _store(self, block: np.ndarray, lines: np.ndarray) -> None:
+        """lines = the stored lines of one coin block of rho, given in position
+        space as the N x N ``block`` on the full support, which is overwritten."""
+        _shear(_pair_dft(block), -1)
+        lines[...] = block[:self.lines]
 
-        With ``consume`` a full-support ``work`` is transformed in place,
-        which leaves it unusable, and no block is allocated.
+    def _pairs(self, stored: np.ndarray, mirror: np.ndarray, block: np.ndarray) -> np.ndarray:
+        """block = one coin block of rho~ as N x N pairs, from its ``stored``
+        lines and those of the transposed coin block, ``mirror``; returns block.
+
+        The lines go in the ring's view of the block, with the mirror filled
+        in, and are sheared to pairs.  Line R - q of block (c, d) at j is line
+        q of block (d, c) at j - q, conjugated; it is filled row by row, from
+        slices, with no temporaries.
         """
+        lines, ring = self.shape
+        view = block[self.lo:self.lo + ring, self.lo:self.lo + ring]
+        block.fill(0)
+        view[:lines] = stored
+        for q in range(1, min(lines, ring - lines + 1)):
+            np.conjugate(mirror[q, :ring - q], out=view[ring - q, q:])
+            np.conjugate(mirror[q, ring - q:], out=view[ring - q, :q])
+        _shear(view, 1)
+        return block
+
+    def materialize(self, work: np.ndarray) -> np.ndarray:
+        """rho(x, c; x', d) as a new (N, 2, N, 2) array, one coin block at a
+        time, through one N x N block."""
         n = self.lattice.n_sites
         out = np.empty((n, 2, n, 2), dtype=complex)
-        block = None if consume and self.full else np.empty((n, n), dtype=complex)
-        if self.mirrored:
-            q = self.first[1:]
-            mirror = (np.arange(n) - q[:, None]) % n
+        block = np.empty((n, n), dtype=complex)
         for c, d in _COIN_PAIRS:
-            if block is None:
-                blk = work[c, d]
-            else:
-                blk = block
-                blk.fill(0)
-                blk[self._place()] = work[c, d]
-                if self.mirrored:
-                    # line -q of block (c, d) at k' is line q of block (d, c) at k' - q
-                    blk[n - q] = np.take_along_axis(work[d, c, 1:], mirror, axis=1).conj()
-            out[:, c, :, d] = _pair_dft(self._to_pairs(blk), inverse=True)
+            out[:, c, :, d] = _pair_dft(self._pairs(work[c, d], work[d, c], block), inverse=True)
         return out
 
     def check_trace(self, work: np.ndarray) -> None:
         """Raise StateError unless tr rho is 1 to ``TRACE_TOL``, as a
-        DensityOperator would, from the diagonal pairs on the support: the
-        diagonal of blocks (0,0) and (1,1), or their line k - k' = 0."""
-        if self.lines:
-            zero = np.flatnonzero(self.first == 0)[0]
-            tr = (work[0, 0, zero].sum() + work[1, 1, zero].sum()).real
-        else:
-            tr = (np.trace(work[0, 0]) + np.trace(work[1, 1])).real
+        DensityOperator would, from line 0 of blocks (0,0) and (1,1)."""
+        tr = (work[0, 0, 0].sum() + work[1, 1, 0].sum()).real
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise StateError(f"density matrix trace {tr!r} deviates from 1")
 
     def shift(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         """The step's shift on the support, (work, out) -> out = D(k) (x) D*(k') work.
 
-        A pair's phase is e^{i s_c k} e^{-i s_d k'}, with s = (1, -1); on a
-        line k = k' + 2 pi first / N, so it is e^{i s_c 2 pi first / N}
-        e^{i (s_c - s_d) k'}.  Either is a product of a row and a column
-        factor.  Their product is kept, for one multiply a step, while the
-        support holds at most half of the N^2 pairs, so that it and the
-        start, working and spare arrays fit in two density matrices; a larger
-        support multiplies by the two factors.  Mirrored lines store at most
-        half of the pairs, so they always take the product.
+        A pair's phase is e^{i s_c k_a} e^{-i s_d k_b}, with s = (1, -1): one
+        product per coin block of e^{ik_a} on the ring, e^{ik_b} and their
+        conjugates, kept for one multiply a step.
         """
-        s = np.array([1.0, -1.0])
-        k = self.lattice.momenta
-        if self.lines:
-            first, per_second = 2.0 * np.pi * self.first / self.lattice.n_sites, s[:, None] - s
-        else:
-            first, per_second = k[self.first], np.broadcast_to(-s, (2, 2))
-        row = np.exp(1j * np.multiply.outer(s, first))[:, None, :, None]
-        col = np.exp(1j * np.multiply.outer(per_second, k[self.second]))[:, :, None, :]
-        if 2 * np.prod(self.shape) <= self.lattice.n_sites ** 2:
-            phase = row * col
-            return lambda work, out: np.multiply(work, phase, out=out)
-
-        def shift(work: np.ndarray, out: np.ndarray) -> np.ndarray:
-            np.multiply(work, row, out=out)
-            out *= col
-            return out
-
-        return shift
+        ket = np.exp(1j * self.lattice.momenta)
+        bra = ket[self.lo:self.lo + self.ring]
+        phase = np.empty((2, 2, *self.shape), dtype=complex)
+        phase[0, 0] = self._on_ring(ket)
+        np.multiply(phase[0, 0], bra, out=phase[0, 1])
+        np.conjugate(phase[0, 1], out=phase[1, 0])
+        phase[0, 0] *= bra.conj()
+        np.conjugate(phase[0, 0], out=phase[1, 1])
+        return lambda work, out: np.multiply(work, phase, out=out)
 
     def apply_fm(self, work: np.ndarray, phi: float) -> np.ndarray:
         """work -> e^{i phi (x - x')} work in place, through position space.
@@ -307,11 +269,14 @@ class MomentumLayout:
         if not self.full:
             raise StateError("an F_m phase needs the full momentum support")
         phase = _fm_phase(self.lattice.sites, phi)
+        block = np.empty((self.ring,) * 2, dtype=complex)
+        held = work[0, 1].copy()  # the mirror of block (1, 0), overwritten before it
         for c, d in _COIN_PAIRS:
-            blk = _pair_dft(self._to_pairs(work[c, d]), inverse=True)
-            blk *= phase[:, None]
-            blk *= phase.conj()
-            self._from_pairs(_pair_dft(blk))
+            _pair_dft(self._pairs(work[c, d], held if (c, d) == (1, 0) else work[d, c], block),
+                      inverse=True)
+            block *= phase[:, None]
+            block *= phase.conj()
+            self._store(block, work[c, d])
         return work
 
 
@@ -565,8 +530,9 @@ def _run_density(layout: MomentumLayout, rho0, schedule: Schedule,
     lattice = layout.lattice
     work = layout.start(rho0)
     start = work.copy() if fidelity else None
-    if fidelity and layout.mirrored:
-        start[:, :, 1:] *= 2  # line -q's overlap is the conjugate of line q's
+    if fidelity:
+        # line R - q's overlap is the conjugate of line q's; line R/2 is its own mirror
+        start[:, :, 1:(layout.ring + 1) // 2] *= 2
     checkpoint = _Checkpoints(schedule, snapshot_times,
                               lambda w: DensityOperator(lattice, layout.materialize(w)),
                               start)
@@ -595,6 +561,7 @@ def step_density(rho: DensityOperator, theta: float) -> DensityOperator:
 
     Each call transforms and validates the whole state; loop with ``evolve_open``.
     """
-    layout = MomentumLayout.pairs(rho.lattice)
+    n = rho.lattice.n_sites
+    layout = MomentumLayout(rho.lattice, 0, n, n // 2 + 1)
     work, _ = _run_density(layout, rho, Schedule(1, theta))
-    return DensityOperator(rho.lattice, layout.materialize(work, consume=True))
+    return DensityOperator(rho.lattice, layout.materialize(work))

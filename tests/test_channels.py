@@ -315,7 +315,7 @@ def test_windowed_start_matches_dense_oracle(variant, reverser):
     sched = Schedule(2 * T, theta, coin_gate_insertions=((T, gate), (2 * T, gate_back)),
                      channel=spec)
     layout = open_layout(psi, sched)
-    assert layout.shape[0] < n and layout.lines == (variant[1] != "coin")
+    assert layout.lines < n // 2 and (layout.ring == n) == (variant[1] != "coin")
     result = evolve_open(psi, sched, snapshot_times=range(2 * T + 1))
     expected = dense_run(DensityOperator.from_pure(psi).as_2d, n, sched)
     for t, want in enumerate(expected):
@@ -380,8 +380,6 @@ def test_long_open_runs_stay_physical(theta, eta, width, k0, variant, steps):
 
 # ------------------------------------------------------ mirrored lines
 
-LINE_VARIANTS = [("dephasing", "walker"), ("dephasing", "both")]
-
 
 @settings(max_examples=25, deadline=None)
 @given(
@@ -390,21 +388,22 @@ LINE_VARIANTS = [("dephasing", "walker"), ("dephasing", "both")]
     half_n=st.integers(16, 32),
     width=st.floats(4.0, 8.0),
     k0=st.floats(-0.5, 0.5),
-    variant=st.sampled_from(LINE_VARIANTS),
+    variant=st.sampled_from(VARIANTS),
     t=st.integers(1, 8),
 )
 def test_mirrored_lines_match_the_full_layout(theta, eta, half_n, width, k0, variant, t):
-    # a pure start keeps the lines q >= 0 only; the same run from
-    # DensityOperator.from_pure(psi) keeps every line of the lattice
+    # a pure start keeps the lines q >= 0 of a ring narrower than the
+    # lattice's lines; the same run from DensityOperator.from_pure(psi)
+    # keeps every line of the lattice
     n = 2 * half_n
     psi = band_limited_packet(n, width, k0)
     sched = _reversal_schedule(theta, t, REVERSER_EXACT,
                                channel=ChannelSpec(variant[0], eta, variant[1]))
     times = range(2 * t + 1)
-    mirrored, _, half = channels._run_open(psi, sched, times, fidelity=True)
+    part, _, half = channels._run_open(psi, sched, times, fidelity=True)
     full, _, whole = channels._run_open(DensityOperator.from_pure(psi), sched, times,
                                         fidelity=True)
-    assert mirrored.mirrored == (eta > 0) and full.full and not full.mirrored
+    assert not part.full and full.full
     for s in times:
         snap = half.snaps[s].as_2d
         np.testing.assert_allclose(snap, whole.snaps[s].as_2d, rtol=0, atol=1e-12)
@@ -421,30 +420,39 @@ def band_packet(n, width, seed=0):
     return PureState(make_lattice(n), to_position(kamp))
 
 
-@pytest.mark.parametrize("variant", LINE_VARIANTS)
+@pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("extra", [0, 1])
 def test_mirror_boundary_matches_dense_oracle(variant, extra):
-    # 2 width - 1 = n - 1 lines are the widest mirrored layout; one more
-    # momentum makes the 2 width - 1 lines cover the lattice, which is full
+    # walker and both dephasing: 2 width - 1 = n - 1 lines are the widest
+    # layout short of the lattice's; one more momentum makes the 2 width - 1
+    # lines cover the lattice, which is full, line n/2 its own mirror.
+    # Coin-local channels: a ring of the window's even width, whose line R/2
+    # is its own mirror, and of its odd width, which has none.
     n, t, theta = 24, 4, 0.7
     width = n // 2 + extra
     psi = band_packet(n, width)
     sched = _reversal_schedule(theta, t, REVERSER_EXACT,
                                channel=ChannelSpec(variant[0], 0.3, variant[1]))
     layout = open_layout(psi, sched)
-    if extra:
-        assert layout.full and not layout.mirrored
+    if variant[1] == "coin":
+        assert (layout.lo, layout.shape) == (n // 4, (width // 2 + 1, width))
+    elif extra:
+        assert layout.full
     else:
-        assert layout.mirrored and layout.shape == (width, n)
+        assert not layout.full and layout.shape == (width, n)
     result = evolve_open(psi, sched, snapshot_times=range(2 * t + 1))
     expected = dense_run(DensityOperator.from_pure(psi).as_2d, n, sched)
     for s, want in enumerate(expected):
         np.testing.assert_allclose(result.snapshots[s].as_2d, want, rtol=0, atol=1e-12)
+    ket = psi.amplitudes.ravel()
+    np.testing.assert_allclose(channels.fidelity_trace(psi, sched),
+                               [np.vdot(ket, want @ ket).real for want in expected],
+                               rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("layout", [
-    lambda lat: MomentumLayout.pairs(lat, 3, 10),
-    lambda lat: MomentumLayout.lines_of(lat, 5),
+    lambda lat: MomentumLayout(lat, 3, 7, 4),
+    lambda lat: MomentumLayout(lat, 0, 16, 5),
 ], ids=["window", "mirrored"])
 def test_fm_phase_refuses_a_partial_support(layout):
     layout = layout(make_lattice(16))

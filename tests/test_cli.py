@@ -325,6 +325,7 @@ def test_open_revival_peak_within_guard_prediction():
     assert peak <= density_working_set_bytes(n)
 
 
+@pytest.mark.parametrize("n", [64, 160, 300])
 @pytest.mark.parametrize(
     "spec",
     [
@@ -333,9 +334,8 @@ def test_open_revival_peak_within_guard_prediction():
         ChannelSpec("bit_flip", 0.01),
     ],
 )
-def test_open_final_peak_within_guard_prediction(spec):
+def test_open_final_peak_within_guard_prediction(spec, n):
     # shaped like decohereprob: state preparation, evolve_open, final distribution
-    n = 64
     lat = make_lattice(n)
 
     def run():
@@ -492,15 +492,30 @@ def test_bench_replay_runs_on_the_public_wrappers(monkeypatch):
 @pytest.mark.parametrize("workload", ["open_revival", "open_final", "closed_sweep"])
 def test_seed_0_passes_the_bench_reference(workload, monkeypatch, tmp_path, capsys):
     # the benchmark's correctness gate on each workload, so that a numerics
-    # change that moves a reference output fails here first
+    # change that moves a reference output fails here first; the open
+    # workloads also run seed 7, checked on the invariants only, and seed 0
+    # again with the benchmark's tracer installed, as its traced runs are
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    for name in ("check", "workloads"):
+    for name in ("check", "tracing", "workloads"):
         monkeypatch.delitem(sys.modules, name, raising=False)
     check = importlib.import_module("check")
+    tracing = importlib.import_module("tracing")
     workloads = importlib.import_module("workloads")
-    argv_list = workloads.argvs(workloads.WORKLOADS[workload], 0)
-    for argv in argv_list:
-        assert main(argv + ["--out", str(tmp_path)]) == 0
     reference = check.load_reference(
         Path(check.__file__).parent / "reference" / f"{workload}.npz")
-    assert check.check_outputs(tmp_path, reference, 0, argv_list) == []
+    runs = [(0, None)]
+    if workload != "closed_sweep":
+        runs += [(7, None), (0, tracing.Tracer())]
+    for i, (seed, tracer) in enumerate(runs):
+        out = tmp_path / str(i)
+        out.mkdir()
+        argv_list = workloads.argvs(workloads.WORKLOADS[workload], seed)
+        if tracer is not None:
+            tracer.install()
+        try:
+            for argv in argv_list:
+                assert main(argv + ["--out", str(out)]) == 0
+        finally:
+            if tracer is not None:
+                tracer.uninstall()
+        assert check.check_outputs(out, reference, seed, argv_list) == []

@@ -136,7 +136,7 @@ def test_pair_dft_density_start_matches_pure_start():
     # N = 10 = 2 mod 4: the ket's and the bra's (-1)^(N/2) factors must cancel
     lat = make_lattice(10)
     psi = gaussian_position_state(lat, 1.0, COIN_SYMMETRIC, k0=0.4)
-    layout = MomentumLayout.pairs(lat)
+    layout = MomentumLayout(lat, 0, 10, 6)
     np.testing.assert_allclose(layout.start(DensityOperator.from_pure(psi)), layout.start(psi),
                                rtol=0, atol=1e-13)
 

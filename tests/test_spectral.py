@@ -80,6 +80,13 @@ def test_bloch_vector_singular_limit():
     eps = 1e-7
     h_near = bloch_vector(0.0, np.pi / 2 - eps)
     assert h_near.h3 == pytest.approx(h.h3, abs=1e-5)
+    # cos of a double is never exactly 0, so the axis is defined, and of
+    # unit length, at and beside each such point: |h| = E
+    half = np.pi / 2
+    for theta in (0.0, -0.0, np.pi, -np.pi, half):
+        for k in (half, -half, 3 * half, np.nextafter(half, 0.0), np.nextafter(half, 4.0)):
+            h = bloch_vector(theta, k)
+            assert h.magnitude == pytest.approx(exact_energies(theta, k)[1], rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("theta", THETAS)
