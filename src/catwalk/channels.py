@@ -1,4 +1,5 @@
-"""Per-step noise channels on the walk density operator.
+"""Per-step noise channels on the walk density operator, and the open walk:
+rho's momentum layout, its one runner and its memory bound.
 
 Pure dephasing shrinks off-diagonal elements toward the diagonal in a
 chosen index (coin, walker, or both); amplitude damping and bit flip act
@@ -6,26 +7,30 @@ on the coin through Kraus pairs.  The bath strength eta is per step, so
 each application scales coherences by lambda = e^{-eta} and an n-step run
 accumulates e^{-eta n}.  ``evolve_open`` advances a density matrix over
 steps, through the step loop that ``walk.evolve`` runs inside F_m windows,
-in momentum space: every channel here is translation-invariant, so it
-either keeps each pair (k, k') on its own (the coin-local ones) or mixes
-only the pairs of one line of constant k - k' (walker and both dephasing),
-and a start that occupies a narrow band of momenta is stepped on that band
-alone.  Every channel here also keeps rho Hermitian, so a run steps only
-half the lines of its ring of momenta and takes the others as their
-Hermitian mirror.  ``fidelity_trace`` takes a run's fidelity to its start in
-its own basis.
+in momentum space on a ``MomentumLayout``: the stored lines of a ring of
+momenta.  Every channel here is translation-invariant, so it either keeps
+each pair (k, k') on its own (the coin-local ones) or mixes only the pairs
+of one line of constant k - k' (walker and both dephasing), and a start
+that occupies a narrow band of momenta is stepped on that band alone.
+Every channel here also keeps rho Hermitian, so a run steps only half the
+lines of its ring and takes the others as their Hermitian mirror.
+``open_layout`` picks the layout, ``_run_open`` is the one runner on it,
+``fidelity_trace`` takes a run's fidelity to its start in its own basis,
+and ``density_working_set_bytes`` bounds what a run allocates.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import DensityOperator, PureState, to_momentum
-from .walk import (_COIN_PAIRS, SIGMA_X, EvolutionResult, MomentumLayout, Schedule,
-                   _apply_coin_map, _coin_map, _conjugate_coins, _run_density, _run_pure)
+from .lattice import (TRACE_TOL, DensityOperator, LatticeConfig, PureState, StateError, to_momentum,
+                      to_position)
+from .walk import (SIGMA_X, EvolutionResult, Schedule, _apply_coin_map, _Checkpoints, _coin_map,
+                   _fm_phase, _run, _run_pure)
 
 COMPLETENESS_TOL = 1e-12
 # |psi~|^2 a pure start may leave outside its momentum window on each side
@@ -130,18 +135,199 @@ def apply_channel(rho: DensityOperator, spec: ChannelSpec) -> DensityOperator:
     Dephasing scales the targeted elements by lam = e^{-eta} and copies the
     rest, so the kept elements are exact: target=coin touches c != c',
     target=walker x != x', and target=both every element off the full
-    diagonal.  Each call validates the whole state, so multi-step callers
-    run ``evolve_open`` with the channel in the schedule instead.
+    diagonal.  The coin-local channels apply their 4x4 coin superoperator
+    at every (x, x').  Each call validates the whole state, so multi-step
+    callers run ``evolve_open`` with the channel in the schedule instead.
     """
     if spec.eta == 0:
         return rho
     if spec.kind != DEPHASING or spec.target == TARGET_COIN:
-        return _conjugate_coins(rho, _coin_superop(spec))
+        superop = _coin_superop(spec).reshape(2, 2, 2, 2)
+        mat = np.einsum("cdab,xayb->xcyd", superop, rho.matrix, optimize=True)
+        return DensityOperator(rho.lattice, mat)
     same_site = np.eye(rho.lattice.n_sites, dtype=bool)[:, None, :, None]
     if spec.target == TARGET_BOTH:
         same_site = same_site & np.eye(2, dtype=bool)[None, :, None, :]
     mat = np.where(same_site, rho.matrix, np.exp(-spec.eta) * rho.matrix)
     return DensityOperator(rho.lattice, mat)
+
+
+# ---------------------------------------------------------------------------
+# rho's momentum layout.
+
+_COIN_PAIRS = tuple(itertools.product((0, 1), repeat=2))
+
+
+def _pair_dft(block: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """In place on one N x N coin block: rho -> rho~, or rho~ -> rho with ``inverse``.
+
+    rho~(k, k') = sum_{x, x'} e^{i(kx - k'x')} rho(x, x') / N: ``to_momentum``
+    along the ket axis and ``to_position`` along the bra axis, both in place,
+    so the transform needs no N x N temporaries.
+    """
+    ket, bra = (to_position, to_momentum) if inverse else (to_momentum, to_position)
+    ket(block, axis=0, out=block)
+    bra(block, axis=1, out=block)
+    return block
+
+
+_SHEAR_COLUMNS = 8  # columns per chunk of a shear
+
+
+def _shear(block: np.ndarray, sign: int) -> None:
+    """Roll column j of an n x n block by sign*j, in place.
+
+    sign = 1 takes lines, block[(a - b) mod n, b] = rho~(a, b), to pairs;
+    sign = -1 takes them back.  Column chunks keep the temporaries small.
+    """
+    n = len(block)
+    rows = np.arange(n)[:, None]
+    for lo in range(0, n, _SHEAR_COLUMNS):
+        cols = block[:, lo:lo + _SHEAR_COLUMNS]
+        shift = np.arange(lo, lo + cols.shape[1])
+        cols[...] = np.take_along_axis(cols, (rows - sign * shift) % n, axis=0)
+
+
+@dataclass(frozen=True, eq=False)
+class MomentumLayout:
+    """The momentum support a density operator is stepped on: the lines of a
+    ring of momenta.
+
+    The ring is the R = ``ring`` momenta lo .. lo+R-1, and the working array
+    holds work[c, d][q, j] = rho~(k_a, c; k_b, d) for b = lo + j and
+    a = lo + (j + q) mod R: row q is the line of offset q around the ring,
+    and every pair of ring momenta lies on one line.  Line R - q is the
+    Hermitian mirror of line q, rho~(k_b, d; k_a, c) = conj rho~(k_a, c;
+    k_b, d), so only the ``lines`` offsets q = 0 .. lines-1, at most
+    R//2 + 1 of them, are stored.  Each map of a step (coin maps, the shift
+    phase, the line means) acts line by line and keeps rho Hermitian, so it
+    never needs the mirror half; ``materialize`` and the fidelity start fill
+    it in.  rho~ is zero on the lines of the ring that are neither stored nor
+    mirrored, and off the ring.
+
+    A ring of all N momenta makes its lines those of constant k - k', which
+    walker and both dephasing mix; a ring of the start's momentum window
+    serves channels that keep each (k, k') on its own.  A block of N x N in
+    the ring's line coordinates holds the support; ``_shear`` turns lines
+    into pairs.
+    """
+
+    lattice: LatticeConfig
+    lo: int
+    ring: int
+    lines: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.lines, self.ring
+
+    @property
+    def full(self) -> bool:
+        """Whether every line of the lattice is stored or mirrored."""
+        n = self.lattice.n_sites
+        return self.shape == (n // 2 + 1, n)
+
+    def _on_ring(self, values: np.ndarray) -> np.ndarray:
+        """values[..., a] over momenta as the (..., lines, ring) view [..., q, j]
+        at a = lo + (j + q) mod R, with no copy beyond the ring's two turns."""
+        ring = values[..., self.lo:self.lo + self.ring]
+        turns = np.concatenate((ring, ring), axis=-1)
+        return np.lib.stride_tricks.sliding_window_view(turns, self.ring, axis=-1)[..., :self.lines, :]
+
+    def start(self, state) -> np.ndarray:
+        """The working array of |psi><psi| for a PureState, or of a
+        DensityOperator, which needs the full support."""
+        work = np.empty((2, 2, *self.shape), dtype=complex)
+        if isinstance(state, PureState):
+            amp = to_momentum(state.amplitudes).T
+            bra = amp[:, self.lo:self.lo + self.ring].conj()
+            return np.multiply(self._on_ring(amp)[:, None], bra[None, :, None, :], out=work)
+        if not self.full:
+            raise StateError("a density operator start needs the full momentum support")
+        block = np.empty((self.ring,) * 2, dtype=complex)
+        for c, d in _COIN_PAIRS:
+            block[...] = state.matrix[:, c, :, d]
+            self._store(block, work[c, d])
+        return work
+
+    def _store(self, block: np.ndarray, lines: np.ndarray) -> None:
+        """lines = the stored lines of one coin block of rho, given in position
+        space as the N x N ``block`` on the full support, which is overwritten."""
+        _shear(_pair_dft(block), -1)
+        lines[...] = block[:self.lines]
+
+    def _pairs(self, stored: np.ndarray, mirror: np.ndarray, block: np.ndarray) -> np.ndarray:
+        """block = one coin block of rho~ as N x N pairs, from its ``stored``
+        lines and those of the transposed coin block, ``mirror``; returns block.
+
+        The lines go in the ring's view of the block, with the mirror filled
+        in, and are sheared to pairs.  Line R - q of block (c, d) at j is line
+        q of block (d, c) at j - q, conjugated; it is filled row by row, from
+        slices, with no temporaries.
+        """
+        lines, ring = self.shape
+        view = block[self.lo:self.lo + ring, self.lo:self.lo + ring]
+        block.fill(0)
+        view[:lines] = stored
+        for q in range(1, min(lines, ring - lines + 1)):
+            np.conjugate(mirror[q, :ring - q], out=view[ring - q, q:])
+            np.conjugate(mirror[q, ring - q:], out=view[ring - q, :q])
+        _shear(view, 1)
+        return block
+
+    def materialize(self, work: np.ndarray) -> np.ndarray:
+        """rho(x, c; x', d) as a new (N, 2, N, 2) array, one coin block at a
+        time, through one N x N block."""
+        n = self.lattice.n_sites
+        out = np.empty((n, 2, n, 2), dtype=complex)
+        block = np.empty((n, n), dtype=complex)
+        for c, d in _COIN_PAIRS:
+            out[:, c, :, d] = _pair_dft(self._pairs(work[c, d], work[d, c], block), inverse=True)
+        return out
+
+    def check_trace(self, work: np.ndarray) -> None:
+        """Raise StateError unless tr rho is 1 to ``TRACE_TOL``, as a
+        DensityOperator would, from line 0 of blocks (0,0) and (1,1)."""
+        tr = (work[0, 0, 0].sum() + work[1, 1, 0].sum()).real
+        if not abs(tr - 1.0) <= TRACE_TOL:
+            raise StateError(f"density matrix trace {tr!r} deviates from 1")
+
+    def shift(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """The step's shift on the support, (work, out) -> out = D(k) (x) D*(k') work.
+
+        A pair's phase is e^{i s_c k_a} e^{-i s_d k_b}, with s = (1, -1): one
+        product per coin block of e^{ik_a} on the ring, e^{ik_b} and their
+        conjugates, kept for one multiply a step.
+        """
+        ket = np.exp(1j * self.lattice.momenta)
+        bra = ket[self.lo:self.lo + self.ring]
+        phase = np.empty((2, 2, *self.shape), dtype=complex)
+        phase[0, 0] = self._on_ring(ket)
+        np.multiply(phase[0, 0], bra, out=phase[0, 1])
+        np.conjugate(phase[0, 1], out=phase[1, 0])
+        phase[0, 0] *= bra.conj()
+        np.conjugate(phase[0, 0], out=phase[1, 1])
+        return lambda work, out: np.multiply(work, phase, out=out)
+
+    def apply_fm(self, work: np.ndarray, phi: float) -> np.ndarray:
+        """work -> e^{i phi (x - x')} work in place, through position space.
+
+        The phase moves momenta by phi, which no smaller support holds, so it
+        needs the full one; any other raises StateError.
+        """
+        if not self.full:
+            raise StateError("an F_m phase needs the full momentum support")
+        phase = _fm_phase(self.lattice.sites, phi)
+        block = np.empty((self.ring,) * 2, dtype=complex)
+        held = work[0, 1].copy()  # the mirror of block (1, 0), overwritten before it
+        for c, d in _COIN_PAIRS:
+            _pair_dft(self._pairs(work[c, d], held if (c, d) == (1, 0) else work[d, c], block),
+                      inverse=True)
+            block *= phase[:, None]
+            block *= phase.conj()
+            self._store(block, work[c, d])
+        return work
+
 
 
 def _channel_map(spec: ChannelSpec, layout: MomentumLayout) -> Callable | None:
@@ -212,6 +398,21 @@ def open_layout(rho0: DensityOperator | PureState, schedule: Schedule) -> Moment
     return MomentumLayout(lattice, lo, ring, min(width, ring // 2 + 1))
 
 
+def density_working_set_bytes(n_sites: int) -> int:
+    """Predicted peak bytes of one density-operator run on ``n_sites``: three
+    density matrices of 16 (2N)^2 bytes plus 256 kB of numpy buffers.
+
+    An upper bound on the tracemalloc peak of an open revival or
+    ``evolve_open``, final validation included.  The largest layout is a
+    DensityOperator start's, every line of all N momenta: beside the start
+    matrix, the working array and its spare take about one matrix, and the
+    final state is materialized beside one N x N coin block after the spare
+    is freed, then validated with band-sized temporaries.  A pure start
+    needs less, as its layout is smaller.
+    """
+    return 3 * 16 * (2 * n_sites) ** 2 + 256 * 1024
+
+
 def evolve_open(
     rho0: DensityOperator | PureState,
     schedule: Schedule,
@@ -247,7 +448,21 @@ def fidelity_trace(psi: PureState, schedule: Schedule) -> np.ndarray:
 
 
 def _run_open(rho0, schedule: Schedule, snapshot_times: Sequence[int] = (), fidelity=False):
-    """``_run_density`` on ``open_layout``, channel bound: (layout, work, checkpoints)."""
+    """The one open run: rho0 laid out on ``open_layout``, the channel bound
+    to it, and ``walk._run`` stepping the working array through ``schedule``.
+    Returns (layout, final working array, checkpoints), the snapshots
+    materialized and validated, with ``fidelity`` <psi|rho_t|psi> for rho0 = psi."""
     layout = open_layout(rho0, schedule)
     channel = None if schedule.channel is None else _channel_map(schedule.channel, layout)
-    return layout, *_run_density(layout, rho0, schedule, snapshot_times, channel, fidelity)
+    work = layout.start(rho0)
+    start = work.copy() if fidelity else None
+    if fidelity:
+        # line R - q's overlap is the conjugate of line q's; line R/2 is its own mirror
+        start[:, :, 1:(layout.ring + 1) // 2] *= 2
+    checkpoint = _Checkpoints(schedule, snapshot_times,
+                              lambda w: DensityOperator(rho0.lattice, layout.materialize(w)),
+                              start)
+    work, spare = checkpoint(0, work, np.empty_like(work))
+    work, _ = _run(work, spare, schedule, range(1, schedule.total_steps + 1), checkpoint,
+                   layout.shift(), layout.apply_fm, channel)
+    return layout, work, checkpoint

@@ -27,7 +27,8 @@ from .analysis import (
     revival_protocol,
     schmidt_components,
 )
-from .channels import CHANNEL_KINDS, DEPHASING, TARGET_COIN, TARGETS, ChannelSpec, evolve_open
+from .channels import (CHANNEL_KINDS, DEPHASING, TARGET_COIN, TARGETS, ChannelSpec,
+                       density_working_set_bytes, evolve_open)
 from .config import KEYS, ConfigError, ExperimentConfig
 from .io import ResultRecord, Table
 from .lattice import (
@@ -56,35 +57,6 @@ class ResourceGuardError(RuntimeError):
         )
 
 
-def density_working_set_bytes(n_sites: int) -> int:
-    """Predicted peak bytes of one density-operator run on ``n_sites``.
-
-    An upper bound on the tracemalloc peak of an open revival or
-    evolve_open, final validation included: three density matrices of
-    16 (2N)^2 bytes plus 256 kB of numpy buffers.  The working arrays hold
-    half the lines of the start's ring of momenta (channels.open_layout).
-    For a DensityOperator start the ring is all N momenta: beside the start
-    matrix, the working array and its spare take about one matrix, and the
-    final state is materialized beside one N x N coin block after the spare
-    is freed, then validated with band-sized temporaries: 2.92x one matrix
-    at N=160 and 2.80x at N=300, from state preparation to the position
-    distribution.  A pure start at paper scale needs less.  An open revival,
-    which never materializes its final state, peaks at 0.30x (coin-local
-    channels, 30 lines of a ring of 59) and 1.56x (walker and both
-    dephasing, 59 lines of 160) at N=160, sigma=5, and at 0.08x and 0.76x at
-    N=300, sigma=10; decohereprob's evolve_open at N=400, sigma=10, at 1.29x
-    and 1.46x.
-    """
-    return 3 * 16 * (2 * n_sites) ** 2 + 256 * 1024
-
-
-def _guard_density(n_sites: int, cfg: ExperimentConfig) -> None:
-    predicted = density_working_set_bytes(n_sites)
-    if predicted > cfg.max_bytes:
-        raise ResourceGuardError(predicted, cfg.max_bytes,
-                                 "peak working set: 3 density matrices plus numpy buffers")
-
-
 def _guard_state(n_sites: int, cfg: ExperimentConfig) -> None:
     if 32 * n_sites > cfg.max_bytes:
         raise ResourceGuardError(32 * n_sites, cfg.max_bytes,
@@ -102,13 +74,19 @@ SCENARIO_DEFAULTS = {
 }
 
 
-def _lattice_size(cfg: ExperimentConfig, total_steps: int) -> int:
-    """The lattice size the sizing rule gives a run of ``total_steps`` from a
-    packet of width cfg.sigma, or cfg.lattice if that is set.  An explicit
-    lattice below the rule's size raises StateError: the packet would wrap
-    around the periodic boundary within the run.  A lattice whose one
-    (N, 2) complex state, 32 N bytes, exceeds cfg.max_bytes raises
-    ResourceGuardError."""
+def _packet(cfg: ExperimentConfig, total_steps: int, coin: CoinState = COIN_SYMMETRIC,
+            k0: float | None = None, density: bool = False) -> PureState:
+    """The Gaussian start of width cfg.sigma at mean momentum ``k0`` (cfg.k0
+    by default), on the lattice the sizing rule gives a run of
+    ``total_steps``, or on cfg.lattice if that is set.
+
+    The lattice is checked before any state is built.  An explicit lattice
+    below the rule's size raises StateError: the packet would wrap around
+    the periodic boundary within the run.  ResourceGuardError is raised if
+    one (N, 2) complex state, 32 N bytes, exceeds cfg.max_bytes, or, with
+    ``density``, if a density-operator run's predicted peak
+    (``channels.density_working_set_bytes``) does.
+    """
     n = recommended_size(total_steps, cfg.sigma)
     if cfg.lattice is not None and cfg.lattice < n:
         raise StateError(
@@ -118,15 +96,11 @@ def _lattice_size(cfg: ExperimentConfig, total_steps: int) -> int:
         )
     n = cfg.lattice or n
     _guard_state(n, cfg)
-    return n
-
-
-def _packet(cfg: ExperimentConfig, total_steps: int, coin: CoinState = COIN_SYMMETRIC,
-            k0: float | None = None) -> PureState:
-    """The Gaussian start of width cfg.sigma at mean momentum ``k0`` (cfg.k0
-    by default), on the lattice of ``_lattice_size(cfg, total_steps)``."""
-    return gaussian_position_state(make_lattice(_lattice_size(cfg, total_steps)), cfg.sigma,
-                                   coin, k0=cfg.k0 if k0 is None else k0)
+    if density and (predicted := density_working_set_bytes(n)) > cfg.max_bytes:
+        raise ResourceGuardError(predicted, cfg.max_bytes,
+                                 "peak working set: 3 density matrices plus numpy buffers")
+    return gaussian_position_state(make_lattice(n), cfg.sigma, coin,
+                                   k0=cfg.k0 if k0 is None else k0)
 
 
 def _snapshot_times(cfg: ExperimentConfig) -> list[int]:
@@ -280,33 +254,31 @@ def run_returnk0(cfg: ExperimentConfig) -> ResultRecord:
 
 
 def run_decohereprob(cfg: ExperimentConfig) -> ResultRecord:
-    """Final distributions under the three channel kinds at one eta."""
-    _guard_density(_lattice_size(cfg, cfg.steps), cfg)
-    psi0 = _packet(cfg, cfg.steps)
+    """Final distributions under the three channel kinds at one eta, with
+    the target each table ran with as target.<table>."""
+    psi0 = _packet(cfg, cfg.steps, density=True)
     lat = psi0.lattice
+    meta = _base_metadata(cfg, lat.n_sites)
     tables = []
     for kind in CHANNEL_KINDS:
-        spec = ChannelSpec(kind, cfg.eta, _target(kind, cfg.target))
-        sched = Schedule(cfg.steps, cfg.theta, channel=spec)
+        target = meta[f"target.{kind}"] = _target(kind, cfg.target)
+        sched = Schedule(cfg.steps, cfg.theta, channel=ChannelSpec(kind, cfg.eta, target))
         prob = position_distribution(evolve_open(psi0, sched).final)
         rows = np.column_stack([lat.sites, prob])
         tables.append(Table(kind, ("x", "probability"), ("int", "float"), rows))
-    return ResultRecord("decohereprob", _base_metadata(cfg, lat.n_sites), tables)
+    return ResultRecord("decohereprob", meta, tables)
 
 
 def run_revival(cfg: ExperimentConfig) -> ResultRecord:
     """Time-reversal revival fidelity trace; open-system when eta > 0."""
     T = cfg.steps
-    n = _lattice_size(cfg, 2 * T)
-    spec = None
-    if cfg.eta > 0:
-        _guard_density(n, cfg)
-        spec = ChannelSpec(cfg.channel, cfg.eta, _target(cfg.channel, cfg.target))
-    psi0 = _packet(cfg, 2 * T)
+    psi0 = _packet(cfg, 2 * T, density=cfg.eta > 0)
+    target = _target(cfg.channel, cfg.target)
+    spec = ChannelSpec(cfg.channel, cfg.eta, target) if cfg.eta > 0 else None
     result = revival_protocol(psi0, cfg.theta, T, channel=spec)
     rows = np.column_stack([np.arange(2 * T + 1), result.trace])
-    meta = _base_metadata(cfg, n)
-    meta["target"] = _target(cfg.channel, cfg.target)
+    meta = _base_metadata(cfg, psi0.lattice.n_sites)
+    meta["target"] = target
     meta["r"] = repr(result.r)
     meta["reverser"] = "exact"
     table = Table("fidelity", ("step", "fidelity"), ("int", "float"), rows)
@@ -316,9 +288,7 @@ def run_revival(cfg: ExperimentConfig) -> ResultRecord:
 def run_decohere(cfg: ExperimentConfig) -> ResultRecord:
     """Revival fidelity against eta for each channel variant."""
     T = cfg.steps
-    n = _lattice_size(cfg, 2 * T)
-    _guard_density(n, cfg)
-    psi0 = _packet(cfg, 2 * T)
+    psi0 = _packet(cfg, 2 * T, density=True)
     # every (kind, target) a channel takes: dephasing_{coin,walker,both},
     # amplitude_damping, bit_flip
     variants = dict.fromkeys((kind, _target(kind, target))
@@ -332,7 +302,7 @@ def run_decohere(cfg: ExperimentConfig) -> ResultRecord:
             rows.append((eta, revival_protocol(psi0, cfg.theta, T, channel=spec).r))
         name = f"{kind}_{target}" if kind == DEPHASING else kind
         tables.append(Table(name, ("eta", "r"), ("float", "float"), np.array(rows)))
-    return ResultRecord("decohere", _base_metadata(cfg, n), tables)
+    return ResultRecord("decohere", _base_metadata(cfg, psi0.lattice.n_sites), tables)
 
 
 def run_electricfid(cfg: ExperimentConfig) -> ResultRecord:

@@ -1,5 +1,6 @@
-"""Walk operators: coin flip, conditional shift, momentum-shift phase, and
-scheduled evolution for pure states and density operators.
+"""Walk operators: coin flip, conditional shift, momentum-shift phase,
+scheduled evolution of pure states, and the step loop that pure states and
+density operators share.
 
 One walk step is coin -> shift (-> momentum-shift phase when scheduled),
 i.e. the generalized propagator multiplies the plain step on the left.
@@ -7,27 +8,24 @@ Time is counted in completed steps; a coin-gate insertion at time ``s``
 acts after ``s`` steps, and an F_m window ``(start, end, phi)`` applies the
 phase during steps ``start+1 .. end``.  Pure states and density operators
 share one step loop, ``_run``, and one ``_Checkpoints`` for what happens
-between steps: gates, snapshots and the fidelity to a pure start.  A density
-operator steps in momentum space on the support a ``MomentumLayout`` names,
-where the step Z acts as Z(k) (x) Z(k')^* and needs no shift: the lines of a
-ring of R momenta, of which only q = 0 .. R//2 are kept, since every map of
-the step keeps rho Hermitian and line R - q is the mirror of line q.  A
-pure state jumps each plain stretch between events as one closed-form power
-Z(k)^n in momentum space, and steps F_m windows in position space.
-Both move between sites and momenta by ``lattice.to_momentum`` and
-``to_position``; ``_PlainPower`` holds the band structure ``spectral`` reads.
+between steps: gates, snapshots and the fidelity to a pure start.  The loop
+takes its rank from a coin-major array and its shift, F_m phase and channel
+as maps; ``channels`` lays a density operator out in momentum space and
+runs it there.  A pure state jumps each plain stretch between events as one
+closed-form power Z(k)^n in momentum space, and steps F_m windows in
+position space.  It moves between sites and momenta by
+``lattice.to_momentum`` and ``to_position``; ``_PlainPower`` holds the band
+structure ``spectral`` reads.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .lattice import (DensityOperator, LatticeConfig, PureState, TRACE_TOL, StateError, to_momentum,
-                      to_position)
+from .lattice import DensityOperator, PureState, StateError, to_momentum, to_position
 
 UNITARITY_TOL = 1e-10
 
@@ -71,12 +69,10 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
 # Step kernel.  It works on a coin-major array, coin axes first: amp[c] =
 # psi[:, c], shape (2, N), for a pure state in position space (rank 1), and
 # work[c, d], shape (2, 2, lines, ring), holding rho in momentum space on the
-# support a MomentumLayout names (rank 2).  A coin-local map is one
+# support ``channels`` lays it out on (rank 2).  A coin-local map is one
 # (2^r x 2^r)·(2^r x P) product.  The shift moves sites by slice assignment on
 # a pure state and is the phase D(k) (x) D*(k') on rho, D(k) = diag(e^{ik},
 # e^{-ik}).  Maps write into a buffer that must not alias their input.
-
-_COIN_PAIRS = tuple(itertools.product((0, 1), repeat=2))
 
 
 def _coin_map(rank: int, *ops: np.ndarray) -> np.ndarray:
@@ -107,177 +103,6 @@ def _fm_phase(sites: np.ndarray, phi: float) -> np.ndarray:
 def _transpose(amp: np.ndarray) -> np.ndarray:
     """Contiguous copy of (N, 2) amplitudes as coin-major (2, N), or back."""
     return np.ascontiguousarray(amp.T)
-
-
-def _pair_dft(block: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """In place on one N x N coin block: rho -> rho~, or rho~ -> rho with ``inverse``.
-
-    rho~(k, k') = sum_{x, x'} e^{i(kx - k'x')} rho(x, x') / N: ``to_momentum``
-    along the ket axis and ``to_position`` along the bra axis, both in place,
-    so the transform needs no N x N temporaries.
-    """
-    ket, bra = (to_position, to_momentum) if inverse else (to_momentum, to_position)
-    ket(block, axis=0, out=block)
-    bra(block, axis=1, out=block)
-    return block
-
-
-_SHEAR_COLUMNS = 8  # columns per chunk of a shear
-
-
-def _shear(block: np.ndarray, sign: int) -> None:
-    """Roll column j of an n x n block by sign*j, in place.
-
-    sign = 1 takes lines, block[(a - b) mod n, b] = rho~(a, b), to pairs;
-    sign = -1 takes them back.  Column chunks keep the temporaries small.
-    """
-    n = len(block)
-    rows = np.arange(n)[:, None]
-    for lo in range(0, n, _SHEAR_COLUMNS):
-        cols = block[:, lo:lo + _SHEAR_COLUMNS]
-        shift = np.arange(lo, lo + cols.shape[1])
-        cols[...] = np.take_along_axis(cols, (rows - sign * shift) % n, axis=0)
-
-
-@dataclass(frozen=True, eq=False)
-class MomentumLayout:
-    """The momentum support a density operator is stepped on: the lines of a
-    ring of momenta.
-
-    The ring is the R = ``ring`` momenta lo .. lo+R-1, and the working array
-    holds work[c, d][q, j] = rho~(k_a, c; k_b, d) for b = lo + j and
-    a = lo + (j + q) mod R: row q is the line of offset q around the ring,
-    and every pair of ring momenta lies on one line.  Line R - q is the
-    Hermitian mirror of line q, rho~(k_b, d; k_a, c) = conj rho~(k_a, c;
-    k_b, d), so only the ``lines`` offsets q = 0 .. lines-1, at most
-    R//2 + 1 of them, are stored.  Each map of a step (coin maps, the shift
-    phase, the line means) acts line by line and keeps rho Hermitian, so it
-    never needs the mirror half; ``materialize`` and the fidelity start fill
-    it in.  rho~ is zero on the lines of the ring that are neither stored nor
-    mirrored, and off the ring.
-
-    A ring of all N momenta makes its lines those of constant k - k', which
-    walker and both dephasing mix; a ring of the start's momentum window
-    serves channels that keep each (k, k') on its own.  A block of N x N in
-    the ring's line coordinates holds the support; ``_shear`` turns lines
-    into pairs.
-    """
-
-    lattice: LatticeConfig
-    lo: int
-    ring: int
-    lines: int
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.lines, self.ring
-
-    @property
-    def full(self) -> bool:
-        """Whether every line of the lattice is stored or mirrored."""
-        n = self.lattice.n_sites
-        return self.shape == (n // 2 + 1, n)
-
-    def _on_ring(self, values: np.ndarray) -> np.ndarray:
-        """values[..., a] over momenta as the (..., lines, ring) view [..., q, j]
-        at a = lo + (j + q) mod R, with no copy beyond the ring's two turns."""
-        ring = values[..., self.lo:self.lo + self.ring]
-        turns = np.concatenate((ring, ring), axis=-1)
-        return np.lib.stride_tricks.sliding_window_view(turns, self.ring, axis=-1)[..., :self.lines, :]
-
-    def start(self, state) -> np.ndarray:
-        """The working array of |psi><psi| for a PureState, or of a
-        DensityOperator, which needs the full support."""
-        work = np.empty((2, 2, *self.shape), dtype=complex)
-        if isinstance(state, PureState):
-            amp = to_momentum(state.amplitudes).T
-            bra = amp[:, self.lo:self.lo + self.ring].conj()
-            return np.multiply(self._on_ring(amp)[:, None], bra[None, :, None, :], out=work)
-        if not self.full:
-            raise StateError("a density operator start needs the full momentum support")
-        block = np.empty((self.ring,) * 2, dtype=complex)
-        for c, d in _COIN_PAIRS:
-            block[...] = state.matrix[:, c, :, d]
-            self._store(block, work[c, d])
-        return work
-
-    def _store(self, block: np.ndarray, lines: np.ndarray) -> None:
-        """lines = the stored lines of one coin block of rho, given in position
-        space as the N x N ``block`` on the full support, which is overwritten."""
-        _shear(_pair_dft(block), -1)
-        lines[...] = block[:self.lines]
-
-    def _pairs(self, stored: np.ndarray, mirror: np.ndarray, block: np.ndarray) -> np.ndarray:
-        """block = one coin block of rho~ as N x N pairs, from its ``stored``
-        lines and those of the transposed coin block, ``mirror``; returns block.
-
-        The lines go in the ring's view of the block, with the mirror filled
-        in, and are sheared to pairs.  Line R - q of block (c, d) at j is line
-        q of block (d, c) at j - q, conjugated; it is filled row by row, from
-        slices, with no temporaries.
-        """
-        lines, ring = self.shape
-        view = block[self.lo:self.lo + ring, self.lo:self.lo + ring]
-        block.fill(0)
-        view[:lines] = stored
-        for q in range(1, min(lines, ring - lines + 1)):
-            np.conjugate(mirror[q, :ring - q], out=view[ring - q, q:])
-            np.conjugate(mirror[q, ring - q:], out=view[ring - q, :q])
-        _shear(view, 1)
-        return block
-
-    def materialize(self, work: np.ndarray) -> np.ndarray:
-        """rho(x, c; x', d) as a new (N, 2, N, 2) array, one coin block at a
-        time, through one N x N block."""
-        n = self.lattice.n_sites
-        out = np.empty((n, 2, n, 2), dtype=complex)
-        block = np.empty((n, n), dtype=complex)
-        for c, d in _COIN_PAIRS:
-            out[:, c, :, d] = _pair_dft(self._pairs(work[c, d], work[d, c], block), inverse=True)
-        return out
-
-    def check_trace(self, work: np.ndarray) -> None:
-        """Raise StateError unless tr rho is 1 to ``TRACE_TOL``, as a
-        DensityOperator would, from line 0 of blocks (0,0) and (1,1)."""
-        tr = (work[0, 0, 0].sum() + work[1, 1, 0].sum()).real
-        if not abs(tr - 1.0) <= TRACE_TOL:
-            raise StateError(f"density matrix trace {tr!r} deviates from 1")
-
-    def shift(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        """The step's shift on the support, (work, out) -> out = D(k) (x) D*(k') work.
-
-        A pair's phase is e^{i s_c k_a} e^{-i s_d k_b}, with s = (1, -1): one
-        product per coin block of e^{ik_a} on the ring, e^{ik_b} and their
-        conjugates, kept for one multiply a step.
-        """
-        ket = np.exp(1j * self.lattice.momenta)
-        bra = ket[self.lo:self.lo + self.ring]
-        phase = np.empty((2, 2, *self.shape), dtype=complex)
-        phase[0, 0] = self._on_ring(ket)
-        np.multiply(phase[0, 0], bra, out=phase[0, 1])
-        np.conjugate(phase[0, 1], out=phase[1, 0])
-        phase[0, 0] *= bra.conj()
-        np.conjugate(phase[0, 0], out=phase[1, 1])
-        return lambda work, out: np.multiply(work, phase, out=out)
-
-    def apply_fm(self, work: np.ndarray, phi: float) -> np.ndarray:
-        """work -> e^{i phi (x - x')} work in place, through position space.
-
-        The phase moves momenta by phi, which no smaller support holds, so it
-        needs the full one; any other raises StateError.
-        """
-        if not self.full:
-            raise StateError("an F_m phase needs the full momentum support")
-        phase = _fm_phase(self.lattice.sites, phi)
-        block = np.empty((self.ring,) * 2, dtype=complex)
-        held = work[0, 1].copy()  # the mirror of block (1, 0), overwritten before it
-        for c, d in _COIN_PAIRS:
-            _pair_dft(self._pairs(work[c, d], held if (c, d) == (1, 0) else work[d, c], block),
-                      inverse=True)
-            block *= phase[:, None]
-            block *= phase.conj()
-            self._store(block, work[c, d])
-        return work
 
 
 @dataclass(frozen=True)
@@ -453,7 +278,8 @@ class _PlainPower:
 
 
 # ---------------------------------------------------------------------------
-# Front ends: pure states, then density operators.
+# Front ends: pure states, then two wrappers that run density operators
+# through ``channels``.
 
 @dataclass(frozen=True)
 class EvolutionResult:
@@ -522,46 +348,23 @@ def step(state: PureState, theta: float) -> PureState:
     return evolve(state, Schedule(1, theta)).final
 
 
-def _run_density(layout: MomentumLayout, rho0, schedule: Schedule,
-                 snapshot_times: Sequence[int] = (), channel: Callable | None = None,
-                 fidelity: bool = False) -> tuple[np.ndarray, _Checkpoints]:
-    """_run on rho0 laid out on ``layout``: (final working array, checkpoints), the
-    snapshots materialized and validated, with ``fidelity`` <psi|rho_t|psi> for rho0 = psi."""
-    lattice = layout.lattice
-    work = layout.start(rho0)
-    start = work.copy() if fidelity else None
-    if fidelity:
-        # line R - q's overlap is the conjugate of line q's; line R/2 is its own mirror
-        start[:, :, 1:(layout.ring + 1) // 2] *= 2
-    checkpoint = _Checkpoints(schedule, snapshot_times,
-                              lambda w: DensityOperator(lattice, layout.materialize(w)),
-                              start)
-    work, spare = checkpoint(0, work, np.empty_like(work))
-    work, _ = _run(work, spare, schedule, range(1, schedule.total_steps + 1), checkpoint,
-                   layout.shift(), layout.apply_fm, channel)
-    return work, checkpoint
-
-
-def _conjugate_coins(rho: DensityOperator, cmap: np.ndarray) -> DensityOperator:
-    """A 4x4 coin superoperator applied at every (x, x') of rho's (N, 2, N, 2) matrix."""
-    mat = np.einsum("cdab,xayb->xcyd", cmap.reshape(2, 2, 2, 2), rho.matrix, optimize=True)
-    return DensityOperator(rho.lattice, mat)
-
+# Kept only for the benchmark's per-layer replay (bench/tracing.py), these go
+# when it stops timing them; they import channels inside, as it builds on walk.
 
 def conjugate_coin(rho: DensityOperator, u: np.ndarray) -> DensityOperator:
-    """rho -> (1 (x) U) rho (1 (x) U)† for a unitary coin gate.
-
-    Each call validates the whole state; loop with ``evolve_open``.
-    """
-    return _conjugate_coins(rho, _coin_map(2, _check_unitary(u)))
-
-
-def step_density(rho: DensityOperator, theta: float) -> DensityOperator:
-    """rho -> Z rho Z†, as a one-step run on the full momentum support.
+    """rho -> (1 (x) U) rho (1 (x) U)† for a unitary coin gate, as a
+    zero-step open run.
 
     Each call transforms and validates the whole state; loop with ``evolve_open``.
     """
-    n = rho.lattice.n_sites
-    layout = MomentumLayout(rho.lattice, 0, n, n // 2 + 1)
-    work, _ = _run_density(layout, rho, Schedule(1, theta))
-    return DensityOperator(rho.lattice, layout.materialize(work))
+    from .channels import evolve_open
+    return evolve_open(rho, Schedule(0, 0.0, coin_gate_insertions=((0, u),))).final
+
+
+def step_density(rho: DensityOperator, theta: float) -> DensityOperator:
+    """rho -> Z rho Z†, as a one-step open run.
+
+    Each call transforms and validates the whole state; loop with ``evolve_open``.
+    """
+    from .channels import evolve_open
+    return evolve_open(rho, Schedule(1, theta)).final

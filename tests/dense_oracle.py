@@ -8,6 +8,17 @@ density matrix.
 
 import numpy as np
 
+from catwalk.lattice import DensityOperator, make_lattice
+
+
+def random_density(n, seed=0):
+    """A full-rank random density operator on n sites."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2 * n, 2 * n)) + 1j * rng.normal(size=(2 * n, 2 * n))
+    m = a @ a.conj().T
+    m /= np.trace(m).real
+    return DensityOperator(make_lattice(n), m)
+
 
 def dense_walk_unitary(n, theta, phi=None):
     """Coin, shift, then the optional phase e^{i phi x}, as a 2N x 2N matrix."""
@@ -49,12 +60,15 @@ def dense_channel(rho2d, n, spec):
 
 
 def dense_run(rho2d, n, schedule):
-    """The dense oracle applied step by step; returns the states at t = 0..T."""
+    """The dense oracle applied step by step, with the schedule's channel if
+    it has one; returns the states at t = 0..T."""
     states = []
     for t in range(schedule.total_steps + 1):
         if t > 0:
             u = dense_walk_unitary(n, schedule.theta, schedule.phi_at(t))
-            rho2d = dense_channel(u @ rho2d @ u.conj().T, n, schedule.channel)
+            rho2d = u @ rho2d @ u.conj().T
+            if schedule.channel is not None:
+                rho2d = dense_channel(rho2d, n, schedule.channel)
         for gate in schedule.insertions_at(t):
             rho2d = dense_gate(rho2d, n, gate)
         states.append(rho2d)

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from catwalk.channels import (
     ChannelError,
     ChannelSpec,
     KrausPair,
+    MomentumLayout,
     amplitude_damping_kraus,
     apply_channel,
     bit_flip_kraus,
@@ -30,17 +34,10 @@ from catwalk.lattice import (
     to_momentum,
     to_position,
 )
+import catwalk
 from catwalk import channels
-from catwalk.walk import SIGMA_Y, MomentumLayout, Schedule, evolve, reversal_pair
-from dense_oracle import dense_run
-
-
-def random_density(n, seed=0):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(2 * n, 2 * n)) + 1j * rng.normal(size=(2 * n, 2 * n))
-    m = a @ a.conj().T
-    m /= np.trace(m).real
-    return DensityOperator(make_lattice(n), m)
+from catwalk.walk import SIGMA_Y, Schedule, evolve, reversal_pair
+from dense_oracle import dense_run, random_density
 
 
 def test_channel_spec_validation():
@@ -459,3 +456,23 @@ def test_fm_phase_refuses_a_partial_support(layout):
     work = np.zeros((2, 2, *layout.shape), dtype=complex)
     with pytest.raises(StateError, match="full momentum support"):
         layout.apply_fm(work, 0.1)
+
+
+def _names_momentum_layout(node: ast.AST) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id == "MomentumLayout"
+    if isinstance(node, ast.Attribute):
+        return node.attr == "MomentumLayout"
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+        return node.name == "MomentumLayout"
+    if isinstance(node, ast.alias):
+        return "MomentumLayout" in (node.name, node.asname)
+    return False
+
+
+def test_momentum_layout_named_only_in_channels():
+    # rho's momentum layout has one home; walk steps whatever array it is handed
+    src = Path(catwalk.__file__).parent
+    users = {path.name for path in src.glob("*.py")
+             if any(map(_names_momentum_layout, ast.walk(ast.parse(path.read_text()))))}
+    assert users == {"channels.py"}

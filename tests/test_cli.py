@@ -326,21 +326,20 @@ def test_open_revival_peak_within_guard_prediction():
 
 
 @pytest.mark.parametrize("n", [64, 160, 300])
-@pytest.mark.parametrize(
-    "spec",
-    [
-        ChannelSpec("dephasing", 0.01, "both"),
-        ChannelSpec("amplitude_damping", 0.01),
-        ChannelSpec("bit_flip", 0.01),
-    ],
-)
-def test_open_final_peak_within_guard_prediction(spec, n):
+@pytest.mark.parametrize("spec, fm_windows", [
+    pytest.param(ChannelSpec("dephasing", 0.01, "both"), (), id="spec0"),
+    pytest.param(ChannelSpec("amplitude_damping", 0.01), (), id="spec1"),
+    pytest.param(ChannelSpec("bit_flip", 0.01), (), id="spec2"),
+    # an F_m window runs apply_fm, which goes through position space block by block
+    pytest.param(ChannelSpec("dephasing", 0.01, "both"), ((2, 4, 0.3),), id="fm"),
+])
+def test_open_final_peak_within_guard_prediction(spec, fm_windows, n):
     # shaped like decohereprob: state preparation, evolve_open, final distribution
     lat = make_lattice(n)
 
     def run():
         psi = gaussian_position_state(lat, 3.0, COIN_SYMMETRIC)
-        sched = Schedule(6, np.pi / 4, channel=spec)
+        sched = Schedule(6, np.pi / 4, fm_windows=fm_windows, channel=spec)
         return position_distribution(evolve_open(DensityOperator.from_pure(psi), sched).final)
 
     run()  # first-call allocations
@@ -384,6 +383,17 @@ def test_cli_revival_records_the_target_used(channel, target, tmp_path, capsys):
             "--channel", channel, "--out", str(tmp_path)]
     assert main(argv + (["--target", target] if target else [])) == 0
     assert "target=coin" in (tmp_path / "revival_meta.txt").read_text().splitlines()
+
+
+def test_cli_decohereprob_records_the_target_of_each_table(tmp_path, capsys):
+    # target= echoes the config; amplitude damping and bit flip ran on the coin
+    argv = ["decohereprob", "--eta", "0.01", "--steps", "3", "--sigma", "2",
+            "--target", "walker", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    lines = (tmp_path / "decohereprob_meta.txt").read_text().splitlines()
+    assert [line for line in lines if line.startswith("target")] == [
+        "target=walker", "target.amplitude_damping=coin", "target.bit_flip=coin",
+        "target.dephasing=walker"]
 
 
 @pytest.mark.parametrize("target", TARGETS)

@@ -26,7 +26,7 @@ from catwalk.lattice import (
     to_momentum,
     to_position,
 )
-from catwalk.walk import MomentumLayout
+from catwalk.channels import MomentumLayout
 
 
 def test_lattice_sites_and_momenta():

@@ -34,7 +34,7 @@ from catwalk.walk import (
     _PlainPower,
     _run_pure,
 )
-from dense_oracle import dense_pure_run, dense_walk_unitary
+from dense_oracle import dense_gate, dense_pure_run, dense_run, dense_walk_unitary, random_density
 
 THETAS = [np.pi / 6, np.pi / 4, np.pi / 3, np.pi / 2.4]
 
@@ -195,6 +195,10 @@ def test_step_density_matches_pure_step(theta):
         DensityOperator.from_pure(step(psi, theta)).matrix,
         atol=1e-13,
     )
+    # a one-step open run on a mixed state, against one step of the dense oracle
+    mixed = random_density(16, seed=2)
+    expected = dense_run(mixed.as_2d, 16, Schedule(1, theta))[1]
+    np.testing.assert_allclose(step_density(mixed, theta).as_2d, expected, rtol=0, atol=1e-13)
 
 
 def test_evolve_open_closed_schedule_matches_evolve():
@@ -224,6 +228,12 @@ def test_conjugate_coin_matches_pure():
     r, _ = reversal_pair(np.pi / 6)
     rho = conjugate_coin(DensityOperator.from_pure(psi), r)
     assert fidelity_with_density(gate(psi, r), rho) == pytest.approx(1.0)
+    # a zero-step open run on a mixed state, against the dense oracle; r is
+    # i times a real matrix, so a complex phase makes u differ from its conjugate
+    mixed = random_density(16, seed=1)
+    u = r @ np.diag([1.0, np.exp(0.7j)])
+    np.testing.assert_allclose(conjugate_coin(mixed, u).as_2d, dense_gate(mixed.as_2d, 16, u),
+                               rtol=0, atol=1e-13)
 
 
 @settings(max_examples=60, deadline=None)
