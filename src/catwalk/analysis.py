@@ -36,6 +36,7 @@ DEGENERACY_GAP = 0.05
 # a local maximum below this fraction of the highest is rounding noise, no peak
 PEAK_FLOOR = 1e-12
 PROJECTION_NORM_TOL = 1e-12
+NULL_WEIGHT = 1e-15  # a coin eigenvalue or Schmidt weight at or below it is zero
 FRINGE_OVERSAMPLE = 8  # padded lattice over the state's, for the fringe DFT
 
 REVERSER_EXACT = "exact"
@@ -64,7 +65,7 @@ def entanglement_entropy(state) -> float:
     """Von Neumann entropy of the reduced coin, in bits."""
     lams = np.linalg.eigvalsh(reduced_coin(state))
     lams = np.clip(lams.real, 0.0, 1.0)
-    nz = lams[lams > 1e-15]
+    nz = lams[lams > NULL_WEIGHT]
     return float(-np.sum(nz * np.log2(nz)))
 
 
@@ -106,8 +107,8 @@ def schmidt_components(state: PureState) -> SchmidtDecomposition:
     for phi in basis:
         walker = amp @ phi.conj()  # <phi|Psi>(x), unnormalized
         w = float(np.sum(np.abs(walker) ** 2))
-        mean = float(np.sum(sites * np.abs(walker) ** 2) / w) if w > 1e-15 else 0.0
-        xs = walker / np.sqrt(w) if w > 1e-15 else walker
+        mean = float(np.sum(sites * np.abs(walker) ** 2) / w) if w > NULL_WEIGHT else 0.0
+        xs = walker / np.sqrt(w) if w > NULL_WEIGHT else walker
         branches.append((w, mean, phi, xs))
 
     if degenerate:
@@ -130,13 +131,12 @@ def packet_width(prob: np.ndarray, sites: np.ndarray | None = None) -> float:
 
 
 def component_widths(state: PureState) -> tuple[float, float]:
-    """Widths of the two Schmidt branches' own distributions."""
+    """Widths of the two Schmidt branches' own distributions; a branch of
+    weight at most NULL_WEIGHT, as a product state has, has width nan."""
     dec = schmidt_components(state)
     sites = state.lattice.sites
-    return (
-        packet_width(np.abs(dec.x_state) ** 2, sites),
-        packet_width(np.abs(dec.x_perp_state) ** 2, sites),
-    )
+    return tuple(packet_width(np.abs(x) ** 2, sites) if w > NULL_WEIGHT else np.nan
+                 for w, x in zip(dec.weights, (dec.x_state, dec.x_perp_state)))
 
 
 def project_coin(state: PureState, chi_prime) -> tuple[np.ndarray, float]:

@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-One subcommand per figure scenario plus generic ``evolve`` and
-``spectrum``.  Exit codes: 0 success, 2 configuration error, 3 resource
-guard refusal, 4 outputs that cannot be written.  The output directory
-is --out, else a config file's out=, else $CATWALK_OUT, else ".".
+``catwalk <scenario> [flags]``: one scenario per figure plus generic
+``evolve`` and ``spectrum``, with ``--config`` and a flag per config key in
+any order.  Exit codes: 0 success, 2 configuration error, 3 resource guard
+refusal, 4 outputs that cannot be written.  The output directory is --out,
+else a config file's out=, else $CATWALK_OUT, else ".".
 """
 
 from __future__ import annotations
@@ -30,12 +31,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum-walk cat-state experiments; emits CSV tables "
         "and key=value metadata per scenario.",
     )
-    sub = parser.add_subparsers(dest="scenario", required=True)
-    for name in sorted(RUNNERS):
-        sp = sub.add_parser(name, help=f"run the {name} scenario")
-        sp.add_argument("--config", help="key=value config file")
-        for dest, key in KEYS.items():
-            sp.add_argument(key.flag, dest=dest, help=key.help, choices=key.choices)
+    parser.add_argument("scenario", choices=sorted(RUNNERS), metavar="scenario",
+                        help=" | ".join(sorted(RUNNERS)))
+    parser.add_argument("--config", help="key=value config file")
+    for dest, key in KEYS.items():
+        parser.add_argument(key.flag, dest=dest, help=key.help)
     return parser
 
 

@@ -1,7 +1,8 @@
 """Experiment configuration: flat key=value files, flag overrides, defaults.
 
-Precedence is flag > file > default, and the origin of every value is
-recorded so emitted metadata can state where each parameter came from.
+Precedence is flag > file > the scenario's own default (SCENARIO_DEFAULTS)
+> the key's default, and the origin of every value is recorded ("flag",
+"file" or "default") so emitted metadata can state where each came from.
 Each key is one ExperimentConfig field: its annotation is the value type,
 and its metadata holds the flag, help, valid range and whether runs echo
 it.  ``out`` defaults to $CATWALK_OUT, else ".", read when a config is built.
@@ -37,10 +38,9 @@ def _one_of(values):
     return (lambda v: v in values), f"one of {values}"
 
 
-def _key(flag, help, valid=None, choices=None, echo=True, **default):
+def _key(flag, help, valid=None, echo=True, **default):
     """A key's field; ``default`` is its ``default=`` or ``default_factory=``."""
-    return field(**default, metadata=dict(flag=flag, help=help, valid=valid, choices=choices,
-                                          echo=echo))
+    return field(**default, metadata=dict(flag=flag, help=help, valid=valid, echo=echo))
 
 
 @dataclass
@@ -74,9 +74,20 @@ class ExperimentConfig:
                             _above(0), echo=False, default=4e9)
     out: str = _key("--out", f"output directory (default ${OUT_ENV} or current dir)",
                     echo=False, default_factory=lambda: os.environ.get(OUT_ENV, "."))
-    fmt: str = _key("--format", "table output format (default csv)", _one_of(FORMATS),
-                    choices=FORMATS, echo=False, default="csv")
+    fmt: str = _key("--format", "table output format: " + " | ".join(FORMATS) + " (default csv)",
+                    _one_of(FORMATS), echo=False, default="csv")
     provenance: dict = field(default_factory=dict)
+
+
+# Figure-faithful defaults: a scenario's value for a key that neither the
+# file nor a flag sets.
+SCENARIO_DEFAULTS = {
+    "dirac": {"theta": math.pi / 2.4},
+    "revival": {"steps": 97},
+    "decohereprob": {"steps": 250},
+    "decohere": {"steps": 50},
+    "electricfid": {"sigma": 9.0, "steps": 100},
+}
 
 
 class Key(NamedTuple):
@@ -86,7 +97,6 @@ class Key(NamedTuple):
     flag: str
     type: type
     help: str
-    choices: tuple | None
     valid: tuple | None
     echo: bool
     auto: bool
@@ -120,14 +130,15 @@ def parse_config(
     flags: dict | None = None,
     scenario: str = "",
 ) -> ExperimentConfig:
-    """Build a validated config from file text plus flag overrides.
+    """Build a validated config for ``scenario`` from file text plus flag
+    overrides, over the scenario's SCENARIO_DEFAULTS and the key defaults.
 
     File format is one ``key=value`` per line with ``#`` comments and
     blank lines allowed.  Unknown keys, unparsable values, and range
     violations raise ConfigError naming the offender (with its line
     number for file entries).
     """
-    cfg = ExperimentConfig(scenario=scenario)
+    cfg = ExperimentConfig(scenario=scenario, **SCENARIO_DEFAULTS.get(scenario, {}))
     prov = dict.fromkeys(KEYS, "default")
 
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -1,9 +1,10 @@
 """Scenario pipelines behind the CLI: one runner per figure plus generic
 evolve/spectrum runs.
 
-Each runner takes a resolved ExperimentConfig, executes the corresponding
-library pipeline, and returns a ResultRecord of tables plus metadata
-(every input, the resolved lattice size, and per-key provenance).
+Each runner takes the ExperimentConfig parse_config resolved, scenario
+defaults included, runs the corresponding library pipeline without changing
+it, and returns a ResultRecord of tables plus metadata (every input, the
+resolved lattice size, and per-key provenance).
 Density-operator scenarios size their lattice and check a memory estimate
 for it before building any state, and refuse with the predicted byte count
 when it exceeds the budget.
@@ -61,17 +62,6 @@ def _guard_state(n_sites: int, cfg: ExperimentConfig) -> None:
     if 32 * n_sites > cfg.max_bytes:
         raise ResourceGuardError(32 * n_sites, cfg.max_bytes,
                                  f"one pure state on N={n_sites} sites")
-
-
-# Figure-faithful defaults applied only where the user left the global
-# default in place.
-SCENARIO_DEFAULTS = {
-    "dirac": {"theta": math.pi / 2.4},
-    "revival": {"steps": 97},
-    "decohereprob": {"steps": 250},
-    "decohere": {"steps": 50},
-    "electricfid": {"sigma": 9.0, "steps": 100},
-}
 
 
 def _packet(cfg: ExperimentConfig, total_steps: int, coin: CoinState = COIN_SYMMETRIC,
@@ -358,9 +348,7 @@ RUNNERS = {
 
 
 def run_scenario(cfg: ExperimentConfig) -> ResultRecord:
+    """Run cfg.scenario on cfg as given."""
     if cfg.scenario not in RUNNERS:
         raise ConfigError(f"unknown scenario {cfg.scenario!r}")
-    for key, value in SCENARIO_DEFAULTS.get(cfg.scenario, {}).items():
-        if cfg.provenance.get(key) == "default":
-            setattr(cfg, key, value)
     return RUNNERS[cfg.scenario](cfg)

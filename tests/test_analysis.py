@@ -136,6 +136,16 @@ def test_component_widths_of_displaced_branches():
     assert w2 == pytest.approx(4.0, rel=0.05)
 
 
+@pytest.mark.filterwarnings("error")
+def test_component_widths_of_a_product_state():
+    # the empty second branch has no width: nan, without a 0/0 warning
+    lat = make_lattice(64)
+    psi = gaussian_position_state(lat, 3.0, COIN_SYMMETRIC)
+    w1, w2 = component_widths(psi)
+    assert w1 == pytest.approx(packet_width(position_distribution(psi), lat.sites))
+    assert np.isnan(w2)
+
+
 def test_project_coin_completeness():
     psi = random_pure(16, 5)
     chi = CoinState.from_vector([0.6, 0.8j])

@@ -1,3 +1,4 @@
+import copy
 import importlib
 import os
 import subprocess
@@ -103,6 +104,50 @@ def test_parser_flags_are_the_config_keys():
     for scenario in ("evolve", "revival", "spectrum"):
         dests = set(vars(build_parser().parse_args([scenario])))
         assert dests - {"scenario", "config"} == config_keys
+
+
+def test_flags_may_come_before_the_scenario(tmp_path, capsys):
+    assert main(["--theta", "0.7", "spectrum", "--lattice", "16", "--out", str(tmp_path)]) == 0
+    meta = (tmp_path / "spectrum_meta.txt").read_text().splitlines()
+    assert {"theta=0.7", "provenance.theta=flag"} <= set(meta)
+
+
+def test_format_is_refused_by_the_config_range(tmp_path, capsys):
+    assert main(["spectrum", "--lattice", "16", "--format", "json", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "catwalk: config error: fmt: must be one of ('csv', 'plot', 'both'), got 'json'\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_one_parser_registers_each_flag_once():
+    parser = build_parser()
+    flags = [flag for action in parser._actions for flag in action.option_strings]
+    assert sorted(flags) == sorted(["-h", "--help", "--config",
+                                    *(key.flag for key in KEYS.values())])
+    text = parser.format_help()
+    assert all(name in text for name in scenarios.RUNNERS)
+    assert all(key.flag in text for key in KEYS.values())
+
+
+def test_scenario_defaults_are_resolved_by_parse_config():
+    cfg = parse_config("", scenario="revival")
+    assert (cfg.steps, cfg.provenance["steps"]) == (97, "default")
+    assert parse_config("steps=5\n", scenario="revival").steps == 5
+    assert parse_config(flags={"steps": "5"}, scenario="revival").steps == 5
+    assert parse_config("", scenario="evolve").steps == 150
+
+
+def test_run_scenario_leaves_the_config_unchanged():
+    cfg = parse_config(flags={"steps": "2", "sigma": "1"}, scenario="dirac")
+    before = copy.deepcopy(cfg)
+    scenarios.run_scenario(cfg)
+    assert cfg == before
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_dirac_without_steps_warns_nothing(tmp_path, capsys):
+    # a product state's second Schmidt branch is empty; its width is nan, silently
+    assert main(["dirac", "--steps", "0", "--out", str(tmp_path)]) == 0
 
 
 def test_emit_results_formats(tmp_path):
@@ -503,8 +548,9 @@ def test_bench_replay_runs_on_the_public_wrappers(monkeypatch):
 def test_seed_0_passes_the_bench_reference(workload, monkeypatch, tmp_path, capsys):
     # the benchmark's correctness gate on each workload, so that a numerics
     # change that moves a reference output fails here first; the open
-    # workloads also run seed 7, checked on the invariants only, and seed 0
-    # again with the benchmark's tracer installed, as its traced runs are
+    # workloads also run seed 7, checked on the invariants only, and every
+    # workload runs seed 0 again with the benchmark's tracer installed, as
+    # its traced runs do, which must count the workload's steps
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     for name in ("check", "tracing", "workloads"):
         monkeypatch.delitem(sys.modules, name, raising=False)
@@ -513,9 +559,8 @@ def test_seed_0_passes_the_bench_reference(workload, monkeypatch, tmp_path, caps
     workloads = importlib.import_module("workloads")
     reference = check.load_reference(
         Path(check.__file__).parent / "reference" / f"{workload}.npz")
-    runs = [(0, None)]
-    if workload != "closed_sweep":
-        runs += [(7, None), (0, tracing.Tracer())]
+    seeds = (0,) if workload == "closed_sweep" else (0, 7)
+    runs = [(seed, None) for seed in seeds] + [(0, tracing.Tracer())]
     for i, (seed, tracer) in enumerate(runs):
         out = tmp_path / str(i)
         out.mkdir()
@@ -529,3 +574,5 @@ def test_seed_0_passes_the_bench_reference(workload, monkeypatch, tmp_path, caps
             if tracer is not None:
                 tracer.uninstall()
         assert check.check_outputs(out, reference, seed, argv_list) == []
+        if tracer is not None:
+            assert tracing.counted_steps(tracer.spans) == workloads.WORKLOADS[workload].steps
