@@ -22,6 +22,7 @@ from .lattice import (
     localized_state,
     make_lattice,
     to_momentum,
+    to_position,
 )
 from .walk import (
     SIGMA_Y,
@@ -200,10 +201,10 @@ def momentum_fringes(lattice: LatticeConfig, walker: np.ndarray) -> FringeResult
     The state is zero-padded to ``FRINGE_OVERSAMPLE`` times the lattice,
     about its centre, before the DFT so that narrow fringes are resolved;
     the momenta are the padded lattice's.  Fringe spacing comes from the
-    first off-zero peak of the distribution's autocorrelation; visibility is
-    the extremal contrast inside the envelope's half-maximum region.  A
-    distribution with no interior oscillation reports spacing None and
-    visibility 0.
+    first off-zero peak of the distribution's autocorrelation, taken through
+    the DFT; visibility is the extremal contrast inside the envelope's
+    half-maximum region.  A distribution with no interior oscillation
+    reports spacing None and visibility 0.
     """
     padded = make_lattice(FRINGE_OVERSAMPLE * lattice.n_sites)
     m = padded.n_sites
@@ -232,7 +233,11 @@ def momentum_fringes(lattice: LatticeConfig, walker: np.ndarray) -> FringeResult
     lo = float(np.mean(inner[minima]))
     visibility = (hi - lo) / (hi + lo)
 
-    ac = np.correlate(prob, prob, mode="full")[prob.size - 1 :]
+    # the autocorrelation through the DFT, zero-padded to 2m so that no lag
+    # wraps around: lag l lands at index m + l of the 2m sites
+    ac = np.zeros(2 * m, dtype=complex)
+    ac[:m] = prob
+    ac = to_position(np.abs(to_momentum(ac, out=ac)) ** 2).real[m:]
     ac_peaks = _find_peaks(ac)
     spacing = float(ac_peaks[0] * dk) if ac_peaks.size else None
     return FringeResult(momenta, prob, spacing, float(visibility))

@@ -1,7 +1,9 @@
 """Result persistence: CSV tables, key=value metadata, plot-data files.
 
-Everything emitted is deterministic text: reals at 17 significant digits,
-metadata keys sorted, no timestamps in files.
+A table is one structured array: its fields are the columns, in order, and
+each field's type says how it is written, integers as %d and reals at 17
+significant digits.  Everything emitted is deterministic text: metadata
+keys sorted, no timestamps in files.
 """
 
 from __future__ import annotations
@@ -17,25 +19,26 @@ FLOAT_FMT = "%.17g"
 CHUNK_ROWS = 8192  # rows formatted per write: bounds the text held in memory
 
 
-@dataclass(frozen=True)
 class Table:
-    """Named columns over rows; dtypes are 'int' or 'float' per column."""
+    """A named table of keyword columns, in keyword order, each a 1-D
+    integer or float array of one common length.
 
-    name: str
-    columns: tuple[str, ...]
-    dtypes: tuple[str, ...]
-    rows: np.ndarray  # shape (n_rows, n_cols)
+    ``rows`` is the structured array of those columns, one field per
+    column, so ``rows.shape[0]`` is the row count.
+    """
 
-    def __post_init__(self):
-        rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
-        if rows.size and rows.shape[1] != len(self.columns):
-            raise ValueError(
-                f"table {self.name!r}: {rows.shape[1]} columns of data for "
-                f"{len(self.columns)} headers"
-            )
-        if len(self.dtypes) != len(self.columns):
-            raise ValueError(f"table {self.name!r}: dtype/column count mismatch")
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, name: str, /, **columns):
+        cols = {key: np.asarray(col) for key, col in columns.items()}
+        sizes = {col.size for col in cols.values()}
+        if len(sizes) != 1 or any(col.ndim != 1 or col.dtype.kind not in "iuf"
+                                  for col in cols.values()):
+            got = ", ".join(f"{key} {col.dtype} {col.shape}" for key, col in cols.items())
+            raise ValueError(f"table {name!r}: columns must be 1-D integer or float arrays "
+                             f"of one length, got {got or 'none'}")
+        self.name = name
+        self.rows = np.empty(sizes.pop(), [(key, col.dtype) for key, col in cols.items()])
+        for key, col in cols.items():
+            self.rows[key] = col
 
 
 @dataclass
@@ -52,28 +55,20 @@ def _write_text(path: Path, text: str) -> None:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_rows(path: Path, header: str, rows: np.ndarray, dtypes, sep: str) -> None:
-    """Write ``header`` then one ``sep``-joined line per row, CHUNK_ROWS at a time.
-
-    Int columns go through round(), which gives an int rounded half to even
-    and raises ValueError on NaN (OverflowError on inf), after which the
-    partial file is removed; float columns use FLOAT_FMT.
-    """
-    line = sep.join("%d" if d == "int" else FLOAT_FMT for d in dtypes) + "\n"
-    ints = [i for i, d in enumerate(dtypes) if d == "int"]
+def _write_rows(path: Path, header: str, rows: np.ndarray, sep: str) -> None:
+    """Write ``header`` then one ``sep``-joined line per row of the
+    structured array ``rows``, CHUNK_ROWS at a time: integer fields as %d,
+    float fields as FLOAT_FMT."""
+    names = rows.dtype.names
+    line = sep.join("%d" if rows.dtype[n].kind in "iu" else FLOAT_FMT for n in names) + "\n"
     try:
         with path.open("w") as fh:
             fh.write(header)
             for start in range(0, rows.shape[0], CHUNK_ROWS):
-                cols = rows[start : start + CHUNK_ROWS].T.tolist()
-                for i in ints:
-                    cols[i] = list(map(round, cols[i]))
-                fh.write("".join(line % row for row in zip(*cols)))
+                chunk = rows[start : start + CHUNK_ROWS]
+                fh.write("".join(line % row for row in zip(*(chunk[n].tolist() for n in names))))
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
-    except (ValueError, OverflowError):
-        path.unlink()  # leave no truncated table behind
-        raise
 
 
 def emit_results(record: ResultRecord, out_dir, fmt: str = "csv") -> list[Path]:
@@ -94,13 +89,13 @@ def emit_results(record: ResultRecord, out_dir, fmt: str = "csv") -> list[Path]:
     written.append(meta_path)
 
     for table in record.tables:
+        names = table.rows.dtype.names
         if fmt in ("csv", "both"):
             path = out / f"{record.scenario}_{table.name}.csv"
-            header = ",".join(table.columns) + "\n"
-            _write_rows(path, header, table.rows, table.dtypes, ",")
+            _write_rows(path, ",".join(names) + "\n", table.rows, ",")
             written.append(path)
-        if fmt in ("plot", "both") and len(table.columns) >= 2:
+        if fmt in ("plot", "both") and len(names) >= 2:
             path = out / f"{record.scenario}_{table.name}.dat"
-            _write_rows(path, "", table.rows[:, -2:], table.dtypes[-2:], " ")
+            _write_rows(path, "", table.rows[list(names[-2:])], " ")
             written.append(path)
     return written

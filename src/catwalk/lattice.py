@@ -199,10 +199,9 @@ def gaussian_position_state(
     lattice: LatticeConfig,
     sigma: float,
     coin: CoinState,
-    x0: float = 0.0,
     k0: float = 0.0,
 ) -> PureState:
-    """Gaussian wavepacket exp(-(x-x0)^2/(4 sigma^2)) with mean momentum k0.
+    """Gaussian wavepacket exp(-x^2/(4 sigma^2)) with mean momentum k0.
 
     The plane-wave factor is exp(-i k0 x), which centers the packet at +k0
     under this module's DFT convention.  The lattice must hold 8*sigma
@@ -218,7 +217,7 @@ def gaussian_position_state(
             f"lattice N={n} too small for sigma={sigma}; need N >= {8 * sigma:.0f}"
         )
     x = lattice.sites
-    env = np.exp(-((x - x0) ** 2) / (4.0 * sigma**2)) * np.exp(-1j * k0 * x)
+    env = np.exp(-(x**2) / (4.0 * sigma**2)) * np.exp(-1j * k0 * x)
     amp = env[:, None] * coin.as_array()[None, :]
     amp /= np.linalg.norm(amp)
     return PureState(lattice, amp)

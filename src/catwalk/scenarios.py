@@ -4,7 +4,9 @@ evolve/spectrum runs.
 Each runner takes the ExperimentConfig parse_config resolved, scenario
 defaults included, runs the corresponding library pipeline without changing
 it, and returns a ResultRecord of tables plus metadata (every input, the
-resolved lattice size, and per-key provenance).
+resolved lattice size, and per-key provenance).  Each table is built from
+keyword columns: `step`, `x` and `p` come from integer arrays and are
+written as integers, every other column is float.
 Density-operator scenarios size their lattice and check a memory estimate
 for it before building any state, and refuse with the predicted byte count
 when it exceeds the budget.
@@ -115,12 +117,11 @@ def _base_metadata(cfg: ExperimentConfig, n_sites: int) -> dict:
     return meta
 
 
-def _distribution_rows(times, snapshots, sites) -> np.ndarray:
+def _distributions(name: str, times, snapshots, sites) -> Table:
     """(step, x, probability) rows, times outer and sites inner."""
     probs = [position_distribution(snapshots[t]) for t in times]
-    return np.column_stack(
-        [np.repeat(times, len(sites)), np.tile(sites, len(times)), np.concatenate(probs)]
-    )
+    return Table(name, step=np.repeat(times, len(sites)), x=np.tile(sites, len(times)),
+                 probability=np.concatenate(probs))
 
 
 def run_qwalk(cfg: ExperimentConfig) -> ResultRecord:
@@ -129,12 +130,11 @@ def run_qwalk(cfg: ExperimentConfig) -> ResultRecord:
     psi0 = _packet(cfg, cfg.steps)
     lat = psi0.lattice
     sched = Schedule(cfg.steps, cfg.theta)
-    tables = []
     starts = {"localized": localized_state(lat, 0, COIN_SYMMETRIC), "delocalized": psi0}
+    tables = []
     for name, start in starts.items():
-        result = evolve(start, sched, snapshot_times=times)
-        rows = _distribution_rows(times, result.snapshots, lat.sites)
-        tables.append(Table(name, ("step", "x", "probability"), ("int", "int", "float"), rows))
+        snapshots = evolve(start, sched, snapshot_times=times).snapshots
+        tables.append(_distributions(name, times, snapshots, lat.sites))
     meta = _base_metadata(cfg, lat.n_sites)
     meta["snapshot_times"] = ",".join(str(t) for t in times)
     meta["coin"] = "symmetric"
@@ -149,7 +149,6 @@ def run_dirac(cfg: ExperimentConfig) -> ResultRecord:
     dirac_final = dirac_evolve(psi0, cfg.theta, float(cfg.steps))
     p_walk = position_distribution(walk_final)
     p_dirac = position_distribution(dirac_final)
-    rows = np.column_stack([lat.sites, p_walk, p_dirac])
     # full-distribution widths capture the figure's headline contrast
     # (branch velocities differ); per-branch widths barely move for either
     w_walk = packet_width(p_walk, lat.sites)
@@ -162,7 +161,7 @@ def run_dirac(cfg: ExperimentConfig) -> ResultRecord:
     meta["width_ratio"] = repr(w_dirac / w_walk)
     meta["walk_branch_width"] = repr(b_walk[0])
     meta["dirac_branch_width"] = repr(b_dirac[0])
-    table = Table("distributions", ("x", "p_walk", "p_dirac"), ("int", "float", "float"), rows)
+    table = Table("distributions", x=lat.sites, p_walk=p_walk, p_dirac=p_dirac)
     return ResultRecord("dirac", meta, [table])
 
 
@@ -173,30 +172,24 @@ def run_catstates(cfg: ExperimentConfig) -> ResultRecord:
     times = _snapshot_times(cfg)
     result = evolve(psi0, Schedule(cfg.steps, cfg.theta), snapshot_times=times)
 
-    ent_rows = np.array(
-        [(t, entanglement_entropy(result.snapshots[t])) for t in times]
-    )
     dec = schmidt_components(result.final)
-    branch_rows = np.column_stack(
-        [lat.sites, np.abs(dec.x_state) ** 2, np.abs(dec.x_perp_state) ** 2]
-    )
 
     # Width saturation sweep: the negative-band coin state keeps the
     # packet in a single branch so the ratio isolates dispersion.  Its
     # lattice is sized for the widest packet, or cfg.lattice if larger.
-    width_rows = []
     band_coin = CoinState.from_vector(eigen_system(cfg.theta, 0.0).u_minus)
     width_steps = 400
     n_wide = max(cfg.lattice or 0, recommended_size(width_steps, 15.0))
     _guard_state(n_wide, cfg)
     lat_wide = make_lattice(n_wide)
-    for sigma0 in (3.0, 7.0, 11.0, 15.0):
+    sigmas = (3.0, 7.0, 11.0, 15.0)
+    ratios = []
+    for sigma0 in sigmas:
         psi = gaussian_position_state(lat_wide, sigma0, band_coin)
         final = evolve(psi, Schedule(width_steps, cfg.theta)).final
         dec_w = schmidt_components(final)
         width = packet_width(np.abs(dec_w.x_state) ** 2, lat_wide.sites)
-        width0 = packet_width(position_distribution(psi), lat_wide.sites)
-        width_rows.append((sigma0, width / width0))
+        ratios.append(width / packet_width(position_distribution(psi), lat_wide.sites))
 
     meta = _base_metadata(cfg, lat.n_sites)
     meta["schmidt_weight_1"] = repr(dec.weights[0])
@@ -205,9 +198,11 @@ def run_catstates(cfg: ExperimentConfig) -> ResultRecord:
     meta["width_sweep_steps"] = width_steps
     meta["width_sweep_coin"] = "u_minus(0)"
     tables = [
-        Table("entropy", ("step", "entropy_bits"), ("int", "float"), ent_rows),
-        Table("branches", ("x", "p_x", "p_x_perp"), ("int", "float", "float"), branch_rows),
-        Table("widths", ("sigma0", "ratio"), ("float", "float"), np.array(width_rows)),
+        Table("entropy", step=times,
+              entropy_bits=[entanglement_entropy(result.snapshots[t]) for t in times]),
+        Table("branches", x=lat.sites, p_x=np.abs(dec.x_state) ** 2,
+              p_x_perp=np.abs(dec.x_perp_state) ** 2),
+        Table("widths", sigma0=sigmas, ratio=ratios),
     ]
     return ResultRecord("catstates", meta, tables)
 
@@ -219,27 +214,25 @@ def run_catfourier(cfg: ExperimentConfig) -> ResultRecord:
     final = evolve(psi0, Schedule(cfg.steps, cfg.theta)).final
     walker, success = project_coin(final, chi)
     fringes = momentum_fringes(psi0.lattice, walker)
-    rows = np.column_stack([fringes.momenta, fringes.distribution])
     meta = _base_metadata(cfg, psi0.lattice.n_sites)
     meta["projection_success"] = repr(success)
     meta["fringe_spacing"] = repr(fringes.spacing)
     meta["visibility"] = repr(fringes.visibility)
-    table = Table("fringes", ("k", "probability"), ("float", "float"), rows)
+    table = Table("fringes", k=fringes.momenta, probability=fringes.distribution)
     return ResultRecord("catfourier", meta, [table])
 
 
 def run_returnk0(cfg: ExperimentConfig) -> ResultRecord:
     """Cat quality versus the packet's mean momentum."""
-    rows = []
-    for k0 in (0.0, math.pi / 8, math.pi / 4, math.pi / 2):
+    k0s = (0.0, math.pi / 8, math.pi / 4, math.pi / 2)
+    metrics = []
+    for k0 in k0s:
         psi0 = _packet(cfg, cfg.steps, k0=k0)
         final = evolve(psi0, Schedule(cfg.steps, cfg.theta)).final
-        m = cat_metrics(position_distribution(final), psi0.lattice.sites)
-        rows.append((k0, m.mass_balance, m.residual))
+        metrics.append(cat_metrics(position_distribution(final), psi0.lattice.sites))
     meta = _base_metadata(cfg, psi0.lattice.n_sites)
-    table = Table(
-        "balance", ("k0", "mass_balance", "residual"), ("float", "float", "float"), np.array(rows)
-    )
+    table = Table("balance", k0=k0s, mass_balance=[m.mass_balance for m in metrics],
+                  residual=[m.residual for m in metrics])
     return ResultRecord("returnk0", meta, [table])
 
 
@@ -254,8 +247,7 @@ def run_decohereprob(cfg: ExperimentConfig) -> ResultRecord:
         target = meta[f"target.{kind}"] = _target(kind, cfg.target)
         sched = Schedule(cfg.steps, cfg.theta, channel=ChannelSpec(kind, cfg.eta, target))
         prob = position_distribution(evolve_open(psi0, sched).final)
-        rows = np.column_stack([lat.sites, prob])
-        tables.append(Table(kind, ("x", "probability"), ("int", "float"), rows))
+        tables.append(Table(kind, x=lat.sites, probability=prob))
     return ResultRecord("decohereprob", meta, tables)
 
 
@@ -266,12 +258,11 @@ def run_revival(cfg: ExperimentConfig) -> ResultRecord:
     target = _target(cfg.channel, cfg.target)
     spec = ChannelSpec(cfg.channel, cfg.eta, target) if cfg.eta > 0 else None
     result = revival_protocol(psi0, cfg.theta, T, channel=spec)
-    rows = np.column_stack([np.arange(2 * T + 1), result.trace])
     meta = _base_metadata(cfg, psi0.lattice.n_sites)
     meta["target"] = target
     meta["r"] = repr(result.r)
     meta["reverser"] = "exact"
-    table = Table("fidelity", ("step", "fidelity"), ("int", "float"), rows)
+    table = Table("fidelity", step=np.arange(2 * T + 1), fidelity=result.trace)
     return ResultRecord("revival", meta, [table])
 
 
@@ -286,12 +277,9 @@ def run_decohere(cfg: ExperimentConfig) -> ResultRecord:
     etas = (1e-4, 1e-3, 1e-2)
     tables = []
     for kind, target in variants:
-        rows = []
-        for eta in etas:
-            spec = ChannelSpec(kind, eta, target)
-            rows.append((eta, revival_protocol(psi0, cfg.theta, T, channel=spec).r))
-        name = f"{kind}_{target}" if kind == DEPHASING else kind
-        tables.append(Table(name, ("eta", "r"), ("float", "float"), np.array(rows)))
+        rs = [revival_protocol(psi0, cfg.theta, T, channel=ChannelSpec(kind, eta, target)).r
+              for eta in etas]
+        tables.append(Table(f"{kind}_{target}" if kind == DEPHASING else kind, eta=etas, r=rs))
     return ResultRecord("decohere", _base_metadata(cfg, psi0.lattice.n_sites), tables)
 
 
@@ -300,11 +288,8 @@ def run_electricfid(cfg: ExperimentConfig) -> ResultRecord:
     t = cfg.steps
     ps = (10, 25, 50)
     psi0 = _packet(cfg, 2 * t + 2 * cfg.n * max(ps))
-    rows = []
-    for p in ps:
-        rows.append((p, control_protocol(psi0, cfg.theta, t, p, cfg.n)))
     meta = _base_metadata(cfg, psi0.lattice.n_sites)
-    table = Table("control", ("p", "r"), ("int", "float"), np.array(rows))
+    table = Table("control", p=ps, r=[control_protocol(psi0, cfg.theta, t, p, cfg.n) for p in ps])
     return ResultRecord("electricfid", meta, [table])
 
 
@@ -313,10 +298,8 @@ def run_evolve(cfg: ExperimentConfig) -> ResultRecord:
     psi0 = _packet(cfg, cfg.steps)
     times = _snapshot_times(cfg)
     result = evolve(psi0, Schedule(cfg.steps, cfg.theta), snapshot_times=times)
-    rows = _distribution_rows(times, result.snapshots, psi0.lattice.sites)
-    meta = _base_metadata(cfg, psi0.lattice.n_sites)
-    table = Table("distribution", ("step", "x", "probability"), ("int", "int", "float"), rows)
-    return ResultRecord("evolve", meta, [table])
+    table = _distributions("distribution", times, result.snapshots, psi0.lattice.sites)
+    return ResultRecord("evolve", _base_metadata(cfg, psi0.lattice.n_sites), [table])
 
 
 def run_spectrum(cfg: ExperimentConfig) -> ResultRecord:
@@ -327,8 +310,8 @@ def run_spectrum(cfg: ExperimentConfig) -> ResultRecord:
     _guard_state(n, cfg)
     k = make_lattice(n).momenta
     e_minus, e_plus = exact_energies(cfg.theta, k)
-    rows = np.column_stack([k, e_minus, e_plus, k * math.cos(cfg.theta) + math.pi / 2])
-    table = Table("bands", ("k", "e_minus", "e_plus", "e_linear"), ("float",) * 4, rows)
+    table = Table("bands", k=k, e_minus=e_minus, e_plus=e_plus,
+                  e_linear=k * math.cos(cfg.theta) + math.pi / 2)
     return ResultRecord("spectrum", _base_metadata(cfg, n), [table])
 
 

@@ -179,6 +179,24 @@ def test_fringe_spacing_law(half_sep, sigma):
     assert res.visibility > 0.9
 
 
+@pytest.mark.parametrize(
+    "theta,steps,sigma,k0",
+    [(np.pi / 4, 120, 5.0, 0.0), (0.6, 200, 8.0, 0.03), (1.1, 90, 3.0, 0.2), (0.45, 150, 11.0, 0.1)],
+)
+def test_fringe_spacing_matches_direct_autocorrelation(theta, steps, sigma, k0):
+    # the spacing's autocorrelation is taken through the DFT; its first
+    # off-zero peak must be the direct O(m^2) autocorrelation's
+    chi = symmetric_coin_state(theta)
+    lat = make_lattice(2 * steps + 8 * int(np.ceil(sigma)))
+    psi = gaussian_position_state(lat, sigma, chi, k0=k0)
+    walker, _ = project_coin(evolve(psi, Schedule(steps, theta)).final, chi)
+    res = momentum_fringes(lat, walker)
+    prob = res.distribution
+    oracle = _find_peaks(np.correlate(prob, prob, mode="full")[prob.size - 1 :])
+    assert res.spacing is not None and oracle.size
+    assert res.spacing == oracle[0] * (2.0 * np.pi / prob.size)
+
+
 def test_single_packet_has_no_fringes():
     lat = make_lattice(256)
     res = momentum_fringes(lat, gaussian_walker(lat.sites, 0.0, 8.0))

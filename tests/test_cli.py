@@ -151,7 +151,7 @@ def test_cli_dirac_without_steps_warns_nothing(tmp_path, capsys):
 
 
 def test_emit_results_formats(tmp_path):
-    table = Table("demo", ("x", "y"), ("int", "float"), np.array([[1, 0.5], [2, 0.25]]))
+    table = Table("demo", x=[1, 2], y=[0.5, 0.25])
     record = ResultRecord("toy", {"alpha": 1}, [table])
     paths = emit_results(record, tmp_path, fmt="both")
     names = {p.name for p in paths}
@@ -168,30 +168,30 @@ def test_emit_results_formats(tmp_path):
 
 def test_emit_results_seventeen_digits(tmp_path):
     value = 1.0 / 3.0
-    table = Table("v", ("y",), ("float",), np.array([[value]]))
-    emit_results(ResultRecord("toy", {}, [table]), tmp_path)
+    emit_results(ResultRecord("toy", {}, [Table("v", y=[value])]), tmp_path)
     body = (tmp_path / "toy_v.csv").read_text().splitlines()[1]
     assert float(body) == value
     assert len(body.replace(".", "").lstrip("0")) >= 17
 
 
-def per_cell(value, dtype):
-    return str(int(round(value))) if dtype == "int" else "%.17g" % value
+def per_cell(value):
+    return str(value) if isinstance(value, int) else "%.17g" % value
 
 
 @pytest.mark.parametrize("fmt", ["csv", "plot", "both"])
 def test_emit_results_matches_per_cell_oracle(fmt, tmp_path):
     # one and a half chunks, the awkward values straddling the chunk boundary
-    rows = np.random.default_rng(0).random((CHUNK_ROWS + CHUNK_ROWS // 2, 4))
-    rows[:, 1] = np.arange(rows.shape[0]) - 7
+    n = CHUNK_ROWS + CHUNK_ROWS // 2
+    rng = np.random.default_rng(0)
+    a, d = rng.random(n), rng.random(n)
+    b = np.arange(n) - 7
+    c = rng.integers(-(10**6), 10**6, n)
     edge = slice(CHUNK_ROWS - 2, CHUNK_ROWS + 3)
-    rows[edge, 0] = [1e300, -5e-324, 5e-324, 1 / 3, -0.0]
-    rows[edge, 2] = [-0.4, 2.5, 3.5, -2.5, 1e300]
-    rows[edge, 3] = [-0.0, 1 / 3, 5e-324, -5e-324, 1e300]
-    dtypes = ("float", "int", "int", "float")
-    table = Table("t", ("a", "b", "c", "d"), dtypes, rows)
-    emit_results(ResultRecord("toy", {}, [table]), tmp_path, fmt=fmt)
-    cells = [[per_cell(v, d) for v, d in zip(row, dtypes)] for row in rows.tolist()]
+    a[edge] = [1e300, -5e-324, 5e-324, 1 / 3, -0.0]
+    c[edge] = [2**63 - 1, -(2**63 - 1), 0, -1, 2**63 - 1]
+    d[edge] = [-0.0, 1 / 3, 5e-324, -5e-324, 1e300]
+    emit_results(ResultRecord("toy", {}, [Table("t", a=a, b=b, c=c, d=d)]), tmp_path, fmt=fmt)
+    cells = [list(map(per_cell, row)) for row in zip(*(col.tolist() for col in (a, b, c, d)))]
     csv = tmp_path / "toy_t.csv"
     dat = tmp_path / "toy_t.dat"
     if fmt == "plot":
@@ -204,14 +204,28 @@ def test_emit_results_matches_per_cell_oracle(fmt, tmp_path):
         assert dat.read_text() == "".join(" ".join(c[-2:]) + "\n" for c in cells)
 
 
-def test_emit_results_refuses_nan_in_int_column(tmp_path):
-    rows = np.zeros((CHUNK_ROWS + 3, 2))
-    rows[CHUNK_ROWS + 1, 0] = np.nan
-    table = Table("t", ("x", "p"), ("int", "float"), rows)
-    for fmt in ("csv", "plot"):
-        with pytest.raises(ValueError):
-            emit_results(ResultRecord("toy", {}, [table]), tmp_path, fmt=fmt)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["toy_meta.txt"]
+@pytest.mark.parametrize(
+    "columns",
+    [{"x": [1j, 2j]}, {"x": [True, False]}, {"x": ["1", "2"]}, {"x": np.zeros((2, 2))},
+     {"x": [1, 2], "p": [0.5]}, {}],
+    ids=["complex", "bool", "string", "2d", "unequal", "none"],
+)
+def test_table_refuses_bad_columns(columns, tmp_path):
+    # a column is a 1-D integer or float array, all of one length
+    with pytest.raises(ValueError, match="1-D integer or float"):
+        emit_results(ResultRecord("toy", {}, [Table("t", **columns)]), tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("scenario", sorted(scenarios.RUNNERS))
+def test_scenario_tables_write_steps_sites_and_p_as_integers(scenario):
+    flags = {"lattice": "16"} if scenario == "spectrum" else {"steps": "2", "sigma": "1"}
+    record = scenarios.run_scenario(parse_config(flags=flags, scenario=scenario))
+    assert record.tables
+    for table in record.tables:
+        for name in table.rows.dtype.names:
+            kind = table.rows.dtype[name].kind
+            assert kind == ("i" if name in ("step", "x", "p") else "f"), (table.name, name)
 
 
 def test_cli_import_leaves_scipy_out():
@@ -576,3 +590,6 @@ def test_seed_0_passes_the_bench_reference(workload, monkeypatch, tmp_path, caps
         assert check.check_outputs(out, reference, seed, argv_list) == []
         if tracer is not None:
             assert tracing.counted_steps(tracer.spans) == workloads.WORKLOADS[workload].steps
+            # the tracer counts a table's rows as Table.rows.shape[0]
+            data_lines = sum(len(p.read_text().splitlines()) - 1 for p in out.glob("*.csv"))
+            assert tracing.span_metrics(tracer.spans)["io.rows"] == data_lines
