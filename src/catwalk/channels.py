@@ -15,26 +15,30 @@ that occupies a narrow band of momenta is stepped on that band alone.
 Every channel here also keeps rho Hermitian, so a run steps only half the
 lines of its ring and takes the others as their Hermitian mirror.
 ``open_layout`` picks the layout, ``_run_open`` is the one runner on it,
-``fidelity_trace`` takes a run's fidelity to its start in its own basis,
-and ``density_working_set_bytes`` bounds what a run allocates.
+``evolve_open`` returns its final state lazily, with P(x) read from the
+support, ``fidelity_trace`` takes a run's fidelity to its start in its own
+basis, and ``density_working_set_bytes`` bounds what a run allocates.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .lattice import (TRACE_TOL, DensityOperator, LatticeConfig, PureState, StateError, to_momentum,
                       to_position)
-from .walk import (SIGMA_X, EvolutionResult, Schedule, _apply_coin_map, _Checkpoints, _coin_map,
+from .walk import (SIGMA_X, Schedule, _apply_coin_map, _Checkpoints, _coin_map,
                    _fm_phase, _run, _run_pure)
 
 COMPLETENESS_TOL = 1e-12
 # |psi~|^2 a pure start may leave outside its momentum window on each side
 SUPPORT_TOL = 1e-30
+# how far below 0 a probability read from the support may fall by rounding
+PROBABILITY_TOL = 1e-12
 
 DEPHASING = "dephasing"
 AMPLITUDE_DAMPING = "amplitude_damping"
@@ -285,6 +289,38 @@ class MomentumLayout:
             out[:, c, :, d] = _pair_dft(self._pairs(work[c, d], work[d, c], block), inverse=True)
         return out
 
+    def distribution(self, work: np.ndarray) -> np.ndarray:
+        """P(x) = sum_c rho(x, c; x, c) from the stored lines, with no N x N block.
+
+        P(x) = N^-1 sum_d L(d) e^{-2 pi i d x / N}, where L(d) sums blocks
+        (0,0) + (1,1) over the pairs of momentum offset a - b = d (mod N).
+        Row q holds offset q in its columns j < R - q and offset q - R in the
+        rest; its mirror, row R - q, adds their conjugates at offsets -q and
+        R - q.  Raises StateError unless P is finite, at least
+        ``-PROBABILITY_TOL`` and sums to 1 to ``TRACE_TOL``.
+        """
+        n = self.lattice.n_sites
+        lines, ring = self.shape
+        sums = work[0, 0] + work[1, 1]
+        q = np.arange(lines)
+        head = np.where(np.arange(ring) < ring - q[:, None], sums, 0).sum(axis=1)
+        tail = sums.sum(axis=1) - head
+        mirrored = q[1:min(lines, ring - lines + 1)]
+        offsets = np.concatenate((q, q - ring, -mirrored, ring - mirrored)) % n
+        terms = np.concatenate((head, tail, head[mirrored].conj(), tail[mirrored].conj()))
+        line_sums = np.zeros(n, dtype=complex)
+        np.add.at(line_sums, offsets, terms)
+        # to_position sums e^{-i k x} over k = -pi + 2 pi d / N: e^{i pi x} = (-1)^x apart
+        prob = to_position(line_sums, out=line_sums).real * (
+            np.where(self.lattice.sites % 2, -1.0, 1.0) / np.sqrt(n))
+        if not np.isfinite(prob).all():
+            raise StateError("position distribution is not finite")
+        if not prob.min() >= -PROBABILITY_TOL:
+            raise StateError(f"position distribution falls to {prob.min()!r}, below 0")
+        if not abs(prob.sum() - 1.0) <= TRACE_TOL:
+            raise StateError(f"position distribution sums to {prob.sum()!r}, not 1")
+        return prob
+
     def check_trace(self, work: np.ndarray) -> None:
         """Raise StateError unless tr rho is 1 to ``TRACE_TOL``, as a
         DensityOperator would, from line 0 of blocks (0,0) and (1,1)."""
@@ -408,16 +444,39 @@ def density_working_set_bytes(n_sites: int) -> int:
     matrix, the working array and its spare take about one matrix, and the
     final state is materialized beside one N x N coin block after the spare
     is freed, then validated with band-sized temporaries.  A pure start
-    needs less, as its layout is smaller.
+    needs less, as its layout is smaller, and P(x) read from the support
+    needs no matrix at all.
     """
     return 3 * 16 * (2 * n_sites) ** 2 + 256 * 1024
+
+
+@dataclass(frozen=True, eq=False)
+class OpenResult:
+    """An open run's end: its final working array on ``layout``, and the
+    snapshots, materialized and validated DensityOperators.
+
+    ``final`` materializes and validates rho on its first read and keeps it;
+    ``distribution()`` reads P(x) from the support and never builds rho.
+    """
+
+    layout: MomentumLayout
+    work: np.ndarray = field(repr=False)
+    snapshots: dict[int, DensityOperator]
+
+    @cached_property
+    def final(self) -> DensityOperator:
+        return DensityOperator(self.layout.lattice, self.layout.materialize(self.work))
+
+    def distribution(self) -> np.ndarray:
+        """The final P(x), as ``MomentumLayout.distribution`` checks it."""
+        return self.layout.distribution(self.work)
 
 
 def evolve_open(
     rho0: DensityOperator | PureState,
     schedule: Schedule,
     snapshot_times: Sequence[int] = (),
-) -> EvolutionResult:
+) -> OpenResult:
     """Run a schedule on a density operator, channel after every step.
 
     ``rho0`` is a DensityOperator or a PureState psi, meaning |psi><psi|.
@@ -425,15 +484,16 @@ def evolve_open(
     are applied (unitarily) after the completed step, before any snapshot.
     A schedule without a channel runs closed but on rho, useful for
     cross-checking against the pure-state path.  The step loop is the one
-    ``walk.evolve`` runs inside F_m windows, on the momentum support of ``open_layout``; trace
-    and Hermiticity are validated at every snapshot and on the final state,
-    which are materialized in position space, and a snapshot time outside
-    the run raises ``ScheduleError``.
+    ``walk.evolve`` runs inside F_m windows, on the momentum support of
+    ``open_layout``.  Trace and Hermiticity are validated at every snapshot,
+    materialized in position space, and a snapshot time outside the run
+    raises ``ScheduleError``.  The final trace is checked on the support
+    here; the final state is materialized and validated when ``final`` is
+    first read.
     """
     layout, work, checkpoint = _run_open(rho0, schedule, snapshot_times)
-    mat = layout.materialize(work)
-    del work  # before the validation, which then needs band-sized temporaries only
-    return EvolutionResult(DensityOperator(rho0.lattice, mat), checkpoint.snaps)
+    layout.check_trace(work)
+    return OpenResult(layout, work, checkpoint.snaps)
 
 
 def fidelity_trace(psi: PureState, schedule: Schedule) -> np.ndarray:

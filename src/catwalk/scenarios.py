@@ -237,8 +237,10 @@ def run_returnk0(cfg: ExperimentConfig) -> ResultRecord:
 
 
 def run_decohereprob(cfg: ExperimentConfig) -> ResultRecord:
-    """Final distributions under the three channel kinds at one eta, with
-    the target each table ran with as target.<table>."""
+    """Final distributions under the three channel kinds at one eta, read
+    from each run's momentum support without building rho, with the target
+    each table ran with as target.<table> and |sum P - 1| as
+    trace_defect.<table>."""
     psi0 = _packet(cfg, cfg.steps, density=True)
     lat = psi0.lattice
     meta = _base_metadata(cfg, lat.n_sites)
@@ -246,7 +248,8 @@ def run_decohereprob(cfg: ExperimentConfig) -> ResultRecord:
     for kind in CHANNEL_KINDS:
         target = meta[f"target.{kind}"] = _target(kind, cfg.target)
         sched = Schedule(cfg.steps, cfg.theta, channel=ChannelSpec(kind, cfg.eta, target))
-        prob = position_distribution(evolve_open(psi0, sched).final)
+        prob = evolve_open(psi0, sched).distribution()
+        meta[f"trace_defect.{kind}"] = repr(float(abs(prob.sum() - 1.0)))
         tables.append(Table(kind, x=lat.sites, probability=prob))
     return ResultRecord("decohereprob", meta, tables)
 

@@ -283,11 +283,11 @@ class _PlainPower:
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Final state and snapshots of a run: PureStates from ``evolve``,
-    DensityOperators from ``channels.evolve_open``."""
+    """Final state and snapshots of an ``evolve`` run; ``channels.evolve_open``
+    returns a ``channels.OpenResult``."""
 
-    final: PureState | DensityOperator
-    snapshots: dict[int, PureState | DensityOperator]
+    final: PureState
+    snapshots: dict[int, PureState]
 
 
 def evolve(

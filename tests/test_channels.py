@@ -19,10 +19,11 @@ from catwalk.channels import (
     open_layout,
 )
 from catwalk.analysis import (REVERSER_EXACT, REVERSER_SIGMA_Y, _reversal_schedule,
-                              revival_protocol)
+                              position_distribution, revival_protocol)
 from catwalk.lattice import (
     COIN_DOWN,
     COIN_SYMMETRIC,
+    CoinState,
     DensityOperator,
     PureState,
     StateError,
@@ -36,7 +37,7 @@ from catwalk.lattice import (
 )
 import catwalk
 from catwalk import channels
-from catwalk.walk import SIGMA_Y, Schedule, evolve, reversal_pair
+from catwalk.walk import SIGMA_X, SIGMA_Y, Schedule, evolve, reversal_pair
 from dense_oracle import dense_run, random_density
 
 
@@ -445,6 +446,123 @@ def test_mirror_boundary_matches_dense_oracle(variant, extra):
     np.testing.assert_allclose(channels.fidelity_trace(psi, sched),
                                [np.vdot(ket, want @ ket).real for want in expected],
                                rtol=0, atol=1e-12)
+
+
+# ------------------------------------------------ P(x) from the support
+
+
+@pytest.mark.parametrize("start", ["window_even", "window_odd", "density", "fm"])
+@pytest.mark.parametrize("variant", [None, *VARIANTS])
+def test_distribution_matches_the_materialized_diagonal(variant, start):
+    # coin-local channels and no channel run a window ring of the packet's
+    # even or odd width, walker and both dephasing the ring of all N
+    # momenta; a DensityOperator start and an F_m window the full layout
+    n, steps, theta = 32, 5, 0.7
+    width = 11 if start == "window_odd" else 10
+    psi = band_packet(n, width, seed=3)
+    spec = None if variant is None else ChannelSpec(variant[0], 0.3, variant[1])
+    fm_windows = ((1, 3, 0.4),) if start == "fm" else ()
+    sched = Schedule(steps, theta, fm_windows=fm_windows, channel=spec)
+    rho0 = DensityOperator.from_pure(psi) if start == "density" else psi
+    layout, work, _ = channels._run_open(rho0, sched)
+    if not start.startswith("window"):
+        assert layout.full
+    elif variant is None or variant[1] == "coin":
+        assert (layout.lo, layout.shape) == (n // 4, (width // 2 + 1, width))
+    else:
+        assert (layout.lo, layout.shape) == (0, (width, n))
+    mat = layout.materialize(work)
+    sites = np.arange(n)
+    diagonal = (mat[sites, 0, sites, 0] + mat[sites, 1, sites, 1]).real
+    np.testing.assert_allclose(layout.distribution(work), diagonal, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("spoil, message", [("scale", "sums to"), ("nan", "finite"),
+                                            ("negative", "below 0")])
+def test_distribution_refuses_an_unphysical_support(spoil, message):
+    psi = band_limited_packet(64, 3.0)
+    layout, work, _ = channels._run_open(psi, Schedule(5, 0.7))
+    if spoil == "scale":
+        work *= 1 + 1e-9
+    elif spoil == "nan":
+        work[0, 0, 0, 3] = np.nan
+    else:
+        # adds 0.02 cos(2 pi x / N) / N to P(x): the sum keeps 1, the sites
+        # the packet has not reached go negative
+        work[0, 0, 1, 0] += 0.01
+    with pytest.raises(StateError, match=message):
+        layout.distribution(work)
+
+
+def test_final_is_materialized_once_and_validated(monkeypatch):
+    calls = []
+    materialize = MomentumLayout.materialize
+
+    def counted(layout, work):
+        calls.append(layout)
+        return materialize(layout, work)
+
+    monkeypatch.setattr(MomentumLayout, "materialize", counted)
+    psi = band_packet(32, 10, seed=3)
+    result = evolve_open(psi, Schedule(5, 0.7, channel=ChannelSpec("dephasing", 0.3, "walker")))
+    prob = result.distribution()
+    assert calls == []
+    final = result.final
+    assert isinstance(final, DensityOperator) and result.final is final
+    assert len(calls) == 1
+    assert not final.matrix.flags.writeable
+    np.testing.assert_allclose(position_distribution(final), prob, rtol=0, atol=1e-15)
+
+
+def test_evolve_open_checks_the_final_trace_at_call_time(monkeypatch):
+    shift = MomentumLayout.shift
+
+    def gaining(layout):
+        step = shift(layout)
+        return lambda work, out: np.multiply(step(work, out), 1 + 1e-7, out=out)
+
+    monkeypatch.setattr(MomentumLayout, "shift", gaining)
+    with pytest.raises(StateError, match="trace"):
+        evolve_open(band_packet(32, 10, seed=3), Schedule(5, 0.7))
+
+
+# --------------------------------------------- exact limits at scale
+
+# a generic start: the symmetric coin at k0 = 0 hides differences between
+# channels that a coin with a complex phase and a moving packet show
+LIMIT_T, LIMIT_N, LIMIT_THETA = 100, 400, 0.7
+
+
+@pytest.fixture(scope="module")
+def generic_packet():
+    coin = CoinState.from_vector([0.6, 0.8 * np.exp(0.4j)])
+    return gaussian_position_state(make_lattice(LIMIT_N), 10.0, coin, k0=0.3)
+
+
+def test_bit_flip_at_huge_eta_is_a_sigma_x_gate_every_step(generic_packet):
+    # at eta = 1000 the Kraus pair is (0, sigma_x) to the last bit
+    psi = generic_packet
+    gated = Schedule(LIMIT_T, LIMIT_THETA,
+                     coin_gate_insertions=tuple((t, SIGMA_X) for t in range(1, LIMIT_T + 1)))
+    flip = Schedule(LIMIT_T, LIMIT_THETA, channel=ChannelSpec("bit_flip", 1000.0))
+    np.testing.assert_allclose(evolve_open(psi, flip).distribution(),
+                               position_distribution(evolve(psi, gated).final),
+                               rtol=0, atol=4e-15)
+    np.testing.assert_allclose(channels.fidelity_trace(psi, flip),
+                               channels.fidelity_trace(psi, gated), rtol=0, atol=6e-14)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_eta_zero_is_the_closed_walk_at_scale(variant, generic_packet):
+    psi = generic_packet
+    closed = Schedule(LIMIT_T, LIMIT_THETA)
+    spec = ChannelSpec(variant[0], 0.0, variant[1])
+    open_ = Schedule(LIMIT_T, LIMIT_THETA, channel=spec)
+    np.testing.assert_allclose(evolve_open(psi, open_).distribution(),
+                               position_distribution(evolve(psi, closed).final),
+                               rtol=0, atol=2e-15)
+    np.testing.assert_allclose(channels.fidelity_trace(psi, open_),
+                               channels.fidelity_trace(psi, closed), rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("layout", [

@@ -13,7 +13,8 @@ import pytest
 import catwalk
 from catwalk import scenarios
 from catwalk.analysis import position_distribution, revival_protocol
-from catwalk.channels import CHANNEL_KINDS, TARGETS, ChannelSpec, evolve_open
+from catwalk.channels import (CHANNEL_KINDS, TARGETS, ChannelSpec, MomentumLayout, OpenResult,
+                              evolve_open)
 from catwalk.cli import build_parser, main
 from catwalk.config import KEYS, ConfigError, ExperimentConfig, parse_config
 from catwalk.io import CHUNK_ROWS, ResultRecord, Table, emit_results
@@ -384,22 +385,32 @@ def test_open_revival_peak_within_guard_prediction():
     assert peak <= density_working_set_bytes(n)
 
 
+def _final_distribution(result):
+    return position_distribution(result.final)
+
+
 @pytest.mark.parametrize("n", [64, 160, 300])
-@pytest.mark.parametrize("spec, fm_windows", [
-    pytest.param(ChannelSpec("dephasing", 0.01, "both"), (), id="spec0"),
-    pytest.param(ChannelSpec("amplitude_damping", 0.01), (), id="spec1"),
-    pytest.param(ChannelSpec("bit_flip", 0.01), (), id="spec2"),
+@pytest.mark.parametrize("spec, fm_windows, observe", [
+    pytest.param(ChannelSpec("dephasing", 0.01, "both"), (), OpenResult.distribution,
+                 id="spec0"),
+    pytest.param(ChannelSpec("amplitude_damping", 0.01), (), OpenResult.distribution,
+                 id="spec1"),
+    pytest.param(ChannelSpec("bit_flip", 0.01), (), OpenResult.distribution, id="spec2"),
     # an F_m window runs apply_fm, which goes through position space block by block
-    pytest.param(ChannelSpec("dephasing", 0.01, "both"), ((2, 4, 0.3),), id="fm"),
+    pytest.param(ChannelSpec("dephasing", 0.01, "both"), ((2, 4, 0.3),),
+                 OpenResult.distribution, id="fm"),
+    # a library caller that reads the final state materializes and validates it
+    pytest.param(ChannelSpec("dephasing", 0.01, "both"), (), _final_distribution, id="final"),
 ])
-def test_open_final_peak_within_guard_prediction(spec, fm_windows, n):
-    # shaped like decohereprob: state preparation, evolve_open, final distribution
+def test_open_final_peak_within_guard_prediction(spec, fm_windows, observe, n):
+    # shaped like decohereprob: state preparation, evolve_open, final
+    # distribution, from the largest layout, every line of all N momenta
     lat = make_lattice(n)
 
     def run():
         psi = gaussian_position_state(lat, 3.0, COIN_SYMMETRIC)
         sched = Schedule(6, np.pi / 4, fm_windows=fm_windows, channel=spec)
-        return position_distribution(evolve_open(DensityOperator.from_pure(psi), sched).final)
+        return observe(evolve_open(DensityOperator.from_pure(psi), sched))
 
     run()  # first-call allocations
     tracemalloc.start()
@@ -453,6 +464,30 @@ def test_cli_decohereprob_records_the_target_of_each_table(tmp_path, capsys):
     assert [line for line in lines if line.startswith("target")] == [
         "target=walker", "target.amplitude_damping=coin", "target.bit_flip=coin",
         "target.dephasing=walker"]
+
+
+def test_cli_decohereprob_records_the_trace_defect_of_each_table(tmp_path, capsys):
+    argv = ["decohereprob", "--eta", "0.01", "--steps", "10", "--sigma", "3",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    meta = dict(line.split("=", 1) for line in
+                (tmp_path / "decohereprob_meta.txt").read_text().splitlines())
+    for kind in CHANNEL_KINDS:
+        table = np.genfromtxt(tmp_path / f"decohereprob_{kind}.csv", delimiter=",", names=True)
+        defect = float(meta[f"trace_defect.{kind}"])
+        assert defect == abs(table["probability"].sum() - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_cli_decohereprob_never_materializes_rho(target, monkeypatch, tmp_path, capsys):
+    # P(x) comes from the momentum support; no (N, 2, N, 2) matrix is built
+    def refuse(layout, work):
+        raise AssertionError("decohereprob materialized rho")
+
+    monkeypatch.setattr(MomentumLayout, "materialize", refuse)
+    argv = ["decohereprob", "--steps", "10", "--lattice", "64", "--sigma", "3",
+            "--target", target, "--out", str(tmp_path)]
+    assert main(argv) == 0
 
 
 @pytest.mark.parametrize("target", TARGETS)
