@@ -18,7 +18,6 @@ from .lattice import (
     PureState,
     StateError,
     fidelity,
-    fidelity_with_density,
     gaussian_momentum_state,
     gaussian_position_state,
     localized_state,
@@ -34,8 +33,6 @@ from .walk import (
     coin_operator,
     evolve,
     reversal_pair,
-    step,
-    step_density,
 )
 from .channels import (
     ChannelError,

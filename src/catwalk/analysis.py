@@ -120,12 +120,9 @@ def schmidt_components(state: PureState) -> SchmidtDecomposition:
     return SchmidtDecomposition((w1, w2), phi1, phi2, x1, x2, degenerate)
 
 
-def packet_width(prob: np.ndarray, sites: np.ndarray | None = None) -> float:
+def packet_width(prob: np.ndarray, sites: np.ndarray) -> float:
     """Second-central-moment width of a distribution over sites."""
     prob = np.asarray(prob, dtype=float)
-    if sites is None:
-        n = prob.shape[0]
-        sites = np.arange(-(n // 2), n - n // 2)
     total = prob.sum()
     mu = np.sum(sites * prob) / total
     return float(np.sqrt(np.sum(prob * (sites - mu) ** 2) / total))
@@ -255,7 +252,7 @@ class CatMetrics:
     bimodal: bool
 
 
-def cat_metrics(prob: np.ndarray, sites: np.ndarray | None = None) -> CatMetrics:
+def cat_metrics(prob: np.ndarray, sites: np.ndarray) -> CatMetrics:
     """Bimodality metrics of a distribution over sites.
 
     Peaks are the two highest local maxima at least 5 sites apart
@@ -265,9 +262,6 @@ def cat_metrics(prob: np.ndarray, sites: np.ndarray | None = None) -> CatMetrics
     midpoint and balance is their min/max ratio.
     """
     prob = np.asarray(prob, dtype=float)
-    if sites is None:
-        n = prob.shape[0]
-        sites = np.arange(-(n // 2), n - n // 2)
     idx = _find_peaks(prob, distance=5)
     idx = idx[prob[idx] >= PEAK_FLOOR * prob[idx].max(initial=0.0)]
     if idx.size < 2:
@@ -345,24 +339,15 @@ def revival_protocol(
     return RevivalResult(float(trace[-1]), trace)
 
 
-def hold_recurrence(
-    theta: float,
-    p: int,
-    steps: int | None = None,
-    n_sites: int = 24,
-    initial: PureState | None = None,
-) -> float:
-    """Fidelity after ``steps`` generalized steps with phase 2*pi/p.
-
-    Defaults to the nominal recurrence time, p steps for even p and 2p for
-    odd p, on a small lattice with a localized start.
+def hold_recurrence(theta: float, p: int, n_sites: int = 24) -> float:
+    """Fidelity after the nominal recurrence time of generalized steps with
+    phase 2*pi/p: p steps for even p and 2p for odd p, on an ``n_sites``
+    lattice with a localized start.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    if steps is None:
-        steps = p if p % 2 == 0 else 2 * p
-    if initial is None:
-        initial = localized_state(make_lattice(n_sites), 0, COIN_SYMMETRIC)
+    steps = p if p % 2 == 0 else 2 * p
+    initial = localized_state(make_lattice(n_sites), 0, COIN_SYMMETRIC)
     sched = Schedule(steps, theta, fm_windows=((0, steps, 2.0 * np.pi / p),))
     return fidelity(initial, evolve(initial, sched).final)
 

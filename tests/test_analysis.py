@@ -118,8 +118,8 @@ def test_schmidt_degenerate_branches_ordered_by_position():
 def test_packet_width_limits():
     delta = np.zeros(32)
     delta[7] = 1.0
-    assert packet_width(delta) == pytest.approx(0.0, abs=1e-12)
     lat = make_lattice(32)
+    assert packet_width(delta, lat.sites) == pytest.approx(0.0, abs=1e-12)
     two_point = np.zeros(32)
     two_point[lat.sites == 1] = 0.5
     two_point[lat.sites == -1] = 0.5

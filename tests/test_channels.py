@@ -37,7 +37,7 @@ from catwalk.lattice import (
 )
 import catwalk
 from catwalk import channels
-from catwalk.walk import SIGMA_X, SIGMA_Y, Schedule, evolve, reversal_pair
+from catwalk.walk import SIGMA_X, SIGMA_Y, Schedule, coin_operator, evolve, reversal_pair
 from dense_oracle import dense_run, random_density
 
 
@@ -563,6 +563,51 @@ def test_eta_zero_is_the_closed_walk_at_scale(variant, generic_packet):
                                rtol=0, atol=2e-15)
     np.testing.assert_allclose(channels.fidelity_trace(psi, open_),
                                channels.fidelity_trace(psi, closed), rtol=0, atol=1e-14)
+
+
+def _dephased_chain(psi, schedule, target):
+    """The lambda = 0 limit of walker or both dephasing as a Markov chain on
+    2x2 site blocks: (P(x), fidelity to psi at t = 0..total_steps).
+
+    Step 1 dephases the pure one-step state.  From step 2 on the coin acts
+    on each block, the shift moves the up population one site right and the
+    down population one site left, and the coherences it carries off-site
+    are dropped; both also drops the coin coherences.  That time's gates
+    come after the channel.
+    """
+    amp = evolve(psi, Schedule(1, schedule.theta)).final.amplitudes
+    sigma = amp[:, :, None] * amp[:, None, :].conj()
+    coin = coin_operator(schedule.theta)
+    a0 = psi.amplitudes
+    trace = [abs(np.vdot(a0, a0)) ** 2]
+    for t in range(1, schedule.total_steps + 1):
+        if t > 1:
+            sigma = coin @ sigma @ coin.conj().T
+            up, down = np.roll(sigma[:, 0, 0], 1), np.roll(sigma[:, 1, 1], -1)
+            sigma = np.zeros_like(sigma)
+            sigma[:, 0, 0], sigma[:, 1, 1] = up, down
+        if target == "both":
+            sigma = sigma * np.eye(2)
+        for u in schedule.insertions_at(t):
+            sigma = u @ sigma @ u.conj().T
+        trace.append(np.einsum("xc,xcd,xd->", a0.conj(), sigma, a0).real)
+    return np.einsum("xcc->x", sigma).real, np.array(trace)
+
+
+@pytest.mark.parametrize("target", ["walker", "both"])
+def test_huge_eta_line_dephasing_is_a_markov_chain(target, generic_packet):
+    # at eta = 1000, lambda = e^{-eta} is 0 and only the site blocks survive
+    psi = generic_packet
+    spec = ChannelSpec("dephasing", 1000.0, target)
+    plain = Schedule(LIMIT_T, LIMIT_THETA, channel=spec)
+    revival = _reversal_schedule(LIMIT_THETA, LIMIT_T, REVERSER_EXACT, channel=spec)
+    prob, _ = _dephased_chain(psi, plain, target)
+    _, trace = _dephased_chain(psi, revival, target)
+    np.testing.assert_allclose(evolve_open(psi, plain).distribution(), prob, rtol=0, atol=3e-15)
+    np.testing.assert_allclose(channels.fidelity_trace(psi, revival), trace, rtol=0, atol=5e-15)
+    # the oracle tells the two targets apart
+    other = "both" if target == "walker" else "walker"
+    assert np.abs(_dephased_chain(psi, plain, other)[0] - prob).max() > 1e-4
 
 
 @pytest.mark.parametrize("layout", [

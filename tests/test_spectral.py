@@ -11,15 +11,17 @@ from catwalk.lattice import (
     to_momentum,
 )
 from catwalk.spectral import (
-    appendix_eigenvectors,
     bloch_vector,
-    coin_decomposition,
     dirac_evolve,
-    dirac_hamiltonian,
     eigen_system,
     exact_energies,
     hamiltonian_k,
     symmetric_coin_state,
+)
+from paper_formulas import (
+    appendix_eigenvectors,
+    coin_decomposition,
+    dirac_hamiltonian,
     truncated_h1,
     truncated_h1_energies,
     truncated_h2,

@@ -19,7 +19,6 @@ from catwalk.lattice import (
     localized_state,
     make_lattice,
 )
-from catwalk.spectral import walk_unitary_k
 from catwalk.walk import (
     SIGMA_Y,
     EvolutionResult,
@@ -35,6 +34,7 @@ from catwalk.walk import (
     _run_pure,
 )
 from dense_oracle import dense_gate, dense_pure_run, dense_run, dense_walk_unitary, random_density
+from paper_formulas import walk_unitary_k
 
 THETAS = [np.pi / 6, np.pi / 4, np.pi / 3, np.pi / 2.4]
 
