@@ -12,6 +12,9 @@ momenta.  Every channel here is translation-invariant, so it either keeps
 each pair (k, k') on its own (the coin-local ones) or mixes only the pairs
 of one line of constant k - k' (walker and both dephasing), and a start
 that occupies a narrow band of momenta is stepped on that band alone.
+A ring of all N momenta is stepped with each line in relative position
+y = x - x', where the shift is a per-line phase and a roll, and line
+dephasing is a mask on the y = 0 column folded into the shift.
 Every channel here also keeps rho Hermitian, so a run steps only half the
 lines of its ring and takes the others as their Hermitian mirror.
 ``open_layout`` picks the layout, ``_run_open`` is the one runner on it,
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -119,10 +122,10 @@ def bit_flip_kraus(eta: float) -> KrausPair:
 
 def _coin_superop(spec: ChannelSpec) -> np.ndarray:
     """The 4x4 coin superoperator of a coin-local channel: diag(1, lam, lam, 1)
-    for coin dephasing, the Kraus sum otherwise."""
+    for coin dephasing, the Kraus sum otherwise; real for all three."""
     if spec.kind == DEPHASING:
         lam = np.exp(-spec.eta)
-        return np.diag([1.0, lam, lam, 1.0]).astype(complex)
+        return np.diag([1.0, lam, lam, 1.0])
     factory = amplitude_damping_kraus if spec.kind == AMPLITUDE_DAMPING else bit_flip_kraus
     kraus = factory(spec.eta)
     return _coin_map(2, kraus.m0, kraus.m1)
@@ -203,8 +206,8 @@ class MomentumLayout:
     and every pair of ring momenta lies on one line.  Line R - q is the
     Hermitian mirror of line q, rho~(k_b, d; k_a, c) = conj rho~(k_a, c;
     k_b, d), so only the ``lines`` offsets q = 0 .. lines-1, at most
-    R//2 + 1 of them, are stored.  Each map of a step (coin maps, the shift
-    phase, the line means) acts line by line and keeps rho Hermitian, so it
+    R//2 + 1 of them, are stored.  Each map of a step (coin maps, the shift,
+    the dephasing mask) acts line by line and keeps rho Hermitian, so it
     never needs the mirror half; ``materialize`` and the fidelity start fill
     it in.  rho~ is zero on the lines of the ring that are neither stored nor
     mirrored, and off the ring.
@@ -213,7 +216,9 @@ class MomentumLayout:
     walker and both dephasing mix; a ring of the start's momentum window
     serves channels that keep each (k, k') on its own.  A block of N x N in
     the ring's line coordinates holds the support; ``_shear`` turns lines
-    into pairs.
+    into pairs.  Every method here takes and returns the array in momentum;
+    ``_run_open`` steps a ring of all N momenta in y = x - x' (``relative``,
+    ``shift``), where line dephasing is a mask.
     """
 
     lattice: LatticeConfig
@@ -328,22 +333,60 @@ class MomentumLayout:
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise StateError(f"density matrix trace {tr!r} deviates from 1")
 
-    def shift(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        """The step's shift on the support, (work, out) -> out = D(k) (x) D*(k') work.
+    @property
+    def relative(self) -> bool:
+        """Whether the ring holds all N momenta, so that a run steps it in
+        relative position y = x - x' along the ring axis (``shift``)."""
+        return self.ring == self.lattice.n_sites
 
-        A pair's phase is e^{i s_c k_a} e^{-i s_d k_b}, with s = (1, -1): one
-        product per coin block of e^{ik_a} on the ring, e^{ik_b} and their
-        conjugates, kept for one multiply a step.
+    def shift(self, spec: ChannelSpec | None) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """The step's shift on the support, (work, out) -> out = D(k) (x) D*(k')
+        work, with ``spec`` folded in if it is walker or both dephasing.
+
+        A pair's phase is e^{i s_c k_a} e^{-i s_d k_b}, with s = (1, -1).  On a
+        window ring it is one multiply per coin block by a product of e^{ik_a}
+        on the ring, e^{ik_b} and their conjugates.  A ring of all N momenta is
+        stepped in y = x - x', each line's ``to_position`` along j, y = 0 at
+        index N/2.  There the phase is e^{i s_c 2 pi q / N} on line q times
+        e^{i (s_c - s_d) k_b}, which rolls the line by s_c - s_d, and line
+        dephasing, lam rho + (1 - lam) P(rho), is a mask: 1 on the y = 0
+        column of the blocks P keeps, lam everywhere else.  Both fold into one
+        factor per block, applied through a flat offset of the block, whose
+        columns that took a neighbouring line's end are then refilled.
         """
-        ket = np.exp(1j * self.lattice.momenta)
-        bra = ket[self.lo:self.lo + self.ring]
-        phase = np.empty((2, 2, *self.shape), dtype=complex)
-        phase[0, 0] = self._on_ring(ket)
-        np.multiply(phase[0, 0], bra, out=phase[0, 1])
-        np.conjugate(phase[0, 1], out=phase[1, 0])
-        phase[0, 0] *= bra.conj()
-        np.conjugate(phase[0, 0], out=phase[1, 1])
-        return lambda work, out: np.multiply(work, phase, out=out)
+        if not self.relative:
+            ket = np.exp(1j * self.lattice.momenta)
+            bra = ket[self.lo:self.lo + self.ring]
+            phase = np.empty((2, 2, *self.shape), dtype=complex)
+            phase[0, 0] = self._on_ring(ket)
+            np.multiply(phase[0, 0], bra, out=phase[0, 1])
+            np.conjugate(phase[0, 1], out=phase[1, 0])
+            phase[0, 0] *= bra.conj()
+            np.conjugate(phase[0, 0], out=phase[1, 1])
+            return lambda work, out: np.multiply(work, phase, out=out)
+        n = self.ring
+        mask = np.ones((2, 2, n))
+        if _mixes_lines(spec):
+            mask[...] = np.exp(-spec.eta)
+            for c, d in _COIN_PAIRS if spec.target == TARGET_WALKER else ((0, 0), (1, 1)):
+                mask[c, d, n // 2] = 1.0
+        line = np.exp(2j * np.pi * np.arange(self.lines) / n)
+        factor = np.stack((line, line.conj()))[:, None, :, None] * mask[:, :, None, :]
+        flat = factor.reshape(4, -1)
+
+        def step(work: np.ndarray, out: np.ndarray) -> np.ndarray:
+            src, dst = work.reshape(4, -1), out.reshape(4, -1)
+            # blocks (0,0) and (1,1) keep their columns
+            np.multiply(src[::3], flat[::3], out=dst[::3])
+            # (0,1) rolls by 2 and (1,0) by -2: one flat offset for all lines,
+            np.multiply(src[1, :-2], flat[1, 2:], out=dst[1, 2:])
+            np.multiply(src[2, 2:], flat[2, :-2], out=dst[2, :-2])
+            # then the two columns of each line that took a neighbouring line's end
+            np.multiply(work[0, 1, :, -2:], factor[0, 1, :, :2], out=out[0, 1, :, :2])
+            np.multiply(work[1, 0, :, :2], factor[1, 0, :, -2:], out=out[1, 0, :, -2:])
+            return out
+
+        return step
 
     def apply_fm(self, work: np.ndarray, phi: float) -> np.ndarray:
         """work -> e^{i phi (x - x')} work in place, through position space.
@@ -366,33 +409,20 @@ class MomentumLayout:
 
 
 
-def _channel_map(spec: ChannelSpec, layout: MomentumLayout) -> Callable | None:
-    """Bind a spec to a map (work, out) -> out on ``layout``, None for eta = 0.
+def _channel_map(spec: ChannelSpec | None) -> Callable | None:
+    """Bind a coin-local spec to its 4x4 coin superoperator, a map (work, out)
+    -> out; None for no channel, for eta = 0 and for walker and both dephasing.
 
-    Coin-local channels are their 4x4 coin superoperator.  Walker and both
-    dephasing are lam*rho + (1 - lam)*P(rho), P keeping the x = x' elements
+    Those two are lam*rho + (1 - lam)*P(rho), P keeping the x = x' elements
     of all four coin blocks (walker) or of the c = c' blocks (0,0) and (1,1)
-    (both).  In momentum P replaces each line of constant k - k' by its
-    mean, so these run on the ring of all N momenta, whose rows are those lines.
+    (both).  P keeps each line of constant k - k' to itself, so they run on
+    the ring of all N momenta, stepped in y = x - x', where P keeps the y = 0
+    column and the channel is a mask that ``MomentumLayout.shift`` folds in.
     """
-    if spec.eta == 0:
+    if spec is None or spec.eta == 0 or _mixes_lines(spec):
         return None
-    if not _mixes_lines(spec):
-        superop = _coin_superop(spec)
-        return lambda work, out: _apply_coin_map(work, superop, out)
-    lam = np.exp(-spec.eta)
-    blocks = _COIN_PAIRS if spec.target == TARGET_WALKER else ((0, 0), (1, 1))
-    weights = np.full(layout.shape[1], (1.0 - lam) / layout.shape[1], dtype=complex)
-
-    def dephase_lines(work: np.ndarray, out: np.ndarray) -> np.ndarray:
-        np.multiply(work, lam, out=out)
-        # block by block, as a broadcast add on a strided view buffers every
-        # operand; each line's mean is one matrix-vector product
-        for c, d in blocks:
-            out[c, d] += (work[c, d] @ weights)[:, None]
-        return out
-
-    return dephase_lines
+    superop = _coin_superop(spec)
+    return lambda work, out: _apply_coin_map(work, superop, out)
 
 
 def momentum_window(prob: np.ndarray) -> tuple[int, int]:
@@ -510,19 +540,32 @@ def fidelity_trace(psi: PureState, schedule: Schedule) -> np.ndarray:
 def _run_open(rho0, schedule: Schedule, snapshot_times: Sequence[int] = (), fidelity=False):
     """The one open run: rho0 laid out on ``open_layout``, the channel bound
     to it, and ``walk._run`` stepping the working array through ``schedule``.
+    A ring of all N momenta steps in y = x - x' (``MomentumLayout.shift``):
+    the working array and the fidelity start go there once, by a unitary DFT
+    along the ring axis that keeps every overlap, and the array comes back to
+    momenta for snapshots, F_m phases and the end of the run.
     Returns (layout, final working array, checkpoints), the snapshots
     materialized and validated, with ``fidelity`` <psi|rho_t|psi> for rho0 = psi."""
     layout = open_layout(rho0, schedule)
-    channel = None if schedule.channel is None else _channel_map(schedule.channel, layout)
     work = layout.start(rho0)
+    momenta, fm = (lambda w: w), layout.apply_fm
+    if layout.relative:
+        to_position(work, axis=-1, out=work)
+        momenta = partial(to_momentum, axis=-1)
+
+        def fm(w: np.ndarray, phi: float) -> np.ndarray:
+            return to_position(layout.apply_fm(to_momentum(w, axis=-1, out=w), phi), axis=-1, out=w)
+
     start = work.copy() if fidelity else None
     if fidelity:
         # line R - q's overlap is the conjugate of line q's; line R/2 is its own mirror
         start[:, :, 1:(layout.ring + 1) // 2] *= 2
-    checkpoint = _Checkpoints(schedule, snapshot_times,
-                              lambda w: DensityOperator(rho0.lattice, layout.materialize(w)),
-                              start)
+    checkpoint = _Checkpoints(
+        schedule, 2, snapshot_times,
+        lambda w: DensityOperator(rho0.lattice, layout.materialize(momenta(w))), start)
     work, spare = checkpoint(0, work, np.empty_like(work))
     work, _ = _run(work, spare, schedule, range(1, schedule.total_steps + 1), checkpoint,
-                   layout.shift(), layout.apply_fm, channel)
+                   layout.shift(schedule.channel), fm, _channel_map(schedule.channel))
+    if layout.relative:
+        to_momentum(work, axis=-1, out=work)
     return layout, work, checkpoint

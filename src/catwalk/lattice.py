@@ -133,9 +133,6 @@ class PureState:
     def with_amplitudes(self, amp: np.ndarray) -> "PureState":
         return PureState(self.lattice, amp)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 @dataclass(frozen=True)
 class DensityOperator:
@@ -169,10 +166,6 @@ class DensityOperator:
     def as_2d(self) -> np.ndarray:
         n = self.lattice.n_sites
         return self.matrix.reshape(2 * n, 2 * n)
-
-    def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue; an O(N^3) on-demand positivity check."""
-        return float(np.linalg.eigvalsh(self.as_2d)[0])
 
     @classmethod
     def from_pure(cls, psi: PureState) -> "DensityOperator":

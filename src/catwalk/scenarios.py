@@ -31,7 +31,7 @@ from .analysis import (
     schmidt_components,
 )
 from .channels import (CHANNEL_KINDS, DEPHASING, TARGET_COIN, TARGETS, ChannelSpec,
-                       density_working_set_bytes, evolve_open)
+                       density_working_set_bytes, evolve_open, open_layout)
 from .config import KEYS, ConfigError, ExperimentConfig
 from .io import ResultRecord, Table
 from .lattice import (
@@ -239,8 +239,8 @@ def run_returnk0(cfg: ExperimentConfig) -> ResultRecord:
 def run_decohereprob(cfg: ExperimentConfig) -> ResultRecord:
     """Final distributions under the three channel kinds at one eta, read
     from each run's momentum support without building rho, with the target
-    each table ran with as target.<table> and |sum P - 1| as
-    trace_defect.<table>."""
+    each table ran with as target.<table>, the support it stepped as
+    support.<table> and |sum P - 1| as trace_defect.<table>."""
     psi0 = _packet(cfg, cfg.steps, density=True)
     lat = psi0.lattice
     meta = _base_metadata(cfg, lat.n_sites)
@@ -248,10 +248,18 @@ def run_decohereprob(cfg: ExperimentConfig) -> ResultRecord:
     for kind in CHANNEL_KINDS:
         target = meta[f"target.{kind}"] = _target(kind, cfg.target)
         sched = Schedule(cfg.steps, cfg.theta, channel=ChannelSpec(kind, cfg.eta, target))
+        meta[f"support.{kind}"] = _support(psi0, sched)
         prob = evolve_open(psi0, sched).distribution()
         meta[f"trace_defect.{kind}"] = repr(float(abs(prob.sum() - 1.0)))
         tables.append(Table(kind, x=lat.sites, probability=prob))
     return ResultRecord("decohereprob", meta, tables)
+
+
+def _support(psi0: PureState, schedule: Schedule) -> str:
+    """LINESxRING of the momentum support an open run of ``schedule`` from
+    ``psi0`` steps (``channels.open_layout``)."""
+    layout = open_layout(psi0, schedule)
+    return f"{layout.lines}x{layout.ring}"
 
 
 def run_revival(cfg: ExperimentConfig) -> ResultRecord:
@@ -270,9 +278,11 @@ def run_revival(cfg: ExperimentConfig) -> ResultRecord:
 
 
 def run_decohere(cfg: ExperimentConfig) -> ResultRecord:
-    """Revival fidelity against eta for each channel variant."""
+    """Revival fidelity against eta for each channel variant, with the
+    support each table's runs stepped as support.<table>."""
     T = cfg.steps
     psi0 = _packet(cfg, 2 * T, density=True)
+    meta = _base_metadata(cfg, psi0.lattice.n_sites)
     # every (kind, target) a channel takes: dephasing_{coin,walker,both},
     # amplitude_damping, bit_flip
     variants = dict.fromkeys((kind, _target(kind, target))
@@ -280,10 +290,13 @@ def run_decohere(cfg: ExperimentConfig) -> ResultRecord:
     etas = (1e-4, 1e-3, 1e-2)
     tables = []
     for kind, target in variants:
-        rs = [revival_protocol(psi0, cfg.theta, T, channel=ChannelSpec(kind, eta, target)).r
-              for eta in etas]
-        tables.append(Table(f"{kind}_{target}" if kind == DEPHASING else kind, eta=etas, r=rs))
-    return ResultRecord("decohere", _base_metadata(cfg, psi0.lattice.n_sites), tables)
+        specs = [ChannelSpec(kind, eta, target) for eta in etas]
+        name = f"{kind}_{target}" if kind == DEPHASING else kind
+        # every eta > 0 steps the same support
+        meta[f"support.{name}"] = _support(psi0, Schedule(2 * T, cfg.theta, channel=specs[0]))
+        rs = [revival_protocol(psi0, cfg.theta, T, channel=spec).r for spec in specs]
+        tables.append(Table(name, eta=etas, r=rs))
+    return ResultRecord("decohere", meta, tables)
 
 
 def run_electricfid(cfg: ExperimentConfig) -> ResultRecord:

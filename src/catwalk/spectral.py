@@ -35,10 +35,6 @@ class BlochVector:
     k: float
     theta: float
 
-    @property
-    def magnitude(self) -> float:
-        return float(np.sqrt(self.h1**2 + self.h2**2 + self.h3**2))
-
 
 @dataclass(frozen=True)
 class EigenPair:

@@ -10,8 +10,8 @@ phase during steps ``start+1 .. end``.  Pure states and density operators
 share one step loop, ``_run``, and one ``_Checkpoints`` for what happens
 between steps: gates, snapshots and the fidelity to a pure start.  The loop
 takes its rank from a coin-major array and its shift, F_m phase and channel
-as maps; ``channels`` lays a density operator out in momentum space and
-runs it there.  A pure state jumps each plain stretch between events as one
+as maps; ``channels`` lays a density operator out on its momentum support
+and runs it there.  A pure state jumps each plain stretch between events as one
 closed-form power Z(k)^n in momentum space, and steps F_m windows in
 position space.  It moves between sites and momenta by
 ``lattice.to_momentum`` and ``to_position``; ``_PlainPower`` holds the band
@@ -68,21 +68,28 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Step kernel.  It works on a coin-major array, coin axes first: amp[c] =
 # psi[:, c], shape (2, N), for a pure state in position space (rank 1), and
-# work[c, d], shape (2, 2, lines, ring), holding rho in momentum space on the
-# support ``channels`` lays it out on (rank 2).  A coin-local map is one
-# (2^r x 2^r)·(2^r x P) product.  The shift moves sites by slice assignment on
-# a pure state and is the phase D(k) (x) D*(k') on rho, D(k) = diag(e^{ik},
-# e^{-ik}).  Maps write into a buffer that must not alias their input.
+# work[c, d], shape (2, 2, lines, ring), holding rho on the support
+# ``channels`` lays it out on (rank 2).  A coin-local map is one
+# (2^r x 2^r)·(2^r x P) product, a real one on the float view of the array.
+# The shift moves sites by slice assignment on a pure state and is
+# D(k) (x) D*(k') on rho, D(k) = diag(e^{ik}, e^{-ik}).  Maps write into a
+# buffer that must not alias their input.
 
 
 def _coin_map(rank: int, *ops: np.ndarray) -> np.ndarray:
-    """M on a pure state (one operator); sum_i M_i (x) M_i^* on rho."""
-    return ops[0] if rank == 1 else sum(np.kron(m, m.conj()) for m in ops)
+    """M on a pure state (one operator); sum_i M_i (x) M_i^* on rho.  Real
+    when its imaginary part is exactly zero, as for a real coin, the reversal
+    pair on rho and the built-in coin-local channels."""
+    cmap = ops[0] if rank == 1 else sum(np.kron(m, m.conj()) for m in ops)
+    return cmap if cmap.imag.any() else cmap.real.copy()
 
 
 def _apply_coin_map(work: np.ndarray, cmap: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = cmap applied to the coin index of ``work``; returns out."""
-    np.matmul(cmap, work.reshape(len(cmap), -1), out=out.reshape(len(cmap), -1))
+    """out = cmap applied to the coin index of ``work``; returns out.  A real
+    cmap multiplies real and imaginary parts in one real product on the
+    float views of the contiguous arrays."""
+    src, dst = (work, out) if np.iscomplexobj(cmap) else (work.view(float), out.view(float))
+    np.matmul(cmap, src.reshape(len(cmap), -1), out=dst.reshape(len(cmap), -1))
     return out
 
 
@@ -158,15 +165,17 @@ class Schedule:
 class _Checkpoints:
     """What a run does at a time t = 0..total_steps: that time's coin gates,
     then ``snapshot(work)`` kept in ``snaps`` if t is wanted, then the fidelity
-    to a pure ``start`` ((N, 2) or laid out as |psi><psi|) in ``trace[t]``."""
+    to a pure ``start`` ((N, 2) or laid out as |psi><psi|) in ``trace[t]``.
+    Each gate's coin map on arrays of ``rank`` is built once, here."""
 
-    def __init__(self, schedule: Schedule, snapshot_times: Sequence[int],
+    def __init__(self, schedule: Schedule, rank: int, snapshot_times: Sequence[int],
                  snapshot: Callable, start: np.ndarray | None = None):
         self.wanted = set(snapshot_times)
         for t in self.wanted:
             if not (0 <= t <= schedule.total_steps):
                 raise ScheduleError(f"snapshot time {t} outside run")
-        self.schedule = schedule
+        self.gates = {t: [_coin_map(rank, u) for u in schedule.insertions_at(t)]
+                      for t, _ in schedule.coin_gate_insertions}
         self.snapshot = snapshot
         self.snaps: dict[int, Any] = {}
         self.start = start
@@ -174,8 +183,8 @@ class _Checkpoints:
 
     def __call__(self, t: int, work: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Returns (work, spare) after t's gates, which swap the two buffers."""
-        for u in self.schedule.insertions_at(t):
-            work, spare = _apply_coin_map(work, _coin_map(work.ndim // 2, u), spare), work
+        for cmap in self.gates.get(t, ()):
+            work, spare = _apply_coin_map(work, cmap, spare), work
         if t in self.wanted:
             self.snaps[t] = self.snapshot(work)
         if self.start is not None:
@@ -322,7 +331,7 @@ def _run_pure(state: PureState, schedule: Schedule, snapshot_times: Sequence[int
     lattice = state.lattice
     phases = {phi: _fm_phase(lattice.sites, phi) for _, _, phi in schedule.fm_windows}
     power = _PlainPower(schedule.theta, lattice.momenta)
-    checkpoint = _Checkpoints(schedule, snapshot_times,
+    checkpoint = _Checkpoints(schedule, 1, snapshot_times,
                               lambda a: state.with_amplitudes(_transpose(a)),
                               state.amplitudes if fidelity else None)
     bra = to_momentum(state.amplitudes) if fidelity else None

@@ -246,7 +246,7 @@ def test_criterion_09_channel_validity():
             flat = res.snapshots[t].as_2d
             assert abs(np.trace(flat).real - 1.0) <= 1e-10
             assert np.abs(flat - flat.conj().T).max() <= 1e-10
-            assert res.snapshots[t].min_eigenvalue() >= -1e-8
+            assert np.linalg.eigvalsh(res.snapshots[t].as_2d)[0] >= -1e-8
 
 
 # --------------------------------------------------------------- criterion 10

@@ -36,7 +36,7 @@ from catwalk.lattice import (
     to_position,
 )
 import catwalk
-from catwalk import channels
+from catwalk import channels, walk
 from catwalk.walk import SIGMA_X, SIGMA_Y, Schedule, coin_operator, evolve, reversal_pair
 from dense_oracle import dense_run, random_density
 
@@ -190,7 +190,7 @@ def test_evolve_open_snapshots_valid_states():
     )
     assert set(res.snapshots) == {0, 10, 20}
     for rho in res.snapshots.values():
-        assert rho.min_eigenvalue() > -1e-10
+        assert np.linalg.eigvalsh(rho.as_2d)[0] > -1e-10
 
 
 def test_evolve_open_rejects_bad_channel_object():
@@ -271,7 +271,7 @@ def test_evolve_open_run_matches_dense_oracle(
         np.testing.assert_allclose(snap, want, atol=1e-12)
         assert np.trace(snap).real == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(snap, snap.conj().T, atol=1e-13)
-        assert result.snapshots[t].min_eigenvalue() >= -1e-12
+        assert np.linalg.eigvalsh(result.snapshots[t].as_2d)[0] >= -1e-12
     np.testing.assert_array_equal(result.final.as_2d, result.snapshots[steps].as_2d)
 
 
@@ -341,11 +341,12 @@ def test_support_trace_check_matches_the_materialized_trace(variant):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_open_revival_catches_trace_drift(monkeypatch, variant):
-    # a shift that gains 2e-7 of trace a step: r alone would not show it
+    # a shift that gains 2e-7 of trace a step: r alone would not show it;
+    # walker and both dephasing are folded into the shift
     shift = MomentumLayout.shift
 
-    def drifting(layout):
-        step = shift(layout)
+    def drifting(layout, spec):
+        step = shift(layout, spec)
         return lambda work, out: np.multiply(step(work, out), 1 + 1e-7, out=out)
 
     monkeypatch.setattr(MomentumLayout, "shift", drifting)
@@ -373,7 +374,7 @@ def test_long_open_runs_stay_physical(theta, eta, width, k0, variant, steps):
         flat = result.snapshots[t].as_2d
         assert np.trace(flat).real == pytest.approx(1.0, abs=1e-12)
         assert np.abs(flat - flat.conj().T).max() <= 1e-13
-        assert result.snapshots[t].min_eigenvalue() >= -1e-12
+        assert np.linalg.eigvalsh(result.snapshots[t].as_2d)[0] >= -1e-12
 
 
 # ------------------------------------------------------ mirrored lines
@@ -448,6 +449,98 @@ def test_mirror_boundary_matches_dense_oracle(variant, extra):
                                rtol=0, atol=1e-12)
 
 
+# ----------------------------------------- the ring of all N in y = x - x'
+
+
+@pytest.mark.parametrize("lines", ["full", "half"])
+@pytest.mark.parametrize("target", [None, "walker", "both"])
+@pytest.mark.parametrize("n", [6, 10])
+def test_relative_shift_matches_the_momentum_phase(n, target, lines):
+    # the rolled, masked shift in y, taken back along j, is the phase
+    # e^{i s_c k_a} e^{-i s_d k_b} in momentum, then lam p + (1 - lam) times
+    # each line's mean on the blocks P keeps
+    lattice = make_lattice(n)
+    layout = MomentumLayout(lattice, 0, n, n // 2 + 1 if lines == "full" else n // 2 - 1)
+    assert layout.relative
+    rng = np.random.default_rng(n)
+    work = rng.normal(size=(2, 2, *layout.shape)) + 1j * rng.normal(size=(2, 2, *layout.shape))
+    spec = None if target is None else ChannelSpec("dephasing", 0.3, target)
+    k = lattice.momenta
+    a = (np.arange(n)[None, :] + np.arange(layout.lines)[:, None]) % n
+    expected = np.empty_like(work)
+    for c, d in channels._COIN_PAIRS:
+        s_c, s_d = 1 - 2 * c, 1 - 2 * d
+        moved = np.exp(1j * (s_c * k[a] - s_d * k[None, :])) * work[c, d]
+        if target == "walker" or (target == "both" and c == d):
+            moved = np.exp(-0.3) * moved + (1 - np.exp(-0.3)) * moved.mean(axis=1, keepdims=True)
+        elif target == "both":
+            moved = np.exp(-0.3) * moved
+        expected[c, d] = moved
+    out = layout.shift(spec)(to_position(work, axis=-1), np.empty_like(work))
+    for c, d in channels._COIN_PAIRS:
+        np.testing.assert_allclose(to_momentum(out[c, d], axis=-1), expected[c, d],
+                                   rtol=0, atol=1e-14)
+
+
+def _phase_gate(phi):
+    return np.diag([np.exp(1j * phi), np.exp(-1j * phi)])  # e^{i phi sigma_z}
+
+
+@pytest.mark.parametrize("case", ["walker", "both", "density_coin", "density_none",
+                                  "fm_walker", "complex_gate"])
+def test_full_ring_runs_match_dense_oracle(case):
+    # every run on the ring of all N momenta steps in y = x - x'; snapshots,
+    # F_m steps and the fidelity start go through the frame change
+    n, steps, theta = 16, 6, 0.7
+    psi = band_limited_packet(n, 2.0, k0=0.3)
+    specs = {"walker": ChannelSpec("dephasing", 0.2, "walker"),
+             "both": ChannelSpec("dephasing", 0.2, "both"),
+             "density_coin": ChannelSpec("amplitude_damping", 0.2),
+             "fm_walker": ChannelSpec("dephasing", 0.2, "walker"),
+             "complex_gate": ChannelSpec("dephasing", 0.2, "both")}
+    gate, gate_back = reversal_pair(theta)
+    gates = ((2, gate), (5, gate_back))
+    if case == "complex_gate":  # gates whose coin maps keep the complex product
+        gates = ((2, _phase_gate(0.4)), (4, _phase_gate(-0.9)))
+    sched = Schedule(steps, theta, fm_windows=((1, 4, 0.5),) if case == "fm_walker" else (),
+                     coin_gate_insertions=gates, channel=specs.get(case))
+    rho0 = DensityOperator.from_pure(psi) if case.startswith("density") else psi
+    times = range(steps + 1)
+    layout, work, checkpoint = channels._run_open(rho0, sched, times,
+                                                  fidelity=not case.startswith("density"))
+    assert layout.relative
+    expected = dense_run(DensityOperator.from_pure(psi).as_2d, n, sched)
+    for t in times:
+        np.testing.assert_allclose(checkpoint.snaps[t].as_2d, expected[t], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(layout.materialize(work).reshape(2 * n, 2 * n), expected[-1],
+                               rtol=0, atol=1e-12)
+    if checkpoint.trace is not None:
+        ket = psi.amplitudes.ravel()
+        np.testing.assert_allclose(checkpoint.trace,
+                                   [np.vdot(ket, want @ ket).real for want in expected],
+                                   rtol=0, atol=1e-12)
+
+
+def test_real_maps_are_real_and_complex_ones_complex():
+    # a real coin map runs as a real product on the float view; a map with
+    # any imaginary part keeps the complex product
+    theta = 0.7
+    gate, gate_back = reversal_pair(theta)
+    real = [walk._coin_map(2, coin_operator(theta)), walk._coin_map(2, gate),
+            walk._coin_map(2, gate_back), walk._coin_map(1, coin_operator(theta))]
+    real += [channels._coin_superop(ChannelSpec(kind, 0.3, target))
+             for kind, target in VARIANTS if target == "coin"]
+    assert not any(map(np.iscomplexobj, real))
+    assert np.iscomplexobj(walk._coin_map(2, _phase_gate(0.4)))
+    assert np.iscomplexobj(walk._coin_map(1, gate))
+    rng = np.random.default_rng(1)
+    for cmap in real:
+        work = rng.normal(size=(len(cmap), 3, 5)) + 1j * rng.normal(size=(len(cmap), 3, 5))
+        out = walk._apply_coin_map(work, cmap, np.empty_like(work))
+        np.testing.assert_allclose(out, np.tensordot(cmap.astype(complex), work, 1),
+                                   rtol=0, atol=1e-15)
+
+
 # ------------------------------------------------ P(x) from the support
 
 
@@ -517,8 +610,8 @@ def test_final_is_materialized_once_and_validated(monkeypatch):
 def test_evolve_open_checks_the_final_trace_at_call_time(monkeypatch):
     shift = MomentumLayout.shift
 
-    def gaining(layout):
-        step = shift(layout)
+    def gaining(layout, spec):
+        step = shift(layout, spec)
         return lambda work, out: np.multiply(step(work, out), 1 + 1e-7, out=out)
 
     monkeypatch.setattr(MomentumLayout, "shift", gaining)

@@ -478,6 +478,28 @@ def test_cli_decohereprob_records_the_trace_defect_of_each_table(tmp_path, capsy
         assert defect == abs(table["probability"].sum() - 1.0) <= 1e-10
 
 
+@pytest.mark.parametrize("scenario", ["decohere", "decohereprob"])
+def test_cli_open_scenarios_record_the_support_of_each_table(scenario, tmp_path, capsys):
+    # support.<table>=LINESxRING: walker and both dephasing step the ring of
+    # all N momenta, the coin-local channels a narrower window ring (on a
+    # lattice wider than the sizing rule's: a tight one keeps every momentum)
+    argv = [scenario, "--steps", "6", "--sigma", "5", "--lattice", "160", "--target", "walker",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    meta = dict(line.split("=", 1) for line in
+                (tmp_path / f"{scenario}_meta.txt").read_text().splitlines())
+    n = int(meta["lattice"])
+    tables = {path.stem.removeprefix(f"{scenario}_") for path in tmp_path.glob("*.csv")}
+    support = {key.removeprefix("support."): value for key, value in meta.items()
+               if key.startswith("support.")}
+    assert set(support) == tables
+    for table, value in support.items():
+        lines, ring = map(int, value.split("x"))
+        assert 1 <= lines <= ring // 2 + 1
+        full_ring = table in ("dephasing_walker", "dephasing_both", "dephasing")
+        assert (ring == n) == full_ring, (table, value)
+
+
 @pytest.mark.parametrize("target", TARGETS)
 def test_cli_decohereprob_never_materializes_rho(target, monkeypatch, tmp_path, capsys):
     # P(x) comes from the momentum support; no (N, 2, N, 2) matrix is built
