@@ -16,7 +16,10 @@ A ring of all N momenta is stepped with each line in relative position
 y = x - x', where the shift is a per-line phase and a roll, and line
 dephasing is a mask on the y = 0 column folded into the shift.
 Every channel here also keeps rho Hermitian, so a run steps only half the
-lines of its ring and takes the others as their Hermitian mirror.
+lines of its ring and takes the others as their Hermitian mirror.  Every
+map of a step acts on each stored line alone, so a layout larger than
+``_BLOCK_BYTES`` a working array runs in row blocks, each through the whole
+schedule before the next, and holds one block's arrays at a time.
 ``open_layout`` picks the layout, ``_run_open`` is the one runner on it,
 ``evolve_open`` returns its final state lazily, with P(x) read from the
 support, ``fidelity_trace`` takes a run's fidelity to its start in its own
@@ -218,7 +221,9 @@ class MomentumLayout:
     the ring's line coordinates holds the support; ``_shear`` turns lines
     into pairs.  Every method here takes and returns the array in momentum;
     ``_run_open`` steps a ring of all N momenta in y = x - x' (``relative``,
-    ``shift``), where line dephasing is a mask.
+    ``shift``), where line dephasing is a mask.  ``start`` (from a pure
+    state) and ``shift`` also build a contiguous block of the stored lines,
+    ``rows``, which ``_run_open`` steps on its own.
     """
 
     lattice: LatticeConfig
@@ -236,23 +241,28 @@ class MomentumLayout:
         n = self.lattice.n_sites
         return self.shape == (n // 2 + 1, n)
 
-    def _on_ring(self, values: np.ndarray) -> np.ndarray:
+    def _on_ring(self, values: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
         """values[..., a] over momenta as the (..., lines, ring) view [..., q, j]
-        at a = lo + (j + q) mod R, with no copy beyond the ring's two turns."""
+        at a = lo + (j + q) mod R, of the stored lines ``rows``, with no copy
+        beyond the ring's two turns."""
         ring = values[..., self.lo:self.lo + self.ring]
         turns = np.concatenate((ring, ring), axis=-1)
-        return np.lib.stride_tricks.sliding_window_view(turns, self.ring, axis=-1)[..., :self.lines, :]
+        view = np.lib.stride_tricks.sliding_window_view(turns, self.ring, axis=-1)
+        return view[..., :self.lines, :][..., rows, :]
 
-    def start(self, state) -> np.ndarray:
-        """The working array of |psi><psi| for a PureState, or of a
-        DensityOperator, which needs the full support."""
-        work = np.empty((2, 2, *self.shape), dtype=complex)
+    def start(self, state, rows: slice = slice(None)) -> np.ndarray:
+        """The working array of |psi><psi| for a PureState, on the stored
+        lines ``rows`` alone, or of a DensityOperator, which needs the full
+        support and is laid out whole."""
         if isinstance(state, PureState):
             amp = to_momentum(state.amplitudes).T
+            ket = self._on_ring(amp, rows)
             bra = amp[:, self.lo:self.lo + self.ring].conj()
-            return np.multiply(self._on_ring(amp)[:, None], bra[None, :, None, :], out=work)
+            work = np.empty((2, 2, *ket.shape[1:]), dtype=complex)
+            return np.multiply(ket[:, None], bra[None, :, None, :], out=work)
         if not self.full:
             raise StateError("a density operator start needs the full momentum support")
+        work = np.empty((2, 2, *self.shape), dtype=complex)
         block = np.empty((self.ring,) * 2, dtype=complex)
         for c, d in _COIN_PAIRS:
             block[...] = state.matrix[:, c, :, d]
@@ -339,9 +349,11 @@ class MomentumLayout:
         relative position y = x - x' along the ring axis (``shift``)."""
         return self.ring == self.lattice.n_sites
 
-    def shift(self, spec: ChannelSpec | None) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        """The step's shift on the support, (work, out) -> out = D(k) (x) D*(k')
-        work, with ``spec`` folded in if it is walker or both dephasing.
+    def shift(self, spec: ChannelSpec | None,
+              rows: slice = slice(None)) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """The step's shift on the stored lines ``rows``, (work, out) -> out =
+        D(k) (x) D*(k') work, with ``spec`` folded in if it is walker or both
+        dephasing.
 
         A pair's phase is e^{i s_c k_a} e^{-i s_d k_b}, with s = (1, -1).  On a
         window ring it is one multiply per coin block by a product of e^{ik_a}
@@ -357,8 +369,9 @@ class MomentumLayout:
         if not self.relative:
             ket = np.exp(1j * self.lattice.momenta)
             bra = ket[self.lo:self.lo + self.ring]
-            phase = np.empty((2, 2, *self.shape), dtype=complex)
-            phase[0, 0] = self._on_ring(ket)
+            on_ring = self._on_ring(ket, rows)
+            phase = np.empty((2, 2, *on_ring.shape), dtype=complex)
+            phase[0, 0] = on_ring
             np.multiply(phase[0, 0], bra, out=phase[0, 1])
             np.conjugate(phase[0, 1], out=phase[1, 0])
             phase[0, 0] *= bra.conj()
@@ -370,7 +383,7 @@ class MomentumLayout:
             mask[...] = np.exp(-spec.eta)
             for c, d in _COIN_PAIRS if spec.target == TARGET_WALKER else ((0, 0), (1, 1)):
                 mask[c, d, n // 2] = 1.0
-        line = np.exp(2j * np.pi * np.arange(self.lines) / n)
+        line = np.exp(2j * np.pi * np.arange(self.lines)[rows] / n)
         factor = np.stack((line, line.conj()))[:, None, :, None] * mask[:, :, None, :]
         flat = factor.reshape(4, -1)
 
@@ -474,8 +487,11 @@ def density_working_set_bytes(n_sites: int) -> int:
     matrix, the working array and its spare take about one matrix, and the
     final state is materialized beside one N x N coin block after the spare
     is freed, then validated with band-sized temporaries.  A pure start
-    needs less, as its layout is smaller, and P(x) read from the support
-    needs no matrix at all.
+    needs less, as its layout is smaller and is stepped in row blocks: the
+    working array, its spare, the shift factor and the fidelity start are
+    each at most about ``_BLOCK_BYTES`` (a layout's rows split as evenly as
+    may be), beside the one full working array a final-state run fills.
+    P(x) read from the support needs no matrix at all.
     """
     return 3 * 16 * (2 * n_sites) ** 2 + 256 * 1024
 
@@ -518,54 +534,78 @@ def evolve_open(
     ``open_layout``.  Trace and Hermiticity are validated at every snapshot,
     materialized in position space, and a snapshot time outside the run
     raises ``ScheduleError``.  The final trace is checked on the support
-    here; the final state is materialized and validated when ``final`` is
-    first read.
+    during the run; the final state is materialized and validated when
+    ``final`` is first read.
     """
     layout, work, checkpoint = _run_open(rho0, schedule, snapshot_times)
-    layout.check_trace(work)
     return OpenResult(layout, work, checkpoint.snaps)
 
 
 def fidelity_trace(psi: PureState, schedule: Schedule) -> np.ndarray:
     """The fidelity to psi of a run of ``schedule`` from psi at t = 0..total_steps,
     |<psi|psi_t>|^2 closed or <psi|rho_t|psi> under the channel.  The open
-    run's final state is not materialized; its trace is checked on the support."""
+    run's final state is not kept; its trace is checked on the support."""
     if schedule.channel is None:
         return _run_pure(psi, schedule, fidelity=True)[1].trace
-    layout, work, checkpoint = _run_open(psi, schedule, fidelity=True)
-    layout.check_trace(work)
-    return checkpoint.trace
+    return _run_open(psi, schedule, fidelity=True)[2].trace
+
+
+# bytes of one working array stepped at a time: a larger layout runs in
+# row blocks of its stored lines, each through the whole schedule
+_BLOCK_BYTES = 768 * 1024
 
 
 def _run_open(rho0, schedule: Schedule, snapshot_times: Sequence[int] = (), fidelity=False):
     """The one open run: rho0 laid out on ``open_layout``, the channel bound
     to it, and ``walk._run`` stepping the working array through ``schedule``.
-    A ring of all N momenta steps in y = x - x' (``MomentumLayout.shift``):
-    the working array and the fidelity start go there once, by a unitary DFT
-    along the ring axis that keeps every overlap, and the array comes back to
-    momenta for snapshots, F_m phases and the end of the run.
-    Returns (layout, final working array, checkpoints), the snapshots
-    materialized and validated, with ``fidelity`` <psi|rho_t|psi> for rho0 = psi."""
+    Every map of a step acts on each stored line alone, so the lines run in
+    ceil(working-array bytes / ``_BLOCK_BYTES``) contiguous row blocks, as
+    even as may be, each laid out from psi~ and stepped through the whole
+    schedule with its own spare, shift factor and fidelity start, whose
+    terms ``_Checkpoints`` adds in block order.  A run with snapshots or an
+    F_m window, or from a DensityOperator, is one block.  On a ring of all N
+    momenta a block steps in y = x - x' (``MomentumLayout.shift``), reached
+    once by a unitary DFT along the ring axis that keeps every overlap, and
+    comes back to momenta for snapshots, F_m phases and its end.  The final
+    trace is checked on line 0, in the first block.  Returns (layout, final
+    working array, or None for a fidelity run of several blocks,
+    checkpoints), the snapshots materialized and validated, with
+    ``fidelity`` <psi|rho_t|psi> for rho0 = psi."""
     layout = open_layout(rho0, schedule)
-    work = layout.start(rho0)
+    lines, ring = layout.shape
+    whole = len(snapshot_times) or schedule.fm_windows or not isinstance(rho0, PureState)
+    nbytes = 4 * 16 * lines * ring  # four coin blocks of complex entries
+    count = 1 if whole else min(lines, -(-nbytes // _BLOCK_BYTES))
     momenta, fm = (lambda w: w), layout.apply_fm
     if layout.relative:
-        to_position(work, axis=-1, out=work)
         momenta = partial(to_momentum, axis=-1)
 
         def fm(w: np.ndarray, phi: float) -> np.ndarray:
             return to_position(layout.apply_fm(to_momentum(w, axis=-1, out=w), phi), axis=-1, out=w)
 
-    start = work.copy() if fidelity else None
-    if fidelity:
-        # line R - q's overlap is the conjugate of line q's; line R/2 is its own mirror
-        start[:, :, 1:(layout.ring + 1) // 2] *= 2
-    checkpoint = _Checkpoints(
-        schedule, 2, snapshot_times,
-        lambda w: DensityOperator(rho0.lattice, layout.materialize(momenta(w))), start)
-    work, spare = checkpoint(0, work, np.empty_like(work))
-    work, _ = _run(work, spare, schedule, range(1, schedule.total_steps + 1), checkpoint,
-                   layout.shift(schedule.channel), fm, _channel_map(schedule.channel))
-    if layout.relative:
-        to_momentum(work, axis=-1, out=work)
-    return layout, work, checkpoint
+    final = None if count == 1 or fidelity else np.empty((2, 2, lines, ring), dtype=complex)
+    for i in range(count):
+        rows = slice(i * lines // count, (i + 1) * lines // count)
+        work = layout.start(rho0, rows)
+        if layout.relative:
+            to_position(work, axis=-1, out=work)
+        start = None
+        if fidelity:
+            # line R - q's overlap is the conjugate of line q's; line R/2 is its own mirror
+            q = np.arange(lines)[rows]
+            start = work * np.where((q > 0) & (2 * q < ring), 2.0, 1.0)[:, None]
+        if i == 0:
+            checkpoint = _Checkpoints(
+                schedule, 2, snapshot_times,
+                lambda w: DensityOperator(rho0.lattice, layout.materialize(momenta(w))), start)
+        checkpoint.start = start
+        work, spare = checkpoint(0, work, np.empty_like(work))
+        work, _ = _run(work, spare, schedule, range(1, schedule.total_steps + 1), checkpoint,
+                       layout.shift(schedule.channel, rows), fm, _channel_map(schedule.channel))
+        if layout.relative:
+            to_momentum(work, axis=-1, out=work)
+        if i == 0:
+            layout.check_trace(work)
+        if final is not None:
+            final[:, :, rows] = work
+    return layout, work if count == 1 else final, checkpoint

@@ -263,13 +263,16 @@ def _support(psi0: PureState, schedule: Schedule) -> str:
 
 
 def run_revival(cfg: ExperimentConfig) -> ResultRecord:
-    """Time-reversal revival fidelity trace; open-system when eta > 0."""
+    """Time-reversal revival fidelity trace; open-system when eta > 0, with
+    the support it stepped as support.fidelity."""
     T = cfg.steps
     psi0 = _packet(cfg, 2 * T, density=cfg.eta > 0)
     target = _target(cfg.channel, cfg.target)
     spec = ChannelSpec(cfg.channel, cfg.eta, target) if cfg.eta > 0 else None
     result = revival_protocol(psi0, cfg.theta, T, channel=spec)
     meta = _base_metadata(cfg, psi0.lattice.n_sites)
+    if spec is not None:
+        meta["support.fidelity"] = _support(psi0, Schedule(2 * T, cfg.theta, channel=spec))
     meta["target"] = target
     meta["r"] = repr(result.r)
     meta["reverser"] = "exact"

@@ -166,6 +166,8 @@ class _Checkpoints:
     """What a run does at a time t = 0..total_steps: that time's coin gates,
     then ``snapshot(work)`` kept in ``snaps`` if t is wanted, then the fidelity
     to a pure ``start`` ((N, 2) or laid out as |psi><psi|) in ``trace[t]``.
+    On rho the overlap is added to ``trace[t]``, so a run in row blocks, each
+    with its own ``start``, sums the blocks' terms in block order.
     Each gate's coin map on arrays of ``rank`` is built once, here."""
 
     def __init__(self, schedule: Schedule, rank: int, snapshot_times: Sequence[int],
@@ -179,7 +181,7 @@ class _Checkpoints:
         self.snapshot = snapshot
         self.snaps: dict[int, Any] = {}
         self.start = start
-        self.trace = None if start is None else np.empty(schedule.total_steps + 1)
+        self.trace = None if start is None else np.zeros(schedule.total_steps + 1)
 
     def __call__(self, t: int, work: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Returns (work, spare) after t's gates, which swap the two buffers."""
@@ -189,8 +191,10 @@ class _Checkpoints:
             self.snaps[t] = self.snapshot(work)
         if self.start is not None:
             # site-major, as lattice.fidelity sums; rho~_t is zero off the support
-            overlap = np.vdot(self.start, work.T if work.ndim == 2 else work)
-            self.trace[t] = abs(overlap) ** 2 if work.ndim == 2 else overlap.real
+            if work.ndim == 2:
+                self.trace[t] = abs(np.vdot(self.start, work.T)) ** 2
+            else:
+                self.trace[t] += np.vdot(self.start, work).real
         return work, spare
 
 

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -345,14 +346,17 @@ def test_open_revival_catches_trace_drift(monkeypatch, variant):
     # walker and both dephasing are folded into the shift
     shift = MomentumLayout.shift
 
-    def drifting(layout, spec):
-        step = shift(layout, spec)
+    def drifting(layout, spec, rows):
+        step = shift(layout, spec, rows)
         return lambda work, out: np.multiply(step(work, out), 1 + 1e-7, out=out)
 
     monkeypatch.setattr(MomentumLayout, "shift", drifting)
     psi = band_limited_packet(64, 5.0)
-    with pytest.raises(StateError, match="trace"):
-        revival_protocol(psi, 0.7, 5, channel=ChannelSpec(variant[0], 0.05, variant[1]))
+    # in one block, then in blocks of one line: the trace is read in the first
+    for budget in (channels._BLOCK_BYTES, 1):
+        monkeypatch.setattr(channels, "_BLOCK_BYTES", budget)
+        with pytest.raises(StateError, match="trace"):
+            revival_protocol(psi, 0.7, 5, channel=ChannelSpec(variant[0], 0.05, variant[1]))
 
 
 @settings(max_examples=15, deadline=None)
@@ -541,6 +545,122 @@ def test_real_maps_are_real_and_complex_ones_complex():
                                    rtol=0, atol=1e-15)
 
 
+# ------------------------------------------------------------ row blocks
+
+
+@pytest.fixture
+def block_rows(monkeypatch):
+    """The row blocks of each open run, as the (start, stop) of the stored
+    lines each shift factor is built for, one list per run."""
+    runs = []
+    shift = MomentumLayout.shift
+
+    def recorded(layout, spec, rows):
+        if rows.start == 0:
+            runs.append([])
+        runs[-1].append((rows.start, rows.stop))
+        return shift(layout, spec, rows)
+
+    monkeypatch.setattr(MomentumLayout, "shift", recorded)
+    return runs
+
+
+def _split(monkeypatch, layout, blocks):
+    """Set the budget so that a run on ``layout`` takes ``blocks`` row blocks."""
+    monkeypatch.setattr(channels, "_BLOCK_BYTES", -(-64 * layout.lines * layout.ring // blocks))
+
+
+def _assert_blocks(rows, layout, blocks):
+    """``rows`` tile the stored lines in ``blocks`` contiguous blocks whose
+    sizes differ by at most one."""
+    assert len(rows) == blocks
+    assert [rows[0][0], *(stop for _, stop in rows)] == [0, *(start for start, _ in rows[1:]),
+                                                         layout.lines]
+    assert np.ptp([stop - start for start, stop in rows]) <= 1
+
+
+@pytest.mark.parametrize("blocks", [2, 3, 5])
+@pytest.mark.parametrize("support", ["window", "all"])
+@pytest.mark.parametrize("variant", [None, *VARIANTS])
+def test_row_blocks_leave_the_final_state_bit_identical(variant, support, blocks,
+                                                        block_rows, monkeypatch):
+    # every map of a step acts line by line, so a block's rows take the very
+    # arithmetic of one block; a start on one site, on every momentum,
+    # makes even the coin-local ring all N, stepped in y = x - x'
+    n, theta = 32, 0.7
+    psi = (band_packet(n, 13, seed=5) if support == "window"
+           else localized_state(make_lattice(n), 5, COIN_SYMMETRIC))
+    spec = None if variant is None else ChannelSpec(variant[0], 0.2, variant[1])
+    gate, gate_back = reversal_pair(theta)
+    sched = Schedule(9, theta, coin_gate_insertions=((3, gate), (6, gate_back)), channel=spec)
+    layout, one, _ = channels._run_open(psi, sched)
+    assert layout.relative == (support == "all" or variant in VARIANTS[1:3])
+    _split(monkeypatch, layout, blocks)
+    _, split, _ = channels._run_open(psi, sched)
+    assert block_rows[0] == [(0, layout.lines)]
+    _assert_blocks(block_rows[1], layout, blocks)
+    assert split.shape == one.shape
+    np.testing.assert_array_equal(split, one)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_row_blocks_sum_the_fidelity_in_block_order(variant, block_rows, monkeypatch):
+    n, theta, T = 16, 0.7, 4
+    psi = band_packet(n, 7, seed=4)
+    sched = _reversal_schedule(theta, T, REVERSER_EXACT,
+                               channel=ChannelSpec(variant[0], 0.2, variant[1]))
+    layout = open_layout(psi, sched)
+    one = channels.fidelity_trace(psi, sched)
+    _split(monkeypatch, layout, 3)
+    layout, work, checkpoint = channels._run_open(psi, sched, fidelity=True)
+    _assert_blocks(block_rows[1], layout, 3)
+    assert work is None  # no block's rows are kept past its run
+    np.testing.assert_allclose(checkpoint.trace, one, rtol=0, atol=1e-15)
+    ket = psi.amplitudes.ravel()
+    expected = dense_run(DensityOperator.from_pure(psi).as_2d, n, sched)
+    np.testing.assert_allclose(checkpoint.trace, [np.vdot(ket, want @ ket).real for want in expected],
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["snapshots", "fm", "density"])
+def test_runs_that_need_the_whole_support_stay_one_block(case, block_rows, monkeypatch):
+    # snapshots materialize every line, an F_m phase moves momenta between
+    # lines, and a DensityOperator start is laid out whole
+    n, steps, theta = 16, 6, 0.7
+    psi = band_packet(n, 7, seed=2)
+    sched = Schedule(steps, theta, fm_windows=((1, 4, 0.5),) if case == "fm" else (),
+                     channel=ChannelSpec("dephasing", 0.2, "walker"))
+    rho0 = DensityOperator.from_pure(psi) if case == "density" else psi
+    times = range(steps + 1) if case == "snapshots" else ()
+    monkeypatch.setattr(channels, "_BLOCK_BYTES", 1)  # one line a block, were it split
+    result = evolve_open(rho0, sched, times)
+    assert block_rows == [[(0, result.layout.lines)]]
+    expected = dense_run(DensityOperator.from_pure(psi).as_2d, n, sched)
+    np.testing.assert_allclose(result.final.as_2d, expected[-1], rtol=0, atol=1e-12)
+    for t in times:
+        np.testing.assert_allclose(result.snapshots[t].as_2d, expected[t], rtol=0, atol=1e-12)
+
+
+def test_a_fidelity_run_in_row_blocks_holds_only_their_rows(monkeypatch):
+    # each block lays out, steps and weighs its own rows, from psi~ alone
+    psi = gaussian_position_state(make_lattice(400), 10.0, COIN_SYMMETRIC)
+    spec = ChannelSpec("dephasing", 0.01, "walker")
+    layout = open_layout(psi, _reversal_schedule(0.7, 3, REVERSER_EXACT, channel=spec))
+    assert layout.shape == (73, 400)
+
+    def peak(blocks):
+        _split(monkeypatch, layout, blocks)
+        revival_protocol(psi, 0.7, 3, channel=spec)  # first-call allocations
+        tracemalloc.start()
+        try:
+            revival_protocol(psi, 0.7, 3, channel=spec)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(6) <= 0.6 * peak(1)
+
+
 # ------------------------------------------------ P(x) from the support
 
 
@@ -610,13 +730,15 @@ def test_final_is_materialized_once_and_validated(monkeypatch):
 def test_evolve_open_checks_the_final_trace_at_call_time(monkeypatch):
     shift = MomentumLayout.shift
 
-    def gaining(layout, spec):
-        step = shift(layout, spec)
+    def gaining(layout, spec, rows):
+        step = shift(layout, spec, rows)
         return lambda work, out: np.multiply(step(work, out), 1 + 1e-7, out=out)
 
     monkeypatch.setattr(MomentumLayout, "shift", gaining)
-    with pytest.raises(StateError, match="trace"):
-        evolve_open(band_packet(32, 10, seed=3), Schedule(5, 0.7))
+    for budget in (channels._BLOCK_BYTES, 1):  # one block, then one line a block
+        monkeypatch.setattr(channels, "_BLOCK_BYTES", budget)
+        with pytest.raises(StateError, match="trace"):
+            evolve_open(band_packet(32, 10, seed=3), Schedule(5, 0.7))
 
 
 # --------------------------------------------- exact limits at scale
@@ -688,8 +810,9 @@ def _dephased_chain(psi, schedule, target):
 
 
 @pytest.mark.parametrize("target", ["walker", "both"])
-def test_huge_eta_line_dephasing_is_a_markov_chain(target, generic_packet):
-    # at eta = 1000, lambda = e^{-eta} is 0 and only the site blocks survive
+def test_huge_eta_line_dephasing_is_a_markov_chain(target, generic_packet, block_rows):
+    # at eta = 1000, lambda = e^{-eta} is 0 and only the site blocks survive;
+    # 73 lines of all 400 momenta run in row blocks
     psi = generic_packet
     spec = ChannelSpec("dephasing", 1000.0, target)
     plain = Schedule(LIMIT_T, LIMIT_THETA, channel=spec)
@@ -698,6 +821,7 @@ def test_huge_eta_line_dephasing_is_a_markov_chain(target, generic_packet):
     _, trace = _dephased_chain(psi, revival, target)
     np.testing.assert_allclose(evolve_open(psi, plain).distribution(), prob, rtol=0, atol=3e-15)
     np.testing.assert_allclose(channels.fidelity_trace(psi, revival), trace, rtol=0, atol=5e-15)
+    assert [len(blocks) for blocks in block_rows] == [3, 3]
     # the oracle tells the two targets apart
     other = "both" if target == "walker" else "walker"
     assert np.abs(_dephased_chain(psi, plain, other)[0] - prob).max() > 1e-4

@@ -478,14 +478,19 @@ def test_cli_decohereprob_records_the_trace_defect_of_each_table(tmp_path, capsy
         assert defect == abs(table["probability"].sum() - 1.0) <= 1e-10
 
 
-@pytest.mark.parametrize("scenario", ["decohere", "decohereprob"])
-def test_cli_open_scenarios_record_the_support_of_each_table(scenario, tmp_path, capsys):
+@pytest.mark.parametrize("scenario, channel", [
+    pytest.param("decohere", None, id="decohere"),
+    pytest.param("decohereprob", None, id="decohereprob"),
+    pytest.param("revival", "dephasing", id="revival"),
+    pytest.param("revival", "amplitude_damping", id="revival_coin"),
+])
+def test_cli_open_scenarios_record_the_support_of_each_table(scenario, channel, tmp_path, capsys):
     # support.<table>=LINESxRING: walker and both dephasing step the ring of
     # all N momenta, the coin-local channels a narrower window ring (on a
     # lattice wider than the sizing rule's: a tight one keeps every momentum)
     argv = [scenario, "--steps", "6", "--sigma", "5", "--lattice", "160", "--target", "walker",
             "--out", str(tmp_path)]
-    assert main(argv) == 0
+    assert main(argv + (["--channel", channel] if channel else [])) == 0
     meta = dict(line.split("=", 1) for line in
                 (tmp_path / f"{scenario}_meta.txt").read_text().splitlines())
     n = int(meta["lattice"])
@@ -496,7 +501,8 @@ def test_cli_open_scenarios_record_the_support_of_each_table(scenario, tmp_path,
     for table, value in support.items():
         lines, ring = map(int, value.split("x"))
         assert 1 <= lines <= ring // 2 + 1
-        full_ring = table in ("dephasing_walker", "dephasing_both", "dephasing")
+        full_ring = table in ("dephasing_walker", "dephasing_both", "dephasing") or (
+            table == "fidelity" and channel == "dephasing")
         assert (ring == n) == full_ring, (table, value)
 
 
