@@ -16,7 +16,8 @@ A ring of all N momenta is stepped with each line in relative position
 y = x - x', where the shift is a per-line phase and a roll, and line
 dephasing is a mask on the y = 0 column folded into the shift.
 Every channel here also keeps rho Hermitian, so a run steps only half the
-lines of its ring and takes the others as their Hermitian mirror.  Every
+lines of its ring and takes the others as their Hermitian mirror, and no
+line's norm grows, so a pure start drops the lines past a 1e-30 tail.  Every
 map of a step acts on each stored line alone, so a layout larger than
 ``_BLOCK_BYTES`` a working array runs in row blocks, each through the whole
 schedule before the next, and holds one block's arrays at a time.
@@ -212,8 +213,9 @@ class MomentumLayout:
     R//2 + 1 of them, are stored.  Each map of a step (coin maps, the shift,
     the dephasing mask) acts line by line and keeps rho Hermitian, so it
     never needs the mirror half; ``materialize`` and the fidelity start fill
-    it in.  rho~ is zero on the lines of the ring that are neither stored nor
-    mirrored, and off the ring.
+    it in.  rho~ is taken as zero on the lines of the ring that are neither
+    stored nor mirrored, and off the ring; ``tail`` is the weight a start
+    had on those lines of the ring, counting mirrors (``open_layout``).
 
     A ring of all N momenta makes its lines those of constant k - k', which
     walker and both dephasing mix; a ring of the start's momentum window
@@ -230,6 +232,7 @@ class MomentumLayout:
     lo: int
     ring: int
     lines: int
+    tail: float = 0.0
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -450,31 +453,57 @@ def momentum_window(prob: np.ndarray) -> tuple[int, int]:
     return int(lo), len(prob) - int(dropped)
 
 
+def _line_norms(prob: np.ndarray) -> np.ndarray:
+    """||line_q||^2 of |psi><psi| on the N//2 + 1 lines of the ring of all N
+    momenta, from ``prob`` = |psi~|^2.  Line q holds the pairs of offsets q
+    and q - N, so it is r(q) + r(N - q), with r(d) = sum_b p(b + d) p(b)
+    summed directly: a DFT cannot resolve a tail of 1e-30."""
+    n = len(prob)
+    r = np.append(np.correlate(prob, prob, "full")[n - 1:], 0.0)
+    q = np.arange(n // 2 + 1)
+    return r[q] + r[n - q]
+
+
+def _kept_lines(prob: np.ndarray) -> tuple[int, float]:
+    """The fewest lines Q, at least one, of the ring of all N momenta whose
+    dropped tail tau = sum_{q >= Q} w_q ||line_q||^2 of |psi><psi| is at most
+    ``SUPPORT_TOL``, and tau, from ``prob`` = |psi~|^2.  w_q = 2 for a line
+    with a mirror, 1 for q = 0 and q = N/2, as in the fidelity start.  The
+    tail is summed from its own end, as in ``momentum_window``."""
+    n = len(prob)
+    q = np.arange(n // 2 + 1)
+    tails = np.cumsum((np.where((q > 0) & (2 * q < n), 2.0, 1.0) * _line_norms(prob))[::-1])
+    dropped = min(int(np.searchsorted(tails, SUPPORT_TOL, side="right")), n // 2)
+    return n // 2 + 1 - dropped, float(tails[dropped - 1]) if dropped else 0.0
+
+
 def open_layout(rho0: DensityOperator | PureState, schedule: Schedule) -> MomentumLayout:
     """The momentum support ``evolve_open`` steps rho0 on through ``schedule``.
 
-    A PureState start, meaning |psi><psi|, occupies the window of M momenta
-    that ``momentum_window`` keeps of |psi~|^2; a DensityOperator start, and
-    any schedule with an F_m window, occupy all N.  Coin-local channels and
-    no channel step the lines of the window as a ring, R = M; walker and both
-    dephasing the lines of all N momenta, R = N, whose lines k - k' the
-    window reaches at offsets below M.  Either stores min(M, R//2 + 1)
-    lines.  ``start`` lays a state out on it.
+    Coin-local channels and no channel step a ring of momenta and store its
+    R//2 + 1 lines.  For a PureState start, meaning |psi><psi|, the ring is
+    the window of M momenta that ``momentum_window`` keeps of |psi~|^2; for
+    a DensityOperator start, and any schedule with an F_m window, it is all
+    N.  Walker and both dephasing step the lines of all N momenta, R = N.
+    From a PureState they store only the lines ``_kept_lines`` keeps, and
+    the layout's ``tail`` is the weight of the rest: every map of their step
+    keeps each line's norm or shrinks it, so the dropped lines move the
+    fidelity by at most ``tail`` and P(x) by at most sqrt(2 ``tail``).
+    ``start`` lays a state out on it.
     A schedule channel that is not a ChannelSpec raises ``ChannelError``.
     """
     spec = schedule.channel
     if spec is not None and not isinstance(spec, ChannelSpec):
         raise ChannelError(f"schedule.channel must be a ChannelSpec, got {type(spec).__name__}")
     lattice = rho0.lattice
-    lo, hi = 0, lattice.n_sites
-    if isinstance(rho0, PureState) and not schedule.fm_windows:
-        lo, hi = momentum_window(np.sum(np.abs(to_momentum(rho0.amplitudes)) ** 2, axis=1))
-    width = hi - lo
+    n = lattice.n_sites
+    pure = isinstance(rho0, PureState) and not schedule.fm_windows
+    prob = np.sum(np.abs(to_momentum(rho0.amplitudes)) ** 2, axis=1) if pure else None
     if _mixes_lines(spec):
-        lo, ring = 0, lattice.n_sites
-    else:
-        ring = width
-    return MomentumLayout(lattice, lo, ring, min(width, ring // 2 + 1))
+        lines, tail = _kept_lines(prob) if pure else (n // 2 + 1, 0.0)
+        return MomentumLayout(lattice, 0, n, lines, tail)
+    lo, hi = momentum_window(prob) if pure else (0, n)
+    return MomentumLayout(lattice, lo, hi - lo, (hi - lo) // 2 + 1)
 
 
 def density_working_set_bytes(n_sites: int) -> int:

@@ -239,8 +239,8 @@ def run_returnk0(cfg: ExperimentConfig) -> ResultRecord:
 def run_decohereprob(cfg: ExperimentConfig) -> ResultRecord:
     """Final distributions under the three channel kinds at one eta, read
     from each run's momentum support without building rho, with the target
-    each table ran with as target.<table>, the support it stepped as
-    support.<table> and |sum P - 1| as trace_defect.<table>."""
+    each table ran with as target.<table>, the support it stepped (``_support``)
+    and |sum P - 1| as trace_defect.<table>."""
     psi0 = _packet(cfg, cfg.steps, density=True)
     lat = psi0.lattice
     meta = _base_metadata(cfg, lat.n_sites)
@@ -248,23 +248,25 @@ def run_decohereprob(cfg: ExperimentConfig) -> ResultRecord:
     for kind in CHANNEL_KINDS:
         target = meta[f"target.{kind}"] = _target(kind, cfg.target)
         sched = Schedule(cfg.steps, cfg.theta, channel=ChannelSpec(kind, cfg.eta, target))
-        meta[f"support.{kind}"] = _support(psi0, sched)
+        _support(meta, kind, psi0, sched)
         prob = evolve_open(psi0, sched).distribution()
         meta[f"trace_defect.{kind}"] = repr(float(abs(prob.sum() - 1.0)))
         tables.append(Table(kind, x=lat.sites, probability=prob))
     return ResultRecord("decohereprob", meta, tables)
 
 
-def _support(psi0: PureState, schedule: Schedule) -> str:
-    """LINESxRING of the momentum support an open run of ``schedule`` from
-    ``psi0`` steps (``channels.open_layout``)."""
+def _support(meta: dict, table: str, psi0: PureState, schedule: Schedule) -> None:
+    """Record the momentum support an open run of ``schedule`` from ``psi0``
+    steps (``channels.open_layout``) as support.<table>=LINESxRING, and the
+    weight of the lines it dropped as support_tail.<table>."""
     layout = open_layout(psi0, schedule)
-    return f"{layout.lines}x{layout.ring}"
+    meta[f"support.{table}"] = f"{layout.lines}x{layout.ring}"
+    meta[f"support_tail.{table}"] = repr(layout.tail)
 
 
 def run_revival(cfg: ExperimentConfig) -> ResultRecord:
     """Time-reversal revival fidelity trace; open-system when eta > 0, with
-    the support it stepped as support.fidelity."""
+    the support it stepped (``_support``) as support(_tail).fidelity."""
     T = cfg.steps
     psi0 = _packet(cfg, 2 * T, density=cfg.eta > 0)
     target = _target(cfg.channel, cfg.target)
@@ -272,7 +274,7 @@ def run_revival(cfg: ExperimentConfig) -> ResultRecord:
     result = revival_protocol(psi0, cfg.theta, T, channel=spec)
     meta = _base_metadata(cfg, psi0.lattice.n_sites)
     if spec is not None:
-        meta["support.fidelity"] = _support(psi0, Schedule(2 * T, cfg.theta, channel=spec))
+        _support(meta, "fidelity", psi0, Schedule(2 * T, cfg.theta, channel=spec))
     meta["target"] = target
     meta["r"] = repr(result.r)
     meta["reverser"] = "exact"
@@ -282,7 +284,7 @@ def run_revival(cfg: ExperimentConfig) -> ResultRecord:
 
 def run_decohere(cfg: ExperimentConfig) -> ResultRecord:
     """Revival fidelity against eta for each channel variant, with the
-    support each table's runs stepped as support.<table>."""
+    support each table's runs stepped (``_support``)."""
     T = cfg.steps
     psi0 = _packet(cfg, 2 * T, density=True)
     meta = _base_metadata(cfg, psi0.lattice.n_sites)
@@ -296,7 +298,7 @@ def run_decohere(cfg: ExperimentConfig) -> ResultRecord:
         specs = [ChannelSpec(kind, eta, target) for eta in etas]
         name = f"{kind}_{target}" if kind == DEPHASING else kind
         # every eta > 0 steps the same support
-        meta[f"support.{name}"] = _support(psi0, Schedule(2 * T, cfg.theta, channel=specs[0]))
+        _support(meta, name, psi0, Schedule(2 * T, cfg.theta, channel=specs[0]))
         rs = [revival_protocol(psi0, cfg.theta, T, channel=spec).r for spec in specs]
         tables.append(Table(name, eta=etas, r=rs))
     return ResultRecord("decohere", meta, tables)

@@ -453,6 +453,136 @@ def test_mirror_boundary_matches_dense_oracle(variant, extra):
                                rtol=0, atol=1e-12)
 
 
+# ------------------------------------------- the lines a pure start needs
+
+
+def _line_norm_sq(work):
+    """||line_q||^2 over the four coin blocks of a working array, per row q."""
+    return np.einsum("cdqj,cdqj->q", work, work.conj()).real
+
+
+@pytest.mark.parametrize("start", ["tight", "band", "wide"])
+def test_line_norms_match_the_untruncated_layout(start):
+    # tight: the window is all 64 momenta, so lines wrap the ring; band: a
+    # window of 40 > N/2 momenta, whose lines q near N/2 hold pairs of both
+    # offsets q and q - N; wide: tails down to the 1e-34 rounding floor
+    if start == "tight":
+        psi = gaussian_position_state(make_lattice(64), 3.0, COIN_SYMMETRIC)
+    elif start == "band":
+        psi = band_packet(64, 40, seed=1)
+    else:
+        psi = gaussian_position_state(make_lattice(400), 10.0, COIN_SYMMETRIC, k0=0.3)
+    lat = psi.lattice
+    n = lat.n_sites
+    prob = np.sum(np.abs(to_momentum(psi.amplitudes)) ** 2, axis=1)
+    lo, hi = momentum_window(prob)
+    assert {"tight": (lo, hi) == (0, n), "band": n // 2 < hi - lo < n,
+            "wide": hi - lo < n // 4}[start]
+    untruncated = MomentumLayout(lat, 0, n, n // 2 + 1).start(psi)
+    np.testing.assert_allclose(channels._line_norms(prob), _line_norm_sq(untruncated),
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("norms, kept, tail", [
+    ([1.0, 1e-3, 4e-31, 1e-31, 2e-31], 3, 4e-31),
+    ([1e-31, 1e-32, 0.0, 0.0, 0.0], 1, 2e-32),
+], ids=["tail", "at_least_one"])
+def test_kept_lines_drop_the_fewest_lines_a_tail_of_the_tolerance_allows(norms, kept, tail,
+                                                                          monkeypatch):
+    # weights 1, 2, 2, 2, 1 on the lines of a ring of 8, the tail summed from its own end
+    monkeypatch.setattr(channels, "_line_norms", lambda prob: np.array(norms))
+    lines, dropped = channels._kept_lines(np.zeros(8))
+    assert lines == kept
+    assert dropped == pytest.approx(tail, rel=1e-15)
+
+
+@pytest.mark.parametrize("target", ["walker", "both"])
+def test_a_truncated_run_is_within_its_tail_of_the_untruncated_one(target, monkeypatch):
+    # the dropped lines move the fidelity by at most tau and P(x) by at most
+    # sqrt(2 tau), against the untruncated layout and the dense oracle alike;
+    # a tolerance of 1e-9 lifts tau above rounding
+    n, T, theta = 64, 5, 0.7
+    coin = CoinState.from_vector([0.6, 0.8 * np.exp(0.4j)])
+    psi = gaussian_momentum_state(make_lattice(n), 0.5 / 3.0, coin, k0=0.3)
+    spec = ChannelSpec("dephasing", 0.05, target)
+    sched = _reversal_schedule(theta, T, REVERSER_EXACT, channel=spec)
+    ket = psi.amplitudes.ravel()
+    dense = dense_run(DensityOperator.from_pure(psi).as_2d, n, sched)
+    want_trace = [np.vdot(ket, rho @ ket).real for rho in dense]
+    want_prob = np.einsum("xcxc->x", dense[-1].reshape(n, 2, n, 2)).real
+    full = MomentumLayout(psi.lattice, 0, n, n // 2 + 1)
+
+    def run(layout):
+        with pytest.MonkeyPatch.context() as patch:
+            if layout is not None:
+                patch.setattr(channels, "open_layout", lambda rho0, schedule: layout)
+            layout, work, _ = channels._run_open(psi, sched)
+            trace = channels._run_open(psi, sched, fidelity=True)[2].trace
+        mat = layout.materialize(work)
+        return layout, trace, np.einsum("xcxc->x", mat).real
+
+    _, full_trace, full_prob = run(full)
+    for tol in (1e-9, channels.SUPPORT_TOL):
+        monkeypatch.setattr(channels, "SUPPORT_TOL", tol)
+        layout, trace, prob = run(None)
+        assert 1 <= layout.lines < n // 2 and 0 < layout.tail <= tol
+        for want_t, want_p in ((full_trace, full_prob), (want_trace, want_prob)):
+            assert np.abs(trace - want_t).max() <= layout.tail + 1e-14
+            assert np.abs(prob - want_p).max() <= np.sqrt(2 * layout.tail) + 1e-14
+        if tol == 1e-9:
+            assert np.abs(trace - full_trace).max() > 1e-14
+    # P(x) read from the support passes its own checks on the truncated layout
+    result = evolve_open(psi, sched)
+    assert result.layout.lines < n // 2
+    np.testing.assert_allclose(result.distribution(), full_prob, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("mutant", [False, True], ids=["mask", "mask_1_over_lambda"])
+@pytest.mark.parametrize("target", ["walker", "both"])
+def test_no_stored_line_grows_along_a_run(target, mutant, monkeypatch):
+    # coin maps, gates, the shift and the DFT in y are unitary on each line and
+    # the mask is at most 1, so a line's norm never grows; a mask entry of
+    # 1/lam on the y = 0 column, which holds the populations, makes it grow
+    n, steps, theta, eta = 160, 30, 0.7, 0.05
+    coin = CoinState.from_vector([0.6, 0.8 * np.exp(0.4j)])
+    psi = gaussian_position_state(make_lattice(n), 5.0, coin, k0=0.3)
+    gates = ((5, SIGMA_X), (11, SIGMA_Y), (17, np.diag([1.0, np.exp(0.3j)])))
+    sched = Schedule(steps, theta, coin_gate_insertions=gates,
+                     channel=ChannelSpec("dephasing", eta, target))
+    if mutant:
+        shift = MomentumLayout.shift
+
+        def grown(layout, spec, rows):
+            step = shift(layout, spec, rows)
+
+            def mutated(work, out):
+                step(work, out)
+                for c in (0, 1):  # the blocks both targets keep at y = 0
+                    out[c, c, :, n // 2] *= np.exp(eta)
+                return out
+            return mutated
+
+        monkeypatch.setattr(MomentumLayout, "shift", grown)
+    norms = []
+    checkpoint = walk._Checkpoints.__call__
+
+    def recorded(self, t, work, spare):
+        work, spare = checkpoint(self, t, work, spare)
+        norms.append(_line_norm_sq(work))
+        return work, spare
+
+    monkeypatch.setattr(walk._Checkpoints, "__call__", recorded)
+    try:
+        evolve_open(psi, sched)
+        gained_trace = False
+    except StateError:
+        gained_trace = True
+    assert len(norms) == steps + 1 and open_layout(psi, sched).lines < n // 2
+    norms = np.array(norms)
+    assert (norms[1:] > norms[:-1] * (1 + 1e-12)).any() == mutant
+    assert gained_trace == mutant
+
+
 # ----------------------------------------- the ring of all N in y = x - x'
 
 
@@ -646,7 +776,7 @@ def test_a_fidelity_run_in_row_blocks_holds_only_their_rows(monkeypatch):
     psi = gaussian_position_state(make_lattice(400), 10.0, COIN_SYMMETRIC)
     spec = ChannelSpec("dephasing", 0.01, "walker")
     layout = open_layout(psi, _reversal_schedule(0.7, 3, REVERSER_EXACT, channel=spec))
-    assert layout.shape == (73, 400)
+    assert layout.shape == (53, 400)  # of 73 the window reaches
 
     def peak(blocks):
         _split(monkeypatch, layout, blocks)
@@ -812,7 +942,7 @@ def _dephased_chain(psi, schedule, target):
 @pytest.mark.parametrize("target", ["walker", "both"])
 def test_huge_eta_line_dephasing_is_a_markov_chain(target, generic_packet, block_rows):
     # at eta = 1000, lambda = e^{-eta} is 0 and only the site blocks survive;
-    # 73 lines of all 400 momenta run in row blocks
+    # 53 lines of all 400 momenta run in row blocks
     psi = generic_packet
     spec = ChannelSpec("dephasing", 1000.0, target)
     plain = Schedule(LIMIT_T, LIMIT_THETA, channel=spec)
@@ -821,7 +951,7 @@ def test_huge_eta_line_dephasing_is_a_markov_chain(target, generic_packet, block
     _, trace = _dephased_chain(psi, revival, target)
     np.testing.assert_allclose(evolve_open(psi, plain).distribution(), prob, rtol=0, atol=3e-15)
     np.testing.assert_allclose(channels.fidelity_trace(psi, revival), trace, rtol=0, atol=5e-15)
-    assert [len(blocks) for blocks in block_rows] == [3, 3]
+    assert [len(blocks) for blocks in block_rows] == [2, 2]
     # the oracle tells the two targets apart
     other = "both" if target == "walker" else "walker"
     assert np.abs(_dephased_chain(psi, plain, other)[0] - prob).max() > 1e-4

@@ -487,7 +487,8 @@ def test_cli_decohereprob_records_the_trace_defect_of_each_table(tmp_path, capsy
 def test_cli_open_scenarios_record_the_support_of_each_table(scenario, channel, tmp_path, capsys):
     # support.<table>=LINESxRING: walker and both dephasing step the ring of
     # all N momenta, the coin-local channels a narrower window ring (on a
-    # lattice wider than the sizing rule's: a tight one keeps every momentum)
+    # lattice wider than the sizing rule's: a tight one keeps every momentum);
+    # support_tail.<table> is the weight of the lines a ring of all N drops
     argv = [scenario, "--steps", "6", "--sigma", "5", "--lattice", "160", "--target", "walker",
             "--out", str(tmp_path)]
     assert main(argv + (["--channel", channel] if channel else [])) == 0
@@ -497,13 +498,17 @@ def test_cli_open_scenarios_record_the_support_of_each_table(scenario, channel, 
     tables = {path.stem.removeprefix(f"{scenario}_") for path in tmp_path.glob("*.csv")}
     support = {key.removeprefix("support."): value for key, value in meta.items()
                if key.startswith("support.")}
-    assert set(support) == tables
+    tails = {key.removeprefix("support_tail."): float(value) for key, value in meta.items()
+             if key.startswith("support_tail.")}
+    assert set(support) == set(tails) == tables
     for table, value in support.items():
         lines, ring = map(int, value.split("x"))
         assert 1 <= lines <= ring // 2 + 1
         full_ring = table in ("dephasing_walker", "dephasing_both", "dephasing") or (
             table == "fidelity" and channel == "dephasing")
         assert (ring == n) == full_ring, (table, value)
+        assert 0.0 <= tails[table] <= 1e-30
+        assert (tails[table] > 0) == full_ring == (lines < ring // 2 + 1), (table, tails[table])
 
 
 @pytest.mark.parametrize("target", TARGETS)
