@@ -14,13 +14,21 @@ of one line of constant k - k' (walker and both dephasing), and a start
 that occupies a narrow band of momenta is stepped on that band alone.
 A ring of all N momenta is stepped with each line in relative position
 y = x - x', where the shift is a per-line phase and a roll, and line
-dephasing is a mask on the y = 0 column folded into the shift.
+dephasing is a mask on the y = 0 column folded into the shift.  A coin-local
+channel's 4x4 map S is left owed by each step and folded into the next coin
+map, C S, so every step is one coin product, one shift and one contraction;
+a gate pays it with its own map (G S), and a snapshot, the trace check and
+the final state pay it alone (``walk._Checkpoints``).
 Every channel here also keeps rho Hermitian, so a run steps only half the
 lines of its ring and takes the others as their Hermitian mirror, and no
 line's norm grows, so a pure start drops the lines past a 1e-30 tail.  Every
 map of a step acts on each stored line alone, so a layout larger than
 ``_BLOCK_BYTES`` a working array runs in row blocks, each through the whole
-schedule before the next, and holds one block's arrays at a time.
+schedule before the next, and holds one block's arrays at a time, as views
+of one allocation.  An open run holds numpy's bundled OpenBLAS at one
+thread and restores its count afterwards, so that no contraction is split
+and results do not depend on ``OPENBLAS_NUM_THREADS``; the count is
+process-global, so BLAS that another thread runs meanwhile is held too.
 ``open_layout`` picks the layout, ``_run_open`` is the one runner on it,
 ``evolve_open`` returns its final state lazily, with P(x) read from the
 support, ``fidelity_trace`` takes a run's fidelity to its start in its own
@@ -29,9 +37,12 @@ basis, and ``density_working_set_bytes`` bounds what a run allocates.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -253,19 +264,25 @@ class MomentumLayout:
         view = np.lib.stride_tricks.sliding_window_view(turns, self.ring, axis=-1)
         return view[..., :self.lines, :][..., rows, :]
 
-    def start(self, state, rows: slice = slice(None)) -> np.ndarray:
+    def _block(self, rows: slice) -> np.ndarray:
+        """A new (2, 2, lines, ring) array for the stored lines ``rows``."""
+        return np.empty((2, 2, len(range(self.lines)[rows]), self.ring), dtype=complex)
+
+    def start(self, state, rows: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
         """The working array of |psi><psi| for a PureState, on the stored
         lines ``rows`` alone, or of a DensityOperator, which needs the full
-        support and is laid out whole."""
+        support and is laid out whole; written into ``out`` if given."""
+        work = self._block(rows) if out is None else out
         if isinstance(state, PureState):
             amp = to_momentum(state.amplitudes).T
             ket = self._on_ring(amp, rows)
             bra = amp[:, self.lo:self.lo + self.ring].conj()
-            work = np.empty((2, 2, *ket.shape[1:]), dtype=complex)
-            return np.multiply(ket[:, None], bra[None, :, None, :], out=work)
+            # a coin block at a time: a broadcast over all four allocates two arrays as large
+            for c, d in _COIN_PAIRS:
+                np.multiply(ket[c], bra[d], out=work[c, d])
+            return work
         if not self.full:
             raise StateError("a density operator start needs the full momentum support")
-        work = np.empty((2, 2, *self.shape), dtype=complex)
         block = np.empty((self.ring,) * 2, dtype=complex)
         for c, d in _COIN_PAIRS:
             block[...] = state.matrix[:, c, :, d]
@@ -352,11 +369,11 @@ class MomentumLayout:
         relative position y = x - x' along the ring axis (``shift``)."""
         return self.ring == self.lattice.n_sites
 
-    def shift(self, spec: ChannelSpec | None,
-              rows: slice = slice(None)) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    def shift(self, spec: ChannelSpec | None, rows: slice = slice(None),
+              factor: np.ndarray | None = None) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         """The step's shift on the stored lines ``rows``, (work, out) -> out =
         D(k) (x) D*(k') work, with ``spec`` folded in if it is walker or both
-        dephasing.
+        dephasing; its factor per coin block is built in ``factor`` if given.
 
         A pair's phase is e^{i s_c k_a} e^{-i s_d k_b}, with s = (1, -1).  On a
         window ring it is one multiply per coin block by a product of e^{ik_a}
@@ -369,12 +386,11 @@ class MomentumLayout:
         factor per block, applied through a flat offset of the block, whose
         columns that took a neighbouring line's end are then refilled.
         """
+        phase = self._block(rows) if factor is None else factor
         if not self.relative:
             ket = np.exp(1j * self.lattice.momenta)
             bra = ket[self.lo:self.lo + self.ring]
-            on_ring = self._on_ring(ket, rows)
-            phase = np.empty((2, 2, *on_ring.shape), dtype=complex)
-            phase[0, 0] = on_ring
+            phase[0, 0] = self._on_ring(ket, rows)
             np.multiply(phase[0, 0], bra, out=phase[0, 1])
             np.conjugate(phase[0, 1], out=phase[1, 0])
             phase[0, 0] *= bra.conj()
@@ -387,8 +403,8 @@ class MomentumLayout:
             for c, d in _COIN_PAIRS if spec.target == TARGET_WALKER else ((0, 0), (1, 1)):
                 mask[c, d, n // 2] = 1.0
         line = np.exp(2j * np.pi * np.arange(self.lines)[rows] / n)
-        factor = np.stack((line, line.conj()))[:, None, :, None] * mask[:, :, None, :]
-        flat = factor.reshape(4, -1)
+        np.multiply(np.stack((line, line.conj()))[:, None, :, None], mask[:, :, None, :], out=phase)
+        flat = phase.reshape(4, -1)
 
         def step(work: np.ndarray, out: np.ndarray) -> np.ndarray:
             src, dst = work.reshape(4, -1), out.reshape(4, -1)
@@ -398,8 +414,8 @@ class MomentumLayout:
             np.multiply(src[1, :-2], flat[1, 2:], out=dst[1, 2:])
             np.multiply(src[2, 2:], flat[2, :-2], out=dst[2, :-2])
             # then the two columns of each line that took a neighbouring line's end
-            np.multiply(work[0, 1, :, -2:], factor[0, 1, :, :2], out=out[0, 1, :, :2])
-            np.multiply(work[1, 0, :, :2], factor[1, 0, :, -2:], out=out[1, 0, :, -2:])
+            np.multiply(work[0, 1, :, -2:], phase[0, 1, :, :2], out=out[0, 1, :, :2])
+            np.multiply(work[1, 0, :, :2], phase[1, 0, :, -2:], out=out[1, 0, :, -2:])
             return out
 
         return step
@@ -422,23 +438,6 @@ class MomentumLayout:
             block *= phase.conj()
             self._store(block, work[c, d])
         return work
-
-
-
-def _channel_map(spec: ChannelSpec | None) -> Callable | None:
-    """Bind a coin-local spec to its 4x4 coin superoperator, a map (work, out)
-    -> out; None for no channel, for eta = 0 and for walker and both dephasing.
-
-    Those two are lam*rho + (1 - lam)*P(rho), P keeping the x = x' elements
-    of all four coin blocks (walker) or of the c = c' blocks (0,0) and (1,1)
-    (both).  P keeps each line of constant k - k' to itself, so they run on
-    the ring of all N momenta, stepped in y = x - x', where P keeps the y = 0
-    column and the channel is a mask that ``MomentumLayout.shift`` folds in.
-    """
-    if spec is None or spec.eta == 0 or _mixes_lines(spec):
-        return None
-    superop = _coin_superop(spec)
-    return lambda work, out: _apply_coin_map(work, superop, out)
 
 
 def momentum_window(prob: np.ndarray) -> tuple[int, int]:
@@ -512,14 +511,17 @@ def density_working_set_bytes(n_sites: int) -> int:
 
     An upper bound on the tracemalloc peak of an open revival or
     ``evolve_open``, final validation included.  The largest layout is a
-    DensityOperator start's, every line of all N momenta: beside the start
-    matrix, the working array and its spare take about one matrix, and the
-    final state is materialized beside one N x N coin block after the spare
-    is freed, then validated with band-sized temporaries.  A pure start
-    needs less, as its layout is smaller and is stepped in row blocks: the
-    working array, its spare, the shift factor and the fidelity start are
-    each at most about ``_BLOCK_BYTES`` (a layout's rows split as evenly as
-    may be), beside the one full working array a final-state run fills.
+    DensityOperator start's, every line of all N momenta, stepped as one
+    block: beside the start matrix, one allocation holds the working array,
+    its spare and the shift factor, about half a matrix each, and stays as
+    the final state once the start matrix is freed, beside which the state is
+    materialized with one N x N coin block and validated with band-sized
+    temporaries.  A pure start needs less, as its layout is smaller and is
+    stepped in row blocks: the working array, its spare, the shift factor,
+    the fidelity start and, for a coin-local channel, S^T start are views of
+    one allocation, each at most about ``_BLOCK_BYTES`` (a layout's rows
+    split as evenly as may be), which every block of the run reuses, beside
+    the one full working array a final-state run in several blocks fills.
     P(x) read from the support needs no matrix at all.
     """
     return 3 * 16 * (2 * n_sites) ** 2 + 256 * 1024
@@ -583,25 +585,65 @@ def fidelity_trace(psi: PureState, schedule: Schedule) -> np.ndarray:
 # row blocks of its stored lines, each through the whole schedule
 _BLOCK_BYTES = 768 * 1024
 
+# numpy's bundled OpenBLAS and its thread-count symbols
+_OPENBLAS_LIBS = "libscipy_openblas*.so"
+_OPENBLAS_THREADS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
+
+
+@cache
+def _openblas_threads() -> tuple[Callable, Callable] | None:
+    """(get, set) of the thread count of the OpenBLAS numpy bundles in
+    ``numpy.libs``, through ctypes, or None where no library there exports
+    both symbols.  Looked up at the first open run, not at import."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(_OPENBLAS_LIBS)):
+        try:
+            lib = ctypes.CDLL(str(path))
+            return tuple(getattr(lib, name) for name in _OPENBLAS_THREADS)
+        except (OSError, AttributeError):
+            continue
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread and restore its count
+    afterwards, also when the body raises; without the symbols, leave BLAS
+    alone.  The count is process-global: BLAS calls another thread makes
+    meanwhile run on one thread too."""
+    get, set_ = _openblas_threads() or (lambda: None, lambda count: None)
+    count = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(count)
+
 
 def _run_open(rho0, schedule: Schedule, snapshot_times: Sequence[int] = (), fidelity=False):
-    """The one open run: rho0 laid out on ``open_layout``, the channel bound
-    to it, and ``walk._run`` stepping the working array through ``schedule``.
-    Every map of a step acts on each stored line alone, so the lines run in
-    ceil(working-array bytes / ``_BLOCK_BYTES``) contiguous row blocks, as
-    even as may be, each laid out from psi~ and stepped through the whole
-    schedule with its own spare, shift factor and fidelity start, whose
-    terms ``_Checkpoints`` adds in block order.  A run with snapshots or an
-    F_m window, or from a DensityOperator, is one block.  On a ring of all N
-    momenta a block steps in y = x - x' (``MomentumLayout.shift``), reached
-    once by a unitary DFT along the ring axis that keeps every overlap, and
-    comes back to momenta for snapshots, F_m phases and its end.  The final
-    trace is checked on line 0, in the first block.  Returns (layout, final
-    working array, or None for a fidelity run of several blocks,
-    checkpoints), the snapshots materialized and validated, with
-    ``fidelity`` <psi|rho_t|psi> for rho0 = psi."""
+    """The one open run: rho0 laid out on ``open_layout`` and ``walk._run``
+    stepping the working array through ``schedule``, OpenBLAS on one thread
+    (``_one_blas_thread``).  Every map of a step acts on each stored line
+    alone, so the lines run in ceil(working-array bytes / ``_BLOCK_BYTES``)
+    contiguous row blocks, as even as may be, each laid out from psi~ and
+    stepped through the whole schedule with its own spare, shift factor and
+    fidelity start, whose terms ``_Checkpoints`` adds in block order: views
+    of one allocation that every block reuses.  A run with snapshots or an
+    F_m window, or from a DensityOperator, is one block.  A coin-local
+    channel's map S rides in the coin maps (``walk._Checkpoints``), so a
+    fidelity run also holds S^T start, and the trace check and a kept final
+    state pay what their block still owes; walker and both dephasing ride in
+    the shift.  On a ring of all N momenta a block steps in y = x - x'
+    (``MomentumLayout.shift``), reached once by a unitary DFT along the ring
+    axis that keeps every overlap, and comes back to momenta for snapshots,
+    F_m phases and its end.  The final trace is checked on line 0, in the
+    first block.  Returns (layout, final working array, or None for a
+    fidelity run of several blocks, checkpoints), the snapshots
+    materialized and validated, with ``fidelity`` <psi|rho_t|psi> for
+    rho0 = psi."""
     layout = open_layout(rho0, schedule)
     lines, ring = layout.shape
+    spec = schedule.channel
+    owed = None if spec is None or spec.eta == 0 or _mixes_lines(spec) else _coin_superop(spec)
     whole = len(snapshot_times) or schedule.fm_windows or not isinstance(rho0, PureState)
     nbytes = 4 * 16 * lines * ring  # four coin blocks of complex entries
     count = 1 if whole else min(lines, -(-nbytes // _BLOCK_BYTES))
@@ -613,28 +655,45 @@ def _run_open(rho0, schedule: Schedule, snapshot_times: Sequence[int] = (), fide
             return to_position(layout.apply_fm(to_momentum(w, axis=-1, out=w), phi), axis=-1, out=w)
 
     final = None if count == 1 or fidelity else np.empty((2, 2, lines, ring), dtype=complex)
-    for i in range(count):
-        rows = slice(i * lines // count, (i + 1) * lines // count)
-        work = layout.start(rho0, rows)
-        if layout.relative:
-            to_position(work, axis=-1, out=work)
-        start = None
-        if fidelity:
-            # line R - q's overlap is the conjugate of line q's; line R/2 is its own mirror
-            q = np.arange(lines)[rows]
-            start = work * np.where((q > 0) & (2 * q < ring), 2.0, 1.0)[:, None]
-        if i == 0:
-            checkpoint = _Checkpoints(
-                schedule, 2, snapshot_times,
-                lambda w: DensityOperator(rho0.lattice, layout.materialize(momenta(w))), start)
-        checkpoint.start = start
-        work, spare = checkpoint(0, work, np.empty_like(work))
-        work, _ = _run(work, spare, schedule, range(1, schedule.total_steps + 1), checkpoint,
-                       layout.shift(schedule.channel, rows), fm, _channel_map(schedule.channel))
-        if layout.relative:
-            to_momentum(work, axis=-1, out=work)
-        if i == 0:
-            layout.check_trace(work)
-        if final is not None:
-            final[:, :, rows] = work
+    # work, spare and shift factor, then the fidelity start and S^T start
+    arrays = 3 + fidelity + (fidelity and owed is not None)
+    held = np.empty(arrays * 4 * -(-lines // count) * ring, dtype=complex)
+    with _one_blas_thread():
+        for i in range(count):
+            rows = slice(i * lines // count, (i + 1) * lines // count)
+            size = arrays * 4 * (rows.stop - rows.start) * ring
+            work, spare, factor, *starts = held[:size].reshape(arrays, 2, 2, -1, ring)
+            layout.start(rho0, rows, work)
+            if layout.relative:
+                to_position(work, axis=-1, out=work)
+            start = owed_start = None
+            if fidelity:
+                # line R - q's overlap is the conjugate of line q's, so a stored line
+                # counts twice, but for lines 0 and R/2, their own mirrors (weighed by a
+                # scalar: a broadcast multiply allocates a temporary the size of the start)
+                start = np.multiply(work, 2.0, out=starts[0])
+                for q in (0, ring // 2):
+                    if rows.start <= q < rows.stop and 2 * q in (0, ring):
+                        start[:, :, q - rows.start] = work[:, :, q - rows.start]
+                if owed is not None:
+                    owed_start = _apply_coin_map(start, owed.T, starts[1])
+            if i == 0:
+                checkpoint = _Checkpoints(
+                    schedule, 2, snapshot_times,
+                    lambda w: DensityOperator(rho0.lattice, layout.materialize(momenta(w))),
+                    start, owed)
+            # a block starts from rho0 and owes nothing
+            checkpoint.start, checkpoint.owed_start, checkpoint.owing = start, owed_start, False
+            work, spare = checkpoint(0, work, spare)
+            work, spare = _run(work, spare, schedule, range(1, schedule.total_steps + 1),
+                               checkpoint, layout.shift(spec, rows, factor), fm)
+            if i > 0 and fidelity:
+                continue  # neither its state nor its trace is read
+            work, _ = checkpoint.pay(work, spare)
+            if layout.relative:
+                to_momentum(work, axis=-1, out=work)
+            if i == 0:
+                layout.check_trace(work)
+            if final is not None:
+                final[:, :, rows] = work
     return layout, work if count == 1 else final, checkpoint

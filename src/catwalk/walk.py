@@ -9,9 +9,10 @@ acts after ``s`` steps, and an F_m window ``(start, end, phi)`` applies the
 phase during steps ``start+1 .. end``.  Pure states and density operators
 share one step loop, ``_run``, and one ``_Checkpoints`` for what happens
 between steps: gates, snapshots and the fidelity to a pure start.  The loop
-takes its rank from a coin-major array and its shift, F_m phase and channel
-as maps; ``channels`` lays a density operator out on its momentum support
-and runs it there.  A pure state jumps each plain stretch between events as one
+takes its rank from a coin-major array and its shift and F_m phase as maps;
+a coin-local channel rides in the next step's coin map (``_Checkpoints``).
+``channels`` lays a density operator out on its momentum support and runs
+it there.  A pure state jumps each plain stretch between events as one
 closed-form power Z(k)^n in momentum space, and steps F_m windows in
 position space.  It moves between sites and momenta by
 ``lattice.to_momentum`` and ``to_position``; ``_PlainPower`` holds the band
@@ -77,10 +78,14 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
 
 
 def _coin_map(rank: int, *ops: np.ndarray) -> np.ndarray:
-    """M on a pure state (one operator); sum_i M_i (x) M_i^* on rho.  Real
-    when its imaginary part is exactly zero, as for a real coin, the reversal
-    pair on rho and the built-in coin-local channels."""
-    cmap = ops[0] if rank == 1 else sum(np.kron(m, m.conj()) for m in ops)
+    """M on a pure state (one operator); sum_i M_i (x) M_i^* on rho, each
+    Kronecker product as one broadcast multiply.  Real when its imaginary
+    part is exactly zero, as for a real coin, the reversal pair on rho and
+    the built-in coin-local channels."""
+    if rank == 1:
+        cmap = ops[0]
+    else:
+        cmap = sum((m[:, None, :, None] * m.conj()[None, :, None, :]).reshape(4, 4) for m in ops)
     return cmap if cmap.imag.any() else cmap.real.copy()
 
 
@@ -168,55 +173,79 @@ class _Checkpoints:
     to a pure ``start`` ((N, 2) or laid out as |psi><psi|) in ``trace[t]``.
     On rho the overlap is added to ``trace[t]``, so a run in row blocks, each
     with its own ``start``, sums the blocks' terms in block order.
-    Each gate's coin map on arrays of ``rank`` is built once, here."""
+    Each gate's coin map on arrays of ``rank`` is built once, here.
+
+    A coin-local channel's real coin map S, ``owed``, is left owed by every
+    step: ``_run`` folds it into the next step's coin map (C S) and sets
+    ``owing``.  The first gate of a time applies it with its own map (G S),
+    ``pay`` applies it alone before a snapshot, and until then the fidelity
+    is read against ``owed_start`` = S^T start, which the caller builds.
+    A caller that keeps the final state pays what it still owes."""
 
     def __init__(self, schedule: Schedule, rank: int, snapshot_times: Sequence[int],
-                 snapshot: Callable, start: np.ndarray | None = None):
+                 snapshot: Callable, start: np.ndarray | None = None,
+                 owed: np.ndarray | None = None):
         self.wanted = set(snapshot_times)
         for t in self.wanted:
             if not (0 <= t <= schedule.total_steps):
                 raise ScheduleError(f"snapshot time {t} outside run")
         self.gates = {t: [_coin_map(rank, u) for u in schedule.insertions_at(t)]
                       for t, _ in schedule.coin_gate_insertions}
+        self.owed, self.owing = owed, False
+        self.paying = self.gates if owed is None else {
+            t: [maps[0] @ owed, *maps[1:]] for t, maps in self.gates.items()}
         self.snapshot = snapshot
         self.snaps: dict[int, Any] = {}
         self.start = start
+        self.owed_start = None
         self.trace = None if start is None else np.zeros(schedule.total_steps + 1)
+
+    def pay(self, work: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(work, spare) with the owed map applied if ``work`` still owes it."""
+        if self.owing:
+            work, spare = _apply_coin_map(work, self.owed, spare), work
+            self.owing = False
+        return work, spare
 
     def __call__(self, t: int, work: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Returns (work, spare) after t's gates, which swap the two buffers."""
-        for cmap in self.gates.get(t, ()):
+        for cmap in (self.paying if self.owing else self.gates).get(t, ()):
             work, spare = _apply_coin_map(work, cmap, spare), work
+            self.owing = False
         if t in self.wanted:
+            work, spare = self.pay(work, spare)
             self.snaps[t] = self.snapshot(work)
         if self.start is not None:
             # site-major, as lattice.fidelity sums; rho~_t is zero off the support
             if work.ndim == 2:
                 self.trace[t] = abs(np.vdot(self.start, work.T)) ** 2
             else:
-                self.trace[t] += np.vdot(self.start, work).real
+                self.trace[t] += np.vdot(self.owed_start if self.owing else self.start, work).real
         return work, spare
 
 
 def _run(work: np.ndarray, spare: np.ndarray, schedule: Schedule, steps: range,
-         checkpoint: _Checkpoints, shift: Callable, fm: Callable,
-         channel: Callable | None = None) -> tuple[np.ndarray, np.ndarray]:
+         checkpoint: _Checkpoints, shift: Callable, fm: Callable) -> tuple[np.ndarray, np.ndarray]:
     """Step the coin-major array ``work``, of either rank, through the steps
     s in ``steps`` of ``schedule``, one spare buffer beside it.
 
-    A step is the coin map into the spare buffer, ``shift(spare, work)``
-    back, ``fm(work, phi) -> work`` on the steps of an F_m window and
-    ``channel(work, out) -> result``; ``checkpoint`` follows each step s.
-    Returns (work, spare).
+    A step is one coin map into the spare buffer, the coin C or, while the
+    state owes ``checkpoint.owed``, C S; then ``shift(spare, work)`` back and
+    ``fm(work, phi) -> work`` on the steps of an F_m window.  ``checkpoint``
+    follows each step s, with the state owing S again.  Returns (work, spare),
+    which may still owe S (``checkpoint.owing``).  ``channels`` runs rho with
+    OpenBLAS held at one thread, a process-global setting that holds BLAS
+    calls from other threads too, so that no contraction is split.
     """
     coin = _coin_map(work.ndim // 2, coin_operator(schedule.theta))
+    owed = checkpoint.owed
+    coins = (coin, coin if owed is None else coin @ owed)
     for s in steps:
-        shift(_apply_coin_map(work, coin, spare), work)
+        shift(_apply_coin_map(work, coins[checkpoint.owing], spare), work)
         phi = schedule.phi_at(s)
         if phi is not None:
             work = fm(work, phi)
-        if channel is not None:
-            work, spare = channel(work, spare), work
+        checkpoint.owing = owed is not None
         work, spare = checkpoint(s, work, spare)
     return work, spare
 

@@ -1,5 +1,7 @@
 import ast
+import ctypes
 import tracemalloc
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -346,8 +348,8 @@ def test_open_revival_catches_trace_drift(monkeypatch, variant):
     # walker and both dephasing are folded into the shift
     shift = MomentumLayout.shift
 
-    def drifting(layout, spec, rows):
-        step = shift(layout, spec, rows)
+    def drifting(layout, *args):
+        step = shift(layout, *args)
         return lambda work, out: np.multiply(step(work, out), 1 + 1e-7, out=out)
 
     monkeypatch.setattr(MomentumLayout, "shift", drifting)
@@ -552,8 +554,8 @@ def test_no_stored_line_grows_along_a_run(target, mutant, monkeypatch):
     if mutant:
         shift = MomentumLayout.shift
 
-        def grown(layout, spec, rows):
-            step = shift(layout, spec, rows)
+        def grown(layout, *args):
+            step = shift(layout, *args)
 
             def mutated(work, out):
                 step(work, out)
@@ -685,11 +687,11 @@ def block_rows(monkeypatch):
     runs = []
     shift = MomentumLayout.shift
 
-    def recorded(layout, spec, rows):
+    def recorded(layout, spec, rows, *args):
         if rows.start == 0:
             runs.append([])
         runs[-1].append((rows.start, rows.stop))
-        return shift(layout, spec, rows)
+        return shift(layout, spec, rows, *args)
 
     monkeypatch.setattr(MomentumLayout, "shift", recorded)
     return runs
@@ -791,6 +793,147 @@ def test_a_fidelity_run_in_row_blocks_holds_only_their_rows(monkeypatch):
     assert peak(6) <= 0.6 * peak(1)
 
 
+# ------------------------------ coin-local channels ride in the coin map
+
+COIN_LOCAL = [variant for variant in VARIANTS if variant[1] == "coin"]
+
+
+def _dense_fidelities(psi, expected):
+    ket = psi.amplitudes.ravel()
+    return [np.vdot(ket, want @ ket).real for want in expected]
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+@pytest.mark.parametrize("end_gate", [False, True])
+@pytest.mark.parametrize("eta", [0.2, 1000.0])
+@pytest.mark.parametrize("variant", COIN_LOCAL)
+def test_an_owed_channel_matches_dense_oracle(variant, eta, end_gate, blocks, monkeypatch):
+    # a step leaves the channel S owed: the next step's coin map is C S, a
+    # gate's G S (at t = 0 nothing is owed yet), and the final state and the
+    # trace check pay it alone unless a gate at the end did; the fidelity
+    # reads an owing state against S^T start
+    n, steps, theta = 32, 9, 0.7
+    psi = band_packet(n, 13, seed=5)
+    gate, gate_back = reversal_pair(theta)
+    gates = ((0, _phase_gate(0.4)), (4, gate), *(((steps, gate_back),) if end_gate else ()))
+    sched = Schedule(steps, theta, coin_gate_insertions=gates,
+                     channel=ChannelSpec(variant[0], eta, variant[1]))
+    expected = dense_run(DensityOperator.from_pure(psi).as_2d, n, sched)
+    layout = open_layout(psi, sched)
+    _split(monkeypatch, layout, blocks)
+    result = evolve_open(psi, sched)
+    np.testing.assert_allclose(result.final.as_2d, expected[-1], rtol=0, atol=1e-12)
+    prob = np.diag(expected[-1]).real.reshape(n, 2).sum(axis=1)
+    np.testing.assert_allclose(result.distribution(), prob, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(channels.fidelity_trace(psi, sched),
+                               _dense_fidelities(psi, expected), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("fm", [False, True])
+@pytest.mark.parametrize("eta", [0.2, 1000.0])
+@pytest.mark.parametrize("variant", COIN_LOCAL)
+def test_an_owed_channel_is_paid_before_each_snapshot(variant, eta, fm):
+    # snapshots at some times, not at the end; an F_m window steps the ring of
+    # all N momenta in y = x - x', a plain run the packet's window
+    n, steps, theta = 16, 6, 0.7
+    psi = band_packet(n, 7, seed=2)
+    gate, _ = reversal_pair(theta)
+    sched = Schedule(steps, theta, fm_windows=((1, 4, 0.5),) if fm else (),
+                     coin_gate_insertions=((3, gate),),
+                     channel=ChannelSpec(variant[0], eta, variant[1]))
+    times = (0, 2, 3, 5)
+    layout, work, checkpoint = channels._run_open(psi, sched, times, fidelity=True)
+    assert layout.relative == fm
+    expected = dense_run(DensityOperator.from_pure(psi).as_2d, n, sched)
+    for t in times:
+        np.testing.assert_allclose(checkpoint.snaps[t].as_2d, expected[t], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(layout.materialize(work).reshape(2 * n, 2 * n), expected[-1],
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(checkpoint.trace, _dense_fidelities(psi, expected),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", [("amplitude_damping", "coin"), ("dephasing", "walker")])
+def test_an_open_step_makes_one_coin_product(variant, monkeypatch):
+    # T steps of one product each, one per gate time (G S) and one that pays
+    # the channel before the trace check, not 2T; S^T start is one more
+    # product per block, outside the run.  Walker dephasing rides in the
+    # shift and owes nothing.
+    steps, theta = 9, 0.7
+    psi = band_packet(32, 13, seed=5)
+    gate, gate_back = reversal_pair(theta)
+    sched = Schedule(steps, theta, coin_gate_insertions=((3, gate), (5, gate_back)),
+                     channel=ChannelSpec(variant[0], 0.2, variant[1]))
+    products = {"run": 0, "start": 0}
+
+    def counted(name, apply):
+        def counting(*args):
+            products[name] += 1
+            return apply(*args)
+        return counting
+
+    monkeypatch.setattr(walk, "_apply_coin_map", counted("run", walk._apply_coin_map))
+    monkeypatch.setattr(channels, "_apply_coin_map", counted("start", channels._apply_coin_map))
+    channels.fidelity_trace(psi, sched)
+    owed = variant[1] == "coin"
+    assert products == {"run": steps + 2 + owed, "start": int(owed)}
+
+
+# ------------------------------------------------- one BLAS thread
+
+
+def _blas_threads():
+    threads = channels._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's bundled OpenBLAS exports no thread-count symbols here")
+    return threads
+
+
+def test_open_runs_hold_blas_at_one_thread_and_restore_its_count(monkeypatch):
+    get, set_ = _blas_threads()
+    seen = []
+    shift = MomentumLayout.shift
+
+    def recorded(layout, *args):
+        seen.append(get())
+        return shift(layout, *args)
+
+    def drifting(layout, *args):
+        step = recorded(layout, *args)
+        return lambda work, out: np.multiply(step(work, out), 1 + 1e-7, out=out)
+
+    psi = band_limited_packet(64, 5.0)
+    spec = ChannelSpec("dephasing", 0.05, "walker")
+    before = get()
+    set_(2)
+    try:
+        monkeypatch.setattr(MomentumLayout, "shift", recorded)
+        revival_protocol(psi, 0.7, 5, channel=spec)
+        assert get() == 2
+        monkeypatch.setattr(MomentumLayout, "shift", drifting)  # the trace drift test's patch
+        with pytest.raises(StateError, match="trace"):
+            revival_protocol(psi, 0.7, 5, channel=spec)
+        assert get() == 2
+    finally:
+        set_(before)
+    assert len(seen) == 2 and set(seen) == {1}
+
+
+@pytest.mark.parametrize("missing", ["library", "symbols"])
+def test_an_open_run_without_the_blas_symbols_leaves_blas_alone(missing, monkeypatch):
+    psi = band_limited_packet(64, 5.0)
+    sched = _reversal_schedule(0.7, 5, REVERSER_EXACT, channel=ChannelSpec("bit_flip", 0.05))
+    pinned = channels.fidelity_trace(psi, sched)
+    if missing == "library":
+        monkeypatch.setattr(channels, "_OPENBLAS_LIBS", "libno-such-blas*.so")
+    else:
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
+    lookup = cache(channels._openblas_threads.__wrapped__)
+    monkeypatch.setattr(channels, "_openblas_threads", lookup)
+    np.testing.assert_allclose(channels.fidelity_trace(psi, sched), pinned, rtol=0, atol=1e-15)
+    assert lookup() is None
+
+
 # ------------------------------------------------ P(x) from the support
 
 
@@ -860,8 +1003,8 @@ def test_final_is_materialized_once_and_validated(monkeypatch):
 def test_evolve_open_checks_the_final_trace_at_call_time(monkeypatch):
     shift = MomentumLayout.shift
 
-    def gaining(layout, spec, rows):
-        step = shift(layout, spec, rows)
+    def gaining(layout, *args):
+        step = shift(layout, *args)
         return lambda work, out: np.multiply(step(work, out), 1 + 1e-7, out=out)
 
     monkeypatch.setattr(MomentumLayout, "shift", gaining)

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import catwalk
-from catwalk import scenarios
+from catwalk import channels, scenarios
 from catwalk.analysis import position_distribution, revival_protocol
 from catwalk.channels import (CHANNEL_KINDS, TARGETS, ChannelSpec, MomentumLayout, OpenResult,
-                              evolve_open)
+                              evolve_open, fidelity_trace)
 from catwalk.cli import build_parser, main
 from catwalk.config import KEYS, ConfigError, ExperimentConfig, parse_config
 from catwalk.io import CHUNK_ROWS, ResultRecord, Table, emit_results
@@ -237,6 +237,24 @@ def test_cli_import_leaves_scipy_out():
     assert out.stdout.strip() == "[]"
 
 
+def test_open_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # open runs hold numpy's OpenBLAS at one thread, so no contraction is split
+    if channels._openblas_threads() is None:
+        pytest.skip("numpy's bundled OpenBLAS exports no thread-count symbols here")
+    code = "import sys; from catwalk.cli import main; sys.exit(main(sys.argv[1:]))"
+    src = str(Path(catwalk.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-c", code, "decohere", "--steps", "30", "--sigma", "5",
+                        "--out", str(out)], env=env, capture_output=True, check=True)
+        outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert len(outputs[0]) == 6 and outputs[0].keys() == outputs[1].keys()
+    for name, data in outputs[0].items():
+        assert outputs[1][name] == data, name
+
+
 def test_cli_evolve_success(tmp_path, capsys):
     code = main(
         [
@@ -379,6 +397,29 @@ def test_open_revival_peak_within_guard_prediction():
     tracemalloc.start()
     try:
         revival_protocol(psi, np.pi / 4, 3, channel=spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= density_working_set_bytes(n)
+
+
+@pytest.mark.parametrize("n", [64, 160, 300])
+@pytest.mark.parametrize("spec, fm_windows", [
+    pytest.param(ChannelSpec("dephasing", 0.01, "coin"), (), id="coin"),
+    pytest.param(ChannelSpec("bit_flip", 0.01), (), id="flip"),
+    pytest.param(ChannelSpec("dephasing", 0.01, "walker"), (), id="walker"),
+    # an F_m window keeps every line of all N momenta in one block, beside the
+    # fidelity start and the S^T start that an owing state is read against
+    pytest.param(ChannelSpec("amplitude_damping", 0.01), ((2, 4, 0.3),), id="fm"),
+])
+def test_open_fidelity_peak_within_guard_prediction(spec, fm_windows, n):
+    # a coin-local fidelity run holds S^T start beside the fidelity start
+    psi = gaussian_position_state(make_lattice(n), 3.0, COIN_SYMMETRIC)
+    sched = Schedule(6, np.pi / 4, fm_windows=fm_windows, channel=spec)
+    fidelity_trace(psi, sched)  # first-call allocations
+    tracemalloc.start()
+    try:
+        fidelity_trace(psi, sched)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
