@@ -7,41 +7,43 @@ on the coin through Kraus pairs.  The bath strength eta is per step, so
 each application scales coherences by lambda = e^{-eta} and an n-step run
 accumulates e^{-eta n}.  ``evolve_open`` advances a density matrix over
 steps, through the step loop that ``walk.evolve`` runs inside F_m windows,
-in momentum space on a ``MomentumLayout``: the stored lines of a ring of
-momenta.  Every channel here is translation-invariant, so it either keeps
-each pair (k, k') on its own (the coin-local ones) or mixes only the pairs
-of one line of constant k - k' (walker and both dephasing), and a start
-that occupies a narrow band of momenta is stepped on that band alone.
-A ring of all N momenta is stepped with each line in relative position
-y = x - x', where the shift is a per-line phase and a roll, and line
-dephasing is a mask on the y = 0 column folded into the shift.  A coin-local
-channel's 4x4 map S is left owed by each step and folded into the next coin
-map, C S, so every step is one coin product, one shift and one contraction;
-a gate pays it with its own map (G S), and a snapshot, the trace check and
-the final state pay it alone (``walk._Checkpoints``).
-Every channel here also keeps rho Hermitian, so a run steps only half the
-lines of its ring and takes the others as their Hermitian mirror, and no
-line's norm grows, so a pure start drops the lines past a 1e-30 tail.  Every
-map of a step acts on each stored line alone, so a layout larger than
-``_BLOCK_BYTES`` a working array runs in row blocks, each through the whole
-schedule before the next, and holds one block's arrays at a time, as views
-of one allocation.  An open run holds numpy's bundled OpenBLAS at one
-thread and restores its count afterwards, so that no contraction is split
-and results do not depend on ``OPENBLAS_NUM_THREADS``; the count is
-process-global, so BLAS that another thread runs meanwhile is held too.
-``open_layout`` picks the layout, ``_run_open`` is the one runner on it,
-``evolve_open`` returns its final state lazily, with P(x) read from the
-support, ``fidelity_trace`` takes a run's fidelity to its start in its own
-basis, and ``density_working_set_bytes`` bounds what a run allocates.
+on a ``MomentumLayout``: the stored lines of a ring of momenta.  Every
+channel here is translation-invariant, so it either keeps each pair
+(k, k') on its own (the coin-local ones) or mixes only the pairs of one
+line of constant k - k' (walker and both dephasing), and a start that
+occupies a narrow band of momenta is stepped on that band alone.
+The layout owns the basis its lines are stepped in, momenta on a window
+ring and relative position y = x - x' on a ring of all N, where the shift
+is a per-line phase and a roll and line dephasing is a mask on the y = 0
+column folded into the shift.  It also owns the mirror rule: every channel
+here keeps rho Hermitian, so a run steps only half the lines of its ring
+and takes the others as their Hermitian mirror (``_mirrored``), and no
+line's norm grows, so a pure start drops the lines past a 1e-30 tail.
+A coin-local channel's 4x4 map S is left owed by each step and folded into
+the next coin map, C S, so every step is one coin product, one shift and
+one contraction (``walk._Checkpoints``).  Every map of a step acts on each
+stored line alone, so a layout larger than ``_BLOCK_BYTES`` a working array
+runs in row blocks, each a self-contained run through the whole schedule
+with its own ``_Checkpoints``; the blocks share only one allocation, which
+each reuses in turn, the summed fidelity and the final rows.  Open runs
+hold numpy's bundled OpenBLAS at one thread and the last one out restores
+its count, so that no contraction is split and results do not depend on
+``OPENBLAS_NUM_THREADS``; the count is process-global, so BLAS that another
+thread runs meanwhile is held too.  ``open_layout`` picks the layout,
+``_run_open`` is the one runner on it, ``evolve_open`` returns its final
+state lazily, with P(x) read from the support, ``fidelity_trace`` takes a
+run's fidelity to its start in its own basis, and
+``density_working_set_bytes`` bounds what a run allocates.
 """
 
 from __future__ import annotations
 
 import ctypes
 import itertools
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -49,8 +51,7 @@ import numpy as np
 
 from .lattice import (TRACE_TOL, DensityOperator, LatticeConfig, PureState, StateError, to_momentum,
                       to_position)
-from .walk import (SIGMA_X, Schedule, _apply_coin_map, _Checkpoints, _coin_map,
-                   _fm_phase, _run, _run_pure)
+from .walk import SIGMA_X, Schedule, _Checkpoints, _coin_map, _fm_phase, _run, _run_pure
 
 COMPLETENESS_TOL = 1e-12
 # |psi~|^2 a pure start may leave outside its momentum window on each side
@@ -210,33 +211,50 @@ def _shear(block: np.ndarray, sign: int) -> None:
         cols[...] = np.take_along_axis(cols, (rows - sign * shift) % n, axis=0)
 
 
+def _mirrored(lines: int, ring: int) -> range:
+    """The mirror rule: the stored lines q < ``lines`` of a ring of R =
+    ``ring`` momenta whose mirror, line R - q, is a distinct line that is
+    not stored.  Line 0 and, for even R, line R/2 are their own mirrors."""
+    return range(1, min(lines, ring - lines + 1))
+
+
+def _mirror_weights(lines: int, ring: int) -> np.ndarray:
+    """w_q over the stored lines: 2 for a line of ``_mirrored``, which also
+    stands for its mirror, and 1 for the rest."""
+    return 1.0 + np.isin(np.arange(lines), _mirrored(lines, ring))
+
+
 @dataclass(frozen=True, eq=False)
 class MomentumLayout:
     """The momentum support a density operator is stepped on: the lines of a
-    ring of momenta.
+    ring of momenta, and the basis they are stepped in.
 
-    The ring is the R = ``ring`` momenta lo .. lo+R-1, and the working array
-    holds work[c, d][q, j] = rho~(k_a, c; k_b, d) for b = lo + j and
-    a = lo + (j + q) mod R: row q is the line of offset q around the ring,
-    and every pair of ring momenta lies on one line.  Line R - q is the
-    Hermitian mirror of line q, rho~(k_b, d; k_a, c) = conj rho~(k_a, c;
-    k_b, d), so only the ``lines`` offsets q = 0 .. lines-1, at most
-    R//2 + 1 of them, are stored.  Each map of a step (coin maps, the shift,
-    the dephasing mask) acts line by line and keeps rho Hermitian, so it
-    never needs the mirror half; ``materialize`` and the fidelity start fill
-    it in.  rho~ is taken as zero on the lines of the ring that are neither
-    stored nor mirrored, and off the ring; ``tail`` is the weight a start
-    had on those lines of the ring, counting mirrors (``open_layout``).
+    The ring is the R = ``ring`` momenta lo .. lo+R-1, and in momenta the
+    working array holds work[c, d][q, j] = rho~(k_a, c; k_b, d) for
+    b = lo + j and a = lo + (j + q) mod R: row q is the line of offset q
+    around the ring, and every pair of ring momenta lies on one line.  Line
+    R - q is the Hermitian mirror of line q, rho~(k_b, d; k_a, c) = conj
+    rho~(k_a, c; k_b, d), so only the ``lines`` offsets q = 0 .. lines-1, at
+    most R//2 + 1 of them, are stored, and the layout owns the rule of which
+    stored lines stand for a mirror too (``_mirrored``).  Each map of a step
+    (coin maps, the shift, the dephasing mask) acts line by line and keeps
+    rho Hermitian, so it never needs the mirror half; ``materialize`` and
+    ``fidelity_start`` fill it in.  rho~ is taken as zero on the lines of
+    the ring that are neither stored nor mirrored, and off the ring;
+    ``tail`` is the weight a start had on those lines of the ring, counting
+    mirrors (``open_layout``).
 
     A ring of all N momenta makes its lines those of constant k - k', which
     walker and both dephasing mix; a ring of the start's momentum window
     serves channels that keep each (k, k') on its own.  A block of N x N in
     the ring's line coordinates holds the support; ``_shear`` turns lines
-    into pairs.  Every method here takes and returns the array in momentum;
-    ``_run_open`` steps a ring of all N momenta in y = x - x' (``relative``,
-    ``shift``), where line dephasing is a mask.  ``start`` (from a pure
-    state) and ``shift`` also build a contiguous block of the stored lines,
-    ``rows``, which ``_run_open`` steps on its own.
+    into pairs.  The layout also owns the basis a run steps in: a window
+    ring in momenta, and a ring of all N (``relative``) in y = x - x' along
+    the ring axis, reached by a unitary DFT that keeps every overlap, where
+    line dephasing is a mask (``shift``).  ``start``, ``shift`` and
+    ``apply_fm`` take and return a block of stored lines, ``rows``, in that
+    basis, and ``momenta`` brings one back to momenta, which
+    ``materialize``, ``distribution`` and ``check_trace`` read.
     """
 
     lattice: LatticeConfig
@@ -264,30 +282,44 @@ class MomentumLayout:
         view = np.lib.stride_tricks.sliding_window_view(turns, self.ring, axis=-1)
         return view[..., :self.lines, :][..., rows, :]
 
-    def _block(self, rows: slice) -> np.ndarray:
-        """A new (2, 2, lines, ring) array for the stored lines ``rows``."""
-        return np.empty((2, 2, len(range(self.lines)[rows]), self.ring), dtype=complex)
-
-    def start(self, state, rows: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
-        """The working array of |psi><psi| for a PureState, on the stored
-        lines ``rows`` alone, or of a DensityOperator, which needs the full
-        support and is laid out whole; written into ``out`` if given."""
-        work = self._block(rows) if out is None else out
+    def start(self, state, rows: slice, out: np.ndarray) -> np.ndarray:
+        """out = the stored lines ``rows`` of rho0 in the basis they are
+        stepped in: of |psi><psi| for a PureState, laid out from psi~ alone,
+        or of a DensityOperator, which needs the full support and is laid out
+        whole; returns out."""
         if isinstance(state, PureState):
             amp = to_momentum(state.amplitudes).T
             ket = self._on_ring(amp, rows)
             bra = amp[:, self.lo:self.lo + self.ring].conj()
             # a coin block at a time: a broadcast over all four allocates two arrays as large
             for c, d in _COIN_PAIRS:
-                np.multiply(ket[c], bra[d], out=work[c, d])
-            return work
-        if not self.full:
+                np.multiply(ket[c], bra[d], out=out[c, d])
+        elif not self.full:
             raise StateError("a density operator start needs the full momentum support")
-        block = np.empty((self.ring,) * 2, dtype=complex)
-        for c, d in _COIN_PAIRS:
-            block[...] = state.matrix[:, c, :, d]
-            self._store(block, work[c, d])
-        return work
+        else:
+            block = np.empty((self.ring,) * 2, dtype=complex)
+            for c, d in _COIN_PAIRS:
+                block[...] = state.matrix[:, c, :, d]
+                self._store(block, out[c, d])
+        return to_position(out, axis=-1, out=out) if self.relative else out
+
+    def momenta(self, work: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """``work`` in momenta: brought back from y along the ring axis into
+        ``out`` (which may be work, or None for a new array) and returned, or
+        on a window ring, which is stepped in momenta, work itself."""
+        return to_momentum(work, axis=-1, out=out) if self.relative else work
+
+    def fidelity_start(self, work: np.ndarray, rows: slice, out: np.ndarray) -> np.ndarray:
+        """out = the stored lines ``rows`` of the start, ``work``, weighed for
+        the fidelity <psi|rho_t|psi> = sum_q w_q <line_q(0), line_q(t)>:
+        line R - q's overlap is the conjugate of line q's, so a line of
+        ``_mirrored`` counts twice (``_mirror_weights``); returns out."""
+        # by a scalar, then the rows that count once: a multiply by the
+        # weights would allocate numpy's casting buffers, about 128 kB
+        np.multiply(work, 2.0, out=out)
+        for i in np.flatnonzero(_mirror_weights(*self.shape)[rows] == 1):
+            out[:, :, i] = work[:, :, i]
+        return out
 
     def _store(self, block: np.ndarray, lines: np.ndarray) -> None:
         """lines = the stored lines of one coin block of rho, given in position
@@ -308,15 +340,15 @@ class MomentumLayout:
         view = block[self.lo:self.lo + ring, self.lo:self.lo + ring]
         block.fill(0)
         view[:lines] = stored
-        for q in range(1, min(lines, ring - lines + 1)):
+        for q in _mirrored(lines, ring):
             np.conjugate(mirror[q, :ring - q], out=view[ring - q, q:])
             np.conjugate(mirror[q, ring - q:], out=view[ring - q, :q])
         _shear(view, 1)
         return block
 
     def materialize(self, work: np.ndarray) -> np.ndarray:
-        """rho(x, c; x', d) as a new (N, 2, N, 2) array, one coin block at a
-        time, through one N x N block."""
+        """rho(x, c; x', d) as a new (N, 2, N, 2) array from ``work`` in
+        momenta, one coin block at a time, through one N x N block."""
         n = self.lattice.n_sites
         out = np.empty((n, 2, n, 2), dtype=complex)
         block = np.empty((n, n), dtype=complex)
@@ -325,7 +357,8 @@ class MomentumLayout:
         return out
 
     def distribution(self, work: np.ndarray) -> np.ndarray:
-        """P(x) = sum_c rho(x, c; x, c) from the stored lines, with no N x N block.
+        """P(x) = sum_c rho(x, c; x, c) from the stored lines in momenta, with
+        no N x N block.
 
         P(x) = N^-1 sum_d L(d) e^{-2 pi i d x / N}, where L(d) sums blocks
         (0,0) + (1,1) over the pairs of momentum offset a - b = d (mod N).
@@ -340,7 +373,7 @@ class MomentumLayout:
         q = np.arange(lines)
         head = np.where(np.arange(ring) < ring - q[:, None], sums, 0).sum(axis=1)
         tail = sums.sum(axis=1) - head
-        mirrored = q[1:min(lines, ring - lines + 1)]
+        mirrored = np.array(_mirrored(lines, ring), dtype=int)
         offsets = np.concatenate((q, q - ring, -mirrored, ring - mirrored)) % n
         terms = np.concatenate((head, tail, head[mirrored].conj(), tail[mirrored].conj()))
         line_sums = np.zeros(n, dtype=complex)
@@ -358,7 +391,7 @@ class MomentumLayout:
 
     def check_trace(self, work: np.ndarray) -> None:
         """Raise StateError unless tr rho is 1 to ``TRACE_TOL``, as a
-        DensityOperator would, from line 0 of blocks (0,0) and (1,1)."""
+        DensityOperator would, from line 0 of blocks (0,0) and (1,1) in momenta."""
         tr = (work[0, 0, 0].sum() + work[1, 1, 0].sum()).real
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise StateError(f"density matrix trace {tr!r} deviates from 1")
@@ -369,11 +402,11 @@ class MomentumLayout:
         relative position y = x - x' along the ring axis (``shift``)."""
         return self.ring == self.lattice.n_sites
 
-    def shift(self, spec: ChannelSpec | None, rows: slice = slice(None),
-              factor: np.ndarray | None = None) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    def shift(self, spec: ChannelSpec | None, rows: slice,
+              phase: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         """The step's shift on the stored lines ``rows``, (work, out) -> out =
         D(k) (x) D*(k') work, with ``spec`` folded in if it is walker or both
-        dephasing; its factor per coin block is built in ``factor`` if given.
+        dephasing; its factor per coin block is built in ``phase``.
 
         A pair's phase is e^{i s_c k_a} e^{-i s_d k_b}, with s = (1, -1).  On a
         window ring it is one multiply per coin block by a product of e^{ik_a}
@@ -386,7 +419,6 @@ class MomentumLayout:
         factor per block, applied through a flat offset of the block, whose
         columns that took a neighbouring line's end are then refilled.
         """
-        phase = self._block(rows) if factor is None else factor
         if not self.relative:
             ket = np.exp(1j * self.lattice.momenta)
             bra = ket[self.lo:self.lo + self.ring]
@@ -421,13 +453,15 @@ class MomentumLayout:
         return step
 
     def apply_fm(self, work: np.ndarray, phi: float) -> np.ndarray:
-        """work -> e^{i phi (x - x')} work in place, through position space.
+        """work -> e^{i phi (x - x')} work in place, through momenta and
+        position space, and back to y.
 
         The phase moves momenta by phi, which no smaller support holds, so it
         needs the full one; any other raises StateError.
         """
         if not self.full:
             raise StateError("an F_m phase needs the full momentum support")
+        self.momenta(work, work)
         phase = _fm_phase(self.lattice.sites, phi)
         block = np.empty((self.ring,) * 2, dtype=complex)
         held = work[0, 1].copy()  # the mirror of block (1, 0), overwritten before it
@@ -437,7 +471,7 @@ class MomentumLayout:
             block *= phase[:, None]
             block *= phase.conj()
             self._store(block, work[c, d])
-        return work
+        return to_position(work, axis=-1, out=work)
 
 
 def momentum_window(prob: np.ndarray) -> tuple[int, int]:
@@ -467,11 +501,11 @@ def _kept_lines(prob: np.ndarray) -> tuple[int, float]:
     """The fewest lines Q, at least one, of the ring of all N momenta whose
     dropped tail tau = sum_{q >= Q} w_q ||line_q||^2 of |psi><psi| is at most
     ``SUPPORT_TOL``, and tau, from ``prob`` = |psi~|^2.  w_q = 2 for a line
-    with a mirror, 1 for q = 0 and q = N/2, as in the fidelity start.  The
-    tail is summed from its own end, as in ``momentum_window``."""
+    with a mirror, 1 for q = 0 and q = N/2 (``_mirror_weights``), as in the
+    fidelity start.  The tail is summed from its own end, as in
+    ``momentum_window``."""
     n = len(prob)
-    q = np.arange(n // 2 + 1)
-    tails = np.cumsum((np.where((q > 0) & (2 * q < n), 2.0, 1.0) * _line_norms(prob))[::-1])
+    tails = np.cumsum((_mirror_weights(n // 2 + 1, n) * _line_norms(prob))[::-1])
     dropped = min(int(np.searchsorted(tails, SUPPORT_TOL, side="right")), n // 2)
     return n // 2 + 1 - dropped, float(tails[dropped - 1]) if dropped else 0.0
 
@@ -522,7 +556,11 @@ def density_working_set_bytes(n_sites: int) -> int:
     one allocation, each at most about ``_BLOCK_BYTES`` (a layout's rows
     split as evenly as may be), which every block of the run reuses, beside
     the one full working array a final-state run in several blocks fills.
-    P(x) read from the support needs no matrix at all.
+    P(x) read from the support needs no matrix at all.  A one-block run's
+    final state stays a view of its allocation, spare and shift factor
+    included: copied out, the tracemalloc peaks of DensityOperator starts
+    measured 1.09-1.13 times this bound at N = 160 and 300 (0.91-0.94 at
+    N = 64), against 0.78-0.97 as a view.
     """
     return 3 * 16 * (2 * n_sites) ** 2 + 256 * 1024
 
@@ -537,7 +575,7 @@ class OpenResult:
     """
 
     layout: MomentumLayout
-    work: np.ndarray = field(repr=False)
+    work: np.ndarray | None = field(repr=False)
     snapshots: dict[int, DensityOperator]
 
     @cached_property
@@ -568,8 +606,7 @@ def evolve_open(
     during the run; the final state is materialized and validated when
     ``final`` is first read.
     """
-    layout, work, checkpoint = _run_open(rho0, schedule, snapshot_times)
-    return OpenResult(layout, work, checkpoint.snaps)
+    return _run_open(rho0, schedule, snapshot_times)[0]
 
 
 def fidelity_trace(psi: PureState, schedule: Schedule) -> np.ndarray:
@@ -578,7 +615,7 @@ def fidelity_trace(psi: PureState, schedule: Schedule) -> np.ndarray:
     run's final state is not kept; its trace is checked on the support."""
     if schedule.channel is None:
         return _run_pure(psi, schedule, fidelity=True)[1].trace
-    return _run_open(psi, schedule, fidelity=True)[2].trace
+    return _run_open(psi, schedule, fidelity=True)[1]
 
 
 # bytes of one working array stepped at a time: a larger layout runs in
@@ -604,96 +641,91 @@ def _openblas_threads() -> tuple[Callable, Callable] | None:
     return None
 
 
+# the open runs inside ``_one_blas_thread`` and the BLAS count the first one found
+_blas_lock = threading.Lock()
+_blas_runs, _blas_count = 0, None
+
+
 @contextmanager
 def _one_blas_thread():
     """Run the body with numpy's OpenBLAS on one thread and restore its count
     afterwards, also when the body raises; without the symbols, leave BLAS
-    alone.  The count is process-global: BLAS calls another thread makes
-    meanwhile run on one thread too."""
+    alone.  The count is process-global, so concurrent open runs share one
+    hold: the first one in saves the count and the last one out restores
+    it, under a lock held only for that bookkeeping.  BLAS calls another
+    thread makes meanwhile run on one thread too."""
+    global _blas_runs, _blas_count
     get, set_ = _openblas_threads() or (lambda: None, lambda count: None)
-    count = get()
-    set_(1)
+    with _blas_lock:
+        if not _blas_runs:
+            _blas_count = get()
+            set_(1)
+        _blas_runs += 1
     try:
         yield
     finally:
-        set_(count)
+        with _blas_lock:
+            _blas_runs -= 1
+            if not _blas_runs:
+                set_(_blas_count)
 
 
-def _run_open(rho0, schedule: Schedule, snapshot_times: Sequence[int] = (), fidelity=False):
+def _run_open(rho0, schedule: Schedule, snapshot_times: Sequence[int] = (),
+              fidelity=False) -> tuple[OpenResult, np.ndarray | None]:
     """The one open run: rho0 laid out on ``open_layout`` and ``walk._run``
     stepping the working array through ``schedule``, OpenBLAS on one thread
     (``_one_blas_thread``).  Every map of a step acts on each stored line
     alone, so the lines run in ceil(working-array bytes / ``_BLOCK_BYTES``)
-    contiguous row blocks, as even as may be, each laid out from psi~ and
-    stepped through the whole schedule with its own spare, shift factor and
-    fidelity start, whose terms ``_Checkpoints`` adds in block order: views
-    of one allocation that every block reuses.  A run with snapshots or an
-    F_m window, or from a DensityOperator, is one block.  A coin-local
-    channel's map S rides in the coin maps (``walk._Checkpoints``), so a
-    fidelity run also holds S^T start, and the trace check and a kept final
-    state pay what their block still owes; walker and both dephasing ride in
-    the shift.  On a ring of all N momenta a block steps in y = x - x'
-    (``MomentumLayout.shift``), reached once by a unitary DFT along the ring
-    axis that keeps every overlap, and comes back to momenta for snapshots,
-    F_m phases and its end.  The final trace is checked on line 0, in the
-    first block.  Returns (layout, final working array, or None for a
-    fidelity run of several blocks, checkpoints), the snapshots
-    materialized and validated, with ``fidelity`` <psi|rho_t|psi> for
-    rho0 = psi."""
+    contiguous row blocks, as even as may be.  Each block is a run of its
+    own: laid out from psi~ by ``MomentumLayout.start`` in the basis the
+    layout steps it in, with its own spare, shift factor, fidelity start
+    and ``_Checkpoints``, which holds the owed map S of a coin-local channel
+    and S^T start; walker and both dephasing ride in the shift.  The blocks
+    share only one allocation, whose views each block reuses, the fidelity,
+    to which each block's trace is added in block order, and the final
+    array, into which each writes its rows, brought back to momenta with
+    what it still owes paid.  A run with snapshots or an F_m window, or from
+    a DensityOperator, is one block, and its final state stays a view of
+    the allocation.  The final trace is checked on line 0, in the first
+    block.  Returns (OpenResult, the fidelity <psi|rho_t|psi> for rho0 = psi
+    if ``fidelity``, else None); the result's snapshots are materialized and
+    validated, and a fidelity run of several blocks keeps no final state."""
     layout = open_layout(rho0, schedule)
     lines, ring = layout.shape
     spec = schedule.channel
     owed = None if spec is None or spec.eta == 0 or _mixes_lines(spec) else _coin_superop(spec)
     whole = len(snapshot_times) or schedule.fm_windows or not isinstance(rho0, PureState)
-    nbytes = 4 * 16 * lines * ring  # four coin blocks of complex entries
-    count = 1 if whole else min(lines, -(-nbytes // _BLOCK_BYTES))
-    momenta, fm = (lambda w: w), layout.apply_fm
-    if layout.relative:
-        momenta = partial(to_momentum, axis=-1)
-
-        def fm(w: np.ndarray, phi: float) -> np.ndarray:
-            return to_position(layout.apply_fm(to_momentum(w, axis=-1, out=w), phi), axis=-1, out=w)
-
+    # the bytes of four coin blocks of complex entries, in blocks of _BLOCK_BYTES
+    count = 1 if whole else min(lines, -(-4 * 16 * lines * ring // _BLOCK_BYTES))
     final = None if count == 1 or fidelity else np.empty((2, 2, lines, ring), dtype=complex)
     # work, spare and shift factor, then the fidelity start and S^T start
     arrays = 3 + fidelity + (fidelity and owed is not None)
     held = np.empty(arrays * 4 * -(-lines // count) * ring, dtype=complex)
+    trace = np.zeros(schedule.total_steps + 1) if fidelity else None
+
+    def snapshot(w: np.ndarray) -> DensityOperator:
+        return DensityOperator(rho0.lattice, layout.materialize(layout.momenta(w, None)))
+
     with _one_blas_thread():
         for i in range(count):
             rows = slice(i * lines // count, (i + 1) * lines // count)
             size = arrays * 4 * (rows.stop - rows.start) * ring
             work, spare, factor, *starts = held[:size].reshape(arrays, 2, 2, -1, ring)
             layout.start(rho0, rows, work)
-            if layout.relative:
-                to_position(work, axis=-1, out=work)
-            start = owed_start = None
-            if fidelity:
-                # line R - q's overlap is the conjugate of line q's, so a stored line
-                # counts twice, but for lines 0 and R/2, their own mirrors (weighed by a
-                # scalar: a broadcast multiply allocates a temporary the size of the start)
-                start = np.multiply(work, 2.0, out=starts[0])
-                for q in (0, ring // 2):
-                    if rows.start <= q < rows.stop and 2 * q in (0, ring):
-                        start[:, :, q - rows.start] = work[:, :, q - rows.start]
-                if owed is not None:
-                    owed_start = _apply_coin_map(start, owed.T, starts[1])
-            if i == 0:
-                checkpoint = _Checkpoints(
-                    schedule, 2, snapshot_times,
-                    lambda w: DensityOperator(rho0.lattice, layout.materialize(momenta(w))),
-                    start, owed)
-            # a block starts from rho0 and owes nothing
-            checkpoint.start, checkpoint.owed_start, checkpoint.owing = start, owed_start, False
+            start = layout.fidelity_start(work, rows, starts[0]) if fidelity else None
+            checkpoint = _Checkpoints(schedule, 2, snapshot_times, snapshot, start, owed,
+                                      *starts[1:])
             work, spare = checkpoint(0, work, spare)
             work, spare = _run(work, spare, schedule, range(1, schedule.total_steps + 1),
-                               checkpoint, layout.shift(spec, rows, factor), fm)
-            if i > 0 and fidelity:
-                continue  # neither its state nor its trace is read
+                               checkpoint, layout.shift(spec, rows, factor), layout.apply_fm)
+            if fidelity:
+                trace += checkpoint.trace
+                if i > 0:
+                    continue  # its state is not read
             work, _ = checkpoint.pay(work, spare)
-            if layout.relative:
-                to_momentum(work, axis=-1, out=work)
+            work = layout.momenta(work, work)
             if i == 0:
                 layout.check_trace(work)
             if final is not None:
                 final[:, :, rows] = work
-    return layout, work if count == 1 else final, checkpoint
+    return OpenResult(layout, work if count == 1 else final, checkpoint.snaps), trace

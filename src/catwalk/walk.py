@@ -171,20 +171,21 @@ class _Checkpoints:
     """What a run does at a time t = 0..total_steps: that time's coin gates,
     then ``snapshot(work)`` kept in ``snaps`` if t is wanted, then the fidelity
     to a pure ``start`` ((N, 2) or laid out as |psi><psi|) in ``trace[t]``.
-    On rho the overlap is added to ``trace[t]``, so a run in row blocks, each
-    with its own ``start``, sums the blocks' terms in block order.
-    Each gate's coin map on arrays of ``rank`` is built once, here.
+    Each gate's coin map on arrays of ``rank`` is built once, here.  It
+    belongs to one run over one array: a run of rho in row blocks builds
+    one per block, and its caller adds the blocks' traces in block order.
 
     A coin-local channel's real coin map S, ``owed``, is left owed by every
     step: ``_run`` folds it into the next step's coin map (C S) and sets
     ``owing``.  The first gate of a time applies it with its own map (G S),
     ``pay`` applies it alone before a snapshot, and until then the fidelity
-    is read against ``owed_start`` = S^T start, which the caller builds.
-    A caller that keeps the final state pays what it still owes."""
+    is read against S^T start, which is built here, in the buffer
+    ``owed_start``.  A caller that keeps the final state pays what it still
+    owes."""
 
     def __init__(self, schedule: Schedule, rank: int, snapshot_times: Sequence[int],
                  snapshot: Callable, start: np.ndarray | None = None,
-                 owed: np.ndarray | None = None):
+                 owed: np.ndarray | None = None, owed_start: np.ndarray | None = None):
         self.wanted = set(snapshot_times)
         for t in self.wanted:
             if not (0 <= t <= schedule.total_steps):
@@ -192,12 +193,12 @@ class _Checkpoints:
         self.gates = {t: [_coin_map(rank, u) for u in schedule.insertions_at(t)]
                       for t, _ in schedule.coin_gate_insertions}
         self.owed, self.owing = owed, False
-        self.paying = self.gates if owed is None else {
-            t: [maps[0] @ owed, *maps[1:]] for t, maps in self.gates.items()}
         self.snapshot = snapshot
         self.snaps: dict[int, Any] = {}
         self.start = start
-        self.owed_start = None
+        if start is not None and owed is not None:
+            owed_start = _apply_coin_map(start, owed.T, owed_start)
+        self.owed_start = owed_start
         self.trace = None if start is None else np.zeros(schedule.total_steps + 1)
 
     def pay(self, work: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,9 +210,10 @@ class _Checkpoints:
 
     def __call__(self, t: int, work: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Returns (work, spare) after t's gates, which swap the two buffers."""
-        for cmap in (self.paying if self.owing else self.gates).get(t, ()):
+        for cmap in self.gates.get(t, ()):
+            if self.owing:
+                cmap, self.owing = cmap @ self.owed, False
             work, spare = _apply_coin_map(work, cmap, spare), work
-            self.owing = False
         if t in self.wanted:
             work, spare = self.pay(work, spare)
             self.snaps[t] = self.snapshot(work)
@@ -220,7 +222,7 @@ class _Checkpoints:
             if work.ndim == 2:
                 self.trace[t] = abs(np.vdot(self.start, work.T)) ** 2
             else:
-                self.trace[t] += np.vdot(self.owed_start if self.owing else self.start, work).real
+                self.trace[t] = np.vdot(self.owed_start if self.owing else self.start, work).real
         return work, spare
 
 

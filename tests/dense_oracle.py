@@ -8,7 +8,8 @@ density matrix.
 
 import numpy as np
 
-from catwalk.lattice import DensityOperator, make_lattice
+from catwalk.lattice import CoinState, DensityOperator, gaussian_position_state, make_lattice
+from catwalk.walk import Schedule, coin_operator, evolve
 
 
 def random_density(n, seed=0):
@@ -85,3 +86,40 @@ def dense_pure_run(psi, n, schedule):
             psi = np.kron(np.eye(n), gate) @ psi
         states.append(psi)
     return states
+
+
+def generic_packet(n):
+    """A Gaussian of width 10 at k0 = 0.3 with a complex coin phase on n
+    sites: the symmetric coin at k0 = 0 hides differences between channels
+    that this start shows."""
+    coin = CoinState.from_vector([0.6, 0.8 * np.exp(0.4j)])
+    return gaussian_position_state(make_lattice(n), 10.0, coin, k0=0.3)
+
+
+def dephased_chain(psi, schedule, target):
+    """The lambda = 0 limit of walker or both dephasing as a Markov chain on
+    2x2 site blocks: (P(x), fidelity to psi at t = 0..total_steps).
+
+    Step 1 dephases the pure one-step state.  From step 2 on the coin acts
+    on each block, the shift moves the up population one site right and the
+    down population one site left, and the coherences it carries off-site
+    are dropped; both also drops the coin coherences.  That time's gates
+    come after the channel.
+    """
+    amp = evolve(psi, Schedule(1, schedule.theta)).final.amplitudes
+    sigma = amp[:, :, None] * amp[:, None, :].conj()
+    coin = coin_operator(schedule.theta)
+    a0 = psi.amplitudes
+    trace = [abs(np.vdot(a0, a0)) ** 2]
+    for t in range(1, schedule.total_steps + 1):
+        if t > 1:
+            sigma = coin @ sigma @ coin.conj().T
+            up, down = np.roll(sigma[:, 0, 0], 1), np.roll(sigma[:, 1, 1], -1)
+            sigma = np.zeros_like(sigma)
+            sigma[:, 0, 0], sigma[:, 1, 1] = up, down
+        if target == "both":
+            sigma = sigma * np.eye(2)
+        for u in schedule.insertions_at(t):
+            sigma = u @ sigma @ u.conj().T
+        trace.append(np.einsum("xc,xcd,xd->", a0.conj(), sigma, a0).real)
+    return np.einsum("xcc->x", sigma).real, np.array(trace)

@@ -1,5 +1,6 @@
 import ast
 import ctypes
+import threading
 import tracemalloc
 from functools import cache
 from pathlib import Path
@@ -41,7 +42,8 @@ from catwalk.lattice import (
 import catwalk
 from catwalk import channels, walk
 from catwalk.walk import SIGMA_X, SIGMA_Y, Schedule, coin_operator, evolve, reversal_pair
-from dense_oracle import dense_run, random_density
+import dense_oracle
+from dense_oracle import dense_run, dephased_chain, random_density
 
 
 def test_channel_spec_validation():
@@ -333,7 +335,8 @@ def test_support_trace_check_matches_the_materialized_trace(variant):
     n = 64
     psi = band_limited_packet(n, 5.0, k0=0.3)
     sched = Schedule(7, 0.7, channel=ChannelSpec(variant[0], 0.05, variant[1]))
-    layout, work, _ = channels._run_open(psi, sched)
+    result, _ = channels._run_open(psi, sched)
+    layout, work = result.layout, result.work
     assert np.trace(layout.materialize(work).reshape(2 * n, 2 * n)).real == pytest.approx(
         1.0, abs=1e-13)
     layout.check_trace(work)
@@ -405,15 +408,44 @@ def test_mirrored_lines_match_the_full_layout(theta, eta, half_n, width, k0, var
     sched = _reversal_schedule(theta, t, REVERSER_EXACT,
                                channel=ChannelSpec(variant[0], eta, variant[1]))
     times = range(2 * t + 1)
-    part, _, half = channels._run_open(psi, sched, times, fidelity=True)
-    full, _, whole = channels._run_open(DensityOperator.from_pure(psi), sched, times,
-                                        fidelity=True)
-    assert not part.full and full.full
+    half, half_trace = channels._run_open(psi, sched, times, fidelity=True)
+    whole, whole_trace = channels._run_open(DensityOperator.from_pure(psi), sched, times,
+                                            fidelity=True)
+    assert not half.layout.full and whole.layout.full
     for s in times:
-        snap = half.snaps[s].as_2d
-        np.testing.assert_allclose(snap, whole.snaps[s].as_2d, rtol=0, atol=1e-12)
+        snap = half.snapshots[s].as_2d
+        np.testing.assert_allclose(snap, whole.snapshots[s].as_2d, rtol=0, atol=1e-12)
         assert np.abs(snap - snap.conj().T).max() <= 1e-13
-    np.testing.assert_allclose(half.trace, whole.trace, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(half_trace, whole_trace, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("ring, lines", [
+    *((ring, ring // 2 + 1) for ring in (7, 8, 13, 16)),  # window rings, odd and even R
+    (16, 1), (16, 5), (13, 4), (13, 6), (8, 4),  # truncated line counts
+    *((n, n // 2 + 1) for n in (24, 25)),  # the ring of all N
+])
+def test_one_mirror_rule(ring, lines):
+    # a stored line stands for its mirror, line R - q, exactly when that is a
+    # different line and is not stored; both weights count it twice
+    mirrored = [q for q in range(lines) if (ring - q) % ring != q and ring - q >= lines]
+    assert list(channels._mirrored(lines, ring)) == mirrored
+    weights = [2.0 if q in mirrored else 1.0 for q in range(lines)]
+    layout = MomentumLayout(make_lattice(2 * ring), 0, ring, lines)
+    ones = np.ones((2, 2, lines, ring), dtype=complex)
+    start = layout.fidelity_start(ones, slice(None), np.empty_like(ones))
+    np.testing.assert_array_equal(start, np.broadcast_to(np.array(weights)[:, None], start.shape))
+    for i in range(1, lines):  # a block of rows from line i on
+        rows = slice(i, lines)
+        start = layout.fidelity_start(ones[:, :, rows], rows, np.empty_like(ones[:, :, rows]))
+        np.testing.assert_array_equal(start[0, 0, :, 0], weights[i:])
+    if lines == ring // 2 + 1:
+        # _kept_lines weighs line q's norm by w_q on the ring of all N
+        for q in range(1, lines):
+            norms = np.zeros(lines)
+            norms[0], norms[q] = 1.0, 1e-31
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(channels, "_line_norms", lambda prob: norms)
+                assert channels._kept_lines(np.zeros(ring)) == (1, weights[q] * 1e-31)
 
 
 def band_packet(n, width, seed=0):
@@ -480,7 +512,9 @@ def test_line_norms_match_the_untruncated_layout(start):
     lo, hi = momentum_window(prob)
     assert {"tight": (lo, hi) == (0, n), "band": n // 2 < hi - lo < n,
             "wide": hi - lo < n // 4}[start]
-    untruncated = MomentumLayout(lat, 0, n, n // 2 + 1).start(psi)
+    layout = MomentumLayout(lat, 0, n, n // 2 + 1)
+    untruncated = np.empty((2, 2, *layout.shape), dtype=complex)
+    layout.momenta(layout.start(psi, slice(None), untruncated), untruncated)
     np.testing.assert_allclose(channels._line_norms(prob), _line_norm_sq(untruncated),
                                rtol=1e-12, atol=0)
 
@@ -518,10 +552,10 @@ def test_a_truncated_run_is_within_its_tail_of_the_untruncated_one(target, monke
         with pytest.MonkeyPatch.context() as patch:
             if layout is not None:
                 patch.setattr(channels, "open_layout", lambda rho0, schedule: layout)
-            layout, work, _ = channels._run_open(psi, sched)
-            trace = channels._run_open(psi, sched, fidelity=True)[2].trace
-        mat = layout.materialize(work)
-        return layout, trace, np.einsum("xcxc->x", mat).real
+            result, _ = channels._run_open(psi, sched)
+            trace = channels._run_open(psi, sched, fidelity=True)[1]
+        mat = result.layout.materialize(result.work)
+        return result.layout, trace, np.einsum("xcxc->x", mat).real
 
     _, full_trace, full_prob = run(full)
     for tol in (1e-9, channels.SUPPORT_TOL):
@@ -612,7 +646,8 @@ def test_relative_shift_matches_the_momentum_phase(n, target, lines):
         elif target == "both":
             moved = np.exp(-0.3) * moved
         expected[c, d] = moved
-    out = layout.shift(spec)(to_position(work, axis=-1), np.empty_like(work))
+    step = layout.shift(spec, slice(None), np.empty_like(work))
+    out = step(to_position(work, axis=-1), np.empty_like(work))
     for c, d in channels._COIN_PAIRS:
         np.testing.assert_allclose(to_momentum(out[c, d], axis=-1), expected[c, d],
                                    rtol=0, atol=1e-14)
@@ -642,17 +677,17 @@ def test_full_ring_runs_match_dense_oracle(case):
                      coin_gate_insertions=gates, channel=specs.get(case))
     rho0 = DensityOperator.from_pure(psi) if case.startswith("density") else psi
     times = range(steps + 1)
-    layout, work, checkpoint = channels._run_open(rho0, sched, times,
-                                                  fidelity=not case.startswith("density"))
-    assert layout.relative
+    result, trace = channels._run_open(rho0, sched, times,
+                                       fidelity=not case.startswith("density"))
+    assert result.layout.relative
     expected = dense_run(DensityOperator.from_pure(psi).as_2d, n, sched)
     for t in times:
-        np.testing.assert_allclose(checkpoint.snaps[t].as_2d, expected[t], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(layout.materialize(work).reshape(2 * n, 2 * n), expected[-1],
-                               rtol=0, atol=1e-12)
-    if checkpoint.trace is not None:
+        np.testing.assert_allclose(result.snapshots[t].as_2d, expected[t], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(result.layout.materialize(result.work).reshape(2 * n, 2 * n),
+                               expected[-1], rtol=0, atol=1e-12)
+    if trace is not None:
         ket = psi.amplitudes.ravel()
-        np.testing.assert_allclose(checkpoint.trace,
+        np.testing.assert_allclose(trace,
                                    [np.vdot(ket, want @ ket).real for want in expected],
                                    rtol=0, atol=1e-12)
 
@@ -725,14 +760,15 @@ def test_row_blocks_leave_the_final_state_bit_identical(variant, support, blocks
     spec = None if variant is None else ChannelSpec(variant[0], 0.2, variant[1])
     gate, gate_back = reversal_pair(theta)
     sched = Schedule(9, theta, coin_gate_insertions=((3, gate), (6, gate_back)), channel=spec)
-    layout, one, _ = channels._run_open(psi, sched)
+    one = channels._run_open(psi, sched)[0]
+    layout = one.layout
     assert layout.relative == (support == "all" or variant in VARIANTS[1:3])
     _split(monkeypatch, layout, blocks)
-    _, split, _ = channels._run_open(psi, sched)
+    split = channels._run_open(psi, sched)[0]
     assert block_rows[0] == [(0, layout.lines)]
     _assert_blocks(block_rows[1], layout, blocks)
-    assert split.shape == one.shape
-    np.testing.assert_array_equal(split, one)
+    assert split.work.shape == one.work.shape
+    np.testing.assert_array_equal(split.work, one.work)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -744,13 +780,13 @@ def test_row_blocks_sum_the_fidelity_in_block_order(variant, block_rows, monkeyp
     layout = open_layout(psi, sched)
     one = channels.fidelity_trace(psi, sched)
     _split(monkeypatch, layout, 3)
-    layout, work, checkpoint = channels._run_open(psi, sched, fidelity=True)
+    result, trace = channels._run_open(psi, sched, fidelity=True)
     _assert_blocks(block_rows[1], layout, 3)
-    assert work is None  # no block's rows are kept past its run
-    np.testing.assert_allclose(checkpoint.trace, one, rtol=0, atol=1e-15)
+    assert result.work is None  # no block's rows are kept past its run
+    np.testing.assert_allclose(trace, one, rtol=0, atol=1e-15)
     ket = psi.amplitudes.ravel()
     expected = dense_run(DensityOperator.from_pure(psi).as_2d, n, sched)
-    np.testing.assert_allclose(checkpoint.trace, [np.vdot(ket, want @ ket).real for want in expected],
+    np.testing.assert_allclose(trace, [np.vdot(ket, want @ ket).real for want in expected],
                                rtol=0, atol=1e-12)
 
 
@@ -842,14 +878,14 @@ def test_an_owed_channel_is_paid_before_each_snapshot(variant, eta, fm):
                      coin_gate_insertions=((3, gate),),
                      channel=ChannelSpec(variant[0], eta, variant[1]))
     times = (0, 2, 3, 5)
-    layout, work, checkpoint = channels._run_open(psi, sched, times, fidelity=True)
-    assert layout.relative == fm
+    result, trace = channels._run_open(psi, sched, times, fidelity=True)
+    assert result.layout.relative == fm
     expected = dense_run(DensityOperator.from_pure(psi).as_2d, n, sched)
     for t in times:
-        np.testing.assert_allclose(checkpoint.snaps[t].as_2d, expected[t], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(layout.materialize(work).reshape(2 * n, 2 * n), expected[-1],
-                               rtol=0, atol=1e-12)
-    np.testing.assert_allclose(checkpoint.trace, _dense_fidelities(psi, expected),
+        np.testing.assert_allclose(result.snapshots[t].as_2d, expected[t], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(result.layout.materialize(result.work).reshape(2 * n, 2 * n),
+                               expected[-1], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(trace, _dense_fidelities(psi, expected),
                                rtol=0, atol=1e-12)
 
 
@@ -857,26 +893,24 @@ def test_an_owed_channel_is_paid_before_each_snapshot(variant, eta, fm):
 def test_an_open_step_makes_one_coin_product(variant, monkeypatch):
     # T steps of one product each, one per gate time (G S) and one that pays
     # the channel before the trace check, not 2T; S^T start is one more
-    # product per block, outside the run.  Walker dephasing rides in the
-    # shift and owes nothing.
+    # product per block, which its _Checkpoints builds before the run.
+    # Walker dephasing rides in the shift and owes nothing.
     steps, theta = 9, 0.7
     psi = band_packet(32, 13, seed=5)
     gate, gate_back = reversal_pair(theta)
     sched = Schedule(steps, theta, coin_gate_insertions=((3, gate), (5, gate_back)),
                      channel=ChannelSpec(variant[0], 0.2, variant[1]))
-    products = {"run": 0, "start": 0}
+    products = []
+    apply = walk._apply_coin_map
 
-    def counted(name, apply):
-        def counting(*args):
-            products[name] += 1
-            return apply(*args)
-        return counting
+    def counting(*args):
+        products.append(args)
+        return apply(*args)
 
-    monkeypatch.setattr(walk, "_apply_coin_map", counted("run", walk._apply_coin_map))
-    monkeypatch.setattr(channels, "_apply_coin_map", counted("start", channels._apply_coin_map))
+    monkeypatch.setattr(walk, "_apply_coin_map", counting)
     channels.fidelity_trace(psi, sched)
     owed = variant[1] == "coin"
-    assert products == {"run": steps + 2 + owed, "start": int(owed)}
+    assert len(products) == steps + 2 + 2 * owed
 
 
 # ------------------------------------------------- one BLAS thread
@@ -919,6 +953,37 @@ def test_open_runs_hold_blas_at_one_thread_and_restore_its_count(monkeypatch):
     assert len(seen) == 2 and set(seen) == {1}
 
 
+def test_concurrent_open_runs_restore_the_blas_count(monkeypatch):
+    # A in, B in, A out, B out: B must not take A's one thread for the count
+    # to restore, and A must not restore it under B
+    count = [2]
+    monkeypatch.setattr(channels, "_openblas_threads",
+                        lambda: (lambda: count[0], lambda n: count.__setitem__(0, n)))
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    held = []
+
+    def a():
+        with channels._one_blas_thread():
+            a_in.set()
+            b_in.wait(10)
+        a_out.set()
+
+    def b():
+        a_in.wait(10)
+        with channels._one_blas_thread():
+            b_in.set()
+            a_out.wait(10)
+            held.append(count[0])
+
+    threads = [threading.Thread(target=run) for run in (a, b)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(10)
+    assert a_out.is_set() and held == [1]
+    assert count == [2]
+
+
 @pytest.mark.parametrize("missing", ["library", "symbols"])
 def test_an_open_run_without_the_blas_symbols_leaves_blas_alone(missing, monkeypatch):
     psi = band_limited_packet(64, 5.0)
@@ -950,7 +1015,8 @@ def test_distribution_matches_the_materialized_diagonal(variant, start):
     fm_windows = ((1, 3, 0.4),) if start == "fm" else ()
     sched = Schedule(steps, theta, fm_windows=fm_windows, channel=spec)
     rho0 = DensityOperator.from_pure(psi) if start == "density" else psi
-    layout, work, _ = channels._run_open(rho0, sched)
+    result, _ = channels._run_open(rho0, sched)
+    layout, work = result.layout, result.work
     if not start.startswith("window"):
         assert layout.full
     elif variant is None or variant[1] == "coin":
@@ -967,7 +1033,8 @@ def test_distribution_matches_the_materialized_diagonal(variant, start):
                                             ("negative", "below 0")])
 def test_distribution_refuses_an_unphysical_support(spoil, message):
     psi = band_limited_packet(64, 3.0)
-    layout, work, _ = channels._run_open(psi, Schedule(5, 0.7))
+    result, _ = channels._run_open(psi, Schedule(5, 0.7))
+    layout, work = result.layout, result.work
     if spoil == "scale":
         work *= 1 + 1e-9
     elif spoil == "nan":
@@ -1016,15 +1083,14 @@ def test_evolve_open_checks_the_final_trace_at_call_time(monkeypatch):
 
 # --------------------------------------------- exact limits at scale
 
-# a generic start: the symmetric coin at k0 = 0 hides differences between
-# channels that a coin with a complex phase and a moving packet show
+# from a generic start (dense_oracle.generic_packet), at a size the suite
+# affords; tests/scale_oracles.py runs the same oracles at T = 250, N = 1100
 LIMIT_T, LIMIT_N, LIMIT_THETA = 100, 400, 0.7
 
 
 @pytest.fixture(scope="module")
 def generic_packet():
-    coin = CoinState.from_vector([0.6, 0.8 * np.exp(0.4j)])
-    return gaussian_position_state(make_lattice(LIMIT_N), 10.0, coin, k0=0.3)
+    return dense_oracle.generic_packet(LIMIT_N)
 
 
 def test_bit_flip_at_huge_eta_is_a_sigma_x_gate_every_step(generic_packet):
@@ -1053,35 +1119,6 @@ def test_eta_zero_is_the_closed_walk_at_scale(variant, generic_packet):
                                channels.fidelity_trace(psi, closed), rtol=0, atol=1e-14)
 
 
-def _dephased_chain(psi, schedule, target):
-    """The lambda = 0 limit of walker or both dephasing as a Markov chain on
-    2x2 site blocks: (P(x), fidelity to psi at t = 0..total_steps).
-
-    Step 1 dephases the pure one-step state.  From step 2 on the coin acts
-    on each block, the shift moves the up population one site right and the
-    down population one site left, and the coherences it carries off-site
-    are dropped; both also drops the coin coherences.  That time's gates
-    come after the channel.
-    """
-    amp = evolve(psi, Schedule(1, schedule.theta)).final.amplitudes
-    sigma = amp[:, :, None] * amp[:, None, :].conj()
-    coin = coin_operator(schedule.theta)
-    a0 = psi.amplitudes
-    trace = [abs(np.vdot(a0, a0)) ** 2]
-    for t in range(1, schedule.total_steps + 1):
-        if t > 1:
-            sigma = coin @ sigma @ coin.conj().T
-            up, down = np.roll(sigma[:, 0, 0], 1), np.roll(sigma[:, 1, 1], -1)
-            sigma = np.zeros_like(sigma)
-            sigma[:, 0, 0], sigma[:, 1, 1] = up, down
-        if target == "both":
-            sigma = sigma * np.eye(2)
-        for u in schedule.insertions_at(t):
-            sigma = u @ sigma @ u.conj().T
-        trace.append(np.einsum("xc,xcd,xd->", a0.conj(), sigma, a0).real)
-    return np.einsum("xcc->x", sigma).real, np.array(trace)
-
-
 @pytest.mark.parametrize("target", ["walker", "both"])
 def test_huge_eta_line_dephasing_is_a_markov_chain(target, generic_packet, block_rows):
     # at eta = 1000, lambda = e^{-eta} is 0 and only the site blocks survive;
@@ -1090,14 +1127,14 @@ def test_huge_eta_line_dephasing_is_a_markov_chain(target, generic_packet, block
     spec = ChannelSpec("dephasing", 1000.0, target)
     plain = Schedule(LIMIT_T, LIMIT_THETA, channel=spec)
     revival = _reversal_schedule(LIMIT_THETA, LIMIT_T, REVERSER_EXACT, channel=spec)
-    prob, _ = _dephased_chain(psi, plain, target)
-    _, trace = _dephased_chain(psi, revival, target)
+    prob, _ = dephased_chain(psi, plain, target)
+    _, trace = dephased_chain(psi, revival, target)
     np.testing.assert_allclose(evolve_open(psi, plain).distribution(), prob, rtol=0, atol=3e-15)
     np.testing.assert_allclose(channels.fidelity_trace(psi, revival), trace, rtol=0, atol=5e-15)
     assert [len(blocks) for blocks in block_rows] == [2, 2]
     # the oracle tells the two targets apart
     other = "both" if target == "walker" else "walker"
-    assert np.abs(_dephased_chain(psi, plain, other)[0] - prob).max() > 1e-4
+    assert np.abs(dephased_chain(psi, plain, other)[0] - prob).max() > 1e-4
 
 
 @pytest.mark.parametrize("layout", [
