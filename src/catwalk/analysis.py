@@ -283,8 +283,12 @@ def cat_metrics(prob: np.ndarray, sites: np.ndarray) -> CatMetrics:
 
 @dataclass(frozen=True)
 class RevivalResult:
+    """r, the fidelity trace at steps 0..2T, and ``layout``, the
+    ``channels.MomentumLayout`` the open run stepped (None closed)."""
+
     r: float
     trace: np.ndarray  # fidelity to the initial state at steps 0..2T
+    layout: object | None
 
 
 def _reversal_schedule(
@@ -332,11 +336,11 @@ def revival_protocol(
     the squared packet width.  A channel switches to density-operator
     evolution with the channel applied after every step.  The trace comes
     from ``channels.fidelity_trace``, and r is its last entry, the fidelity
-    after the closing gate.
+    after the closing gate; ``layout`` is the support an open run stepped,
+    as ``fidelity_trace`` returns it, and None closed.
     """
-    sched = _reversal_schedule(theta, T, reverser, channel=channel)
-    trace = fidelity_trace(initial, sched)
-    return RevivalResult(float(trace[-1]), trace)
+    trace, layout = fidelity_trace(initial, _reversal_schedule(theta, T, reverser, channel=channel))
+    return RevivalResult(float(trace[-1]), trace, layout)
 
 
 def hold_recurrence(theta: float, p: int, n_sites: int = 24) -> float:

@@ -33,7 +33,10 @@ thread runs meanwhile is held too.  ``open_layout`` picks the layout,
 ``_run_open`` is the one runner on it, ``evolve_open`` returns its final
 state lazily, with P(x) read from the support, ``fidelity_trace`` takes a
 run's fidelity to its start in its own basis, and
-``density_working_set_bytes`` bounds what a run allocates.
+``density_working_set_bytes`` bounds what a run allocates.  Only
+``_run_open`` calls ``open_layout``, so each open run is laid out once, and
+its support reaches the caller with its result (``OpenResult.layout``, the
+layout ``fidelity_trace`` returns) instead of being laid out again.
 """
 
 from __future__ import annotations
@@ -609,13 +612,17 @@ def evolve_open(
     return _run_open(rho0, schedule, snapshot_times)[0]
 
 
-def fidelity_trace(psi: PureState, schedule: Schedule) -> np.ndarray:
-    """The fidelity to psi of a run of ``schedule`` from psi at t = 0..total_steps,
-    |<psi|psi_t>|^2 closed or <psi|rho_t|psi> under the channel.  The open
-    run's final state is not kept; its trace is checked on the support."""
+def fidelity_trace(psi: PureState, schedule: Schedule) -> tuple[np.ndarray, MomentumLayout | None]:
+    """(trace, layout) of a run of ``schedule`` from psi: the fidelity to psi at
+    t = 0..total_steps, |<psi|psi_t>|^2 closed or <psi|rho_t|psi> under the
+    channel, and the ``MomentumLayout`` the open run stepped (None closed),
+    so that a caller reads the support from the run instead of laying it out
+    again.  The open run's final state is not kept; its trace is checked on
+    the support."""
     if schedule.channel is None:
-        return _run_pure(psi, schedule, fidelity=True)[1].trace
-    return _run_open(psi, schedule, fidelity=True)[1]
+        return _run_pure(psi, schedule, fidelity=True)[1].trace, None
+    result, trace = _run_open(psi, schedule, fidelity=True)
+    return trace, result.layout
 
 
 # bytes of one working array stepped at a time: a larger layout runs in

@@ -47,9 +47,9 @@ def main(argv=None) -> int:
         text = ""
         if args.config:
             try:
-                with open(args.config) as fh:
+                with open(args.config, encoding="utf-8") as fh:
                     text = fh.read()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config file: {exc}") from exc
         cfg = parse_config(text, flags=flags, scenario=args.scenario)
         record = run_scenario(cfg)

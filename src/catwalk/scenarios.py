@@ -31,7 +31,7 @@ from .analysis import (
     schmidt_components,
 )
 from .channels import (CHANNEL_KINDS, DEPHASING, TARGET_COIN, TARGETS, ChannelSpec,
-                       density_working_set_bytes, evolve_open, open_layout)
+                       density_working_set_bytes, evolve_open)
 from .config import KEYS, ConfigError, ExperimentConfig
 from .io import ResultRecord, Table
 from .lattice import (
@@ -239,34 +239,35 @@ def run_returnk0(cfg: ExperimentConfig) -> ResultRecord:
 def run_decohereprob(cfg: ExperimentConfig) -> ResultRecord:
     """Final distributions under the three channel kinds at one eta, read
     from each run's momentum support without building rho, with the target
-    each table ran with as target.<table>, the support it stepped (``_support``)
-    and |sum P - 1| as trace_defect.<table>."""
+    each table ran with as target.<table>, the support the run stepped, read
+    from its result (``_support``), and |sum P - 1| as trace_defect.<table>."""
     psi0 = _packet(cfg, cfg.steps, density=True)
-    lat = psi0.lattice
-    meta = _base_metadata(cfg, lat.n_sites)
+    meta = _base_metadata(cfg, psi0.lattice.n_sites)
     tables = []
     for kind in CHANNEL_KINDS:
         target = meta[f"target.{kind}"] = _target(kind, cfg.target)
         sched = Schedule(cfg.steps, cfg.theta, channel=ChannelSpec(kind, cfg.eta, target))
-        _support(meta, kind, psi0, sched)
-        prob = evolve_open(psi0, sched).distribution()
+        result = evolve_open(psi0, sched)
+        _support(meta, kind, result.layout)
+        prob = result.distribution()
+        del result  # the next run must not hold this one's final rows beside its own
         meta[f"trace_defect.{kind}"] = repr(float(abs(prob.sum() - 1.0)))
-        tables.append(Table(kind, x=lat.sites, probability=prob))
+        tables.append(Table(kind, x=psi0.lattice.sites, probability=prob))
     return ResultRecord("decohereprob", meta, tables)
 
 
-def _support(meta: dict, table: str, psi0: PureState, schedule: Schedule) -> None:
-    """Record the momentum support an open run of ``schedule`` from ``psi0``
-    steps (``channels.open_layout``) as support.<table>=LINESxRING, and the
-    weight of the lines it dropped as support_tail.<table>."""
-    layout = open_layout(psi0, schedule)
+def _support(meta: dict, table: str, layout) -> None:
+    """Record ``layout``, the momentum support an open run stepped as its
+    result hands it back, as support.<table>=LINESxRING, and the weight of
+    the lines it dropped as support_tail.<table>."""
     meta[f"support.{table}"] = f"{layout.lines}x{layout.ring}"
     meta[f"support_tail.{table}"] = repr(layout.tail)
 
 
 def run_revival(cfg: ExperimentConfig) -> ResultRecord:
     """Time-reversal revival fidelity trace; open-system when eta > 0, with
-    the support it stepped (``_support``) as support(_tail).fidelity."""
+    the support the run stepped, ``RevivalResult.layout`` (``_support``), as
+    support(_tail).fidelity."""
     T = cfg.steps
     psi0 = _packet(cfg, 2 * T, density=cfg.eta > 0)
     target = _target(cfg.channel, cfg.target)
@@ -274,7 +275,7 @@ def run_revival(cfg: ExperimentConfig) -> ResultRecord:
     result = revival_protocol(psi0, cfg.theta, T, channel=spec)
     meta = _base_metadata(cfg, psi0.lattice.n_sites)
     if spec is not None:
-        _support(meta, "fidelity", psi0, Schedule(2 * T, cfg.theta, channel=spec))
+        _support(meta, "fidelity", result.layout)
     meta["target"] = target
     meta["r"] = repr(result.r)
     meta["reverser"] = "exact"
@@ -284,7 +285,8 @@ def run_revival(cfg: ExperimentConfig) -> ResultRecord:
 
 def run_decohere(cfg: ExperimentConfig) -> ResultRecord:
     """Revival fidelity against eta for each channel variant, with the
-    support each table's runs stepped (``_support``)."""
+    support each table's runs stepped, read from its first run's
+    ``RevivalResult.layout`` (``_support``)."""
     T = cfg.steps
     psi0 = _packet(cfg, 2 * T, density=True)
     meta = _base_metadata(cfg, psi0.lattice.n_sites)
@@ -297,10 +299,10 @@ def run_decohere(cfg: ExperimentConfig) -> ResultRecord:
     for kind, target in variants:
         specs = [ChannelSpec(kind, eta, target) for eta in etas]
         name = f"{kind}_{target}" if kind == DEPHASING else kind
+        results = [revival_protocol(psi0, cfg.theta, T, channel=spec) for spec in specs]
         # every eta > 0 steps the same support
-        _support(meta, name, psi0, Schedule(2 * T, cfg.theta, channel=specs[0]))
-        rs = [revival_protocol(psi0, cfg.theta, T, channel=spec).r for spec in specs]
-        tables.append(Table(name, eta=etas, r=rs))
+        _support(meta, name, results[0].layout)
+        tables.append(Table(name, eta=etas, r=[result.r for result in results]))
     return ResultRecord("decohere", meta, tables)
 
 

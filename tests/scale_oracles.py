@@ -34,17 +34,17 @@ def main() -> None:
     closed = Schedule(T, THETA)
     gated = Schedule(T, THETA, coin_gate_insertions=tuple((t, SIGMA_X) for t in range(1, T + 1)))
     closed_prob = position_distribution(evolve(psi, closed).final)
-    closed_trace = fidelity_trace(psi, closed)
+    closed_trace, _ = fidelity_trace(psi, closed)
     flip = Schedule(T, THETA, channel=ChannelSpec("bit_flip", 1000.0))
     rows = [("bit_flip eta=1000 vs sigma_x every step",
              deviation(evolve_open(psi, flip).distribution(),
                        position_distribution(evolve(psi, gated).final)),
-             deviation(fidelity_trace(psi, flip), fidelity_trace(psi, gated)))]
+             deviation(fidelity_trace(psi, flip)[0], fidelity_trace(psi, gated)[0]))]
     for kind, target in VARIANTS:
         open_ = Schedule(T, THETA, channel=ChannelSpec(kind, 0.0, target))
         rows.append((f"{kind}/{target} eta=0 vs closed walk",
                      deviation(evolve_open(psi, open_).distribution(), closed_prob),
-                     deviation(fidelity_trace(psi, open_), closed_trace)))
+                     deviation(fidelity_trace(psi, open_)[0], closed_trace)))
     for target in ("walker", "both"):
         spec = ChannelSpec("dephasing", 1000.0, target)
         plain = Schedule(T, THETA, channel=spec)
@@ -52,7 +52,8 @@ def main() -> None:
         rows.append((f"dephasing/{target} eta=1000 vs Markov chain",
                      deviation(evolve_open(psi, plain).distribution(),
                                dephased_chain(psi, plain, target)[0]),
-                     deviation(fidelity_trace(psi, revival), dephased_chain(psi, revival, target)[1])))
+                     deviation(fidelity_trace(psi, revival)[0],
+                               dephased_chain(psi, revival, target)[1])))
     print(f"T={T} N={N} theta={THETA}")
     print(f"{'oracle':<46} {'max |dP(x)|':>12} {'max |dF|':>12}")
     for name, prob, fid in rows:

@@ -7,6 +7,7 @@ from scipy.signal import find_peaks
 from catwalk.analysis import (
     FRINGE_OVERSAMPLE,
     _find_peaks,
+    _reversal_schedule,
     cat_metrics,
     component_widths,
     control_protocol,
@@ -22,7 +23,7 @@ from catwalk.analysis import (
     REVERSER_EXACT,
     REVERSER_SIGMA_Y,
 )
-from catwalk.channels import ChannelSpec, evolve_open
+from catwalk.channels import ChannelSpec, evolve_open, open_layout
 from catwalk.lattice import (
     COIN_SYMMETRIC,
     COIN_UP,
@@ -369,6 +370,20 @@ def test_open_revival_trace_matches_snapshot_fidelities(kind, target, reverser):
     expected = [fidelity_with_density(psi, snaps[t]) for t in range(2 * T + 1)]
     np.testing.assert_allclose(res.trace, expected, rtol=0, atol=1e-13)
     assert res.r == pytest.approx(expected[-1], abs=1e-13)
+
+
+def test_revival_protocol_hands_back_the_support_it_stepped():
+    # None closed; open, the layout of the revival schedule, as open_layout lays it out
+    psi = gaussian_position_state(make_lattice(160), 5.0, COIN_SYMMETRIC)
+    assert revival_protocol(psi, np.pi / 4, 10).layout is None
+    for kind, target in (("dephasing", "coin"), ("dephasing", "walker"), ("dephasing", "both"),
+                         ("amplitude_damping", "coin"), ("bit_flip", "coin")):
+        spec = ChannelSpec(kind, 0.01, target)
+        layout = revival_protocol(psi, np.pi / 4, 10, channel=spec).layout
+        expected = open_layout(psi, _reversal_schedule(np.pi / 4, 10, REVERSER_EXACT,
+                                                       channel=spec))
+        assert (layout.lines, layout.ring, layout.tail) == (
+            expected.lines, expected.ring, expected.tail), (kind, target)
 
 
 def test_revival_protocol_rejects_unknown_reverser():

@@ -482,7 +482,7 @@ def test_mirror_boundary_matches_dense_oracle(variant, extra):
     for s, want in enumerate(expected):
         np.testing.assert_allclose(result.snapshots[s].as_2d, want, rtol=0, atol=1e-12)
     ket = psi.amplitudes.ravel()
-    np.testing.assert_allclose(channels.fidelity_trace(psi, sched),
+    np.testing.assert_allclose(channels.fidelity_trace(psi, sched)[0],
                                [np.vdot(ket, want @ ket).real for want in expected],
                                rtol=0, atol=1e-12)
 
@@ -778,7 +778,7 @@ def test_row_blocks_sum_the_fidelity_in_block_order(variant, block_rows, monkeyp
     sched = _reversal_schedule(theta, T, REVERSER_EXACT,
                                channel=ChannelSpec(variant[0], 0.2, variant[1]))
     layout = open_layout(psi, sched)
-    one = channels.fidelity_trace(psi, sched)
+    one, _ = channels.fidelity_trace(psi, sched)
     _split(monkeypatch, layout, 3)
     result, trace = channels._run_open(psi, sched, fidelity=True)
     _assert_blocks(block_rows[1], layout, 3)
@@ -861,7 +861,7 @@ def test_an_owed_channel_matches_dense_oracle(variant, eta, end_gate, blocks, mo
     np.testing.assert_allclose(result.final.as_2d, expected[-1], rtol=0, atol=1e-12)
     prob = np.diag(expected[-1]).real.reshape(n, 2).sum(axis=1)
     np.testing.assert_allclose(result.distribution(), prob, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(channels.fidelity_trace(psi, sched),
+    np.testing.assert_allclose(channels.fidelity_trace(psi, sched)[0],
                                _dense_fidelities(psi, expected), rtol=0, atol=1e-12)
 
 
@@ -988,14 +988,14 @@ def test_concurrent_open_runs_restore_the_blas_count(monkeypatch):
 def test_an_open_run_without_the_blas_symbols_leaves_blas_alone(missing, monkeypatch):
     psi = band_limited_packet(64, 5.0)
     sched = _reversal_schedule(0.7, 5, REVERSER_EXACT, channel=ChannelSpec("bit_flip", 0.05))
-    pinned = channels.fidelity_trace(psi, sched)
+    pinned, _ = channels.fidelity_trace(psi, sched)
     if missing == "library":
         monkeypatch.setattr(channels, "_OPENBLAS_LIBS", "libno-such-blas*.so")
     else:
         monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
     lookup = cache(channels._openblas_threads.__wrapped__)
     monkeypatch.setattr(channels, "_openblas_threads", lookup)
-    np.testing.assert_allclose(channels.fidelity_trace(psi, sched), pinned, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(channels.fidelity_trace(psi, sched)[0], pinned, rtol=0, atol=1e-15)
     assert lookup() is None
 
 
@@ -1102,8 +1102,8 @@ def test_bit_flip_at_huge_eta_is_a_sigma_x_gate_every_step(generic_packet):
     np.testing.assert_allclose(evolve_open(psi, flip).distribution(),
                                position_distribution(evolve(psi, gated).final),
                                rtol=0, atol=4e-15)
-    np.testing.assert_allclose(channels.fidelity_trace(psi, flip),
-                               channels.fidelity_trace(psi, gated), rtol=0, atol=6e-14)
+    np.testing.assert_allclose(channels.fidelity_trace(psi, flip)[0],
+                               channels.fidelity_trace(psi, gated)[0], rtol=0, atol=6e-14)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -1115,8 +1115,8 @@ def test_eta_zero_is_the_closed_walk_at_scale(variant, generic_packet):
     np.testing.assert_allclose(evolve_open(psi, open_).distribution(),
                                position_distribution(evolve(psi, closed).final),
                                rtol=0, atol=2e-15)
-    np.testing.assert_allclose(channels.fidelity_trace(psi, open_),
-                               channels.fidelity_trace(psi, closed), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(channels.fidelity_trace(psi, open_)[0],
+                               channels.fidelity_trace(psi, closed)[0], rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("target", ["walker", "both"])
@@ -1130,7 +1130,7 @@ def test_huge_eta_line_dephasing_is_a_markov_chain(target, generic_packet, block
     prob, _ = dephased_chain(psi, plain, target)
     _, trace = dephased_chain(psi, revival, target)
     np.testing.assert_allclose(evolve_open(psi, plain).distribution(), prob, rtol=0, atol=3e-15)
-    np.testing.assert_allclose(channels.fidelity_trace(psi, revival), trace, rtol=0, atol=5e-15)
+    np.testing.assert_allclose(channels.fidelity_trace(psi, revival)[0], trace, rtol=0, atol=5e-15)
     assert [len(blocks) for blocks in block_rows] == [2, 2]
     # the oracle tells the two targets apart
     other = "both" if target == "walker" else "walker"

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -291,6 +292,20 @@ def test_cli_missing_config_file(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_config_file_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_config_file_reads_utf8_comments(tmp_path, capsys):
+    path = tmp_path / "theta.cfg"
+    path.write_bytes("lattice = 16  # \u03b8 = \u03c0/4\n".encode("utf-8"))
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert "lattice=16" in (tmp_path / "spectrum_meta.txt").read_text().splitlines()
+
+
 def test_cli_bad_parameter_exits_2(tmp_path, capsys):
     assert main(["evolve", "--steps", "-3", "--out", str(tmp_path)]) == 2
     assert main(["evolve", "--lattice", "7", "--out", str(tmp_path)]) == 2
@@ -552,6 +567,28 @@ def test_cli_open_scenarios_record_the_support_of_each_table(scenario, channel, 
         assert (tails[table] > 0) == full_ring == (lines < ring // 2 + 1), (table, tails[table])
 
 
+@pytest.mark.parametrize("argv, layouts", [
+    pytest.param(["decohere", "--steps", "30", "--sigma", "5"], 15, id="decohere"),
+    pytest.param(["decohereprob", "--steps", "40", "--lattice", "400"], 3, id="decohereprob"),
+    pytest.param(["revival", "--eta", "0.01", "--steps", "30", "--sigma", "5"], 1, id="revival"),
+])
+def test_cli_open_scenarios_lay_each_run_out_once(argv, layouts, monkeypatch, tmp_path, capsys):
+    # the support a table records is the one its run stepped, not a second layout;
+    # every module-level binding of open_layout counts
+    calls = []
+    original = channels.open_layout
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("catwalk")]:
+        if getattr(module, "open_layout", None) is original:
+            monkeypatch.setattr(module, "open_layout", counted)
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert len(calls) == layouts
+
+
 @pytest.mark.parametrize("target", TARGETS)
 def test_cli_decohereprob_never_materializes_rho(target, monkeypatch, tmp_path, capsys):
     # P(x) comes from the momentum support; no (N, 2, N, 2) matrix is built
@@ -562,6 +599,25 @@ def test_cli_decohereprob_never_materializes_rho(target, monkeypatch, tmp_path, 
     argv = ["decohereprob", "--steps", "10", "--lattice", "64", "--sigma", "3",
             "--target", target, "--out", str(tmp_path)]
     assert main(argv) == 0
+
+
+def test_cli_decohereprob_frees_each_run_before_the_next(monkeypatch, tmp_path, capsys):
+    # a coin-local run's result keeps its block allocation alive, and held
+    # through the next channel's run it raises the tracemalloc peak of
+    # decohereprob --steps 40 --lattice 400 --target coin from 0.67 to 1.19 MB
+    results = []
+
+    def tracked(*args):
+        assert all(ref() is None for ref in results)
+        result = evolve_open(*args)
+        results.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(scenarios, "evolve_open", tracked)
+    argv = ["decohereprob", "--steps", "10", "--lattice", "64", "--sigma", "3",
+            "--target", "coin", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert len(results) == len(CHANNEL_KINDS)
 
 
 @pytest.mark.parametrize("target", TARGETS)

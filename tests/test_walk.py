@@ -387,7 +387,7 @@ def test_closed_fidelity_trace_matches_dense_oracle(theta, quarter_n, steps, kin
     else:
         gate, gate_back = reversal_pair(theta) if kind == "exact" else (SIGMA_Y, SIGMA_Y)
         sched = Schedule(total, theta, coin_gate_insertions=((steps, gate), (total, gate_back)))
-    trace = fidelity_trace(psi, sched)
+    trace, _ = fidelity_trace(psi, sched)
     ket = psi.amplitudes.ravel()
     expected = [abs(np.vdot(ket, state)) ** 2 for state in dense_pure_run(ket, n, sched)]
     np.testing.assert_allclose(trace, expected, rtol=0, atol=1e-13)
