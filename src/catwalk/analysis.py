@@ -9,6 +9,7 @@ the time-reversal revival protocols.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -283,11 +284,12 @@ def cat_metrics(prob: np.ndarray, sites: np.ndarray) -> CatMetrics:
 
 @dataclass(frozen=True)
 class RevivalResult:
-    """r, the fidelity trace at steps 0..2T, and ``layout``, the
+    """r, the fidelity at 2T, the fidelity trace at the times the protocol
+    was asked for (every step 0..2T by default), and ``layout``, the
     ``channels.MomentumLayout`` the open run stepped (None closed)."""
 
     r: float
-    trace: np.ndarray  # fidelity to the initial state at steps 0..2T
+    trace: np.ndarray  # fidelity to the initial state at the asked times
     layout: object | None
 
 
@@ -328,6 +330,7 @@ def revival_protocol(
     T: int,
     channel: ChannelSpec | None = None,
     reverser: str = REVERSER_EXACT,
+    times: Sequence[int] | None = None,
 ) -> RevivalResult:
     """Evolve T steps, reverse, evolve T more, reverse, compare to start.
 
@@ -335,12 +338,16 @@ def revival_protocol(
     plain ``sigma_y`` variant leaves a residual error of order one over
     the squared packet width.  A channel switches to density-operator
     evolution with the channel applied after every step.  The trace comes
-    from ``channels.fidelity_trace``, and r is its last entry, the fidelity
-    after the closing gate; ``layout`` is the support an open run stepped,
-    as ``fidelity_trace`` returns it, and None closed.
+    from ``channels.fidelity_trace``, at ``times``, every step 0..2T by
+    default, and r is the fidelity after the closing gate, read at 2T
+    whatever the times: a run contracts at those times alone, so a caller
+    that reads only r passes ``times=(2 * T,)``.  ``layout`` is the support
+    an open run stepped, as ``fidelity_trace`` returns it, and None closed.
     """
-    trace, layout = fidelity_trace(initial, _reversal_schedule(theta, T, reverser, channel=channel))
-    return RevivalResult(float(trace[-1]), trace, layout)
+    # 2T is read once more, last, so that r is the fidelity there whatever is asked
+    trace, layout = fidelity_trace(initial, _reversal_schedule(theta, T, reverser, channel=channel),
+                                   [*(range(2 * T + 1) if times is None else times), 2 * T])
+    return RevivalResult(float(trace[-1]), trace[:-1], layout)
 
 
 def hold_recurrence(theta: float, p: int, n_sites: int = 24) -> float:

@@ -20,8 +20,9 @@ here keeps rho Hermitian, so a run steps only half the lines of its ring
 and takes the others as their Hermitian mirror (``_mirrored``), and no
 line's norm grows, so a pure start drops the lines past a 1e-30 tail.
 A coin-local channel's 4x4 map S is left owed by each step and folded into
-the next coin map, C S, so every step is one coin product, one shift and
-one contraction (``walk._Checkpoints``).  Every map of a step acts on each
+the next coin map, C S, so every step is one coin product and one shift,
+with one contraction at each time whose fidelity is read
+(``walk._Checkpoints``).  Every map of a step acts on each
 stored line alone, so a layout larger than ``_BLOCK_BYTES`` a working array
 runs in row blocks, each a self-contained run through the whole schedule
 with its own ``_Checkpoints``; the blocks share only one allocation, which
@@ -32,8 +33,9 @@ its count, so that no contraction is split and results do not depend on
 thread runs meanwhile is held too.  ``open_layout`` picks the layout,
 ``_run_open`` is the one runner on it, ``evolve_open`` returns its final
 state lazily, with P(x) read from the support, ``fidelity_trace`` takes a
-run's fidelity to its start in its own basis, and
-``density_working_set_bytes`` bounds what a run allocates.  Only
+run's fidelity to its start in its own basis at the times its caller
+reads, and keeps no final state: line 0 alone is brought back, for the
+trace check.  ``density_working_set_bytes`` bounds what a run allocates.  Only
 ``_run_open`` calls ``open_layout``, so each open run is laid out once, and
 its support reaches the caller with its result (``OpenResult.layout``, the
 layout ``fidelity_trace`` returns) instead of being laid out again.
@@ -224,7 +226,8 @@ def _mirrored(lines: int, ring: int) -> range:
 def _mirror_weights(lines: int, ring: int) -> np.ndarray:
     """w_q over the stored lines: 2 for a line of ``_mirrored``, which also
     stands for its mirror, and 1 for the rest."""
-    return 1.0 + np.isin(np.arange(lines), _mirrored(lines, ring))
+    mirrored = _mirrored(lines, ring)
+    return np.repeat((1.0, 2.0, 1.0), (mirrored.start, len(mirrored), lines - mirrored.stop))
 
 
 @dataclass(frozen=True, eq=False)
@@ -558,8 +561,10 @@ def density_working_set_bytes(n_sites: int) -> int:
     the fidelity start and, for a coin-local channel, S^T start are views of
     one allocation, each at most about ``_BLOCK_BYTES`` (a layout's rows
     split as evenly as may be), which every block of the run reuses, beside
-    the one full working array a final-state run in several blocks fills.
-    P(x) read from the support needs no matrix at all.  A one-block run's
+    the one full working array a final-state run in several blocks fills; a
+    fidelity run keeps none, and copies only line 0 of its first block and
+    a spare for it out of the allocation, for the trace check.  P(x) read
+    from the support needs no matrix at all.  A one-block final-state run's
     final state stays a view of its allocation, spare and shift factor
     included: copied out, the tracemalloc peaks of DensityOperator starts
     measured 1.09-1.13 times this bound at N = 160 and 300 (0.91-0.94 at
@@ -570,8 +575,9 @@ def density_working_set_bytes(n_sites: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class OpenResult:
-    """An open run's end: its final working array on ``layout``, and the
-    snapshots, materialized and validated DensityOperators.
+    """An open run's end: its final working array on ``layout``, None for a
+    fidelity run, which keeps no final state, and the snapshots,
+    materialized and validated DensityOperators.
 
     ``final`` materializes and validates rho on its first read and keeps it;
     ``distribution()`` reads P(x) from the support and never builds rho.
@@ -612,16 +618,20 @@ def evolve_open(
     return _run_open(rho0, schedule, snapshot_times)[0]
 
 
-def fidelity_trace(psi: PureState, schedule: Schedule) -> tuple[np.ndarray, MomentumLayout | None]:
+def fidelity_trace(psi: PureState, schedule: Schedule,
+                   times: Sequence[int] | None = None) -> tuple[np.ndarray, MomentumLayout | None]:
     """(trace, layout) of a run of ``schedule`` from psi: the fidelity to psi at
-    t = 0..total_steps, |<psi|psi_t>|^2 closed or <psi|rho_t|psi> under the
-    channel, and the ``MomentumLayout`` the open run stepped (None closed),
-    so that a caller reads the support from the run instead of laying it out
-    again.  The open run's final state is not kept; its trace is checked on
-    the support."""
+    each of ``times``, every t = 0..total_steps by default, |<psi|psi_t>|^2
+    closed or <psi|rho_t|psi> under the channel, and the ``MomentumLayout``
+    the open run stepped (None closed), so that a caller reads the support
+    from the run instead of laying it out again.  The run contracts at those
+    times alone, and a time outside it raises ``ScheduleError``.  The open
+    run's final state is not kept; its trace is checked on line 0 of the
+    support."""
+    times = range(schedule.total_steps + 1) if times is None else times
     if schedule.channel is None:
-        return _run_pure(psi, schedule, fidelity=True)[1].trace, None
-    result, trace = _run_open(psi, schedule, fidelity=True)
+        return _run_pure(psi, schedule, fidelity_times=times)[1].trace, None
+    result, trace = _run_open(psi, schedule, fidelity_times=times)
     return trace, result.layout
 
 
@@ -678,7 +688,7 @@ def _one_blas_thread():
 
 
 def _run_open(rho0, schedule: Schedule, snapshot_times: Sequence[int] = (),
-              fidelity=False) -> tuple[OpenResult, np.ndarray | None]:
+              fidelity_times: Sequence[int] = ()) -> tuple[OpenResult, np.ndarray]:
     """The one open run: rho0 laid out on ``open_layout`` and ``walk._run``
     stepping the working array through ``schedule``, OpenBLAS on one thread
     (``_one_blas_thread``).  Every map of a step acts on each stored line
@@ -692,15 +702,19 @@ def _run_open(rho0, schedule: Schedule, snapshot_times: Sequence[int] = (),
     to which each block's trace is added in block order, and the final
     array, into which each writes its rows, brought back to momenta with
     what it still owes paid.  A run with snapshots or an F_m window, or from
-    a DensityOperator, is one block, and its final state stays a view of
-    the allocation.  The final trace is checked on line 0, in the first
-    block.  Returns (OpenResult, the fidelity <psi|rho_t|psi> for rho0 = psi
-    if ``fidelity``, else None); the result's snapshots are materialized and
-    validated, and a fidelity run of several blocks keeps no final state."""
+    a DensityOperator, is one block, and a final state it keeps stays a
+    view of the allocation.  The final trace is checked on line 0, in the
+    first block.  Returns (OpenResult, the fidelity <psi|rho_t|psi> for rho0 = psi
+    at each of ``fidelity_times``, contracted at those times alone); the
+    result's snapshots are materialized and validated.  A fidelity run, one
+    with any fidelity time, keeps no final state (``work`` is None): line 0
+    of its first block alone pays what it owes and goes back to momenta,
+    for the trace check."""
     layout = open_layout(rho0, schedule)
     lines, ring = layout.shape
     spec = schedule.channel
     owed = None if spec is None or spec.eta == 0 or _mixes_lines(spec) else _coin_superop(spec)
+    fidelity = len(fidelity_times) > 0
     whole = len(snapshot_times) or schedule.fm_windows or not isinstance(rho0, PureState)
     # the bytes of four coin blocks of complex entries, in blocks of _BLOCK_BYTES
     count = 1 if whole else min(lines, -(-4 * 16 * lines * ring // _BLOCK_BYTES))
@@ -708,7 +722,7 @@ def _run_open(rho0, schedule: Schedule, snapshot_times: Sequence[int] = (),
     # work, spare and shift factor, then the fidelity start and S^T start
     arrays = 3 + fidelity + (fidelity and owed is not None)
     held = np.empty(arrays * 4 * -(-lines // count) * ring, dtype=complex)
-    trace = np.zeros(schedule.total_steps + 1) if fidelity else None
+    trace = np.zeros(len(fidelity_times))
 
     def snapshot(w: np.ndarray) -> DensityOperator:
         return DensityOperator(rho0.lattice, layout.materialize(layout.momenta(w, None)))
@@ -720,19 +734,19 @@ def _run_open(rho0, schedule: Schedule, snapshot_times: Sequence[int] = (),
             work, spare, factor, *starts = held[:size].reshape(arrays, 2, 2, -1, ring)
             layout.start(rho0, rows, work)
             start = layout.fidelity_start(work, rows, starts[0]) if fidelity else None
-            checkpoint = _Checkpoints(schedule, 2, snapshot_times, snapshot, start, owed,
-                                      *starts[1:])
+            checkpoint = _Checkpoints(schedule, 2, snapshot_times, snapshot, start,
+                                      fidelity_times, owed, *starts[1:])
             work, spare = checkpoint(0, work, spare)
             work, spare = _run(work, spare, schedule, range(1, schedule.total_steps + 1),
                                checkpoint, layout.shift(spec, rows, factor), layout.apply_fm)
-            if fidelity:
-                trace += checkpoint.trace
-                if i > 0:
-                    continue  # its state is not read
-            work, _ = checkpoint.pay(work, spare)
-            work = layout.momenta(work, work)
+            trace += checkpoint.trace
+            if i == 0 or final is not None:
+                if fidelity:  # line 0 alone, contiguous, as the coin map reshapes it
+                    work, spare = np.array(work[:, :, :1]), np.empty_like(spare[:, :, :1])
+                work, _ = checkpoint.pay(work, spare)
+                work = layout.momenta(work, work)
             if i == 0:
                 layout.check_trace(work)
             if final is not None:
                 final[:, :, rows] = work
-    return OpenResult(layout, work if count == 1 else final, checkpoint.snaps), trace
+    return OpenResult(layout, final if fidelity or count > 1 else work, checkpoint.snaps), trace

@@ -284,9 +284,11 @@ def run_revival(cfg: ExperimentConfig) -> ResultRecord:
 
 
 def run_decohere(cfg: ExperimentConfig) -> ResultRecord:
-    """Revival fidelity against eta for each channel variant, with the
+    """Revival fidelity r against eta for each channel variant, with the
     support each table's runs stepped, read from its first run's
-    ``RevivalResult.layout`` (``_support``)."""
+    ``RevivalResult.layout`` (``_support``).  Each run reads only r, so it
+    takes the fidelity at 2T alone (``times=(2 * T,)``): one contraction
+    per revival, not one per step."""
     T = cfg.steps
     psi0 = _packet(cfg, 2 * T, density=True)
     meta = _base_metadata(cfg, psi0.lattice.n_sites)
@@ -299,7 +301,7 @@ def run_decohere(cfg: ExperimentConfig) -> ResultRecord:
     for kind, target in variants:
         specs = [ChannelSpec(kind, eta, target) for eta in etas]
         name = f"{kind}_{target}" if kind == DEPHASING else kind
-        results = [revival_protocol(psi0, cfg.theta, T, channel=spec) for spec in specs]
+        results = [revival_protocol(psi0, cfg.theta, T, spec, times=(2 * T,)) for spec in specs]
         # every eta > 0 steps the same support
         _support(meta, name, results[0].layout)
         tables.append(Table(name, eta=etas, r=[result.r for result in results]))

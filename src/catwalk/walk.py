@@ -8,9 +8,10 @@ Time is counted in completed steps; a coin-gate insertion at time ``s``
 acts after ``s`` steps, and an F_m window ``(start, end, phi)`` applies the
 phase during steps ``start+1 .. end``.  Pure states and density operators
 share one step loop, ``_run``, and one ``_Checkpoints`` for what happens
-between steps: gates, snapshots and the fidelity to a pure start.  The loop
-takes its rank from a coin-major array and its shift and F_m phase as maps;
-a coin-local channel rides in the next step's coin map (``_Checkpoints``).
+between steps: gates, snapshots and the fidelity to a pure start at the
+times it is read.  The loop takes its rank from a coin-major array and its
+shift and F_m phase as maps; a coin-local channel rides in the next step's
+coin map (``_Checkpoints``).
 ``channels`` lays a density operator out on its momentum support and runs
 it there.  A pure state jumps each plain stretch between events as one
 closed-form power Z(k)^n in momentum space, and steps F_m windows in
@@ -169,37 +170,42 @@ class Schedule:
 
 class _Checkpoints:
     """What a run does at a time t = 0..total_steps: that time's coin gates,
-    then ``snapshot(work)`` kept in ``snaps`` if t is wanted, then the fidelity
-    to a pure ``start`` ((N, 2) or laid out as |psi><psi|) in ``trace[t]``.
-    Each gate's coin map on arrays of ``rank`` is built once, here.  It
-    belongs to one run over one array: a run of rho in row blocks builds
-    one per block, and its caller adds the blocks' traces in block order.
+    then ``snapshot(work)`` kept in ``snaps`` if t is wanted, then, if t is
+    one of ``fidelity_times``, the fidelity to a pure ``start`` ((N, 2) or
+    laid out as |psi><psi|): ``trace[i]`` is the fidelity at
+    ``fidelity_times[i]``, and no other time contracts.  A snapshot or
+    fidelity time outside the run raises ScheduleError.  Each gate's coin
+    map on arrays of ``rank`` is built once, here.  It belongs to one run
+    over one array: a run of rho in row blocks builds one per block, and its
+    caller adds the blocks' traces in block order.
 
     A coin-local channel's real coin map S, ``owed``, is left owed by every
     step: ``_run`` folds it into the next step's coin map (C S) and sets
     ``owing``.  The first gate of a time applies it with its own map (G S),
     ``pay`` applies it alone before a snapshot, and until then the fidelity
     is read against S^T start, which is built here, in the buffer
-    ``owed_start``.  A caller that keeps the final state pays what it still
+    ``owed_start``.  A caller that reads the final state pays what it still
     owes."""
 
     def __init__(self, schedule: Schedule, rank: int, snapshot_times: Sequence[int],
-                 snapshot: Callable, start: np.ndarray | None = None,
+                 snapshot: Callable, start: np.ndarray | None, fidelity_times: Sequence[int],
                  owed: np.ndarray | None = None, owed_start: np.ndarray | None = None):
         self.wanted = set(snapshot_times)
-        for t in self.wanted:
-            if not (0 <= t <= schedule.total_steps):
-                raise ScheduleError(f"snapshot time {t} outside run")
+        self.times = np.array(fidelity_times, dtype=int)
+        for kind, times in (("snapshot", self.wanted), ("fidelity", self.times)):
+            for t in times:
+                if not (0 <= t <= schedule.total_steps):
+                    raise ScheduleError(f"{kind} time {t} outside run")
         self.gates = {t: [_coin_map(rank, u) for u in schedule.insertions_at(t)]
                       for t, _ in schedule.coin_gate_insertions}
         self.owed, self.owing = owed, False
         self.snapshot = snapshot
         self.snaps: dict[int, Any] = {}
-        self.start = start
+        self.start, self.read = start, set(self.times.tolist())
         if start is not None and owed is not None:
             owed_start = _apply_coin_map(start, owed.T, owed_start)
         self.owed_start = owed_start
-        self.trace = None if start is None else np.zeros(schedule.total_steps + 1)
+        self.trace = np.zeros(len(self.times))
 
     def pay(self, work: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(work, spare) with the owed map applied if ``work`` still owes it."""
@@ -217,12 +223,11 @@ class _Checkpoints:
         if t in self.wanted:
             work, spare = self.pay(work, spare)
             self.snaps[t] = self.snapshot(work)
-        if self.start is not None:
+        if t in self.read:
             # site-major, as lattice.fidelity sums; rho~_t is zero off the support
-            if work.ndim == 2:
-                self.trace[t] = abs(np.vdot(self.start, work.T)) ** 2
-            else:
-                self.trace[t] = np.vdot(self.owed_start if self.owing else self.start, work).real
+            overlap = np.vdot(self.owed_start if self.owing else self.start,
+                              work.T if work.ndim == 2 else work)
+            self.trace[self.times == t] = abs(overlap) ** 2 if work.ndim == 2 else overlap.real
         return work, spare
 
 
@@ -316,8 +321,12 @@ class _PlainPower:
         out = np.empty(len(n))
         rows = max(1, (1 << 18) // len(a))  # (n, k) entries per product
         for lo in range(0, len(n), rows):
-            angle = np.multiply.outer(n[lo:lo + rows], self.alpha)
-            out[lo:lo + rows] = np.abs(np.cos(angle) @ a - 1j * (np.sin(angle) @ b)) ** 2
+            # a one-row product would be a BLAS dot, which sums in another order
+            # than a row of a larger one: a lone n goes twice, so that each n
+            # reads the same whichever others are asked
+            part = n[lo:lo + rows]
+            angle = np.multiply.outer(np.resize(part, max(2, len(part))), self.alpha)
+            out[lo:lo + rows] = np.abs(np.cos(angle) @ a - 1j * (np.sin(angle) @ b))[:len(part)] ** 2
         return out
 
 
@@ -360,22 +369,24 @@ def evolve(
 
 
 def _run_pure(state: PureState, schedule: Schedule, snapshot_times: Sequence[int] = (),
-              fidelity: bool = False) -> tuple[np.ndarray, _Checkpoints]:
-    """``evolve`` up to its final coin-major array: (array, checkpoints).  With ``fidelity``
-    they hold |<state|psi_t>|^2, by ``_PlainPower.fidelities`` inside plain stretches."""
+              fidelity_times: Sequence[int] = ()) -> tuple[np.ndarray, _Checkpoints]:
+    """``evolve`` up to its final coin-major array: (array, checkpoints), which hold
+    |<state|psi_t>|^2 at ``fidelity_times``, by ``_PlainPower.fidelities`` inside
+    plain stretches."""
     lattice = state.lattice
     phases = {phi: _fm_phase(lattice.sites, phi) for _, _, phi in schedule.fm_windows}
     power = _PlainPower(schedule.theta, lattice.momenta)
     checkpoint = _Checkpoints(schedule, 1, snapshot_times,
                               lambda a: state.with_amplitudes(_transpose(a)),
-                              state.amplitudes if fidelity else None)
-    bra = to_momentum(state.amplitudes) if fidelity else None
+                              state.amplitudes, fidelity_times)
+    bra = to_momentum(state.amplitudes) if len(checkpoint.times) else None
     amp, spare = checkpoint(0, _transpose(state.amplitudes), np.empty((2, lattice.n_sites), complex))
     for lo, hi in _stretches(schedule):
         if schedule.phi_at(hi) is None:
             kamp = to_momentum(amp.T)
-            if fidelity:
-                checkpoint.trace[lo + 1:hi] = power.fidelities(np.arange(1, hi - lo), bra, kamp)
+            inside = (lo < checkpoint.times) & (checkpoint.times < hi)
+            if inside.any():
+                checkpoint.trace[inside] = power.fidelities(checkpoint.times[inside] - lo, bra, kamp)
             for t in sorted({t for t in checkpoint.wanted if lo < t < hi} | {hi}):
                 amp, spare = checkpoint(t, _transpose(to_position(power.apply(t - lo, kamp))), spare)
         else:

@@ -8,6 +8,10 @@ largest deviation of P(x) and of the fidelity from each oracle:
   site blocks (``dense_oracle.dephased_chain``), P(x) after a plain run and
   the fidelity along a revival.
 
+Then, for each of the five variants at eta = 1e-3, the revival fidelity r
+read at 2T alone (``times=(2 * T,)``, as ``decohere`` reads it) against r
+from the full trace; the difference must print as 0.0.
+
 The fidelity of the first two is taken along a plain run.  The same
 oracles run in the test suite at T = 100, N = 400
 (``tests/test_channels.py``); pytest does not collect this file.
@@ -15,7 +19,8 @@ oracles run in the test suite at T = 100, N = 400
 
 import numpy as np
 
-from catwalk.analysis import REVERSER_EXACT, _reversal_schedule, position_distribution
+from catwalk.analysis import (REVERSER_EXACT, _reversal_schedule, position_distribution,
+                              revival_protocol)
 from catwalk.channels import ChannelSpec, evolve_open, fidelity_trace
 from catwalk.walk import SIGMA_X, Schedule, evolve
 from dense_oracle import dephased_chain, generic_packet
@@ -58,6 +63,12 @@ def main() -> None:
     print(f"{'oracle':<46} {'max |dP(x)|':>12} {'max |dF|':>12}")
     for name, prob, fid in rows:
         print(f"{name:<46} {prob:12.3e} {fid:12.3e}")
+    print(f"{'revival eta=1e-3':<46} {'r at 2T':>22} {'r(2T) - r(full)':>16}")
+    for kind, target in VARIANTS:
+        spec = ChannelSpec(kind, 1e-3, target)
+        alone = revival_protocol(psi, THETA, T, channel=spec, times=(2 * T,)).r
+        full = revival_protocol(psi, THETA, T, channel=spec).r
+        print(f"{kind + '/' + target:<46} {alone!r:>22} {alone - full!r:>16}")
 
 
 if __name__ == "__main__":

@@ -41,7 +41,8 @@ from catwalk.lattice import (
 )
 import catwalk
 from catwalk import channels, walk
-from catwalk.walk import SIGMA_X, SIGMA_Y, Schedule, coin_operator, evolve, reversal_pair
+from catwalk.walk import (SIGMA_X, SIGMA_Y, Schedule, ScheduleError, coin_operator, evolve,
+                          reversal_pair)
 import dense_oracle
 from dense_oracle import dense_run, dephased_chain, random_density
 
@@ -357,11 +358,14 @@ def test_open_revival_catches_trace_drift(monkeypatch, variant):
 
     monkeypatch.setattr(MomentumLayout, "shift", drifting)
     psi = band_limited_packet(64, 5.0)
-    # in one block, then in blocks of one line: the trace is read in the first
+    # in one block, then in blocks of one line: the trace is read on line 0 of
+    # the first; with the full trace and with r alone, as decohere reads it
     for budget in (channels._BLOCK_BYTES, 1):
         monkeypatch.setattr(channels, "_BLOCK_BYTES", budget)
-        with pytest.raises(StateError, match="trace"):
-            revival_protocol(psi, 0.7, 5, channel=ChannelSpec(variant[0], 0.05, variant[1]))
+        for times in (None, (10,)):
+            with pytest.raises(StateError, match="trace"):
+                revival_protocol(psi, 0.7, 5, channel=ChannelSpec(variant[0], 0.05, variant[1]),
+                                 times=times)
 
 
 @settings(max_examples=15, deadline=None)
@@ -408,9 +412,8 @@ def test_mirrored_lines_match_the_full_layout(theta, eta, half_n, width, k0, var
     sched = _reversal_schedule(theta, t, REVERSER_EXACT,
                                channel=ChannelSpec(variant[0], eta, variant[1]))
     times = range(2 * t + 1)
-    half, half_trace = channels._run_open(psi, sched, times, fidelity=True)
-    whole, whole_trace = channels._run_open(DensityOperator.from_pure(psi), sched, times,
-                                            fidelity=True)
+    half, half_trace = channels._run_open(psi, sched, times, times)
+    whole, whole_trace = channels._run_open(DensityOperator.from_pure(psi), sched, times, times)
     assert not half.layout.full and whole.layout.full
     for s in times:
         snap = half.snapshots[s].as_2d
@@ -553,7 +556,7 @@ def test_a_truncated_run_is_within_its_tail_of_the_untruncated_one(target, monke
             if layout is not None:
                 patch.setattr(channels, "open_layout", lambda rho0, schedule: layout)
             result, _ = channels._run_open(psi, sched)
-            trace = channels._run_open(psi, sched, fidelity=True)[1]
+            trace = channels._run_open(psi, sched, fidelity_times=range(2 * T + 1))[1]
         mat = result.layout.materialize(result.work)
         return result.layout, trace, np.einsum("xcxc->x", mat).real
 
@@ -677,15 +680,15 @@ def test_full_ring_runs_match_dense_oracle(case):
                      coin_gate_insertions=gates, channel=specs.get(case))
     rho0 = DensityOperator.from_pure(psi) if case.startswith("density") else psi
     times = range(steps + 1)
-    result, trace = channels._run_open(rho0, sched, times,
-                                       fidelity=not case.startswith("density"))
+    result, _ = channels._run_open(rho0, sched, times)
     assert result.layout.relative
     expected = dense_run(DensityOperator.from_pure(psi).as_2d, n, sched)
     for t in times:
         np.testing.assert_allclose(result.snapshots[t].as_2d, expected[t], rtol=0, atol=1e-12)
     np.testing.assert_allclose(result.layout.materialize(result.work).reshape(2 * n, 2 * n),
                                expected[-1], rtol=0, atol=1e-12)
-    if trace is not None:
+    if not case.startswith("density"):
+        trace = channels._run_open(rho0, sched, times, times)[1]
         ket = psi.amplitudes.ravel()
         np.testing.assert_allclose(trace,
                                    [np.vdot(ket, want @ ket).real for want in expected],
@@ -780,7 +783,7 @@ def test_row_blocks_sum_the_fidelity_in_block_order(variant, block_rows, monkeyp
     layout = open_layout(psi, sched)
     one, _ = channels.fidelity_trace(psi, sched)
     _split(monkeypatch, layout, 3)
-    result, trace = channels._run_open(psi, sched, fidelity=True)
+    result, trace = channels._run_open(psi, sched, fidelity_times=range(2 * T + 1))
     _assert_blocks(block_rows[1], layout, 3)
     assert result.work is None  # no block's rows are kept past its run
     np.testing.assert_allclose(trace, one, rtol=0, atol=1e-15)
@@ -878,12 +881,14 @@ def test_an_owed_channel_is_paid_before_each_snapshot(variant, eta, fm):
                      coin_gate_insertions=((3, gate),),
                      channel=ChannelSpec(variant[0], eta, variant[1]))
     times = (0, 2, 3, 5)
-    result, trace = channels._run_open(psi, sched, times, fidelity=True)
-    assert result.layout.relative == fm
+    result, trace = channels._run_open(psi, sched, times, range(steps + 1))
+    assert result.layout.relative == fm and result.work is None
     expected = dense_run(DensityOperator.from_pure(psi).as_2d, n, sched)
     for t in times:
         np.testing.assert_allclose(result.snapshots[t].as_2d, expected[t], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(result.layout.materialize(result.work).reshape(2 * n, 2 * n),
+    # a fidelity run keeps no final state: the same run without one does
+    final = channels._run_open(psi, sched, times)[0]
+    np.testing.assert_allclose(final.layout.materialize(final.work).reshape(2 * n, 2 * n),
                                expected[-1], rtol=0, atol=1e-12)
     np.testing.assert_allclose(trace, _dense_fidelities(psi, expected),
                                rtol=0, atol=1e-12)
@@ -892,9 +897,9 @@ def test_an_owed_channel_is_paid_before_each_snapshot(variant, eta, fm):
 @pytest.mark.parametrize("variant", [("amplitude_damping", "coin"), ("dephasing", "walker")])
 def test_an_open_step_makes_one_coin_product(variant, monkeypatch):
     # T steps of one product each, one per gate time (G S) and one that pays
-    # the channel before the trace check, not 2T; S^T start is one more
-    # product per block, which its _Checkpoints builds before the run.
-    # Walker dephasing rides in the shift and owes nothing.
+    # the channel on line 0 alone before the trace check, not 2T; S^T start
+    # is one more product per block, which its _Checkpoints builds before the
+    # run.  Walker dephasing rides in the shift and owes nothing.
     steps, theta = 9, 0.7
     psi = band_packet(32, 13, seed=5)
     gate, gate_back = reversal_pair(theta)
@@ -911,6 +916,98 @@ def test_an_open_step_makes_one_coin_product(variant, monkeypatch):
     channels.fidelity_trace(psi, sched)
     owed = variant[1] == "coin"
     assert len(products) == steps + 2 + 2 * owed
+    if owed:  # the pay before the trace check, on line 0 alone
+        assert products[-1][0].shape[2] == 1
+
+
+# ------------------------------------------------------- fidelity times
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    theta=st.floats(0.1, 3.0),
+    eta=st.floats(0.0, 3.0),
+    n=st.sampled_from([32, 48, 64]),
+    width=st.floats(2.0, 6.0),
+    T=st.integers(1, 9),
+    hold=st.sampled_from([0, 0, 3]),
+    variant=st.sampled_from([None, *VARIANTS]),
+    blocks=st.sampled_from([1, 3]),
+    data=st.data(),
+)
+def test_fidelity_times_read_the_full_trace_bit_for_bit(theta, eta, n, width, T, hold, variant,
+                                                         blocks, data):
+    # a run contracts at the times asked alone, closed (in and at the ends of
+    # plain stretches, and in an F_m window) or open (in one block or three,
+    # or through an F_m window): each reads the value the full trace holds
+    # there, in any order and any number
+    psi = band_limited_packet(n, width, k0=0.3)
+    spec = None if variant is None else ChannelSpec(variant[0], eta, variant[1])
+    sched = _reversal_schedule(theta, T, REVERSER_EXACT, hold=hold, p=5, channel=spec)
+    total = sched.total_steps
+    times = data.draw(st.lists(st.integers(0, total), min_size=1, max_size=total + 1,
+                               unique=True))
+    with pytest.MonkeyPatch.context() as patch:
+        if spec is not None:
+            _split(patch, open_layout(psi, sched), blocks)
+        full, _ = channels.fidelity_trace(psi, sched)
+        part, _ = channels.fidelity_trace(psi, sched, times)
+    assert full.shape == (total + 1,) and part.shape == (len(times),)
+    np.testing.assert_array_equal(part, full[times])
+
+
+@pytest.mark.parametrize("variant", [None, *VARIANTS])
+def test_a_revival_read_at_2t_alone_has_the_same_r(variant):
+    psi = gaussian_position_state(make_lattice(160), 5.0, COIN_SYMMETRIC)
+    spec = None if variant is None else ChannelSpec(variant[0], 0.01, variant[1])
+    full = revival_protocol(psi, 0.7, 12, channel=spec)
+    alone = revival_protocol(psi, 0.7, 12, channel=spec, times=(24,))
+    assert alone.r == full.r and alone.trace.tolist() == [full.r]
+    assert full.trace.shape == (25,) and full.trace[-1] == full.r
+    # r is the fidelity at 2T even when 2T is not asked for
+    early = revival_protocol(psi, 0.7, 12, channel=spec, times=(3, 0))
+    assert early.r == full.r and early.trace.tolist() == full.trace[[3, 0]].tolist()
+
+
+@pytest.mark.parametrize("variant", [None, *VARIANTS])
+@pytest.mark.parametrize("t", [-1, 11])
+def test_a_fidelity_time_outside_the_run_is_refused(variant, t):
+    psi = band_limited_packet(32, 3.0)
+    spec = None if variant is None else ChannelSpec(variant[0], 0.1, variant[1])
+    sched = Schedule(10, 0.7, channel=spec)
+    with pytest.raises(ScheduleError, match=f"fidelity time {t} outside run"):
+        channels.fidelity_trace(psi, sched, (0, t))
+
+
+@pytest.mark.parametrize("start", ["pure_1", "pure_3", "snapshots", "density"])
+@pytest.mark.parametrize("variant", [None, *VARIANTS])
+def test_a_fidelity_run_keeps_no_final_state(variant, start, block_rows, monkeypatch):
+    # whatever its blocks and times, a fidelity run hands back no working
+    # array, and its trace check, on line 0 alone, still catches a drift (a
+    # snapshot at t = 0 is taken before any drift)
+    n, theta, T = 32, 0.7, 4
+    psi = band_packet(n, 13, seed=3)
+    spec = None if variant is None else ChannelSpec(variant[0], 0.2, variant[1])
+    sched = _reversal_schedule(theta, T, REVERSER_EXACT, channel=spec)
+    rho0 = DensityOperator.from_pure(psi) if start == "density" else psi
+    snaps = (0,) if start == "snapshots" else ()
+    layout = open_layout(rho0, sched)
+    _split(monkeypatch, layout, 3 if start == "pure_3" else 1)
+    for times in ((2 * T,), (3, 1), range(2 * T + 1)):
+        result, trace = channels._run_open(rho0, sched, snaps, times)
+        assert result.work is None and trace.shape == (len(times),)
+        assert sorted(result.snapshots) == list(snaps)
+    _assert_blocks(block_rows[0], layout, 3 if start == "pure_3" else 1)
+    assert channels._run_open(rho0, sched, snaps)[0].work is not None
+    shift = MomentumLayout.shift
+
+    def drifting(layout, *args):
+        step = shift(layout, *args)
+        return lambda work, out: np.multiply(step(work, out), 1 + 1e-7, out=out)
+
+    monkeypatch.setattr(MomentumLayout, "shift", drifting)
+    with pytest.raises(StateError, match="trace"):
+        channels._run_open(rho0, sched, snaps, (2 * T,))
 
 
 # ------------------------------------------------- one BLAS thread

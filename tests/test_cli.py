@@ -589,6 +589,21 @@ def test_cli_open_scenarios_lay_each_run_out_once(argv, layouts, monkeypatch, tm
     assert len(calls) == layouts
 
 
+def test_cli_decohere_contracts_once_per_revival(monkeypatch, tmp_path, capsys):
+    # decohere reads r alone, so each of its 15 revivals (5 variants x 3 eta)
+    # takes one overlap, at 2T, not one after each of its 2T + 1 = 61 times
+    calls = []
+    vdot = np.vdot
+
+    def counted(*args):
+        calls.append(args)
+        return vdot(*args)
+
+    monkeypatch.setattr(np, "vdot", counted)
+    assert main(["decohere", "--steps", "30", "--sigma", "5", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 15
+
+
 @pytest.mark.parametrize("target", TARGETS)
 def test_cli_decohereprob_never_materializes_rho(target, monkeypatch, tmp_path, capsys):
     # P(x) comes from the momentum support; no (N, 2, N, 2) matrix is built

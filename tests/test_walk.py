@@ -337,7 +337,7 @@ def test_observing_a_run_does_not_change_its_arithmetic():
                      coin_gate_insertions=((6, SIGMA_Y), (20, r), (40, r_dag)))
     bare = evolve(psi, sched).final.amplitudes
     times = (0, 3, 6, 15, 20, 33, 40)
-    amp, checkpoint = _run_pure(psi, sched, times, fidelity=True)
+    amp, checkpoint = _run_pure(psi, sched, times, fidelity_times=range(41))
     assert np.array_equal(amp.T, bare)
     assert checkpoint.trace.shape == (41,)
     snapped = evolve(psi, sched, snapshot_times=times)
