@@ -7,7 +7,8 @@ on the coin through Kraus pairs.  The bath strength eta is per step, so
 each application scales coherences by lambda = e^{-eta} and an n-step run
 accumulates e^{-eta n}.  ``evolve_open`` advances a density matrix over
 steps, through the step loop that ``walk.evolve`` runs inside F_m windows,
-on a ``MomentumLayout``: the stored lines of a ring of momenta.  Every
+on a ``MomentumLayout``: the stored lines of a ring of momenta.  An open
+run takes no F_m window: the paper's decoherence runs use none.  Every
 channel here is translation-invariant, so it either keeps each pair
 (k, k') on its own (the coin-local ones) or mixes only the pairs of one
 line of constant k - k' (walker and both dephasing), and a start that
@@ -56,7 +57,7 @@ import numpy as np
 
 from .lattice import (TRACE_TOL, DensityOperator, LatticeConfig, PureState, StateError, to_momentum,
                       to_position)
-from .walk import SIGMA_X, Schedule, _Checkpoints, _coin_map, _fm_phase, _run, _run_pure
+from .walk import SIGMA_X, Schedule, ScheduleError, _Checkpoints, _coin_map, _run, _run_pure
 
 COMPLETENESS_TOL = 1e-12
 # |psi~|^2 a pure start may leave outside its momentum window on each side
@@ -257,9 +258,9 @@ class MomentumLayout:
     into pairs.  The layout also owns the basis a run steps in: a window
     ring in momenta, and a ring of all N (``relative``) in y = x - x' along
     the ring axis, reached by a unitary DFT that keeps every overlap, where
-    line dephasing is a mask (``shift``).  ``start``, ``shift`` and
-    ``apply_fm`` take and return a block of stored lines, ``rows``, in that
-    basis, and ``momenta`` brings one back to momenta, which
+    line dephasing is a mask (``shift``).  ``start`` and ``shift`` take and
+    return a block of stored lines, ``rows``, in that basis, and
+    ``momenta`` brings one back to momenta, which
     ``materialize``, ``distribution`` and ``check_trace`` read.
     """
 
@@ -302,11 +303,12 @@ class MomentumLayout:
                 np.multiply(ket[c], bra[d], out=out[c, d])
         elif not self.full:
             raise StateError("a density operator start needs the full momentum support")
-        else:
+        else:  # a coin block at a time: to pairs in momenta, sheared to lines
             block = np.empty((self.ring,) * 2, dtype=complex)
             for c, d in _COIN_PAIRS:
                 block[...] = state.matrix[:, c, :, d]
-                self._store(block, out[c, d])
+                _shear(_pair_dft(block), -1)
+                out[c, d] = block[:self.lines]
         return to_position(out, axis=-1, out=out) if self.relative else out
 
     def momenta(self, work: np.ndarray, out: np.ndarray | None) -> np.ndarray:
@@ -326,12 +328,6 @@ class MomentumLayout:
         for i in np.flatnonzero(_mirror_weights(*self.shape)[rows] == 1):
             out[:, :, i] = work[:, :, i]
         return out
-
-    def _store(self, block: np.ndarray, lines: np.ndarray) -> None:
-        """lines = the stored lines of one coin block of rho, given in position
-        space as the N x N ``block`` on the full support, which is overwritten."""
-        _shear(_pair_dft(block), -1)
-        lines[...] = block[:self.lines]
 
     def _pairs(self, stored: np.ndarray, mirror: np.ndarray, block: np.ndarray) -> np.ndarray:
         """block = one coin block of rho~ as N x N pairs, from its ``stored``
@@ -458,27 +454,6 @@ class MomentumLayout:
 
         return step
 
-    def apply_fm(self, work: np.ndarray, phi: float) -> np.ndarray:
-        """work -> e^{i phi (x - x')} work in place, through momenta and
-        position space, and back to y.
-
-        The phase moves momenta by phi, which no smaller support holds, so it
-        needs the full one; any other raises StateError.
-        """
-        if not self.full:
-            raise StateError("an F_m phase needs the full momentum support")
-        self.momenta(work, work)
-        phase = _fm_phase(self.lattice.sites, phi)
-        block = np.empty((self.ring,) * 2, dtype=complex)
-        held = work[0, 1].copy()  # the mirror of block (1, 0), overwritten before it
-        for c, d in _COIN_PAIRS:
-            _pair_dft(self._pairs(work[c, d], held if (c, d) == (1, 0) else work[d, c], block),
-                      inverse=True)
-            block *= phase[:, None]
-            block *= phase.conj()
-            self._store(block, work[c, d])
-        return to_position(work, axis=-1, out=work)
-
 
 def momentum_window(prob: np.ndarray) -> tuple[int, int]:
     """The smallest [lo, hi) that leaves at most ``SUPPORT_TOL`` of ``prob``
@@ -522,21 +497,25 @@ def open_layout(rho0: DensityOperator | PureState, schedule: Schedule) -> Moment
     Coin-local channels and no channel step a ring of momenta and store its
     R//2 + 1 lines.  For a PureState start, meaning |psi><psi|, the ring is
     the window of M momenta that ``momentum_window`` keeps of |psi~|^2; for
-    a DensityOperator start, and any schedule with an F_m window, it is all
-    N.  Walker and both dephasing step the lines of all N momenta, R = N.
+    a DensityOperator start it is all N.  Walker and both dephasing step the
+    lines of all N momenta, R = N.
     From a PureState they store only the lines ``_kept_lines`` keeps, and
     the layout's ``tail`` is the weight of the rest: every map of their step
     keeps each line's norm or shrinks it, so the dropped lines move the
     fidelity by at most ``tail`` and P(x) by at most sqrt(2 ``tail``).
     ``start`` lays a state out on it.
-    A schedule channel that is not a ChannelSpec raises ``ChannelError``.
+    A schedule with an F_m window raises ``ScheduleError``, whatever the
+    start and channel, and a schedule channel that is not a ChannelSpec
+    raises ``ChannelError``.
     """
+    if schedule.fm_windows:
+        raise ScheduleError("an open run takes no F_m window")
     spec = schedule.channel
     if spec is not None and not isinstance(spec, ChannelSpec):
         raise ChannelError(f"schedule.channel must be a ChannelSpec, got {type(spec).__name__}")
     lattice = rho0.lattice
     n = lattice.n_sites
-    pure = isinstance(rho0, PureState) and not schedule.fm_windows
+    pure = isinstance(rho0, PureState)
     prob = np.sum(np.abs(to_momentum(rho0.amplitudes)) ** 2, axis=1) if pure else None
     if _mixes_lines(spec):
         lines, tail = _kept_lines(prob) if pure else (n // 2 + 1, 0.0)
@@ -566,9 +545,7 @@ def density_working_set_bytes(n_sites: int) -> int:
     a spare for it out of the allocation, for the trace check.  P(x) read
     from the support needs no matrix at all.  A one-block final-state run's
     final state stays a view of its allocation, spare and shift factor
-    included: copied out, the tracemalloc peaks of DensityOperator starts
-    measured 1.09-1.13 times this bound at N = 160 and 300 (0.91-0.94 at
-    N = 64), against 0.78-0.97 as a view.
+    included: copied out, it would exceed this bound.
     """
     return 3 * 16 * (2 * n_sites) ** 2 + 256 * 1024
 
@@ -609,7 +586,8 @@ def evolve_open(
     A schedule without a channel runs closed but on rho, useful for
     cross-checking against the pure-state path.  The step loop is the one
     ``walk.evolve`` runs inside F_m windows, on the momentum support of
-    ``open_layout``.  Trace and Hermiticity are validated at every snapshot,
+    ``open_layout``, and a schedule with an F_m window raises
+    ``ScheduleError``.  Trace and Hermiticity are validated at every snapshot,
     materialized in position space, and a snapshot time outside the run
     raises ``ScheduleError``.  The final trace is checked on the support
     during the run; the final state is materialized and validated when
@@ -701,9 +679,9 @@ def _run_open(rho0, schedule: Schedule, snapshot_times: Sequence[int] = (),
     share only one allocation, whose views each block reuses, the fidelity,
     to which each block's trace is added in block order, and the final
     array, into which each writes its rows, brought back to momenta with
-    what it still owes paid.  A run with snapshots or an F_m window, or from
-    a DensityOperator, is one block, and a final state it keeps stays a
-    view of the allocation.  The final trace is checked on line 0, in the
+    what it still owes paid.  A run with snapshots, or from a
+    DensityOperator, is one block, and a final state it keeps stays a view
+    of the allocation.  The final trace is checked on line 0, in the
     first block.  Returns (OpenResult, the fidelity <psi|rho_t|psi> for rho0 = psi
     at each of ``fidelity_times``, contracted at those times alone); the
     result's snapshots are materialized and validated.  A fidelity run, one
@@ -715,7 +693,7 @@ def _run_open(rho0, schedule: Schedule, snapshot_times: Sequence[int] = (),
     spec = schedule.channel
     owed = None if spec is None or spec.eta == 0 or _mixes_lines(spec) else _coin_superop(spec)
     fidelity = len(fidelity_times) > 0
-    whole = len(snapshot_times) or schedule.fm_windows or not isinstance(rho0, PureState)
+    whole = len(snapshot_times) or not isinstance(rho0, PureState)
     # the bytes of four coin blocks of complex entries, in blocks of _BLOCK_BYTES
     count = 1 if whole else min(lines, -(-4 * 16 * lines * ring // _BLOCK_BYTES))
     final = None if count == 1 or fidelity else np.empty((2, 2, lines, ring), dtype=complex)
@@ -738,7 +716,7 @@ def _run_open(rho0, schedule: Schedule, snapshot_times: Sequence[int] = (),
                                       fidelity_times, owed, *starts[1:])
             work, spare = checkpoint(0, work, spare)
             work, spare = _run(work, spare, schedule, range(1, schedule.total_steps + 1),
-                               checkpoint, layout.shift(spec, rows, factor), layout.apply_fm)
+                               checkpoint, layout.shift(spec, rows, factor))
             trace += checkpoint.trace
             if i == 0 or final is not None:
                 if fidelity:  # line 0 alone, contiguous, as the coin map reshapes it

@@ -10,18 +10,20 @@ phase during steps ``start+1 .. end``.  Pure states and density operators
 share one step loop, ``_run``, and one ``_Checkpoints`` for what happens
 between steps: gates, snapshots and the fidelity to a pure start at the
 times it is read.  The loop takes its rank from a coin-major array and its
-shift and F_m phase as maps; a coin-local channel rides in the next step's
-coin map (``_Checkpoints``).
+shift as a map; a coin-local channel rides in the next step's coin map
+(``_Checkpoints``).
 ``channels`` lays a density operator out on its momentum support and runs
-it there.  A pure state jumps each plain stretch between events as one
-closed-form power Z(k)^n in momentum space, and steps F_m windows in
-position space.  It moves between sites and momenta by
+it there, with no F_m window.  A pure state jumps each plain stretch
+between events as one closed-form power Z(k)^n in momentum space, and
+steps F_m windows in position space, the phase folded into the shift.  It
+moves between sites and momenta by
 ``lattice.to_momentum`` and ``to_position``; ``_PlainPower`` holds the band
 structure ``spectral`` reads.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -109,10 +111,6 @@ def _shift(work: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fm_phase(sites: np.ndarray, phi: float) -> np.ndarray:
-    return np.exp(1j * phi * sites)
-
-
 def _transpose(amp: np.ndarray) -> np.ndarray:
     """Contiguous copy of (N, 2) amplitudes as coin-major (2, N), or back."""
     return np.ascontiguousarray(amp.T)
@@ -126,8 +124,9 @@ class Schedule:
     during steps start+1 .. end.  ``coin_gate_insertions`` holds
     (time, 2x2 unitary) pairs applied after ``time`` completed steps; each
     gate is checked here, once, and a non-unitary one raises StateError.
-    ``channel`` is an optional ChannelSpec consumed by the open-system
-    runner only.
+    Every time must be an integer and theta and each phi finite, or
+    ScheduleError is raised here.  ``channel`` is an optional ChannelSpec
+    consumed by the open-system runner only, which takes no F_m window.
     """
 
     total_steps: int
@@ -137,6 +136,14 @@ class Schedule:
     channel: Any = None
 
     def __post_init__(self):
+        for t in (self.total_steps, *(t for w in self.fm_windows for t in w[:2]),
+                  *(t for t, _ in self.coin_gate_insertions)):
+            try:
+                operator.index(t)  # numpy integers pass, floats do not
+            except TypeError:
+                raise ScheduleError(f"times must be integers, got {t!r}") from None
+        if not np.isfinite([self.theta, *(phi for *_, phi in self.fm_windows)]).all():
+            raise ScheduleError("theta and every F_m phase must be finite")
         if self.total_steps < 0:
             raise ScheduleError(f"total_steps must be >= 0, got {self.total_steps}")
         prev_end = None
@@ -232,26 +239,24 @@ class _Checkpoints:
 
 
 def _run(work: np.ndarray, spare: np.ndarray, schedule: Schedule, steps: range,
-         checkpoint: _Checkpoints, shift: Callable, fm: Callable) -> tuple[np.ndarray, np.ndarray]:
+         checkpoint: _Checkpoints, shift: Callable) -> tuple[np.ndarray, np.ndarray]:
     """Step the coin-major array ``work``, of either rank, through the steps
     s in ``steps`` of ``schedule``, one spare buffer beside it.
 
     A step is one coin map into the spare buffer, the coin C or, while the
-    state owes ``checkpoint.owed``, C S; then ``shift(spare, work)`` back and
-    ``fm(work, phi) -> work`` on the steps of an F_m window.  ``checkpoint``
-    follows each step s, with the state owing S again.  Returns (work, spare),
-    which may still owe S (``checkpoint.owing``).  ``channels`` runs rho with
-    OpenBLAS held at one thread, a process-global setting that holds BLAS
-    calls from other threads too, so that no contraction is split.
+    state owes ``checkpoint.owed``, C S; then ``shift(spare, work)`` back,
+    which on a pure state's F_m window steps applies the phase too.
+    ``checkpoint`` follows each step s, with the state owing S again.
+    Returns (work, spare), which may still owe S (``checkpoint.owing``).
+    ``channels`` runs rho with OpenBLAS held at one thread, a process-global
+    setting that holds BLAS calls from other threads too, so that no
+    contraction is split.
     """
     coin = _coin_map(work.ndim // 2, coin_operator(schedule.theta))
     owed = checkpoint.owed
     coins = (coin, coin if owed is None else coin @ owed)
     for s in steps:
         shift(_apply_coin_map(work, coins[checkpoint.owing], spare), work)
-        phi = schedule.phi_at(s)
-        if phi is not None:
-            work = fm(work, phi)
         checkpoint.owing = owed is not None
         work, spare = checkpoint(s, work, spare)
     return work, spare
@@ -374,7 +379,6 @@ def _run_pure(state: PureState, schedule: Schedule, snapshot_times: Sequence[int
     |<state|psi_t>|^2 at ``fidelity_times``, by ``_PlainPower.fidelities`` inside
     plain stretches."""
     lattice = state.lattice
-    phases = {phi: _fm_phase(lattice.sites, phi) for _, _, phi in schedule.fm_windows}
     power = _PlainPower(schedule.theta, lattice.momenta)
     checkpoint = _Checkpoints(schedule, 1, snapshot_times,
                               lambda a: state.with_amplitudes(_transpose(a)),
@@ -382,7 +386,8 @@ def _run_pure(state: PureState, schedule: Schedule, snapshot_times: Sequence[int
     bra = to_momentum(state.amplitudes) if len(checkpoint.times) else None
     amp, spare = checkpoint(0, _transpose(state.amplitudes), np.empty((2, lattice.n_sites), complex))
     for lo, hi in _stretches(schedule):
-        if schedule.phi_at(hi) is None:
+        phi = schedule.phi_at(hi)
+        if phi is None:
             kamp = to_momentum(amp.T)
             inside = (lo < checkpoint.times) & (checkpoint.times < hi)
             if inside.any():
@@ -390,8 +395,9 @@ def _run_pure(state: PureState, schedule: Schedule, snapshot_times: Sequence[int
             for t in sorted({t for t in checkpoint.wanted if lo < t < hi} | {hi}):
                 amp, spare = checkpoint(t, _transpose(to_position(power.apply(t - lo, kamp))), spare)
         else:
-            amp, spare = _run(amp, spare, schedule, range(lo + 1, hi + 1), checkpoint, _shift,
-                              lambda a, phi: np.multiply(a, phases[phi], out=a))
+            phase = np.exp(1j * phi * lattice.sites)
+            amp, spare = _run(amp, spare, schedule, range(lo + 1, hi + 1), checkpoint,
+                              lambda a, out: np.multiply(_shift(a, out), phase, out=out))
     return amp, checkpoint
 
 

@@ -1,0 +1,43 @@
+"""Code lines per ``src/catwalk`` file: lines that hold a token other than a
+comment, a docstring or a line break, beside the file's physical lines.
+
+Run: python tests/code_lines.py [SRC_DIR]
+"""
+
+import ast
+import sys
+import tokenize
+from pathlib import Path
+
+SKIPPED = {tokenize.ENCODING, tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+           tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def docstring_lines(tree: ast.AST) -> set[int]:
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                lines.update(range(first.lineno, first.end_lineno + 1))
+    return lines
+
+
+def code_lines(path: Path) -> int:
+    text = path.read_text()
+    skipped = docstring_lines(ast.parse(text))
+    with path.open("rb") as f:
+        lines = {line for tok in tokenize.tokenize(f.readline) if tok.type not in SKIPPED
+                 for line in range(tok.start[0], tok.end[0] + 1)}
+    return len(lines - skipped)
+
+
+if __name__ == "__main__":
+    src = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parents[1] / "src/catwalk")
+    total_code = total_physical = 0
+    for path in sorted(src.glob("*.py")):
+        code, physical = code_lines(path), len(path.read_text().splitlines())
+        total_code, total_physical = total_code + code, total_physical + physical
+        print(f"{path.name:16} {code:5} {physical:5}")
+    print(f"{'total':16} {total_code:5} {total_physical:5}")

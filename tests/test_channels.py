@@ -252,21 +252,17 @@ def test_evolve_open_step_matches_dense_oracle(theta, eta, half_n, variant, seed
     half_n=st.integers(2, 6),
     variant=st.sampled_from(VARIANTS),
     steps=st.integers(1, 6),
-    times=st.lists(st.integers(0, 6), min_size=4, max_size=4),
-    phi=st.floats(-np.pi, np.pi),
+    times=st.lists(st.integers(0, 6), min_size=2, max_size=2),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_evolve_open_run_matches_dense_oracle(
-    theta, eta, half_n, variant, steps, times, phi, seed
-):
+def test_evolve_open_run_matches_dense_oracle(theta, eta, half_n, variant, steps, times, seed):
     n = 2 * half_n
     rho = random_density(n, seed=seed)
-    start, end, t_gate, t_back = (min(t, steps) for t in times)
+    t_gate, t_back = (min(t, steps) for t in times)
     gate, gate_back = reversal_pair(theta)
     sched = Schedule(
         steps,
         theta,
-        fm_windows=((min(start, end), max(start, end), phi),),
         coin_gate_insertions=((t_gate, gate), (t_back, gate_back)),
         channel=ChannelSpec(variant[0], eta, variant[1]),
     )
@@ -661,23 +657,24 @@ def _phase_gate(phi):
 
 
 @pytest.mark.parametrize("case", ["walker", "both", "density_coin", "density_none",
-                                  "fm_walker", "complex_gate"])
+                                  "site_coin", "complex_gate"])
 def test_full_ring_runs_match_dense_oracle(case):
-    # every run on the ring of all N momenta steps in y = x - x'; snapshots,
-    # F_m steps and the fidelity start go through the frame change
+    # every run on the ring of all N momenta steps in y = x - x'; snapshots
+    # and the fidelity start go through the frame change.  A start on one
+    # site occupies every momentum, so even a coin-local channel runs there.
     n, steps, theta = 16, 6, 0.7
-    psi = band_limited_packet(n, 2.0, k0=0.3)
+    psi = (localized_state(make_lattice(n), 5, COIN_SYMMETRIC) if case == "site_coin"
+           else band_limited_packet(n, 2.0, k0=0.3))
     specs = {"walker": ChannelSpec("dephasing", 0.2, "walker"),
              "both": ChannelSpec("dephasing", 0.2, "both"),
              "density_coin": ChannelSpec("amplitude_damping", 0.2),
-             "fm_walker": ChannelSpec("dephasing", 0.2, "walker"),
+             "site_coin": ChannelSpec("amplitude_damping", 0.2),
              "complex_gate": ChannelSpec("dephasing", 0.2, "both")}
     gate, gate_back = reversal_pair(theta)
     gates = ((2, gate), (5, gate_back))
     if case == "complex_gate":  # gates whose coin maps keep the complex product
         gates = ((2, _phase_gate(0.4)), (4, _phase_gate(-0.9)))
-    sched = Schedule(steps, theta, fm_windows=((1, 4, 0.5),) if case == "fm_walker" else (),
-                     coin_gate_insertions=gates, channel=specs.get(case))
+    sched = Schedule(steps, theta, coin_gate_insertions=gates, channel=specs.get(case))
     rho0 = DensityOperator.from_pure(psi) if case.startswith("density") else psi
     times = range(steps + 1)
     result, _ = channels._run_open(rho0, sched, times)
@@ -793,14 +790,13 @@ def test_row_blocks_sum_the_fidelity_in_block_order(variant, block_rows, monkeyp
                                rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("case", ["snapshots", "fm", "density"])
+@pytest.mark.parametrize("case", ["snapshots", "density"])
 def test_runs_that_need_the_whole_support_stay_one_block(case, block_rows, monkeypatch):
-    # snapshots materialize every line, an F_m phase moves momenta between
-    # lines, and a DensityOperator start is laid out whole
+    # snapshots materialize every line, and a DensityOperator start is laid
+    # out whole
     n, steps, theta = 16, 6, 0.7
     psi = band_packet(n, 7, seed=2)
-    sched = Schedule(steps, theta, fm_windows=((1, 4, 0.5),) if case == "fm" else (),
-                     channel=ChannelSpec("dephasing", 0.2, "walker"))
+    sched = Schedule(steps, theta, channel=ChannelSpec("dephasing", 0.2, "walker"))
     rho0 = DensityOperator.from_pure(psi) if case == "density" else psi
     times = range(steps + 1) if case == "snapshots" else ()
     monkeypatch.setattr(channels, "_BLOCK_BYTES", 1)  # one line a block, were it split
@@ -868,21 +864,20 @@ def test_an_owed_channel_matches_dense_oracle(variant, eta, end_gate, blocks, mo
                                _dense_fidelities(psi, expected), rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("fm", [False, True])
+@pytest.mark.parametrize("site", [False, True])
 @pytest.mark.parametrize("eta", [0.2, 1000.0])
 @pytest.mark.parametrize("variant", COIN_LOCAL)
-def test_an_owed_channel_is_paid_before_each_snapshot(variant, eta, fm):
-    # snapshots at some times, not at the end; an F_m window steps the ring of
-    # all N momenta in y = x - x', a plain run the packet's window
+def test_an_owed_channel_is_paid_before_each_snapshot(variant, eta, site):
+    # snapshots at some times, not at the end; a start on one site steps the
+    # ring of all N momenta in y = x - x', a packet its window
     n, steps, theta = 16, 6, 0.7
-    psi = band_packet(n, 7, seed=2)
+    psi = localized_state(make_lattice(n), 5, COIN_SYMMETRIC) if site else band_packet(n, 7, seed=2)
     gate, _ = reversal_pair(theta)
-    sched = Schedule(steps, theta, fm_windows=((1, 4, 0.5),) if fm else (),
-                     coin_gate_insertions=((3, gate),),
+    sched = Schedule(steps, theta, coin_gate_insertions=((3, gate),),
                      channel=ChannelSpec(variant[0], eta, variant[1]))
     times = (0, 2, 3, 5)
     result, trace = channels._run_open(psi, sched, times, range(steps + 1))
-    assert result.layout.relative == fm and result.work is None
+    assert result.layout.relative == site and result.work is None
     expected = dense_run(DensityOperator.from_pure(psi).as_2d, n, sched)
     for t in times:
         np.testing.assert_allclose(result.snapshots[t].as_2d, expected[t], rtol=0, atol=1e-12)
@@ -938,12 +933,13 @@ def test_an_open_step_makes_one_coin_product(variant, monkeypatch):
 def test_fidelity_times_read_the_full_trace_bit_for_bit(theta, eta, n, width, T, hold, variant,
                                                          blocks, data):
     # a run contracts at the times asked alone, closed (in and at the ends of
-    # plain stretches, and in an F_m window) or open (in one block or three,
-    # or through an F_m window): each reads the value the full trace holds
-    # there, in any order and any number
+    # plain stretches, and in an F_m window) or open (in one block or three):
+    # each reads the value the full trace holds there, in any order and any
+    # number
     psi = band_limited_packet(n, width, k0=0.3)
     spec = None if variant is None else ChannelSpec(variant[0], eta, variant[1])
-    sched = _reversal_schedule(theta, T, REVERSER_EXACT, hold=hold, p=5, channel=spec)
+    sched = _reversal_schedule(theta, T, REVERSER_EXACT, hold=hold if spec is None else 0, p=5,
+                               channel=spec)
     total = sched.total_steps
     times = data.draw(st.lists(st.integers(0, total), min_size=1, max_size=total + 1,
                                unique=True))
@@ -1099,18 +1095,19 @@ def test_an_open_run_without_the_blas_symbols_leaves_blas_alone(missing, monkeyp
 # ------------------------------------------------ P(x) from the support
 
 
-@pytest.mark.parametrize("start", ["window_even", "window_odd", "density", "fm"])
+@pytest.mark.parametrize("start", ["window_even", "window_odd", "density", "site"])
 @pytest.mark.parametrize("variant", [None, *VARIANTS])
 def test_distribution_matches_the_materialized_diagonal(variant, start):
     # coin-local channels and no channel run a window ring of the packet's
     # even or odd width, walker and both dephasing the ring of all N
-    # momenta; a DensityOperator start and an F_m window the full layout
+    # momenta; a DensityOperator start and a start on one site, on every
+    # momentum, the full layout
     n, steps, theta = 32, 5, 0.7
     width = 11 if start == "window_odd" else 10
-    psi = band_packet(n, width, seed=3)
+    psi = (localized_state(make_lattice(n), 5, COIN_SYMMETRIC) if start == "site"
+           else band_packet(n, width, seed=3))
     spec = None if variant is None else ChannelSpec(variant[0], 0.3, variant[1])
-    fm_windows = ((1, 3, 0.4),) if start == "fm" else ()
-    sched = Schedule(steps, theta, fm_windows=fm_windows, channel=spec)
+    sched = Schedule(steps, theta, channel=spec)
     rho0 = DensityOperator.from_pure(psi) if start == "density" else psi
     result, _ = channels._run_open(rho0, sched)
     layout, work = result.layout, result.work
@@ -1234,15 +1231,27 @@ def test_huge_eta_line_dephasing_is_a_markov_chain(target, generic_packet, block
     assert np.abs(dephased_chain(psi, plain, other)[0] - prob).max() > 1e-4
 
 
-@pytest.mark.parametrize("layout", [
-    lambda lat: MomentumLayout(lat, 3, 7, 4),
-    lambda lat: MomentumLayout(lat, 0, 16, 5),
-], ids=["window", "mirrored"])
-def test_fm_phase_refuses_a_partial_support(layout):
-    layout = layout(make_lattice(16))
-    work = np.zeros((2, 2, *layout.shape), dtype=complex)
-    with pytest.raises(StateError, match="full momentum support"):
-        layout.apply_fm(work, 0.1)
+@pytest.mark.parametrize("channel", [None, ChannelSpec("amplitude_damping", 0.2),
+                                     ChannelSpec("dephasing", 0.2, "walker")],
+                         ids=["closed", "coin", "walker"])
+@pytest.mark.parametrize("start", ["pure", "density"])
+def test_open_runs_refuse_an_fm_window(start, channel):
+    # an F_m window is a pure-state control: open_layout refuses it, so no
+    # open run lays out a state, while a closed fidelity run still takes it
+    psi = band_packet(16, 7, seed=2)
+    rho0 = DensityOperator.from_pure(psi) if start == "density" else psi
+    sched = Schedule(6, 0.7, fm_windows=((1, 4, 0.5),), channel=channel)
+    for run in (open_layout, evolve_open, channels.fidelity_trace, channels._run_open):
+        if run is channels.fidelity_trace and channel is None:
+            continue
+        with pytest.raises(ScheduleError, match="no F_m window"):
+            run(rho0, sched)
+    if start == "pure" and channel is None:
+        trace, layout = channels.fidelity_trace(psi, sched)
+        assert layout is None
+        final = evolve(psi, sched).final.amplitudes.ravel()
+        assert trace[-1] == pytest.approx(abs(np.vdot(psi.amplitudes.ravel(), final)) ** 2,
+                                          abs=1e-15)
 
 
 def _names_momentum_layout(node: ast.AST) -> bool:

@@ -419,22 +419,27 @@ def test_open_revival_peak_within_guard_prediction():
 
 
 @pytest.mark.parametrize("n", [64, 160, 300])
-@pytest.mark.parametrize("spec, fm_windows", [
-    pytest.param(ChannelSpec("dephasing", 0.01, "coin"), (), id="coin"),
-    pytest.param(ChannelSpec("bit_flip", 0.01), (), id="flip"),
-    pytest.param(ChannelSpec("dephasing", 0.01, "walker"), (), id="walker"),
-    # an F_m window keeps every line of all N momenta in one block, beside the
-    # fidelity start and the S^T start that an owing state is read against
-    pytest.param(ChannelSpec("amplitude_damping", 0.01), ((2, 4, 0.3),), id="fm"),
+@pytest.mark.parametrize("spec, density", [
+    pytest.param(ChannelSpec("dephasing", 0.01, "coin"), False, id="coin"),
+    pytest.param(ChannelSpec("bit_flip", 0.01), False, id="flip"),
+    pytest.param(ChannelSpec("dephasing", 0.01, "walker"), False, id="walker"),
+    # the largest one-block fidelity layout: a DensityOperator start keeps
+    # every line of all N momenta, beside the fidelity start and the S^T
+    # start that an owing state is read against
+    pytest.param(ChannelSpec("amplitude_damping", 0.01), True, id="density"),
 ])
-def test_open_fidelity_peak_within_guard_prediction(spec, fm_windows, n):
+def test_open_fidelity_peak_within_guard_prediction(spec, density, n):
     # a coin-local fidelity run holds S^T start beside the fidelity start
     psi = gaussian_position_state(make_lattice(n), 3.0, COIN_SYMMETRIC)
-    sched = Schedule(6, np.pi / 4, fm_windows=fm_windows, channel=spec)
-    fidelity_trace(psi, sched)  # first-call allocations
+    sched = Schedule(6, np.pi / 4, channel=spec)
+    # the start is built before the trace, as psi is
+    rho0 = DensityOperator.from_pure(psi) if density else None
+    run = ((lambda: channels._run_open(rho0, sched, fidelity_times=range(7))) if density
+           else (lambda: fidelity_trace(psi, sched)))
+    run()  # first-call allocations
     tracemalloc.start()
     try:
-        fidelity_trace(psi, sched)
+        run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -446,26 +451,21 @@ def _final_distribution(result):
 
 
 @pytest.mark.parametrize("n", [64, 160, 300])
-@pytest.mark.parametrize("spec, fm_windows, observe", [
-    pytest.param(ChannelSpec("dephasing", 0.01, "both"), (), OpenResult.distribution,
-                 id="spec0"),
-    pytest.param(ChannelSpec("amplitude_damping", 0.01), (), OpenResult.distribution,
-                 id="spec1"),
-    pytest.param(ChannelSpec("bit_flip", 0.01), (), OpenResult.distribution, id="spec2"),
-    # an F_m window runs apply_fm, which goes through position space block by block
-    pytest.param(ChannelSpec("dephasing", 0.01, "both"), ((2, 4, 0.3),),
-                 OpenResult.distribution, id="fm"),
+@pytest.mark.parametrize("spec, observe", [
+    pytest.param(ChannelSpec("dephasing", 0.01, "both"), OpenResult.distribution, id="spec0"),
+    pytest.param(ChannelSpec("amplitude_damping", 0.01), OpenResult.distribution, id="spec1"),
+    pytest.param(ChannelSpec("bit_flip", 0.01), OpenResult.distribution, id="spec2"),
     # a library caller that reads the final state materializes and validates it
-    pytest.param(ChannelSpec("dephasing", 0.01, "both"), (), _final_distribution, id="final"),
+    pytest.param(ChannelSpec("dephasing", 0.01, "both"), _final_distribution, id="final"),
 ])
-def test_open_final_peak_within_guard_prediction(spec, fm_windows, observe, n):
+def test_open_final_peak_within_guard_prediction(spec, observe, n):
     # shaped like decohereprob: state preparation, evolve_open, final
     # distribution, from the largest layout, every line of all N momenta
     lat = make_lattice(n)
 
     def run():
         psi = gaussian_position_state(lat, 3.0, COIN_SYMMETRIC)
-        sched = Schedule(6, np.pi / 4, fm_windows=fm_windows, channel=spec)
+        sched = Schedule(6, np.pi / 4, channel=spec)
         return observe(evolve_open(DensityOperator.from_pure(psi), sched))
 
     run()  # first-call allocations
