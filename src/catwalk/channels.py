@@ -605,7 +605,9 @@ def fidelity_trace(psi: PureState, schedule: Schedule,
     from the run instead of laying it out again.  The run contracts at those
     times alone, and a time outside it raises ``ScheduleError``.  The open
     run's final state is not kept; its trace is checked on line 0 of the
-    support."""
+    support.  A start that is not a ``PureState`` raises ``StateError``."""
+    if not isinstance(psi, PureState):
+        raise StateError(f"a fidelity run starts from a PureState, not {type(psi).__name__}")
     times = range(schedule.total_steps + 1) if times is None else times
     if schedule.channel is None:
         return _run_pure(psi, schedule, fidelity_times=times)[1].trace, None

@@ -1242,8 +1242,8 @@ def test_open_runs_refuse_an_fm_window(start, channel):
     rho0 = DensityOperator.from_pure(psi) if start == "density" else psi
     sched = Schedule(6, 0.7, fm_windows=((1, 4, 0.5),), channel=channel)
     for run in (open_layout, evolve_open, channels.fidelity_trace, channels._run_open):
-        if run is channels.fidelity_trace and channel is None:
-            continue
+        if run is channels.fidelity_trace and (channel is None or start == "density"):
+            continue  # a closed trace takes F_m; a density start is refused first
         with pytest.raises(ScheduleError, match="no F_m window"):
             run(rho0, sched)
     if start == "pure" and channel is None:
@@ -1252,6 +1252,22 @@ def test_open_runs_refuse_an_fm_window(start, channel):
         final = evolve(psi, sched).final.amplitudes.ravel()
         assert trace[-1] == pytest.approx(abs(np.vdot(psi.amplitudes.ravel(), final)) ** 2,
                                           abs=1e-15)
+
+
+@pytest.mark.parametrize("channel", [None, ChannelSpec("amplitude_damping", 0.2),
+                                     ChannelSpec("dephasing", 0.2, "walker")],
+                         ids=["closed", "coin", "walker"])
+def test_fidelity_trace_refuses_a_density_start(channel, monkeypatch):
+    # the trace is the fidelity to a pure start: a density operator start is
+    # refused, naming its type, before any state is laid out
+    def laid_out(*args, **kwargs):
+        raise AssertionError("a state was laid out")
+
+    for name in ("open_layout", "_run_open", "_run_pure"):
+        monkeypatch.setattr(channels, name, laid_out)
+    rho0 = DensityOperator.from_pure(band_packet(16, 7, seed=2))
+    with pytest.raises(StateError, match="PureState, not DensityOperator"):
+        channels.fidelity_trace(rho0, Schedule(6, 0.7, channel=channel))
 
 
 def _names_momentum_layout(node: ast.AST) -> bool:

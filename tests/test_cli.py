@@ -1,6 +1,9 @@
 import copy
+import errno
 import importlib
+import itertools
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -18,7 +21,7 @@ from catwalk.channels import (CHANNEL_KINDS, TARGETS, ChannelSpec, MomentumLayou
                               evolve_open, fidelity_trace)
 from catwalk.cli import build_parser, main
 from catwalk.config import KEYS, ConfigError, ExperimentConfig, parse_config
-from catwalk.io import CHUNK_ROWS, ResultRecord, Table, emit_results
+from catwalk.io import CHUNK_ROWS, PARALLEL_ROWS, ResultRecord, Table, emit_results
 from catwalk.lattice import COIN_SYMMETRIC, DensityOperator, gaussian_position_state, make_lattice
 from catwalk.scenarios import density_working_set_bytes
 from catwalk.walk import Schedule
@@ -180,30 +183,261 @@ def per_cell(value):
     return str(value) if isinstance(value, int) else "%.17g" % value
 
 
-@pytest.mark.parametrize("fmt", ["csv", "plot", "both"])
-def test_emit_results_matches_per_cell_oracle(fmt, tmp_path):
-    # one and a half chunks, the awkward values straddling the chunk boundary
-    n = CHUNK_ROWS + CHUNK_ROWS // 2
+def awkward_columns(n, *edges):
+    """Four columns of n rows, the awkward values on the five rows around
+    each of ``edges``."""
     rng = np.random.default_rng(0)
     a, d = rng.random(n), rng.random(n)
     b = np.arange(n) - 7
     c = rng.integers(-(10**6), 10**6, n)
-    edge = slice(CHUNK_ROWS - 2, CHUNK_ROWS + 3)
-    a[edge] = [1e300, -5e-324, 5e-324, 1 / 3, -0.0]
-    c[edge] = [2**63 - 1, -(2**63 - 1), 0, -1, 2**63 - 1]
-    d[edge] = [-0.0, 1 / 3, 5e-324, -5e-324, 1e300]
-    emit_results(ResultRecord("toy", {}, [Table("t", a=a, b=b, c=c, d=d)]), tmp_path, fmt=fmt)
-    cells = [list(map(per_cell, row)) for row in zip(*(col.tolist() for col in (a, b, c, d)))]
-    csv = tmp_path / "toy_t.csv"
-    dat = tmp_path / "toy_t.dat"
-    if fmt == "plot":
-        assert not csv.exists()
-    else:
-        assert csv.read_text() == "a,b,c,d\n" + "".join(",".join(c) + "\n" for c in cells)
-    if fmt == "csv":
-        assert not dat.exists()
-    else:
-        assert dat.read_text() == "".join(" ".join(c[-2:]) + "\n" for c in cells)
+    for e in edges:
+        edge = slice(e - 2, e + 3)
+        a[edge] = [1e300, -5e-324, 5e-324, 1 / 3, -0.0]
+        c[edge] = [2**63 - 1, -(2**63 - 1), 0, -1, 2**63 - 1]
+        d[edge] = [-0.0, 1 / 3, 5e-324, -5e-324, 1e300]
+    return {"a": a, "b": b, "c": c, "d": d}
+
+
+def split_columns():
+    # the two processes meet at a chunk edge: every edge has awkward values
+    n = 2 * PARALLEL_ROWS + 3
+    return awkward_columns(n, *range(CHUNK_ROWS, n, CHUNK_ROWS), n - 3)
+
+
+def csv_oracle(cols):
+    rows = zip(*(col.tolist() for col in cols.values()))
+    return ",".join(cols) + "\n" + "".join(",".join(map(per_cell, row)) + "\n" for row in rows)
+
+
+def assert_same_lines(got, want):
+    # equal line lists are equal texts; pytest reports a list mismatch at
+    # once, where its diff of two texts of megabytes takes minutes
+    assert got.splitlines(keepends=True) == want.splitlines(keepends=True)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The calls of os.fork, on a process that sees two CPUs."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return calls
+
+
+@pytest.fixture
+def pipes(monkeypatch):
+    """The file descriptors of every os.pipe made."""
+    fds, pipe = [], os.pipe
+
+    def recorded():
+        fds.extend(pipe())
+        return tuple(fds[-2:])
+
+    monkeypatch.setattr(os, "pipe", recorded)
+    return fds
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def assert_closed(fds):
+    for fd in fds:
+        with pytest.raises(OSError, match="Bad file descriptor"):
+            os.fstat(fd)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "plot", "both"])
+def test_emit_results_matches_per_cell_oracle(fmt, tmp_path, forks):
+    # one and a half chunks, the awkward values straddling the chunk
+    # boundary, and a table formatted by two processes, the awkward values
+    # around every chunk edge, where the two may meet
+    columns = {"t": awkward_columns(CHUNK_ROWS + CHUNK_ROWS // 2, CHUNK_ROWS),
+               "s": split_columns()}
+    tables = [Table(name, **cols) for name, cols in columns.items()]
+    emit_results(ResultRecord("toy", {}, tables), tmp_path, fmt=fmt)
+    assert len(forks) == (2 if fmt == "both" else 1)
+    assert_no_child()
+    for name, cols in columns.items():
+        cells = [list(map(per_cell, row)) for row in zip(*(col.tolist() for col in cols.values()))]
+        csv = tmp_path / f"toy_{name}.csv"
+        dat = tmp_path / f"toy_{name}.dat"
+        if fmt == "plot":
+            assert not csv.exists()
+        else:
+            assert_same_lines(csv.read_text(),
+                              "a,b,c,d\n" + "".join(",".join(c) + "\n" for c in cells))
+        if fmt == "csv":
+            assert not dat.exists()
+        else:
+            assert_same_lines(dat.read_text(), "".join(" ".join(c[-2:]) + "\n" for c in cells))
+
+
+@pytest.mark.parametrize("alone", ["one_cpu", "no_affinity", "no_fork", "no_pipe", "no_room"])
+def test_one_process_writes_the_same_bytes(alone, tmp_path, monkeypatch, forks, pipes):
+    # one CPU, no os.sched_getaffinity (outside Linux), no process or pipe
+    # to spare, or a pipe too small for the tokens: this process writes
+    # every row, and no pipe end is left
+    record = ResultRecord("toy", {}, [Table("s", **split_columns())])
+    emit_results(record, tmp_path / "two", fmt="both")
+    assert len(forks) == 2
+    pipes.clear()
+
+    def refused():
+        forks.append(None)
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    def no_pipe():
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    if alone == "one_cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif alone == "no_affinity":
+        monkeypatch.delattr(os, "sched_getaffinity")
+    elif alone == "no_fork":
+        monkeypatch.setattr(os, "fork", refused)
+    elif alone == "no_pipe":
+        monkeypatch.setattr(os, "pipe", no_pipe)
+    with monkeypatch.context() as m:
+        if alone == "no_room":
+            write = os.write
+            m.setattr(os, "write", lambda fd, data: write(fd, data[:1]))
+        emit_results(record, tmp_path / "one", fmt="both")
+    assert len(forks) == (4 if alone == "no_fork" else 2)
+    assert len(pipes) == (8 if alone in ("no_fork", "no_room") else 0)
+    assert_closed(pipes)
+    assert_no_child()
+    for name in ("toy_meta.txt", "toy_s.csv", "toy_s.dat"):
+        assert_same_lines((tmp_path / "one" / name).read_bytes(),
+                          (tmp_path / "two" / name).read_bytes())
+
+
+def test_the_split_reads_every_column_type(tmp_path, forks):
+    # both processes read columns through memoryviews, which read only
+    # native, aligned fields: a table holds each column in 8 native bytes
+    rng = np.random.default_rng(1)
+    reals = rng.normal(size=PARALLEL_ROWS) * 1e3
+    cols = {"f2": reals.astype(np.float16), "f4": reals.astype(np.float32),
+            "fb": reals.astype(">f8"), "fl": reals.astype(np.longdouble) / 3,
+            "ib": rng.integers(-(2**31), 2**31, PARALLEL_ROWS).astype(">i4"),
+            "u8": rng.integers(2**63, 2**64 - 1, PARALLEL_ROWS, dtype=np.uint64),
+            "i1": rng.integers(-128, 128, PARALLEL_ROWS).astype(np.int8)}
+    emit_results(ResultRecord("toy", {}, [Table("s", **cols)]), tmp_path)
+    assert len(forks) == 1
+    assert_same_lines((tmp_path / "toy_s.csv").read_text(), csv_oracle(cols))
+
+
+@pytest.mark.parametrize("taken", ["none", "last", "half", "all"])
+def test_the_processes_meet_at_any_chunk(taken, tmp_path, monkeypatch, forks, pipes):
+    # each process takes the next chunk while any is left, so where they
+    # meet depends on their speeds: force the child to take none, the last
+    # (short) chunk, half of them or all, and this process the rest
+    cols = split_columns()
+    chunks = -(-len(cols["a"]) // CHUNK_ROWS)
+    child = {"none": 0, "last": 1, "half": chunks // 2, "all": chunks}[taken]
+    parent, claim = os.getpid(), catwalk.io._claim
+
+    def counted(tokens, order):
+        return itertools.islice(claim(tokens, order),
+                                chunks - child if os.getpid() == parent else child)
+
+    monkeypatch.setattr(catwalk.io, "_claim", counted)
+    emit_results(ResultRecord("toy", {}, [Table("s", **cols)]), tmp_path)
+    assert len(forks) == 1
+    assert_no_child()
+    assert len(pipes) == 4
+    assert_closed(pipes)
+    assert_same_lines((tmp_path / "toy_s.csv").read_text(), csv_oracle(cols))
+
+
+def test_one_row_chunks_are_each_written_once(tmp_path, monkeypatch, forks):
+    # with a chunk per row the two processes contend for 500 tokens: a
+    # token taken twice or lost would repeat or drop a row
+    monkeypatch.setattr(catwalk.io, "CHUNK_ROWS", 1)
+    monkeypatch.setattr(catwalk.io, "PARALLEL_ROWS", 2)
+    cols = awkward_columns(500, 250)
+    for _ in range(20):
+        emit_results(ResultRecord("toy", {}, [Table("s", **cols)]), tmp_path)
+        assert_same_lines((tmp_path / "toy_s.csv").read_text(), csv_oracle(cols))
+    assert len(forks) == 20
+    assert_no_child()
+
+
+def test_only_a_table_of_parallel_rows_forks(tmp_path, forks):
+    for rows, forked in ((PARALLEL_ROWS - 1, 0), (PARALLEL_ROWS, 1)):
+        table = Table("s", x=np.arange(rows), p=np.linspace(0, 1, rows))
+        emit_results(ResultRecord("toy", {}, [table]), tmp_path)
+        assert len(forks) == forked
+        assert (tmp_path / "toy_s.csv").read_text().count("\n") == rows + 1
+    assert_no_child()
+
+
+def test_a_failing_child_fails_the_write(tmp_path, monkeypatch, forks):
+    # the child fails as it starts to take chunks, and only the child
+    parent, claim = os.getpid(), catwalk.io._claim
+
+    def fails_in_child(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("child fails")
+        return claim(*args)
+
+    monkeypatch.setattr(catwalk.io, "_claim", fails_in_child)
+    with pytest.raises(OSError, match=r"cannot write .*toy_s\.csv: .*exited with 1"):
+        emit_results(ResultRecord("toy", {}, [Table("s", **split_columns())]), tmp_path)
+    assert_no_child()
+    # the CLI's small evolve table is split too once the limit is 2 rows
+    monkeypatch.setattr(catwalk.io, "PARALLEL_ROWS", 2)
+    argv = ["evolve", "--steps", "4", "--sigma", "1", "--out", str(tmp_path / "cli")]
+    assert main(argv) == 4
+    assert len(forks) == 2
+    assert_no_child()
+
+
+def test_a_failing_parent_write_reaps_the_child(tmp_path, monkeypatch, forks):
+    # every file takes its first write, the header, and refuses the next
+    open_ = Path.open
+
+    def full_after_one_write(self, *args, **kwargs):
+        fh = open_(self, *args, **kwargs)
+        writes = [fh.write]
+
+        def write(text):
+            if not writes:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return writes.pop()(text)
+
+        fh.write = write
+        return fh
+
+    monkeypatch.setattr(Path, "open", full_after_one_write)
+    with pytest.raises(OSError, match=r"cannot write .*toy_s\.csv: .*No space left"):
+        emit_results(ResultRecord("toy", {}, [Table("s", **split_columns())]), tmp_path)
+    assert len(forks) == 1
+    assert_no_child()
+    # unkilled, the child still ends: it holds no read end of its pipe, so
+    # its write fails once the parent closes its own; the alarm bounds a hang
+    monkeypatch.setattr(os, "kill", lambda pid, sig: None)
+
+    def hung(signum, frame):
+        raise RuntimeError("the child outlived its pipe")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        with pytest.raises(OSError, match="No space left"):
+            emit_results(ResultRecord("toy", {}, [Table("s", **split_columns())]), tmp_path)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(forks) == 2
+    assert_no_child()
 
 
 @pytest.mark.parametrize(
