@@ -1,19 +1,17 @@
 """Result persistence: CSV tables, key=value metadata, plot-data files.
 
 A table is one structured array: its fields are the columns, in order, and
-each field's type says how it is written, integers as %d and reals at 17
-significant digits.  Rows are formatted CHUNK_ROWS at a time; a table of
-PARALLEL_ROWS rows or more, on a machine with two CPUs or more, is
-formatted by this process from its first chunk and by one forked child
-from its last, each taking the next chunk while any is left.  Everything
-emitted is deterministic text, the same bytes either way: metadata keys
-sorted, no timestamps in files.
+each field's type says how it is written, integers as %d and reals as
+%.17g.  A table of ENCODER_ROWS rows or more is written CHUNK_ROWS rows at
+a time by the numpy encoder of ``catwalk.encoder``, which writes, byte for
+byte, what ``%`` writes and leaves to ``%`` the few values it cannot
+decide; a smaller table is written by ``%`` alone.  Everything emitted
+is deterministic text: metadata keys sorted, no timestamps in files.
 """
 
 from __future__ import annotations
 
-import os
-from collections.abc import Iterable
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,11 +20,12 @@ import numpy as np
 from . import __version__
 
 FLOAT_FMT = "%.17g"
-CHUNK_ROWS = 8192  # rows formatted per write, and per token when shared: bounds held text
-# rows from which a table is shared between two processes, well above the
-# size (about 16k rows on two CPUs) where the fork, pipes and reap cost what
-# they save
-PARALLEL_ROWS = 65536
+CHUNK_ROWS = 8192  # rows written at a time: bounds the encoder's block and the held text
+# rows from which a table is written by catwalk.encoder: in a fresh process
+# its first table pays about 7 ms and 1.5 MB of max RSS to load it, which it
+# wins back only from a few thousand rows (timings in CHANGES.md); runs that
+# write only smaller tables never import it
+ENCODER_ROWS = 4096
 _HELD = {"i": np.int64, "u": np.uint64, "f": np.float64}
 
 
@@ -36,8 +35,8 @@ class Table:
 
     ``rows`` is the structured array of those columns, one field per
     column, so ``rows.shape[0]`` is the row count.  Every field is held
-    in the 8 native bytes ``_HELD`` gives its kind, which a memoryview
-    reads and ``%`` writes as the column's own values.
+    in the 8 native bytes ``_HELD`` gives its kind, the int64, uint64 or
+    float64 the encoder reads.
     """
 
     def __init__(self, name: str, /, **columns):
@@ -69,114 +68,38 @@ def _write_text(path: Path, text: str) -> None:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def _chunk(line: str, cols: list[memoryview], i: int, total: int) -> str:
-    """The text of chunk ``i`` of a table of ``total`` rows: rows
-    i·CHUNK_ROWS.. of ``cols``, one ``line % row`` each."""
-    s = i * CHUNK_ROWS
-    rows = zip(*(col[s : min(s + CHUNK_ROWS, total)].tolist() for col in cols))
-    return "".join(line % row for row in rows)
+def _line(rows: np.ndarray, sep: str) -> str:
+    """The ``%`` format of one row: integer fields as %d, float fields as
+    FLOAT_FMT, joined by ``sep``."""
+    names = rows.dtype.names
+    return sep.join("%d" if rows.dtype[n].kind in "iu" else FLOAT_FMT for n in names) + "\n"
 
 
-def _claim(tokens: int | None, chunks: Iterable[int]):
-    """The chunks of ``chunks``, in its order, that this process takes: one
-    per byte it reads from the pipe ``tokens``, which holds one byte per
-    chunk of the table for both processes, until it is empty.  Without a
-    pipe, every chunk."""
-    for i in chunks:
-        if tokens is not None and not os.read(tokens, 1):
-            return
-        yield i
-
-
-def _write_tail(pipe: tuple[int, int], tokens: int, encoding: str, line: str,
-                cols: list[memoryview], chunks: range, total: int) -> None:
-    """The forked child: take chunks from the last one down while tokens
-    last, then write their text, encoded and in row order, to the write end
-    of ``pipe`` and exit 0, or 1 on any exception.  It closes the read end,
-    so a write fails once the parent's is closed, and formats all its rows
-    before it writes, as the parent reads only after its own.  It calls no
-    numpy (``cols`` are memoryviews) and never returns or flushes a buffer
-    it inherited."""
-    code = 1
-    try:
-        os.close(pipe[0])
-        text = [_chunk(line, cols, i, total).encode(encoding)
-                for i in _claim(tokens, reversed(chunks))]
-        with open(pipe[1], "wb") as out:
-            out.writelines(reversed(text))
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _fork_tail(encoding: str, line: str, cols: list[memoryview], chunks: range,
-               total: int) -> tuple[int, int, int] | None:
-    """Fork the child that takes chunks from the end (``_write_tail``) and
-    return its pid, the read end of its pipe and the read end of the token
-    pipe both processes take chunks from; or None, holding no pipe, if no
-    pipe or process could be made or the tokens do not fit in their pipe."""
-    fds: list[int] = []
-    try:
-        fds += os.pipe()  # the child's text
-        fds += os.pipe()  # the tokens
-        os.set_blocking(fds[3], False)
-        if os.write(fds[3], bytes(len(chunks))) < len(chunks):
-            raise BlockingIOError("the tokens do not fit in a pipe")
-        os.close(fds.pop())
-        pid = os.fork()
-    except OSError:
-        for fd in fds:
-            os.close(fd)
-        return None
-    if pid == 0:
-        _write_tail((fds[0], fds[1]), fds[2], encoding, line, cols, chunks, total)
-    os.close(fds[1])
-    return pid, fds[0], fds[2]
+def _formatted(rows: np.ndarray, sep: str) -> Iterator[bytes]:
+    """The text of ``rows``, CHUNK_ROWS at a time, one ``line % row`` each."""
+    line = _line(rows, sep)
+    for s in range(0, rows.shape[0], CHUNK_ROWS):
+        cols = (rows[n][s : s + CHUNK_ROWS].tolist() for n in rows.dtype.names)
+        yield "".join(line % row for row in zip(*cols)).encode()
 
 
 def _write_rows(path: Path, header: str, rows: np.ndarray, sep: str) -> None:
     """Write ``header`` then one ``sep``-joined line per row of the
-    structured array ``rows``, CHUNK_ROWS at a time: integer fields as %d,
-    float fields as FLOAT_FMT.
-
-    With PARALLEL_ROWS rows or more and two CPUs or more, a forked child
-    takes chunks from the end while this process writes chunks from the
-    start, each taking the next while any is left, so that the faster takes
-    more; then this process copies the child's text from a pipe and reaps
-    it.  On any error it closes the pipes, then kills and reaps the child.
-    Otherwise, and where no child can be forked, this process writes every
-    chunk."""
-    names = rows.dtype.names
-    line = sep.join("%d" if rows.dtype[n].kind in "iu" else FLOAT_FMT for n in names) + "\n"
-    cols = [memoryview(rows[n]) for n in names]
-    total = rows.shape[0]
-    chunks = range(-(-total // CHUNK_ROWS))
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    pid = read = tokens = None
+    structured array ``rows``: integer fields as %d, float fields as
+    FLOAT_FMT.  A table of ENCODER_ROWS rows or more is written by
+    ``catwalk.encoder.encoded``, a smaller one by ``_formatted``; the bytes
+    are the same."""
+    if rows.shape[0] >= ENCODER_ROWS:
+        from .encoder import encoded  # imported by the first large table only
+        chunks = encoded(rows, sep)
+    else:
+        chunks = _formatted(rows, sep)
     try:
-        with path.open("w") as fh:
-            fh.write(header)
-            if total >= PARALLEL_ROWS and cpus > 1:
-                fh.flush()
-                child = _fork_tail(fh.encoding, line, cols, chunks, total)
-                pid, read, tokens = child or (None, None, None)
-            fh.writelines(_chunk(line, cols, i, total) for i in _claim(tokens, chunks))
-            if pid:
-                fh.flush()
-                while data := os.read(read, 1 << 16):
-                    fh.buffer.write(data)
-                code, pid = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), None
-                if code:
-                    raise OSError(f"the child formatting the last rows exited with {code}")
+        with path.open("wb") as fh:
+            fh.write(header.encode())
+            fh.writelines(chunks)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
-    finally:
-        for fd in (read, tokens):
-            if fd is not None:
-                os.close(fd)
-        if pid:
-            os.kill(pid, 9)  # SIGKILL
-            os.waitpid(pid, 0)
 
 
 def emit_results(record: ResultRecord, out_dir, fmt: str = "csv") -> list[Path]:

@@ -1,9 +1,6 @@
 import copy
-import errno
 import importlib
-import itertools
 import os
-import signal
 import subprocess
 import sys
 import tracemalloc
@@ -13,15 +10,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import catwalk
+import catwalk.encoder
 from catwalk import channels, scenarios
 from catwalk.analysis import position_distribution, revival_protocol
 from catwalk.channels import (CHANNEL_KINDS, TARGETS, ChannelSpec, MomentumLayout, OpenResult,
                               evolve_open, fidelity_trace)
 from catwalk.cli import build_parser, main
 from catwalk.config import KEYS, ConfigError, ExperimentConfig, parse_config
-from catwalk.io import CHUNK_ROWS, PARALLEL_ROWS, ResultRecord, Table, emit_results
+from catwalk.io import CHUNK_ROWS, ENCODER_ROWS, ResultRecord, Table, emit_results
 from catwalk.lattice import COIN_SYMMETRIC, DensityOperator, gaussian_position_state, make_lattice
 from catwalk.scenarios import density_working_set_bytes
 from catwalk.walk import Schedule
@@ -183,6 +183,16 @@ def per_cell(value):
     return str(value) if isinstance(value, int) else "%.17g" % value
 
 
+def oracle(cols, sep=","):
+    # the rows of ``cols`` as `%` writes them, cell by cell
+    rows = zip(*(col.tolist() for col in cols.values()))
+    return "".join(sep.join(map(per_cell, row)) + "\n" for row in rows)
+
+
+def encoded(cols, sep=","):
+    return b"".join(catwalk.encoder.encoded(Table("t", **cols).rows, sep)).decode()
+
+
 def awkward_columns(n, *edges):
     """Four columns of n rows, the awkward values on the five rows around
     each of ``edges``."""
@@ -198,15 +208,10 @@ def awkward_columns(n, *edges):
     return {"a": a, "b": b, "c": c, "d": d}
 
 
-def split_columns():
-    # the two processes meet at a chunk edge: every edge has awkward values
-    n = 2 * PARALLEL_ROWS + 3
+def edge_columns():
+    # a table the encoder writes, the awkward values around every chunk edge
+    n = 3 * CHUNK_ROWS + 3
     return awkward_columns(n, *range(CHUNK_ROWS, n, CHUNK_ROWS), n - 3)
-
-
-def csv_oracle(cols):
-    rows = zip(*(col.tolist() for col in cols.values()))
-    return ",".join(cols) + "\n" + "".join(",".join(map(per_cell, row)) + "\n" for row in rows)
 
 
 def assert_same_lines(got, want):
@@ -215,229 +220,134 @@ def assert_same_lines(got, want):
     assert got.splitlines(keepends=True) == want.splitlines(keepends=True)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The calls of os.fork, on a process that sees two CPUs."""
-    calls = []
-    fork = os.fork
-
-    def counted():
-        calls.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    return calls
-
-
-@pytest.fixture
-def pipes(monkeypatch):
-    """The file descriptors of every os.pipe made."""
-    fds, pipe = [], os.pipe
-
-    def recorded():
-        fds.extend(pipe())
-        return tuple(fds[-2:])
-
-    monkeypatch.setattr(os, "pipe", recorded)
-    return fds
-
-
-def assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def assert_closed(fds):
-    for fd in fds:
-        with pytest.raises(OSError, match="Bad file descriptor"):
-            os.fstat(fd)
-
-
 @pytest.mark.parametrize("fmt", ["csv", "plot", "both"])
-def test_emit_results_matches_per_cell_oracle(fmt, tmp_path, forks):
+def test_emit_results_matches_per_cell_oracle(fmt, tmp_path):
     # one and a half chunks, the awkward values straddling the chunk
-    # boundary, and a table formatted by two processes, the awkward values
-    # around every chunk edge, where the two may meet
+    # boundary, and a table of several chunks, the awkward values around
+    # every chunk edge
     columns = {"t": awkward_columns(CHUNK_ROWS + CHUNK_ROWS // 2, CHUNK_ROWS),
-               "s": split_columns()}
+               "s": edge_columns()}
     tables = [Table(name, **cols) for name, cols in columns.items()]
     emit_results(ResultRecord("toy", {}, tables), tmp_path, fmt=fmt)
-    assert len(forks) == (2 if fmt == "both" else 1)
-    assert_no_child()
     for name, cols in columns.items():
-        cells = [list(map(per_cell, row)) for row in zip(*(col.tolist() for col in cols.values()))]
         csv = tmp_path / f"toy_{name}.csv"
         dat = tmp_path / f"toy_{name}.dat"
         if fmt == "plot":
             assert not csv.exists()
         else:
-            assert_same_lines(csv.read_text(),
-                              "a,b,c,d\n" + "".join(",".join(c) + "\n" for c in cells))
+            assert_same_lines(csv.read_text(), "a,b,c,d\n" + oracle(cols))
         if fmt == "csv":
             assert not dat.exists()
         else:
-            assert_same_lines(dat.read_text(), "".join(" ".join(c[-2:]) + "\n" for c in cells))
+            assert_same_lines(dat.read_text(), oracle({k: cols[k] for k in "cd"}, " "))
 
 
-@pytest.mark.parametrize("alone", ["one_cpu", "no_affinity", "no_fork", "no_pipe", "no_room"])
-def test_one_process_writes_the_same_bytes(alone, tmp_path, monkeypatch, forks, pipes):
-    # one CPU, no os.sched_getaffinity (outside Linux), no process or pipe
-    # to spare, or a pipe too small for the tokens: this process writes
-    # every row, and no pipe end is left
-    record = ResultRecord("toy", {}, [Table("s", **split_columns())])
-    emit_results(record, tmp_path / "two", fmt="both")
-    assert len(forks) == 2
-    pipes.clear()
-
-    def refused():
-        forks.append(None)
-        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-
-    def no_pipe():
-        raise OSError(errno.EMFILE, "Too many open files")
-
-    if alone == "one_cpu":
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    elif alone == "no_affinity":
-        monkeypatch.delattr(os, "sched_getaffinity")
-    elif alone == "no_fork":
-        monkeypatch.setattr(os, "fork", refused)
-    elif alone == "no_pipe":
-        monkeypatch.setattr(os, "pipe", no_pipe)
-    with monkeypatch.context() as m:
-        if alone == "no_room":
-            write = os.write
-            m.setattr(os, "write", lambda fd, data: write(fd, data[:1]))
-        emit_results(record, tmp_path / "one", fmt="both")
-    assert len(forks) == (4 if alone == "no_fork" else 2)
-    assert len(pipes) == (8 if alone in ("no_fork", "no_room") else 0)
-    assert_closed(pipes)
-    assert_no_child()
-    for name in ("toy_meta.txt", "toy_s.csv", "toy_s.dat"):
-        assert_same_lines((tmp_path / "one" / name).read_bytes(),
-                          (tmp_path / "two" / name).read_bytes())
-
-
-def test_the_split_reads_every_column_type(tmp_path, forks):
-    # both processes read columns through memoryviews, which read only
-    # native, aligned fields: a table holds each column in 8 native bytes
+def test_the_encoder_reads_every_column_type(tmp_path):
+    # a table holds each column in 8 native bytes, which the encoder reads
     rng = np.random.default_rng(1)
-    reals = rng.normal(size=PARALLEL_ROWS) * 1e3
+    n = ENCODER_ROWS + 5
+    reals = rng.normal(size=n) * 1e3
     cols = {"f2": reals.astype(np.float16), "f4": reals.astype(np.float32),
             "fb": reals.astype(">f8"), "fl": reals.astype(np.longdouble) / 3,
-            "ib": rng.integers(-(2**31), 2**31, PARALLEL_ROWS).astype(">i4"),
-            "u8": rng.integers(2**63, 2**64 - 1, PARALLEL_ROWS, dtype=np.uint64),
-            "i1": rng.integers(-128, 128, PARALLEL_ROWS).astype(np.int8)}
+            "ib": rng.integers(-(2**31), 2**31, n).astype(">i4"),
+            "u8": rng.integers(2**63, 2**64 - 1, n, dtype=np.uint64),
+            "i1": rng.integers(-128, 128, n).astype(np.int8)}
     emit_results(ResultRecord("toy", {}, [Table("s", **cols)]), tmp_path)
-    assert len(forks) == 1
-    assert_same_lines((tmp_path / "toy_s.csv").read_text(), csv_oracle(cols))
+    assert_same_lines((tmp_path / "toy_s.csv").read_text(), ",".join(cols) + "\n" + oracle(cols))
 
 
-@pytest.mark.parametrize("taken", ["none", "last", "half", "all"])
-def test_the_processes_meet_at_any_chunk(taken, tmp_path, monkeypatch, forks, pipes):
-    # each process takes the next chunk while any is left, so where they
-    # meet depends on their speeds: force the child to take none, the last
-    # (short) chunk, half of them or all, and this process the rest
-    cols = split_columns()
-    chunks = -(-len(cols["a"]) // CHUNK_ROWS)
-    child = {"none": 0, "last": 1, "half": chunks // 2, "all": chunks}[taken]
-    parent, claim = os.getpid(), catwalk.io._claim
-
-    def counted(tokens, order):
-        return itertools.islice(claim(tokens, order),
-                                chunks - child if os.getpid() == parent else child)
-
-    monkeypatch.setattr(catwalk.io, "_claim", counted)
-    emit_results(ResultRecord("toy", {}, [Table("s", **cols)]), tmp_path)
-    assert len(forks) == 1
-    assert_no_child()
-    assert len(pipes) == 4
-    assert_closed(pipes)
-    assert_same_lines((tmp_path / "toy_s.csv").read_text(), csv_oracle(cols))
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.floats(), st.integers(-(2**63), 2**63 - 1),
+                          st.integers(0, 2**64 - 1)), min_size=1, max_size=40),
+       st.sampled_from([",", " "]))
+def test_the_encoder_writes_what_percent_writes(cells, sep):
+    # any float64 bit pattern, any float, any int64 and uint64
+    bits, reals, ints, uints = zip(*cells)
+    cols = {"bits": np.array(bits, np.uint64).view(np.float64), "real": np.array(reals),
+            "i": np.array(ints, np.int64), "u": np.array(uints, np.uint64)}
+    assert encoded(cols, sep) == oracle(cols, sep)
 
 
-def test_one_row_chunks_are_each_written_once(tmp_path, monkeypatch, forks):
-    # with a chunk per row the two processes contend for 500 tokens: a
-    # token taken twice or lost would repeat or drop a row
-    monkeypatch.setattr(catwalk.io, "CHUNK_ROWS", 1)
-    monkeypatch.setattr(catwalk.io, "PARALLEL_ROWS", 2)
-    cols = awkward_columns(500, 250)
-    for _ in range(20):
-        emit_results(ResultRecord("toy", {}, [Table("s", **cols)]), tmp_path)
-        assert_same_lines((tmp_path / "toy_s.csv").read_text(), csv_oracle(cols))
-    assert len(forks) == 20
-    assert_no_child()
+@pytest.mark.parametrize("sep", [",", " "])
+def test_the_encoder_writes_the_awkward_reals(sep):
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    named = np.array([
+        2.0**-25, 2173395701334014.75,  # exact ties: %.17g rounds half to even
+        1e-4, 9.9999999999999991e-05, 1e-5, 9.9999999999999991e-06,  # "0.0001" and "1e-05"
+        1e16, 99999999999999984.0, 1e17, 1.0000000000000002e17,  # 17 digits and "1e+17"
+        1e-14, 1e23,  # 17 digits round up to a power of ten: a carry to 10**17
+        5e-324, -0.0, 0.0, np.nan, np.inf, -np.inf, np.finfo(float).max])
+    with np.errstate(over="ignore"):
+        reals = np.concatenate([x for v in (tens, twos, named)
+                                for x in (v, -v, np.nextafter(v, 0), np.nextafter(v, np.inf))])
+    cols = {"i": np.arange(reals.size), "x": reals}
+    assert_same_lines(encoded(cols, sep), oracle(cols, sep))
 
 
-def test_only_a_table_of_parallel_rows_forks(tmp_path, forks):
-    for rows, forked in ((PARALLEL_ROWS - 1, 0), (PARALLEL_ROWS, 1)):
-        table = Table("s", x=np.arange(rows), p=np.linspace(0, 1, rows))
-        emit_results(ResultRecord("toy", {}, [table]), tmp_path)
-        assert len(forks) == forked
-        assert (tmp_path / "toy_s.csv").read_text().count("\n") == rows + 1
-    assert_no_child()
+@pytest.mark.parametrize("step", [-1e-9, 1e-9], ids=["below", "above"])
+def test_a_log10_a_step_off_leaves_the_value_to_percent(step, monkeypatch):
+    # next to a power of ten a log10 a little off floors to the next
+    # exponent, and y lands outside [10**16, 10**17): `%` writes such values
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    reals = np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf)])
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + step)
+    assert catwalk.encoder._decimal(reals)[2].sum() > 300
+    cols = {"x": reals}
+    assert_same_lines(encoded(cols), oracle(cols))
 
 
-def test_a_failing_child_fails_the_write(tmp_path, monkeypatch, forks):
-    # the child fails as it starts to take chunks, and only the child
-    parent, claim = os.getpid(), catwalk.io._claim
-
-    def fails_in_child(*args):
-        if os.getpid() != parent:
-            raise RuntimeError("child fails")
-        return claim(*args)
-
-    monkeypatch.setattr(catwalk.io, "_claim", fails_in_child)
-    with pytest.raises(OSError, match=r"cannot write .*toy_s\.csv: .*exited with 1"):
-        emit_results(ResultRecord("toy", {}, [Table("s", **split_columns())]), tmp_path)
-    assert_no_child()
-    # the CLI's small evolve table is split too once the limit is 2 rows
-    monkeypatch.setattr(catwalk.io, "PARALLEL_ROWS", 2)
-    argv = ["evolve", "--steps", "4", "--sigma", "1", "--out", str(tmp_path / "cli")]
-    assert main(argv) == 4
-    assert len(forks) == 2
-    assert_no_child()
+@pytest.mark.parametrize("sep", [",", " "])
+def test_every_row_left_to_percent_writes_the_same_bytes(sep, monkeypatch):
+    # a tie window as wide as any fraction leaves every row undecided, and
+    # `line % row` writes each one
+    cols = awkward_columns(CHUNK_ROWS + 5, 2, CHUNK_ROWS, CHUNK_ROWS + 2)
+    monkeypatch.setattr(catwalk.encoder, "_TIE", 1.0)
+    for key in "ad":
+        assert catwalk.encoder._decimal(cols[key])[2].all()
+    assert_same_lines(encoded(cols, sep), oracle(cols, sep))
 
 
-def test_a_failing_parent_write_reaps_the_child(tmp_path, monkeypatch, forks):
-    # every file takes its first write, the header, and refuses the next
-    open_ = Path.open
+def test_runs_of_small_tables_never_import_the_encoder(tmp_path, monkeypatch):
+    # a run whose tables are all below ENCODER_ROWS leaves catwalk.encoder,
+    # its tables and its ufuncs unloaded
+    monkeypatch.delitem(sys.modules, "catwalk.encoder")
+    assert main(["decohereprob", "--steps", "6", "--sigma", "2", "--out", str(tmp_path)]) == 0
+    assert "catwalk.encoder" not in sys.modules
 
-    def full_after_one_write(self, *args, **kwargs):
-        fh = open_(self, *args, **kwargs)
-        writes = [fh.write]
 
-        def write(text):
-            if not writes:
-                raise OSError(errno.ENOSPC, "No space left on device")
-            return writes.pop()(text)
+@pytest.mark.parametrize("rows", [0, 1, ENCODER_ROWS - 1, ENCODER_ROWS])
+def test_tables_either_side_of_the_encoder_limit(rows, tmp_path, monkeypatch):
+    # only a table of ENCODER_ROWS rows or more is encoded, one of one
+    # column too; the bytes are the same either way
+    calls, encode = [], catwalk.encoder.encoded
+    monkeypatch.setattr(catwalk.encoder, "encoded", lambda *a: calls.append(a) or encode(*a))
+    rng = np.random.default_rng(rows)
+    two = {"x": np.arange(rows) - rows // 2, "p": rng.random(rows) ** 9}
+    one = {"e": rng.normal(size=rows) * 10.0 ** rng.integers(-30, 30, rows)}
+    tables = [Table("two", **two), Table("one", **one)]
+    emit_results(ResultRecord("toy", {}, tables), tmp_path, fmt="both")
+    assert len(calls) == (3 if rows >= ENCODER_ROWS else 0)
+    assert (tmp_path / "toy_two.csv").read_text() == "x,p\n" + oracle(two)
+    assert (tmp_path / "toy_two.dat").read_text() == oracle(two, " ")
+    assert (tmp_path / "toy_one.csv").read_text() == "e\n" + oracle(one)
+    assert not (tmp_path / "toy_one.dat").exists()
 
-        fh.write = write
-        return fh
 
-    monkeypatch.setattr(Path, "open", full_after_one_write)
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a device that is always full")
+@pytest.mark.parametrize("limit", [1, 2**62], ids=["encoder", "percent"])
+def test_a_write_failing_after_its_header_fails_the_table(limit, tmp_path, monkeypatch):
+    # a table file that links to /dev/full takes its header into the buffer
+    # and refuses the rows
+    monkeypatch.setattr(catwalk.io, "ENCODER_ROWS", limit)
+    (tmp_path / "toy_s.csv").symlink_to("/dev/full")
     with pytest.raises(OSError, match=r"cannot write .*toy_s\.csv: .*No space left"):
-        emit_results(ResultRecord("toy", {}, [Table("s", **split_columns())]), tmp_path)
-    assert len(forks) == 1
-    assert_no_child()
-    # unkilled, the child still ends: it holds no read end of its pipe, so
-    # its write fails once the parent closes its own; the alarm bounds a hang
-    monkeypatch.setattr(os, "kill", lambda pid, sig: None)
-
-    def hung(signum, frame):
-        raise RuntimeError("the child outlived its pipe")
-
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(30)
-    try:
-        with pytest.raises(OSError, match="No space left"):
-            emit_results(ResultRecord("toy", {}, [Table("s", **split_columns())]), tmp_path)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert len(forks) == 2
-    assert_no_child()
+        emit_results(ResultRecord("toy", {}, [Table("s", **edge_columns())]), tmp_path)
+    out = tmp_path / "cli"
+    out.mkdir()
+    (out / "evolve_distribution.csv").symlink_to("/dev/full")
+    assert main(["evolve", "--steps", "4", "--sigma", "1", "--out", str(out)]) == 4
 
 
 @pytest.mark.parametrize(
