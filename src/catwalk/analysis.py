@@ -160,14 +160,12 @@ class FringeResult:
     visibility: float
 
 
-def _find_peaks(x: np.ndarray, distance: float | None = None) -> np.ndarray:
+def _find_peaks(x: np.ndarray) -> np.ndarray:
     """Indices of the local maxima of a 1-D array, as scipy.signal.find_peaks.
 
     A peak is a run of equal values (a flat top counts once, at index
     (left + right) // 2) with a strictly lower neighbour on each side, so a
-    run touching either end is no peak.  With ``distance``, peaks closer than
-    ceil(distance) to a higher one are dropped, visiting the peaks from the
-    highest down in np.argsort order as scipy does, so ties resolve the same.
+    run touching either end is no peak.
     """
     x = np.asarray(x, dtype=float)
     if x.size < 3:
@@ -177,20 +175,7 @@ def _find_peaks(x: np.ndarray, distance: float | None = None) -> np.ndarray:
     ends = np.concatenate((change - 1, [x.size - 1]))
     level = x[starts]
     inner = (level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])
-    peaks = (starts[1:-1][inner] + ends[1:-1][inner]) // 2
-    if distance is None:
-        return peaks
-    if distance < 1:
-        raise ValueError(f"distance must be >= 1, got {distance}")
-    gap = np.ceil(distance)
-    lo = np.searchsorted(peaks, peaks - gap, side="right")
-    hi = np.searchsorted(peaks, peaks + gap, side="left")
-    keep = np.ones(peaks.size, dtype=bool)
-    for j in np.argsort(x[peaks])[::-1]:
-        if keep[j]:
-            keep[lo[j] : j] = False
-            keep[j + 1 : hi[j]] = False
-    return peaks[keep]
+    return (starts[1:-1][inner] + ends[1:-1][inner]) // 2
 
 
 def momentum_fringes(lattice: LatticeConfig, walker: np.ndarray) -> FringeResult:
@@ -256,20 +241,22 @@ class CatMetrics:
 def cat_metrics(prob: np.ndarray, sites: np.ndarray) -> CatMetrics:
     """Bimodality metrics of a distribution over sites.
 
-    Peaks are the two highest local maxima at least 5 sites apart
-    (leftmost wins an exact height tie), counting only those that reach
-    ``PEAK_FLOOR`` of the highest; residual is the mass in the
+    Peaks are local maxima that reach ``PEAK_FLOOR`` of the highest: the
+    highest, then the highest at least 5 sites from it, the leftmost on an
+    exact height tie each time; residual is the mass in the
     central 20% of the inter-peak interval; masses are split at the
     midpoint and balance is their min/max ratio.
     """
     prob = np.asarray(prob, dtype=float)
-    idx = _find_peaks(prob, distance=5)
+    idx = _find_peaks(prob)
     idx = idx[prob[idx] >= PEAK_FLOOR * prob[idx].max(initial=0.0)]
-    if idx.size < 2:
+    # np.argmax takes the first, so the leftmost, of equal heights
+    top = idx[np.argmax(prob[idx])] if idx.size else 0
+    far = idx[np.abs(idx - top) >= 5]
+    if far.size == 0:
         peak = int(sites[int(np.argmax(prob))])
         return CatMetrics(peak, peak, 1.0, 0.0, 0.0, 0, 0.0, False)
-    order = sorted(idx, key=lambda i: (-prob[i], i))
-    a, b = sorted(order[:2])
+    a, b = sorted((top, far[np.argmax(prob[far])]))
     left, right = int(sites[a]), int(sites[b])
     span = right - left
     center = 0.5 * (left + right)

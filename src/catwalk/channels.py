@@ -27,16 +27,17 @@ with one contraction at each time whose fidelity is read
 stored line alone, so a layout larger than ``_BLOCK_BYTES`` a working array
 runs in row blocks, each a self-contained run through the whole schedule
 with its own ``_Checkpoints``; the blocks share only one allocation, which
-each reuses in turn, the summed fidelity and the final rows.  Open runs
-hold numpy's bundled OpenBLAS at one thread and the last one out restores
-its count, so that no contraction is split and results do not depend on
-``OPENBLAS_NUM_THREADS``; the count is process-global, so BLAS that another
-thread runs meanwhile is held too.  ``open_layout`` picks the layout,
-``_run_open`` is the one runner on it, ``evolve_open`` returns its final
-state lazily, with P(x) read from the support, ``fidelity_trace`` takes a
-run's fidelity to its start in its own basis at the times its caller
-reads, and keeps no final state: line 0 alone is brought back, for the
-trace check.  ``density_working_set_bytes`` bounds what a run allocates.  Only
+each reuses in turn, the summed fidelity and the line sums.  Open runs
+and closed fidelity runs hold numpy's bundled OpenBLAS at one thread and
+the last one out restores its count, so that no contraction is split and
+results do not depend on ``OPENBLAS_NUM_THREADS``; the count is
+process-global, so BLAS that another thread runs meanwhile is held too.
+``open_layout`` picks the layout, ``_run_open`` is the one runner on it,
+``evolve_open`` returns P(x) read from line sums and the final state of a
+run stepped whole, ``fidelity_trace`` takes a run's fidelity to its start
+in its own basis at the times its caller reads, and keeps no final state:
+line 0 alone is brought back, for the trace check.
+``density_working_set_bytes`` bounds what a run allocates.  Only
 ``_run_open`` calls ``open_layout``, so each open run is laid out once, and
 its support reaches the caller with its result (``OpenResult.layout``, the
 layout ``fidelity_trace`` returns) instead of being laid out again.
@@ -261,7 +262,7 @@ class MomentumLayout:
     line dephasing is a mask (``shift``).  ``start`` and ``shift`` take and
     return a block of stored lines, ``rows``, in that basis, and
     ``momenta`` brings one back to momenta, which
-    ``materialize``, ``distribution`` and ``check_trace`` read.
+    ``materialize``, ``line_sums`` and ``check_trace`` read.
     """
 
     lattice: LatticeConfig
@@ -358,30 +359,36 @@ class MomentumLayout:
             out[:, c, :, d] = _pair_dft(self._pairs(work[c, d], work[d, c], block), inverse=True)
         return out
 
-    def distribution(self, work: np.ndarray) -> np.ndarray:
-        """P(x) = sum_c rho(x, c; x, c) from the stored lines in momenta, with
-        no N x N block.
+    def line_sums(self, work: np.ndarray, rows: slice) -> np.ndarray:
+        """(head, tail) of the stored lines ``rows`` of ``work`` in momenta:
+        each row's sum of blocks (0,0) + (1,1) over columns j < R - q, and
+        over the rest, which ``distribution`` reads.  Row-local."""
+        sums = work[0, 0] + work[1, 1]
+        q = np.arange(self.lines)[rows]
+        head = np.where(np.arange(self.ring) < self.ring - q[:, None], sums, 0).sum(axis=1)
+        return np.stack((head, sums.sum(axis=1) - head))
+
+    def distribution(self, sums: np.ndarray) -> np.ndarray:
+        """P(x) = sum_c rho(x, c; x, c) from all stored lines' ``line_sums``.
 
         P(x) = N^-1 sum_d L(d) e^{-2 pi i d x / N}, where L(d) sums blocks
         (0,0) + (1,1) over the pairs of momentum offset a - b = d (mod N).
-        Row q holds offset q in its columns j < R - q and offset q - R in the
-        rest; its mirror, row R - q, adds their conjugates at offsets -q and
-        R - q.  Raises StateError unless P is finite, at least
-        ``-PROBABILITY_TOL`` and sums to 1 to ``TRACE_TOL``.
+        Row q holds offset q in its head and offset q - R in its tail; its
+        mirror, row R - q, adds their conjugates at offsets -q and R - q.
+        Raises StateError unless P is finite, at least ``-PROBABILITY_TOL``
+        and sums to 1 to ``TRACE_TOL``.
         """
         n = self.lattice.n_sites
         lines, ring = self.shape
-        sums = work[0, 0] + work[1, 1]
+        head, tail = sums
         q = np.arange(lines)
-        head = np.where(np.arange(ring) < ring - q[:, None], sums, 0).sum(axis=1)
-        tail = sums.sum(axis=1) - head
         mirrored = np.array(_mirrored(lines, ring), dtype=int)
         offsets = np.concatenate((q, q - ring, -mirrored, ring - mirrored)) % n
         terms = np.concatenate((head, tail, head[mirrored].conj(), tail[mirrored].conj()))
-        line_sums = np.zeros(n, dtype=complex)
-        np.add.at(line_sums, offsets, terms)
+        by_offset = np.zeros(n, dtype=complex)
+        np.add.at(by_offset, offsets, terms)
         # to_position sums e^{-i k x} over k = -pi + 2 pi d / N: e^{i pi x} = (-1)^x apart
-        prob = to_position(line_sums, out=line_sums).real * (
+        prob = to_position(by_offset, out=by_offset).real * (
             np.where(self.lattice.sites % 2, -1.0, 1.0) / np.sqrt(n))
         if not np.isfinite(prob).all():
             raise StateError("position distribution is not finite")
@@ -539,38 +546,41 @@ def density_working_set_bytes(n_sites: int) -> int:
     stepped in row blocks: the working array, its spare, the shift factor,
     the fidelity start and, for a coin-local channel, S^T start are views of
     one allocation, each at most about ``_BLOCK_BYTES`` (a layout's rows
-    split as evenly as may be), which every block of the run reuses, beside
-    the one full working array a final-state run in several blocks fills; a
-    fidelity run keeps none, and copies only line 0 of its first block and
-    a spare for it out of the allocation, for the trace check.  P(x) read
-    from the support needs no matrix at all.  A one-block final-state run's
-    final state stays a view of its allocation, spare and shift factor
-    included: copied out, it would exceed this bound.
+    split as evenly as may be), which every block of the run reuses; a
+    fidelity run copies only line 0 of its first block and a spare for it
+    out of the allocation, for the trace check.  P(x) read from the support
+    needs no matrix at all.  The final state of a run stepped whole stays a
+    view of its allocation, spare and shift factor included: copied out, it
+    would exceed this bound.
     """
     return 3 * 16 * (2 * n_sites) ** 2 + 256 * 1024
 
 
 @dataclass(frozen=True, eq=False)
 class OpenResult:
-    """An open run's end: its final working array on ``layout``, None for a
-    fidelity run, which keeps no final state, and the snapshots,
-    materialized and validated DensityOperators.
+    """An open run's end: its ``layout``, the final working array of a run
+    stepped whole (else None), the ``line_sums`` of all stored lines (None
+    for a fidelity run) and the snapshots, validated DensityOperators.
 
-    ``final`` materializes and validates rho on its first read and keeps it;
-    ``distribution()`` reads P(x) from the support and never builds rho.
+    ``final`` materializes and validates rho on its first read and keeps it,
+    or raises StateError if the run kept no rows; ``distribution()`` reads
+    P(x) from the line sums.
     """
 
     layout: MomentumLayout
     work: np.ndarray | None = field(repr=False)
+    sums: np.ndarray | None = field(repr=False)
     snapshots: dict[int, DensityOperator]
 
     @cached_property
     def final(self) -> DensityOperator:
+        if self.work is None:
+            raise StateError("the run kept no final state: pass snapshot_times that include T")
         return DensityOperator(self.layout.lattice, self.layout.materialize(self.work))
 
     def distribution(self) -> np.ndarray:
         """The final P(x), as ``MomentumLayout.distribution`` checks it."""
-        return self.layout.distribution(self.work)
+        return self.layout.distribution(self.sums)
 
 
 def evolve_open(
@@ -603,14 +613,16 @@ def fidelity_trace(psi: PureState, schedule: Schedule,
     closed or <psi|rho_t|psi> under the channel, and the ``MomentumLayout``
     the open run stepped (None closed), so that a caller reads the support
     from the run instead of laying it out again.  The run contracts at those
-    times alone, and a time outside it raises ``ScheduleError``.  The open
+    times alone, on one BLAS thread, and a time outside it raises
+    ``ScheduleError``.  The open
     run's final state is not kept; its trace is checked on line 0 of the
     support.  A start that is not a ``PureState`` raises ``StateError``."""
     if not isinstance(psi, PureState):
         raise StateError(f"a fidelity run starts from a PureState, not {type(psi).__name__}")
     times = range(schedule.total_steps + 1) if times is None else times
     if schedule.channel is None:
-        return _run_pure(psi, schedule, fidelity_times=times)[1].trace, None
+        with _one_blas_thread():
+            return _run_pure(psi, schedule, fidelity_times=times)[1].trace, None
     result, trace = _run_open(psi, schedule, fidelity_times=times)
     return trace, result.layout
 
@@ -628,7 +640,7 @@ _OPENBLAS_THREADS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_nu
 def _openblas_threads() -> tuple[Callable, Callable] | None:
     """(get, set) of the thread count of the OpenBLAS numpy bundles in
     ``numpy.libs``, through ctypes, or None where no library there exports
-    both symbols.  Looked up at the first open run, not at import."""
+    both symbols.  Looked up at the first held run, not at import."""
     for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(_OPENBLAS_LIBS)):
         try:
             lib = ctypes.CDLL(str(path))
@@ -638,7 +650,7 @@ def _openblas_threads() -> tuple[Callable, Callable] | None:
     return None
 
 
-# the open runs inside ``_one_blas_thread`` and the BLAS count the first one found
+# the runs inside ``_one_blas_thread`` and the BLAS count the first one found
 _blas_lock = threading.Lock()
 _blas_runs, _blas_count = 0, None
 
@@ -647,7 +659,7 @@ _blas_runs, _blas_count = 0, None
 def _one_blas_thread():
     """Run the body with numpy's OpenBLAS on one thread and restore its count
     afterwards, also when the body raises; without the symbols, leave BLAS
-    alone.  The count is process-global, so concurrent open runs share one
+    alone.  The count is process-global, so concurrent runs share one
     hold: the first one in saves the count and the last one out restores
     it, under a lock held only for that bookkeeping.  BLAS calls another
     thread makes meanwhile run on one thread too."""
@@ -679,17 +691,16 @@ def _run_open(rho0, schedule: Schedule, snapshot_times: Sequence[int] = (),
     and ``_Checkpoints``, which holds the owed map S of a coin-local channel
     and S^T start; walker and both dephasing ride in the shift.  The blocks
     share only one allocation, whose views each block reuses, the fidelity,
-    to which each block's trace is added in block order, and the final
-    array, into which each writes its rows, brought back to momenta with
-    what it still owes paid.  A run with snapshots, or from a
-    DensityOperator, is one block, and a final state it keeps stays a view
-    of the allocation.  The final trace is checked on line 0, in the
-    first block.  Returns (OpenResult, the fidelity <psi|rho_t|psi> for rho0 = psi
-    at each of ``fidelity_times``, contracted at those times alone); the
-    result's snapshots are materialized and validated.  A fidelity run, one
-    with any fidelity time, keeps no final state (``work`` is None): line 0
-    of its first block alone pays what it owes and goes back to momenta,
-    for the trace check."""
+    to which each block's trace is added in block order, and the line sums,
+    which each block writes as it ends, its rows back in momenta with what
+    they still owe paid.  A run with snapshots, or from a
+    DensityOperator, is stepped whole, in one block, and alone keeps its
+    final rows, as a view of the allocation.  The final trace is checked on
+    line 0, in the first block.  Returns (OpenResult, the fidelity
+    <psi|rho_t|psi> for rho0 = psi at each of ``fidelity_times``, contracted
+    at those times alone).  A fidelity run, one with any fidelity time,
+    keeps no final state: line 0 of its first block alone pays what it owes
+    and goes back to momenta, for the trace check."""
     layout = open_layout(rho0, schedule)
     lines, ring = layout.shape
     spec = schedule.channel
@@ -698,7 +709,7 @@ def _run_open(rho0, schedule: Schedule, snapshot_times: Sequence[int] = (),
     whole = len(snapshot_times) or not isinstance(rho0, PureState)
     # the bytes of four coin blocks of complex entries, in blocks of _BLOCK_BYTES
     count = 1 if whole else min(lines, -(-4 * 16 * lines * ring // _BLOCK_BYTES))
-    final = None if count == 1 or fidelity else np.empty((2, 2, lines, ring), dtype=complex)
+    sums = None if fidelity else np.empty((2, lines), dtype=complex)
     # work, spare and shift factor, then the fidelity start and S^T start
     arrays = 3 + fidelity + (fidelity and owed is not None)
     held = np.empty(arrays * 4 * -(-lines // count) * ring, dtype=complex)
@@ -720,13 +731,14 @@ def _run_open(rho0, schedule: Schedule, snapshot_times: Sequence[int] = (),
             work, spare = _run(work, spare, schedule, range(1, schedule.total_steps + 1),
                                checkpoint, layout.shift(spec, rows, factor))
             trace += checkpoint.trace
-            if i == 0 or final is not None:
+            if i == 0 or not fidelity:
                 if fidelity:  # line 0 alone, contiguous, as the coin map reshapes it
                     work, spare = np.array(work[:, :, :1]), np.empty_like(spare[:, :, :1])
                 work, _ = checkpoint.pay(work, spare)
                 work = layout.momenta(work, work)
             if i == 0:
                 layout.check_trace(work)
-            if final is not None:
-                final[:, :, rows] = work
-    return OpenResult(layout, final if fidelity or count > 1 else work, checkpoint.snaps), trace
+            if not fidelity:
+                sums[:, rows] = layout.line_sums(work, rows)
+    kept = work if whole and not fidelity else None
+    return OpenResult(layout, kept, sums, checkpoint.snaps), trace

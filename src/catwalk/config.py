@@ -140,7 +140,22 @@ def parse_config(
     """
     cfg = ExperimentConfig(scenario=scenario, **SCENARIO_DEFAULTS.get(scenario, {}))
     prov = dict.fromkeys(KEYS, "default")
+    for where, key, value, origin in _entries(text, flags or {}):
+        if key not in KEYS:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        try:
+            setattr(cfg, key, _parse(key, value) if isinstance(value, str) else value)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"{where}: {key}: {exc}") from exc
+        prov[key] = origin
+    cfg.provenance = prov
+    _validate(cfg)
+    return cfg
 
+
+def _entries(text: str, flags: dict):
+    """(where, key, value, origin) of each file line, then of each flag that
+    is set; a line that is not key=value raises ConfigError."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -148,27 +163,7 @@ def parse_config(
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        try:
-            setattr(cfg, key, _parse(key, value))
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"line {lineno}: {key}: {exc}") from exc
-        prov[key] = "file"
-
-    for key, value in (flags or {}).items():
-        if value is None:
-            continue
-        if key not in KEYS:
-            raise ConfigError(f"flag --{key}: unknown key")
-        try:
-            parsed = _parse(key, value) if isinstance(value, str) else value
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"flag --{key}: {exc}") from exc
-        setattr(cfg, key, parsed)
-        prov[key] = "flag"
-
-    cfg.provenance = prov
-    _validate(cfg)
-    return cfg
+        yield f"line {lineno}", key.strip(), value.strip(), "file"
+    for key, value in flags.items():
+        if value is not None:
+            yield f"flag --{key}", key, value, "flag"

@@ -238,7 +238,7 @@ def run_returnk0(cfg: ExperimentConfig) -> ResultRecord:
 
 def run_decohereprob(cfg: ExperimentConfig) -> ResultRecord:
     """Final distributions under the three channel kinds at one eta, read
-    from each run's momentum support without building rho, with the target
+    from each run's line sums without building or keeping rho, with the target
     each table ran with as target.<table>, the support the run stepped, read
     from its result (``_support``), and |sum P - 1| as trace_defect.<table>."""
     psi0 = _packet(cfg, cfg.steps, density=True)
@@ -250,7 +250,6 @@ def run_decohereprob(cfg: ExperimentConfig) -> ResultRecord:
         result = evolve_open(psi0, sched)
         _support(meta, kind, result.layout)
         prob = result.distribution()
-        del result  # the next run must not hold this one's final rows beside its own
         meta[f"trace_defect.{kind}"] = repr(float(abs(prob.sum() - 1.0)))
         tables.append(Table(kind, x=psi0.lattice.sites, probability=prob))
     return ResultRecord("decohereprob", meta, tables)

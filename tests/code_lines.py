@@ -1,5 +1,7 @@
 """Code lines per ``src/catwalk`` file: lines that hold a token other than a
-comment, a docstring or a line break, beside the file's physical lines.
+comment, a docstring or a line break, beside the file's physical lines and
+its source bytes.  The benchmark compiles ``src/catwalk`` from source at
+import, so the bytes weigh on its memory and setup time.
 
 Run: python tests/code_lines.py [SRC_DIR]
 """
@@ -35,9 +37,10 @@ def code_lines(path: Path) -> int:
 
 if __name__ == "__main__":
     src = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parents[1] / "src/catwalk")
-    total_code = total_physical = 0
+    totals = [0, 0, 0]
+    print(f"{'file':16} {'code':>5} {'lines':>5} {'bytes':>7}")
     for path in sorted(src.glob("*.py")):
-        code, physical = code_lines(path), len(path.read_text().splitlines())
-        total_code, total_physical = total_code + code, total_physical + physical
-        print(f"{path.name:16} {code:5} {physical:5}")
-    print(f"{'total':16} {total_code:5} {total_physical:5}")
+        counts = code_lines(path), len(path.read_text().splitlines()), path.stat().st_size
+        totals = [total + count for total, count in zip(totals, counts)]
+        print(f"{path.name:16} {counts[0]:5} {counts[1]:5} {counts[2]:7}")
+    print(f"{'total':16} {totals[0]:5} {totals[1]:5} {totals[2]:7}")

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 from catwalk.analysis import (
     FRINGE_OVERSAMPLE,
+    PEAK_FLOOR,
     _find_peaks,
     _reversal_schedule,
     cat_metrics,
@@ -229,11 +230,39 @@ def test_fringe_distribution_matches_dense_padded_dft(n):
 
 
 @settings(max_examples=500, deadline=None)
-@given(values=st.lists(st.integers(-3, 3), max_size=40), distance=st.sampled_from([None, 5]))
-def test_find_peaks_matches_scipy(values, distance):
+@given(values=st.lists(st.integers(-3, 3), max_size=40))
+def test_find_peaks_matches_scipy(values):
     # small integers make plateaus, plateaus at the ends and height ties
     x = np.array(values, dtype=float)
-    np.testing.assert_array_equal(_find_peaks(x, distance), find_peaks(x, distance=distance)[0])
+    np.testing.assert_array_equal(_find_peaks(x), find_peaks(x)[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.integers(0, 40), min_size=3, max_size=60),
+       scale=st.sampled_from([1.0, 1e-13]))
+def test_cat_metrics_peaks_are_scipys_two_highest_at_distance_5(values, scale):
+    # with no tied peak heights, the highest peak and the highest at least 5
+    # sites from it are the two highest that scipy keeps at distance=5, after
+    # the floor; a scaled tail puts some peaks below PEAK_FLOOR
+    prob = np.array(values, dtype=float)
+    prob[len(prob) // 2:] *= scale
+    peaks = find_peaks(prob)[0]
+    assume(len(set(prob[peaks])) == len(peaks))
+    kept = find_peaks(prob, distance=5)[0]
+    kept = kept[prob[kept] >= PEAK_FLOOR * prob[kept].max(initial=0.0)]
+    m = cat_metrics(prob, np.arange(prob.size))
+    assert m.bimodal == (kept.size >= 2)
+    if m.bimodal:
+        assert (m.left_peak, m.right_peak) == tuple(sorted(kept[np.argsort(prob[kept])[-2:]]))
+
+
+def test_cat_metrics_takes_the_leftmost_of_tied_peaks():
+    # three equal peaks, the first two closer than 5 sites: the highest is
+    # the leftmost, and the second the leftmost of those at least 5 from it
+    prob = np.zeros(40)
+    prob[[10, 13, 20, 30]] = [1.0, 1.0, 1.0, 1.0]
+    m = cat_metrics(prob, np.arange(40))
+    assert (m.left_peak, m.right_peak) == (10, 20)
 
 
 def test_cat_metrics_two_deltas():
@@ -274,7 +303,7 @@ def test_cat_metrics_ignores_a_rounding_noise_ripple():
     lat = make_lattice(128)
     prob = np.abs(gaussian_walker(lat.sites, -20.0, 4.0)) ** 2
     prob[lat.sites == 40] += 1e-30 * prob.max()
-    assert _find_peaks(prob, distance=5).size == 2
+    assert _find_peaks(prob).size == 2
     m = cat_metrics(prob, lat.sites)
     assert not m.bimodal
     assert (m.left_peak, m.right_peak) == (-20, -20)

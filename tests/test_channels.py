@@ -329,10 +329,11 @@ def test_windowed_start_matches_dense_oracle(variant, reverser):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_support_trace_check_matches_the_materialized_trace(variant):
+    # a run stepped whole keeps its final rows (a snapshot at the end)
     n = 64
     psi = band_limited_packet(n, 5.0, k0=0.3)
     sched = Schedule(7, 0.7, channel=ChannelSpec(variant[0], 0.05, variant[1]))
-    result, _ = channels._run_open(psi, sched)
+    result, _ = channels._run_open(psi, sched, (7,))
     layout, work = result.layout, result.work
     assert np.trace(layout.materialize(work).reshape(2 * n, 2 * n)).real == pytest.approx(
         1.0, abs=1e-13)
@@ -551,7 +552,8 @@ def test_a_truncated_run_is_within_its_tail_of_the_untruncated_one(target, monke
         with pytest.MonkeyPatch.context() as patch:
             if layout is not None:
                 patch.setattr(channels, "open_layout", lambda rho0, schedule: layout)
-            result, _ = channels._run_open(psi, sched)
+            # stepped whole, with a snapshot at the end, so that it keeps its rows
+            result, _ = channels._run_open(psi, sched, (2 * T,))
             trace = channels._run_open(psi, sched, fidelity_times=range(2 * T + 1))[1]
         mat = result.layout.materialize(result.work)
         return result.layout, trace, np.einsum("xcxc->x", mat).real
@@ -732,6 +734,28 @@ def block_rows(monkeypatch):
     return runs
 
 
+@pytest.fixture
+def handed_rows(monkeypatch):
+    """The final rows, in momenta, that each block of an open run hands to
+    ``MomentumLayout.line_sums``, copied, one list per run."""
+    runs = []
+    line_sums = MomentumLayout.line_sums
+
+    def recorded(layout, work, rows):
+        if rows.start == 0:
+            runs.append([])
+        runs[-1].append(np.array(work))
+        return line_sums(layout, work, rows)
+
+    monkeypatch.setattr(MomentumLayout, "line_sums", recorded)
+    return runs
+
+
+def _final_rows(run):
+    """Every stored line of a run ``handed_rows`` recorded, in block order."""
+    return np.concatenate(run, axis=2)
+
+
 def _split(monkeypatch, layout, blocks):
     """Set the budget so that a run on ``layout`` takes ``blocks`` row blocks."""
     monkeypatch.setattr(channels, "_BLOCK_BYTES", -(-64 * layout.lines * layout.ring // blocks))
@@ -749,26 +773,36 @@ def _assert_blocks(rows, layout, blocks):
 @pytest.mark.parametrize("blocks", [2, 3, 5])
 @pytest.mark.parametrize("support", ["window", "all"])
 @pytest.mark.parametrize("variant", [None, *VARIANTS])
-def test_row_blocks_leave_the_final_state_bit_identical(variant, support, blocks,
-                                                        block_rows, monkeypatch):
+def test_row_blocks_leave_the_final_state_bit_identical(variant, support, blocks, block_rows,
+                                                        handed_rows, monkeypatch):
     # every map of a step acts line by line, so a block's rows take the very
-    # arithmetic of one block; a start on one site, on every momentum,
-    # makes even the coin-local ring all N, stepped in y = x - x'
+    # arithmetic of one block, and so do their line sums and P(x); a start on
+    # one site, on every momentum, makes even the coin-local ring all N,
+    # stepped in y = x - x'.  The rows of a run that keeps none are read
+    # where each block hands them to line_sums, and match the rows a run
+    # stepped whole keeps
     n, theta = 32, 0.7
     psi = (band_packet(n, 13, seed=5) if support == "window"
            else localized_state(make_lattice(n), 5, COIN_SYMMETRIC))
     spec = None if variant is None else ChannelSpec(variant[0], 0.2, variant[1])
     gate, gate_back = reversal_pair(theta)
     sched = Schedule(9, theta, coin_gate_insertions=((3, gate), (6, gate_back)), channel=spec)
+    whole = channels._run_open(psi, sched, (9,))[0]
     one = channels._run_open(psi, sched)[0]
     layout = one.layout
     assert layout.relative == (support == "all" or variant in VARIANTS[1:3])
     _split(monkeypatch, layout, blocks)
     split = channels._run_open(psi, sched)[0]
-    assert block_rows[0] == [(0, layout.lines)]
-    _assert_blocks(block_rows[1], layout, blocks)
-    assert split.work.shape == one.work.shape
-    np.testing.assert_array_equal(split.work, one.work)
+    assert block_rows[1] == [(0, layout.lines)]
+    _assert_blocks(block_rows[2], layout, blocks)
+    assert one.work is None and split.work is None
+    assert [len(run) for run in handed_rows] == [1, 1, blocks]
+    for rows in (_final_rows(handed_rows[1]), _final_rows(handed_rows[2])):
+        assert rows.shape == whole.work.shape
+        np.testing.assert_array_equal(rows, whole.work)
+    for result in (one, split):
+        np.testing.assert_array_equal(result.sums, whole.sums)
+        np.testing.assert_array_equal(result.distribution(), whole.distribution())
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -828,6 +862,28 @@ def test_a_fidelity_run_in_row_blocks_holds_only_their_rows(monkeypatch):
     assert peak(6) <= 0.6 * peak(1)
 
 
+def test_a_distribution_run_in_row_blocks_holds_no_full_working_array():
+    # decohereprob's both run at N = 400: 53 x 400 lines in 2 blocks.  Each
+    # block hands its rows' sums over as it ends, so beside one block set
+    # (work, spare and shift factor of the largest block) the run holds less
+    # than one full working array
+    psi = gaussian_position_state(make_lattice(400), 10.0, COIN_SYMMETRIC)
+    sched = Schedule(40, np.pi / 4, channel=ChannelSpec("dephasing", 0.01, "both"))
+    layout = open_layout(psi, sched)
+    lines, ring = layout.shape
+    blocks = -(-64 * lines * ring // channels._BLOCK_BYTES)
+    assert (lines, ring, blocks) == (53, 400, 2)
+    evolve_open(psi, sched).distribution()  # first-call allocations
+    tracemalloc.start()
+    try:
+        evolve_open(psi, sched).distribution()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block_set = 3 * 64 * -(-lines // blocks) * ring
+    assert peak - block_set < 64 * lines * ring
+
+
 # ------------------------------ coin-local channels ride in the coin map
 
 COIN_LOCAL = [variant for variant in VARIANTS if variant[1] == "coin"]
@@ -842,9 +898,11 @@ def _dense_fidelities(psi, expected):
 @pytest.mark.parametrize("end_gate", [False, True])
 @pytest.mark.parametrize("eta", [0.2, 1000.0])
 @pytest.mark.parametrize("variant", COIN_LOCAL)
-def test_an_owed_channel_matches_dense_oracle(variant, eta, end_gate, blocks, monkeypatch):
+def test_an_owed_channel_matches_dense_oracle(variant, eta, end_gate, blocks, handed_rows,
+                                              monkeypatch):
     # a step leaves the channel S owed: the next step's coin map is C S, a
-    # gate's G S (at t = 0 nothing is owed yet), and the final state and the
+    # gate's G S (at t = 0 nothing is owed yet), and the final rows each block
+    # hands to its line sums, the final state of a run stepped whole and the
     # trace check pay it alone unless a gate at the end did; the fidelity
     # reads an owing state against S^T start
     n, steps, theta = 32, 9, 0.7
@@ -857,7 +915,11 @@ def test_an_owed_channel_matches_dense_oracle(variant, eta, end_gate, blocks, mo
     layout = open_layout(psi, sched)
     _split(monkeypatch, layout, blocks)
     result = evolve_open(psi, sched)
-    np.testing.assert_allclose(result.final.as_2d, expected[-1], rtol=0, atol=1e-12)
+    assert len(handed_rows[0]) == blocks
+    final = layout.materialize(_final_rows(handed_rows[0])).reshape(2 * n, 2 * n)
+    np.testing.assert_allclose(final, expected[-1], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(evolve_open(psi, sched, (steps,)).final.as_2d, expected[-1],
+                               rtol=0, atol=1e-12)
     prob = np.diag(expected[-1]).real.reshape(n, 2).sum(axis=1)
     np.testing.assert_allclose(result.distribution(), prob, rtol=0, atol=1e-12)
     np.testing.assert_allclose(channels.fidelity_trace(psi, sched)[0],
@@ -991,10 +1053,14 @@ def test_a_fidelity_run_keeps_no_final_state(variant, start, block_rows, monkeyp
     _split(monkeypatch, layout, 3 if start == "pure_3" else 1)
     for times in ((2 * T,), (3, 1), range(2 * T + 1)):
         result, trace = channels._run_open(rho0, sched, snaps, times)
-        assert result.work is None and trace.shape == (len(times),)
+        assert result.work is None and result.sums is None and trace.shape == (len(times),)
         assert sorted(result.snapshots) == list(snaps)
     _assert_blocks(block_rows[0], layout, 3 if start == "pure_3" else 1)
-    assert channels._run_open(rho0, sched, snaps)[0].work is not None
+    # without fidelity times, a run stepped whole keeps its rows, and every
+    # run its line sums
+    final = channels._run_open(rho0, sched, snaps)[0]
+    assert (final.work is not None) == (start in ("snapshots", "density"))
+    assert final.sums.shape == (2, layout.lines)
     shift = MomentumLayout.shift
 
     def drifting(layout, *args):
@@ -1029,6 +1095,12 @@ def test_open_runs_hold_blas_at_one_thread_and_restore_its_count(monkeypatch):
         step = recorded(layout, *args)
         return lambda work, out: np.multiply(step(work, out), 1 + 1e-7, out=out)
 
+    run_pure = channels._run_pure
+
+    def closed(*args, **kwargs):  # a closed fidelity run holds BLAS too
+        seen.append(get())
+        return run_pure(*args, **kwargs)
+
     psi = band_limited_packet(64, 5.0)
     spec = ChannelSpec("dephasing", 0.05, "walker")
     before = get()
@@ -1041,9 +1113,12 @@ def test_open_runs_hold_blas_at_one_thread_and_restore_its_count(monkeypatch):
         with pytest.raises(StateError, match="trace"):
             revival_protocol(psi, 0.7, 5, channel=spec)
         assert get() == 2
+        monkeypatch.setattr(channels, "_run_pure", closed)
+        revival_protocol(psi, 0.7, 5)
+        assert get() == 2
     finally:
         set_(before)
-    assert len(seen) == 2 and set(seen) == {1}
+    assert len(seen) == 3 and set(seen) == {1}
 
 
 def test_concurrent_open_runs_restore_the_blas_count(monkeypatch):
@@ -1109,7 +1184,8 @@ def test_distribution_matches_the_materialized_diagonal(variant, start):
     spec = None if variant is None else ChannelSpec(variant[0], 0.3, variant[1])
     sched = Schedule(steps, theta, channel=spec)
     rho0 = DensityOperator.from_pure(psi) if start == "density" else psi
-    result, _ = channels._run_open(rho0, sched)
+    # stepped whole, with a snapshot at the end, so that it keeps its rows
+    result, _ = channels._run_open(rho0, sched, (steps,))
     layout, work = result.layout, result.work
     if not start.startswith("window"):
         assert layout.full
@@ -1120,14 +1196,17 @@ def test_distribution_matches_the_materialized_diagonal(variant, start):
     mat = layout.materialize(work)
     sites = np.arange(n)
     diagonal = (mat[sites, 0, sites, 0] + mat[sites, 1, sites, 1]).real
-    np.testing.assert_allclose(layout.distribution(work), diagonal, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(result.distribution(), diagonal, rtol=0, atol=1e-15)
+    # a run that keeps no rows finishes P(x) from the same line sums
+    np.testing.assert_array_equal(evolve_open(rho0, sched).distribution(), result.distribution())
 
 
 @pytest.mark.parametrize("spoil, message", [("scale", "sums to"), ("nan", "finite"),
                                             ("negative", "below 0")])
 def test_distribution_refuses_an_unphysical_support(spoil, message):
+    # a run stepped whole keeps its rows, which are spoiled, then summed
     psi = band_limited_packet(64, 3.0)
-    result, _ = channels._run_open(psi, Schedule(5, 0.7))
+    result, _ = channels._run_open(psi, Schedule(5, 0.7), (5,))
     layout, work = result.layout, result.work
     if spoil == "scale":
         work *= 1 + 1e-9
@@ -1138,10 +1217,12 @@ def test_distribution_refuses_an_unphysical_support(spoil, message):
         # the packet has not reached go negative
         work[0, 0, 1, 0] += 0.01
     with pytest.raises(StateError, match=message):
-        layout.distribution(work)
+        layout.distribution(layout.line_sums(work, slice(0, layout.lines)))
 
 
 def test_final_is_materialized_once_and_validated(monkeypatch):
+    # a run stepped whole (a snapshot at the end) materializes that snapshot
+    # in the run, its final state on the first read, and P(x) never
     calls = []
     materialize = MomentumLayout.materialize
 
@@ -1151,14 +1232,31 @@ def test_final_is_materialized_once_and_validated(monkeypatch):
 
     monkeypatch.setattr(MomentumLayout, "materialize", counted)
     psi = band_packet(32, 10, seed=3)
-    result = evolve_open(psi, Schedule(5, 0.7, channel=ChannelSpec("dephasing", 0.3, "walker")))
+    sched = Schedule(5, 0.7, channel=ChannelSpec("dephasing", 0.3, "walker"))
+    result = evolve_open(psi, sched, (5,))
     prob = result.distribution()
-    assert calls == []
+    assert len(calls) == 1
     final = result.final
     assert isinstance(final, DensityOperator) and result.final is final
-    assert len(calls) == 1
+    assert len(calls) == 2
     assert not final.matrix.flags.writeable
     np.testing.assert_allclose(position_distribution(final), prob, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(final.matrix, result.snapshots[5].matrix)
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_a_run_that_keeps_no_rows_refuses_its_final_state(blocks, monkeypatch):
+    # a pure start without snapshots keeps only its line sums: P(x) is read
+    # from them, and rho is refused with the way to keep it
+    psi = band_packet(32, 10, seed=3)
+    sched = Schedule(5, 0.7, channel=ChannelSpec("dephasing", 0.3, "walker"))
+    _split(monkeypatch, open_layout(psi, sched), blocks)
+    result = evolve_open(psi, sched)
+    assert result.work is None
+    with pytest.raises(StateError, match="kept no final state.*snapshot_times that include T"):
+        result.final
+    np.testing.assert_array_equal(result.distribution(),
+                                  evolve_open(psi, sched, (5,)).distribution())
 
 
 def test_evolve_open_checks_the_final_trace_at_call_time(monkeypatch):
