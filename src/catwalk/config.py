@@ -14,8 +14,7 @@ import os
 from typing import NamedTuple, get_args
 
 from .channels import CHANNEL_KINDS, DEPHASING, TARGET_BOTH, TARGETS
-
-FORMATS = ("csv", "plot", "both")
+from .io import FORMATS
 
 OUT_ENV = "CATWALK_OUT"
 
@@ -25,7 +24,8 @@ class ConfigError(ValueError):
 
 
 # A valid range is (test, text): a value failing the test is refused as
-# "<key>: must be <text>, got <value>".
+# "<where>: must be <text>, got <value>", <where> naming the flag or the
+# file line and key that set it (the key alone for a default).
 def _above(low):
     return (lambda v: v > low), f"> {low}"
 
@@ -116,13 +116,13 @@ def _parse(key: str, text: str):
     return None if KEYS[key].auto and text == "auto" else KEYS[key].type(text)
 
 
-def _validate(cfg: ExperimentConfig) -> None:
+def _validate(cfg: ExperimentConfig, named: dict) -> None:
     for key, spec in KEYS.items():
-        value = getattr(cfg, key)
+        value, where = getattr(cfg, key), named.get(key, key)
         if spec.type is float and not math.isfinite(value):
-            raise ConfigError(f"{key}: must be finite, got {value}")
+            raise ConfigError(f"{where}: must be finite, got {value}")
         if spec.valid and not spec.valid[0](value):
-            raise ConfigError(f"{key}: must be {spec.valid[1]}, got {value!r}")
+            raise ConfigError(f"{where}: must be {spec.valid[1]}, got {value!r}")
 
 
 def parse_config(
@@ -135,21 +135,23 @@ def parse_config(
 
     File format is one ``key=value`` per line with ``#`` comments and
     blank lines allowed.  Unknown keys, unparsable values, and range
-    violations raise ConfigError naming the offender (with its line
-    number for file entries).
+    violations raise ConfigError naming the offender as the user wrote
+    it: a flag by its flag, a file entry by its line number and key.
     """
     cfg = ExperimentConfig(scenario=scenario, **SCENARIO_DEFAULTS.get(scenario, {}))
     prov = dict.fromkeys(KEYS, "default")
+    named = {}  # how refusals name each key that is set
     for where, key, value, origin in _entries(text, flags or {}):
         if key not in KEYS:
             raise ConfigError(f"{where}: unknown key {key!r}")
+        named[key] = f"flag {KEYS[key].flag}" if origin == "flag" else f"{where}: {key}"
         try:
             setattr(cfg, key, _parse(key, value) if isinstance(value, str) else value)
         except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{where}: {key}: {exc}") from exc
+            raise ConfigError(f"{named[key]}: {exc}") from exc
         prov[key] = origin
     cfg.provenance = prov
-    _validate(cfg)
+    _validate(cfg, named)
     return cfg
 
 

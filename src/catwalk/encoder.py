@@ -1,11 +1,10 @@
-"""The numpy encoder of large tables: each row of a structured array as
-``line % row`` writes it (``catwalk.io._line``: integers as %d, reals as
-%.17g), byte for byte, CHUNK_ROWS rows at a time.
+"""The row text of every table: each row of a structured array as
+``line % row`` writes it (``_line``: integers as %d, reals as FLOAT_FMT),
+byte for byte, CHUNK_ROWS rows at a time.
 
 ``encoded`` lays each chunk out as one byte block and a mask of the bytes
 kept (``_real``, ``_int``), and hands the rows it cannot decide to
-``line % row``.  Its tables are built on first use, and ``catwalk.io``
-imports this module only to write a table of ENCODER_ROWS rows or more.
+``line % row``.  Its tables are built on first use.
 """
 
 from __future__ import annotations
@@ -16,12 +15,19 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .io import CHUNK_ROWS, _line
-
+FLOAT_FMT = "%.17g"
+CHUNK_ROWS = 8192  # rows written at a time: bounds the encoder's block and the held text
 _TIE = 1e-9  # a fraction of y this close to 1/2 is left to `%` (see _decimal)
 _Q0, _QN = -345, 650  # the powers 10**-q held: q = _Q0 .. _Q0 + _QN - 1
 _X = _Q0 + 16  # the smallest exponent held
 _REAL_WIDTH = 46  # bytes of a real cell (see _real_cells)
+
+
+def _line(rows: np.ndarray, sep: str) -> str:
+    """The ``%`` format of one row: integer fields as %d, float fields as
+    FLOAT_FMT, joined by ``sep``."""
+    names = rows.dtype.names
+    return sep.join("%d" if rows.dtype[n].kind in "iu" else FLOAT_FMT for n in names) + "\n"
 
 
 @functools.cache
@@ -197,7 +203,7 @@ def _int(col: np.ndarray, block: np.ndarray, mask: np.ndarray) -> None:
 
 def encoded(rows: np.ndarray, sep: str) -> Iterator[bytes]:
     """The text of ``rows``, CHUNK_ROWS at a time, byte for byte what
-    ``catwalk.io._formatted`` writes.
+    ``line % row`` writes for each row.
 
     Each chunk is one (rows, width) byte block and a mask of the bytes
     kept, compacted with ``compress``: a cell per column, as wide as its

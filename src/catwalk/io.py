@@ -2,16 +2,15 @@
 
 A table is one structured array: its fields are the columns, in order, and
 each field's type says how it is written, integers as %d and reals as
-%.17g.  A table of ENCODER_ROWS rows or more is written CHUNK_ROWS rows at
-a time by the numpy encoder of ``catwalk.encoder``, which writes, byte for
-byte, what ``%`` writes and leaves to ``%`` the few values it cannot
-decide; a smaller table is written by ``%`` alone.  Everything emitted
-is deterministic text: metadata keys sorted, no timestamps in files.
+%.17g.  Every table is written CHUNK_ROWS rows at a time by the numpy
+encoder of ``catwalk.encoder``, which writes, byte for byte, what ``%``
+writes and leaves to ``%`` the few rows it cannot decide.  Everything
+emitted is deterministic text: metadata keys sorted, no timestamps in files.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,13 +18,7 @@ import numpy as np
 
 from . import __version__
 
-FLOAT_FMT = "%.17g"
-CHUNK_ROWS = 8192  # rows written at a time: bounds the encoder's block and the held text
-# rows from which a table is written by catwalk.encoder: in a fresh process
-# its first table pays about 7 ms and 1.5 MB of max RSS to load it, which it
-# wins back only from a few thousand rows (timings in CHANGES.md); runs that
-# write only smaller tables never import it
-ENCODER_ROWS = 4096
+FORMATS = ("csv", "plot", "both")
 _HELD = {"i": np.int64, "u": np.uint64, "f": np.float64}
 
 
@@ -61,42 +54,12 @@ class ResultRecord:
     tables: list[Table] = field(default_factory=list)
 
 
-def _write_text(path: Path, text: str) -> None:
-    try:
-        path.write_text(text)
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
-
-
-def _line(rows: np.ndarray, sep: str) -> str:
-    """The ``%`` format of one row: integer fields as %d, float fields as
-    FLOAT_FMT, joined by ``sep``."""
-    names = rows.dtype.names
-    return sep.join("%d" if rows.dtype[n].kind in "iu" else FLOAT_FMT for n in names) + "\n"
-
-
-def _formatted(rows: np.ndarray, sep: str) -> Iterator[bytes]:
-    """The text of ``rows``, CHUNK_ROWS at a time, one ``line % row`` each."""
-    line = _line(rows, sep)
-    for s in range(0, rows.shape[0], CHUNK_ROWS):
-        cols = (rows[n][s : s + CHUNK_ROWS].tolist() for n in rows.dtype.names)
-        yield "".join(line % row for row in zip(*cols)).encode()
-
-
-def _write_rows(path: Path, header: str, rows: np.ndarray, sep: str) -> None:
-    """Write ``header`` then one ``sep``-joined line per row of the
-    structured array ``rows``: integer fields as %d, float fields as
-    FLOAT_FMT.  A table of ENCODER_ROWS rows or more is written by
-    ``catwalk.encoder.encoded``, a smaller one by ``_formatted``; the bytes
-    are the same."""
-    if rows.shape[0] >= ENCODER_ROWS:
-        from .encoder import encoded  # imported by the first large table only
-        chunks = encoded(rows, sep)
-    else:
-        chunks = _formatted(rows, sep)
+def _write(path: Path, head: str, chunks: Iterable[bytes] = ()) -> None:
+    """Write ``head``, then stream ``chunks``: a table's whole text is
+    never held."""
     try:
         with path.open("wb") as fh:
-            fh.write(header.encode())
+            fh.write(head.encode())
             fh.writelines(chunks)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
@@ -105,9 +68,14 @@ def _write_rows(path: Path, header: str, rows: np.ndarray, sep: str) -> None:
 def emit_results(record: ResultRecord, out_dir, fmt: str = "csv") -> list[Path]:
     """Write the record's tables and metadata under ``out_dir``.
 
-    ``fmt`` selects csv tables, two-column whitespace plot files (last two
-    columns of each table), or both.  Returns the written paths.
+    ``fmt``, one of FORMATS, selects csv tables, two-column whitespace plot
+    files (last two columns of each table), or both.  Returns the written
+    paths.
     """
+    if fmt not in FORMATS:
+        raise ValueError(f"fmt: must be one of {FORMATS}, got {fmt!r}")
+    from .encoder import encoded  # loaded at the first emit, so set-up does not compile it
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -116,17 +84,17 @@ def emit_results(record: ResultRecord, out_dir, fmt: str = "csv") -> list[Path]:
     for key in sorted(record.metadata):
         meta_lines.append(f"{key}={record.metadata[key]}")
     meta_path = out / f"{record.scenario}_meta.txt"
-    _write_text(meta_path, "\n".join(meta_lines) + "\n")
+    _write(meta_path, "\n".join(meta_lines) + "\n")
     written.append(meta_path)
 
     for table in record.tables:
         names = table.rows.dtype.names
         if fmt in ("csv", "both"):
             path = out / f"{record.scenario}_{table.name}.csv"
-            _write_rows(path, ",".join(names) + "\n", table.rows, ",")
+            _write(path, ",".join(names) + "\n", encoded(table.rows, ","))
             written.append(path)
         if fmt in ("plot", "both") and len(names) >= 2:
             path = out / f"{record.scenario}_{table.name}.dat"
-            _write_rows(path, "", table.rows[list(names[-2:])], " ")
+            _write(path, "", encoded(table.rows[list(names[-2:])], " "))
             written.append(path)
     return written

@@ -20,7 +20,8 @@ from catwalk.channels import (CHANNEL_KINDS, TARGETS, ChannelSpec, MomentumLayou
                               evolve_open, fidelity_trace)
 from catwalk.cli import build_parser, main
 from catwalk.config import KEYS, ConfigError, ExperimentConfig, parse_config
-from catwalk.io import CHUNK_ROWS, ENCODER_ROWS, ResultRecord, Table, emit_results
+from catwalk.encoder import CHUNK_ROWS
+from catwalk.io import ResultRecord, Table, emit_results
 from catwalk.lattice import COIN_SYMMETRIC, DensityOperator, gaussian_position_state, make_lattice
 from catwalk.scenarios import density_working_set_bytes
 from catwalk.walk import Schedule
@@ -59,7 +60,7 @@ def test_parse_config_bad_value_and_range():
         parse_config("sigma=-3\n")
     with pytest.raises(ConfigError, match="lattice"):
         parse_config("lattice=7\n")
-    with pytest.raises(ConfigError, match="fmt"):
+    with pytest.raises(ConfigError, match="--format"):
         parse_config("", flags={"fmt": "json"})
 
 
@@ -87,19 +88,23 @@ def test_non_finite_values_exit_2(key, value, tmp_path, capsys):
     ("lattice", "auto", "0", "lattice: must be even and >= 4 (or auto), got 0"),
     ("stride", "1", "0", "stride: must be >= 1, got 0"),
     ("max_bytes", "5e-324", "0", "max_bytes: must be > 0, got 0.0"),
+    ("max_bytes", "4e9", "x", "max_bytes: could not convert string to float: 'x'"),
     ("channel", "bit_flip", "bitflip",
      "channel: must be one of ('dephasing', 'amplitude_damping', 'bit_flip'), got 'bitflip'"),
     ("target", "both", "all", "target: must be one of ('coin', 'walker', 'both'), got 'all'"),
     ("fmt", "both", "json", "fmt: must be one of ('csv', 'plot', 'both'), got 'json'"),
 ])
 def test_each_key_range_edge(key, accepted, refused, message):
-    # a file value and a flag value meet the same range and the same refusal
-    for build in (lambda v: parse_config(f"{key}={v}\n"), lambda v: parse_config(flags={key: v})):
+    # a file value and a flag value meet the same parse and range; the
+    # refusal names the file line and key, or the flag as typed
+    flag_message = f"flag {KEYS[key].flag}: " + message.removeprefix(f"{key}: ")
+    for build, named in ((lambda v: parse_config(f"{key}={v}\n"), f"line 1: {message}"),
+                         (lambda v: parse_config(flags={key: v}), flag_message)):
         expected = None if accepted == "auto" else KEYS[key].type(accepted)
         assert getattr(build(accepted), key) == expected
         with pytest.raises(ConfigError) as refusal:
             build(refused)
-        assert str(refusal.value) == message
+        assert str(refusal.value) == named
 
 
 def test_parser_flags_are_the_config_keys():
@@ -119,7 +124,8 @@ def test_flags_may_come_before_the_scenario(tmp_path, capsys):
 def test_format_is_refused_by_the_config_range(tmp_path, capsys):
     assert main(["spectrum", "--lattice", "16", "--format", "json", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == (
-        "catwalk: config error: fmt: must be one of ('csv', 'plot', 'both'), got 'json'\n")
+        "catwalk: config error: flag --format: must be one of ('csv', 'plot', 'both'), "
+        "got 'json'\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -168,6 +174,16 @@ def test_emit_results_formats(tmp_path):
     meta = (tmp_path / "toy_meta.txt").read_text()
     assert meta.startswith("scenario=toy\nversion=")
     assert "alpha=1" in meta
+
+
+def test_emit_results_refuses_an_unknown_format(tmp_path):
+    # the config's --format range and the writer share one vocabulary
+    assert catwalk.config.FORMATS is catwalk.io.FORMATS
+    record = ResultRecord("toy", {}, [Table("t", x=[1, 2], y=[0.5, 0.25])])
+    with pytest.raises(ValueError) as refusal:
+        emit_results(record, tmp_path / "out", fmt="json")
+    assert str(refusal.value) == "fmt: must be one of ('csv', 'plot', 'both'), got 'json'"
+    assert not (tmp_path / "out").exists()
 
 
 def test_emit_results_seventeen_digits(tmp_path):
@@ -244,7 +260,7 @@ def test_emit_results_matches_per_cell_oracle(fmt, tmp_path):
 def test_the_encoder_reads_every_column_type(tmp_path):
     # a table holds each column in 8 native bytes, which the encoder reads
     rng = np.random.default_rng(1)
-    n = ENCODER_ROWS + 5
+    n = 40
     reals = rng.normal(size=n) * 1e3
     cols = {"f2": reals.astype(np.float16), "f4": reals.astype(np.float32),
             "fb": reals.astype(">f8"), "fl": reals.astype(np.longdouble) / 3,
@@ -308,18 +324,10 @@ def test_every_row_left_to_percent_writes_the_same_bytes(sep, monkeypatch):
     assert_same_lines(encoded(cols, sep), oracle(cols, sep))
 
 
-def test_runs_of_small_tables_never_import_the_encoder(tmp_path, monkeypatch):
-    # a run whose tables are all below ENCODER_ROWS leaves catwalk.encoder,
-    # its tables and its ufuncs unloaded
-    monkeypatch.delitem(sys.modules, "catwalk.encoder")
-    assert main(["decohereprob", "--steps", "6", "--sigma", "2", "--out", str(tmp_path)]) == 0
-    assert "catwalk.encoder" not in sys.modules
-
-
-@pytest.mark.parametrize("rows", [0, 1, ENCODER_ROWS - 1, ENCODER_ROWS])
+@pytest.mark.parametrize("rows", [0, 1, 2])
 def test_tables_either_side_of_the_encoder_limit(rows, tmp_path, monkeypatch):
-    # only a table of ENCODER_ROWS rows or more is encoded, one of one
-    # column too; the bytes are the same either way
+    # the encoder writes every table file, however few its rows, one of one
+    # column too, and writes what `%` writes
     calls, encode = [], catwalk.encoder.encoded
     monkeypatch.setattr(catwalk.encoder, "encoded", lambda *a: calls.append(a) or encode(*a))
     rng = np.random.default_rng(rows)
@@ -327,7 +335,7 @@ def test_tables_either_side_of_the_encoder_limit(rows, tmp_path, monkeypatch):
     one = {"e": rng.normal(size=rows) * 10.0 ** rng.integers(-30, 30, rows)}
     tables = [Table("two", **two), Table("one", **one)]
     emit_results(ResultRecord("toy", {}, tables), tmp_path, fmt="both")
-    assert len(calls) == (3 if rows >= ENCODER_ROWS else 0)
+    assert len(calls) == 3
     assert (tmp_path / "toy_two.csv").read_text() == "x,p\n" + oracle(two)
     assert (tmp_path / "toy_two.dat").read_text() == oracle(two, " ")
     assert (tmp_path / "toy_one.csv").read_text() == "e\n" + oracle(one)
@@ -335,14 +343,17 @@ def test_tables_either_side_of_the_encoder_limit(rows, tmp_path, monkeypatch):
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a device that is always full")
-@pytest.mark.parametrize("limit", [1, 2**62], ids=["encoder", "percent"])
-def test_a_write_failing_after_its_header_fails_the_table(limit, tmp_path, monkeypatch):
+@pytest.mark.parametrize("tie", [None, 1.0], ids=["encoder", "percent"])
+def test_a_write_failing_after_its_header_fails_the_table(tie, tmp_path, monkeypatch):
     # a table file that links to /dev/full takes its header into the buffer
-    # and refuses the rows
-    monkeypatch.setattr(catwalk.io, "ENCODER_ROWS", limit)
-    (tmp_path / "toy_s.csv").symlink_to("/dev/full")
-    with pytest.raises(OSError, match=r"cannot write .*toy_s\.csv: .*No space left"):
-        emit_results(ResultRecord("toy", {}, [Table("s", **edge_columns())]), tmp_path)
+    # and refuses the rows, of a one-row table and of a table of many chunks,
+    # whether the encoder decides the rows or leaves every one to `%`
+    if tie is not None:
+        monkeypatch.setattr(catwalk.encoder, "_TIE", tie)
+    for name, cols in (("one", {"x": [3], "p": [0.25]}), ("s", edge_columns())):
+        (tmp_path / f"toy_{name}.csv").symlink_to("/dev/full")
+        with pytest.raises(OSError, match=rf"cannot write .*toy_{name}\.csv: .*No space left"):
+            emit_results(ResultRecord("toy", {}, [Table(name, **cols)]), tmp_path)
     out = tmp_path / "cli"
     out.mkdir()
     (out / "evolve_distribution.csv").symlink_to("/dev/full")
