@@ -305,7 +305,7 @@ def _reversal_schedule(
     return Schedule(
         total,
         theta,
-        fm_windows=((t, t + hold, 2.0 * np.pi / p),) if hold > 0 else (),
+        fm_window=(t, t + hold, 2.0 * np.pi / p) if hold > 0 else None,
         coin_gate_insertions=((t + hold, gate), (total, gate_back)),
         channel=channel,
     )
@@ -346,7 +346,7 @@ def hold_recurrence(theta: float, p: int, n_sites: int = 24) -> float:
         raise ValueError(f"p must be >= 1, got {p}")
     steps = p if p % 2 == 0 else 2 * p
     initial = localized_state(make_lattice(n_sites), 0, COIN_SYMMETRIC)
-    sched = Schedule(steps, theta, fm_windows=((0, steps, 2.0 * np.pi / p),))
+    sched = Schedule(steps, theta, fm_window=(0, steps, 2.0 * np.pi / p))
     return fidelity(initial, evolve(initial, sched).final)
 
 

@@ -6,7 +6,7 @@ chosen index (coin, walker, or both); amplitude damping and bit flip act
 on the coin through Kraus pairs.  The bath strength eta is per step, so
 each application scales coherences by lambda = e^{-eta} and an n-step run
 accumulates e^{-eta n}.  ``evolve_open`` advances a density matrix over
-steps, through the step loop that ``walk.evolve`` runs inside F_m windows,
+steps, through the step loop that ``walk.evolve`` runs inside an F_m window,
 on a ``MomentumLayout``: the stored lines of a ring of momenta.  An open
 run takes no F_m window: the paper's decoherence runs use none.  Every
 channel here is translation-invariant, so it either keeps each pair
@@ -27,16 +27,18 @@ with one contraction at each time whose fidelity is read
 stored line alone, so a layout larger than ``_BLOCK_BYTES`` a working array
 runs in row blocks, each a self-contained run through the whole schedule
 with its own ``_Checkpoints``; the blocks share only one allocation, which
-each reuses in turn, the summed fidelity and the line sums.  Open runs
+each reuses in turn, the summed fidelity and the line sums, and every
+block ends alike: its fidelity trace added, what it owes paid, its line
+sums read in the basis it was stepped in.  Open runs
 and closed fidelity runs hold numpy's bundled OpenBLAS at one thread and
 the last one out restores its count, so that no contraction is split and
 results do not depend on ``OPENBLAS_NUM_THREADS``; the count is
 process-global, so BLAS that another thread runs meanwhile is held too.
-``open_layout`` picks the layout, ``_run_open`` is the one runner on it,
-``evolve_open`` returns P(x) read from line sums and the final state of a
-run stepped whole, ``fidelity_trace`` takes a run's fidelity to its start
-in its own basis at the times its caller reads, and keeps no final state:
-line 0 alone is brought back, for the trace check.
+``open_layout`` picks the layout, ``_run_open`` is the one runner on it
+and checks the trace once, from line 0's sums, ``evolve_open`` returns
+P(x) read from line sums and the final state of a run stepped whole, and
+``fidelity_trace`` takes a run's fidelity to its start in its own basis at
+the times its caller reads, and keeps no final state.
 ``density_working_set_bytes`` bounds what a run allocates.  Only
 ``_run_open`` calls ``open_layout``, so each open run is laid out once, and
 its support reaches the caller with its result (``OpenResult.layout``, the
@@ -260,9 +262,9 @@ class MomentumLayout:
     ring in momenta, and a ring of all N (``relative``) in y = x - x' along
     the ring axis, reached by a unitary DFT that keeps every overlap, where
     line dephasing is a mask (``shift``).  ``start`` and ``shift`` take and
-    return a block of stored lines, ``rows``, in that basis, and
-    ``momenta`` brings one back to momenta, which
-    ``materialize``, ``line_sums`` and ``check_trace`` read.
+    return a block of stored lines, ``rows``, in that basis, ``line_sums``
+    reads one in it, and ``momenta`` brings one back to momenta, which
+    ``materialize`` reads.
     """
 
     lattice: LatticeConfig
@@ -360,9 +362,17 @@ class MomentumLayout:
         return out
 
     def line_sums(self, work: np.ndarray, rows: slice) -> np.ndarray:
-        """(head, tail) of the stored lines ``rows`` of ``work`` in momenta:
-        each row's sum of blocks (0,0) + (1,1) over columns j < R - q, and
-        over the rest, which ``distribution`` reads.  Row-local."""
+        """(head, tail) of the stored lines ``rows`` of ``work``, in the basis
+        they are stepped in: each row's sum of blocks (0,0) + (1,1) over
+        momentum columns j < R - q, and over the rest, which ``distribution``
+        reads.  Row-local.  On a window ring these are sums over momenta.  On
+        a ring of all N a row's sum over momenta is sqrt(N) times its y = 0
+        column, as sum_k f~(k) = sqrt(N) f(0), and offsets q and q - N meet
+        in ``distribution``, so the head holds it all and the tail is 0."""
+        if self.relative:
+            n = self.ring
+            head = np.sqrt(n) * (work[0, 0, :, n // 2] + work[1, 1, :, n // 2])
+            return np.stack((head, np.zeros_like(head)))
         sums = work[0, 0] + work[1, 1]
         q = np.arange(self.lines)[rows]
         head = np.where(np.arange(self.ring) < self.ring - q[:, None], sums, 0).sum(axis=1)
@@ -398,10 +408,10 @@ class MomentumLayout:
             raise StateError(f"position distribution sums to {prob.sum()!r}, not 1")
         return prob
 
-    def check_trace(self, work: np.ndarray) -> None:
+    def check_trace(self, sums: np.ndarray) -> None:
         """Raise StateError unless tr rho is 1 to ``TRACE_TOL``, as a
-        DensityOperator would, from line 0 of blocks (0,0) and (1,1) in momenta."""
-        tr = (work[0, 0, 0].sum() + work[1, 1, 0].sum()).real
+        DensityOperator would, from line 0's ``line_sums``: the pairs k = k'."""
+        tr = sums[:, 0].sum().real
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise StateError(f"density matrix trace {tr!r} deviates from 1")
 
@@ -515,7 +525,7 @@ def open_layout(rho0: DensityOperator | PureState, schedule: Schedule) -> Moment
     start and channel, and a schedule channel that is not a ChannelSpec
     raises ``ChannelError``.
     """
-    if schedule.fm_windows:
+    if schedule.fm_window is not None:
         raise ScheduleError("an open run takes no F_m window")
     spec = schedule.channel
     if spec is not None and not isinstance(spec, ChannelSpec):
@@ -546,21 +556,21 @@ def density_working_set_bytes(n_sites: int) -> int:
     stepped in row blocks: the working array, its spare, the shift factor,
     the fidelity start and, for a coin-local channel, S^T start are views of
     one allocation, each at most about ``_BLOCK_BYTES`` (a layout's rows
-    split as evenly as may be), which every block of the run reuses; a
-    fidelity run copies only line 0 of its first block and a spare for it
-    out of the allocation, for the trace check.  P(x) read from the support
-    needs no matrix at all.  The final state of a run stepped whole stays a
-    view of its allocation, spare and shift factor included: copied out, it
-    would exceed this bound.
+    split as evenly as may be), which every block of the run reuses.  P(x)
+    and the trace check, read from the (2, lines) line sums, need no matrix
+    at all.  The final state of a run stepped whole stays a view of its
+    allocation, spare and shift factor included: copied out, it would
+    exceed this bound.
     """
     return 3 * 16 * (2 * n_sites) ** 2 + 256 * 1024
 
 
 @dataclass(frozen=True, eq=False)
 class OpenResult:
-    """An open run's end: its ``layout``, the final working array of a run
-    stepped whole (else None), the ``line_sums`` of all stored lines (None
-    for a fidelity run) and the snapshots, validated DensityOperators.
+    """An open run's end: its ``layout``, the final working array in momenta
+    of a run stepped whole that reads no fidelity (else None), the
+    ``line_sums`` of all stored lines, set for every run, and the snapshots,
+    validated DensityOperators.
 
     ``final`` materializes and validates rho on its first read and keeps it,
     or raises StateError if the run kept no rows; ``distribution()`` reads
@@ -595,13 +605,13 @@ def evolve_open(
     are applied (unitarily) after the completed step, before any snapshot.
     A schedule without a channel runs closed but on rho, useful for
     cross-checking against the pure-state path.  The step loop is the one
-    ``walk.evolve`` runs inside F_m windows, on the momentum support of
+    ``walk.evolve`` runs inside an F_m window, on the momentum support of
     ``open_layout``, and a schedule with an F_m window raises
     ``ScheduleError``.  Trace and Hermiticity are validated at every snapshot,
     materialized in position space, and a snapshot time outside the run
-    raises ``ScheduleError``.  The final trace is checked on the support
-    during the run; the final state is materialized and validated when
-    ``final`` is first read.
+    raises ``ScheduleError``.  The final trace is checked from the line
+    sums the run hands back; the final state is materialized and validated
+    when ``final`` is first read.
     """
     return _run_open(rho0, schedule, snapshot_times)[0]
 
@@ -614,9 +624,9 @@ def fidelity_trace(psi: PureState, schedule: Schedule,
     the open run stepped (None closed), so that a caller reads the support
     from the run instead of laying it out again.  The run contracts at those
     times alone, on one BLAS thread, and a time outside it raises
-    ``ScheduleError``.  The open
-    run's final state is not kept; its trace is checked on line 0 of the
-    support.  A start that is not a ``PureState`` raises ``StateError``."""
+    ``ScheduleError``.  The open run's final state is not kept; its trace
+    is checked from line 0's sums, as every open run's is.  A start that is
+    not a ``PureState`` raises ``StateError``."""
     if not isinstance(psi, PureState):
         raise StateError(f"a fidelity run starts from a PureState, not {type(psi).__name__}")
     times = range(schedule.total_steps + 1) if times is None else times
@@ -690,17 +700,19 @@ def _run_open(rho0, schedule: Schedule, snapshot_times: Sequence[int] = (),
     layout steps it in, with its own spare, shift factor, fidelity start
     and ``_Checkpoints``, which holds the owed map S of a coin-local channel
     and S^T start; walker and both dephasing ride in the shift.  The blocks
-    share only one allocation, whose views each block reuses, the fidelity,
-    to which each block's trace is added in block order, and the line sums,
-    which each block writes as it ends, its rows back in momenta with what
-    they still owe paid.  A run with snapshots, or from a
-    DensityOperator, is stepped whole, in one block, and alone keeps its
-    final rows, as a view of the allocation.  The final trace is checked on
-    line 0, in the first block.  Returns (OpenResult, the fidelity
-    <psi|rho_t|psi> for rho0 = psi at each of ``fidelity_times``, contracted
-    at those times alone).  A fidelity run, one with any fidelity time,
-    keeps no final state: line 0 of its first block alone pays what it owes
-    and goes back to momenta, for the trace check."""
+    share only one allocation, whose views each block reuses, the fidelity
+    and the line sums.  Every block ends alike, and depends on its index
+    only through its ``rows``: its trace is added to the fidelity in block
+    order, it pays what it still owes, and it writes its ``line_sums``, read
+    in the basis it was stepped in.  Every channel here is trace preserving,
+    so the sums would not need the payment in exact arithmetic; paying keeps
+    a run in blocks bit-identical to the same run whole.  The final trace is
+    then checked once, from line 0's sums.  A run with snapshots, or from a
+    DensityOperator, is stepped whole, in one block; unless it is a fidelity
+    run, one with any fidelity time, it alone keeps its final rows, brought
+    back to momenta, as a view of the allocation.  Returns (OpenResult, the
+    fidelity <psi|rho_t|psi> for rho0 = psi at each of ``fidelity_times``,
+    contracted at those times alone)."""
     layout = open_layout(rho0, schedule)
     lines, ring = layout.shape
     spec = schedule.channel
@@ -709,7 +721,7 @@ def _run_open(rho0, schedule: Schedule, snapshot_times: Sequence[int] = (),
     whole = len(snapshot_times) or not isinstance(rho0, PureState)
     # the bytes of four coin blocks of complex entries, in blocks of _BLOCK_BYTES
     count = 1 if whole else min(lines, -(-4 * 16 * lines * ring // _BLOCK_BYTES))
-    sums = None if fidelity else np.empty((2, lines), dtype=complex)
+    sums = np.empty((2, lines), dtype=complex)
     # work, spare and shift factor, then the fidelity start and S^T start
     arrays = 3 + fidelity + (fidelity and owed is not None)
     held = np.empty(arrays * 4 * -(-lines // count) * ring, dtype=complex)
@@ -731,14 +743,8 @@ def _run_open(rho0, schedule: Schedule, snapshot_times: Sequence[int] = (),
             work, spare = _run(work, spare, schedule, range(1, schedule.total_steps + 1),
                                checkpoint, layout.shift(spec, rows, factor))
             trace += checkpoint.trace
-            if i == 0 or not fidelity:
-                if fidelity:  # line 0 alone, contiguous, as the coin map reshapes it
-                    work, spare = np.array(work[:, :, :1]), np.empty_like(spare[:, :, :1])
-                work, _ = checkpoint.pay(work, spare)
-                work = layout.momenta(work, work)
-            if i == 0:
-                layout.check_trace(work)
-            if not fidelity:
-                sums[:, rows] = layout.line_sums(work, rows)
-    kept = work if whole and not fidelity else None
+            work, _ = checkpoint.pay(work, spare)
+            sums[:, rows] = layout.line_sums(work, rows)
+    layout.check_trace(sums)
+    kept = layout.momenta(work, work) if whole and not fidelity else None
     return OpenResult(layout, kept, sums, checkpoint.snaps), trace

@@ -200,10 +200,13 @@ def gaussian_position_state(
     under this module's DFT convention.  The lattice must hold 8*sigma
     sites, which truncates the tail beyond 4 sigma: a mass near
     erfc(2 sqrt 2) = 6.3e-5 (6.4e-5 at sigma=10, N=80) is cut off before
-    the packet is renormalized.
+    the packet is renormalized.  A sigma whose 4 sigma^2 underflows to 0
+    raises StateError: the envelope would be 0/0 at x = 0.
     """
     if sigma <= 0:
         raise StateError(f"sigma must be positive, got {sigma}")
+    if not 4.0 * sigma**2 > 0:
+        raise StateError(f"sigma={sigma} is too small: 4 sigma^2 underflows to 0")
     n = lattice.n_sites
     if n < 8 * sigma:
         raise StateError(

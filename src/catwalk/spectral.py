@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import CoinState, PureState, to_momentum, to_position
+from .lattice import CoinState, PureState, StateError, to_momentum, to_position
 from .walk import SIGMA_X, SIGMA_Y, SIGMA_Z, _PlainPower, _su2_rotate
 
 DEGENERACY_TOL = 1e-8
@@ -92,10 +92,14 @@ def eigen_system(theta: float, k: float) -> EigenPair:
 
 
 def dirac_evolve(state: PureState, theta: float, t: float) -> PureState:
-    """Apply exp(-i H_d(k) t) blockwise in momentum space to a state over sites."""
+    """Apply exp(-i H_d(k) t) blockwise in momentum space to a state over sites.
+
+    A theta whose mass term (theta pi/2)^2 overflows raises StateError."""
     k = state.lattice.momenta
     a = -(k + np.pi / 2)
     b = -theta * (np.pi / 2)
+    if not np.isfinite(b * b):
+        raise StateError(f"theta={theta} is too large: the Dirac mass (theta pi/2)^2 overflows")
     # H = a sigma_z + b sigma_x = w (n.sigma): exp(-iHt) = cos(wt) - i sin(wt) (n.sigma)
     w = np.sqrt(a**2 + b**2)
     w_safe = np.where(w == 0, 1.0, w)

@@ -5,9 +5,9 @@ density operators share.
 One walk step is coin -> shift (-> momentum-shift phase when scheduled),
 i.e. the generalized propagator multiplies the plain step on the left.
 Time is counted in completed steps; a coin-gate insertion at time ``s``
-acts after ``s`` steps, and an F_m window ``(start, end, phi)`` applies the
-phase during steps ``start+1 .. end``.  Pure states and density operators
-share one step loop, ``_run``, and one ``_Checkpoints`` for what happens
+acts after ``s`` steps, and a schedule's one F_m window ``(start, end,
+phi)`` applies the phase during steps ``start+1 .. end``.  Pure states and
+density operators share one step loop, ``_run``, and one ``_Checkpoints`` for what happens
 between steps: gates, snapshots and the fidelity to a pure start at the
 times it is read.  The loop takes its rank from a coin-major array and its
 shift as a map; a coin-local channel rides in the next step's coin map
@@ -15,7 +15,7 @@ shift as a map; a coin-local channel rides in the next step's coin map
 ``channels`` lays a density operator out on its momentum support and runs
 it there, with no F_m window.  A pure state jumps each plain stretch
 between events as one closed-form power Z(k)^n in momentum space, and
-steps F_m windows in position space, the phase folded into the shift.  It
+steps its F_m window in position space, the phase folded into the shift.  It
 moves between sites and momenta by
 ``lattice.to_momentum`` and ``to_position``; ``_PlainPower`` holds the band
 structure ``spectral`` reads.
@@ -120,41 +120,35 @@ def _transpose(amp: np.ndarray) -> np.ndarray:
 class Schedule:
     """Step-indexed plan for an evolution run.
 
-    ``fm_windows`` holds (start, end, phi) triples: the phase is applied
-    during steps start+1 .. end.  ``coin_gate_insertions`` holds
-    (time, 2x2 unitary) pairs applied after ``time`` completed steps; each
-    gate is checked here, once, and a non-unitary one raises StateError.
-    Every time must be an integer and theta and each phi finite, or
-    ScheduleError is raised here.  ``channel`` is an optional ChannelSpec
-    consumed by the open-system runner only, which takes no F_m window.
+    ``fm_window`` is None or one (start, end, phi) triple, within the run:
+    the phase is applied during steps start+1 .. end.
+    ``coin_gate_insertions`` holds (time, 2x2 unitary) pairs applied after
+    ``time`` completed steps; each gate is checked here, once, and a
+    non-unitary one raises StateError.  Every time must be an integer and
+    theta and phi finite, or ScheduleError is raised here.  ``channel`` is
+    an optional ChannelSpec consumed by the open-system runner only, which
+    takes no F_m window.
     """
 
     total_steps: int
     theta: float
-    fm_windows: Sequence[tuple[int, int, float]] = field(default_factory=tuple)
+    fm_window: tuple[int, int, float] | None = None
     coin_gate_insertions: Sequence[tuple[int, np.ndarray]] = field(default_factory=tuple)
     channel: Any = None
 
     def __post_init__(self):
-        for t in (self.total_steps, *(t for w in self.fm_windows for t in w[:2]),
-                  *(t for t, _ in self.coin_gate_insertions)):
+        window = self.fm_window or ()
+        for t in (self.total_steps, *window[:2], *(t for t, _ in self.coin_gate_insertions)):
             try:
                 operator.index(t)  # numpy integers pass, floats do not
             except TypeError:
                 raise ScheduleError(f"times must be integers, got {t!r}") from None
-        if not np.isfinite([self.theta, *(phi for *_, phi in self.fm_windows)]).all():
-            raise ScheduleError("theta and every F_m phase must be finite")
+        if not np.isfinite([self.theta, *window[2:]]).all():
+            raise ScheduleError("theta and the F_m phase must be finite")
         if self.total_steps < 0:
             raise ScheduleError(f"total_steps must be >= 0, got {self.total_steps}")
-        prev_end = None
-        for start, end, _phi in sorted(self.fm_windows):
-            if not (0 <= start <= end <= self.total_steps):
-                raise ScheduleError(
-                    f"window ({start}, {end}) outside [0, {self.total_steps}]"
-                )
-            if prev_end is not None and start < prev_end:
-                raise ScheduleError("F_m windows overlap")
-            prev_end = end
+        if window and not (0 <= window[0] <= window[1] <= self.total_steps):
+            raise ScheduleError(f"window {window[:2]} outside [0, {self.total_steps}]")
         gates = []
         for t, u in self.coin_gate_insertions:
             if not (0 <= t <= self.total_steps):
@@ -165,10 +159,9 @@ class Schedule:
         object.__setattr__(self, "coin_gate_insertions", tuple(gates))
 
     def phi_at(self, s: int) -> float | None:
-        """Phase for step ``s`` (1-based) if it falls in an F_m window."""
-        for start, end, phi in self.fm_windows:
-            if start < s <= end:
-                return phi
+        """Phase for step ``s`` (1-based) if it falls in the F_m window."""
+        if self.fm_window is not None and self.fm_window[0] < s <= self.fm_window[1]:
+            return self.fm_window[2]
         return None
 
     def insertions_at(self, t: int) -> list[np.ndarray]:
@@ -264,11 +257,10 @@ def _run(work: np.ndarray, spare: np.ndarray, schedule: Schedule, steps: range,
 
 def _stretches(schedule: Schedule) -> list[tuple[int, int]]:
     """(lo, hi) for the runs of steps lo+1 .. hi between events: t = 0, the
-    coin-gate times, the F_m window edges and total_steps.  The steps of one
-    stretch are all plain or all in one window."""
-    events = sorted({0, schedule.total_steps,
-                     *(t for t, _ in schedule.coin_gate_insertions),
-                     *(edge for start, end, _ in schedule.fm_windows for edge in (start, end))})
+    coin-gate times, the F_m window's edges and total_steps.  The steps of
+    one stretch are all plain or all in the window."""
+    events = sorted({0, schedule.total_steps, *(schedule.fm_window or ())[:2],
+                     *(t for t, _ in schedule.coin_gate_insertions)})
     return list(zip(events, events[1:]))
 
 
@@ -318,20 +310,19 @@ class _PlainPower:
     def fidelities(self, n: np.ndarray, bra: np.ndarray, kamp: np.ndarray) -> np.ndarray:
         """|<bra|Z^n kamp>|^2 for each n of ``n``, from (N, 2) momentum amplitudes:
         |sum_k [cos(n a) A - i sin(n a) B]|^2 with A = bra^dag kamp and B =
-        bra^dag (M / sin a) kamp at each k (i^n drops out), as (n x N) products."""
+        bra^dag (M / sin a) kamp at each k (i^n drops out), each row of the
+        (n x N) angles summed on its own, so that each n reads the same
+        whichever others are asked."""
         bra = bra.conj()
         a = np.sum(bra * kamp, axis=1)
         b = (bra[:, 0] * (self.diag * kamp[:, 0] + self.up * kamp[:, 1])
              + bra[:, 1] * (self.down * kamp[:, 0] - self.diag * kamp[:, 1]))
         out = np.empty(len(n))
-        rows = max(1, (1 << 18) // len(a))  # (n, k) entries per product
+        rows = max(1, (1 << 18) // len(a))  # (n, k) entries per chunk
         for lo in range(0, len(n), rows):
-            # a one-row product would be a BLAS dot, which sums in another order
-            # than a row of a larger one: a lone n goes twice, so that each n
-            # reads the same whichever others are asked
-            part = n[lo:lo + rows]
-            angle = np.multiply.outer(np.resize(part, max(2, len(part))), self.alpha)
-            out[lo:lo + rows] = np.abs(np.cos(angle) @ a - 1j * (np.sin(angle) @ b))[:len(part)] ** 2
+            angle = np.multiply.outer(n[lo:lo + rows], self.alpha)
+            out[lo:lo + rows] = np.abs(np.einsum("nk,k->n", np.cos(angle), a)
+                                       - 1j * np.einsum("nk,k->n", np.sin(angle), b)) ** 2
         return out
 
 

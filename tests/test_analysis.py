@@ -453,7 +453,7 @@ def test_control_protocol_holds_between_the_legs(reverser):
     psi = gaussian_position_state(make_lattice(48), 2.0, COIN_SYMMETRIC, k0=0.03)
     gate, gate_back = reversal_pair(theta) if reverser == REVERSER_EXACT else (SIGMA_Y, SIGMA_Y)
     hold = 2 * n * p
-    sched = Schedule(2 * t + hold, theta, fm_windows=((t, t + hold, 2 * np.pi / p),),
+    sched = Schedule(2 * t + hold, theta, fm_window=(t, t + hold, 2 * np.pi / p),
                      coin_gate_insertions=((t + hold, gate), (2 * t + hold, gate_back)))
     r = control_protocol(psi, theta, t, p, n, reverser=reverser)
     assert r == fidelity(psi, evolve(psi, sched).final)

@@ -334,13 +334,13 @@ def test_support_trace_check_matches_the_materialized_trace(variant):
     psi = band_limited_packet(n, 5.0, k0=0.3)
     sched = Schedule(7, 0.7, channel=ChannelSpec(variant[0], 0.05, variant[1]))
     result, _ = channels._run_open(psi, sched, (7,))
-    layout, work = result.layout, result.work
-    assert np.trace(layout.materialize(work).reshape(2 * n, 2 * n)).real == pytest.approx(
-        1.0, abs=1e-13)
-    layout.check_trace(work)
-    work *= 1 + 1e-9
+    layout, sums = result.layout, result.sums
+    materialized = np.trace(layout.materialize(result.work).reshape(2 * n, 2 * n)).real
+    assert materialized == pytest.approx(1.0, abs=1e-13)
+    assert sums[:, 0].sum().real == pytest.approx(materialized, abs=1e-13)
+    layout.check_trace(sums)
     with pytest.raises(StateError, match="trace"):
-        layout.check_trace(work)
+        layout.check_trace(sums * (1 + 1e-9))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -736,8 +736,9 @@ def block_rows(monkeypatch):
 
 @pytest.fixture
 def handed_rows(monkeypatch):
-    """The final rows, in momenta, that each block of an open run hands to
-    ``MomentumLayout.line_sums``, copied, one list per run."""
+    """The final rows, in the basis they were stepped in, that each block of
+    an open run hands to ``MomentumLayout.line_sums``, copied, one list per
+    run."""
     runs = []
     line_sums = MomentumLayout.line_sums
 
@@ -779,8 +780,8 @@ def test_row_blocks_leave_the_final_state_bit_identical(variant, support, blocks
     # arithmetic of one block, and so do their line sums and P(x); a start on
     # one site, on every momentum, makes even the coin-local ring all N,
     # stepped in y = x - x'.  The rows of a run that keeps none are read
-    # where each block hands them to line_sums, and match the rows a run
-    # stepped whole keeps
+    # where each block hands them to line_sums, and match those the run
+    # stepped whole hands over and, back in momenta, the rows it keeps
     n, theta = 32, 0.7
     psi = (band_packet(n, 13, seed=5) if support == "window"
            else localized_state(make_lattice(n), 5, COIN_SYMMETRIC))
@@ -799,10 +800,47 @@ def test_row_blocks_leave_the_final_state_bit_identical(variant, support, blocks
     assert [len(run) for run in handed_rows] == [1, 1, blocks]
     for rows in (_final_rows(handed_rows[1]), _final_rows(handed_rows[2])):
         assert rows.shape == whole.work.shape
-        np.testing.assert_array_equal(rows, whole.work)
+        np.testing.assert_array_equal(rows, _final_rows(handed_rows[0]))
+        np.testing.assert_array_equal(layout.momenta(rows, rows), whole.work)
     for result in (one, split):
         np.testing.assert_array_equal(result.sums, whole.sums)
         np.testing.assert_array_equal(result.distribution(), whole.distribution())
+
+
+@pytest.mark.parametrize("start, blocks", [("walker", 1), ("walker", 3), ("both", 1),
+                                           ("both", 3), ("density", 1)])
+def test_relative_line_sums_read_the_y0_column(start, blocks, monkeypatch):
+    # on a ring of all N, stepped in y = x - x', a row's sum over momenta is
+    # sqrt(N) times its y = 0 column: each block's sums, read where it hands
+    # them over, match those of its rows brought back to momenta, and the
+    # column beside y = 0 does not
+    n, theta = 32, 0.7
+    psi = band_packet(n, 13, seed=5)
+    rho0 = DensityOperator.from_pure(psi) if start == "density" else psi
+    gate, gate_back = reversal_pair(theta)
+    spec = ChannelSpec("dephasing", 0.2, "coin" if start == "density" else start)
+    sched = Schedule(9, theta, coin_gate_insertions=((3, gate), (6, gate_back)), channel=spec)
+    layout = open_layout(rho0, sched)
+    assert layout.relative
+    _split(monkeypatch, layout, blocks)
+    handed = []
+    line_sums = MomentumLayout.line_sums
+
+    def recorded(layout, work, rows):
+        sums = line_sums(layout, work, rows)
+        handed.append((np.array(work), rows, sums))
+        return sums
+
+    monkeypatch.setattr(MomentumLayout, "line_sums", recorded)
+    channels._run_open(rho0, sched)
+    assert len(handed) == blocks
+    for work, rows, sums in handed:
+        momenta = layout.momenta(work, None)
+        over_momenta = (momenta[0, 0] + momenta[1, 1]).sum(axis=1)
+        np.testing.assert_allclose(sums[0], over_momenta, rtol=0, atol=1e-15)
+        assert not sums[1].any()
+        beside = line_sums(layout, np.roll(work, 1, axis=-1), rows)[0]
+        assert np.abs(beside - over_momenta).max() > 1e-15
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -916,7 +954,8 @@ def test_an_owed_channel_matches_dense_oracle(variant, eta, end_gate, blocks, ha
     _split(monkeypatch, layout, blocks)
     result = evolve_open(psi, sched)
     assert len(handed_rows[0]) == blocks
-    final = layout.materialize(_final_rows(handed_rows[0])).reshape(2 * n, 2 * n)
+    final = layout.materialize(layout.momenta(_final_rows(handed_rows[0]), None))
+    final = final.reshape(2 * n, 2 * n)
     np.testing.assert_allclose(final, expected[-1], rtol=0, atol=1e-12)
     np.testing.assert_allclose(evolve_open(psi, sched, (steps,)).final.as_2d, expected[-1],
                                rtol=0, atol=1e-12)
@@ -954,8 +993,8 @@ def test_an_owed_channel_is_paid_before_each_snapshot(variant, eta, site):
 @pytest.mark.parametrize("variant", [("amplitude_damping", "coin"), ("dephasing", "walker")])
 def test_an_open_step_makes_one_coin_product(variant, monkeypatch):
     # T steps of one product each, one per gate time (G S) and one that pays
-    # the channel on line 0 alone before the trace check, not 2T; S^T start
-    # is one more product per block, which its _Checkpoints builds before the
+    # the channel on the block before its line sums, not 2T; S^T start is
+    # one more product per block, which its _Checkpoints builds before the
     # run.  Walker dephasing rides in the shift and owes nothing.
     steps, theta = 9, 0.7
     psi = band_packet(32, 13, seed=5)
@@ -970,11 +1009,11 @@ def test_an_open_step_makes_one_coin_product(variant, monkeypatch):
         return apply(*args)
 
     monkeypatch.setattr(walk, "_apply_coin_map", counting)
-    channels.fidelity_trace(psi, sched)
+    _, layout = channels.fidelity_trace(psi, sched)
     owed = variant[1] == "coin"
     assert len(products) == steps + 2 + 2 * owed
-    if owed:  # the pay before the trace check, on line 0 alone
-        assert products[-1][0].shape[2] == 1
+    if owed:  # the pay before the line sums, on the whole block
+        assert products[-1][0].shape[2] == layout.lines
 
 
 # ------------------------------------------------------- fidelity times
@@ -1041,8 +1080,8 @@ def test_a_fidelity_time_outside_the_run_is_refused(variant, t):
 @pytest.mark.parametrize("variant", [None, *VARIANTS])
 def test_a_fidelity_run_keeps_no_final_state(variant, start, block_rows, monkeypatch):
     # whatever its blocks and times, a fidelity run hands back no working
-    # array, and its trace check, on line 0 alone, still catches a drift (a
-    # snapshot at t = 0 is taken before any drift)
+    # array but every line's sums, and its trace check, from line 0's sums,
+    # still catches a drift (a snapshot at t = 0 is taken before any drift)
     n, theta, T = 32, 0.7, 4
     psi = band_packet(n, 13, seed=3)
     spec = None if variant is None else ChannelSpec(variant[0], 0.2, variant[1])
@@ -1053,7 +1092,8 @@ def test_a_fidelity_run_keeps_no_final_state(variant, start, block_rows, monkeyp
     _split(monkeypatch, layout, 3 if start == "pure_3" else 1)
     for times in ((2 * T,), (3, 1), range(2 * T + 1)):
         result, trace = channels._run_open(rho0, sched, snaps, times)
-        assert result.work is None and result.sums is None and trace.shape == (len(times),)
+        assert result.work is None and trace.shape == (len(times),)
+        assert result.sums.shape == (2, layout.lines)
         assert sorted(result.snapshots) == list(snaps)
     _assert_blocks(block_rows[0], layout, 3 if start == "pure_3" else 1)
     # without fidelity times, a run stepped whole keeps its rows, and every
@@ -1338,7 +1378,7 @@ def test_open_runs_refuse_an_fm_window(start, channel):
     # open run lays out a state, while a closed fidelity run still takes it
     psi = band_packet(16, 7, seed=2)
     rho0 = DensityOperator.from_pure(psi) if start == "density" else psi
-    sched = Schedule(6, 0.7, fm_windows=((1, 4, 0.5),), channel=channel)
+    sched = Schedule(6, 0.7, fm_window=(1, 4, 0.5), channel=channel)
     for run in (open_layout, evolve_open, channels.fidelity_trace, channels._run_open):
         if run is channels.fidelity_trace and (channel is None or start == "density"):
             continue  # a closed trace takes F_m; a density start is refused first

@@ -1,9 +1,13 @@
+import contextlib
 import copy
 import importlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -21,7 +25,7 @@ from catwalk.channels import (CHANNEL_KINDS, TARGETS, ChannelSpec, MomentumLayou
 from catwalk.cli import build_parser, main
 from catwalk.config import KEYS, ConfigError, ExperimentConfig, parse_config
 from catwalk.encoder import CHUNK_ROWS
-from catwalk.io import ResultRecord, Table, emit_results
+from catwalk.io import FORMATS, ResultRecord, Table, emit_results
 from catwalk.lattice import COIN_SYMMETRIC, DensityOperator, gaussian_position_state, make_lattice
 from catwalk.scenarios import density_working_set_bytes
 from catwalk.walk import Schedule
@@ -396,18 +400,21 @@ def test_open_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # open runs hold numpy's OpenBLAS at one thread, so no contraction is split
     if channels._openblas_threads() is None:
         pytest.skip("numpy's bundled OpenBLAS exports no thread-count symbols here")
+    # and P(x) read from each block's line sums; r and P(x) byte for byte
     code = "import sys; from catwalk.cli import main; sys.exit(main(sys.argv[1:]))"
     src = str(Path(catwalk.__file__).resolve().parents[1])
-    outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
-        subprocess.run([sys.executable, "-c", code, "decohere", "--steps", "30", "--sigma", "5",
-                        "--out", str(out)], env=env, capture_output=True, check=True)
-        outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
-    assert len(outputs[0]) == 6 and outputs[0].keys() == outputs[1].keys()
-    for name, data in outputs[0].items():
-        assert outputs[1][name] == data, name
+    for argv, files in ((["decohere", "--steps", "30", "--sigma", "5"], 6),
+                        (["decohereprob", "--steps", "40", "--lattice", "400"], 4)):
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / argv[0] / threads
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            subprocess.run([sys.executable, "-c", code, *argv, "--out", str(out)], env=env,
+                           capture_output=True, check=True)
+            outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert len(outputs[0]) == files and outputs[0].keys() == outputs[1].keys()
+        for name, data in outputs[0].items():
+            assert outputs[1][name] == data, name
 
 
 def test_cli_evolve_success(tmp_path, capsys):
@@ -530,6 +537,7 @@ def test_memory_guard_refuses_before_building_the_packet(scenario, monkeypatch, 
     (["electricfid", "--steps", "5", "--n", "1000000000000000000"], 3, "refused"),
     # spectrum builds no packet, so only the one-state guard applies
     (["spectrum", "--lattice", "1000000000000000000"], 3, "refused"),
+    (["dirac", "--steps", "4", "--theta", "1e300"], 2, "config error: theta=1e+300 is too large"),
 ])
 def test_cli_refuses_oversized_inputs_without_a_traceback(argv, code, message, tmp_path, capsys):
     # an infinite sizing rule is a config error; a lattice whose one (N, 2)
@@ -538,6 +546,66 @@ def test_cli_refuses_oversized_inputs_without_a_traceback(argv, code, message, t
     err = capsys.readouterr().err
     assert err.startswith(f"catwalk: {message}") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("sigma", ["1e-300", "1e-200"])
+def test_a_sigma_whose_square_underflows_is_refused(sigma, tmp_path, capsys):
+    # 4 sigma^2 would be 0, and the envelope 0/0 at x = 0: the run is refused,
+    # naming sigma, before the packet is built and without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", "--steps", "4", "--sigma", sigma, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"catwalk: config error: sigma={float(sigma)} is too small: "
+                   "4 sigma^2 underflows to 0\n")
+    assert list(tmp_path.iterdir()) == []
+    # a small sigma whose square stays above 0 still runs
+    assert main(["evolve", "--steps", "4", "--sigma", "1e-150", "--out", str(tmp_path)]) == 0
+
+
+# each key's domain edges, as typed after its flag
+_NUMBER_EDGES = ("0", "-1", "1", "1.5", "1e-300", "-1e-300", "1e300", "-1e300", "inf", "-inf",
+                 "nan")
+_KEY_EDGES = {
+    **{key: _NUMBER_EDGES for key, spec in KEYS.items() if spec.type in (int, float)},
+    "theta": _NUMBER_EDGES + ("1e10", "-1e10"),
+    "k0": _NUMBER_EDGES + ("1e10", "-1e10"),
+    "lattice": (*map(str, range(8)), "auto", "1.5", "1e300", "inf", "nan"),
+    "channel": ("", "x", *CHANNEL_KINDS),
+    "target": ("", "x", *TARGETS),
+    "fmt": ("", "x", *FORMATS),
+}
+
+
+def _numbers(path):
+    """Every token of a table or metadata file that reads as a float."""
+    for token in path.read_text().replace(",", " ").replace("=", " ").split():
+        try:
+            yield float(token)
+        except ValueError:
+            continue
+
+
+@settings(max_examples=600, deadline=None)
+@given(scenario=st.sampled_from(sorted(scenarios.RUNNERS)), key=st.sampled_from(sorted(_KEY_EDGES)),
+       data=st.data())
+def test_every_scenario_takes_every_key_edge(scenario, key, data):
+    # a small run with one key at a domain edge exits 0 with finite outputs,
+    # 2 naming the key, or 3 (refused by the memory budget, which keeps every
+    # admitted run small)
+    value = data.draw(st.sampled_from(_KEY_EDGES[key]))
+    flag = KEYS[key].flag
+    with tempfile.TemporaryDirectory() as out:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([scenario, "--steps", "4", "--sigma", "1", "--max-bytes", "2e7",
+                         f"{flag}={value}", "--out", out])
+        assert code in (0, 2, 3), err.getvalue()
+        if code == 0:
+            for path in Path(out).iterdir():
+                assert all(np.isfinite(list(_numbers(path)))), path.name
+        if code == 2:
+            assert key in err.getvalue() or flag in err.getvalue(), err.getvalue()
 
 
 def test_catstates_width_sweep_lattice_is_guarded(tmp_path, capsys):

@@ -18,6 +18,7 @@ from catwalk.lattice import (
     gaussian_position_state,
     localized_state,
     make_lattice,
+    to_momentum,
 )
 from catwalk.walk import (
     SIGMA_Y,
@@ -47,7 +48,7 @@ def gate(psi, u):
 # one step at theta = 0, whose coin sigma_z only signs the down level: a plain
 # step is a momentum-space jump, a step in a phi = 0 F_m window runs the
 # position-space shift
-SHIFT_RUNS = (Schedule(1, 0.0), Schedule(1, 0.0, fm_windows=((0, 1, 0.0),)))
+SHIFT_RUNS = (Schedule(1, 0.0), Schedule(1, 0.0, fm_window=(0, 1, 0.0)))
 
 
 @pytest.mark.parametrize("theta", THETAS)
@@ -86,7 +87,7 @@ def test_fm_phase_is_diagonal():
     lat = make_lattice(16)
     psi = gaussian_position_state(lat, 2.0, COIN_SYMMETRIC)
     plain = evolve(psi, Schedule(1, np.pi / 4)).final
-    phased = evolve(psi, Schedule(1, np.pi / 4, fm_windows=((0, 1, 0.3),))).final
+    phased = evolve(psi, Schedule(1, np.pi / 4, fm_window=(0, 1, 0.3))).final
     np.testing.assert_allclose(
         phased.amplitudes,
         plain.amplitudes * np.exp(0.3j * lat.sites)[:, None],
@@ -100,7 +101,7 @@ def test_fm_phase_is_diagonal():
 def test_generalized_step_matches_manual_composition():
     lat = make_lattice(32)
     psi = gaussian_position_state(lat, 3.0, COIN_SYMMETRIC)
-    direct = evolve(psi, Schedule(1, np.pi / 4, fm_windows=((0, 1, 0.7),))).final
+    direct = evolve(psi, Schedule(1, np.pi / 4, fm_window=(0, 1, 0.7))).final
     flat = dense_walk_unitary(32, np.pi / 4, 0.7) @ psi.amplitudes.ravel()
     manual = PureState(lat, flat.reshape(32, 2))
     assert fidelity(direct, manual) == pytest.approx(1.0)
@@ -138,22 +139,35 @@ def test_schedule_validation():
     with pytest.raises(ScheduleError):
         Schedule(-1, np.pi / 4)
     with pytest.raises(ScheduleError):
-        Schedule(10, np.pi / 4, fm_windows=((2, 12, 0.1),))
-    with pytest.raises(ScheduleError):
-        Schedule(10, np.pi / 4, fm_windows=((0, 5, 0.1), (3, 8, 0.2)))
+        Schedule(10, np.pi / 4, fm_window=(2, 12, 0.1))
     with pytest.raises(ScheduleError):
         Schedule(10, np.pi / 4, coin_gate_insertions=((11, SIGMA_Y),))
 
 
+def test_a_lone_power_reads_what_it_reads_in_a_batch():
+    # each n of _PlainPower.fidelities reads the same bits whether asked alone,
+    # at the head of a tail, or inside a batch that crosses a chunk edge
+    lattice = make_lattice(468)
+    psi = gaussian_position_state(lattice, 10.0, COIN_SYMMETRIC, k0=0.2)
+    kamp = to_momentum(psi.amplitudes)
+    power = _PlainPower(0.7, lattice.momenta)
+    edge = (1 << 18) // lattice.n_sites
+    n = np.arange(1, edge + 40)
+    batch = power.fidelities(n, kamp, kamp)
+    for i in (0, 1, edge - 2, edge - 1, edge, edge + 1, len(n) - 1):
+        assert power.fidelities(n[i:i + 1], kamp, kamp)[0] == batch[i]
+        assert power.fidelities(n[i:], kamp, kamp)[0] == batch[i]
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(total_steps=4.0),
-    dict(fm_windows=((0.5, 3, 0.1),)),
-    dict(fm_windows=((0, 3.0, 0.1),)),
+    dict(fm_window=(0.5, 3, 0.1)),
+    dict(fm_window=(0, 3.0, 0.1)),
     dict(coin_gate_insertions=((1.5, SIGMA_Y),)),
     dict(theta=np.nan),
     dict(theta=np.inf),
-    dict(fm_windows=((0, 3, np.nan),)),
-    dict(fm_windows=((0, 3, -np.inf),)),
+    dict(fm_window=(0, 3, np.nan)),
+    dict(fm_window=(0, 3, -np.inf)),
 ], ids=["float_total", "float_start", "float_end", "float_gate", "nan_theta", "inf_theta",
         "nan_phi", "inf_phi"])
 def test_schedule_refuses_out_of_domain_input(kwargs):
@@ -164,16 +178,16 @@ def test_schedule_refuses_out_of_domain_input(kwargs):
 
 
 def test_schedule_takes_numpy_integer_times():
-    sched = Schedule(np.int64(4), np.pi / 4, fm_windows=((np.int32(1), np.int64(3), 0.1),),
+    sched = Schedule(np.int64(4), np.pi / 4, fm_window=(np.int32(1), np.int64(3), 0.1),
                      coin_gate_insertions=((np.int64(2), SIGMA_Y),))
     psi = gaussian_position_state(make_lattice(16), 2.0, COIN_SYMMETRIC)
-    plain = Schedule(4, np.pi / 4, fm_windows=((1, 3, 0.1),), coin_gate_insertions=((2, SIGMA_Y),))
+    plain = Schedule(4, np.pi / 4, fm_window=(1, 3, 0.1), coin_gate_insertions=((2, SIGMA_Y),))
     np.testing.assert_array_equal(evolve(psi, sched).final.amplitudes,
                                   evolve(psi, plain).final.amplitudes)
 
 
 def test_schedule_phi_windows():
-    sched = Schedule(10, np.pi / 4, fm_windows=((2, 5, 0.3),))
+    sched = Schedule(10, np.pi / 4, fm_window=(2, 5, 0.3))
     assert sched.phi_at(2) is None
     assert sched.phi_at(3) == 0.3
     assert sched.phi_at(5) == 0.3
@@ -285,7 +299,7 @@ def test_evolve_matches_dense_oracle(
     for t in gate_times:
         q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         gates.append((min(t, steps), q))
-    sched = Schedule(steps, theta, fm_windows=((start, end, phi),), coin_gate_insertions=gates)
+    sched = Schedule(steps, theta, fm_window=(start, end, phi), coin_gate_insertions=gates)
     snaps = {min(t, steps) for t in snapshot_times}
     result = evolve(psi, sched, snapshot_times=snaps)
     expected = dense_pure_run(psi.amplitudes.ravel(), n, sched)
@@ -358,7 +372,7 @@ def test_observing_a_run_does_not_change_its_arithmetic():
     theta = 0.9
     psi = gaussian_position_state(make_lattice(96), 4.0, COIN_SYMMETRIC, k0=0.2)
     r, r_dag = reversal_pair(theta)
-    sched = Schedule(40, theta, fm_windows=((12, 20, 2 * np.pi / 5),),
+    sched = Schedule(40, theta, fm_window=(12, 20, 2 * np.pi / 5),
                      coin_gate_insertions=((6, SIGMA_Y), (20, r), (40, r_dag)))
     bare = evolve(psi, sched).final.amplitudes
     times = (0, 3, 6, 15, 20, 33, 40)
@@ -401,7 +415,7 @@ def test_closed_fidelity_trace_matches_dense_oracle(theta, quarter_n, steps, kin
     if kind == "window":
         # a reversal around an F_m window, as the control protocol runs it
         gate, gate_back = reversal_pair(theta)
-        sched = Schedule(total + 4, theta, fm_windows=((steps, steps + 4, phi),),
+        sched = Schedule(total + 4, theta, fm_window=(steps, steps + 4, phi),
                          coin_gate_insertions=((steps + 4, gate), (total + 4, gate_back)))
     elif kind == "gates":
         gates = []
