@@ -16,10 +16,13 @@ occupies a narrow band of momenta is stepped on that band alone.
 The layout owns the basis its lines are stepped in, momenta on a window
 ring and relative position y = x - x' on a ring of all N, where the shift
 is a per-line phase and a roll and line dephasing is a mask on the y = 0
-column folded into the shift.  It also owns the mirror rule: every channel
-here keeps rho Hermitian, so a run steps only half the lines of its ring
-and takes the others as their Hermitian mirror (``_mirrored``), and no
-line's norm grows, so a pure start drops the lines past a 1e-30 tail.
+column folded into the shift.  P(x) reads only that column, so a run there
+that keeps no state steps only the columns of y that can still reach it, a
+window that narrows as the run ends (``_windows``).  The layout also owns
+the mirror rule: every channel here keeps rho Hermitian, so a run steps
+only half the lines of its ring and takes the others as their Hermitian
+mirror (``_mirrored``), and no line's norm grows, so a pure start drops the
+lines past a 1e-30 tail.
 A coin-local channel's 4x4 map S is left owed by each step and folded into
 the next coin map, C S, so every step is one coin product and one shift,
 with one contraction at each time whose fidelity is read
@@ -29,11 +32,12 @@ runs in row blocks, each a self-contained run through the whole schedule
 with its own ``_Checkpoints``; the blocks share only one allocation, which
 each reuses in turn, the summed fidelity and the line sums, and every
 block ends alike: its fidelity trace added, what it owes paid, its line
-sums read in the basis it was stepped in.  Open runs
-and closed fidelity runs hold numpy's bundled OpenBLAS at one thread and
-the last one out restores its count, so that no contraction is split and
-results do not depend on ``OPENBLAS_NUM_THREADS``; the count is
-process-global, so BLAS that another thread runs meanwhile is held too.
+sums read in the basis it was stepped in.  Open runs, closed fidelity
+runs and every scenario run (``scenarios.run_scenario``) hold numpy's
+bundled OpenBLAS at one thread and the last one out restores its count,
+so that no contraction is split and results do not depend on
+``OPENBLAS_NUM_THREADS``; the count is process-global, so BLAS that
+another thread runs meanwhile is held too.
 ``open_layout`` picks the layout, ``_run_open`` is the one runner on it
 and checks the trace once, from line 0's sums, ``evolve_open`` returns
 P(x) read from line sums and the final state of a run stepped whole, and
@@ -296,11 +300,22 @@ class MomentumLayout:
         """out = the stored lines ``rows`` of rho0 in the basis they are
         stepped in: of |psi><psi| for a PureState, laid out from psi~ alone,
         or of a DensityOperator, which needs the full support and is laid out
-        whole; returns out."""
+        whole; returns out.  On a ring of all N a PureState's ``out`` may be
+        a window of y narrower than the ring, centred on y = 0 (``_windows``):
+        each coin block is then laid out through one (rows, N) buffer and cut
+        to its centre columns."""
         if isinstance(state, PureState):
             amp = to_momentum(state.amplitudes).T
             ket = self._on_ring(amp, rows)
             bra = amp[:, self.lo:self.lo + self.ring].conj()
+            width = out.shape[-1]
+            if width < self.ring:  # a window of y: each coin block through one (rows, N) buffer
+                block = np.empty(ket.shape[1:], dtype=complex)
+                lo = self.ring // 2 - width // 2
+                for c, d in _COIN_PAIRS:
+                    to_position(np.multiply(ket[c], bra[d], out=block), axis=-1, out=block)
+                    out[c, d] = block[:, lo:lo + width]
+                return out
             # a coin block at a time: a broadcast over all four allocates two arrays as large
             for c, d in _COIN_PAIRS:
                 np.multiply(ket[c], bra[d], out=out[c, d])
@@ -367,11 +382,12 @@ class MomentumLayout:
         momentum columns j < R - q, and over the rest, which ``distribution``
         reads.  Row-local.  On a window ring these are sums over momenta.  On
         a ring of all N a row's sum over momenta is sqrt(N) times its y = 0
-        column, as sum_k f~(k) = sqrt(N) f(0), and offsets q and q - N meet
-        in ``distribution``, so the head holds it all and the tail is 0."""
+        column, the centre of the window of y ``work`` spans, as sum_k f~(k) =
+        sqrt(N) f(0), and offsets q and q - N meet in ``distribution``, so
+        the head holds it all and the tail is 0."""
         if self.relative:
-            n = self.ring
-            head = np.sqrt(n) * (work[0, 0, :, n // 2] + work[1, 1, :, n // 2])
+            y0 = work.shape[-1] // 2
+            head = np.sqrt(self.ring) * (work[0, 0, :, y0] + work[1, 1, :, y0])
             return np.stack((head, np.zeros_like(head)))
         sums = work[0, 0] + work[1, 1]
         q = np.arange(self.lines)[rows]
@@ -430,13 +446,15 @@ class MomentumLayout:
         A pair's phase is e^{i s_c k_a} e^{-i s_d k_b}, with s = (1, -1).  On a
         window ring it is one multiply per coin block by a product of e^{ik_a}
         on the ring, e^{ik_b} and their conjugates.  A ring of all N momenta is
-        stepped in y = x - x', each line's ``to_position`` along j, y = 0 at
-        index N/2.  There the phase is e^{i s_c 2 pi q / N} on line q times
-        e^{i (s_c - s_d) k_b}, which rolls the line by s_c - s_d, and line
-        dephasing, lam rho + (1 - lam) P(rho), is a mask: 1 on the y = 0
-        column of the blocks P keeps, lam everywhere else.  Both fold into one
-        factor per block, applied through a flat offset of the block, whose
-        columns that took a neighbouring line's end are then refilled.
+        stepped in y = x - x', each line's ``to_position`` along j, on a
+        window of y as wide as ``phase``, with y = 0 at its centre (index N/2
+        of the whole ring).  There the phase is e^{i s_c 2 pi q / N} on line q
+        times e^{i (s_c - s_d) k_b}, which rolls the line by s_c - s_d, around
+        the window, and line dephasing, lam rho + (1 - lam) P(rho), is a
+        mask: 1 on the y = 0 column of the blocks P keeps, lam everywhere
+        else.  Both fold into one factor per block, applied through a flat
+        offset of the block, whose columns that took a neighbouring line's
+        end are then refilled.
         """
         if not self.relative:
             ket = np.exp(1j * self.lattice.momenta)
@@ -447,13 +465,13 @@ class MomentumLayout:
             phase[0, 0] *= bra.conj()
             np.conjugate(phase[0, 0], out=phase[1, 1])
             return lambda work, out: np.multiply(work, phase, out=out)
-        n = self.ring
+        n = phase.shape[-1]
         mask = np.ones((2, 2, n))
         if _mixes_lines(spec):
             mask[...] = np.exp(-spec.eta)
             for c, d in _COIN_PAIRS if spec.target == TARGET_WALKER else ((0, 0), (1, 1)):
                 mask[c, d, n // 2] = 1.0
-        line = np.exp(2j * np.pi * np.arange(self.lines)[rows] / n)
+        line = np.exp(2j * np.pi * np.arange(self.lines)[rows] / self.ring)
         np.multiply(np.stack((line, line.conj()))[:, None, :, None], mask[:, :, None, :], out=phase)
         flat = phase.reshape(4, -1)
 
@@ -689,6 +707,45 @@ def _one_blas_thread():
                 set_(_blas_count)
 
 
+def _windows(steps: int, ring: int) -> list[tuple[int, int]]:
+    """(t, width) of each window of y a final-state run of ``steps`` steps on
+    a ring of all N = ``ring`` momenta steps, from time t on.
+
+    The coin map and the dephasing mask act column by column, and the shift
+    keeps blocks (0,0) and (1,1) in place and rolls (0,1) and (1,0) by 2, so
+    with s steps left only the columns |y| <= 2s can still reach y = 0, the
+    column ``line_sums`` reads.  A run is cut to those 4s + 1 columns once
+    they fit in half its window, at t = 0 if 4T + 1 <= N/2.  The roll then
+    wraps around inside the window, which puts wrong values only in columns
+    more than 2s from its centre, and they never reach it: the whole y = 0
+    column of every coin block ends exact.  (P(x) reads blocks (0,0) and
+    (1,1) alone, which the last shift leaves in place, so 4s - 3 columns
+    would keep P(x); 4s - 5 would not.)
+    """
+    t, width, windows = 0, ring, []
+    while (left := min(steps - t, (width - 2) // 8)) > 0:
+        if steps - left > t:
+            windows.append((t, width))
+        t, width = steps - left, 4 * left + 1
+    return windows + [(t, width)]
+
+
+def _narrowed(work: np.ndarray, spare: np.ndarray, factor: np.ndarray,
+              width: int) -> tuple[np.ndarray, ...]:
+    """(work, spare, factor) cut to their ``width`` centre columns of y inside
+    their own memory: work's centre is copied into the head of spare's
+    memory, which becomes work, and the heads of work's and factor's memory
+    become the new spare and factor."""
+    def head(array):
+        return array.reshape(-1)[:array.size // array.shape[-1] * width].reshape(
+            *array.shape[:-1], width)
+
+    lo = work.shape[-1] // 2 - width // 2
+    narrow = head(spare)
+    narrow[...] = work[..., lo:lo + width]
+    return narrow, head(work), head(factor)
+
+
 def _run_open(rho0, schedule: Schedule, snapshot_times: Sequence[int] = (),
               fidelity_times: Sequence[int] = ()) -> tuple[OpenResult, np.ndarray]:
     """The one open run: rho0 laid out on ``open_layout`` and ``walk._run``
@@ -707,7 +764,12 @@ def _run_open(rho0, schedule: Schedule, snapshot_times: Sequence[int] = (),
     in the basis it was stepped in.  Every channel here is trace preserving,
     so the sums would not need the payment in exact arithmetic; paying keeps
     a run in blocks bit-identical to the same run whole.  The final trace is
-    then checked once, from line 0's sums.  A run with snapshots, or from a
+    then checked once, from line 0's sums.  A run on a ring of all N that
+    keeps no state (a PureState start, no snapshot or fidelity time) needs
+    only the y = 0 column at the end: each block steps the windows of y of
+    ``_windows``, one ``_run`` and one shift factor each, cut in place by
+    ``_narrowed``, with S still owed across a cut, and the block count is
+    taken from the first window's width.  A run with snapshots, or from a
     DensityOperator, is stepped whole, in one block; unless it is a fidelity
     run, one with any fidelity time, it alone keeps its final rows, brought
     back to momenta, as a view of the allocation.  Returns (OpenResult, the
@@ -715,16 +777,18 @@ def _run_open(rho0, schedule: Schedule, snapshot_times: Sequence[int] = (),
     contracted at those times alone)."""
     layout = open_layout(rho0, schedule)
     lines, ring = layout.shape
-    spec = schedule.channel
+    spec, steps = schedule.channel, schedule.total_steps
     owed = None if spec is None or spec.eta == 0 or _mixes_lines(spec) else _coin_superop(spec)
     fidelity = len(fidelity_times) > 0
     whole = len(snapshot_times) or not isinstance(rho0, PureState)
+    windows = _windows(steps, ring) if layout.relative and not (whole or fidelity) else [(0, ring)]
+    width = windows[0][1]
     # the bytes of four coin blocks of complex entries, in blocks of _BLOCK_BYTES
-    count = 1 if whole else min(lines, -(-4 * 16 * lines * ring // _BLOCK_BYTES))
+    count = 1 if whole else min(lines, -(-4 * 16 * lines * width // _BLOCK_BYTES))
     sums = np.empty((2, lines), dtype=complex)
     # work, spare and shift factor, then the fidelity start and S^T start
     arrays = 3 + fidelity + (fidelity and owed is not None)
-    held = np.empty(arrays * 4 * -(-lines // count) * ring, dtype=complex)
+    held = np.empty(arrays * 4 * -(-lines // count) * width, dtype=complex)
     trace = np.zeros(len(fidelity_times))
 
     def snapshot(w: np.ndarray) -> DensityOperator:
@@ -733,15 +797,18 @@ def _run_open(rho0, schedule: Schedule, snapshot_times: Sequence[int] = (),
     with _one_blas_thread():
         for i in range(count):
             rows = slice(i * lines // count, (i + 1) * lines // count)
-            size = arrays * 4 * (rows.stop - rows.start) * ring
-            work, spare, factor, *starts = held[:size].reshape(arrays, 2, 2, -1, ring)
+            size = arrays * 4 * (rows.stop - rows.start) * width
+            work, spare, factor, *starts = held[:size].reshape(arrays, 2, 2, -1, width)
             layout.start(rho0, rows, work)
             start = layout.fidelity_start(work, rows, starts[0]) if fidelity else None
             checkpoint = _Checkpoints(schedule, 2, snapshot_times, snapshot, start,
                                       fidelity_times, owed, *starts[1:])
             work, spare = checkpoint(0, work, spare)
-            work, spare = _run(work, spare, schedule, range(1, schedule.total_steps + 1),
-                               checkpoint, layout.shift(spec, rows, factor))
+            for (begin, cut), (end, _) in zip(windows, windows[1:] + [(steps, 0)]):
+                if cut < work.shape[-1]:
+                    work, spare, factor = _narrowed(work, spare, factor, cut)
+                work, spare = _run(work, spare, schedule, range(begin + 1, end + 1), checkpoint,
+                                   layout.shift(spec, rows, factor))
             trace += checkpoint.trace
             work, _ = checkpoint.pay(work, spare)
             sums[:, rows] = layout.line_sums(work, rows)

@@ -201,7 +201,9 @@ def gaussian_position_state(
     sites, which truncates the tail beyond 4 sigma: a mass near
     erfc(2 sqrt 2) = 6.3e-5 (6.4e-5 at sigma=10, N=80) is cut off before
     the packet is renormalized.  A sigma whose 4 sigma^2 underflows to 0
-    raises StateError: the envelope would be 0/0 at x = 0.
+    raises StateError: the envelope would be 0/0 at x = 0.  A sigma just
+    above that (about 1e-154 and below) gives exp(-inf) = 0 off x = 0, the
+    one-site packet, without an overflow warning.
     """
     if sigma <= 0:
         raise StateError(f"sigma must be positive, got {sigma}")
@@ -213,7 +215,8 @@ def gaussian_position_state(
             f"lattice N={n} too small for sigma={sigma}; need N >= {8 * sigma:.0f}"
         )
     x = lattice.sites
-    env = np.exp(-(x**2) / (4.0 * sigma**2)) * np.exp(-1j * k0 * x)
+    with np.errstate(over="ignore"):  # x^2/(4 sigma^2) is inf off x = 0 for a tiny sigma
+        env = np.exp(-(x**2) / (4.0 * sigma**2)) * np.exp(-1j * k0 * x)
     amp = env[:, None] * coin.as_array()[None, :]
     amp /= np.linalg.norm(amp)
     return PureState(lattice, amp)

@@ -31,7 +31,7 @@ from .analysis import (
     schmidt_components,
 )
 from .channels import (CHANNEL_KINDS, DEPHASING, TARGET_COIN, TARGETS, ChannelSpec,
-                       density_working_set_bytes, evolve_open)
+                       _one_blas_thread, density_working_set_bytes, evolve_open)
 from .config import KEYS, ConfigError, ExperimentConfig
 from .io import ResultRecord, Table
 from .lattice import (
@@ -355,7 +355,10 @@ RUNNERS = {
 
 
 def run_scenario(cfg: ExperimentConfig) -> ResultRecord:
-    """Run cfg.scenario on cfg as given."""
+    """Run cfg.scenario on cfg as given, numpy's OpenBLAS held at one thread
+    (``channels._one_blas_thread``), so that no sum is split and every
+    output is the same whatever ``OPENBLAS_NUM_THREADS``."""
     if cfg.scenario not in RUNNERS:
         raise ConfigError(f"unknown scenario {cfg.scenario!r}")
-    return RUNNERS[cfg.scenario](cfg)
+    with _one_blas_thread():
+        return RUNNERS[cfg.scenario](cfg)

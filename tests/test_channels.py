@@ -595,7 +595,7 @@ def test_no_stored_line_grows_along_a_run(target, mutant, monkeypatch):
             def mutated(work, out):
                 step(work, out)
                 for c in (0, 1):  # the blocks both targets keep at y = 0
-                    out[c, c, :, n // 2] *= np.exp(eta)
+                    out[c, c, :, out.shape[-1] // 2] *= np.exp(eta)
                 return out
             return mutated
 
@@ -720,18 +720,39 @@ def test_real_maps_are_real_and_complex_ones_complex():
 @pytest.fixture
 def block_rows(monkeypatch):
     """The row blocks of each open run, as the (start, stop) of the stored
-    lines each shift factor is built for, one list per run."""
+    lines each block is laid out for, one list per run."""
     runs = []
-    shift = MomentumLayout.shift
+    start = MomentumLayout.start
 
-    def recorded(layout, spec, rows, *args):
+    def recorded(layout, state, rows, out):
         if rows.start == 0:
             runs.append([])
         runs[-1].append((rows.start, rows.stop))
-        return shift(layout, spec, rows, *args)
+        return start(layout, state, rows, out)
+
+    monkeypatch.setattr(MomentumLayout, "start", recorded)
+    return runs
+
+
+@pytest.fixture
+def segments(monkeypatch):
+    """Each shift factor built, one per window of y a block steps, as
+    [(start, stop) of its rows, its width, the steps it took]."""
+    built = []
+    shift = MomentumLayout.shift
+
+    def recorded(layout, spec, rows, phase):
+        step = shift(layout, spec, rows, phase)
+        built.append([(rows.start, rows.stop), phase.shape[-1], 0])
+        entry = built[-1]
+
+        def counted(work, out):
+            entry[2] += 1
+            return step(work, out)
+        return counted
 
     monkeypatch.setattr(MomentumLayout, "shift", recorded)
-    return runs
+    return built
 
 
 @pytest.fixture
@@ -757,9 +778,12 @@ def _final_rows(run):
     return np.concatenate(run, axis=2)
 
 
-def _split(monkeypatch, layout, blocks):
-    """Set the budget so that a run on ``layout`` takes ``blocks`` row blocks."""
-    monkeypatch.setattr(channels, "_BLOCK_BYTES", -(-64 * layout.lines * layout.ring // blocks))
+def _split(monkeypatch, layout, blocks, width=None):
+    """Set the budget so that a run on ``layout`` takes ``blocks`` row blocks,
+    for a run whose first window of y is ``width`` columns (the ring's by
+    default)."""
+    width = layout.ring if width is None else width
+    monkeypatch.setattr(channels, "_BLOCK_BYTES", -(-64 * layout.lines * width // blocks))
 
 
 def _assert_blocks(rows, layout, blocks):
@@ -781,7 +805,9 @@ def test_row_blocks_leave_the_final_state_bit_identical(variant, support, blocks
     # one site, on every momentum, makes even the coin-local ring all N,
     # stepped in y = x - x'.  The rows of a run that keeps none are read
     # where each block hands them to line_sums, and match those the run
-    # stepped whole hands over and, back in momenta, the rows it keeps
+    # stepped whole hands over, which back in momenta are the rows it keeps;
+    # on a ring of all N, which ends on a window of y, only in the y = 0
+    # column, the one the line sums read and no wrapped roll reaches
     n, theta = 32, 0.7
     psi = (band_packet(n, 13, seed=5) if support == "window"
            else localized_state(make_lattice(n), 5, COIN_SYMMETRIC))
@@ -798,10 +824,14 @@ def test_row_blocks_leave_the_final_state_bit_identical(variant, support, blocks
     _assert_blocks(block_rows[2], layout, blocks)
     assert one.work is None and split.work is None
     assert [len(run) for run in handed_rows] == [1, 1, blocks]
+    stepped = _final_rows(handed_rows[0])
+    np.testing.assert_array_equal(layout.momenta(stepped, None), whole.work)
+    width = 5 if layout.relative else layout.ring  # the last window of y, from t = 8
+    lo = layout.ring // 2 - width // 2  # its first column on the ring
+    kept = slice(width // 2, width // 2 + 1) if layout.relative else slice(None)
     for rows in (_final_rows(handed_rows[1]), _final_rows(handed_rows[2])):
-        assert rows.shape == whole.work.shape
-        np.testing.assert_array_equal(rows, _final_rows(handed_rows[0]))
-        np.testing.assert_array_equal(layout.momenta(rows, rows), whole.work)
+        assert rows.shape == (*whole.work.shape[:-1], width)
+        np.testing.assert_array_equal(rows[..., kept], stepped[..., lo:lo + width][..., kept])
     for result in (one, split):
         np.testing.assert_array_equal(result.sums, whole.sums)
         np.testing.assert_array_equal(result.distribution(), whole.distribution())
@@ -811,9 +841,10 @@ def test_row_blocks_leave_the_final_state_bit_identical(variant, support, blocks
                                            ("both", 3), ("density", 1)])
 def test_relative_line_sums_read_the_y0_column(start, blocks, monkeypatch):
     # on a ring of all N, stepped in y = x - x', a row's sum over momenta is
-    # sqrt(N) times its y = 0 column: each block's sums, read where it hands
-    # them over, match those of its rows brought back to momenta, and the
-    # column beside y = 0 does not
+    # sqrt(N) times its y = 0 column, the centre of the window of y a run
+    # that keeps no rows ends on: each block's sums, read where it hands
+    # them over, match the rows of the same run stepped whole summed over
+    # momenta, and the column beside y = 0 does not
     n, theta = 32, 0.7
     psi = band_packet(n, 13, seed=5)
     rho0 = DensityOperator.from_pure(psi) if start == "density" else psi
@@ -822,6 +853,7 @@ def test_relative_line_sums_read_the_y0_column(start, blocks, monkeypatch):
     sched = Schedule(9, theta, coin_gate_insertions=((3, gate), (6, gate_back)), channel=spec)
     layout = open_layout(rho0, sched)
     assert layout.relative
+    whole = channels._run_open(rho0, sched, (9,))[0].work
     _split(monkeypatch, layout, blocks)
     handed = []
     line_sums = MomentumLayout.line_sums
@@ -835,8 +867,8 @@ def test_relative_line_sums_read_the_y0_column(start, blocks, monkeypatch):
     channels._run_open(rho0, sched)
     assert len(handed) == blocks
     for work, rows, sums in handed:
-        momenta = layout.momenta(work, None)
-        over_momenta = (momenta[0, 0] + momenta[1, 1]).sum(axis=1)
+        assert work.shape[-1] == (n if start == "density" else 5)
+        over_momenta = (whole[0, 0] + whole[1, 1]).sum(axis=1)[rows]
         np.testing.assert_allclose(sums[0], over_momenta, rtol=0, atol=1e-15)
         assert not sums[1].any()
         beside = line_sums(layout, np.roll(work, 1, axis=-1), rows)[0]
@@ -900,26 +932,107 @@ def test_a_fidelity_run_in_row_blocks_holds_only_their_rows(monkeypatch):
     assert peak(6) <= 0.6 * peak(1)
 
 
-def test_a_distribution_run_in_row_blocks_holds_no_full_working_array():
-    # decohereprob's both run at N = 400: 53 x 400 lines in 2 blocks.  Each
-    # block hands its rows' sums over as it ends, so beside one block set
-    # (work, spare and shift factor of the largest block) the run holds less
-    # than one full working array
+def test_a_distribution_run_in_row_blocks_holds_no_full_working_array(block_rows, segments):
+    # decohereprob's both run at N = 400: 53 lines of 400 columns of y.  At
+    # T = 60, 241 columns do not fit in half the ring, so it steps all 400,
+    # in 2 blocks, up to its first cut; at T = 40 it steps a window of 161
+    # from t = 0, in one block, 4,392 of the 40 x 400 column-steps per line.
+    # Each block hands its rows' sums over as it ends, so beside one block
+    # set (work, spare and shift factor of the largest block, as wide as its
+    # first window) the run holds less than one full working array
     psi = gaussian_position_state(make_lattice(400), 10.0, COIN_SYMMETRIC)
-    sched = Schedule(40, np.pi / 4, channel=ChannelSpec("dephasing", 0.01, "both"))
+    for steps, width, blocks in ((60, 400, 2), (40, 161, 1)):
+        sched = Schedule(steps, np.pi / 4, channel=ChannelSpec("dephasing", 0.01, "both"))
+        layout = open_layout(psi, sched)
+        lines, ring = layout.shape
+        assert (lines, ring) == (53, 400)
+        del block_rows[:], segments[:]
+        evolve_open(psi, sched).distribution()  # first-call allocations
+        assert [len(run) for run in block_rows] == [blocks]
+        windows = channels._windows(steps, ring)
+        assert windows[0] == (0, width)
+        assert [cut for _, cut, _ in segments] == [cut for _, cut in windows] * blocks
+        if steps == 40:
+            assert sum(cut * taken for _, cut, taken in segments) == 4392
+        tracemalloc.start()
+        try:
+            evolve_open(psi, sched).distribution()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block_set = 3 * 64 * -(-lines // blocks) * width
+        assert peak - block_set < 64 * lines * ring
+
+
+# ------------------------------------------------------ the light cone in y
+
+
+def _dense_distribution(psi, n, sched):
+    final = dense_run(DensityOperator.from_pure(psi).as_2d, n, sched)[-1]
+    return np.diag(final).real.reshape(n, 2).sum(axis=1)
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+@pytest.mark.parametrize("steps, widths", [(0, [32]), (1, [5]), (3, [13, 5]),
+                                           (12, [32, 13, 5])])
+@pytest.mark.parametrize("eta", [0.0, 0.2])
+@pytest.mark.parametrize("target", ["walker", "both"])
+def test_a_final_state_run_steps_only_the_light_cone(target, eta, steps, widths, blocks,
+                                                     segments, monkeypatch):
+    # with s steps left only the columns |y| <= 2s can reach y = 0, the one
+    # P(x) is read from: a final-state run on the ring of all N steps those
+    # 4s + 1 once they fit in half its window, from t = 0 if 4T + 1 <= N/2
+    # (T = 1 and 3 here, not 12), through gates, one at a cut (t = 9 of 12),
+    # and its line sums are those of the run stepped whole on all N, bit for
+    # bit, in one block or three.  At eta = 0 no line mixes, so a start on
+    # one site, on every momentum, keeps the ring all N
+    n, theta = 32, 0.7
+    psi = (band_limited_packet(n, 2.0, k0=0.3) if eta
+           else localized_state(make_lattice(n), 5, COIN_SYMMETRIC))
+    gate, gate_back = reversal_pair(theta)
+    gates = ((steps - 3, gate), (steps, gate_back)) if steps >= 3 else ()
+    sched = Schedule(steps, theta, coin_gate_insertions=gates,
+                     channel=ChannelSpec("dephasing", eta, target))
     layout = open_layout(psi, sched)
-    lines, ring = layout.shape
-    blocks = -(-64 * lines * ring // channels._BLOCK_BYTES)
-    assert (lines, ring, blocks) == (53, 400, 2)
-    evolve_open(psi, sched).distribution()  # first-call allocations
-    tracemalloc.start()
-    try:
-        evolve_open(psi, sched).distribution()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    block_set = 3 * 64 * -(-lines // blocks) * ring
-    assert peak - block_set < 64 * lines * ring
+    assert layout.relative and layout.lines >= 3
+    _split(monkeypatch, layout, blocks, widths[0])
+    result = evolve_open(psi, sched)
+    assert [width for _, width, _ in segments] == widths * blocks
+    assert len({rows for rows, _, _ in segments}) == blocks
+    windows = channels._windows(steps, n)
+    assert [taken for _, _, taken in segments[:len(widths)]] == [
+        end - t for (t, _), end in zip(windows, [t for t, _ in windows[1:]] + [steps])]
+    full = channels._run_open(psi, sched, (steps,))[0]
+    assert full.layout.shape == layout.shape and len(segments) == len(widths) * blocks + 1
+    np.testing.assert_array_equal(result.sums, full.sums)
+    np.testing.assert_allclose(result.distribution(), _dense_distribution(psi, n, sched),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("target", ["walker", "both"])
+def test_a_window_narrower_than_the_light_cone_fails_the_oracle(target, handed_rows,
+                                                                monkeypatch):
+    # the roll wraps around inside a window, so a value wrapped from an edge
+    # moves 2 columns a step toward y = 0.  At 4s + 1 columns the whole y = 0
+    # column stays exact.  At 4s - 3 a wrapped value reaches it on the last
+    # step in blocks (0,1) and (1,0) alone: that shift leaves (0,0) and (1,1)
+    # in place, so P(x) still holds.  At 4s - 5 P(x) fails the dense oracle
+    n, steps, theta = 32, 12, 0.7
+    psi = band_limited_packet(n, 2.0, k0=0.3)
+    sched = Schedule(steps, theta, channel=ChannelSpec("dephasing", 0.2, target))
+    expected = _dense_distribution(psi, n, sched)
+    channels._run_open(psi, sched, (steps,))  # stepped whole on all N
+    y0 = _final_rows(handed_rows[0])[..., n // 2]
+    windows = channels._windows
+    for narrower, column_exact, prob_exact in ((0, True, True), (4, False, True),
+                                               (6, False, False)):
+        monkeypatch.setattr(channels, "_windows", lambda steps, ring: [
+            (t, width if width == ring else max(width - narrower, 1))
+            for t, width in windows(steps, ring)])
+        prob = evolve_open(psi, sched).distribution()
+        rows = _final_rows(handed_rows[-1])
+        assert np.array_equal(rows[..., rows.shape[-1] // 2], y0) == column_exact
+        assert (np.abs(prob - expected).max() <= 1e-12) == prob_exact
 
 
 # ------------------------------ coin-local channels ride in the coin map
@@ -963,6 +1076,26 @@ def test_an_owed_channel_matches_dense_oracle(variant, eta, end_gate, blocks, ha
     np.testing.assert_allclose(result.distribution(), prob, rtol=0, atol=1e-12)
     np.testing.assert_allclose(channels.fidelity_trace(psi, sched)[0],
                                _dense_fidelities(psi, expected), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+@pytest.mark.parametrize("variant", COIN_LOCAL)
+def test_an_owed_channel_rides_through_the_window_of_y(variant, blocks, segments, monkeypatch):
+    # decohereprob --steps 3 --sigma 3 --lattice 64: a packet that fills every
+    # momentum steps a coin-local channel on the ring of all N too, in a
+    # window of 13 columns of y from t = 0, then of 5; the owed S rides
+    # through the cut and is paid on the last window before its line sums
+    n, steps, theta = 64, 3, np.pi / 4
+    psi = gaussian_position_state(make_lattice(n), 3.0, COIN_SYMMETRIC)
+    sched = Schedule(steps, theta, channel=ChannelSpec(variant[0], 0.2, variant[1]))
+    layout = open_layout(psi, sched)
+    assert layout.shape == (33, 64) and layout.relative
+    _split(monkeypatch, layout, blocks, 13)
+    result = evolve_open(psi, sched)
+    assert [width for _, width, _ in segments] == [13, 5] * blocks
+    np.testing.assert_array_equal(result.sums, channels._run_open(psi, sched, (steps,))[0].sums)
+    np.testing.assert_allclose(result.distribution(), _dense_distribution(psi, n, sched),
+                               rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("site", [False, True])

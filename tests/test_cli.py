@@ -397,14 +397,18 @@ def test_cli_import_leaves_scipy_out():
 
 
 def test_open_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # open runs hold numpy's OpenBLAS at one thread, so no contraction is split
+    # every scenario runs with numpy's OpenBLAS held at one thread, so no
+    # contraction is split
     if channels._openblas_threads() is None:
         pytest.skip("numpy's bundled OpenBLAS exports no thread-count symbols here")
-    # and P(x) read from each block's line sums; r and P(x) byte for byte
+    # and P(x) read from each block's line sums; r and P(x) byte for byte.
+    # The closed electricfid is at N = 5,200: OpenBLAS splits its overlaps
+    # only from about N = 4,000 on
     code = "import sys; from catwalk.cli import main; sys.exit(main(sys.argv[1:]))"
     src = str(Path(catwalk.__file__).resolve().parents[1])
     for argv, files in ((["decohere", "--steps", "30", "--sigma", "5"], 6),
-                        (["decohereprob", "--steps", "40", "--lattice", "400"], 4)):
+                        (["decohereprob", "--steps", "40", "--lattice", "400"], 4),
+                        (["electricfid", "--steps", "1000", "--sigma", "25"], 2)):
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / argv[0] / threads
@@ -561,6 +565,24 @@ def test_a_sigma_whose_square_underflows_is_refused(sigma, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
     # a small sigma whose square stays above 0 still runs
     assert main(["evolve", "--steps", "4", "--sigma", "1e-150", "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("sigma", ["1e-161", "1e-155"])
+def test_a_sigma_whose_envelope_overflows_runs_on_one_site(sigma, tmp_path):
+    # 4 sigma^2 stays above 0 but x^2 / (4 sigma^2) overflows to inf off
+    # x = 0, where exp(-inf) = 0 is the right limit: the run gives the
+    # one-site packet, without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", "--steps", "4", "--sigma", sigma, "--out", str(tmp_path)]) == 0
+        psi = gaussian_position_state(make_lattice(8), float(sigma), COIN_SYMMETRIC)
+    prob = (np.abs(psi.amplitudes) ** 2).sum(axis=1)
+    assert psi.lattice.sites[np.flatnonzero(prob)].tolist() == [0]
+    assert prob.sum() == pytest.approx(1.0, abs=1e-15)
+    rows = [row.split(",") for row in
+            (tmp_path / "evolve_distribution.csv").read_text().splitlines()[1:]]
+    occupied = [(x, float(p)) for step, x, p in rows if step == "0" and float(p) != 0]
+    assert occupied == [("0", pytest.approx(1.0, abs=1e-15))]
 
 
 # each key's domain edges, as typed after its flag
