@@ -3,7 +3,10 @@
 Covers probability distributions, the reduced coin matrix and its
 entropy, Schmidt extraction of the two cat branches, packet widths, coin
 projection with momentum-space fringe analysis, bimodality metrics, and
-the time-reversal revival protocols.
+the time-reversal revival protocols.  Each protocol is a ``Schedule``
+whose fidelity to the start is read from its own run, through
+``channels.fidelity_trace``, on one BLAS thread; none builds a final
+state only to measure it.
 """
 
 from __future__ import annotations
@@ -19,18 +22,12 @@ from .lattice import (
     LatticeConfig,
     PureState,
     StateError,
-    fidelity,
     localized_state,
     make_lattice,
     to_momentum,
     to_position,
 )
-from .walk import (
-    SIGMA_Y,
-    Schedule,
-    evolve,
-    reversal_pair,
-)
+from .walk import SIGMA_Y, Schedule, reversal_pair
 from .channels import ChannelSpec, fidelity_trace
 from .spectral import _gauge_fix
 
@@ -68,7 +65,7 @@ def entanglement_entropy(state) -> float:
     lams = np.linalg.eigvalsh(reduced_coin(state))
     lams = np.clip(lams.real, 0.0, 1.0)
     nz = lams[lams > NULL_WEIGHT]
-    return float(-np.sum(nz * np.log2(nz)))
+    return float(-np.sum(nz * np.log2(nz)) + 0.0)  # + 0.0: a pure coin reads 0, not -0
 
 
 @dataclass(frozen=True)
@@ -340,14 +337,15 @@ def revival_protocol(
 def hold_recurrence(theta: float, p: int, n_sites: int = 24) -> float:
     """Fidelity after the nominal recurrence time of generalized steps with
     phase 2*pi/p: p steps for even p and 2p for odd p, on an ``n_sites``
-    lattice with a localized start.
+    lattice with a localized start.  It is read at the run's end through
+    ``channels.fidelity_trace``, on one BLAS thread.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     steps = p if p % 2 == 0 else 2 * p
     initial = localized_state(make_lattice(n_sites), 0, COIN_SYMMETRIC)
     sched = Schedule(steps, theta, fm_window=(0, steps, 2.0 * np.pi / p))
-    return fidelity(initial, evolve(initial, sched).final)
+    return float(fidelity_trace(initial, sched, (sched.total_steps,))[0][0])
 
 
 def control_protocol(
@@ -360,7 +358,8 @@ def control_protocol(
 ) -> float:
     """Hold-and-release revival: t plain steps, 2np held steps with phase
     2*pi/p, reversal gate, t plain steps, closing gate; returns fidelity
-    to the start.
+    to the start, read at the run's end through ``channels.fidelity_trace``,
+    on one BLAS thread, so that it does not depend on the thread count.
 
     With n=0 this is exactly the revival protocol at T=t.  With the
     default gate pair the plain legs cancel exactly, so the returned
@@ -373,4 +372,4 @@ def control_protocol(
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     sched = _reversal_schedule(theta, t, reverser, hold=2 * n * p, p=p)
-    return fidelity(initial, evolve(initial, sched).final)
+    return float(fidelity_trace(initial, sched, (sched.total_steps,))[0][0])

@@ -33,11 +33,13 @@ with its own ``_Checkpoints``; the blocks share only one allocation, which
 each reuses in turn, the summed fidelity and the line sums, and every
 block ends alike: its fidelity trace added, what it owes paid, its line
 sums read in the basis it was stepped in.  Open runs, closed fidelity
-runs and every scenario run (``scenarios.run_scenario``) hold numpy's
-bundled OpenBLAS at one thread and the last one out restores its count,
-so that no contraction is split and results do not depend on
-``OPENBLAS_NUM_THREADS``; the count is process-global, so BLAS that
-another thread runs meanwhile is held too.
+runs, and so every protocol of ``analysis``, and every scenario run
+(``scenarios.run_scenario``) hold numpy's bundled OpenBLAS at one thread
+and the last one out restores its count, so that no contraction is split
+and results do not depend on ``OPENBLAS_NUM_THREADS``; the count is
+process-global, so BLAS that another thread runs meanwhile is held too.
+A start built outside such a hold is not: ``lattice`` normalises it with
+a BLAS dot product.
 ``open_layout`` picks the layout, ``_run_open`` is the one runner on it
 and checks the trace once, from line 0's sums, ``evolve_open`` returns
 P(x) read from line sums and the final state of a run stepped whole, and

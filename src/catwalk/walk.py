@@ -368,13 +368,15 @@ def _run_pure(state: PureState, schedule: Schedule, snapshot_times: Sequence[int
               fidelity_times: Sequence[int] = ()) -> tuple[np.ndarray, _Checkpoints]:
     """``evolve`` up to its final coin-major array: (array, checkpoints), which hold
     |<state|psi_t>|^2 at ``fidelity_times``, by ``_PlainPower.fidelities`` inside
-    plain stretches."""
+    plain stretches and by the checkpoint's overlap at their ends and in F_m
+    windows.  The start goes to momenta only once a plain stretch has a
+    fidelity time inside it, so a read at the end alone takes no extra DFT."""
     lattice = state.lattice
     power = _PlainPower(schedule.theta, lattice.momenta)
     checkpoint = _Checkpoints(schedule, 1, snapshot_times,
                               lambda a: state.with_amplitudes(_transpose(a)),
                               state.amplitudes, fidelity_times)
-    bra = to_momentum(state.amplitudes) if len(checkpoint.times) else None
+    bra = None
     amp, spare = checkpoint(0, _transpose(state.amplitudes), np.empty((2, lattice.n_sites), complex))
     for lo, hi in _stretches(schedule):
         phi = schedule.phi_at(hi)
@@ -382,6 +384,7 @@ def _run_pure(state: PureState, schedule: Schedule, snapshot_times: Sequence[int
             kamp = to_momentum(amp.T)
             inside = (lo < checkpoint.times) & (checkpoint.times < hi)
             if inside.any():
+                bra = to_momentum(state.amplitudes) if bra is None else bra
                 checkpoint.trace[inside] = power.fidelities(checkpoint.times[inside] - lo, bra, kamp)
             for t in sorted({t for t in checkpoint.wanted if lo < t < hi} | {hi}):
                 amp, spare = checkpoint(t, _transpose(to_position(power.apply(t - lo, kamp))), spare)

@@ -1,9 +1,17 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
+import catwalk
+from catwalk import channels
 from catwalk.analysis import (
     FRINGE_OVERSAMPLE,
     PEAK_FLOOR,
@@ -68,6 +76,8 @@ def test_reduced_coin_and_entropy_limits():
     lat = make_lattice(8)
     product = localized_state(lat, 0, COIN_SYMMETRIC)
     assert entanglement_entropy(product) == pytest.approx(0.0, abs=1e-12)
+    # a coin that is exactly pure reads 0, not -0
+    assert math.copysign(1.0, entanglement_entropy(localized_state(lat, 0, COIN_UP))) == 1.0
     rc = reduced_coin(product)
     assert np.trace(rc).real == pytest.approx(1.0)
     # equal-weight superposition of distinct (site, coin) pairs is maximally
@@ -428,9 +438,15 @@ def test_hold_recurrence_validates_p():
 
 
 def test_hold_recurrence_bounded():
+    initial = localized_state(make_lattice(24), 0, COIN_SYMMETRIC)
     for p in (2, 3, 5):
         r = hold_recurrence(np.pi / 4, p)
         assert 0.0 <= r <= 1.0 + 1e-12
+        # read at the run's end, it is the final state's fidelity, bit for bit
+        steps = p if p % 2 == 0 else 2 * p
+        sched = Schedule(steps, np.pi / 4, fm_window=(0, steps, 2 * np.pi / p))
+        with channels._one_blas_thread():
+            assert r == fidelity(initial, evolve(initial, sched).final)
 
 
 @pytest.mark.parametrize("reverser", [REVERSER_EXACT, REVERSER_SIGMA_Y])
@@ -446,17 +462,47 @@ def test_control_protocol_n_zero_is_plain_revival(reverser):
         assert r < 1.0 - 1e-6
 
 
-@pytest.mark.parametrize("reverser", [REVERSER_EXACT, REVERSER_SIGMA_Y])
-def test_control_protocol_holds_between_the_legs(reverser):
-    # t plain steps, 2np steps with phase 2*pi/p, gate, t plain steps, closing gate
-    theta, t, p, n = 0.7, 5, 3, 2
-    psi = gaussian_position_state(make_lattice(48), 2.0, COIN_SYMMETRIC, k0=0.03)
+@pytest.mark.parametrize("reverser, n_sites, sigma, t, p, n", [
+    pytest.param(reverser, *case, id=reverser + suffix)
+    for case, suffix in (((48, 2.0, 5, 3, 2), ""), ((5200, 25.0, 20, 10, 1), "-N5200"))
+    for reverser in (REVERSER_EXACT, REVERSER_SIGMA_Y)
+])
+def test_control_protocol_holds_between_the_legs(reverser, n_sites, sigma, t, p, n):
+    # t plain steps, 2np steps with phase 2*pi/p, gate, t plain steps, closing gate;
+    # read at the run's end, r is the final state's fidelity, bit for bit, on one
+    # BLAS thread also at N = 5,200, where OpenBLAS could split the overlap
+    theta = 0.7
+    psi = gaussian_position_state(make_lattice(n_sites), sigma, COIN_SYMMETRIC, k0=0.03)
     gate, gate_back = reversal_pair(theta) if reverser == REVERSER_EXACT else (SIGMA_Y, SIGMA_Y)
     hold = 2 * n * p
     sched = Schedule(2 * t + hold, theta, fm_window=(t, t + hold, 2 * np.pi / p),
                      coin_gate_insertions=((t + hold, gate), (2 * t + hold, gate_back)))
     r = control_protocol(psi, theta, t, p, n, reverser=reverser)
-    assert r == fidelity(psi, evolve(psi, sched).final)
+    with channels._one_blas_thread():
+        assert r == fidelity(psi, evolve(psi, sched).final)
+
+
+def test_protocols_read_the_same_digits_at_any_blas_thread_count():
+    # OpenBLAS splits a dot product of more than 10,000 entries, so at N = 5,200
+    # the end read would move with OPENBLAS_NUM_THREADS if it were not held.
+    # The start is built on one thread too: its norm is such a dot product
+    if channels._openblas_threads() is None:
+        pytest.skip("numpy's bundled OpenBLAS exports no thread-count symbols here")
+    code = "\n".join((
+        "import numpy as np",
+        "from catwalk import channels",
+        "from catwalk.analysis import control_protocol",
+        "from catwalk.lattice import COIN_SYMMETRIC, gaussian_position_state, make_lattice",
+        "with channels._one_blas_thread():",
+        "    psi = gaussian_position_state(make_lattice(5200), 25.0, COIN_SYMMETRIC)",
+        "print(repr(control_protocol(psi, np.pi / 4, t=20, p=10, n=1)))",
+    ))
+    src = str(Path(catwalk.__file__).resolve().parents[1])
+    reads = [subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+                            ).stdout
+             for threads in ("1", "2")]
+    assert reads[0] and reads[0] == reads[1]
 
 
 def test_control_protocol_validates_arguments():

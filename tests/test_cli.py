@@ -639,6 +639,13 @@ def test_catstates_width_sweep_lattice_is_guarded(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_catstates_entropy_of_the_product_start_reads_0(tmp_path):
+    # the step-0 start is a product state: its entropy is written 0, not -0
+    assert main(["catstates", "--steps", "20", "--sigma", "3", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "catstates_entropy.csv").read_text().splitlines()
+    assert rows[:2] == ["step,entropy_bits", "0,0"]
+
+
 def test_cli_unwritable_out_exits_4(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
