@@ -18,11 +18,13 @@ ring and relative position y = x - x' on a ring of all N, where the shift
 is a per-line phase and a roll and line dephasing is a mask on the y = 0
 column folded into the shift.  P(x) reads only that column, so a run there
 that keeps no state steps only the columns of y that can still reach it, a
-window that narrows as the run ends (``_windows``).  The layout also owns
-the mirror rule: every channel here keeps rho Hermitian, so a run steps
-only half the lines of its ring and takes the others as their Hermitian
-mirror (``_mirrored``), and no line's norm grows, so a pure start drops the
-lines past a 1e-30 tail.
+window that narrows as the run ends (``_windows``).  Every start, pure or
+not, is laid out one coin block at a time through one buffer and cut to
+the window of y its run steps first (``MomentumLayout.start``).  The
+layout also owns the mirror rule: every channel here keeps rho Hermitian,
+so a run steps only half the lines of its ring and takes the others as
+their Hermitian mirror (``_mirrored``), and no line's norm grows, so a
+pure start drops the lines past a 1e-30 tail.
 A coin-local channel's 4x4 map S is left owed by each step and folded into
 the next coin map, C S, so every step is one coin product and one shift,
 with one contraction at each time whose fidelity is read
@@ -32,14 +34,11 @@ runs in row blocks, each a self-contained run through the whole schedule
 with its own ``_Checkpoints``; the blocks share only one allocation, which
 each reuses in turn, the summed fidelity and the line sums, and every
 block ends alike: its fidelity trace added, what it owes paid, its line
-sums read in the basis it was stepped in.  Open runs, closed fidelity
-runs, and so every protocol of ``analysis``, and every scenario run
-(``scenarios.run_scenario``) hold numpy's bundled OpenBLAS at one thread
-and the last one out restores its count, so that no contraction is split
-and results do not depend on ``OPENBLAS_NUM_THREADS``; the count is
-process-global, so BLAS that another thread runs meanwhile is held too.
-A start built outside such a hold is not: ``lattice`` normalises it with
-a BLAS dot product.
+sums read in the basis it was stepped in.  Open runs and closed fidelity
+runs, and so every protocol of ``analysis``, run inside ``lattice``'s
+BLAS hold (``lattice._one_blas_thread``), in which a Gaussian start is
+normalised and every scenario runs, so that no contraction is split and
+results do not depend on ``OPENBLAS_NUM_THREADS``.
 ``open_layout`` picks the layout, ``_run_open`` is the one runner on it
 and checks the trace once, from line 0's sums, ``evolve_open`` returns
 P(x) read from line sums and the final state of a run stepped whole, and
@@ -53,19 +52,15 @@ layout ``fidelity_trace`` returns) instead of being laid out again.
 
 from __future__ import annotations
 
-import ctypes
 import itertools
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from pathlib import Path
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import (TRACE_TOL, DensityOperator, LatticeConfig, PureState, StateError, to_momentum,
-                      to_position)
+from .lattice import (TRACE_TOL, DensityOperator, LatticeConfig, PureState, StateError,
+                      _one_blas_thread, to_momentum, to_position)
 from .walk import SIGMA_X, Schedule, ScheduleError, _Checkpoints, _coin_map, _run, _run_pure
 
 COMPLETENESS_TOL = 1e-12
@@ -302,34 +297,29 @@ class MomentumLayout:
         """out = the stored lines ``rows`` of rho0 in the basis they are
         stepped in: of |psi><psi| for a PureState, laid out from psi~ alone,
         or of a DensityOperator, which needs the full support and is laid out
-        whole; returns out.  On a ring of all N a PureState's ``out`` may be
-        a window of y narrower than the ring, centred on y = 0 (``_windows``):
-        each coin block is then laid out through one (rows, N) buffer and cut
-        to its centre columns."""
-        if isinstance(state, PureState):
+        whole; returns out.  Each coin block goes through one buffer in
+        momenta, is taken to y on a ring of all N, and its centre
+        ``out.shape[-1]`` columns are copied into out: on a ring of all N,
+        out may be any window of y centred on y = 0 (``_windows``)."""
+        if pure := isinstance(state, PureState):
             amp = to_momentum(state.amplitudes).T
-            ket = self._on_ring(amp, rows)
-            bra = amp[:, self.lo:self.lo + self.ring].conj()
-            width = out.shape[-1]
-            if width < self.ring:  # a window of y: each coin block through one (rows, N) buffer
-                block = np.empty(ket.shape[1:], dtype=complex)
-                lo = self.ring // 2 - width // 2
-                for c, d in _COIN_PAIRS:
-                    to_position(np.multiply(ket[c], bra[d], out=block), axis=-1, out=block)
-                    out[c, d] = block[:, lo:lo + width]
-                return out
-            # a coin block at a time: a broadcast over all four allocates two arrays as large
-            for c, d in _COIN_PAIRS:
-                np.multiply(ket[c], bra[d], out=out[c, d])
+            ket, bra = self._on_ring(amp, rows), amp[:, self.lo:self.lo + self.ring].conj()
         elif not self.full:
             raise StateError("a density operator start needs the full momentum support")
-        else:  # a coin block at a time: to pairs in momenta, sheared to lines
-            block = np.empty((self.ring,) * 2, dtype=complex)
-            for c, d in _COIN_PAIRS:
+        # a pure start's (rows, R) lines, or a density operator's N x N pairs
+        block = np.empty((out.shape[2] if pure else self.ring, self.ring), dtype=complex)
+        stored = block if pure else block[:self.lines][rows]
+        lo = self.ring // 2 - out.shape[-1] // 2
+        for c, d in _COIN_PAIRS:
+            if pure:
+                np.multiply(ket[c], bra[d], out=block)
+            else:  # to pairs in momenta, sheared to lines
                 block[...] = state.matrix[:, c, :, d]
                 _shear(_pair_dft(block), -1)
-                out[c, d] = block[:self.lines]
-        return to_position(out, axis=-1, out=out) if self.relative else out
+            if self.relative:
+                to_position(stored, axis=-1, out=stored)
+            out[c, d] = stored[:, lo:lo + out.shape[-1]]
+        return out
 
     def momenta(self, work: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         """``work`` in momenta: brought back from y along the ring axis into
@@ -660,53 +650,6 @@ def fidelity_trace(psi: PureState, schedule: Schedule,
 # bytes of one working array stepped at a time: a larger layout runs in
 # row blocks of its stored lines, each through the whole schedule
 _BLOCK_BYTES = 768 * 1024
-
-# numpy's bundled OpenBLAS and its thread-count symbols
-_OPENBLAS_LIBS = "libscipy_openblas*.so"
-_OPENBLAS_THREADS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
-
-
-@cache
-def _openblas_threads() -> tuple[Callable, Callable] | None:
-    """(get, set) of the thread count of the OpenBLAS numpy bundles in
-    ``numpy.libs``, through ctypes, or None where no library there exports
-    both symbols.  Looked up at the first held run, not at import."""
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(_OPENBLAS_LIBS)):
-        try:
-            lib = ctypes.CDLL(str(path))
-            return tuple(getattr(lib, name) for name in _OPENBLAS_THREADS)
-        except (OSError, AttributeError):
-            continue
-    return None
-
-
-# the runs inside ``_one_blas_thread`` and the BLAS count the first one found
-_blas_lock = threading.Lock()
-_blas_runs, _blas_count = 0, None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the body with numpy's OpenBLAS on one thread and restore its count
-    afterwards, also when the body raises; without the symbols, leave BLAS
-    alone.  The count is process-global, so concurrent runs share one
-    hold: the first one in saves the count and the last one out restores
-    it, under a lock held only for that bookkeeping.  BLAS calls another
-    thread makes meanwhile run on one thread too."""
-    global _blas_runs, _blas_count
-    get, set_ = _openblas_threads() or (lambda: None, lambda count: None)
-    with _blas_lock:
-        if not _blas_runs:
-            _blas_count = get()
-            set_(1)
-        _blas_runs += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_runs -= 1
-            if not _blas_runs:
-                set_(_blas_count)
 
 
 def _windows(steps: int, ring: int) -> list[tuple[int, int]]:

@@ -3,7 +3,8 @@
 ``catwalk <scenario> [flags]``: one scenario per figure plus generic
 ``evolve`` and ``spectrum``, with ``--config`` and a flag per config key in
 any order.  Exit codes: 0 success, 2 configuration error, 3 resource guard
-refusal, 4 outputs that cannot be written.  The output directory is --out,
+refusal or a run that ran out of memory (a ``MemoryError``; nothing is
+written), 4 outputs that cannot be written.  The output directory is --out,
 else a config file's out=, else $CATWALK_OUT, else ".".
 """
 
@@ -53,8 +54,8 @@ def main(argv=None) -> int:
                 raise ConfigError(f"cannot read config file: {exc}") from exc
         cfg = parse_config(text, flags=flags, scenario=args.scenario)
         record = run_scenario(cfg)
-    except ResourceGuardError as exc:
-        print(f"catwalk: refused: {exc}", file=sys.stderr)
+    except (ResourceGuardError, MemoryError) as exc:  # a run the guard let through may not fit
+        print(f"catwalk: refused: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ConfigError, ChannelError, LatticeError, StateError, ScheduleError) as exc:
         print(f"catwalk: config error: {exc}", file=sys.stderr)

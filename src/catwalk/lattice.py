@@ -6,11 +6,25 @@ live over sites: a (N, 2) complex amplitude array, index order (site, coin
 level), with coin level 0 = up and 1 = down.  ``to_momentum`` and
 ``to_position``, the package's only DFT, move amplitude arrays between
 sites and momenta along any one axis, in place if asked.
+
+The module builds every state, so it also owns the BLAS hold,
+``_one_blas_thread``: numpy's bundled OpenBLAS on one thread, its count
+restored afterwards, so that no sum is split and a value does not depend
+on ``OPENBLAS_NUM_THREADS``.  The Gaussian starts normalise inside it, by a
+BLAS dot product that OpenBLAS would split across threads from about
+10,000 entries on; ``channels`` holds it around every open and closed
+fidelity run, and ``scenarios.run_scenario`` around every scenario.
 """
 
 from __future__ import annotations
 
+import ctypes
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -218,7 +232,8 @@ def gaussian_position_state(
     with np.errstate(over="ignore"):  # x^2/(4 sigma^2) is inf off x = 0 for a tiny sigma
         env = np.exp(-(x**2) / (4.0 * sigma**2)) * np.exp(-1j * k0 * x)
     amp = env[:, None] * coin.as_array()[None, :]
-    amp /= np.linalg.norm(amp)
+    with _one_blas_thread():
+        amp /= np.linalg.norm(amp)
     return PureState(lattice, amp)
 
 
@@ -238,7 +253,8 @@ def gaussian_momentum_state(
     k = lattice.momenta
     env = np.exp(-((k - k0) ** 2) / (4.0 * delta**2)).astype(complex)
     amp = env[:, None] * coin.as_array()[None, :]
-    amp /= np.linalg.norm(amp)
+    with _one_blas_thread():
+        amp /= np.linalg.norm(amp)
     return PureState(lattice, to_position(amp))
 
 
@@ -296,3 +312,51 @@ def fidelity_with_density(psi: PureState, rho: DensityOperator) -> float:
     _check_compatible(psi, rho)
     amp = psi.amplitudes.ravel()
     return float((amp.conj() @ (rho.as_2d @ amp)).real)
+
+
+# numpy's bundled OpenBLAS and its thread-count symbols
+_OPENBLAS_LIBS = "libscipy_openblas*.so"
+_OPENBLAS_THREADS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
+
+
+@cache
+def _openblas_threads() -> tuple[Callable, Callable] | None:
+    """(get, set) of the thread count of the OpenBLAS numpy bundles in
+    ``numpy.libs``, through ctypes, or None where no library there exports
+    both symbols.  Looked up at the first hold, not at import."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(_OPENBLAS_LIBS)):
+        try:
+            lib = ctypes.CDLL(str(path))
+            return tuple(getattr(lib, name) for name in _OPENBLAS_THREADS)
+        except (OSError, AttributeError):
+            continue
+    return None
+
+
+# the runs inside ``_one_blas_thread`` and the BLAS count the first one found
+_blas_lock = threading.Lock()
+_blas_runs, _blas_count = 0, None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread and restore its count
+    afterwards, also when the body raises; without the symbols, leave BLAS
+    alone.  The count is process-global, so concurrent holds share one
+    hold: the first one in saves the count and the last one out restores
+    it, under a lock held only for that bookkeeping.  BLAS calls another
+    thread makes meanwhile run on one thread too."""
+    global _blas_runs, _blas_count
+    get, set_ = _openblas_threads() or (lambda: None, lambda count: None)
+    with _blas_lock:
+        if not _blas_runs:
+            _blas_count = get()
+            set_(1)
+        _blas_runs += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_runs -= 1
+            if not _blas_runs:
+                set_(_blas_count)

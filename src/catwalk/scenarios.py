@@ -31,7 +31,7 @@ from .analysis import (
     schmidt_components,
 )
 from .channels import (CHANNEL_KINDS, DEPHASING, TARGET_COIN, TARGETS, ChannelSpec,
-                       _one_blas_thread, density_working_set_bytes, evolve_open)
+                       density_working_set_bytes, evolve_open)
 from .config import KEYS, ConfigError, ExperimentConfig
 from .io import ResultRecord, Table
 from .lattice import (
@@ -39,6 +39,7 @@ from .lattice import (
     CoinState,
     PureState,
     StateError,
+    _one_blas_thread,
     gaussian_position_state,
     localized_state,
     make_lattice,
@@ -356,7 +357,7 @@ RUNNERS = {
 
 def run_scenario(cfg: ExperimentConfig) -> ResultRecord:
     """Run cfg.scenario on cfg as given, numpy's OpenBLAS held at one thread
-    (``channels._one_blas_thread``), so that no sum is split and every
+    (``lattice._one_blas_thread``), so that no sum is split and every
     output is the same whatever ``OPENBLAS_NUM_THREADS``."""
     if cfg.scenario not in RUNNERS:
         raise ConfigError(f"unknown scenario {cfg.scenario!r}")

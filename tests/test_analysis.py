@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 import catwalk
-from catwalk import channels
+from catwalk import lattice
 from catwalk.analysis import (
     FRINGE_OVERSAMPLE,
     PEAK_FLOOR,
@@ -445,7 +445,7 @@ def test_hold_recurrence_bounded():
         # read at the run's end, it is the final state's fidelity, bit for bit
         steps = p if p % 2 == 0 else 2 * p
         sched = Schedule(steps, np.pi / 4, fm_window=(0, steps, 2 * np.pi / p))
-        with channels._one_blas_thread():
+        with lattice._one_blas_thread():
             assert r == fidelity(initial, evolve(initial, sched).final)
 
 
@@ -478,23 +478,21 @@ def test_control_protocol_holds_between_the_legs(reverser, n_sites, sigma, t, p,
     sched = Schedule(2 * t + hold, theta, fm_window=(t, t + hold, 2 * np.pi / p),
                      coin_gate_insertions=((t + hold, gate), (2 * t + hold, gate_back)))
     r = control_protocol(psi, theta, t, p, n, reverser=reverser)
-    with channels._one_blas_thread():
+    with lattice._one_blas_thread():
         assert r == fidelity(psi, evolve(psi, sched).final)
 
 
 def test_protocols_read_the_same_digits_at_any_blas_thread_count():
     # OpenBLAS splits a dot product of more than 10,000 entries, so at N = 5,200
     # the end read would move with OPENBLAS_NUM_THREADS if it were not held.
-    # The start is built on one thread too: its norm is such a dot product
-    if channels._openblas_threads() is None:
+    # The start's norm is such a dot product, and lattice holds it itself
+    if lattice._openblas_threads() is None:
         pytest.skip("numpy's bundled OpenBLAS exports no thread-count symbols here")
     code = "\n".join((
         "import numpy as np",
-        "from catwalk import channels",
         "from catwalk.analysis import control_protocol",
         "from catwalk.lattice import COIN_SYMMETRIC, gaussian_position_state, make_lattice",
-        "with channels._one_blas_thread():",
-        "    psi = gaussian_position_state(make_lattice(5200), 25.0, COIN_SYMMETRIC)",
+        "psi = gaussian_position_state(make_lattice(5200), 25.0, COIN_SYMMETRIC)",
         "print(repr(control_protocol(psi, np.pi / 4, t=20, p=10, n=1)))",
     ))
     src = str(Path(catwalk.__file__).resolve().parents[1])

@@ -40,7 +40,7 @@ from catwalk.lattice import (
     to_position,
 )
 import catwalk
-from catwalk import channels, walk
+from catwalk import channels, lattice, walk
 from catwalk.walk import (SIGMA_X, SIGMA_Y, Schedule, ScheduleError, coin_operator, evolve,
                           reversal_pair)
 import dense_oracle
@@ -1035,6 +1035,41 @@ def test_a_window_narrower_than_the_light_cone_fails_the_oracle(target, handed_r
         assert (np.abs(prob - expected).max() <= 1e-12) == prob_exact
 
 
+@pytest.mark.parametrize("n", [32, 64])
+def test_a_start_on_a_window_of_y_is_the_centre_of_the_whole_ring(n):
+    # every column of a start, not only y = 0: a window of y, laid out in one
+    # row block or in three, is the centre of the start on the whole ring, bit
+    # for bit
+    steps = 5
+    psi = band_limited_packet(n, 2.0, k0=0.3)
+    sched = Schedule(steps, 0.7, channel=ChannelSpec("dephasing", 0.2, "walker"))
+    layout = open_layout(psi, sched)
+    assert layout.relative and layout.lines >= 3
+    whole = layout.start(psi, slice(None), np.empty((2, 2, *layout.shape), dtype=complex))
+    for width in (5, 9, 4 * steps + 1, n):
+        lo = n // 2 - width // 2
+        for blocks in (1, 3):
+            for i in range(blocks):
+                rows = slice(i * layout.lines // blocks, (i + 1) * layout.lines // blocks)
+                out = np.empty((2, 2, rows.stop - rows.start, width), dtype=complex)
+                assert layout.start(psi, rows, out) is out
+                assert np.array_equal(out, whole[:, :, rows, lo:lo + width])
+
+
+def test_a_start_on_a_window_ring_is_the_product_of_its_momenta():
+    # on a window ring a start stays in momenta: row q of block (c, d) holds
+    # psi~_c(k_a) psi~*_d(k_b) at b = lo + j and a = lo + (j + q) mod R
+    psi = band_limited_packet(64, 2.0, k0=0.3)
+    layout = open_layout(psi, Schedule(5, 0.7, channel=ChannelSpec("bit_flip", 0.2)))
+    assert not layout.relative
+    amp = to_momentum(psi.amplitudes)
+    q, j = np.ogrid[:layout.lines, :layout.ring]
+    ket, bra = amp[layout.lo + (j + q) % layout.ring], amp[layout.lo + j].conj()
+    out = layout.start(psi, slice(None), np.empty((2, 2, *layout.shape), dtype=complex))
+    for c, d in channels._COIN_PAIRS:
+        assert np.array_equal(out[c, d], ket[..., c] * bra[..., d])
+
+
 # ------------------------------ coin-local channels ride in the coin map
 
 COIN_LOCAL = [variant for variant in VARIANTS if variant[1] == "coin"]
@@ -1249,7 +1284,7 @@ def test_a_fidelity_run_keeps_no_final_state(variant, start, block_rows, monkeyp
 
 
 def _blas_threads():
-    threads = channels._openblas_threads()
+    threads = lattice._openblas_threads()
     if threads is None:
         pytest.skip("numpy's bundled OpenBLAS exports no thread-count symbols here")
     return threads
@@ -1298,20 +1333,20 @@ def test_concurrent_open_runs_restore_the_blas_count(monkeypatch):
     # A in, B in, A out, B out: B must not take A's one thread for the count
     # to restore, and A must not restore it under B
     count = [2]
-    monkeypatch.setattr(channels, "_openblas_threads",
+    monkeypatch.setattr(lattice, "_openblas_threads",
                         lambda: (lambda: count[0], lambda n: count.__setitem__(0, n)))
     a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
     held = []
 
     def a():
-        with channels._one_blas_thread():
+        with lattice._one_blas_thread():
             a_in.set()
             b_in.wait(10)
         a_out.set()
 
     def b():
         a_in.wait(10)
-        with channels._one_blas_thread():
+        with lattice._one_blas_thread():
             b_in.set()
             a_out.wait(10)
             held.append(count[0])
@@ -1331,11 +1366,11 @@ def test_an_open_run_without_the_blas_symbols_leaves_blas_alone(missing, monkeyp
     sched = _reversal_schedule(0.7, 5, REVERSER_EXACT, channel=ChannelSpec("bit_flip", 0.05))
     pinned, _ = channels.fidelity_trace(psi, sched)
     if missing == "library":
-        monkeypatch.setattr(channels, "_OPENBLAS_LIBS", "libno-such-blas*.so")
+        monkeypatch.setattr(lattice, "_OPENBLAS_LIBS", "libno-such-blas*.so")
     else:
         monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
-    lookup = cache(channels._openblas_threads.__wrapped__)
-    monkeypatch.setattr(channels, "_openblas_threads", lookup)
+    lookup = cache(lattice._openblas_threads.__wrapped__)
+    monkeypatch.setattr(lattice, "_openblas_threads", lookup)
     np.testing.assert_allclose(channels.fidelity_trace(psi, sched)[0], pinned, rtol=0, atol=1e-15)
     assert lookup() is None
 

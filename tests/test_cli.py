@@ -3,6 +3,7 @@ import copy
 import importlib
 import io
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import catwalk
 import catwalk.encoder
-from catwalk import channels, scenarios
+from catwalk import channels, lattice, scenarios
 from catwalk.analysis import position_distribution, revival_protocol
 from catwalk.channels import (CHANNEL_KINDS, TARGETS, ChannelSpec, MomentumLayout, OpenResult,
                               evolve_open, fidelity_trace)
@@ -399,7 +400,7 @@ def test_cli_import_leaves_scipy_out():
 def test_open_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # every scenario runs with numpy's OpenBLAS held at one thread, so no
     # contraction is split
-    if channels._openblas_threads() is None:
+    if lattice._openblas_threads() is None:
         pytest.skip("numpy's bundled OpenBLAS exports no thread-count symbols here")
     # and P(x) read from each block's line sums; r and P(x) byte for byte.
     # The closed electricfid is at N = 5,200: OpenBLAS splits its overlaps
@@ -550,6 +551,24 @@ def test_cli_refuses_oversized_inputs_without_a_traceback(argv, code, message, t
     err = capsys.readouterr().err
     assert err.startswith(f"catwalk: {message}") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_run_that_runs_out_of_memory_is_refused(tmp_path):
+    # sigma = 1e6 builds N = 8,000,008 sites, about 250 MB a state, which the
+    # guard lets through; under a 1 GiB address-space limit, set in the child
+    # alone, an allocation fails: exit 3, one line on stderr, nothing written
+    def limited():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    code = "import sys; from catwalk.cli import main; sys.exit(main(sys.argv[1:]))"
+    src = str(Path(catwalk.__file__).resolve().parents[1])
+    out = tmp_path / "out"
+    run = subprocess.run([sys.executable, "-c", code, "evolve", "--steps", "4", "--sigma", "1e6",
+                          "--out", str(out)], preexec_fn=limited, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+    assert run.returncode == 3, run.stderr
+    assert run.stderr.startswith("catwalk: refused: ") and run.stderr.count("\n") == 1
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("sigma", ["1e-300", "1e-200"])

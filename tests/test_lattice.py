@@ -1,11 +1,15 @@
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import catwalk
+from catwalk import lattice
 from catwalk.lattice import (
     HERMITICITY_BAND,
     HERMITICITY_TOL,
@@ -87,6 +91,29 @@ def test_gaussian_requires_room():
     lat = make_lattice(16)
     with pytest.raises(StateError):
         gaussian_position_state(lat, 10.0, COIN_UP)
+
+
+def test_gaussian_starts_do_not_depend_on_the_blas_thread_count():
+    # a start is normalised by a BLAS dot product, which OpenBLAS splits across
+    # threads from about 10,000 entries on (N = 5,200 holds 10,400); lattice
+    # holds BLAS at one thread for it, with no hold of the caller's
+    if lattice._openblas_threads() is None:
+        pytest.skip("numpy's bundled OpenBLAS exports no thread-count symbols here")
+    code = "\n".join((
+        "import hashlib",
+        "from catwalk.lattice import (COIN_SYMMETRIC, gaussian_momentum_state,",
+        "                             gaussian_position_state, make_lattice)",
+        "lat = make_lattice(5200)",
+        "for psi in (gaussian_position_state(lat, 25.0, COIN_SYMMETRIC),",
+        "            gaussian_momentum_state(lat, 0.02, COIN_SYMMETRIC)):",
+        "    print(hashlib.sha256(psi.amplitudes.tobytes()).hexdigest())",
+    ))
+    src = str(Path(catwalk.__file__).resolve().parents[1])
+    reads = [subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+                            ).stdout
+             for threads in ("1", "2")]
+    assert reads[0].count("\n") == 2 and reads[0] == reads[1]
 
 
 def test_k0_shifts_momentum_mean():
