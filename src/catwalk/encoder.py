@@ -153,11 +153,12 @@ def _put(cells: np.ndarray, items: np.ndarray, index: np.ndarray) -> None:
     cells.view(items.dtype)[:, 0] = items.take(index)
 
 
-def _real(x: np.ndarray, block: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Write the float64 column ``x`` into its cells of ``block`` and
-    ``mask`` (see ``_real_cells``); return the rows left undecided."""
+def _real(x: np.ndarray, D: np.ndarray, X: np.ndarray, block: np.ndarray,
+          mask: np.ndarray) -> None:
+    """Write the float64 column ``x``, whose digits and exponents ``_decimal``
+    gave as D and X, into its cells of ``block`` and ``mask`` (see
+    ``_real_cells``)."""
     kind, exponents, masks = _real_cells()
-    D, X, undecided = _decimal(x)
     top, low = np.divmod(D, 10**8)
     first, g12 = np.divmod(top, 10**8)
     groups = (*np.divmod(g12, 10**4), *np.divmod(low, 10**4))
@@ -171,7 +172,6 @@ def _real(x: np.ndarray, block: np.ndarray, mask: np.ndarray) -> np.ndarray:
     tail = zeros.take(g4) + (g4 == 0) * (
         zeros.take(g3) + (g3 == 0) * (zeros.take(g2) + (g2 == 0) * zeros.take(g1)))
     _put(mask, masks, (kind.take(X - _X) * 17 + 16 - tail) * 2 + np.signbit(x))
-    return undecided
 
 
 @functools.cache
@@ -201,6 +201,25 @@ def _int(col: np.ndarray, block: np.ndarray, mask: np.ndarray) -> None:
         _put(block[:, start:end], _digits(end - start), group)
 
 
+def _cells(chunk: np.ndarray, real: list[bool], starts: list[int], widths: list[int],
+           block: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Write each column of ``chunk`` into its cells of ``block`` and ``mask``,
+    the real columns (``real``) decided by one ``_decimal`` call; return
+    the rows left undecided.  The decided digits are freed on return, so
+    none is held while the chunk is compacted."""
+    names = chunk.dtype.names
+    x = np.array([chunk[n] for n, r in zip(names, real) if r]).reshape(sum(real), len(chunk))
+    D, X, undecided = (a.reshape(x.shape) for a in _decimal(x.ravel()))
+    decided = zip(x, D, X)
+    for n, r, at, width in zip(names, real, starts, widths):
+        cells = slice(at, at + width)
+        if r:
+            _real(*next(decided), block[:, cells], mask[:, cells])
+        else:
+            _int(chunk[n], block[:, cells], mask[:, cells])
+    return undecided.any(axis=0)
+
+
 def encoded(rows: np.ndarray, sep: str) -> Iterator[bytes]:
     """The text of ``rows``, CHUNK_ROWS at a time, byte for byte what
     ``line % row`` writes for each row.
@@ -208,7 +227,8 @@ def encoded(rows: np.ndarray, sep: str) -> Iterator[bytes]:
     Each chunk is one (rows, width) byte block and a mask of the bytes
     kept, compacted with ``compress``: a cell per column, as wide as its
     widest value (``_real``, ``_int``), then ``sep`` or a newline.  The
-    bytes no value changes are written once.  A row with a value left
+    bytes no value changes are written once.  All real columns of a chunk
+    are decided by one ``_decimal`` call; a row with a value left
     undecided is written by ``line % row``.
     """
     line, names, total = _line(rows, sep), rows.dtype.names, rows.shape[0]
@@ -231,13 +251,7 @@ def encoded(rows: np.ndarray, sep: str) -> Iterator[bytes]:
     for s in range(0, total, CHUNK_ROWS):
         chunk = rows[s : s + CHUNK_ROWS]
         b, m = block[: chunk.shape[0]], mask[: chunk.shape[0]]
-        undecided = np.zeros(chunk.shape[0], bool)
-        for n, r, at, width in zip(names, real, starts, widths):
-            cells = slice(at, at + width)
-            if r:
-                undecided |= _real(chunk[n], b[:, cells], m[:, cells])
-            else:
-                _int(chunk[n], b[:, cells], m[:, cells])
+        undecided = _cells(chunk, real, starts, widths, b, m)
         pieces, start = [], 0
         for i in np.flatnonzero(undecided).tolist() + [None]:
             pieces.append(b[start:i].ravel().compress(m[start:i].ravel()).tobytes())

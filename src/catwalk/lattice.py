@@ -12,7 +12,8 @@ The module builds every state, so it also owns the BLAS hold,
 restored afterwards, so that no sum is split and a value does not depend
 on ``OPENBLAS_NUM_THREADS``.  The Gaussian starts normalise inside it, by a
 BLAS dot product that OpenBLAS would split across threads from about
-10,000 entries on; ``channels`` holds it around every open and closed
+10,000 entries on; ``fidelity`` and ``fidelity_with_density`` hold it
+around their contraction, ``channels`` around every open and closed
 fidelity run, and ``scenarios.run_scenario`` around every scenario.
 """
 
@@ -302,16 +303,20 @@ def _check_compatible(a: PureState, b) -> None:
 
 
 def fidelity(a: PureState, b: PureState) -> float:
-    """|<a|b>|^2 for two pure states on the same lattice."""
+    """|<a|b>|^2 for two pure states on the same lattice, summed inside the
+    BLAS hold (``_one_blas_thread``)."""
     _check_compatible(a, b)
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+    with _one_blas_thread():
+        return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
 def fidelity_with_density(psi: PureState, rho: DensityOperator) -> float:
-    """<psi| rho |psi> for a pure state against a density operator."""
+    """<psi| rho |psi> for a pure state against a density operator, summed
+    inside the BLAS hold (``_one_blas_thread``)."""
     _check_compatible(psi, rho)
     amp = psi.amplitudes.ravel()
-    return float((amp.conj() @ (rho.as_2d @ amp)).real)
+    with _one_blas_thread():
+        return float((amp.conj() @ (rho.as_2d @ amp)).real)
 
 
 # numpy's bundled OpenBLAS and its thread-count symbols

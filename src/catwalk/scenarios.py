@@ -20,9 +20,10 @@ import numpy as np
 
 from .analysis import (
     cat_metrics,
+    coin_entropy,
     component_widths,
     control_protocol,
-    entanglement_entropy,
+    entanglement_entropy,  # no runner calls it; bench/tracing.py wraps this binding
     momentum_fringes,
     packet_width,
     position_distribution,
@@ -46,7 +47,7 @@ from .lattice import (
     recommended_size,
 )
 from .spectral import dirac_evolve, eigen_system, exact_energies, symmetric_coin_state
-from .walk import Schedule, evolve
+from .walk import Schedule, evolve, reduced_coins
 
 
 class ResourceGuardError(RuntimeError):
@@ -118,11 +119,12 @@ def _base_metadata(cfg: ExperimentConfig, n_sites: int) -> dict:
     return meta
 
 
-def _distributions(name: str, times, snapshots, sites) -> Table:
-    """(step, x, probability) rows, times outer and sites inner."""
-    probs = [position_distribution(snapshots[t]) for t in times]
+def _distributions(name: str, times, rows, sites) -> Table:
+    """(step, x, probability) rows, times outer and sites inner, from
+    ``rows``, the P(x) row of each time (``evolve`` snapshots read by
+    ``position_distribution``)."""
     return Table(name, step=np.repeat(times, len(sites)), x=np.tile(sites, len(times)),
-                 probability=np.concatenate(probs))
+                 probability=np.concatenate([rows[t] for t in times]))
 
 
 def run_qwalk(cfg: ExperimentConfig) -> ResultRecord:
@@ -134,8 +136,8 @@ def run_qwalk(cfg: ExperimentConfig) -> ResultRecord:
     starts = {"localized": localized_state(lat, 0, COIN_SYMMETRIC), "delocalized": psi0}
     tables = []
     for name, start in starts.items():
-        snapshots = evolve(start, sched, snapshot_times=times).snapshots
-        tables.append(_distributions(name, times, snapshots, lat.sites))
+        rows = evolve(start, sched, snapshot_times=times, read=position_distribution).snapshots
+        tables.append(_distributions(name, times, rows, lat.sites))
     meta = _base_metadata(cfg, lat.n_sites)
     meta["snapshot_times"] = ",".join(str(t) for t in times)
     meta["coin"] = "symmetric"
@@ -167,13 +169,16 @@ def run_dirac(cfg: ExperimentConfig) -> ResultRecord:
 
 
 def run_catstates(cfg: ExperimentConfig) -> ResultRecord:
-    """Entropy growth, Schmidt branch distributions, and width saturation."""
+    """Entropy growth, Schmidt branch distributions, and width saturation.
+
+    The entropy at each snapshot time is read from the reduced coin that
+    ``walk.reduced_coins`` gives from momenta, so the run keeps no snapshot
+    state; only the final state is built, for the Schmidt branches."""
     psi0 = _packet(cfg, cfg.steps)
     lat = psi0.lattice
     times = _snapshot_times(cfg)
-    result = evolve(psi0, Schedule(cfg.steps, cfg.theta), snapshot_times=times)
-
-    dec = schmidt_components(result.final)
+    entropy = coin_entropy(reduced_coins(psi0, cfg.theta, times))
+    dec = schmidt_components(evolve(psi0, Schedule(cfg.steps, cfg.theta)).final)
 
     # Width saturation sweep: the negative-band coin state keeps the
     # packet in a single branch so the ratio isolates dispersion.  Its
@@ -199,8 +204,7 @@ def run_catstates(cfg: ExperimentConfig) -> ResultRecord:
     meta["width_sweep_steps"] = width_steps
     meta["width_sweep_coin"] = "u_minus(0)"
     tables = [
-        Table("entropy", step=times,
-              entropy_bits=[entanglement_entropy(result.snapshots[t]) for t in times]),
+        Table("entropy", step=times, entropy_bits=entropy),
         Table("branches", x=lat.sites, p_x=np.abs(dec.x_state) ** 2,
               p_x_perp=np.abs(dec.x_perp_state) ** 2),
         Table("widths", sigma0=sigmas, ratio=ratios),
@@ -319,11 +323,13 @@ def run_electricfid(cfg: ExperimentConfig) -> ResultRecord:
 
 
 def run_evolve(cfg: ExperimentConfig) -> ResultRecord:
-    """Generic closed evolution with strided distribution snapshots."""
+    """Generic closed evolution with strided distribution snapshots, each
+    reduced to its P(x) row as the run passes it."""
     psi0 = _packet(cfg, cfg.steps)
     times = _snapshot_times(cfg)
-    result = evolve(psi0, Schedule(cfg.steps, cfg.theta), snapshot_times=times)
-    table = _distributions("distribution", times, result.snapshots, psi0.lattice.sites)
+    rows = evolve(psi0, Schedule(cfg.steps, cfg.theta), snapshot_times=times,
+                  read=position_distribution).snapshots
+    table = _distributions("distribution", times, rows, psi0.lattice.sites)
     return ResultRecord("evolve", _base_metadata(cfg, psi0.lattice.n_sites), [table])
 
 

@@ -234,6 +234,14 @@ def edge_columns():
     return awkward_columns(n, *range(CHUNK_ROWS, n, CHUNK_ROWS), n - 3)
 
 
+def later_undecided_columns():
+    # four real columns, one chunk and a few rows; only the last holds values
+    # left to `%`, so those rows are handed over for a later column alone
+    a, b, c, d = np.random.default_rng(2).random((4, CHUNK_ROWS + 5))
+    d[[3, CHUNK_ROWS - 1, CHUNK_ROWS + 2]] = [2.0**-25, np.inf, np.nan]
+    return {"a": a, "b": b, "c": c, "d": d}
+
+
 def assert_same_lines(got, want):
     # equal line lists are equal texts; pytest reports a list mismatch at
     # once, where its diff of two texts of megabytes takes minutes
@@ -243,10 +251,10 @@ def assert_same_lines(got, want):
 @pytest.mark.parametrize("fmt", ["csv", "plot", "both"])
 def test_emit_results_matches_per_cell_oracle(fmt, tmp_path):
     # one and a half chunks, the awkward values straddling the chunk
-    # boundary, and a table of several chunks, the awkward values around
-    # every chunk edge
+    # boundary, a table of several chunks, the awkward values around every
+    # chunk edge, and real columns of which only the last leaves rows to `%`
     columns = {"t": awkward_columns(CHUNK_ROWS + CHUNK_ROWS // 2, CHUNK_ROWS),
-               "s": edge_columns()}
+               "s": edge_columns(), "u": later_undecided_columns()}
     tables = [Table(name, **cols) for name, cols in columns.items()]
     emit_results(ResultRecord("toy", {}, tables), tmp_path, fmt=fmt)
     for name, cols in columns.items():

@@ -246,6 +246,26 @@ def test_gaussian_momentum_state_width():
     assert sig == pytest.approx(1.0 / (2 * delta), rel=0.05)
 
 
+def test_fidelity_does_not_depend_on_the_blas_thread_count():
+    # the overlap of 2N = 10,400 entries is a BLAS dot product that OpenBLAS
+    # would split across threads; fidelity holds BLAS at one thread for it
+    if lattice._openblas_threads() is None:
+        pytest.skip("numpy's bundled OpenBLAS exports no thread-count symbols here")
+    code = "\n".join((
+        "import numpy as np",
+        "from catwalk.lattice import COIN_SYMMETRIC, fidelity, gaussian_position_state, make_lattice",
+        "from catwalk.walk import Schedule, evolve",
+        "psi = gaussian_position_state(make_lattice(5200), 25.0, COIN_SYMMETRIC)",
+        "print(repr(fidelity(psi, evolve(psi, Schedule(40, np.pi / 4)).final)))",
+    ))
+    src = str(Path(catwalk.__file__).resolve().parents[1])
+    reads = [subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+                            ).stdout
+             for threads in ("1", "2")]
+    assert reads[0] and reads[0] == reads[1]
+
+
 def test_fidelity_basics():
     lat = make_lattice(16)
     a = localized_state(lat, 0, COIN_UP)
