@@ -62,15 +62,10 @@ def reduced_coin(state) -> np.ndarray:
 
 def entanglement_entropy(state) -> float:
     """Von Neumann entropy of the reduced coin, in bits."""
-    return float(coin_entropy(reduced_coin(state)))
-
-
-def coin_entropy(coins: np.ndarray) -> np.ndarray:
-    """Von Neumann entropy in bits of each 2x2 reduced coin of ``coins``
-    (..., 2, 2), an eigenvalue at or below NULL_WEIGHT counted as zero."""
-    lams = np.clip(np.linalg.eigvalsh(coins), 0.0, 1.0)
-    lams[lams <= NULL_WEIGHT] = 1.0  # 1 log2 1 = 0: it drops out of the sum
-    return -np.sum(lams * np.log2(lams), axis=-1) + 0.0  # + 0.0: a pure coin reads 0, not -0
+    lams = np.linalg.eigvalsh(reduced_coin(state))
+    lams = np.clip(lams.real, 0.0, 1.0)
+    nz = lams[lams > NULL_WEIGHT]
+    return float(-np.sum(nz * np.log2(nz)) + 0.0)  # + 0.0: a pure coin reads 0, not -0
 
 
 @dataclass(frozen=True)

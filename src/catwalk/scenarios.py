@@ -18,9 +18,12 @@ import math
 
 import numpy as np
 
+# What a runner hands evolve as its `read` it takes from `analysis` itself:
+# bench/tracing.py wraps the bindings below, and a wrapped read would open a
+# span inside evolve's span.
+from . import analysis
 from .analysis import (
     cat_metrics,
-    coin_entropy,
     component_widths,
     control_protocol,
     entanglement_entropy,  # no runner calls it; bench/tracing.py wraps this binding
@@ -47,7 +50,7 @@ from .lattice import (
     recommended_size,
 )
 from .spectral import dirac_evolve, eigen_system, exact_energies, symmetric_coin_state
-from .walk import Schedule, evolve, reduced_coins
+from .walk import Schedule, evolve
 
 
 class ResourceGuardError(RuntimeError):
@@ -122,7 +125,7 @@ def _base_metadata(cfg: ExperimentConfig, n_sites: int) -> dict:
 def _distributions(name: str, times, rows, sites) -> Table:
     """(step, x, probability) rows, times outer and sites inner, from
     ``rows``, the P(x) row of each time (``evolve`` snapshots read by
-    ``position_distribution``)."""
+    ``analysis.position_distribution``)."""
     return Table(name, step=np.repeat(times, len(sites)), x=np.tile(sites, len(times)),
                  probability=np.concatenate([rows[t] for t in times]))
 
@@ -136,7 +139,8 @@ def run_qwalk(cfg: ExperimentConfig) -> ResultRecord:
     starts = {"localized": localized_state(lat, 0, COIN_SYMMETRIC), "delocalized": psi0}
     tables = []
     for name, start in starts.items():
-        rows = evolve(start, sched, snapshot_times=times, read=position_distribution).snapshots
+        rows = evolve(start, sched, snapshot_times=times,
+                      read=analysis.position_distribution).snapshots
         tables.append(_distributions(name, times, rows, lat.sites))
     meta = _base_metadata(cfg, lat.n_sites)
     meta["snapshot_times"] = ",".join(str(t) for t in times)
@@ -171,14 +175,15 @@ def run_dirac(cfg: ExperimentConfig) -> ResultRecord:
 def run_catstates(cfg: ExperimentConfig) -> ResultRecord:
     """Entropy growth, Schmidt branch distributions, and width saturation.
 
-    The entropy at each snapshot time is read from the reduced coin that
-    ``walk.reduced_coins`` gives from momenta, so the run keeps no snapshot
-    state; only the final state is built, for the Schmidt branches."""
+    Each snapshot is reduced to its entanglement entropy as the run passes
+    it, so the run keeps no snapshot state."""
     psi0 = _packet(cfg, cfg.steps)
     lat = psi0.lattice
     times = _snapshot_times(cfg)
-    entropy = coin_entropy(reduced_coins(psi0, cfg.theta, times))
-    dec = schmidt_components(evolve(psi0, Schedule(cfg.steps, cfg.theta)).final)
+    result = evolve(psi0, Schedule(cfg.steps, cfg.theta), snapshot_times=times,
+                    read=analysis.entanglement_entropy)
+
+    dec = schmidt_components(result.final)
 
     # Width saturation sweep: the negative-band coin state keeps the
     # packet in a single branch so the ratio isolates dispersion.  Its
@@ -204,7 +209,7 @@ def run_catstates(cfg: ExperimentConfig) -> ResultRecord:
     meta["width_sweep_steps"] = width_steps
     meta["width_sweep_coin"] = "u_minus(0)"
     tables = [
-        Table("entropy", step=times, entropy_bits=entropy),
+        Table("entropy", step=times, entropy_bits=[result.snapshots[t] for t in times]),
         Table("branches", x=lat.sites, p_x=np.abs(dec.x_state) ** 2,
               p_x_perp=np.abs(dec.x_perp_state) ** 2),
         Table("widths", sigma0=sigmas, ratio=ratios),
@@ -328,7 +333,7 @@ def run_evolve(cfg: ExperimentConfig) -> ResultRecord:
     psi0 = _packet(cfg, cfg.steps)
     times = _snapshot_times(cfg)
     rows = evolve(psi0, Schedule(cfg.steps, cfg.theta), snapshot_times=times,
-                  read=position_distribution).snapshots
+                  read=analysis.position_distribution).snapshots
     table = _distributions("distribution", times, rows, psi0.lattice.sites)
     return ResultRecord("evolve", _base_metadata(cfg, psi0.lattice.n_sites), [table])
 

@@ -18,8 +18,7 @@ between events as one closed-form power Z(k)^n in momentum space, and
 steps its F_m window in position space, the phase folded into the shift.  It
 moves between sites and momenta by
 ``lattice.to_momentum`` and ``to_position``; ``_PlainPower`` holds the band
-structure ``spectral`` reads, and reads the overlaps and the reduced coins
-of a plain stretch straight from momenta, so neither needs a state built.
+structure ``spectral`` reads.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .lattice import NORM_TOL, DensityOperator, PureState, StateError, to_momentum, to_position
+from .lattice import DensityOperator, PureState, StateError, to_momentum, to_position
 
 UNITARITY_TOL = 1e-10
 
@@ -319,51 +318,12 @@ class _PlainPower:
         b = (bra[:, 0] * (self.diag * kamp[:, 0] + self.up * kamp[:, 1])
              + bra[:, 1] * (self.down * kamp[:, 0] - self.diag * kamp[:, 1]))
         out = np.empty(len(n))
-        for rows, angle in self._angles(n):
-            out[rows] = np.abs(np.einsum("nk,k->n", np.cos(angle), a)
-                               - 1j * np.einsum("nk,k->n", np.sin(angle), b)) ** 2
+        rows = max(1, (1 << 18) // len(a))  # (n, k) entries per chunk
+        for lo in range(0, len(n), rows):
+            angle = np.multiply.outer(n[lo:lo + rows], self.alpha)
+            out[lo:lo + rows] = np.abs(np.einsum("nk,k->n", np.cos(angle), a)
+                                       - 1j * np.einsum("nk,k->n", np.sin(angle), b)) ** 2
         return out
-
-    def coins(self, n: np.ndarray, kamp: np.ndarray) -> np.ndarray:
-        """The reduced coin sum_k (Z^n kamp)(Z^n kamp)^dag, (len(n), 2, 2), for
-        each n of ``n``, from (N, 2) momentum amplitudes v = kamp.
-
-        With u = (M / sin a) v at each k, W^n v = cos(n a) v - i sin(n a) u,
-        so the coin is sum_k [A + cos(2 n a) B + sin(2 n a) C] with A = (v v^dag
-        + u u^dag) / 2, B = (v v^dag - u u^dag) / 2 and C = i (v u^dag - u
-        v^dag) / 2 (i^n drops out; where sin a = 0, u = 0 and cos(2 n a) = 1).
-        Each row of the (n x N) angles is summed on its own, as in
-        ``fidelities``.  A coin whose trace is not 1 to within what PureState's
-        norm check allows raises StateError.
-        """
-        v = kamp
-        u = np.stack([self.diag * v[:, 0] + self.up * v[:, 1],
-                      self.down * v[:, 0] - self.diag * v[:, 1]], axis=1)
-        entries = ((0, 0), (1, 0), (1, 1))  # the lower triangle; the coin is Hermitian
-        terms = []
-        for i, j in entries:
-            vv, uu = v[:, i] * v[:, j].conj(), u[:, i] * u[:, j].conj()
-            terms.append((np.sum(vv + uu) / 2, (vv - uu) / 2,
-                          0.5j * (v[:, i] * u[:, j].conj() - u[:, i] * v[:, j].conj())))
-        out = np.empty((len(n), 2, 2), complex)
-        for rows, angle in self._angles(2 * n):
-            cos, sin = np.cos(angle), np.sin(angle, out=angle)
-            for (i, j), (a, b, c) in zip(entries, terms):
-                out[rows, i, j] = a + np.einsum("nk,k->n", cos, b) + np.einsum("nk,k->n", sin, c)
-            del cos, sin, angle  # so that the next chunk is built beside none of this one
-        out[:, 0, 1] = out[:, 1, 0].conj()
-        norm = np.sqrt(out[:, 0, 0].real + out[:, 1, 1].real)
-        if not (np.abs(norm - 1.0) <= NORM_TOL).all():
-            raise StateError(f"state norm {norm[np.abs(norm - 1.0).argmax()]!r} deviates from 1")
-        return out
-
-    def _angles(self, n: np.ndarray):
-        """(rows, n[rows] x alpha) for slices ``rows`` of ``n`` that bound the
-        (n, k) angles to 2^18 entries each."""
-        step = max(1, (1 << 18) // len(self.alpha))
-        for lo in range(0, len(n), step):
-            rows = slice(lo, lo + step)
-            yield rows, np.multiply.outer(n[rows], self.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -445,20 +405,6 @@ def _run_pure(state: PureState, schedule: Schedule, snapshot_times: Sequence[int
             amp, spare = _run(amp, spare, schedule, range(lo + 1, hi + 1), checkpoint,
                               lambda a, out: np.multiply(_shift(a, out), phase, out=out))
     return amp, checkpoint
-
-
-def reduced_coins(state: PureState, theta: float, times: Sequence[int]) -> np.ndarray:
-    """The reduced coin of the plain walk at coin angle ``theta`` from
-    ``state`` after each number of steps of ``times``, (len(times), 2, 2):
-    what ``analysis.reduced_coin`` reads from ``evolve`` snapshots at those
-    times, read from momenta by ``_PlainPower.coins`` with no state built.
-    A time that is not an integer raises ScheduleError; a coin whose trace
-    is not 1, StateError."""
-    try:
-        n = np.array([operator.index(t) for t in times], dtype=np.int64)
-    except TypeError:
-        raise ScheduleError(f"times must be integers, got {times!r}") from None
-    return _PlainPower(theta, state.lattice.momenta).coins(n, to_momentum(state.amplitudes))
 
 
 def step(state: PureState, theta: float) -> PureState:

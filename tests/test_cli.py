@@ -657,6 +657,16 @@ def test_every_scenario_takes_every_key_edge(scenario, key, data):
             assert key in err.getvalue() or flag in err.getvalue(), err.getvalue()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_catstates_refuses_a_theta_that_is_not_finite(value, tmp_path, capsys):
+    # the edge test above draws this case about once in 500 examples; here
+    # it runs every time
+    assert main(["catstates", "--steps", "4", "--sigma", "1", f"--theta={value}",
+                 "--out", str(tmp_path)]) == 2
+    assert "--theta" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_catstates_width_sweep_lattice_is_guarded(tmp_path, capsys):
     # the run's own N=28 state fits 20000 B; the width sweep's N=920 state,
     # 29440 B, does not, and is refused before anything is written

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catwalk import walk
-from catwalk.analysis import position_distribution, reduced_coin, revival_protocol
+from catwalk.analysis import entanglement_entropy, position_distribution, revival_protocol
 from catwalk.channels import evolve_open, fidelity_trace
 from catwalk.lattice import (
     COIN_DOWN,
@@ -30,7 +30,6 @@ from catwalk.walk import (
     coin_operator,
     conjugate_coin,
     evolve,
-    reduced_coins,
     reversal_pair,
     step,
     step_density,
@@ -148,21 +147,18 @@ def test_schedule_validation():
 
 
 def test_a_lone_power_reads_what_it_reads_in_a_batch():
-    # each n of _PlainPower.fidelities and of .coins reads the same bits
-    # whether asked alone, at the head of a tail, or inside a batch that
-    # crosses a chunk edge
+    # each n of _PlainPower.fidelities reads the same bits whether asked alone,
+    # at the head of a tail, or inside a batch that crosses a chunk edge
     lattice = make_lattice(468)
     psi = gaussian_position_state(lattice, 10.0, COIN_SYMMETRIC, k0=0.2)
     kamp = to_momentum(psi.amplitudes)
     power = _PlainPower(0.7, lattice.momenta)
     edge = (1 << 18) // lattice.n_sites
     n = np.arange(1, edge + 40)
-    batch, coins = power.fidelities(n, kamp, kamp), power.coins(n, kamp)
+    batch = power.fidelities(n, kamp, kamp)
     for i in (0, 1, edge - 2, edge - 1, edge, edge + 1, len(n) - 1):
         assert power.fidelities(n[i:i + 1], kamp, kamp)[0] == batch[i]
         assert power.fidelities(n[i:], kamp, kamp)[0] == batch[i]
-        assert np.array_equal(power.coins(n[i:i + 1], kamp)[0], coins[i])
-        assert np.array_equal(power.coins(n[i:], kamp)[0], coins[i])
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -331,18 +327,6 @@ THETA_WITH_EDGES = st.one_of(st.sampled_from([0.0, np.pi / 2, np.pi]), st.floats
 
 
 @settings(max_examples=60, deadline=None)
-@given(theta=THETA_WITH_EDGES, psi=packets(),
-       times=st.lists(st.integers(0, 600), min_size=1, max_size=8))
-def test_coins_read_from_momenta_match_the_snapshots(theta, psi, times):
-    # at theta = 0 or pi, sin(a) = 0 at k = +-pi/2, on the grid when N % 4 == 0
-    coins = reduced_coins(psi, theta, times)
-    snapshots = evolve(psi, Schedule(max(times), theta), snapshot_times=times,
-                       read=reduced_coin).snapshots
-    for t, coin in zip(times, coins):
-        np.testing.assert_allclose(coin, snapshots[t], rtol=0, atol=1e-13)
-
-
-@settings(max_examples=60, deadline=None)
 @given(theta=THETA_WITH_EDGES, quarter_n=st.integers(1, 16), n=st.integers(0, 1000))
 def test_plain_power_matches_matrix_power(theta, quarter_n, n):
     # N % 4 == 0 puts k = -pi/2 on the momentum grid
@@ -403,38 +387,36 @@ def test_observing_a_run_does_not_change_its_arithmetic():
         assert np.array_equal(snapped.snapshots[t].amplitudes, checkpoint.snaps[t].amplitudes)
         assert checkpoint.trace[t] == fidelity(psi, snapped.snapshots[t])
     # a snapshot reduced as the run passes it is the kept snapshot reduced
-    rows = evolve(psi, sched, snapshot_times=times, read=position_distribution)
-    assert np.array_equal(rows.final.amplitudes, bare)
-    for t in times:
-        assert rows.snapshots[t].tobytes() == position_distribution(snapped.snapshots[t]).tobytes()
+    for read in (position_distribution, entanglement_entropy):
+        reduced = evolve(psi, sched, snapshot_times=times, read=read)
+        assert np.array_equal(reduced.final.amplitudes, bare)
+        for t in times:
+            assert (np.asarray(reduced.snapshots[t]).tobytes()
+                    == np.asarray(read(snapped.snapshots[t])).tobytes())
 
 
-def test_reading_snapshots_keeps_no_state():
+@pytest.mark.parametrize("read, kept_bytes", [
+    (position_distribution, lambda n: 8 * n + 256),
+    (entanglement_entropy, lambda n: 256),
+], ids=["rows", "entropies"])
+def test_reading_snapshots_keeps_no_state(read, kept_bytes):
     # 2001 kept states would take 2001 x 32 N bytes; a P(x) row takes 8 N
-    # bytes and under 256 more of array header and dict and set entries.  The
-    # coin reader holds one chunk of angles whatever the times
+    # bytes and an entropy a float, each with under 256 more of object
+    # header and dict and set entries
     n, times = 440, range(2001)
     psi = gaussian_position_state(make_lattice(n), 10.0, COIN_SYMMETRIC, k0=0.2)
-    chunk = (1 << 18) // n
 
     def run():
-        evolve(psi, Schedule(2000, 0.7), snapshot_times=times, read=position_distribution)
+        evolve(psi, Schedule(2000, 0.7), snapshot_times=times, read=read)
 
     run()  # what a first run caches (DFT plans, ufunc loops) is not the run's
-    reduced_coins(psi, 0.7, (1,))
     tracemalloc.start()
     try:
         run()
-        rows_peak = tracemalloc.get_traced_memory()[1]
-        coin_peaks = []
-        for count in (chunk, len(times)):
-            tracemalloc.reset_peak()
-            reduced_coins(psi, 0.7, times[:count])
-            coin_peaks.append(tracemalloc.get_traced_memory()[1])
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rows_peak < len(times) * (8 * n + 256) + 16 * 32 * n
-    assert coin_peaks[1] < 1.1 * coin_peaks[0]
+    assert peak < len(times) * kept_bytes(n) + 16 * 32 * n
 
 
 def test_schedule_checks_its_gates_when_built():
