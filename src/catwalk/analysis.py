@@ -6,7 +6,8 @@ projection with momentum-space fringe analysis, bimodality metrics, and
 the time-reversal revival protocols.  Each protocol is a ``Schedule``
 whose fidelity to the start is read from its own run, through
 ``channels.fidelity_trace``, on one BLAS thread; none builds a final
-state only to measure it.
+state only to measure it, and no read changes the run: closed, each value
+is ``lattice.fidelity`` of a snapshot ``walk.evolve`` hands its ``read``.
 """
 
 from __future__ import annotations
@@ -324,7 +325,7 @@ def revival_protocol(
     evolution with the channel applied after every step.  The trace comes
     from ``channels.fidelity_trace``, at ``times``, every step 0..2T by
     default, and r is the fidelity after the closing gate, read at 2T
-    whatever the times: a run contracts at those times alone, so a caller
+    whatever the times: a run reads at those times alone, so a caller
     that reads only r passes ``times=(2 * T,)``.  ``layout`` is the support
     an open run stepped, as ``fidelity_trace`` returns it, and None closed.
     """

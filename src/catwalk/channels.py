@@ -26,9 +26,11 @@ so a run steps only half the lines of its ring and takes the others as
 their Hermitian mirror (``_mirrored``), and no line's norm grows, so a
 pure start drops the lines past a 1e-30 tail.
 A coin-local channel's 4x4 map S is left owed by each step and folded into
-the next coin map, C S, so every step is one coin product and one shift,
-with one contraction at each time whose fidelity is read
-(``walk._Checkpoints``).  Every map of a step acts on each
+the next coin map, C S, so every step is one coin product and one shift
+(``walk._Checkpoints``).  Every observation is a read at a time asked for
+that leaves the run unchanged: a snapshot applies an owed S into the copy
+it materializes from, and a fidelity, one contraction, reads an owing
+state against S^T start.  Every map of a step acts on each
 stored line alone, so a layout larger than ``_BLOCK_BYTES`` a working array
 runs in row blocks, each a self-contained run through the whole schedule
 with its own ``_Checkpoints``; the blocks share only one allocation, which
@@ -42,8 +44,9 @@ results do not depend on ``OPENBLAS_NUM_THREADS``.
 ``open_layout`` picks the layout, ``_run_open`` is the one runner on it
 and checks the trace once, from line 0's sums, ``evolve_open`` returns
 P(x) read from line sums and the final state of a run stepped whole, and
-``fidelity_trace`` takes a run's fidelity to its start in its own basis at
-the times its caller reads, and keeps no final state.
+``fidelity_trace`` takes a run's fidelity to its start at the times its
+caller reads, an open run's in its own basis, a closed run's from the
+snapshots ``walk.evolve`` hands its ``read``, and keeps no final state.
 ``density_working_set_bytes`` bounds what a run allocates.  Only
 ``_run_open`` calls ``open_layout``, so each open run is laid out once, and
 its support reaches the caller with its result (``OpenResult.layout``, the
@@ -54,14 +57,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .lattice import (TRACE_TOL, DensityOperator, LatticeConfig, PureState, StateError,
-                      _one_blas_thread, to_momentum, to_position)
-from .walk import SIGMA_X, Schedule, ScheduleError, _Checkpoints, _coin_map, _run, _run_pure
+                      _one_blas_thread, fidelity, to_momentum, to_position)
+from .walk import (SIGMA_X, Schedule, ScheduleError, _apply_coin_map, _Checkpoints, _coin_map,
+                   _in_run, _run, evolve)
 
 COMPLETENESS_TOL = 1e-12
 # |psi~|^2 a pure start may leave outside its momentum window on each side
@@ -629,20 +633,23 @@ def evolve_open(
 def fidelity_trace(psi: PureState, schedule: Schedule,
                    times: Sequence[int] | None = None) -> tuple[np.ndarray, MomentumLayout | None]:
     """(trace, layout) of a run of ``schedule`` from psi: the fidelity to psi at
-    each of ``times``, every t = 0..total_steps by default, |<psi|psi_t>|^2
-    closed or <psi|rho_t|psi> under the channel, and the ``MomentumLayout``
-    the open run stepped (None closed), so that a caller reads the support
-    from the run instead of laying it out again.  The run contracts at those
-    times alone, on one BLAS thread, and a time outside it raises
-    ``ScheduleError``.  The open run's final state is not kept; its trace
-    is checked from line 0's sums, as every open run's is.  A start that is
-    not a ``PureState`` raises ``StateError``."""
+    each of ``times``, every t = 0..total_steps by default, and the
+    ``MomentumLayout`` the open run stepped (None closed), so that a caller
+    reads the support from the run instead of laying it out again.  Closed
+    it is ``lattice.fidelity(psi, .)`` of the snapshots ``walk.evolve``
+    hands its ``read`` at those times; under the channel <psi|rho_t|psi>,
+    contracted at those times alone.  The run holds BLAS at one thread, and
+    a time outside it raises ``ScheduleError``.  The open run's final state
+    is not kept; its trace is checked from line 0's sums, as every open
+    run's is.  A start that is not a ``PureState`` raises ``StateError``."""
     if not isinstance(psi, PureState):
         raise StateError(f"a fidelity run starts from a PureState, not {type(psi).__name__}")
     times = range(schedule.total_steps + 1) if times is None else times
     if schedule.channel is None:
+        _in_run("fidelity", times, schedule)
         with _one_blas_thread():
-            return _run_pure(psi, schedule, fidelity_times=times)[1].trace, None
+            read = evolve(psi, schedule, times, read=partial(fidelity, psi)).snapshots
+        return np.array([read[t] for t in times], dtype=float), None
     result, trace = _run_open(psi, schedule, fidelity_times=times)
     return trace, result.layout
 
@@ -699,13 +706,14 @@ def _run_open(rho0, schedule: Schedule, snapshot_times: Sequence[int] = (),
     alone, so the lines run in ceil(working-array bytes / ``_BLOCK_BYTES``)
     contiguous row blocks, as even as may be.  Each block is a run of its
     own: laid out from psi~ by ``MomentumLayout.start`` in the basis the
-    layout steps it in, with its own spare, shift factor, fidelity start
-    and ``_Checkpoints``, which holds the owed map S of a coin-local channel
-    and S^T start; walker and both dephasing ride in the shift.  The blocks
+    layout steps it in, with its own spare, shift factor, fidelity start,
+    S^T start for a coin-local channel's owed map S, and ``_Checkpoints``,
+    which holds S; walker and both dephasing ride in the shift.  The run's
+    two reads, a snapshot and a fidelity, pay nothing (``read``).  The blocks
     share only one allocation, whose views each block reuses, the fidelity
     and the line sums.  Every block ends alike, and depends on its index
-    only through its ``rows``: its trace is added to the fidelity in block
-    order, it pays what it still owes, and it writes its ``line_sums``, read
+    only through its ``rows``: its fidelity reads are added to the trace in
+    block order, it pays what it still owes, and it writes its ``line_sums``, read
     in the basis it was stepped in.  Every channel here is trace preserving,
     so the sums would not need the payment in exact arithmetic; paying keeps
     a run in blocks bit-identical to the same run whole.  The final trace is
@@ -721,6 +729,8 @@ def _run_open(rho0, schedule: Schedule, snapshot_times: Sequence[int] = (),
     fidelity <psi|rho_t|psi> for rho0 = psi at each of ``fidelity_times``,
     contracted at those times alone)."""
     layout = open_layout(rho0, schedule)
+    snapshot_at = _in_run("snapshot", snapshot_times, schedule)
+    fidelity_at = _in_run("fidelity", fidelity_times, schedule)
     lines, ring = layout.shape
     spec, steps = schedule.channel, schedule.total_steps
     owed = None if spec is None or spec.eta == 0 or _mixes_lines(spec) else _coin_superop(spec)
@@ -734,10 +744,20 @@ def _run_open(rho0, schedule: Schedule, snapshot_times: Sequence[int] = (),
     # work, spare and shift factor, then the fidelity start and S^T start
     arrays = 3 + fidelity + (fidelity and owed is not None)
     held = np.empty(arrays * 4 * -(-lines // count) * width, dtype=complex)
-    trace = np.zeros(len(fidelity_times))
+    times = np.array(fidelity_times, dtype=int)
+    trace = np.zeros(len(times))
+    snaps: dict[int, DensityOperator] = {}
 
-    def snapshot(w: np.ndarray) -> DensityOperator:
-        return DensityOperator(rho0.lattice, layout.materialize(layout.momenta(w, None)))
+    def read(t: int, work: np.ndarray, owing: bool) -> None:
+        """The running block's reads at t, against its ``starts``; neither
+        pays what ``work`` owes."""
+        if t in snapshot_at:  # S applied into the copy the state is materialized from
+            paid = _apply_coin_map(work, owed, np.empty_like(work)) if owing else work.copy()
+            snaps[t] = DensityOperator(rho0.lattice, layout.materialize(layout.momenta(paid, paid)))
+        if t in fidelity_at:
+            # site-major, as lattice.fidelity_with_density sums; rho~_t is
+            # zero off the support; an owing state against S^T start
+            trace[times == t] += np.vdot(starts[owing], work).real
 
     with _one_blas_thread():
         for i in range(count):
@@ -745,18 +765,19 @@ def _run_open(rho0, schedule: Schedule, snapshot_times: Sequence[int] = (),
             size = arrays * 4 * (rows.stop - rows.start) * width
             work, spare, factor, *starts = held[:size].reshape(arrays, 2, 2, -1, width)
             layout.start(rho0, rows, work)
-            start = layout.fidelity_start(work, rows, starts[0]) if fidelity else None
-            checkpoint = _Checkpoints(schedule, 2, snapshot_times, snapshot, start,
-                                      fidelity_times, owed, *starts[1:])
+            if fidelity:
+                layout.fidelity_start(work, rows, starts[0])
+            if fidelity and owed is not None:
+                _apply_coin_map(starts[0], owed.T, starts[1])
+            checkpoint = _Checkpoints(schedule, 2, snapshot_at | fidelity_at, read, owed)
             work, spare = checkpoint(0, work, spare)
             for (begin, cut), (end, _) in zip(windows, windows[1:] + [(steps, 0)]):
                 if cut < work.shape[-1]:
                     work, spare, factor = _narrowed(work, spare, factor, cut)
                 work, spare = _run(work, spare, schedule, range(begin + 1, end + 1), checkpoint,
                                    layout.shift(spec, rows, factor))
-            trace += checkpoint.trace
             work, _ = checkpoint.pay(work, spare)
             sums[:, rows] = layout.line_sums(work, rows)
     layout.check_trace(sums)
     kept = layout.momenta(work, work) if whole and not fidelity else None
-    return OpenResult(layout, kept, sums, checkpoint.snaps), trace
+    return OpenResult(layout, kept, sums, snaps), trace

@@ -65,14 +65,17 @@ class ResourceGuardError(RuntimeError):
         )
 
 
-def _guard_state(n_sites: int, cfg: ExperimentConfig) -> None:
-    if 32 * n_sites > cfg.max_bytes:
-        raise ResourceGuardError(32 * n_sites, cfg.max_bytes,
-                                 f"one pure state on N={n_sites} sites")
+def _guard_state(n_sites: int, cfg: ExperimentConfig, rows: int = 0) -> None:
+    """Refuse a closed run whose one (N, 2) complex state, 32 N bytes, and
+    ``rows`` kept P(x) rows, each 32 N bytes with its three table columns,
+    would exceed cfg.max_bytes."""
+    if (predicted := 32 * n_sites * (1 + rows)) > cfg.max_bytes:
+        raise ResourceGuardError(predicted, cfg.max_bytes, f"one pure state and {rows} kept P(x) "
+                                 f"rows with their table columns on N={n_sites} sites")
 
 
 def _packet(cfg: ExperimentConfig, total_steps: int, coin: CoinState = COIN_SYMMETRIC,
-            k0: float | None = None, density: bool = False) -> PureState:
+            k0: float | None = None, density: bool = False, rows: int = 0) -> PureState:
     """The Gaussian start of width cfg.sigma at mean momentum ``k0`` (cfg.k0
     by default), on the lattice the sizing rule gives a run of
     ``total_steps``, or on cfg.lattice if that is set.
@@ -80,8 +83,9 @@ def _packet(cfg: ExperimentConfig, total_steps: int, coin: CoinState = COIN_SYMM
     The lattice is checked before any state is built.  An explicit lattice
     below the rule's size raises StateError: the packet would wrap around
     the periodic boundary within the run.  ResourceGuardError is raised if
-    one (N, 2) complex state, 32 N bytes, exceeds cfg.max_bytes, or, with
-    ``density``, if a density-operator run's predicted peak
+    one (N, 2) complex state and the run's ``rows`` kept P(x) rows
+    (``_guard_state``) exceed cfg.max_bytes, or, with ``density``, if a
+    density-operator run's predicted peak
     (``channels.density_working_set_bytes``) does.
     """
     n = recommended_size(total_steps, cfg.sigma)
@@ -92,7 +96,7 @@ def _packet(cfg: ExperimentConfig, total_steps: int, coin: CoinState = COIN_SYMM
             f"around the periodic boundary"
         )
     n = cfg.lattice or n
-    _guard_state(n, cfg)
+    _guard_state(n, cfg, rows)
     if density and (predicted := density_working_set_bytes(n)) > cfg.max_bytes:
         raise ResourceGuardError(predicted, cfg.max_bytes,
                                  "peak working set: 3 density matrices plus numpy buffers")
@@ -133,7 +137,7 @@ def _distributions(name: str, times, rows, sites) -> Table:
 def run_qwalk(cfg: ExperimentConfig) -> ResultRecord:
     """Localized versus delocalized start, distributions at a few times."""
     times = [t for t in (90, 120, 150) if t <= cfg.steps] or [cfg.steps]
-    psi0 = _packet(cfg, cfg.steps)
+    psi0 = _packet(cfg, cfg.steps, rows=2 * len(times))  # a table per start
     lat = psi0.lattice
     sched = Schedule(cfg.steps, cfg.theta)
     starts = {"localized": localized_state(lat, 0, COIN_SYMMETRIC), "delocalized": psi0}
@@ -330,8 +334,8 @@ def run_electricfid(cfg: ExperimentConfig) -> ResultRecord:
 def run_evolve(cfg: ExperimentConfig) -> ResultRecord:
     """Generic closed evolution with strided distribution snapshots, each
     reduced to its P(x) row as the run passes it."""
-    psi0 = _packet(cfg, cfg.steps)
     times = _snapshot_times(cfg)
+    psi0 = _packet(cfg, cfg.steps, rows=len(times))
     rows = evolve(psi0, Schedule(cfg.steps, cfg.theta), snapshot_times=times,
                   read=analysis.position_distribution).snapshots
     table = _distributions("distribution", times, rows, psi0.lattice.sites)

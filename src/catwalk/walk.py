@@ -8,8 +8,8 @@ Time is counted in completed steps; a coin-gate insertion at time ``s``
 acts after ``s`` steps, and a schedule's one F_m window ``(start, end,
 phi)`` applies the phase during steps ``start+1 .. end``.  Pure states and
 density operators share one step loop, ``_run``, and one ``_Checkpoints`` for what happens
-between steps: gates, snapshots and the fidelity to a pure start at the
-times it is read.  The loop takes its rank from a coin-major array and its
+between steps: gates, and a read at each wanted time, which leaves the run
+unchanged.  The loop takes its rank from a coin-major array and its
 shift as a map; a coin-local channel rides in the next step's coin map
 (``_Checkpoints``).
 ``channels`` lays a density operator out on its momentum support and runs
@@ -168,44 +168,35 @@ class Schedule:
         return [u for ti, u in self.coin_gate_insertions if ti == t]
 
 
+def _in_run(kind: str, times: Sequence[int], schedule: Schedule) -> set[int]:
+    """The set of ``times``; a time outside the run of ``schedule`` raises
+    ScheduleError naming its ``kind`` of read."""
+    for t in times:
+        if not (0 <= t <= schedule.total_steps):
+            raise ScheduleError(f"{kind} time {t} outside run")
+    return set(times)
+
+
 class _Checkpoints:
     """What a run does at a time t = 0..total_steps: that time's coin gates,
-    then ``snapshot(work)`` kept in ``snaps`` if t is wanted, then, if t is
-    one of ``fidelity_times``, the fidelity to a pure ``start`` ((N, 2) or
-    laid out as |psi><psi|): ``trace[i]`` is the fidelity at
-    ``fidelity_times[i]``, and no other time contracts.  A snapshot or
-    fidelity time outside the run raises ScheduleError.  Each gate's coin
-    map on arrays of ``rank`` is built once, here.  It belongs to one run
-    over one array: a run of rho in row blocks builds one per block, and its
-    caller adds the blocks' traces in block order.
+    then, if t is ``wanted``, ``read(t, work, owing)``.  A read takes the
+    state as the run holds it and leaves it so: no read changes the run's
+    arithmetic.  Each gate's coin map on arrays of ``rank`` is built once,
+    here.  It belongs to one run over one array: a run of rho in row blocks
+    builds one per block.
 
     A coin-local channel's real coin map S, ``owed``, is left owed by every
     step: ``_run`` folds it into the next step's coin map (C S) and sets
-    ``owing``.  The first gate of a time applies it with its own map (G S),
-    ``pay`` applies it alone before a snapshot, and until then the fidelity
-    is read against S^T start, which is built here, in the buffer
-    ``owed_start``.  A caller that reads the final state pays what it still
-    owes."""
+    ``owing``, which each read is handed.  The first gate of a time applies
+    it with its own map (G S).  A caller that reads the final state pays what
+    it still owes (``pay``)."""
 
-    def __init__(self, schedule: Schedule, rank: int, snapshot_times: Sequence[int],
-                 snapshot: Callable, start: np.ndarray | None, fidelity_times: Sequence[int],
-                 owed: np.ndarray | None = None, owed_start: np.ndarray | None = None):
-        self.wanted = set(snapshot_times)
-        self.times = np.array(fidelity_times, dtype=int)
-        for kind, times in (("snapshot", self.wanted), ("fidelity", self.times)):
-            for t in times:
-                if not (0 <= t <= schedule.total_steps):
-                    raise ScheduleError(f"{kind} time {t} outside run")
+    def __init__(self, schedule: Schedule, rank: int, wanted: set[int],
+                 read: Callable[[int, np.ndarray, bool], None], owed: np.ndarray | None = None):
         self.gates = {t: [_coin_map(rank, u) for u in schedule.insertions_at(t)]
                       for t, _ in schedule.coin_gate_insertions}
+        self.wanted, self.read = wanted, read
         self.owed, self.owing = owed, False
-        self.snapshot = snapshot
-        self.snaps: dict[int, Any] = {}
-        self.start, self.read = start, set(self.times.tolist())
-        if start is not None and owed is not None:
-            owed_start = _apply_coin_map(start, owed.T, owed_start)
-        self.owed_start = owed_start
-        self.trace = np.zeros(len(self.times))
 
     def pay(self, work: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(work, spare) with the owed map applied if ``work`` still owes it."""
@@ -221,13 +212,7 @@ class _Checkpoints:
                 cmap, self.owing = cmap @ self.owed, False
             work, spare = _apply_coin_map(work, cmap, spare), work
         if t in self.wanted:
-            work, spare = self.pay(work, spare)
-            self.snaps[t] = self.snapshot(work)
-        if t in self.read:
-            # site-major, as lattice.fidelity sums; rho~_t is zero off the support
-            overlap = np.vdot(self.owed_start if self.owing else self.start,
-                              work.T if work.ndim == 2 else work)
-            self.trace[self.times == t] = abs(overlap) ** 2 if work.ndim == 2 else overlap.real
+            self.read(t, work, self.owing)
         return work, spare
 
 
@@ -307,24 +292,6 @@ class _PlainPower:
         out *= (1, 1j, -1, -1j)[n % 4]
         return out
 
-    def fidelities(self, n: np.ndarray, bra: np.ndarray, kamp: np.ndarray) -> np.ndarray:
-        """|<bra|Z^n kamp>|^2 for each n of ``n``, from (N, 2) momentum amplitudes:
-        |sum_k [cos(n a) A - i sin(n a) B]|^2 with A = bra^dag kamp and B =
-        bra^dag (M / sin a) kamp at each k (i^n drops out), each row of the
-        (n x N) angles summed on its own, so that each n reads the same
-        whichever others are asked."""
-        bra = bra.conj()
-        a = np.sum(bra * kamp, axis=1)
-        b = (bra[:, 0] * (self.diag * kamp[:, 0] + self.up * kamp[:, 1])
-             + bra[:, 1] * (self.down * kamp[:, 0] - self.diag * kamp[:, 1]))
-        out = np.empty(len(n))
-        rows = max(1, (1 << 18) // len(a))  # (n, k) entries per chunk
-        for lo in range(0, len(n), rows):
-            angle = np.multiply.outer(n[lo:lo + rows], self.alpha)
-            out[lo:lo + rows] = np.abs(np.einsum("nk,k->n", np.cos(angle), a)
-                                       - 1j * np.einsum("nk,k->n", np.sin(angle), b)) ** 2
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Front ends: pure states, then two wrappers that run density operators
@@ -356,13 +323,15 @@ def evolve(
     insertion at that time).  Each is built and norm-checked as a PureState,
     handed to ``read``, and only what ``read`` returns is kept (the state
     itself by default), so a run that reduces its snapshots, say to
-    ``analysis.position_distribution`` rows, holds no snapshot state.
-    Schedules carrying a noise channel must use
-    the open-system runner instead.  Each plain stretch between events (see
-    ``_stretches``) is one jump: the state at its start t_e goes to momentum
-    space once, and the state at each later time t of the stretch that is
-    needed is to_position(Z^(t - t_e) psi~_e), never one derived from another,
-    so snapshots cannot change the run's arithmetic.  The steps of an F_m
+    ``analysis.position_distribution`` rows, holds no snapshot state, and
+    ``channels.fidelity_trace`` reads a closed run's fidelity so.  A snapshot
+    time outside the run raises ScheduleError.  Schedules carrying a noise
+    channel must use the open-system runner instead.  Each plain stretch
+    between events (see ``_stretches``) is one jump: the state at its start
+    t_e goes to momentum space once, and the state at each later time t of
+    the stretch that is read is to_position(Z^(t - t_e) psi~_e), one inverse
+    DFT, never one derived from another, so snapshots cannot change the
+    run's arithmetic.  The steps of an F_m
     window, whose phase e^{i phi x} need not fit the lattice period, are
     taken one by one in position space on a coin-major (2, N) working array.
     Snapshots and the final state are converted back to (N, 2), and their
@@ -370,41 +339,26 @@ def evolve(
     """
     if schedule.channel is not None:
         raise ScheduleError("schedule has a channel; use channels.evolve_open")
-    amp, checkpoint = _run_pure(state, schedule, snapshot_times, read=read)
-    return EvolutionResult(state.with_amplitudes(_transpose(amp)), checkpoint.snaps)
-
-
-def _run_pure(state: PureState, schedule: Schedule, snapshot_times: Sequence[int] = (),
-              fidelity_times: Sequence[int] = (), read: Callable[[PureState], Any] = _keep
-              ) -> tuple[np.ndarray, _Checkpoints]:
-    """``evolve`` up to its final coin-major array: (array, checkpoints), which hold
-    ``read`` of each snapshot and |<state|psi_t>|^2 at ``fidelity_times``, by
-    ``_PlainPower.fidelities`` inside plain stretches and by the checkpoint's
-    overlap at their ends and in F_m windows.  The start goes to momenta only
-    once a plain stretch has a fidelity time inside it, so a read at the end
-    alone takes no extra DFT."""
     lattice = state.lattice
     power = _PlainPower(schedule.theta, lattice.momenta)
-    checkpoint = _Checkpoints(schedule, 1, snapshot_times,
-                              lambda a: read(state.with_amplitudes(_transpose(a))),
-                              state.amplitudes, fidelity_times)
-    bra = None
+    snaps: dict[int, Any] = {}
+
+    def snapshot(t: int, amp: np.ndarray, owing: bool) -> None:
+        snaps[t] = read(state.with_amplitudes(_transpose(amp)))
+
+    checkpoint = _Checkpoints(schedule, 1, _in_run("snapshot", snapshot_times, schedule), snapshot)
     amp, spare = checkpoint(0, _transpose(state.amplitudes), np.empty((2, lattice.n_sites), complex))
     for lo, hi in _stretches(schedule):
         phi = schedule.phi_at(hi)
         if phi is None:
             kamp = to_momentum(amp.T)
-            inside = (lo < checkpoint.times) & (checkpoint.times < hi)
-            if inside.any():
-                bra = to_momentum(state.amplitudes) if bra is None else bra
-                checkpoint.trace[inside] = power.fidelities(checkpoint.times[inside] - lo, bra, kamp)
             for t in sorted({t for t in checkpoint.wanted if lo < t < hi} | {hi}):
                 amp, spare = checkpoint(t, _transpose(to_position(power.apply(t - lo, kamp))), spare)
         else:
             phase = np.exp(1j * phi * lattice.sites)
             amp, spare = _run(amp, spare, schedule, range(lo + 1, hi + 1), checkpoint,
                               lambda a, out: np.multiply(_shift(a, out), phase, out=out))
-    return amp, checkpoint
+    return EvolutionResult(state.with_amplitudes(_transpose(amp)), snaps)
 
 
 def step(state: PureState, theta: float) -> PureState:

@@ -6,8 +6,9 @@ closed scenario of the benchmark's ``closed_sweep`` in process at
 directory, so that the peak covers the run and its emit.  Each scenario
 runs once untraced first, so that caches built on first use (the encoder's
 tables) are not counted.  It prints the resolved lattice size N, the peak
-and the peak over 32 N, the one pure state ``scenarios._guard_state``
-predicts.  pytest does not collect this file.
+and the peak over 32 N, the one pure state every closed run's
+``scenarios._guard_state`` prediction counts (``evolve`` and ``qwalk`` add
+32 N bytes per kept P(x) row).  pytest does not collect this file.
 """
 
 import contextlib

@@ -26,6 +26,8 @@ RUNS = (
     ("decohereprob", "--steps", "40", "--lattice", "400", "--target", "walker"),
     ("revival",),
     ("revival", "--eta", "0"),
+    # reads a fidelity at every step while the channel is owed (S^T start)
+    ("revival", "--channel", "amplitude_damping"),
     ("electricfid",),
 )
 

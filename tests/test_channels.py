@@ -1137,8 +1137,10 @@ def test_an_owed_channel_rides_through_the_window_of_y(variant, blocks, segments
 @pytest.mark.parametrize("eta", [0.2, 1000.0])
 @pytest.mark.parametrize("variant", COIN_LOCAL)
 def test_an_owed_channel_is_paid_before_each_snapshot(variant, eta, site):
-    # snapshots at some times, not at the end; a start on one site steps the
-    # ring of all N momenta in y = x - x', a packet its window
+    # snapshots at some times, not at the end, each materialized from a copy
+    # with the owed S paid into it while the run goes on owing S; a start on
+    # one site steps the ring of all N momenta in y = x - x', a packet its
+    # window
     n, steps, theta = 16, 6, 0.7
     psi = localized_state(make_lattice(n), 5, COIN_SYMMETRIC) if site else band_packet(n, 7, seed=2)
     gate, _ = reversal_pair(theta)
@@ -1162,8 +1164,8 @@ def test_an_owed_channel_is_paid_before_each_snapshot(variant, eta, site):
 def test_an_open_step_makes_one_coin_product(variant, monkeypatch):
     # T steps of one product each, one per gate time (G S) and one that pays
     # the channel on the block before its line sums, not 2T; S^T start is
-    # one more product per block, which its _Checkpoints builds before the
-    # run.  Walker dephasing rides in the shift and owes nothing.
+    # one more product per block, which _run_open builds before the run.
+    # Walker dephasing rides in the shift and owes nothing.
     steps, theta = 9, 0.7
     psi = band_packet(32, 13, seed=5)
     gate, gate_back = reversal_pair(theta)
@@ -1176,7 +1178,8 @@ def test_an_open_step_makes_one_coin_product(variant, monkeypatch):
         products.append(args)
         return apply(*args)
 
-    monkeypatch.setattr(walk, "_apply_coin_map", counting)
+    for module in (walk, channels):
+        monkeypatch.setattr(module, "_apply_coin_map", counting)
     _, layout = channels.fidelity_trace(psi, sched)
     owed = variant[1] == "coin"
     assert len(products) == steps + 2 + 2 * owed
@@ -1303,11 +1306,11 @@ def test_open_runs_hold_blas_at_one_thread_and_restore_its_count(monkeypatch):
         step = recorded(layout, *args)
         return lambda work, out: np.multiply(step(work, out), 1 + 1e-7, out=out)
 
-    run_pure = channels._run_pure
+    evolve = channels.evolve
 
     def closed(*args, **kwargs):  # a closed fidelity run holds BLAS too
         seen.append(get())
-        return run_pure(*args, **kwargs)
+        return evolve(*args, **kwargs)
 
     psi = band_limited_packet(64, 5.0)
     spec = ChannelSpec("dephasing", 0.05, "walker")
@@ -1321,7 +1324,7 @@ def test_open_runs_hold_blas_at_one_thread_and_restore_its_count(monkeypatch):
         with pytest.raises(StateError, match="trace"):
             revival_protocol(psi, 0.7, 5, channel=spec)
         assert get() == 2
-        monkeypatch.setattr(channels, "_run_pure", closed)
+        monkeypatch.setattr(channels, "evolve", closed)
         revival_protocol(psi, 0.7, 5)
         assert get() == 2
     finally:
@@ -1569,7 +1572,7 @@ def test_fidelity_trace_refuses_a_density_start(channel, monkeypatch):
     def laid_out(*args, **kwargs):
         raise AssertionError("a state was laid out")
 
-    for name in ("open_layout", "_run_open", "_run_pure"):
+    for name in ("open_layout", "_run_open", "evolve"):
         monkeypatch.setattr(channels, name, laid_out)
     rho0 = DensityOperator.from_pure(band_packet(16, 7, seed=2))
     with pytest.raises(StateError, match="PureState, not DensityOperator"):

@@ -561,6 +561,22 @@ def test_cli_refuses_oversized_inputs_without_a_traceback(argv, code, message, t
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_closed_run_whose_rows_would_not_fit_is_refused(monkeypatch, tmp_path, capsys):
+    # 20,001 kept P(x) rows on N = 40,008 sites, 32 N bytes each with their
+    # table columns, about 25.6 GB: refused before the packet is built
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the packet was built before the memory guard ran")
+
+    monkeypatch.setattr(scenarios, "gaussian_position_state", unbuilt)
+    argv = ["evolve", "--steps", "20000", "--stride", "1", "--sigma", "1", "--out", str(tmp_path)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == (f"catwalk: refused: predicted {32 * 40008 * 20002} bytes (one pure state and "
+                   "20001 kept P(x) rows with their table columns on N=40008 sites) exceeds budget "
+                   "4000000000; reduce the lattice or raise max_bytes\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_a_run_that_runs_out_of_memory_is_refused(tmp_path):
     # sigma = 1e6 builds N = 8,000,008 sites, about 250 MB a state, which the
     # guard lets through; under a 1 GiB address-space limit, set in the child

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catwalk import walk
+from catwalk import channels, walk
 from catwalk.analysis import entanglement_entropy, position_distribution, revival_protocol
-from catwalk.channels import evolve_open, fidelity_trace
+from catwalk.channels import ChannelSpec, evolve_open, fidelity_trace, open_layout
 from catwalk.lattice import (
     COIN_DOWN,
     COIN_SYMMETRIC,
@@ -17,6 +18,7 @@ from catwalk.lattice import (
     StateError,
     fidelity,
     fidelity_with_density,
+    gaussian_momentum_state,
     gaussian_position_state,
     localized_state,
     make_lattice,
@@ -34,7 +36,6 @@ from catwalk.walk import (
     step,
     step_density,
     _PlainPower,
-    _run_pure,
 )
 from dense_oracle import dense_gate, dense_pure_run, dense_run, dense_walk_unitary, random_density
 from paper_formulas import walk_unitary_k
@@ -144,21 +145,6 @@ def test_schedule_validation():
         Schedule(10, np.pi / 4, fm_window=(2, 12, 0.1))
     with pytest.raises(ScheduleError):
         Schedule(10, np.pi / 4, coin_gate_insertions=((11, SIGMA_Y),))
-
-
-def test_a_lone_power_reads_what_it_reads_in_a_batch():
-    # each n of _PlainPower.fidelities reads the same bits whether asked alone,
-    # at the head of a tail, or inside a batch that crosses a chunk edge
-    lattice = make_lattice(468)
-    psi = gaussian_position_state(lattice, 10.0, COIN_SYMMETRIC, k0=0.2)
-    kamp = to_momentum(psi.amplitudes)
-    power = _PlainPower(0.7, lattice.momenta)
-    edge = (1 << 18) // lattice.n_sites
-    n = np.arange(1, edge + 40)
-    batch = power.fidelities(n, kamp, kamp)
-    for i in (0, 1, edge - 2, edge - 1, edge, edge + 1, len(n) - 1):
-        assert power.fidelities(n[i:i + 1], kamp, kamp)[0] == batch[i]
-        assert power.fidelities(n[i:], kamp, kamp)[0] == batch[i]
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -367,7 +353,7 @@ def test_evolve_plain_and_reversal_schedules_match_dense_oracle(theta, quarter_n
     np.testing.assert_allclose(result.final.amplitudes.ravel(), expected[-1], rtol=0, atol=1e-12)
 
 
-def test_observing_a_run_does_not_change_its_arithmetic():
+def test_observing_a_run_does_not_change_its_arithmetic(monkeypatch):
     # plain stretches are jumps from their start, so snapshots and the
     # fidelity trace add inverse DFTs and products but change no amplitude of
     # the run, bit for bit
@@ -378,14 +364,12 @@ def test_observing_a_run_does_not_change_its_arithmetic():
                      coin_gate_insertions=((6, SIGMA_Y), (20, r), (40, r_dag)))
     bare = evolve(psi, sched).final.amplitudes
     times = (0, 3, 6, 15, 20, 33, 40)
-    amp, checkpoint = _run_pure(psi, sched, times, fidelity_times=range(41))
-    assert np.array_equal(amp.T, bare)
-    assert checkpoint.trace.shape == (41,)
     snapped = evolve(psi, sched, snapshot_times=times)
     assert np.array_equal(snapped.final.amplitudes, bare)
+    trace, _ = fidelity_trace(psi, sched)
+    assert trace.shape == (41,)
     for t in times:
-        assert np.array_equal(snapped.snapshots[t].amplitudes, checkpoint.snaps[t].amplitudes)
-        assert checkpoint.trace[t] == fidelity(psi, snapped.snapshots[t])
+        assert trace[t] == fidelity(psi, snapped.snapshots[t])
     # a snapshot reduced as the run passes it is the kept snapshot reduced
     for read in (position_distribution, entanglement_entropy):
         reduced = evolve(psi, sched, snapshot_times=times, read=read)
@@ -393,6 +377,40 @@ def test_observing_a_run_does_not_change_its_arithmetic():
         for t in times:
             assert (np.asarray(reduced.snapshots[t]).tobytes()
                     == np.asarray(read(snapped.snapshots[t])).tobytes())
+    # open runs, with no channel and each of the five: a read leaves the
+    # channel S a step owes owed, so neither snapshots (at steps that owe S)
+    # nor fidelity times move the line sums, in one row block or three, or
+    # the final state of a run stepped whole, bit for bit; a packet of width
+    # 2 in position fills the ring of all N momenta, one of width 1/8 in
+    # momentum a window ring (or fewer lines of all N, for walker and both)
+    lattice = make_lattice(32)
+    starts = [gaussian_position_state(lattice, 2.0, COIN_SYMMETRIC, k0=0.2),
+              gaussian_momentum_state(lattice, 0.125, COIN_SYMMETRIC, 0.2)]
+    gates = ((5, r), (12, r_dag))
+    reads = (((0, 3, 7), ()), ((), range(13)), ((3, 7, 12), (0, 3, 4, 12)))
+    for kind, target in ((None, None), ("dephasing", "coin"), ("dephasing", "walker"),
+                         ("dephasing", "both"), ("amplitude_damping", "coin"),
+                         ("bit_flip", "coin")):
+        channel = None if kind is None else ChannelSpec(kind, 0.3, target)
+        sched = Schedule(12, theta, coin_gate_insertions=gates, channel=channel)
+        for psi, blocks in itertools.product(starts, (1, 3)):
+            layout = open_layout(psi, sched)
+            budget = -(-64 * layout.lines * layout.ring // blocks)
+            monkeypatch.setattr(channels, "_BLOCK_BYTES", budget)
+            bare = evolve_open(psi, sched).sums
+            for snaps, fidelity_times in reads:
+                observed = channels._run_open(psi, sched, snaps, fidelity_times)[0]
+                assert observed.sums.tobytes() == bare.tobytes(), (kind, target, blocks)
+            # a pure start keeps its final state when read at the end
+            bare = evolve_open(psi, sched, (12,)).final.matrix
+            assert evolve_open(psi, sched, (0, 3, 7, 12)).final.matrix.tobytes() == bare.tobytes()
+        rho0 = DensityOperator.from_pure(starts[0])
+        bare = evolve_open(rho0, sched)
+        for snaps, fidelity_times in reads:
+            observed = channels._run_open(rho0, sched, snaps, fidelity_times)[0]
+            assert observed.sums.tobytes() == bare.sums.tobytes(), (kind, target)
+            if not fidelity_times:
+                assert observed.final.matrix.tobytes() == bare.final.matrix.tobytes()
 
 
 @pytest.mark.parametrize("read, kept_bytes", [
@@ -465,7 +483,7 @@ def test_closed_fidelity_trace_matches_dense_oracle(theta, quarter_n, steps, kin
     np.testing.assert_allclose(trace, expected, rtol=0, atol=1e-13)
 
 
-def test_closed_fidelity_trace_takes_one_inverse_dft_per_stretch(monkeypatch):
+def test_closed_fidelity_trace_takes_one_inverse_dft_per_read(monkeypatch):
     calls = []
     to_position = walk.to_position
 
@@ -475,7 +493,11 @@ def test_closed_fidelity_trace_takes_one_inverse_dft_per_stretch(monkeypatch):
 
     monkeypatch.setattr(walk, "to_position", counted)
     psi = gaussian_position_state(make_lattice(96), 4.0, COIN_SYMMETRIC)
+    # the revival's two plain stretches, 0 .. 20 and 20 .. 40: one inverse
+    # DFT per read time inside a stretch and one per stretch end, read or
+    # not; t = 0 is read from the start itself
     res = revival_protocol(psi, 0.7, 20)
-    assert len(res.trace) == 41
-    # the revival's two plain stretches, 0 .. 20 and 20 .. 40
-    assert len(calls) == 2
+    assert len(res.trace) == 41 and len(calls) == 40
+    calls.clear()
+    res = revival_protocol(psi, 0.7, 20, times=(3, 0, 25))
+    assert len(res.trace) == 3 and len(calls) == 4
